@@ -18,14 +18,18 @@ import sys
 import numpy as np
 
 from . import control, curves, dynamics, projection, sim
-from .errors import DivergenceError, NonConvergenceError, SplineFollowError
-
-FMT = "%.17g"
+from .errors import NumericalFailure, SplineFollowError
 
 
 def _load_json(path):
     with open(path) as f:
         return json.load(f)
+
+
+def _write_table(rows, header, out):
+    """CSV table to the file ``out``, or to stdout when it is not given."""
+    np.savetxt(out or sys.stdout, rows, fmt=sim.FMT, delimiter=",",
+               header=header, comments="")
 
 
 def _cmd_fit(args):
@@ -67,14 +71,7 @@ def _cmd_project(args):
         rows.append(
             [st.k_star, st.lambda_star, float(np.linalg.norm(y - sigma))]
         )
-    header = "k_star,lambda_star,distance"
-    if args.out:
-        np.savetxt(args.out, rows, fmt=FMT, delimiter=",",
-                   header=header, comments="")
-    else:
-        print(header)
-        for r in rows:
-            print(",".join(FMT % v for v in r))
+    _write_table(rows, "k_star,lambda_star,distance", args.out)
     return 0
 
 
@@ -83,15 +80,8 @@ def _cmd_dlambda(args):
     lam, delta, dmin = projection.allowable_delta_lambda(
         path, args.segment, samples=args.samples
     )
-    rows = np.column_stack([lam, delta])
-    header = "lambda_star,delta_lambda"
-    if args.out:
-        np.savetxt(args.out, rows, fmt=FMT, delimiter=",",
-                   header=header, comments="")
-    else:
-        print(header)
-        for r in rows:
-            print(",".join(FMT % v for v in r))
+    _write_table(np.column_stack([lam, delta]), "lambda_star,delta_lambda",
+                 args.out)
     print(f"minimum delta over segment {args.segment}: {dmin:.6g}",
           file=sys.stderr)
     return 0
@@ -210,7 +200,7 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DivergenceError, NonConvergenceError) as exc:
+    except NumericalFailure as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     except (SplineFollowError, FileNotFoundError, KeyError, ValueError) as exc:

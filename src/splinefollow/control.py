@@ -8,10 +8,11 @@ pseudoinverse of beta.  The null-space bias r steers the redundant
 degrees of freedom away from joint limits.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import frames, projection, transform
 from .errors import NearSingularDecouplingError, ParameterError
 
 CONDITION_LIMIT = 1e10
@@ -188,49 +189,52 @@ class StepDiagnostics:
     zeta: np.ndarray
     v: np.ndarray
     alpha: np.ndarray
-    beta_condition: float
     iterations: int
     saturated: bool
     u_unclamped: np.ndarray
 
 
+def command(lin, q, ctrl_state, gains, redundancy, limits, dt, t):
+    """Outer loops, null-space bias and input resolution at one state.
+
+    ``lin`` is the linearization at configuration ``q``.  Returns
+    (u, u_unclamped, v, new_ctrl_state): u is u_unclamped clamped
+    elementwise to the actuation limits.
+    """
+    p, N = lin.beta.shape
+    ts = lin.transformed
+    v_eta, ctrl_state = tangential_v(ts.eta, ctrl_state, gains, dt, t)
+    if p > 1:
+        v = np.concatenate([[v_eta], transversal_v(ts.xi, gains)])
+    else:
+        v = np.array([v_eta])
+
+    if redundancy.bias_mode == "joint_limit":
+        r = bias_r(q, limits)
+    else:
+        r = np.zeros(N)
+    u = resolve_input(lin.alpha, lin.beta, v, r, redundancy.W)
+    return np.clip(u, limits.u_min, limits.u_max), u, v, ctrl_state
+
+
 def step(system, path, state, proj_state, ctrl_state, gains,
          redundancy=RedundancyConfig(), limits=None,
-         proj_cfg=None, policy=None, dt=0.02, t=0.0):
+         proj_cfg=projection.ProjectionConfig(), policy=frames.FRENET,
+         dt=0.02, t=0.0):
     """One full control pass: project, transform, outer loops, resolve.
 
     Returns (u, new_proj_state, new_ctrl_state, diagnostics).  u is
     clamped elementwise to the actuation limits; the pre-clamp value is
     kept in the diagnostics.
     """
-    from . import frames, projection, transform
-
     if limits is None:
         limits = system.default_limits
-    if proj_cfg is None:
-        proj_cfg = projection.ProjectionConfig()
-    if policy is None:
-        policy = frames.FRENET
-
     proj_state = projection.update(proj_state, path, system.h(state.q), proj_cfg)
     lin = transform.linearize(system, state, path, proj_state, policy)
+    u_clamped, u, v, ctrl_state = command(
+        lin, state.q, ctrl_state, gains, redundancy, limits, dt, t
+    )
     ts = lin.transformed
-
-    v_eta, ctrl_state = tangential_v(ts.eta, ctrl_state, gains, dt, t)
-    if system.p > 1:
-        v = np.concatenate([[v_eta], transversal_v(ts.xi, gains)])
-    else:
-        v = np.array([v_eta])
-
-    if redundancy.bias_mode == "joint_limit":
-        r = bias_r(state.q, limits)
-    else:
-        r = np.zeros(system.N)
-    u = resolve_input(lin.alpha, lin.beta, v, r, redundancy.W)
-
-    u_clamped = np.clip(u, limits.u_min, limits.u_max)
-    saturated = bool(np.any(u_clamped != u))
-
     diag = StepDiagnostics(
         k_star=proj_state.k_star,
         lambda_star=proj_state.lambda_star,
@@ -239,9 +243,8 @@ def step(system, path, state, proj_state, ctrl_state, gains,
         zeta=ts.zeta,
         v=v,
         alpha=lin.alpha,
-        beta_condition=float(np.linalg.cond(lin.beta @ lin.beta.T)),
         iterations=proj_state.last_iterations,
-        saturated=saturated,
+        saturated=bool(np.any(u_clamped != u)),
         u_unclamped=u,
     )
     return u_clamped, proj_state, ctrl_state, diag

@@ -122,7 +122,7 @@ class CallbackSegment:
 
 
 class SplinePath:
-    """An ordered chain of curve segments with a precomputed arclength table.
+    """An ordered chain of curve segments with precomputed arclength tables.
 
     Immutable after construction; safe for concurrent reads.
     """
@@ -143,6 +143,10 @@ class SplinePath:
         self.arclength_offsets = np.concatenate(
             ([0.0], np.cumsum(self.cumulative_arclength)[:-1])
         )
+        self._arc_tables = [
+            self._arc_table(s, total)
+            for s, total in zip(self.segments, self.cumulative_arclength)
+        ]
 
     @property
     def n_segments(self):
@@ -175,30 +179,26 @@ class SplinePath:
         self._check_domain(seg, lam)
         return self._segment_length(seg, upto=float(lam))
 
+    @staticmethod
+    def _arc_table(seg, total):
+        """Cumulative-Simpson arclength table (grid, s) of one segment."""
+        lo, hi = seg.domain
+        grid = np.linspace(lo, hi, 2049)
+        speeds = np.linalg.norm(seg.evaluate(grid, 1), axis=1)
+        cum = np.concatenate(([0.0], cumulative_simpson(speeds, x=grid)))
+        # rescale so the table endpoint agrees with the quadrature value
+        if cum[-1] > 0.0:
+            cum *= total / cum[-1]
+        return grid, cum
+
     def arclength_interp(self, k, lam):
-        """Fast s_k(lam) from a lazily built cumulative-Simpson table.
+        """Fast s_k(lam) from the segment's cumulative-Simpson table.
 
         Accurate to ~1e-9 on smooth segments; the control loop queries
         this every step, where adaptive quadrature is too slow.
         """
-        if not hasattr(self, "_arc_tables"):
-            self._arc_tables = [None] * len(self.segments)
-        tab = self._arc_tables[k]
-        if tab is None:
-            seg = self.segments[k]
-            lo, hi = seg.domain
-            grid = np.linspace(lo, hi, 2049)
-            speeds = np.linalg.norm(seg.evaluate(grid, 1), axis=1)
-            cum = np.concatenate(
-                ([0.0], cumulative_simpson(speeds, x=grid))
-            )
-            # rescale so the table endpoint agrees with the quadrature value
-            total = self.cumulative_arclength[k]
-            if cum[-1] > 0.0:
-                cum *= total / cum[-1]
-            tab = (grid, cum)
-            self._arc_tables[k] = tab
-        return float(np.interp(lam, tab[0], tab[1]))
+        grid, cum = self._arc_tables[k]
+        return float(np.interp(lam, grid, cum))
 
     def evaluate(self, k, lam, order=0):
         """Evaluate d^order sigma_k / d lambda^order with domain checks."""

@@ -64,10 +64,6 @@ class MechanicalSystem:
     completion: callable   # State -> (2N - 2p,) redundant coordinates zeta
     default_limits: Limits = None
 
-    def jdot_times(self, q, qd):
-        """The contraction d(J qd)/dq . qd, i.e. Jdot(q, qd) @ qd."""
-        return np.einsum("abc,b,c->a", self.dJ_dq(q), qd, qd)
-
     def djqd_dq(self, q, qd):
         """Matrix d(J qd)/dq of shape (p, N)."""
         return self.dJ_dq(q).transpose(0, 2, 1) @ qd

@@ -2,7 +2,21 @@
 
 
 class SplineFollowError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``time`` is the simulated time of the control step that failed; a
+    closed-loop run sets it, and the message then starts with it.
+    """
+
+    time = None
+
+    def __str__(self):
+        msg = super().__str__()
+        return msg if self.time is None else f"t={self.time:.3f}s: {msg}"
+
+
+class NumericalFailure(SplineFollowError):
+    """Valid input, but the numerics broke down during a computation."""
 
 
 class DegenerateChordError(SplineFollowError):
@@ -11,10 +25,6 @@ class DegenerateChordError(SplineFollowError):
 
 class FitFailureError(SplineFollowError):
     """The spline fitting linear system is rank deficient."""
-
-    def __init__(self, message, segment=None):
-        super().__init__(message)
-        self.segment = segment
 
 
 class DomainError(SplineFollowError):
@@ -37,7 +47,7 @@ class DegenerateFrameError(SplineFollowError):
         self.index = index
 
 
-class NonConvergenceError(SplineFollowError):
+class NonConvergenceError(NumericalFailure):
     """Projection descent hit the iteration cap."""
 
     def __init__(self, message, state=None):
@@ -45,24 +55,16 @@ class NonConvergenceError(SplineFollowError):
         self.state = state
 
 
-class NonSPDInertiaError(SplineFollowError):
+class NonSPDInertiaError(NumericalFailure):
     """Inertia matrix failed its positive-definite factorization."""
 
 
-class SingularityError(SplineFollowError):
-    """Output Jacobian (or a derived matrix) lost rank."""
-
-
-class NearSingularDecouplingError(SplineFollowError):
+class NearSingularDecouplingError(NumericalFailure):
     """beta * W^-1 * beta^T is too ill-conditioned to invert reliably."""
 
 
-class DivergenceError(SplineFollowError):
+class DivergenceError(NumericalFailure):
     """Simulated state magnitude exceeded the divergence guard."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
 
 
 class ParameterError(SplineFollowError):

@@ -237,12 +237,6 @@ def frame_at(path, k, lam, policy=FRENET):
     )
 
 
-def frame_derivative(frame, path):
-    """Lambda-derivatives e_1'..e_p' of the frame vectors."""
-    fj = frame_jet(path, frame.k, frame.lam, frame.policy)
-    return fj.de
-
-
 def curvatures_at(path, k, lam, policy=FRENET):
     """Generalized curvatures chi_1..chi_{p-1} from analytic derivatives."""
     return frame_jet(path, k, lam, policy).curvatures

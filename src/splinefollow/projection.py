@@ -16,22 +16,19 @@ import numpy as np
 from .errors import NonConvergenceError
 
 ON_PATH_TOL = 1e-12  # below this distance, descend on the squared distance
+GROW, SHRINK = 1.2, 0.5  # descent step factors after a success / a failure
+INIT_GRID = 2000  # global-initializer grid spacing: total arclength / INIT_GRID
 
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Tuning knobs for the descent and the global initializer."""
+    """Tolerance, first descent step and iteration cap of the projection."""
 
     eps: float = 1e-8
     alpha0: float = 1e-2
-    grow: float = 1.2
-    shrink: float = 0.5
     max_iters: int = 200
-    init_quantization: float | None = None  # default: arclength / 2000
 
     def __post_init__(self):
-        if not (0.0 < self.shrink < 1.0 < self.grow):
-            raise ValueError("need 0 < shrink < 1 < grow")
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
 
@@ -42,7 +39,6 @@ class ProjectionState:
 
     k_star: int
     lambda_star: float
-    step_size: float
     last_iterations: int = 0
     clamped: bool = False  # lambda* pinned to an open-path endpoint
 
@@ -58,22 +54,6 @@ def _objective_and_gradient(path, k, lam, y):
     return dist, -(diff @ dsigma) / dist
 
 
-def initial_step_size(path, eta2_ref, dt):
-    """Step-size hint: expected parameter motion per control period.
-
-    Scales the tangential reference speed by the path's minimum segment
-    speed so chord-length (near unit-speed) splines get eta2_ref * dt.
-    """
-    min_speed = np.inf
-    for k, seg in enumerate(path.segments):
-        lo, hi = seg.domain
-        grid = np.linspace(lo, hi, 32)
-        speeds = np.linalg.norm(seg.evaluate(grid, 1), axis=1)
-        min_speed = min(min_speed, float(speeds.min()))
-    min_speed = max(min_speed, 1e-9)
-    return abs(eta2_ref) * dt / min_speed
-
-
 def _newton(path, k, lam, y, cfg):
     """Safeguarded Newton iteration on g(lam) = <sigma - y, sigma'> = 0.
 
@@ -84,15 +64,14 @@ def _newton(path, k, lam, y, cfg):
     point stays in the incumbent segment and the distance does not
     increase.  The length bound keeps a step where g' is small from
     leaping over a distance ridge to another branch of the same segment.
-    Returns (lam, iterations, converged, last |step|); lam is always the
-    last accepted iterate.
+    Returns (lam, iterations, converged); lam is always the last accepted
+    iterate.
     """
     lo, hi = path.segments[k].domain
     sig = path.jet_unchecked(k, lam, 2)
     diff = sig[0] - y
     dist2 = diff @ diff
     iters = 0
-    step = 0.0
     while iters < cfg.max_iters:
         gp = sig[1] @ sig[1] + diff @ sig[2]
         if not gp > 0.0:
@@ -110,11 +89,11 @@ def _newton(path, k, lam, y, cfg):
             # is simply not taken
             if dist2_new <= dist2:
                 lam = lam_new
-            return lam, iters, True, abs(step)
+            return lam, iters, True
         if dist2_new > dist2:
             break
         lam, sig, diff, dist2 = lam_new, sig_new, diff_new, dist2_new
-    return lam, iters, False, abs(step)
+    return lam, iters, False
 
 
 def update(state, path, y, cfg):
@@ -130,12 +109,10 @@ def update(state, path, y, cfg):
     """
     y = np.asarray(y, dtype=float)
     k = state.k_star
-    lam, iters, converged, step = _newton(path, k, state.lambda_star, y, cfg)
+    lam, iters, converged = _newton(path, k, state.lambda_star, y, cfg)
     if converged:
-        return ProjectionState(
-            k_star=k, lambda_star=float(lam), step_size=step,
-            last_iterations=iters,
-        )
+        return ProjectionState(k_star=k, lambda_star=float(lam),
+                               last_iterations=iters)
     alpha = cfg.alpha0
     clamped = False
     restarts = 0
@@ -146,10 +123,8 @@ def update(state, path, y, cfg):
             if iters >= cfg.max_iters:
                 raise NonConvergenceError(
                     f"projection did not converge in {cfg.max_iters} iterations",
-                    state=replace(
-                        state, k_star=k, lambda_star=lam, step_size=alpha,
-                        last_iterations=iters,
-                    ),
+                    state=replace(state, k_star=k, lambda_star=lam,
+                                  last_iterations=iters),
                 )
             iters += 1
             # exactly-zero gradient (ridge between branches): nudge forward
@@ -158,9 +133,9 @@ def update(state, path, y, cfg):
             obj_new, grad_new = _objective_and_gradient(path, k, lam_new, y)
             if obj_new < obj:
                 lam, obj, grad = lam_new, obj_new, grad_new
-                alpha *= cfg.grow
+                alpha *= GROW
             else:
-                alpha *= cfg.shrink
+                alpha *= SHRINK
             if alpha < cfg.eps:
                 break
 
@@ -194,13 +169,8 @@ def update(state, path, y, cfg):
         # restart the descent on the new segment (Algorithm 1 re-entry)
         alpha = max(alpha, cfg.eps * 2.0)
 
-    return ProjectionState(
-        k_star=k,
-        lambda_star=float(lam),
-        step_size=alpha,
-        last_iterations=iters,
-        clamped=clamped,
-    )
+    return ProjectionState(k_star=k, lambda_star=float(lam),
+                           last_iterations=iters, clamped=clamped)
 
 
 def global_initialize(path, y, cfg=ProjectionConfig()):
@@ -210,9 +180,7 @@ def global_initialize(path, y, cfg=ProjectionConfig()):
     deterministic.
     """
     y = np.asarray(y, dtype=float)
-    spacing = cfg.init_quantization
-    if spacing is None:
-        spacing = path.total_arclength / 2000.0
+    spacing = path.total_arclength / INIT_GRID
     best = (np.inf, 0, 0.0)
     for k, seg in enumerate(path.segments):
         lo, hi = seg.domain
@@ -225,11 +193,8 @@ def global_initialize(path, y, cfg=ProjectionConfig()):
         # distance keeps the earlier (k, lambda)
         if dists[i] < best[0] - 1e-15:
             best = (float(dists[i]), k, float(grid[i]))
-    seed = ProjectionState(
-        k_star=best[1], lambda_star=best[2], step_size=spacing
-    )
-    polish_cfg = replace(cfg, alpha0=spacing)
-    return update(seed, path, y, polish_cfg)
+    seed = ProjectionState(k_star=best[1], lambda_star=best[2])
+    return update(seed, path, y, replace(cfg, alpha0=spacing))
 
 
 def convexity_margin(path, k, lam_star, lams):

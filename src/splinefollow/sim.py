@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import control, curves, dynamics, frames, projection, transform
-from .dynamics import Limits, State, drift_and_input
+from .dynamics import Limits, State
 from .errors import DivergenceError, ParameterError, SplineFollowError
 
 DIVERGENCE_BOUND = 1e6
@@ -151,10 +151,6 @@ class RunLog:
     iterations: np.ndarray
     saturated: np.ndarray
 
-    @property
-    def xi_flat(self):
-        return self.xi.reshape(len(self.t), -1)
-
     def summary(self, limits=None, tail_fraction=0.25):
         """Scalar health indicators of the run."""
         n_tail = max(int(len(self.t) * tail_fraction), 1)
@@ -252,7 +248,8 @@ def run(scenario, path=None, system=None, proj_cfg=None):
 
     The controller sees the (optionally quantized) measured state; the
     plant always integrates the true state.  Divergence (state norm above
-    1e6) aborts with the failing time stamp.
+    1e6) aborts.  A library error raised during a control period carries
+    that period's start time as ``time``.
     """
     if system is None:
         system = dynamics.make_plant(scenario.plant, **scenario.plant_kwargs)
@@ -283,8 +280,13 @@ def run(scenario, path=None, system=None, proj_cfg=None):
                 redundancy=scenario.redundancy, limits=limits,
                 proj_cfg=proj_cfg, policy=policy, dt=scenario.dt, t=t,
             )
+            new_state = _rk4_hold(system, state, u, h, scenario.substeps)
+            x = np.concatenate([new_state.q, new_state.qd])
+            if np.linalg.norm(x) > DIVERGENCE_BOUND:
+                raise DivergenceError(f"state norm exceeded {DIVERGENCE_BOUND:g}")
         except SplineFollowError as exc:
-            raise type(exc)(f"t={t:.3f}s: {exc}") from exc
+            exc.time = t   # keeps the error's own fields (state, index)
+            raise
         rows["t"].append(t)
         rows["q"].append(state.q)
         rows["qd"].append(state.qd)
@@ -297,11 +299,7 @@ def run(scenario, path=None, system=None, proj_cfg=None):
         rows["iterations"].append(diag.iterations)
         rows["saturated"].append(diag.saturated)
 
-        state = _rk4_hold(system, state, u, h, scenario.substeps)
-        if np.linalg.norm(np.concatenate([state.q, state.qd])) > DIVERGENCE_BOUND:
-            raise DivergenceError(
-                f"state norm exceeded {DIVERGENCE_BOUND:g}", time=t
-            )
+        state = new_state
         observed = meas.observe(state)
         t += scenario.dt
 
@@ -395,8 +393,7 @@ def _point_on_path(path, eta1_ref):
     else:
         lam = brentq(lambda l: path.arclength(k, l) - target, lo, hi,
                      xtol=1e-12)
-    return projection.ProjectionState(k_star=k, lambda_star=float(lam),
-                                      step_size=1e-3)
+    return projection.ProjectionState(k_star=k, lambda_star=float(lam))
 
 
 @dataclass
@@ -416,18 +413,9 @@ def _zero_dynamics_field(system, path, gains, redundancy, limits, ps, elbow):
     def field(zeta):
         st = _manifold_state(system, path, ps, zeta, elbow)
         lin = transform.linearize(system, st, path, ps)
-        v_eta, _ = control.tangential_v(
-            lin.transformed.eta, control.ControllerState(), gains, dt=0.02
-        )
-        v = np.concatenate([[v_eta],
-                            control.transversal_v(lin.transformed.xi, gains)])
-        r = (control.bias_r(st.q, limits)
-             if redundancy.bias_mode == "joint_limit"
-             else np.zeros(system.N))
-        u = control.resolve_input(lin.alpha, lin.beta, v, r, redundancy.W)
-        u = np.clip(u, limits.u_min, limits.u_max)
-        f_v, g_v = drift_and_input(system, st)
-        return np.array([zeta[1], float(np.sum(f_v + g_v @ u))])
+        u = control.command(lin, st.q, control.ControllerState(), gains,
+                            redundancy, limits, dt=0.02, t=0.0)[0]
+        return np.array([zeta[1], float(np.sum(lin.f_v + lin.g_v @ u))])
 
     return field
 

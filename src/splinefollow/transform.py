@@ -39,10 +39,7 @@ class LinearizationData:
     transformed: TransformedState
     alpha: np.ndarray          # (p,): drift of (eta_1'', xi_1'')
     beta: np.ndarray           # (p, N): decoupling matrix
-    frame: "frames.FrameJet"
-    speed: float               # ||sigma'(lambda*)||
-    offset: np.ndarray         # h(q) - sigma(lambda*)
-    f_v: np.ndarray
+    f_v: np.ndarray            # qdd = f_v + g_v u
     g_v: np.ndarray
 
 
@@ -51,37 +48,35 @@ def path_arclength(path, k, lam):
     return float(path.arclength_offsets[k] + path.arclength_interp(k, lam))
 
 
-def _geometry(system, state, path, k, lam, policy):
+def _geometry(system, state, path, proj_state, policy):
     """Shared frame/output geometry for the transform and its derivatives."""
-    fj = frames.frame_jet(path, k, lam, policy)
-    q, qd = state.q, state.qd
-    J = system.J(q)
-    offset = system.h(q) - fj.sigma[0]
-    Jqd = J @ qd
-    return fj, J, offset, Jqd
+    fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
+    J = system.J(state.q)
+    offset = system.h(state.q) - fj.sigma[0]
+    return fj, J, offset, J @ state.qd
+
+
+def _coordinates(system, state, path, fj, offset, Jqd):
+    """(eta, xi, zeta) at the frame's path point (fj.k, fj.lam)."""
+    eta2 = fj.e[0] @ Jqd
+    lam_rate = eta2 / fj.speed[0]          # d lambda* / dt on the path
+    xi = np.empty((2, system.p - 1))
+    for j in range(1, system.p):
+        xi[0, j - 1] = fj.e[j] @ offset
+        xi[1, j - 1] = lam_rate * (fj.de[j] @ offset) + fj.e[j] @ Jqd
+    return TransformedState(
+        eta=np.array([path_arclength(path, fj.k, fj.lam), eta2]),
+        xi=xi,
+        zeta=system.completion(state),
+        k_star=fj.k,
+        lambda_star=fj.lam,
+    )
 
 
 def to_transformed(system, state, path, proj_state, policy=frames.FRENET):
     """Compute (eta, xi, zeta) at the tracked closest point."""
-    k, lam = proj_state.k_star, proj_state.lambda_star
-    fj, J, offset, Jqd = _geometry(system, state, path, k, lam, policy)
-    p = system.p
-    speed = fj.speed[0]
-
-    eta1 = path_arclength(path, k, lam)
-    eta2 = fj.e[0] @ Jqd
-    xi = np.empty((2, p - 1))
-    for j in range(1, p):
-        xi[0, j - 1] = fj.e[j] @ offset
-        xi[1, j - 1] = (eta2 / speed) * (fj.de[j] @ offset) + fj.e[j] @ Jqd
-
-    return TransformedState(
-        eta=np.array([eta1, eta2]),
-        xi=xi,
-        zeta=system.completion(state),
-        k_star=k,
-        lambda_star=float(lam),
-    )
+    fj, _, offset, Jqd = _geometry(system, state, path, proj_state, policy)
+    return _coordinates(system, state, path, fj, offset, Jqd)
 
 
 def linearize(system, state, path, proj_state, policy=frames.FRENET):
@@ -91,8 +86,8 @@ def linearize(system, state, path, proj_state, policy=frames.FRENET):
     offsets xi_1''.  beta is the matrix multiplying u in those second
     derivatives; it loses rank exactly where the transform degenerates.
     """
-    k, lam = proj_state.k_star, proj_state.lambda_star
-    fj, J, offset, Jqd = _geometry(system, state, path, k, lam, policy)
+    fj, J, offset, Jqd = _geometry(system, state, path, proj_state, policy)
+    transformed = _coordinates(system, state, path, fj, offset, Jqd)
     q, qd = state.q, state.qd
     p, N = system.p, system.N
     speed = fj.speed[0]
@@ -101,8 +96,8 @@ def linearize(system, state, path, proj_state, policy=frames.FRENET):
     dJqd_dq = system.djqd_dq(q, qd)        # (p, N)
     accel_drift = dJqd_dq @ qd + J @ f_v   # d(J qd)/dt along the drift
 
-    eta2 = fj.e[0] @ Jqd
-    lam_rate = eta2 / speed                # d lambda* / dt on the path
+    eta2 = transformed.eta[1]
+    lam_rate = eta2 / speed
 
     # tangential channel
     lf2_eta1 = lam_rate * (fj.de[0] @ Jqd) + fj.e[0] @ accel_drift
@@ -126,28 +121,8 @@ def linearize(system, state, path, proj_state, policy=frames.FRENET):
         )
         beta[j] = (a_j * fj.e[0] + fj.e[j]) @ Jg
 
-    eta1 = path_arclength(path, k, lam)
-    xi = np.empty((2, p - 1))
-    for j in range(1, p):
-        xi[0, j - 1] = fj.e[j] @ offset
-        xi[1, j - 1] = lam_rate * (fj.de[j] @ offset) + fj.e[j] @ Jqd
-
-    transformed = TransformedState(
-        eta=np.array([eta1, eta2]),
-        xi=xi,
-        zeta=system.completion(state),
-        k_star=k,
-        lambda_star=float(lam),
-    )
     return LinearizationData(
-        transformed=transformed,
-        alpha=alpha,
-        beta=beta,
-        frame=fj,
-        speed=float(speed),
-        offset=offset,
-        f_v=f_v,
-        g_v=g_v,
+        transformed=transformed, alpha=alpha, beta=beta, f_v=f_v, g_v=g_v
     )
 
 
@@ -172,8 +147,7 @@ def check_differentials(system, state, path, proj_state,
     rows is therefore equivalent to both p x N blocks having full rank,
     which is measured here by their smallest singular values.
     """
-    k, lam = proj_state.k_star, proj_state.lambda_star
-    fj, J, offset, Jqd = _geometry(system, state, path, k, lam, policy)
+    fj, J, offset, Jqd = _geometry(system, state, path, proj_state, policy)
     p, N = system.p, system.N
     speed = fj.speed[0]
     sig1, sig2 = fj.sigma[1], fj.sigma[2]

@@ -194,9 +194,7 @@ def test_criterion_4_junction_continuity(capsys, wavy_path, example2):
         st = State(q=q, qd=[0.11, -0.07, 0.05])
         outs = []
         for kk, ll in ((k, hi), (k + 1, lo2)):
-            ps = projection.ProjectionState(
-                k_star=kk, lambda_star=ll, step_size=1e-3
-            )
+            ps = projection.ProjectionState(k_star=kk, lambda_star=ll)
             lin = transform.linearize(example2, st, wavy_path, ps)
             T = lin.transformed
             v_eta, _ = control.tangential_v(
@@ -401,7 +399,6 @@ def test_criterion_8_no_branch_jump(capsys, fig8_path, example2):
     cfg = projection.ProjectionConfig()
     ps = projection.ProjectionState(
         k_star=15, lambda_star=0.9 * fig8_path.segments[15].domain[1],
-        step_size=1e-3,
     )
     ks = set()
     for _ in range(100):

@@ -104,6 +104,21 @@ class TestRun:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 11  # header + 10 steps
 
+    def test_numerical_failure_exits_2(self, tmp_path, capsys):
+        # the arm starts stretched out: beta is singular at t = 0
+        scen = {
+            "plant": "example2",
+            "path": {"analytic": "circle", "params": {"radius": 3.0}},
+            "q0": [0.0, 0.0, 0.0],
+            "qd0": [0.0, 0.0, 0.0],
+            "duration": 1.0,
+        }
+        f = tmp_path / "singular.json"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
+        assert rc == 2
+        assert "t=0.000s" in capsys.readouterr().err
+
     def test_bad_scenario_is_validation_failure(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"plant": "acrobot"}))

@@ -70,7 +70,7 @@ class TestUpdate:
             k = int(rng.integers(wavy_path.n_segments))
             lo, hi = wavy_path.segments[k].domain
             seed = projection.ProjectionState(
-                k_star=k, lambda_star=rng.uniform(lo, hi), step_size=1e-2
+                k_star=k, lambda_star=rng.uniform(lo, hi)
             )
             y = rng.uniform([0.5, -1.0], [2.5, 1.0])
             d0 = np.linalg.norm(
@@ -85,9 +85,7 @@ class TestUpdate:
     def test_segment_handoff(self, wavy_path):
         cfg = projection.ProjectionConfig()
         hi0 = wavy_path.segments[0].domain[1]
-        st = projection.ProjectionState(
-            k_star=0, lambda_star=hi0 - 1e-3, step_size=1e-2
-        )
+        st = projection.ProjectionState(k_star=0, lambda_star=hi0 - 1e-3)
         y = wavy_path.evaluate(1, 0.2 * wavy_path.segments[1].domain[1], 0)
         st = projection.update(st, wavy_path, y, cfg)
         assert st.k_star == 1
@@ -95,7 +93,7 @@ class TestUpdate:
     def test_open_end_clamps(self):
         path = curves.line_path([0.0, 0.0], [1.0, 0.0])
         cfg = projection.ProjectionConfig()
-        st = projection.ProjectionState(k_star=0, lambda_star=0.9, step_size=1e-2)
+        st = projection.ProjectionState(k_star=0, lambda_star=0.9)
         st = projection.update(st, path, np.array([2.0, 0.3]), cfg)
         assert st.clamped
         assert st.lambda_star == pytest.approx(1.0)
@@ -105,7 +103,6 @@ class TestUpdate:
         hi = fig8_path.segments[-1].domain[1]
         st = projection.ProjectionState(
             k_star=fig8_path.n_segments - 1, lambda_star=hi - 1e-3,
-            step_size=1e-2,
         )
         y = fig8_path.evaluate(0, 0.1, 0)
         st = projection.update(st, fig8_path, y, cfg)
@@ -118,20 +115,18 @@ class TestUpdate:
         smaller distance; tracking must stay on the seed's turn."""
         path = curves.circle_path(span=(-3.0 * np.pi, 3.0 * np.pi))
         cfg = projection.ProjectionConfig()
-        seed = projection.ProjectionState(k_star=0, lambda_star=1.42, step_size=1e-2)
+        seed = projection.ProjectionState(k_star=0, lambda_star=1.42)
         st = projection.update(seed, path, np.array([0.1, 0.0]), cfg)
         assert st.lambda_star == pytest.approx(0.0, abs=1e-6)
 
     def test_iteration_cap_raises(self, wavy_path):
         cfg = projection.ProjectionConfig(max_iters=2, eps=1e-14)
-        st = projection.ProjectionState(k_star=0, lambda_star=0.01, step_size=1e-2)
+        st = projection.ProjectionState(k_star=0, lambda_star=0.01)
         with pytest.raises(NonConvergenceError) as exc:
             projection.update(st, wavy_path, np.array([5.0, 5.0]), cfg)
         assert exc.value.state is not None
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            projection.ProjectionConfig(shrink=1.5)
         with pytest.raises(ValueError):
             projection.ProjectionConfig(eps=0.0)
 

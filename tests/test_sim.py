@@ -5,9 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from splinefollow import control, curves, dynamics, sim
+from pathlib import Path
+
+from splinefollow import control, curves, dynamics, projection, sim
 from splinefollow.dynamics import State
-from splinefollow.errors import DivergenceError, ParameterError
+from splinefollow.errors import (
+    DivergenceError,
+    NonConvergenceError,
+    ParameterError,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _example1_scenario(**overrides):
@@ -125,6 +133,14 @@ class TestRun:
         with pytest.raises(DivergenceError):
             sim.run(scen)
 
+    def test_failure_keeps_fields_and_time(self):
+        scen = sim.Scenario.from_file(SCENARIOS / "two_mass_line.json")
+        with pytest.raises(NonConvergenceError) as exc:
+            sim.run(scen, proj_cfg=projection.ProjectionConfig(max_iters=2))
+        assert exc.value.state is not None
+        assert exc.value.time == pytest.approx(0.18)
+        assert str(exc.value).startswith("t=0.180s: ")
+
     def test_quantized_measurement(self):
         scen = _example1_scenario(encoder_resolution=np.array([1e-4, 1e-4]))
         log = sim.run(scen)
@@ -199,3 +215,33 @@ class TestPortrait:
         eq = json.loads(json_f.read_text())
         assert eq["grid_points"] == 4
         assert eq["failed_grid_points"] == 1
+
+    def test_field_is_the_closed_loop_law(self, example2):
+        """The field's zeta_2 rate is the plant's under control.step's u."""
+        radius = 2.2
+        path = curves.circle_path(radius, span=(-np.pi * radius, np.pi * radius))
+        q0 = sim.ik_planar3r((radius, 0.0), 0.0)
+        limits = dynamics.Limits(
+            q_min=q0 - 1.0, q_max=q0 + 1.0, u_min=[-10.0] * 3, u_max=[10.0] * 3
+        )
+        gains = control.OuterLoopGains(
+            tangential_mode="position", K_P=20.0, K_D=9.0,
+            eta1_ref=np.pi * radius, xi_Kp=(40.0,), xi_Kd=(13.0,),
+        )
+        portrait = sim.zero_dynamics_portrait(
+            example2, path, gains, np.array([[0.4, 0.3], [0.5, 0.3]]),
+            limits=limits, eta1_ref=np.pi * radius, sim_duration=0.02,
+        )
+        for zeta in ([0.4, 0.3], [-0.2, -0.5], [0.9, 0.0]):
+            zeta = np.array(zeta)
+            st, ps = sim.zero_dynamics_state(
+                example2, path, zeta, eta1_ref=np.pi * radius
+            )
+            u, _, _, _ = control.step(
+                example2, path, st, ps, control.ControllerState(), gains,
+                limits=limits, dt=0.02, t=0.0,
+            )
+            qdd = dynamics.acceleration(example2, st.q, st.qd, u)
+            flow = portrait.field(zeta)
+            assert flow[0] == zeta[1]
+            assert flow[1] == pytest.approx(qdd.sum(), abs=1e-9)

@@ -68,7 +68,7 @@ class TestExample1Linearization:
         """For the two-mass plant: qdd_2 = (u_2 + b2 (qd_1 - qd_2)) / m2."""
         path = curves.line_path([-5.0], [5.0])
         policy_state = State(q=[0.4, 1.0], qd=[0.3, -0.2])
-        ps = projection.ProjectionState(k_star=0, lambda_star=6.0, step_size=1e-3)
+        ps = projection.ProjectionState(k_star=0, lambda_star=6.0)
         lin = transform.linearize(example1, policy_state, path, ps)
         b2 = 1.0
         want_alpha = b2 * (policy_state.qd[0] - policy_state.qd[1])
@@ -120,7 +120,7 @@ class TestCheckDifferentials:
         policy = frames.FramePolicy(mode="planar_fallback")
         k, lam = 4, 0.5 * fig8_path.segments[4].domain[1]
         q = sim.ik_planar3r(fig8_path.evaluate(k, lam, 0), 0.3)
-        ps = projection.ProjectionState(k_star=k, lambda_star=lam, step_size=1e-3)
+        ps = projection.ProjectionState(k_star=k, lambda_star=lam)
         rep = transform.check_differentials(
             example2, State(q=q, qd=np.zeros(3)), fig8_path, ps, policy
         )
@@ -135,7 +135,7 @@ class TestCheckDifferentials:
         k = 1
         lam = 0.3 * fig8_path.segments[1].domain[1]
         q = sim.ik_planar3r(fig8_path.evaluate(k, lam, 0), 0.3)
-        ps = projection.ProjectionState(k_star=k, lambda_star=lam, step_size=1e-3)
+        ps = projection.ProjectionState(k_star=k, lambda_star=lam)
         rep = transform.check_differentials(
             example2, State(q=q, qd=np.zeros(3)), fig8_path, ps, policy
         )
