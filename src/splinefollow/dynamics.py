@@ -1,7 +1,7 @@
 """Euler-Lagrange plants: D(q) qdd + C(q, qd) qd + G(q) + Bd qd = A(q) u.
 
 The manipulator models are derived symbolically once per parameter set
-(kinetic energy -> inertia matrix -> Christoffel symbols), so the
+(mass-centre Jacobians -> inertia matrix -> Christoffel symbols), so the
 skew-symmetry of Ddot - 2C holds structurally rather than incidentally.
 Viscous damping is kept as a separate matrix term Bd, outside C.
 """
@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 import sympy as sp
+from sympy.simplify.fu import TR8
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NonSPDInertiaError, ParameterError
@@ -117,27 +118,6 @@ def energy(system, state):
 # --- symbolic helpers -------------------------------------------------------
 
 
-def _christoffel(D_sym, q_sym):
-    n = len(q_sym)
-    qd_sym = sp.symbols(f"qdot0:{n}")
-    C = sp.zeros(n, n)
-    for k in range(n):
-        for j in range(n):
-            cc = 0
-            for i in range(n):
-                cc += (
-                    sp.Rational(1, 2)
-                    * (
-                        sp.diff(D_sym[k, j], q_sym[i])
-                        + sp.diff(D_sym[k, i], q_sym[j])
-                        - sp.diff(D_sym[i, j], q_sym[k])
-                    )
-                    * qd_sym[i]
-                )
-            C[k, j] = sp.simplify(cc)
-    return C, qd_sym
-
-
 def _floats(v):
     """Entries of a configuration or velocity as Python floats."""
     return np.asarray(v, dtype=float).tolist()
@@ -162,20 +142,38 @@ def _compile(args, expr, shape):
     ).reshape(shape)
 
 
-def _lambdify_plant(q_sym, qd_sym, D_sym, C_sym, G_sym, h_sym):
-    """Lambdify D, C, G, h, J and dJ/dq as callables returning arrays."""
-    n = len(q_sym)
-    p = len(h_sym)
-    J_sym = h_sym.jacobian(sp.Matrix(q_sym))
-    dJ_list = [[[sp.diff(J_sym[a, b], q_sym[c]) for c in range(n)]
-                for b in range(n)] for a in range(p)]
+def _lagrangian(q, coms, masses, inertia, potential, output):
+    """Compile D, C, G, h, J and dJ/dq of a plant from its kinematics.
+
+    D = inertia + sum_i m_i Jc_i^T Jc_i, with Jc_i the Jacobian of mass
+    centre ``coms[i]`` (Spong, Hutchinson & Vidyasagar, ch. 7); ``inertia``
+    is the constant rotational part.  TR8 turns the products of sines and
+    cosines in each entry into sums, which is all the simplification D
+    needs.  C holds the Christoffel symbols of D, G is the gradient of
+    ``potential`` and J is the Jacobian of the output map ``output``.
+    """
+    n = len(q)
+    qv = sp.Matrix(q)
+    qd = sp.symbols(f"qdot0:{n}")
+    D = sp.Matrix(inertia)
+    for com, m in zip(coms, masses):
+        Jc = sp.Matrix(com).jacobian(qv)
+        D += m * Jc.T * Jc
+    D = D.applyfunc(lambda e: sp.expand(TR8(sp.expand(e))))
+    C = sp.Matrix(n, n, lambda k, j: sum(
+        (D[k, j].diff(q[i]) + D[k, i].diff(q[j]) - D[i, j].diff(q[k])) * qd[i]
+        for i in range(n)) / 2)
+    G = sp.Matrix([sp.diff(potential, qi) for qi in q])
+    h = sp.Matrix(output)
+    J = h.jacobian(qv)
+    dJ = [[[J[a, b].diff(qc) for qc in q] for b in range(n)] for a in range(h.rows)]
     return (
-        _compile([q_sym], D_sym, (n, n)),
-        _compile([q_sym, qd_sym], C_sym, (n, n)),
-        _compile([q_sym], G_sym, (n,)),
-        _compile([q_sym], h_sym, (p,)),
-        _compile([q_sym], J_sym, (p, n)),
-        _compile([q_sym], dJ_list, (p, n, n)),
+        _compile([q], D, (n, n)),
+        _compile([q, qd], C, (n, n)),
+        _compile([q], G, (n,)),
+        _compile([q], h, (h.rows,)),
+        _compile([q], J, (h.rows, n)),
+        _compile([q], dJ, (h.rows, n, n)),
     )
 
 
@@ -220,37 +218,16 @@ def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
 
 @lru_cache(maxsize=1)
 def _planar3r_symbolic():
-    n = 3
-    q = sp.symbols(f"q0:{n}")
-    masses = [1, 1, 1]
-    lengths = [1, 1, 1]
-    inertias = [1, 1, 1]
-
-    qd_tmp = sp.symbols(f"qdot0:{n}")
-    phi = [sum(q[: i + 1]) for i in range(n)]
-    phid = [sum(qd_tmp[: i + 1]) for i in range(n)]
-    # joint and COM positions
-    jx, jy = sp.Integer(0), sp.Integer(0)
-    T = sp.Integer(0)
-    tips = []
-    for i in range(n):
-        cx = jx + sp.Rational(1, 2) * lengths[i] * sp.cos(phi[i])
-        cy = jy + sp.Rational(1, 2) * lengths[i] * sp.sin(phi[i])
-        vcx = sum(sp.diff(cx, q[j]) * qd_tmp[j] for j in range(n))
-        vcy = sum(sp.diff(cy, q[j]) * qd_tmp[j] for j in range(n))
-        T += sp.Rational(1, 2) * masses[i] * (vcx**2 + vcy**2)
-        T += sp.Rational(1, 2) * inertias[i] * phid[i] ** 2
-        jx = jx + lengths[i] * sp.cos(phi[i])
-        jy = jy + lengths[i] * sp.sin(phi[i])
-    T = sp.expand(sp.trigsimp(T))
-    D_sym = sp.Matrix(
-        [[sp.simplify(sp.diff(T, qd_tmp[i], qd_tmp[j])) for j in range(n)]
-         for i in range(n)]
-    )
-    C_sym, qd_sym = _christoffel(D_sym, q)
-    G_sym = sp.Matrix([0, 0, 0])  # gravity ignored for this plant
-    h_sym = sp.Matrix([jx, jy])
-    return _lambdify_plant(q, qd_sym, D_sym, C_sym, G_sym, h_sym)
+    q = sp.symbols("q0:3")
+    # unit links, masses and inertias; link i turns at q0 + ... + qi, so
+    # its inertia adds 1 to every D[a, b] with a, b <= i
+    coms, jx, jy, phi = [], sp.Integer(0), sp.Integer(0), sp.Integer(0)
+    for qi in q:
+        phi += qi
+        coms.append((jx + sp.cos(phi) / 2, jy + sp.sin(phi) / 2))
+        jx, jy = jx + sp.cos(phi), jy + sp.sin(phi)
+    inertia = sp.Matrix(3, 3, lambda a, b: 3 - max(a, b))
+    return _lagrangian(q, coms, (1, 1, 1), inertia, 0, (jx, jy))
 
 
 def make_example2(damping=(2.0, 2.0, 2.0)):
@@ -299,35 +276,19 @@ _CPM_GAINS = (2.0, 1.6, 1.3, 1.0)
 
 @lru_cache(maxsize=1)
 def _cpm_symbolic():
-    n = 4
-    q = sp.symbols(f"q0:{n}")
-    qd_tmp = sp.symbols(f"qdot0:{n}")
-    lengths = [sp.Rational(str(v)) for v in _CPM_LENGTHS]
-    masses = list(_CPM_MASSES)
-
+    q = sp.symbols("q0:4")
     cw, sw = sp.cos(q[0]), sp.sin(q[0])
     phi = [q[1], q[1] + q[2], q[1] + q[2] + q[3]]
-    T = sp.Integer(0)
-    V = sp.Integer(0)
-    reach, height = sp.Integer(0), sp.Float(_CPM_BASE_HEIGHT)
-    for i in range(3):
-        c_r = reach + sp.Rational(1, 2) * lengths[i] * sp.cos(phi[i])
-        c_z = height + sp.Rational(1, 2) * lengths[i] * sp.sin(phi[i])
-        cx, cy, cz = cw * c_r, sw * c_r, c_z
-        vel = [sum(sp.diff(c, q[j]) * qd_tmp[j] for j in range(n)) for c in (cx, cy, cz)]
-        T += sp.Rational(1, 2) * masses[i] * sum(v**2 for v in vel)
-        V += masses[i] * _CPM_GRAVITY * cz
-        reach = reach + lengths[i] * sp.cos(phi[i])
-        height = height + lengths[i] * sp.sin(phi[i])
-    T = sp.expand(T)
-    D_sym = sp.Matrix(
-        [[sp.diff(T, qd_tmp[i], qd_tmp[j]) for j in range(n)] for i in range(n)]
-    )
-    D_sym = D_sym + sp.diag(*_CPM_ROTOR)  # rotor inertia keeps D SPD everywhere
-    C_sym, qd_sym = _christoffel(D_sym, q)
-    G_sym = sp.Matrix([sp.diff(V, q[i]) for i in range(n)])
-    h_sym = sp.Matrix([cw * reach, sw * reach, height])
-    return _lambdify_plant(q, qd_sym, D_sym, C_sym, G_sym, h_sym)
+    lengths = [sp.Rational(str(v)) for v in _CPM_LENGTHS]
+    coms, reach, height = [], sp.Integer(0), sp.Float(_CPM_BASE_HEIGHT)
+    for length, f in zip(lengths, phi):
+        c_r = reach + length * sp.cos(f) / 2
+        coms.append((cw * c_r, sw * c_r, height + length * sp.sin(f) / 2))
+        reach, height = reach + length * sp.cos(f), height + length * sp.sin(f)
+    V = sum(m * _CPM_GRAVITY * c[2] for m, c in zip(_CPM_MASSES, coms))
+    # rotor inertia keeps D SPD everywhere
+    return _lagrangian(q, coms, _CPM_MASSES, sp.diag(*_CPM_ROTOR), V,
+                       (cw * reach, sw * reach, height))
 
 
 def make_cpm_like():

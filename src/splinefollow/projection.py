@@ -115,7 +115,6 @@ def update(state, path, y, cfg):
                                last_iterations=iters)
     alpha = cfg.alpha0
     clamped = False
-    restarts = 0
 
     while True:
         obj, grad = _objective_and_gradient(path, k, lam, y)
@@ -161,10 +160,6 @@ def update(state, path, y, cfg):
                 lam, clamped = lo, True
                 break
         else:
-            break
-        restarts += 1
-        if restarts > path.n_segments + 1:
-            # pathological: y keeps pushing lambda* around a closed path
             break
         # restart the descent on the new segment (Algorithm 1 re-entry)
         alpha = max(alpha, cfg.eps * 2.0)

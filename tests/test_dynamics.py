@@ -17,6 +17,38 @@ def _random_states(system, n, seed):
         )
 
 
+def _fd_jacobian(f, q, h=1e-6):
+    """Central-difference Jacobian of f at q, one column per joint."""
+    return np.stack(
+        [(f(q + h * e) - f(q - h * e)) / (2 * h) for e in np.eye(len(q))], axis=-1
+    )
+
+
+def _point_mass_inertia(coms, masses, q):
+    """sum_i m_i Jc_i^T Jc_i, each mass-centre Jacobian by central differences."""
+    Jc = _fd_jacobian(coms, q)  # (bodies, 3 or 2, N)
+    return np.einsum("i,iak,ial->kl", masses, Jc, Jc)
+
+
+def _planar3r_coms(q):
+    """Mass centres of the unit 3R links, mid-link, shape (3, 2)."""
+    phi = np.cumsum(q)
+    links = np.column_stack([np.cos(phi), np.sin(phi)])
+    return np.cumsum(links, axis=0) - 0.5 * links
+
+
+def _cpm_coms(q):
+    """Mass centres of the 4-DOF arm's three links, shape (3, 3)."""
+    phi = q[1] + np.cumsum(np.r_[0.0, q[2:]])
+    lengths = np.array(dynamics._CPM_LENGTHS)
+    reach = np.cumsum(lengths * np.cos(phi)) - 0.5 * lengths * np.cos(phi)
+    height = (dynamics._CPM_BASE_HEIGHT + np.cumsum(lengths * np.sin(phi))
+              - 0.5 * lengths * np.sin(phi))
+    return np.column_stack(
+        [np.cos(q[0]) * reach, np.sin(q[0]) * reach, height]
+    )
+
+
 class TestExample1:
     def test_matrices(self, example1):
         q = np.zeros(2)
@@ -78,6 +110,15 @@ class TestPlanar3R:
             S = Ddot - 2.0 * C
             np.testing.assert_allclose(S, -S.T, atol=1e-6)
 
+    def test_inertia_oracle(self, example2):
+        """D = sum_i Jc_i^T Jc_i + sum_i w_i w_i^T for unit masses and
+        inertias, w_i the joints that turn link i."""
+        w = np.tril(np.ones((3, 3)))  # row i: d(q0 + ... + qi)/dq
+        rng = np.random.default_rng(11)
+        for q in rng.uniform(-2.0, 2.0, (8, 3)):
+            oracle = _point_mass_inertia(_planar3r_coms, np.ones(3), q) + w.T @ w
+            np.testing.assert_allclose(example2.D(q), oracle, rtol=1e-7, atol=1e-7)
+
     def test_inertia_spd(self, example2):
         for st in _random_states(example2, 8, seed=4):
             eig = np.linalg.eigvalsh(example2.D(st.q))
@@ -128,6 +169,22 @@ class TestCpm4:
             dq[j] = h
             fd = (cpm4.h(q + dq) - cpm4.h(q - dq)) / (2 * h)
             np.testing.assert_allclose(J[:, j], fd, atol=1e-8)
+
+    def test_inertia_and_gravity_oracle(self, cpm4):
+        """D = sum_i m_i Jc_i^T Jc_i + rotor inertia; G = grad sum_i m_i g z_ci."""
+        masses = np.array(dynamics._CPM_MASSES)
+
+        def potential(q):
+            return dynamics._CPM_GRAVITY * masses @ _cpm_coms(q)[:, 2]
+
+        rng = np.random.default_rng(12)
+        for q in rng.uniform(-2.0, 2.0, (8, 4)):
+            oracle = (_point_mass_inertia(_cpm_coms, masses, q)
+                      + np.diag(dynamics._CPM_ROTOR))
+            np.testing.assert_allclose(cpm4.D(q), oracle, rtol=1e-7, atol=1e-7)
+            np.testing.assert_allclose(
+                cpm4.G(q), _fd_jacobian(potential, q), rtol=1e-7, atol=1e-7
+            )
 
     def test_skew_symmetry(self, cpm4):
         h = 1e-6

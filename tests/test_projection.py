@@ -119,6 +119,24 @@ class TestUpdate:
         st = projection.update(seed, path, np.array([0.1, 0.0]), cfg)
         assert st.lambda_star == pytest.approx(0.0, abs=1e-6)
 
+    def test_many_wraps_reach_the_minimizer(self):
+        """On a closed one-segment circle far smaller than alpha0, the
+        descent wraps around the path again and again before its step
+        shrinks below the segment's length; it must end at the closest
+        point inside the domain, not at wherever a restart count ran out."""
+        path = curves.circle_path(radius=1e-3)
+        cfg = projection.ProjectionConfig(alpha0=0.1)
+        seed = projection.ProjectionState(
+            k_star=0, lambda_star=0.0020985102684017063
+        )
+        y = np.array([0.004547833942294458, -0.00673240765426])
+        st = projection.update(seed, path, y, cfg)
+        lo, hi = path.segments[0].domain
+        assert lo <= st.lambda_star <= hi
+        d = np.linalg.norm(path.evaluate(0, st.lambda_star, 0) - y)
+        d_grid, _, _ = _dense_oracle(path, y, n=200001)
+        assert d <= d_grid + 1e-12
+
     def test_iteration_cap_raises(self, wavy_path):
         cfg = projection.ProjectionConfig(max_iters=2, eps=1e-14)
         st = projection.ProjectionState(k_star=0, lambda_star=0.01)
