@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -89,10 +90,9 @@ def _cmd_dlambda(args):
 
 def _cmd_run(args):
     scenario = sim.Scenario.from_file(args.scenario)
-    if args.duration is not None:
-        scenario.duration = args.duration
-    if args.dt is not None:
-        scenario.dt = args.dt
+    overrides = {"duration": args.duration, "dt": args.dt}
+    scenario = dataclasses.replace(   # validates the overridden scenario
+        scenario, **{k: v for k, v in overrides.items() if v is not None})
     log = sim.run(scenario)
     log.to_csv(args.out)
     summary = log.summary()

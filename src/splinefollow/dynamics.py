@@ -1,20 +1,25 @@
-"""Euler-Lagrange plants: D(q) qdd + C(q, qd) qd + G(q) + Bd qd = A(q) u.
+"""Euler-Lagrange plants: D(q) qdd + C(q, qd) qd + G(q) + Bd qd = A u.
 
 The manipulator models are derived symbolically once per parameter set
 (mass-centre Jacobians -> inertia matrix -> Christoffel symbols), so the
 skew-symmetry of Ddot - 2C holds structurally rather than incidentally.
-Viscous damping is kept as a separate matrix term Bd, outside C.
+Viscous damping is kept as a separate matrix term Bd, outside C.  The
+input matrix A and the damping Bd are constant.
+
+``acceleration`` and ``drift_and_input`` run on Python floats: one
+compiled call gives D and C qd + G, and a Cholesky solve unrolled for
+the plant's N gives D^-1 times the right-hand sides.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 import sympy as sp
 from sympy.simplify.fu import TR8
-from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import NonSPDInertiaError, ParameterError
+from .errors import DivergenceError, NonSPDInertiaError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,12 @@ class Limits:
 
 @dataclass
 class MechanicalSystem:
-    """Evaluator bundle for one plant; immutable in practice."""
+    """Evaluator bundle for one plant; immutable in practice.
+
+    The float columns of A, ``rhs(u, qd, bias)`` = A u - Bd qd - bias
+    and the inertia solve are set at construction, for ``acceleration``
+    and ``drift_and_input``.
+    """
 
     name: str
     N: int
@@ -57,57 +67,143 @@ class MechanicalSystem:
     D: callable            # (N,) -> (N, N) inertia
     C: callable            # (N,), (N,) -> (N, N) Coriolis (Christoffel)
     G: callable            # (N,) -> (N,) gravity
-    A: callable            # (N,) -> (N, N) input matrix
+    A: np.ndarray          # (N, N) input matrix
     damping: np.ndarray    # (N, N) viscous matrix Bd, force Bd @ qd
     h: callable            # (N,) -> (p,) output map
     J: callable            # (N,) -> (p, N) output Jacobian
     dJ_dq: callable        # (N,) -> (p, N, N), d J[a,b] / d q[c]
     completion: callable   # State -> (2N - 2p,) redundant coordinates zeta
+    forces: callable       # q, qd floats -> (rows of D, entries of C qd + G)
     default_limits: Limits = None
+    A_cols: list = field(init=False, repr=False)
+    rhs: callable = field(init=False, repr=False)
+    solve: callable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.A_cols = self.A.T.tolist()
+        self.rhs = _input_minus_damping(self.A.tolist(), self.damping.tolist())
+        self.solve = _cholesky(self.N)
 
     def djqd_dq(self, q, qd):
         """Matrix d(J qd)/dq of shape (p, N)."""
         return self.dJ_dq(q).transpose(0, 2, 1) @ qd
 
 
-def _inertia_solve(D, rhs, q):
-    """Solve D x = rhs through the Cholesky factorization of D.
+@lru_cache(maxsize=None)
+def _cholesky(n):
+    """Solve ``f(d, cols, q)``: D^-1 b for each b in cols, as float lists.
 
-    Calls the LAPACK pair (potrf/potrs) directly: for the N <= 4 plants
-    here the checking wrappers around it cost several times the
-    factorization itself.  potrf reads one triangle and lets NaN through,
-    so finiteness is checked here; a failed factorization means the
-    model's inertia matrix is not positive definite.
+    The factorization D = L L^T of the rows ``d`` (lower triangle read)
+    and the two triangular substitutions are unrolled into straight-line
+    code for this n, so a solve costs a few microseconds of float
+    arithmetic and no array calls.  A non-finite D or solution raises
+    DivergenceError; a pivot that is not positive means the model's
+    inertia matrix is not positive definite.  ``q`` names the
+    configuration in the messages.
     """
-    if not (np.isfinite(D).all() and np.isfinite(rhs).all()):
-        raise ValueError(f"non-finite inertia matrix or right-hand side at q={q}")
-    c, info = dpotrf(D, lower=True)
-    if info != 0:
-        raise NonSPDInertiaError(f"inertia matrix not SPD at q={q}")
-    return dpotrs(c, rhs, lower=True)[0]
+    r = range(n)
+
+    def minus(products):
+        return "".join(f" - {a} * {b}" for a, b in products)
+
+    def low(i, j):
+        return f"l{i}_{j}"
+
+    def finite(names):
+        return f"isfinite({' + '.join(names)})"
+
+    rows = ", ".join(
+        "(" + ", ".join(f"d{i}_{j}" if j <= i else "_" for j in r) + ",)"
+        for i in r)
+    x = [f"x{i}" for i in r]
+    src = [
+        "def f(d, cols, q):",
+        f"    {rows} = d",
+        f"    if not {finite(f'd{i}_{j}' for i in r for j in range(i + 1))}:",
+        '        raise DivergenceError(f"non-finite inertia matrix at q={q}")',
+    ]
+    for j in r:   # column j of L
+        src += [
+            f"    p = d{j}_{j}{minus((low(j, k), low(j, k)) for k in range(j))}",
+            "    if not p > 0.0:",
+            '        raise NonSPDInertiaError(f"inertia matrix not SPD at q={q}")',
+            f"    {low(j, j)} = sqrt(p)",
+        ] + [
+            f"    {low(i, j)} = "
+            f"(d{i}_{j}{minus((low(i, k), low(j, k)) for k in range(j))}) / {low(j, j)}"
+            for i in range(j + 1, n)
+        ]
+    src += ["    out = []", f"    for {', '.join(f'b{i}' for i in r)} in cols:"]
+    src += [   # L y = b, then L^T x = y
+        f"        y{i} = (b{i}{minus((low(i, k), f'y{k}') for k in range(i))})"
+        f" / {low(i, i)}"
+        for i in r
+    ] + [
+        f"        x{i} = (y{i}{minus((low(k, i), x[k]) for k in range(i + 1, n))})"
+        f" / {low(i, i)}"
+        for i in reversed(r)
+    ]
+    src += [
+        f"        if not {finite(x)}:",
+        "            raise DivergenceError(",
+        '                f"non-finite solution of the inertia system at q={q}")',
+        f"        out.append([{', '.join(x)}])",
+        "    return out",
+    ]
+    return _generated(src, sqrt=math.sqrt, isfinite=math.isfinite,
+                      DivergenceError=DivergenceError,
+                      NonSPDInertiaError=NonSPDInertiaError)
+
+
+def _input_minus_damping(A, Bd):
+    """``rhs(u, qd, bias)`` = A u - Bd qd - bias for the constant rows A, Bd.
+
+    Unrolled over the nonzero entries, which are written into the code.
+    """
+    def entry(k):
+        terms = ([(a, f"u[{j}]") for j, a in enumerate(A[k])]
+                 + [(-b, f"qd[{j}]") for j, b in enumerate(Bd[k])])
+        code = "".join(f" {'-' if c < 0 else '+'} {abs(c)!r} * {v}"
+                       for c, v in terms if c != 0.0)
+        return f"{code} - bias[{k}]".lstrip(" +")
+
+    return _generated(["def f(u, qd, bias):", "    return ["]
+                      + [f"        {entry(k)}," for k in range(len(A))]
+                      + ["    ]"])
+
+
+def _generated(src, **names):
+    """The function ``f`` that the source lines ``src`` define over ``names``."""
+    namespace = dict(names)
+    exec("\n".join(src), namespace)
+    return namespace["f"]
 
 
 def drift_and_input(system, state):
     """Affine velocity dynamics: qdd = f_v(x) + g_v(q) u.
 
-    D is inverted through its Cholesky factorization; a failure there
-    means the model's inertia matrix is not positive definite.
+    One Cholesky factorization of D serves the drift and every column
+    of A.
     """
-    q, qd = state.q, state.qd
-    rhs_drift = -(system.C(q, qd) @ qd + system.G(q) + system.damping @ qd)
-    x = _inertia_solve(system.D(q), np.column_stack([rhs_drift, system.A(q)]), q)
-    return x[:, 0], x[:, 1:]
+    q, qd = state.q.tolist(), state.qd.tolist()
+    d, bias = system.forces(q, qd)
+    drift = system.rhs([0.0] * system.N, qd, bias)
+    x = system.solve(d, [drift, *system.A_cols], q)
+    return np.array(x[0]), np.array(x[1:]).T
 
 
 def acceleration(system, q, qd, u):
-    """qdd for a given input, solving D qdd = A u - C qd - G - Bd qd once."""
-    rhs = (
-        system.A(q) @ u
-        - system.C(q, qd) @ qd
-        - system.G(q)
-        - system.damping @ qd
-    )
-    return _inertia_solve(system.D(q), rhs, q)
+    """qdd for a given input, solving D qdd = A u - Bd qd - (C qd + G) once.
+
+    Takes and returns sequences of floats; the integrator calls it on lists.
+    """
+    try:
+        d, bias = system.forces(q, qd)
+    except ValueError:   # math.sin of an infinite angle, say
+        if all(map(math.isfinite, q)):
+            raise
+        raise DivergenceError(f"non-finite configuration q={q}") from None
+    return system.solve(d, (system.rhs(u, qd, bias),), q)[0]
 
 
 def energy(system, state):
@@ -129,14 +225,9 @@ def _compile(args, expr, shape):
     Each argument is one configuration or velocity, so the generated
     expressions act on scalars: fed Python floats, with sin/cos from the
     math module, they cost a fraction of the same arithmetic on numpy
-    scalars.  A constant expression (a plant without gravity, say) is
-    evaluated once.
+    scalars.
     """
     f = sp.lambdify(args, expr, ["math", "numpy"], cse=True)
-    if not sp.Array(expr).free_symbols:
-        const = np.asarray(f(*[[0.0] * len(a) for a in args]), dtype=float)
-        const = const.reshape(shape)
-        return lambda *vals: const
     return lambda *vals: np.asarray(
         f(*map(_floats, vals)), dtype=float
     ).reshape(shape)
@@ -151,6 +242,12 @@ def _lagrangian(q, coms, masses, inertia, potential, output):
     cosines in each entry into sums, which is all the simplification D
     needs.  C holds the Christoffel symbols of D, G is the gradient of
     ``potential`` and J is the Jacobian of the output map ``output``.
+
+    The seventh function, the plant's ``forces``, maps float lists q, qd
+    to (rows of D, C qd + G) in one call that shares subexpressions
+    between the two.  C qd + G is summed over the velocity products
+    qd_i qd_j, which evaluates faster than the product of C with qd;
+    D and G are ``forces`` at rest.
     """
     n = len(q)
     qv = sp.Matrix(q)
@@ -160,20 +257,28 @@ def _lagrangian(q, coms, masses, inertia, potential, output):
         Jc = sp.Matrix(com).jacobian(qv)
         D += m * Jc.T * Jc
     D = D.applyfunc(lambda e: sp.expand(TR8(sp.expand(e))))
-    C = sp.Matrix(n, n, lambda k, j: sum(
-        (D[k, j].diff(q[i]) + D[k, i].diff(q[j]) - D[i, j].diff(q[k])) * qd[i]
-        for i in range(n)) / 2)
-    G = sp.Matrix([sp.diff(potential, qi) for qi in q])
+    # Christoffel symbols times 2: gamma[k][i][j] qd_i qd_j / 2 summed is (C qd)_k
+    gamma = [[[D[k, j].diff(q[i]) + D[k, i].diff(q[j]) - D[i, j].diff(q[k])
+               for j in range(n)] for i in range(n)] for k in range(n)]
+    C = sp.Matrix(n, n, lambda k, j: sum(gamma[k][i][j] * qd[i]
+                                         for i in range(n)) / 2)
+    # C qd + G with the symmetric pairs (i, j), (j, i) taken together
+    bias = [sp.diff(potential, q[k]) + sum(
+        gamma[k][i][j] / (2 if i == j else 1) * qd[i] * qd[j]
+        for i in range(n) for j in range(i, n)) for k in range(n)]
+    forces = sp.lambdify([q, qd], [D.tolist(), bias], "math", cse=True)
     h = sp.Matrix(output)
     J = h.jacobian(qv)
     dJ = [[[J[a, b].diff(qc) for qc in q] for b in range(n)] for a in range(h.rows)]
+    rest = [0.0] * n   # at qd = 0 the forces are (D, G)
     return (
-        _compile([q], D, (n, n)),
+        lambda q: np.array(forces(_floats(q), rest)[0]),
         _compile([q, qd], C, (n, n)),
-        _compile([q], G, (n,)),
+        lambda q: np.array(forces(_floats(q), rest)[1]),
         _compile([q], h, (h.rows,)),
         _compile([q], J, (h.rows, n)),
         _compile([q], dJ, (h.rows, n, n)),
+        forces,
     )
 
 
@@ -192,7 +297,7 @@ def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
     Dm = np.diag([m1, m2])
     Bd = np.array([[b1 + b2, -b2], [-b2, b2]])
     zero2 = np.zeros((N, N))
-    eye2 = np.eye(N)
+    forces = (Dm.tolist(), [0.0] * N)
     J = np.array([[0.0, 1.0]])
     dJ = np.zeros((p, N, N))
 
@@ -203,12 +308,13 @@ def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
         D=lambda q: Dm,
         C=lambda q, qd: zero2,
         G=lambda q: np.zeros(N),
-        A=lambda q: eye2,
+        A=np.eye(N),
         damping=Bd,
         h=lambda q: np.array([q[1]]),
         J=lambda q: J,
         dJ_dq=lambda q: dJ,
         completion=lambda st: np.array([st.q[0], st.qd[0]]),
+        forces=lambda q, qd: forces,
         default_limits=Limits(
             q_min=[-2.0, -5.0], q_max=[2.0, 5.0],
             u_min=[-5.0, -5.0], u_max=[5.0, 5.0],
@@ -240,8 +346,7 @@ def make_example2(damping=(2.0, 2.0, 2.0)):
     d = np.asarray(damping, dtype=float)
     if d.shape != (3,) or np.any(d < 0):
         raise ParameterError("damping must be 3 nonnegative coefficients")
-    D_fn, C_fn, G_fn, h_fn, J_fn, dJ_fn = _planar3r_symbolic()
-    eye3 = np.eye(3)
+    D_fn, C_fn, G_fn, h_fn, J_fn, dJ_fn, forces = _planar3r_symbolic()
 
     return MechanicalSystem(
         name="example2",
@@ -250,12 +355,13 @@ def make_example2(damping=(2.0, 2.0, 2.0)):
         D=D_fn,
         C=C_fn,
         G=G_fn,
-        A=lambda q: eye3,
+        A=np.eye(3),
         damping=np.diag(d),
         h=h_fn,
         J=J_fn,
         dJ_dq=dJ_fn,
         completion=lambda st: np.array([st.q.sum(), st.qd.sum()]),
+        forces=forces,
         default_limits=Limits(
             q_min=[-np.pi, -np.pi, -np.pi], q_max=[np.pi, np.pi, np.pi],
             u_min=[-10.0, -10.0, -10.0], u_max=[10.0, 10.0, 10.0],
@@ -295,12 +401,10 @@ def make_cpm_like():
     """Synthetic 4-DOF arm with 3-D output: N = 4, p = 3, n - 2p = 2.
 
     Mirrors the structure of a waist + shoulder/elbow/wrist manipulator
-    with viscous damping and static actuator gains folded into A(q).
+    with viscous damping and static actuator gains folded into A.
     zeta = (q2 + q3 + q4, qd2 + qd3 + qd4), the wrist-plane angle sum.
     """
-    D_fn, C_fn, G_fn, h_fn, J_fn, dJ_fn = _cpm_symbolic()
-    A_mat = np.diag(_CPM_GAINS)
-    damping = np.diag([3.0, 4.0, 3.0, 1.5])
+    D_fn, C_fn, G_fn, h_fn, J_fn, dJ_fn, forces = _cpm_symbolic()
 
     return MechanicalSystem(
         name="cpm4",
@@ -309,12 +413,13 @@ def make_cpm_like():
         D=D_fn,
         C=C_fn,
         G=G_fn,
-        A=lambda q: A_mat,
-        damping=damping,
+        A=np.diag(_CPM_GAINS),
+        damping=np.diag([3.0, 4.0, 3.0, 1.5]),
         h=h_fn,
         J=J_fn,
         dJ_dq=dJ_fn,
         completion=lambda st: np.array([st.q[1:].sum(), st.qd[1:].sum()]),
+        forces=forces,
         default_limits=Limits(
             q_min=[-np.pi, -0.4, -2.4, -2.0],
             q_max=[np.pi, 1.8, 2.4, 2.0],

@@ -9,6 +9,7 @@ reduction.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +78,12 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
-        if self.dt <= 0 or self.duration <= 0 or self.substeps < 1:
-            raise ParameterError("need dt > 0, duration > 0, substeps >= 1")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.duration < math.inf
+                and self.substeps >= 1):
+            raise ParameterError(
+                "need finite dt > 0 and duration > 0, substeps >= 1")
+        if round(self.duration / self.dt) < 1:
+            raise ParameterError("duration must cover at least one period dt")
         self.q0 = np.asarray(self.q0, dtype=float)
         self.qd0 = np.asarray(self.qd0, dtype=float)
 
@@ -225,31 +230,43 @@ class _Measurement:
 
 
 def _rk4_hold(system, state, u, h, substeps):
-    """Integrate the plant over one control period with u held constant."""
-    x = np.concatenate([state.q, state.qd])
-    n = len(state.q)
+    """Integrate the plant over one control period with u held constant.
 
-    def f(x):
-        return np.concatenate(
-            [x[n:], dynamics.acceleration(system, x[:n], x[n:], u)]
-        )
-
+    The stages run on lists of Python floats, converted from and to a
+    State once per period.  A non-finite state, or one whose norm
+    exceeds DIVERGENCE_BOUND at the end of the period, raises
+    DivergenceError.
+    """
+    q, qd = state.q.tolist(), state.qd.tolist()
+    u = np.asarray(u, dtype=float).tolist()
+    half, sixth = 0.5 * h, h / 6.0
     for _ in range(substeps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return State(q=x[:n], qd=x[n:])
+        a1 = dynamics.acceleration(system, q, qd, u)
+        q2 = [x + half * v for x, v in zip(q, qd)]
+        v2 = [v + half * a for v, a in zip(qd, a1)]
+        a2 = dynamics.acceleration(system, q2, v2, u)
+        q3 = [x + half * v for x, v in zip(q, v2)]
+        v3 = [v + half * a for v, a in zip(qd, a2)]
+        a3 = dynamics.acceleration(system, q3, v3, u)
+        q4 = [x + h * v for x, v in zip(q, v3)]
+        v4 = [v + h * a for v, a in zip(qd, a3)]
+        a4 = dynamics.acceleration(system, q4, v4, u)
+        q = [x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+             for x, k1, k2, k3, k4 in zip(q, qd, v2, v3, v4)]
+        qd = [v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+              for v, k1, k2, k3, k4 in zip(qd, a1, a2, a3, a4)]
+    if not math.hypot(*q, *qd) <= DIVERGENCE_BOUND:
+        raise DivergenceError(f"state norm exceeded {DIVERGENCE_BOUND:g}")
+    return State(q=q, qd=qd)
 
 
 def run(scenario, path=None, system=None, proj_cfg=None):
     """Execute a scenario and return its RunLog.
 
     The controller sees the (optionally quantized) measured state; the
-    plant always integrates the true state.  Divergence (state norm above
-    1e6) aborts.  A library error raised during a control period carries
-    that period's start time as ``time``.
+    plant always integrates the true state.  Divergence (a non-finite
+    state, or a state norm above 1e6) aborts.  A library error raised
+    during a control period carries that period's start time as ``time``.
     """
     if system is None:
         system = dynamics.make_plant(scenario.plant, **scenario.plant_kwargs)
@@ -281,9 +298,6 @@ def run(scenario, path=None, system=None, proj_cfg=None):
                 proj_cfg=proj_cfg, policy=policy, dt=scenario.dt, t=t,
             )
             new_state = _rk4_hold(system, state, u, h, scenario.substeps)
-            x = np.concatenate([new_state.q, new_state.qd])
-            if np.linalg.norm(x) > DIVERGENCE_BOUND:
-                raise DivergenceError(f"state norm exceeded {DIVERGENCE_BOUND:g}")
         except SplineFollowError as exc:
             exc.time = t   # keeps the error's own fields (state, index)
             raise

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from splinefollow import cli
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture
@@ -103,6 +106,25 @@ class TestRun:
                        "--duration", "0.5", "--dt", "0.05"])
         assert rc == 0
         assert len(out.read_text().splitlines()) == 11  # header + 10 steps
+
+    @pytest.mark.parametrize("override", [
+        ["--dt", "0"], ["--dt", "-0.02"], ["--duration", "-1"],
+        ["--duration", "0.001"], ["--dt", "nan"],
+    ])
+    def test_bad_override_is_validation_failure(self, scenario_file, tmp_path,
+                                                capsys, override):
+        rc = cli.main(["run", str(scenario_file), "--out",
+                       str(tmp_path / "log.csv"), *override])
+        assert rc == 1
+        assert "validation failure" in capsys.readouterr().err
+
+    def test_divergence_exits_2(self, tmp_path, capsys):
+        # one period of 1e20 s: the state overflows during the integration
+        scenario = str(SCENARIOS / "two_mass_line.json")
+        rc = cli.main(["run", scenario, "--out", str(tmp_path / "log.csv"),
+                       "--dt", "1e20", "--duration", "1e20"])
+        assert rc == 2
+        assert "runtime failure: t=0.000s" in capsys.readouterr().err
 
     def test_numerical_failure_exits_2(self, tmp_path, capsys):
         # the arm starts stretched out: beta is singular at t = 0

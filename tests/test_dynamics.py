@@ -1,11 +1,13 @@
 """Plant models: structural properties and finite-difference oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from splinefollow import dynamics
 from splinefollow.dynamics import State
-from splinefollow.errors import ParameterError
+from splinefollow.errors import DivergenceError, NonSPDInertiaError, ParameterError
 
 
 def _random_states(system, n, seed):
@@ -213,3 +215,50 @@ class TestFactory:
             f_v + g_v @ u,
             atol=1e-12,
         )
+
+
+class TestInertiaSolve:
+    """The generated Cholesky solve behind acceleration and drift_and_input."""
+
+    @staticmethod
+    def _with_inertia(system, D):
+        """system with the constant inertia D and no Coriolis or gravity."""
+        rows = np.asarray(D, dtype=float).tolist()
+        return dataclasses.replace(
+            system, forces=lambda q, qd: (rows, [0.0] * system.N))
+
+    @pytest.mark.parametrize("D", [[[1.0, 2.0], [2.0, 1.0]],    # indefinite
+                                   [[1.0, 1.0], [1.0, 1.0]]])   # singular
+    def test_not_spd_raises(self, example1, D):
+        system = self._with_inertia(example1, D)
+        st = State(q=[0.1, 0.2], qd=[0.3, -0.4])
+        with pytest.raises(NonSPDInertiaError):
+            dynamics.acceleration(system, st.q, st.qd, [1.0, 0.0])
+        with pytest.raises(NonSPDInertiaError):
+            dynamics.drift_and_input(system, st)
+
+    def test_non_finite_raises_divergence(self, example1, example2):
+        system = self._with_inertia(example1, [[np.inf, 0.0], [0.0, 1.0]])
+        st = State(q=[0.1, 0.2], qd=[0.3, -0.4])
+        with pytest.raises(DivergenceError):
+            dynamics.acceleration(system, st.q, st.qd, [1.0, 0.0])
+        with pytest.raises(DivergenceError):
+            dynamics.drift_and_input(system, st)
+        with pytest.raises(DivergenceError):
+            dynamics.acceleration(example1, st.q, st.qd, [np.nan, 0.0])
+        with pytest.raises(DivergenceError):   # math.cos(inf) raises
+            dynamics.acceleration(example2, [0.0, np.inf, 0.0], [0.0] * 3,
+                                  [0.0] * 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_numpy_solve(self, n):
+        solve = dynamics._cholesky(n)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            M = rng.normal(size=(n, n))
+            D = M @ M.T + 0.1 * np.eye(n)
+            B = rng.normal(size=(n, n + 1))
+            x = np.array(solve(D.tolist(), B.T.tolist(), None)).T
+            ref = np.linalg.solve(D, B)
+            np.testing.assert_allclose(x, ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())

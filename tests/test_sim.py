@@ -1,5 +1,6 @@
 """Closed-loop simulation plumbing: integrator, scenarios, logs, portraits."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -95,6 +96,13 @@ class TestScenario:
         with pytest.raises(ParameterError):
             _example1_scenario(dt=-0.1)
 
+    @pytest.mark.parametrize("bad", [
+        {"dt": float("nan")}, {"duration": float("inf")}, {"duration": 0.001},
+    ])
+    def test_validation_needs_a_finite_period(self, bad):
+        with pytest.raises(ParameterError):
+            _example1_scenario(**bad)
+
     def test_path_spec_variants(self, tmp_path, wavy_path):
         assert sim._build_path({"waypoints": [[0, 0], [1, 0], [2, 1]]}).n_segments == 2
         f = tmp_path / "path.json"
@@ -132,6 +140,13 @@ class TestRun:
         )
         with pytest.raises(DivergenceError):
             sim.run(scen)
+
+    def test_non_finite_state_is_divergence(self):
+        scen = sim.Scenario.from_file(SCENARIOS / "two_mass_line.json")
+        scen = dataclasses.replace(scen, dt=1e20, duration=1e20)
+        with pytest.raises(DivergenceError) as exc:
+            sim.run(scen)
+        assert exc.value.time == 0.0
 
     def test_failure_keeps_fields_and_time(self):
         scen = sim.Scenario.from_file(SCENARIOS / "two_mass_line.json")
@@ -244,4 +259,4 @@ class TestPortrait:
             qdd = dynamics.acceleration(example2, st.q, st.qd, u)
             flow = portrait.field(zeta)
             assert flow[0] == zeta[1]
-            assert flow[1] == pytest.approx(qdd.sum(), abs=1e-9)
+            assert flow[1] == pytest.approx(sum(qdd), abs=1e-9)
