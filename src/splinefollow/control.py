@@ -6,14 +6,22 @@ the static weighted least-squares problem min (u - r)' W (u - r) subject
 to beta u + alpha = v, whose closed form uses the W-weighted right
 pseudoinverse of beta.  The null-space bias r steers the redundant
 degrees of freedom away from joint limits.
+
+The control pass runs once per period on lists of Python floats: the
+outer loops, the bias, and the input resolution, which forms
+beta W^-1 beta' on floats, checks its conditioning with one symmetric
+eigenvalue call and solves with the plant layer's generated Cholesky
+solve.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import frames, projection, transform
+from . import dynamics, frames, projection, transform
 from .errors import NearSingularDecouplingError, ParameterError
+from .frames import dot
 
 CONDITION_LIMIT = 1e10
 
@@ -104,36 +112,51 @@ class ControllerState:
 
 
 def bias_r(x_c, limits):
-    """Joint-limit avoidance bias: affine, u_max at q_min, u_min at q_max."""
-    x_c = np.asarray(x_c, dtype=float)
-    span_u = limits.u_max - limits.u_min
-    span_q = limits.q_max - limits.q_min
-    return -span_u / span_q * (x_c - limits.q_min) + limits.u_max
+    """Joint-limit avoidance bias: affine, u_max at q_min, u_min at q_max.
+
+    Returns a list of floats.
+    """
+    return [
+        -(hu - lu) / (hq - lq) * (x - lq) + hu
+        for x, lq, hq, lu, hu in zip(
+            np.asarray(x_c, dtype=float).tolist(), limits.q_min.tolist(),
+            limits.q_max.tolist(), limits.u_min.tolist(), limits.u_max.tolist())
+    ]
 
 
 def resolve_input(alpha, beta, v, r, W=None):
     """Closed-form constrained least squares: u = b+ (v - a) + (I - b+ b) r.
 
-    b+ is the W-weighted right pseudoinverse W^-1 beta' (beta W^-1 beta')^-1.
-    Raises NearSingularDecouplingError when beta W^-1 beta' has condition
-    number above 1e10 (the transform is degenerating).
+    b+ is the W-weighted right pseudoinverse W^-1 beta' M^-1 with
+    M = beta W^-1 beta', so u = r + W^-1 beta' M^-1 (v - alpha - beta r).
+    M is symmetric, so the absolute values of its eigenvalues are its
+    singular values; NearSingularDecouplingError (with ``cond``) is
+    raised when their ratio is above 1e10 (the transform is
+    degenerating) or M is not finite.
     """
-    beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    p, N = beta.shape
+    beta = np.atleast_2d(np.asarray(beta, dtype=float)).tolist()
+    alpha, v, r = (np.asarray(x, dtype=float).tolist() for x in (alpha, v, r))
+    p, N = len(beta), len(beta[0])
+    # rows of beta W^-1, that is columns of W^-1 beta'
     if W is None:
-        Winv_bt = beta.T
+        bw = beta
     else:
-        Winv_bt = np.linalg.solve(W, beta.T)
-    M = beta @ Winv_bt
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        W = np.asarray(W, dtype=float).tolist()
+        bw = dynamics._cholesky(N, "weight matrix", "W")(W, beta, W)
+    M = [[dot(b, c) for c in bw] for b in beta]
+    cond = math.nan
+    if all(map(math.isfinite, (m for row in M for m in row))):
+        eig = [abs(x) for x in np.linalg.eigvalsh(M).tolist()]
+        cond = max(eig) / min(eig) if min(eig) > 0.0 else math.inf
+    if not cond <= CONDITION_LIMIT:
         raise NearSingularDecouplingError(
-            f"decoupling matrix nearly singular (cond(beta W^-1 beta') = {cond:.3e})"
+            f"decoupling matrix nearly singular (cond(beta W^-1 beta') = {cond:.3e})",
+            cond=cond,
         )
-    pinv = Winv_bt @ np.linalg.inv(M)
-    u = pinv @ (np.asarray(v, float) - np.asarray(alpha, float))
-    r = np.asarray(r, dtype=float)
-    return u + r - pinv @ (beta @ r)
+    rhs = [vi - ai - dot(b, r) for vi, ai, b in zip(v, alpha, beta)]
+    (w,) = dynamics._cholesky(p, "decoupling matrix beta W^-1 beta'", "beta")(
+        M, [rhs], beta)
+    return np.array([ri + dot(col, w) for ri, col in zip(r, zip(*bw))])
 
 
 def tangential_v(eta, ctrl_state, gains, dt, t=0.0):
@@ -149,21 +172,21 @@ def tangential_v(eta, ctrl_state, gains, dt, t=0.0):
     err = gains.eta2_reference(t) - eta[1]
     integral = ctrl_state.integral + dt * err
     lim = gains.integral_limit
-    integral = float(np.clip(integral, -lim, lim))
+    integral = min(max(integral, -lim), lim)
     v = gains.K_P * err + gains.K_I * integral
     return v, replace(ctrl_state, integral=integral)
 
 
 def transversal_v(xi, gains):
-    """Transversal virtual input from the stacked (xi_1; xi_2) array."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi.reshape(2, -1)
-    m = xi.shape[1]
+    """Transversal virtual input, as a list, from the stacked (xi_1; xi_2).
+
+    The PD gains repeat cyclically over the p - 1 components.
+    """
+    xi = np.asarray(xi, dtype=float).reshape(2, -1)
     if gains.transversal_mode == "pd":
-        Kp = np.resize(np.asarray(gains.xi_Kp, float), m)
-        Kd = np.resize(np.asarray(gains.xi_Kd, float), m)
-        return -Kp * xi[0] - Kd * xi[1]
+        Kp, Kd = gains.xi_Kp, gains.xi_Kd
+        return [-Kp[i % len(Kp)] * x1 - Kd[i % len(Kd)] * x2
+                for i, (x1, x2) in enumerate(zip(*xi.tolist()))]
     # robust mode operates on the interleaved vector (xi_1^1, xi_2^1, ...)
     z = xi.T.ravel()
     K = np.atleast_2d(np.asarray(gains.robust_K, dtype=float))
@@ -175,7 +198,7 @@ def transversal_v(xi, gains):
         sw = (gains.robust_K1 @ z) / nz
     else:
         sw = nz * (K2 @ z)
-    return lin + sw
+    return (lin + sw).tolist()
 
 
 @dataclass(frozen=True)
@@ -198,23 +221,24 @@ def command(lin, q, ctrl_state, gains, redundancy, limits, dt, t):
     """Outer loops, null-space bias and input resolution at one state.
 
     ``lin`` is the linearization at configuration ``q``.  Returns
-    (u, u_unclamped, v, new_ctrl_state): u is u_unclamped clamped
-    elementwise to the actuation limits.
+    (u, u_unclamped, v, new_ctrl_state), the first three as arrays: u is
+    u_unclamped clamped elementwise to the actuation limits.
     """
     p, N = lin.beta.shape
     ts = lin.transformed
-    v_eta, ctrl_state = tangential_v(ts.eta, ctrl_state, gains, dt, t)
+    v_eta, ctrl_state = tangential_v(ts.eta.tolist(), ctrl_state, gains, dt, t)
+    v = [v_eta]
     if p > 1:
-        v = np.concatenate([[v_eta], transversal_v(ts.xi, gains)])
-    else:
-        v = np.array([v_eta])
+        v += transversal_v(ts.xi, gains)
 
     if redundancy.bias_mode == "joint_limit":
         r = bias_r(q, limits)
     else:
-        r = np.zeros(N)
+        r = [0.0] * N
     u = resolve_input(lin.alpha, lin.beta, v, r, redundancy.W)
-    return np.clip(u, limits.u_min, limits.u_max), u, v, ctrl_state
+    clamped = [min(max(x, lo), hi) for x, lo, hi in zip(
+        u.tolist(), limits.u_min.tolist(), limits.u_max.tolist())]
+    return np.array(clamped), u, np.array(v), ctrl_state
 
 
 def step(system, path, state, proj_state, ctrl_state, gains,
@@ -244,7 +268,7 @@ def step(system, path, state, proj_state, ctrl_state, gains,
         v=v,
         alpha=lin.alpha,
         iterations=proj_state.last_iterations,
-        saturated=bool(np.any(u_clamped != u)),
+        saturated=u_clamped.tolist() != u.tolist(),
         u_unclamped=u,
     )
     return u_clamped, proj_state, ctrl_state, diag

@@ -8,7 +8,10 @@ input matrix A and the damping Bd are constant.
 
 ``acceleration`` and ``drift_and_input`` run on Python floats: one
 compiled call gives D and C qd + G, and a Cholesky solve unrolled for
-the plant's N gives D^-1 times the right-hand sides.
+the plant's N gives D^-1 times the right-hand sides.  A second compiled
+call, ``kinematics``, gives the output map, its Jacobian J and
+d(J qd)/dq as float lists for the control pass.  The array-valued D, C,
+G, h, J and dJ_dq are views of these calls for callers outside the loop.
 """
 
 import math
@@ -74,6 +77,7 @@ class MechanicalSystem:
     dJ_dq: callable        # (N,) -> (p, N, N), d J[a,b] / d q[c]
     completion: callable   # State -> (2N - 2p,) redundant coordinates zeta
     forces: callable       # q, qd floats -> (rows of D, entries of C qd + G)
+    kinematics: callable   # q, qd floats -> (h, rows of J, rows of d(J qd)/dq)
     default_limits: Limits = None
     A_cols: list = field(init=False, repr=False)
     rhs: callable = field(init=False, repr=False)
@@ -84,22 +88,18 @@ class MechanicalSystem:
         self.rhs = _input_minus_damping(self.A.tolist(), self.damping.tolist())
         self.solve = _cholesky(self.N)
 
-    def djqd_dq(self, q, qd):
-        """Matrix d(J qd)/dq of shape (p, N)."""
-        return self.dJ_dq(q).transpose(0, 2, 1) @ qd
-
 
 @lru_cache(maxsize=None)
-def _cholesky(n):
-    """Solve ``f(d, cols, q)``: D^-1 b for each b in cols, as float lists.
+def _cholesky(n, name="inertia matrix", at="q"):
+    """Solve ``f(d, cols, where)``: D^-1 b for each b in cols, as float lists.
 
     The factorization D = L L^T of the rows ``d`` (lower triangle read)
     and the two triangular substitutions are unrolled into straight-line
     code for this n, so a solve costs a few microseconds of float
     arithmetic and no array calls.  A non-finite D or solution raises
-    DivergenceError; a pivot that is not positive means the model's
-    inertia matrix is not positive definite.  ``q`` names the
-    configuration in the messages.
+    DivergenceError; a pivot that is not positive raises
+    NonSPDInertiaError.  The messages call D ``name`` and report
+    ``where`` as ``at`` (the plant's configuration q by default).
     """
     r = range(n)
 
@@ -117,23 +117,23 @@ def _cholesky(n):
         for i in r)
     x = [f"x{i}" for i in r]
     src = [
-        "def f(d, cols, q):",
-        f"    {rows} = d",
+        "def f(d, cols, where):",
+        f"    ({rows},) = d",
         f"    if not {finite(f'd{i}_{j}' for i in r for j in range(i + 1))}:",
-        '        raise DivergenceError(f"non-finite inertia matrix at q={q}")',
+        f'        raise DivergenceError(f"non-finite {name} at {at}={{where}}")',
     ]
     for j in r:   # column j of L
         src += [
             f"    p = d{j}_{j}{minus((low(j, k), low(j, k)) for k in range(j))}",
             "    if not p > 0.0:",
-            '        raise NonSPDInertiaError(f"inertia matrix not SPD at q={q}")',
+            f'        raise NonSPDInertiaError(f"{name} not SPD at {at}={{where}}")',
             f"    {low(j, j)} = sqrt(p)",
         ] + [
             f"    {low(i, j)} = "
             f"(d{i}_{j}{minus((low(i, k), low(j, k)) for k in range(j))}) / {low(j, j)}"
             for i in range(j + 1, n)
         ]
-    src += ["    out = []", f"    for {', '.join(f'b{i}' for i in r)} in cols:"]
+    src += ["    out = []", f"    for ({', '.join(f'b{i}' for i in r)},) in cols:"]
     src += [   # L y = b, then L^T x = y
         f"        y{i} = (b{i}{minus((low(i, k), f'y{k}') for k in range(i))})"
         f" / {low(i, i)}"
@@ -146,7 +146,7 @@ def _cholesky(n):
     src += [
         f"        if not {finite(x)}:",
         "            raise DivergenceError(",
-        '                f"non-finite solution of the inertia system at q={q}")',
+        f'                f"non-finite solution of the {name} system at {at}={{where}}")',
         f"        out.append([{', '.join(x)}])",
         "    return out",
     ]
@@ -183,13 +183,13 @@ def drift_and_input(system, state):
     """Affine velocity dynamics: qdd = f_v(x) + g_v(q) u.
 
     One Cholesky factorization of D serves the drift and every column
-    of A.
+    of A.  Returns float lists: f_v, and the rows of g_v.
     """
     q, qd = state.q.tolist(), state.qd.tolist()
     d, bias = system.forces(q, qd)
     drift = system.rhs([0.0] * system.N, qd, bias)
-    x = system.solve(d, [drift, *system.A_cols], q)
-    return np.array(x[0]), np.array(x[1:]).T
+    f_v, *cols = system.solve(d, [drift, *system.A_cols], q)
+    return f_v, [list(row) for row in zip(*cols)]
 
 
 def acceleration(system, q, qd, u):
@@ -219,22 +219,37 @@ def _floats(v):
     return np.asarray(v, dtype=float).tolist()
 
 
-def _compile(args, expr, shape):
-    """Lambdify expr into a callable returning a float array of ``shape``.
+def _cse_nested(tree):
+    """sympy.cse over every entry of nested lists of expressions.
 
-    Each argument is one configuration or velocity, so the generated
-    expressions act on scalars: fed Python floats, with sin/cos from the
-    math module, they cost a fraction of the same arithmetic on numpy
-    scalars.
+    sympy's own cse, which ``lambdify(cse=True)`` calls, shares
+    subexpressions between the top-level items only, so it finds none
+    in a list of matrices.
     """
-    f = sp.lambdify(args, expr, ["math", "numpy"], cse=True)
-    return lambda *vals: np.asarray(
-        f(*map(_floats, vals)), dtype=float
-    ).reshape(shape)
+    leaves = []
+
+    def layout(t):
+        if isinstance(t, list):
+            return [layout(x) for x in t]
+        leaves.append(t)
+        return len(leaves) - 1
+
+    shape = layout(tree)
+    cses, reduced = sp.cse(leaves)
+
+    def rebuild(t):
+        return [rebuild(x) for x in t] if isinstance(t, list) else reduced[t]
+
+    return cses, rebuild(shape)
+
+
+def _lambdify(args, tree):
+    """Float function of ``args`` returning the nested lists ``tree``."""
+    return sp.lambdify(args, tree, "math", cse=_cse_nested)
 
 
 def _lagrangian(q, coms, masses, inertia, potential, output):
-    """Compile D, C, G, h, J and dJ/dq of a plant from its kinematics.
+    """Compile the dynamics and output kinematics of a plant.
 
     D = inertia + sum_i m_i Jc_i^T Jc_i, with Jc_i the Jacobian of mass
     centre ``coms[i]`` (Spong, Hutchinson & Vidyasagar, ch. 7); ``inertia``
@@ -248,6 +263,13 @@ def _lagrangian(q, coms, masses, inertia, potential, output):
     between the two.  C qd + G is summed over the velocity products
     qd_i qd_j, which evaluates faster than the product of C with qd;
     D and G are ``forces`` at rest.
+
+    The eighth, ``kinematics``, maps q, qd to (h, rows of J, rows of
+    d(J qd)/dq) in one call, again with shared subexpressions; h, J and
+    dJ/dq are its views (column b of d(J qd)/dq at qd = e_b is dJ/dq_b).
+    These functions return nested lists of Python numbers: lambdified
+    with the math module's sin and cos, each entry is a few float
+    operations.
     """
     n = len(q)
     qv = sp.Matrix(q)
@@ -266,19 +288,27 @@ def _lagrangian(q, coms, masses, inertia, potential, output):
     bias = [sp.diff(potential, q[k]) + sum(
         gamma[k][i][j] / (2 if i == j else 1) * qd[i] * qd[j]
         for i in range(n) for j in range(i, n)) for k in range(n)]
-    forces = sp.lambdify([q, qd], [D.tolist(), bias], "math", cse=True)
-    h = sp.Matrix(output)
-    J = h.jacobian(qv)
-    dJ = [[[J[a, b].diff(qc) for qc in q] for b in range(n)] for a in range(h.rows)]
+    forces = _lambdify([q, qd], [D.tolist(), bias])
+    coriolis = _lambdify([q, qd], C.tolist())
+    J = sp.Matrix(output).jacobian(qv)
+    kinematics = _lambdify(
+        [q, qd], [list(output), J.tolist(), (J * sp.Matrix(qd)).jacobian(qv).tolist()])
     rest = [0.0] * n   # at qd = 0 the forces are (D, G)
+    units = np.eye(n).tolist()
+
+    def dJ_dq(q):
+        q = _floats(q)
+        return np.array([kinematics(q, e)[2] for e in units]).transpose(1, 0, 2)
+
     return (
         lambda q: np.array(forces(_floats(q), rest)[0]),
-        _compile([q, qd], C, (n, n)),
+        lambda q, qd: np.array(coriolis(_floats(q), _floats(qd)), dtype=float),
         lambda q: np.array(forces(_floats(q), rest)[1]),
-        _compile([q], h, (h.rows,)),
-        _compile([q], J, (h.rows, n)),
-        _compile([q], dJ, (h.rows, n, n)),
+        lambda q: np.array(kinematics(_floats(q), rest)[0], dtype=float),
+        lambda q: np.array(kinematics(_floats(q), rest)[1], dtype=float),
+        dJ_dq,
         forces,
+        kinematics,
     )
 
 
@@ -315,6 +345,7 @@ def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
         dJ_dq=lambda q: dJ,
         completion=lambda st: np.array([st.q[0], st.qd[0]]),
         forces=lambda q, qd: forces,
+        kinematics=lambda q, qd: ([q[1]], [[0.0, 1.0]], [[0.0, 0.0]]),
         default_limits=Limits(
             q_min=[-2.0, -5.0], q_max=[2.0, 5.0],
             u_min=[-5.0, -5.0], u_max=[5.0, 5.0],
@@ -346,7 +377,7 @@ def make_example2(damping=(2.0, 2.0, 2.0)):
     d = np.asarray(damping, dtype=float)
     if d.shape != (3,) or np.any(d < 0):
         raise ParameterError("damping must be 3 nonnegative coefficients")
-    D_fn, C_fn, G_fn, h_fn, J_fn, dJ_fn, forces = _planar3r_symbolic()
+    D_fn, C_fn, G_fn, h_fn, J_fn, dJ_fn, forces, kinematics = _planar3r_symbolic()
 
     return MechanicalSystem(
         name="example2",
@@ -362,6 +393,7 @@ def make_example2(damping=(2.0, 2.0, 2.0)):
         dJ_dq=dJ_fn,
         completion=lambda st: np.array([st.q.sum(), st.qd.sum()]),
         forces=forces,
+        kinematics=kinematics,
         default_limits=Limits(
             q_min=[-np.pi, -np.pi, -np.pi], q_max=[np.pi, np.pi, np.pi],
             u_min=[-10.0, -10.0, -10.0], u_max=[10.0, 10.0, 10.0],
@@ -404,7 +436,7 @@ def make_cpm_like():
     with viscous damping and static actuator gains folded into A.
     zeta = (q2 + q3 + q4, qd2 + qd3 + qd4), the wrist-plane angle sum.
     """
-    D_fn, C_fn, G_fn, h_fn, J_fn, dJ_fn, forces = _cpm_symbolic()
+    D_fn, C_fn, G_fn, h_fn, J_fn, dJ_fn, forces, kinematics = _cpm_symbolic()
 
     return MechanicalSystem(
         name="cpm4",
@@ -420,6 +452,7 @@ def make_cpm_like():
         dJ_dq=dJ_fn,
         completion=lambda st: np.array([st.q[1:].sum(), st.qd[1:].sum()]),
         forces=forces,
+        kinematics=kinematics,
         default_limits=Limits(
             q_min=[-np.pi, -0.4, -2.4, -2.0],
             q_max=[np.pi, 1.8, 2.4, 2.0],

@@ -60,7 +60,14 @@ class NonSPDInertiaError(NumericalFailure):
 
 
 class NearSingularDecouplingError(NumericalFailure):
-    """beta * W^-1 * beta^T is too ill-conditioned to invert reliably."""
+    """beta * W^-1 * beta^T is too ill-conditioned to invert reliably.
+
+    ``cond`` is its condition number (nan when it is not finite).
+    """
+
+    def __init__(self, message, cond=None):
+        super().__init__(message)
+        self.cond = cond
 
 
 class DivergenceError(NumericalFailure):

@@ -10,9 +10,15 @@ Frenet-Serret equations instead of a third-order jet.
 Curves violating the framed assumption (straight lines, planar curves in
 a 3-D workspace) are handled by fallback policies per the supported
 completion modes.
+
+``frame_jet`` runs once per control period, so its jet arithmetic works
+on lists of Python floats: for an output of a few dimensions that costs
+a fraction of the same arithmetic on small numpy arrays.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -63,51 +69,51 @@ class Frame:
 
 
 # --- order-2 jet arithmetic -------------------------------------------------
-# A vector jet is a (3, p) array: rows are value, d/dlam, d2/dlam2.
-# A scalar jet is a (3,) array.
+# A vector jet is a triple of float lists (value, d/dlam, d2/dlam2), each
+# of length p; a scalar jet is a triple of floats.
+
+
+def dot(u, v):
+    """Inner product of two sequences of floats."""
+    return sum(map(mul, u, v))
 
 
 def _jinner(u, v):
-    return np.array(
-        [
-            u[0] @ v[0],
-            u[1] @ v[0] + u[0] @ v[1],
-            u[2] @ v[0] + 2.0 * (u[1] @ v[1]) + u[0] @ v[2],
-        ]
+    (u0, u1, u2), (v0, v1, v2) = u, v
+    return (
+        dot(u0, v0),
+        dot(u1, v0) + dot(u0, v1),
+        dot(u2, v0) + 2.0 * dot(u1, v1) + dot(u0, v2),
     )
 
 
-def _jscale(s, v):
-    return np.array(
-        [
-            s[0] * v[0],
-            s[1] * v[0] + s[0] * v[1],
-            s[2] * v[0] + 2.0 * s[1] * v[1] + s[0] * v[2],
-        ]
+def _jminus_scaled(b, s, v):
+    """The vector jet b - s v."""
+    (b0, b1, b2), (s0, s1, s2), (v0, v1, v2) = b, s, v
+    return (
+        [y - s0 * x for y, x in zip(b0, v0)],
+        [y - (s1 * x + s0 * dx) for y, x, dx in zip(b1, v0, v1)],
+        [y - (s2 * x + 2.0 * s1 * dx + s0 * ddx)
+         for y, x, dx, ddx in zip(b2, v0, v1, v2)],
     )
 
 
 def _jnorm(u):
-    s = _jinner(u, u)
-    n0 = np.sqrt(s[0])
+    s0, s1, s2 = _jinner(u, u)
+    n0 = math.sqrt(s0)
     if n0 == 0.0:
-        return np.zeros(3)
-    n1 = s[1] / (2.0 * n0)
-    n2 = (s[2] - 2.0 * n1 * n1) / (2.0 * n0)
-    return np.array([n0, n1, n2])
+        return 0.0, 0.0, 0.0
+    n1 = s1 / (2.0 * n0)
+    return n0, n1, (s2 - 2.0 * n1 * n1) / (2.0 * n0)
 
 
 def _jdiv(v, n):
-    w0 = v[0] / n[0]
-    w1 = (v[1] - w0 * n[1]) / n[0]
-    w2 = (v[2] - 2.0 * w1 * n[1] - w0 * n[2]) / n[0]
-    return np.array([w0, w1, w2])
-
-
-def _const_jet(vec, p):
-    j = np.zeros((3, p))
-    j[0] = vec
-    return j
+    """The vector jet v / n for a scalar jet n."""
+    (v0, v1, v2), (n0, n1, n2) = v, n
+    w0 = [x / n0 for x in v0]
+    w1 = [(x - a * n1) / n0 for x, a in zip(v1, w0)]
+    w2 = [(x - 2.0 * b * n1 - a * n2) / n0 for x, b, a in zip(v2, w1, w0)]
+    return w0, w1, w2
 
 
 @dataclass
@@ -129,9 +135,9 @@ def _gram_schmidt_jets(base_jets):
     """Orthonormalize jet vectors, propagating derivatives."""
     out = []
     for j, B in enumerate(base_jets):
-        eb = B.copy()
+        eb = B
         for e in out:
-            eb = eb - _jscale(_jinner(B, e), e)
+            eb = _jminus_scaled(eb, _jinner(B, e), e)
         n = _jnorm(eb)
         if n[0] < DEGENERACY_TOL:
             raise DegenerateFrameError(
@@ -144,85 +150,86 @@ def _gram_schmidt_jets(base_jets):
 
 
 def frame_jet(path, k, lam, policy=FRENET):
-    """Compute the frame and its first two derivatives at (k, lam)."""
+    """Compute the frame and its first two derivatives at (k, lam).
+
+    The jets and Gram-Schmidt run on Python floats; the FrameJet's
+    arrays are built once, at the end.
+    """
     p = path.output_dim
     lam = float(lam)
     # curve derivatives sigma^(0) .. sigma^(p+1); beyond that jets get zeros
     sigma = path.jet_unchecked(k, lam, p + 1)
-    speed0 = np.linalg.norm(sigma[1])
-    if speed0 < REGULARITY_TOL:
-        raise IrregularCurveError(f"||sigma'({lam})|| = {speed0:.3e} (irregular)")
+    zero = [0.0] * p
+    rows = sigma.tolist() + [zero, zero]
 
     def sigma_jet(j):
         # jet of sigma^(j): value sigma^(j), d1 sigma^(j+1), d2 sigma^(j+2)
-        jet = np.zeros((3, p))
-        rows = sigma[j : j + 3]
-        jet[: len(rows)] = rows
-        return jet
+        return rows[j], rows[j + 1], rows[j + 2]
+
+    speed = _jnorm(sigma_jet(1))
+    if speed[0] < REGULARITY_TOL:
+        raise IrregularCurveError(
+            f"||sigma'({lam})|| = {speed[0]:.3e} (irregular)")
 
     last_dde_from_fs = False
     if policy.mode == "frenet_serret":
-        base = [sigma_jet(j) for j in range(1, p + 1)]
-        ejets = _gram_schmidt_jets(base)
+        ejets = _gram_schmidt_jets([sigma_jet(j) for j in range(1, p + 1)])
         # sigma^(p+2) is unavailable, so e_p'' from the jet is wrong for p>1
         last_dde_from_fs = p > 1
     elif policy.mode == "line_fallback":
         if len(policy.fixed_vectors) < p - 1:
             raise ValueError("line_fallback needs p-1 completion vectors")
-        base = [sigma_jet(1)] + [
-            _const_jet(v, p) for v in policy.fixed_vectors[: p - 1]
-        ]
-        ejets = _gram_schmidt_jets(base)
+        ejets = _gram_schmidt_jets([sigma_jet(1)] + [
+            (v.tolist(), zero, zero) for v in policy.fixed_vectors[: p - 1]
+        ])
     elif policy.mode == "planar_fallback":
         if p == 2:
             (e1,) = _gram_schmidt_jets([sigma_jet(1)])
-            rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-            ejets = [e1, e1 @ rot.T]
+            # e2 is e1 turned by +90 degrees
+            ejets = [e1, tuple([-y, x] for x, y in e1)]
         elif p == 3:
             if not policy.fixed_vectors:
                 raise ValueError("planar_fallback needs the plane normal")
-            n_vec = policy.fixed_vectors[0]
-            n_vec = n_vec / np.linalg.norm(n_vec)
+            n = policy.fixed_vectors[0].tolist()
+            norm = math.sqrt(dot(n, n))
+            n = [x / norm for x in n]
             (e1,) = _gram_schmidt_jets([sigma_jet(1)])
-            if abs(n_vec @ e1[0]) > 1e-8:
+            if abs(dot(n, e1[0])) > 1e-8:
                 raise DegenerateFrameError(
                     "tangent is not orthogonal to the supplied plane normal",
                     index=2,
                 )
-            e2 = np.stack([np.cross(n_vec, e1[i]) for i in range(3)])
-            ejets = [e1, e2, _const_jet(n_vec, p)]
+            n0, n1, n2 = n
+            e2 = tuple([n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x]
+                       for x, y, z in e1)   # n x e1
+            ejets = [e1, e2, (n, zero, zero)]
         else:
             raise ValueError("planar_fallback requires a 2-D or 3-D output")
 
-    e, de, dde = np.array(ejets).transpose(1, 0, 2)
-
-    speed = _jnorm(sigma_jet(1))
+    e, de, dde = (list(r) for r in zip(*ejets))
+    s0, s1, _ = speed
 
     # generalized curvatures chi_i = <e_i', e_{i+1}> / ||sigma'||
-    chi = np.array([de[i] @ e[i + 1] for i in range(p - 1)]) / speed[0]
-    chi_rate = np.array(
-        [
-            (dde[i] @ e[i + 1] + de[i] @ de[i + 1]) / speed[0]
-            - chi[i] * speed[1] / speed[0]
-            for i in range(p - 1)
-        ]
-    )
+    chi = [dot(de[i], e[i + 1]) / s0 for i in range(p - 1)]
+    chi_rate = [
+        (dot(dde[i], e[i + 1]) + dot(de[i], de[i + 1])) / s0 - chi[i] * s1 / s0
+        for i in range(p - 1)
+    ]
 
     if last_dde_from_fs:
         # e_p' = -||sigma'|| chi_{p-1} e_{p-1}; differentiate once more
         cm, cmr = chi[p - 2], chi_rate[p - 2]
-        dde[p - 1] = (
-            -(speed[1] * cm + speed[0] * cmr) * e[p - 2]
-            - speed[0] * cm * de[p - 2]
-        )
+        c = -(s1 * cm + s0 * cmr)
+        dde[p - 1] = [c * x - s0 * cm * dx for x, dx in zip(e[p - 2], de[p - 2])]
 
+    e, de, dde = np.array([e, de, dde])
     return FrameJet(
         e=e,
         de=de,
         dde=dde,
-        curvatures=chi,
-        curvature_rates=chi_rate,
-        speed=speed,
+        curvatures=np.array(chi),
+        curvature_rates=np.array(chi_rate),
+        speed=np.array(speed),
         lam=lam,
         k=k,
         sigma=sigma,

@@ -260,19 +260,44 @@ def _rk4_hold(system, state, u, h, substeps):
     return State(q=q, qd=qd)
 
 
+def _check_sizes(scenario, system, limits):
+    """ParameterError unless the scenario's per-joint data fit the plant."""
+    N = system.N
+    vectors = {"q0": scenario.q0, "qd0": scenario.qd0}
+    vectors.update((f"limits {name}", getattr(limits, name))
+                   for name in ("q_min", "q_max", "u_min", "u_max"))
+    enc = scenario.encoder_resolution
+    if enc is not None:
+        vectors["encoder_resolution"] = enc
+    for name, x in vectors.items():
+        if np.shape(x) != (N,):
+            raise ParameterError(f"{name} must have {N} entries, one per joint "
+                                 f"of plant {system.name!r}; got shape {np.shape(x)}")
+    if enc is not None and not all(math.isfinite(x) and x > 0.0
+                                   for x in np.asarray(enc, dtype=float).tolist()):
+        raise ParameterError("encoder_resolution entries must be finite and > 0")
+    W = scenario.redundancy.W
+    if W is not None and W.shape != (N, N):
+        raise ParameterError(f"redundancy W must be {N} x {N} for plant "
+                             f"{system.name!r}; got {W.shape[0]} x {W.shape[1]}")
+
+
 def run(scenario, path=None, system=None, proj_cfg=None):
     """Execute a scenario and return its RunLog.
 
     The controller sees the (optionally quantized) measured state; the
-    plant always integrates the true state.  Divergence (a non-finite
-    state, or a state norm above 1e6) aborts.  A library error raised
-    during a control period carries that period's start time as ``time``.
+    plant always integrates the true state.  Per-joint sizes that do not
+    match the plant raise ParameterError before the first period.
+    Divergence (a non-finite state, or a state norm above 1e6) aborts.
+    A library error raised during a control period carries that period's
+    start time as ``time``.
     """
     if system is None:
         system = dynamics.make_plant(scenario.plant, **scenario.plant_kwargs)
     if path is None:
         path = _build_path(scenario.path_spec)
     limits = scenario.limits or system.default_limits
+    _check_sizes(scenario, system, limits)
     if proj_cfg is None:
         proj_cfg = projection.ProjectionConfig()
 

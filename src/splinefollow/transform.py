@@ -7,6 +7,9 @@ moving frame, and zeta, the plant's redundant completion.  Double
 differentiation of (eta_1, xi_1) along the dynamics yields the drift
 vector alpha and decoupling matrix beta that render the virtual input
 v = alpha + beta u exactly the second derivatives of those coordinates.
+
+``linearize`` runs once per control period on lists of Python floats,
+fed by the plant's compiled ``kinematics`` call and the float frame jet.
 """
 
 from dataclasses import dataclass
@@ -15,6 +18,7 @@ import numpy as np
 
 from . import frames
 from .dynamics import drift_and_input
+from .frames import dot
 
 
 @dataclass(frozen=True)
@@ -49,34 +53,44 @@ def path_arclength(path, k, lam):
 
 
 def _geometry(system, state, path, proj_state, policy):
-    """Shared frame/output geometry for the transform and its derivatives."""
+    """Frame jet and output geometry at the tracked point, on floats.
+
+    Returns the frame jet, the rows of J, the offset h(q) - sigma, J qd
+    and d(J qd)/dq qd, all but the first as float lists.
+    """
     fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
-    J = system.J(state.q)
-    offset = system.h(state.q) - fj.sigma[0]
-    return fj, J, offset, J @ state.qd
+    qd = state.qd.tolist()
+    y, J, dJqd_dq = system.kinematics(state.q.tolist(), qd)
+    offset = [a - b for a, b in zip(y, fj.sigma[0].tolist())]
+    return (fj, J, offset, [dot(row, qd) for row in J],
+            [dot(row, qd) for row in dJqd_dq])
 
 
-def _coordinates(system, state, path, fj, offset, Jqd):
-    """(eta, xi, zeta) at the frame's path point (fj.k, fj.lam)."""
-    eta2 = fj.e[0] @ Jqd
-    lam_rate = eta2 / fj.speed[0]          # d lambda* / dt on the path
-    xi = np.empty((2, system.p - 1))
-    for j in range(1, system.p):
-        xi[0, j - 1] = fj.e[j] @ offset
-        xi[1, j - 1] = lam_rate * (fj.de[j] @ offset) + fj.e[j] @ Jqd
-    return TransformedState(
+def _coordinates(system, state, path, fj, e, de, offset, Jqd):
+    """(eta, xi, zeta) at the frame's path point (fj.k, fj.lam), and eta_2.
+
+    ``e`` and ``de`` are the frame vectors and their derivatives as lists.
+    """
+    eta2 = dot(e[0], Jqd)
+    lam_rate = eta2 / fj.speed[0].item()     # d lambda* / dt on the path
+    xi = [[dot(ej, offset) for ej in e[1:]],
+          [lam_rate * dot(dej, offset) + dot(ej, Jqd)
+           for ej, dej in zip(e[1:], de[1:])]]
+    transformed = TransformedState(
         eta=np.array([path_arclength(path, fj.k, fj.lam), eta2]),
-        xi=xi,
+        xi=np.array(xi),
         zeta=system.completion(state),
         k_star=fj.k,
         lambda_star=fj.lam,
     )
+    return transformed, eta2
 
 
 def to_transformed(system, state, path, proj_state, policy=frames.FRENET):
     """Compute (eta, xi, zeta) at the tracked closest point."""
-    fj, _, offset, Jqd = _geometry(system, state, path, proj_state, policy)
-    return _coordinates(system, state, path, fj, offset, Jqd)
+    fj, _, offset, Jqd, _ = _geometry(system, state, path, proj_state, policy)
+    return _coordinates(system, state, path, fj, fj.e.tolist(), fj.de.tolist(),
+                        offset, Jqd)[0]
 
 
 def linearize(system, state, path, proj_state, policy=frames.FRENET):
@@ -85,44 +99,44 @@ def linearize(system, state, path, proj_state, policy=frames.FRENET):
     Row 0 corresponds to eta_1'' and rows 1..p-1 to the transversal
     offsets xi_1''.  beta is the matrix multiplying u in those second
     derivatives; it loses rank exactly where the transform degenerates.
+    The arithmetic runs on Python floats; the result holds arrays.
     """
-    fj, J, offset, Jqd = _geometry(system, state, path, proj_state, policy)
-    transformed = _coordinates(system, state, path, fj, offset, Jqd)
-    q, qd = state.q, state.qd
-    p, N = system.p, system.N
-    speed = fj.speed[0]
+    fj, J, offset, Jqd, dJqd_qd = _geometry(system, state, path, proj_state,
+                                            policy)
+    e, de, dde = fj.e.tolist(), fj.de.tolist(), fj.dde.tolist()
+    transformed, eta2 = _coordinates(system, state, path, fj, e, de, offset, Jqd)
+    speed = fj.speed[0].item()
     f_v, g_v = drift_and_input(system, state)
 
-    dJqd_dq = system.djqd_dq(q, qd)        # (p, N)
-    accel_drift = dJqd_dq @ qd + J @ f_v   # d(J qd)/dt along the drift
-
-    eta2 = transformed.eta[1]
+    # d(J qd)/dt along the drift
+    accel_drift = [a + dot(Ja, f_v) for a, Ja in zip(dJqd_qd, J)]
     lam_rate = eta2 / speed
 
     # tangential channel
-    lf2_eta1 = lam_rate * (fj.de[0] @ Jqd) + fj.e[0] @ accel_drift
+    lf2_eta1 = lam_rate * dot(de[0], Jqd) + dot(e[0], accel_drift)
 
-    sig1, sig2 = fj.sigma[1], fj.sigma[2]
+    sig1, sig2 = fj.sigma[1:3].tolist()
     # d/dt of lam_rate along the drift, input-independent part
-    lam_rate_drift = lf2_eta1 / speed - eta2**2 * (sig1 @ sig2) / speed**4
+    lam_rate_drift = lf2_eta1 / speed - eta2**2 * dot(sig1, sig2) / speed**4
 
-    alpha = np.empty(p)
-    beta = np.empty((p, N))
-    Jg = J @ g_v
-    alpha[0] = lf2_eta1
-    beta[0] = fj.e[0] @ Jg
-
-    for j in range(1, p):
-        a_j = (offset @ fj.de[j]) / speed
-        alpha[j] = (
-            fj.e[j] @ accel_drift
-            + lam_rate * (fj.de[j] @ (2.0 * Jqd - eta2 * fj.e[0]))
-            + offset @ (fj.dde[j] * lam_rate**2 + fj.de[j] * lam_rate_drift)
+    # columns of J g_v; row j of beta is w_j J g_v
+    Jg_cols = [[dot(Ja, col) for Ja in J] for col in zip(*g_v)]
+    alpha, weights = [lf2_eta1], [e[0]]
+    lr2 = lam_rate**2
+    for ej, dej, ddej in zip(e[1:], de[1:], dde[1:]):
+        a_j = dot(offset, dej) / speed
+        alpha.append(
+            dot(ej, accel_drift)
+            + lam_rate * dot(dej, [2.0 * x - eta2 * t for x, t in zip(Jqd, e[0])])
+            + dot(offset, [a * lr2 + b * lam_rate_drift
+                            for a, b in zip(ddej, dej)])
         )
-        beta[j] = (a_j * fj.e[0] + fj.e[j]) @ Jg
+        weights.append([a_j * t + x for t, x in zip(e[0], ej)])
+    beta = [[dot(w, col) for col in Jg_cols] for w in weights]
 
     return LinearizationData(
-        transformed=transformed, alpha=alpha, beta=beta, f_v=f_v, g_v=g_v
+        transformed=transformed, alpha=np.array(alpha), beta=np.array(beta),
+        f_v=np.array(f_v), g_v=np.array(g_v),
     )
 
 
@@ -147,7 +161,8 @@ def check_differentials(system, state, path, proj_state,
     rows is therefore equivalent to both p x N blocks having full rank,
     which is measured here by their smallest singular values.
     """
-    fj, J, offset, Jqd = _geometry(system, state, path, proj_state, policy)
+    fj, J, offset, _, _ = _geometry(system, state, path, proj_state, policy)
+    J, offset = np.array(J, dtype=float), np.array(offset)
     p, N = system.p, system.N
     speed = fj.speed[0]
     sig1, sig2 = fj.sigma[1], fj.sigma[2]

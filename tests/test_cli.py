@@ -118,6 +118,16 @@ class TestRun:
         assert rc == 1
         assert "validation failure" in capsys.readouterr().err
 
+    def test_bad_joint_sizes_are_validation_failure(self, scenario_file,
+                                                    tmp_path, capsys):
+        scen = json.loads(scenario_file.read_text())
+        scen["encoder_resolution"] = [1e-3]   # example1 has two joints
+        scenario_file.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(scenario_file), "--out",
+                       str(tmp_path / "log.csv")])
+        assert rc == 1
+        assert "encoder_resolution must have 2 entries" in capsys.readouterr().err
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         # one period of 1e20 s: the state overflows during the integration
         scenario = str(SCENARIOS / "two_mass_line.json")

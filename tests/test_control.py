@@ -62,8 +62,33 @@ class TestResolveInput:
         np.testing.assert_allclose(u1, u2, atol=1e-10)
         np.testing.assert_allclose(u1, np.linalg.solve(beta, v - alpha), atol=1e-10)
 
-    def test_near_singular_raises(self):
-        beta = np.array([[1.0, 0.0], [1.0, 1e-14]])
+    @pytest.mark.parametrize("beta", [
+        [[0.0, 0.0, 0.0]],
+        [[1.0, 0.0], [1.0, 1e-14]],
+        [[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
+         [1.0, 3.0, 1.0, 1.0]],                  # row 3 = row 1 + row 2
+    ], ids=["p1", "p2", "p3"])
+    def test_near_singular_raises(self, beta):
+        p, N = np.shape(beta)
+        with pytest.raises(NearSingularDecouplingError):
+            control.resolve_input(np.zeros(p), beta, np.zeros(p), np.zeros(N))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_reported_cond_is_the_2_norm_cond(self, p):
+        """cond from the eigenvalues of M matches np.linalg.cond(M)."""
+        W = np.diag([2.0, 0.5, 1.0, 4.0])
+        beta = np.zeros((p, 4))
+        beta[np.arange(p), np.arange(p)] = 10.0 ** -(6.0 * np.arange(p))
+        M = beta @ np.linalg.solve(W, beta.T)
+        with pytest.raises(NearSingularDecouplingError) as exc:
+            control.resolve_input(np.zeros(p), beta, np.zeros(p), np.zeros(4), W)
+        want = np.linalg.cond(M)
+        assert want > control.CONDITION_LIMIT
+        assert exc.value.cond == pytest.approx(want, rel=1e-6)
+        assert f"{exc.value.cond:.3e}" in str(exc.value)
+
+    def test_non_finite_decoupling_raises(self):
+        beta = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(NearSingularDecouplingError):
             control.resolve_input(np.zeros(2), beta, np.zeros(2), np.zeros(2))
 
@@ -160,6 +185,31 @@ class TestStep:
         r = control.bias_r(st.q, example1.default_limits)
         assert u[0] == pytest.approx(r[0], abs=1e-10)
         assert not diag.saturated
+
+    def test_weighted_step_matches_kkt_oracle(self, example2, fig8_path):
+        """A closed-loop step with W != I resolves u as the KKT system does."""
+        from splinefollow import frames, sim, transform
+
+        policy = frames.FramePolicy(mode="planar_fallback")
+        k, lam = 3, 0.6 * fig8_path.segments[3].domain[1]
+        fj = frames.frame_jet(fig8_path, k, lam, policy)
+        q = sim.ik_planar3r(fig8_path.evaluate(k, lam, 0) + 0.02 * fj.e[1], 0.3)
+        st = State(q=q, qd=[0.1, -0.2, 0.15])
+        ps = projection.global_initialize(fig8_path, example2.h(q))
+        L = np.array([[1.0, 0.0, 0.0], [0.4, 1.2, 0.0], [-0.3, 0.2, 0.7]])
+        red = control.RedundancyConfig(W=L @ L.T)
+        gains = control.OuterLoopGains(eta2_ref=0.2, K_P=5.0, K_I=2.0,
+                                       xi_Kp=(150.0,), xi_Kd=(30.0,))
+        limits = example2.default_limits
+        u, ps_new, _, diag = control.step(
+            example2, fig8_path, st, ps, control.ControllerState(), gains,
+            redundancy=red, limits=limits, policy=policy)
+        lin = transform.linearize(example2, st, fig8_path, ps_new, policy)
+        want = _kkt_oracle(lin.alpha, lin.beta, diag.v,
+                           np.array(control.bias_r(q, limits)), red.W)
+        np.testing.assert_allclose(diag.u_unclamped, want, atol=1e-8)
+        assert not diag.saturated
+        np.testing.assert_allclose(u, want, atol=1e-8)
 
     def test_clamps_and_reports_saturation(self, example1):
         path = curves.line_path([-5.0], [5.0])

@@ -1,10 +1,114 @@
-"""Moving-frame construction: analytic cases, finite differences, fallbacks."""
+"""Moving-frame construction: analytic cases, finite differences, fallbacks.
+
+``frame_jet`` runs its jet arithmetic on Python floats; the numpy jet
+helpers below are the reference it must agree with.
+"""
 
 import numpy as np
 import pytest
 
 from splinefollow import curves, frames
 from splinefollow.errors import DegenerateFrameError
+
+# --- numpy reference: a vector jet is a (3, p) array (value, d1, d2) ---------
+
+
+def _jinner(u, v):
+    return np.array(
+        [
+            u[0] @ v[0],
+            u[1] @ v[0] + u[0] @ v[1],
+            u[2] @ v[0] + 2.0 * (u[1] @ v[1]) + u[0] @ v[2],
+        ]
+    )
+
+
+def _jscale(s, v):
+    return np.array(
+        [
+            s[0] * v[0],
+            s[1] * v[0] + s[0] * v[1],
+            s[2] * v[0] + 2.0 * s[1] * v[1] + s[0] * v[2],
+        ]
+    )
+
+
+def _jnorm(u):
+    s = _jinner(u, u)
+    n0 = np.sqrt(s[0])
+    if n0 == 0.0:
+        return np.zeros(3)
+    n1 = s[1] / (2.0 * n0)
+    n2 = (s[2] - 2.0 * n1 * n1) / (2.0 * n0)
+    return np.array([n0, n1, n2])
+
+
+def _jdiv(v, n):
+    w0 = v[0] / n[0]
+    w1 = (v[1] - w0 * n[1]) / n[0]
+    w2 = (v[2] - 2.0 * w1 * n[1] - w0 * n[2]) / n[0]
+    return np.array([w0, w1, w2])
+
+
+def _const_jet(vec, p):
+    j = np.zeros((3, p))
+    j[0] = vec
+    return j
+
+
+def _gram_schmidt_jets(base_jets):
+    out = []
+    for B in base_jets:
+        eb = B.copy()
+        for e in out:
+            eb = eb - _jscale(_jinner(B, e), e)
+        out.append(_jdiv(eb, _jnorm(eb)))
+    return out
+
+
+def _reference_frame_jet(path, k, lam, policy):
+    """(e, de, dde, curvatures, curvature rates, speed jet) on numpy arrays."""
+    p = path.output_dim
+    sigma = path.jet_unchecked(k, lam, p + 1)
+
+    def sigma_jet(j):
+        jet = np.zeros((3, p))
+        rows = sigma[j : j + 3]
+        jet[: len(rows)] = rows
+        return jet
+
+    if policy.mode == "frenet_serret":
+        ejets = _gram_schmidt_jets([sigma_jet(j) for j in range(1, p + 1)])
+    elif policy.mode == "line_fallback":
+        ejets = _gram_schmidt_jets(
+            [sigma_jet(1)]
+            + [_const_jet(v, p) for v in policy.fixed_vectors[: p - 1]])
+    elif p == 2:
+        (e1,) = _gram_schmidt_jets([sigma_jet(1)])
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        ejets = [e1, e1 @ rot.T]
+    else:
+        n_vec = policy.fixed_vectors[0] / np.linalg.norm(policy.fixed_vectors[0])
+        (e1,) = _gram_schmidt_jets([sigma_jet(1)])
+        e2 = np.stack([np.cross(n_vec, e1[i]) for i in range(3)])
+        ejets = [e1, e2, _const_jet(n_vec, p)]
+    e, de, dde = np.array(ejets).transpose(1, 0, 2)
+    speed = _jnorm(sigma_jet(1))
+    chi = np.array([de[i] @ e[i + 1] for i in range(p - 1)]) / speed[0]
+    chi_rate = np.array(
+        [
+            (dde[i] @ e[i + 1] + de[i] @ de[i + 1]) / speed[0]
+            - chi[i] * speed[1] / speed[0]
+            for i in range(p - 1)
+        ]
+    )
+    if policy.mode == "frenet_serret" and p > 1:
+        cm, cmr = chi[p - 2], chi_rate[p - 2]
+        dde[p - 1] = (
+            -(speed[1] * cm + speed[0] * cmr) * e[p - 2]
+            - speed[0] * cm * de[p - 2]
+        )
+    return e, de, dde, chi, chi_rate, speed
 
 
 class TestCircleFrame:
@@ -91,6 +195,47 @@ class TestJetDerivatives:
         assert fj.speed[1] == pytest.approx(
             (speed(lam + h) - speed(lam - h)) / (2 * h), abs=1e-6
         )
+
+
+class TestNumpyReference:
+    """The float frame jet against the numpy jet arithmetic, 1e-12 relative."""
+
+    LINE = curves.line_path([0.0, 0.0, 0.0], [1.0, 0.5, 0.2])
+    PLANAR = frames.FramePolicy(mode="planar_fallback")
+
+    @pytest.mark.parametrize("fixture, policy", [
+        ("wavy_path", frames.FRENET),
+        ("twisted_path", frames.FRENET),
+        ("fig8_path", PLANAR),
+        ("line", frames.FramePolicy(mode="line_fallback",
+                                    fixed_vectors=([0.0, 0.0, 1.0], [0.0, 1.0, 0.0]))),
+        ("circle", frames.FramePolicy(mode="planar_fallback",
+                                      fixed_vectors=([0.3, -0.2, 1.0],))),
+    ])
+    def test_matches_numpy_jets(self, fixture, policy, request):
+        if fixture == "line":
+            path = self.LINE
+        elif fixture == "circle":   # a circle in the plane normal to (0.3, -0.2, 1)
+            n = np.array([0.3, -0.2, 1.0]) / np.linalg.norm([0.3, -0.2, 1.0])
+            a = np.cross(n, [1.0, 0.0, 0.0])
+            a /= np.linalg.norm(a)
+            t = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
+            path = curves.fit_spline(
+                np.outer(np.cos(t), a) + np.outer(np.sin(t), np.cross(n, a)),
+                closed=True)
+        else:
+            path = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(21)
+        for _ in range(12):
+            k = int(rng.integers(path.n_segments))
+            lam = rng.uniform(*path.segments[k].domain)
+            fj = frames.frame_jet(path, k, lam, policy)
+            got = (fj.e, fj.de, fj.dde, fj.curvatures, fj.curvature_rates,
+                   fj.speed)
+            for g, want in zip(got, _reference_frame_jet(path, k, lam, policy)):
+                assert g.shape == want.shape
+                scale = max(np.abs(want).max(initial=0.0), 1e-300)
+                assert np.abs(g - want).max(initial=0.0) <= 1e-12 * scale
 
 
 class TestFallbacks:

@@ -156,6 +156,23 @@ class TestRun:
         assert exc.value.time == pytest.approx(0.18)
         assert str(exc.value).startswith("t=0.180s: ")
 
+    @pytest.mark.parametrize("bad", [
+        {"encoder_resolution": np.array([1e-3])},
+        {"encoder_resolution": np.array([0.0, 0.0])},
+        {"encoder_resolution": np.array([np.nan, 1e-3])},
+        {"encoder_resolution": np.array([1e-3, -1e-3])},
+        {"limits": dynamics.Limits(q_min=[-2.0], q_max=[2.0],
+                                   u_min=[-5.0], u_max=[5.0])},
+        {"limits": dynamics.Limits(q_min=[-2.0, -5.0], q_max=[2.0, 5.0],
+                                   u_min=[-5.0] * 3, u_max=[5.0] * 3)},
+        {"redundancy": control.RedundancyConfig(W=np.eye(1))},
+        {"q0": [0.5, 0.0, 0.0]},
+        {"qd0": [0.0]},
+    ])
+    def test_per_joint_sizes_must_fit_the_plant(self, bad):
+        with pytest.raises(ParameterError):
+            sim.run(_example1_scenario(**bad))
+
     def test_quantized_measurement(self):
         scen = _example1_scenario(encoder_resolution=np.array([1e-4, 1e-4]))
         log = sim.run(scen)

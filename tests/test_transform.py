@@ -2,17 +2,62 @@
 
 The key oracle: integrating the plant under a known input, the measured
 second derivatives of eta_1 and xi_1 must match alpha + beta u.
+``linearize`` runs on Python floats; the numpy arithmetic below, on the
+plant's array views and a dense solve, is the reference it must agree with.
 """
 
 import numpy as np
 import pytest
 
-from splinefollow import curves, dynamics, projection, sim, transform
+from splinefollow import curves, dynamics, frames, projection, sim, transform
 from splinefollow.dynamics import State
 
 
 def _project(path, system, q):
     return projection.global_initialize(path, system.h(q))
+
+
+def _reference_linearize(system, state, path, proj_state, policy):
+    """(eta, xi, alpha, beta, f_v, g_v) on numpy arrays."""
+    fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
+    q, qd = state.q, state.qd
+    p, N = system.p, system.N
+    J = system.J(q)
+    offset = system.h(q) - fj.sigma[0]
+    Jqd = J @ qd
+    speed = fj.speed[0]
+    D = system.D(q)
+    f_v = np.linalg.solve(D, -system.C(q, qd) @ qd - system.G(q)
+                          - system.damping @ qd)
+    g_v = np.linalg.solve(D, system.A)
+
+    eta2 = fj.e[0] @ Jqd
+    lam_rate = eta2 / speed
+    xi = np.empty((2, p - 1))
+    for j in range(1, p):
+        xi[0, j - 1] = fj.e[j] @ offset
+        xi[1, j - 1] = lam_rate * (fj.de[j] @ offset) + fj.e[j] @ Jqd
+    eta = np.array([transform.path_arclength(path, fj.k, fj.lam), eta2])
+
+    dJqd_dq = system.dJ_dq(q).transpose(0, 2, 1) @ qd
+    accel_drift = dJqd_dq @ qd + J @ f_v
+    lf2_eta1 = lam_rate * (fj.de[0] @ Jqd) + fj.e[0] @ accel_drift
+    sig1, sig2 = fj.sigma[1], fj.sigma[2]
+    lam_rate_drift = lf2_eta1 / speed - eta2**2 * (sig1 @ sig2) / speed**4
+    alpha = np.empty(p)
+    beta = np.empty((p, N))
+    Jg = J @ g_v
+    alpha[0] = lf2_eta1
+    beta[0] = fj.e[0] @ Jg
+    for j in range(1, p):
+        a_j = (offset @ fj.de[j]) / speed
+        alpha[j] = (
+            fj.e[j] @ accel_drift
+            + lam_rate * (fj.de[j] @ (2.0 * Jqd - eta2 * fj.e[0]))
+            + offset @ (fj.dde[j] * lam_rate**2 + fj.de[j] * lam_rate_drift)
+        )
+        beta[j] = (a_j * fj.e[0] + fj.e[j]) @ Jg
+    return eta, xi, alpha, beta, f_v, g_v
 
 
 class TestCoordinates:
@@ -61,6 +106,38 @@ class TestCoordinates:
                                      path, ps)
         flat = T.flat()
         assert flat.shape == (2 * example2.N,)
+
+
+class TestNumpyReference:
+    """linearize against the numpy reference at seeded random states."""
+
+    @pytest.mark.parametrize("plant, path_name, policy", [
+        ("example1", "line", frames.FRENET),
+        ("example2", "wavy_path", frames.FRENET),
+        ("example2", "fig8_path", frames.FramePolicy(mode="planar_fallback")),
+        ("cpm4", "twisted_path", frames.FRENET),
+    ])
+    def test_matches_numpy(self, plant, path_name, policy, request):
+        system = request.getfixturevalue(plant)
+        path = (curves.line_path([-5.0], [5.0]) if path_name == "line"
+                else request.getfixturevalue(path_name))
+        lim = system.default_limits
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            k = int(rng.integers(path.n_segments))
+            ps = projection.ProjectionState(
+                k_star=k, lambda_star=rng.uniform(*path.segments[k].domain))
+            st = State(q=rng.uniform(lim.q_min, lim.q_max) * 0.8,
+                       qd=rng.normal(size=system.N))
+            lin = transform.linearize(system, st, path, ps, policy)
+            ts = lin.transformed
+            got = (ts.eta, ts.xi, lin.alpha, lin.beta, lin.f_v, lin.g_v)
+            want = _reference_linearize(system, st, path, ps, policy)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                scale = max(np.abs(w).max(initial=0.0), 1e-300)
+                assert np.abs(g - w).max(initial=0.0) <= 1e-12 * scale
+            np.testing.assert_allclose(ts.zeta, system.completion(st))
 
 
 class TestExample1Linearization:
