@@ -28,7 +28,7 @@ from .dynamics import (
     make_example2,
     make_plant,
 )
-from .frames import FRENET, Frame, FramePolicy, frame_at, frame_jet
+from .frames import FRENET, FramePolicy, frame_jet
 from .projection import (
     ProjectionConfig,
     ProjectionState,
@@ -57,7 +57,6 @@ from .sim import (
     PhasePortrait,
     RunLog,
     Scenario,
-    boundedness_report,
     run,
     zero_dynamics_portrait,
 )

@@ -56,7 +56,9 @@ class OuterLoopGains:
     Transversal modes: ``pd`` is componentwise -Kp xi_1 - Kd xi_2;
     ``robust`` applies the norm-switched law (K + K0) xi plus
     K1 xi/||xi|| outside the boundary layer mu and K2 ||xi|| xi inside.
-    K1 = mu^2 K2 is enforced so the switch is continuous.
+    K1 = mu^2 K2 is enforced so the switch is continuous.  K, K0 and K2
+    act on the interleaved (xi_1^1, xi_2^1, ...), so each is
+    (p - 1) x 2(p - 1); ``robust_shape`` is their common shape.
     """
 
     tangential_mode: str = "velocity"
@@ -88,6 +90,25 @@ class OuterLoopGains:
                 raise ParameterError("PD transversal gains must be positive")
         if self.robust_mu <= 0:
             raise ParameterError("robust boundary layer mu must be positive")
+        if self.transversal_mode == "robust":
+            m, n = self.robust_shape
+            if not 0 < 2 * m == n:
+                raise ParameterError(
+                    f"robust gains K, K0 and K2 must each be (p - 1) x 2(p - 1); "
+                    f"got {m} x {n}")
+
+    @property
+    def robust_shape(self):
+        """Common (rows, columns) of robust_K, robust_K0 and robust_K2."""
+        try:
+            shapes = [np.atleast_2d(np.asarray(K, dtype=float)).shape
+                      for K in (self.robust_K, self.robust_K0, self.robust_K2)]
+        except ValueError as exc:   # ragged rows
+            raise ParameterError(f"robust gains must be matrices: {exc}") from None
+        if len(set(shapes)) != 1 or len(shapes[0]) != 2:
+            raise ParameterError("robust gains K, K0 and K2 must be matrices of "
+                                 f"one shape; got shapes {shapes}")
+        return shapes[0]
 
     @property
     def robust_K1(self):

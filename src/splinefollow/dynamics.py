@@ -6,17 +6,23 @@ skew-symmetry of Ddot - 2C holds structurally rather than incidentally.
 Viscous damping is kept as a separate matrix term Bd, outside C.  The
 input matrix A and the damping Bd are constant.
 
+A plant is described once: its compiled ``forces`` call gives D and
+C qd + G, its compiled ``kinematics`` call gives the output map h, its
+Jacobian J and d(J qd)/dq, and the constant completion matrix Z gives
+the redundant coordinates zeta = (Z q, Z qd).  ``C`` (the Christoffel
+matrix) is kept as an independent oracle for the tests.  The array-valued
+D, G, h, J, dJ_dq and ``completion`` are ``MechanicalSystem`` methods
+derived from those calls, for callers outside the loop.
+
 ``acceleration`` and ``drift_and_input`` run on Python floats: one
-compiled call gives D and C qd + G, and a Cholesky solve unrolled for
-the plant's N gives D^-1 times the right-hand sides.  A second compiled
-call, ``kinematics``, gives the output map, its Jacobian J and
-d(J qd)/dq as float lists for the control pass.  The array-valued D, C,
-G, h, J and dJ_dq are views of these calls for callers outside the loop.
+``forces`` call, then a Cholesky solve unrolled for the plant's N gives
+D^-1 times the right-hand sides.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 import sympy as sp
@@ -61,21 +67,17 @@ class MechanicalSystem:
 
     The float columns of A, ``rhs(u, qd, bias)`` = A u - Bd qd - bias
     and the inertia solve are set at construction, for ``acceleration``
-    and ``drift_and_input``.
+    and ``drift_and_input``.  The methods evaluate the compiled calls
+    at rest (qd = 0) or along unit velocities and return arrays.
     """
 
     name: str
     N: int
     p: int
-    D: callable            # (N,) -> (N, N) inertia
     C: callable            # (N,), (N,) -> (N, N) Coriolis (Christoffel)
-    G: callable            # (N,) -> (N,) gravity
     A: np.ndarray          # (N, N) input matrix
     damping: np.ndarray    # (N, N) viscous matrix Bd, force Bd @ qd
-    h: callable            # (N,) -> (p,) output map
-    J: callable            # (N,) -> (p, N) output Jacobian
-    dJ_dq: callable        # (N,) -> (p, N, N), d J[a,b] / d q[c]
-    completion: callable   # State -> (2N - 2p,) redundant coordinates zeta
+    Z: np.ndarray          # (N - p, N) completion matrix, zeta = (Z q, Z qd)
     forces: callable       # q, qd floats -> (rows of D, entries of C qd + G)
     kinematics: callable   # q, qd floats -> (h, rows of J, rows of d(J qd)/dq)
     default_limits: Limits = None
@@ -87,6 +89,37 @@ class MechanicalSystem:
         self.A_cols = self.A.T.tolist()
         self.rhs = _input_minus_damping(self.A.tolist(), self.damping.tolist())
         self.solve = _cholesky(self.N)
+
+    def D(self, q):
+        """(N, N) inertia matrix."""
+        return np.array(self.forces(_floats(q), [0.0] * self.N)[0])
+
+    def G(self, q):
+        """(N,) gravity vector: C qd + G at rest."""
+        return np.array(self.forces(_floats(q), [0.0] * self.N)[1])
+
+    def h(self, q):
+        """(p,) output map."""
+        return np.array(self.kinematics(_floats(q), [0.0] * self.N)[0], dtype=float)
+
+    def J(self, q):
+        """(p, N) output Jacobian."""
+        return np.array(self.kinematics(_floats(q), [0.0] * self.N)[1], dtype=float)
+
+    def dJ_dq(self, q):
+        """(p, N, N) array d J[a, b] / d q[c].
+
+        Column b of d(J qd)/dq at qd = e_b is dJ/dq_b.
+        """
+        q = _floats(q)
+        return np.array([self.kinematics(q, e)[2] for e in np.eye(self.N).tolist()],
+                        dtype=float).transpose(1, 0, 2)
+
+    def completion(self, state):
+        """(2N - 2p,) redundant coordinates zeta = (Z q, Z qd), on floats."""
+        Z = self.Z.tolist()
+        return np.array([sum(map(mul, z, x))
+                         for x in (state.q.tolist(), state.qd.tolist()) for z in Z])
 
 
 @lru_cache(maxsize=None)
@@ -258,18 +291,15 @@ def _lagrangian(q, coms, masses, inertia, potential, output):
     needs.  C holds the Christoffel symbols of D, G is the gradient of
     ``potential`` and J is the Jacobian of the output map ``output``.
 
-    The seventh function, the plant's ``forces``, maps float lists q, qd
-    to (rows of D, C qd + G) in one call that shares subexpressions
-    between the two.  C qd + G is summed over the velocity products
-    qd_i qd_j, which evaluates faster than the product of C with qd;
-    D and G are ``forces`` at rest.
-
-    The eighth, ``kinematics``, maps q, qd to (h, rows of J, rows of
-    d(J qd)/dq) in one call, again with shared subexpressions; h, J and
-    dJ/dq are its views (column b of d(J qd)/dq at qd = e_b is dJ/dq_b).
-    These functions return nested lists of Python numbers: lambdified
-    with the math module's sin and cos, each entry is a few float
-    operations.
+    It returns three functions.  The first maps q, qd to the (N, N) array
+    C.  The plant's ``forces`` maps float lists q, qd to (rows of D,
+    C qd + G) in one call that shares subexpressions between the two;
+    C qd + G is summed over the velocity products qd_i qd_j, which
+    evaluates faster than the product of C with qd.  ``kinematics`` maps
+    q, qd to (h, rows of J, rows of d(J qd)/dq) in one call, again with
+    shared subexpressions.  These two return nested lists of Python
+    numbers: lambdified with the math module's sin and cos, each entry is
+    a few float operations.
     """
     n = len(q)
     qv = sp.Matrix(q)
@@ -293,20 +323,8 @@ def _lagrangian(q, coms, masses, inertia, potential, output):
     J = sp.Matrix(output).jacobian(qv)
     kinematics = _lambdify(
         [q, qd], [list(output), J.tolist(), (J * sp.Matrix(qd)).jacobian(qv).tolist()])
-    rest = [0.0] * n   # at qd = 0 the forces are (D, G)
-    units = np.eye(n).tolist()
-
-    def dJ_dq(q):
-        q = _floats(q)
-        return np.array([kinematics(q, e)[2] for e in units]).transpose(1, 0, 2)
-
     return (
-        lambda q: np.array(forces(_floats(q), rest)[0]),
         lambda q, qd: np.array(coriolis(_floats(q), _floats(qd)), dtype=float),
-        lambda q: np.array(forces(_floats(q), rest)[1]),
-        lambda q: np.array(kinematics(_floats(q), rest)[0], dtype=float),
-        lambda q: np.array(kinematics(_floats(q), rest)[1], dtype=float),
-        dJ_dq,
         forces,
         kinematics,
     )
@@ -323,27 +341,15 @@ def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
     """
     if min(m1, m2, b1, b2) <= 0:
         raise ParameterError("example1 parameters must be positive")
-    N, p = 2, 1
-    Dm = np.diag([m1, m2])
-    Bd = np.array([[b1 + b2, -b2], [-b2, b2]])
-    zero2 = np.zeros((N, N))
-    forces = (Dm.tolist(), [0.0] * N)
-    J = np.array([[0.0, 1.0]])
-    dJ = np.zeros((p, N, N))
-
+    forces = ([[m1, 0.0], [0.0, m2]], [0.0, 0.0])
     return MechanicalSystem(
         name="example1",
-        N=N,
-        p=p,
-        D=lambda q: Dm,
-        C=lambda q, qd: zero2,
-        G=lambda q: np.zeros(N),
-        A=np.eye(N),
-        damping=Bd,
-        h=lambda q: np.array([q[1]]),
-        J=lambda q: J,
-        dJ_dq=lambda q: dJ,
-        completion=lambda st: np.array([st.q[0], st.qd[0]]),
+        N=2,
+        p=1,
+        C=lambda q, qd: np.zeros((2, 2)),
+        A=np.eye(2),
+        damping=np.array([[b1 + b2, -b2], [-b2, b2]]),
+        Z=np.array([[1.0, 0.0]]),
         forces=lambda q, qd: forces,
         kinematics=lambda q, qd: ([q[1]], [[0.0, 1.0]], [[0.0, 0.0]]),
         default_limits=Limits(
@@ -377,21 +383,16 @@ def make_example2(damping=(2.0, 2.0, 2.0)):
     d = np.asarray(damping, dtype=float)
     if d.shape != (3,) or np.any(d < 0):
         raise ParameterError("damping must be 3 nonnegative coefficients")
-    D_fn, C_fn, G_fn, h_fn, J_fn, dJ_fn, forces, kinematics = _planar3r_symbolic()
+    C, forces, kinematics = _planar3r_symbolic()
 
     return MechanicalSystem(
         name="example2",
         N=3,
         p=2,
-        D=D_fn,
-        C=C_fn,
-        G=G_fn,
+        C=C,
         A=np.eye(3),
         damping=np.diag(d),
-        h=h_fn,
-        J=J_fn,
-        dJ_dq=dJ_fn,
-        completion=lambda st: np.array([st.q.sum(), st.qd.sum()]),
+        Z=np.ones((1, 3)),
         forces=forces,
         kinematics=kinematics,
         default_limits=Limits(
@@ -436,21 +437,16 @@ def make_cpm_like():
     with viscous damping and static actuator gains folded into A.
     zeta = (q2 + q3 + q4, qd2 + qd3 + qd4), the wrist-plane angle sum.
     """
-    D_fn, C_fn, G_fn, h_fn, J_fn, dJ_fn, forces, kinematics = _cpm_symbolic()
+    C, forces, kinematics = _cpm_symbolic()
 
     return MechanicalSystem(
         name="cpm4",
         N=4,
         p=3,
-        D=D_fn,
-        C=C_fn,
-        G=G_fn,
+        C=C,
         A=np.diag(_CPM_GAINS),
         damping=np.diag([3.0, 4.0, 3.0, 1.5]),
-        h=h_fn,
-        J=J_fn,
-        dJ_dq=dJ_fn,
-        completion=lambda st: np.array([st.q[1:].sum(), st.qd[1:].sum()]),
+        Z=np.array([[0.0, 1.0, 1.0, 1.0]]),
         forces=forces,
         kinematics=kinematics,
         default_limits=Limits(

@@ -38,7 +38,8 @@ class FramePolicy:
     orientation-consistent frame that survives inflection points (where
     sigma'' is parallel to sigma' and strict Gram-Schmidt collapses):
     with p = 2, e2 is the 90 degree rotation of e1; with p = 3,
-    fixed_vectors[0] is the plane normal, e2 = n x e1 and e3 = n.
+    fixed_vectors[0] is the plane normal, e2 = n x e1 and e3 = n.  Each
+    fixed vector a fallback uses has exactly p entries.
     """
 
     mode: str = "frenet_serret"
@@ -55,17 +56,6 @@ class FramePolicy:
 
 
 FRENET = FramePolicy()
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Orthonormal moving frame at (k, lambda) with generalized curvatures."""
-
-    vectors: np.ndarray      # (p, p), row j is e_{j+1}
-    curvatures: np.ndarray   # (p-1,)
-    lam: float
-    k: int
-    policy: FramePolicy = FRENET
 
 
 # --- order-2 jet arithmetic -------------------------------------------------
@@ -149,6 +139,23 @@ def _gram_schmidt_jets(base_jets):
     return out
 
 
+def _completion_vectors(policy, p, count):
+    """The policy's first ``count`` fixed vectors, as lists of p floats.
+
+    ValueError, naming p, if fewer are given or one has a length other
+    than p.
+    """
+    vectors = policy.fixed_vectors[:count]
+    if len(vectors) < count:
+        raise ValueError(f"{policy.mode} needs {count} completion vector(s) "
+                         f"for p = {p}; got {len(vectors)}")
+    for j, v in enumerate(vectors):
+        if v.shape != (p,):
+            raise ValueError(f"{policy.mode} completion vector {j} must have "
+                             f"p = {p} entries; got shape {v.shape}")
+    return [v.tolist() for v in vectors]
+
+
 def frame_jet(path, k, lam, policy=FRENET):
     """Compute the frame and its first two derivatives at (k, lam).
 
@@ -177,10 +184,8 @@ def frame_jet(path, k, lam, policy=FRENET):
         # sigma^(p+2) is unavailable, so e_p'' from the jet is wrong for p>1
         last_dde_from_fs = p > 1
     elif policy.mode == "line_fallback":
-        if len(policy.fixed_vectors) < p - 1:
-            raise ValueError("line_fallback needs p-1 completion vectors")
         ejets = _gram_schmidt_jets([sigma_jet(1)] + [
-            (v.tolist(), zero, zero) for v in policy.fixed_vectors[: p - 1]
+            (v, zero, zero) for v in _completion_vectors(policy, p, p - 1)
         ])
     elif policy.mode == "planar_fallback":
         if p == 2:
@@ -188,9 +193,7 @@ def frame_jet(path, k, lam, policy=FRENET):
             # e2 is e1 turned by +90 degrees
             ejets = [e1, tuple([-y, x] for x, y in e1)]
         elif p == 3:
-            if not policy.fixed_vectors:
-                raise ValueError("planar_fallback needs the plane normal")
-            n = policy.fixed_vectors[0].tolist()
+            (n,) = _completion_vectors(policy, p, 1)   # the plane normal
             norm = math.sqrt(dot(n, n))
             n = [x / norm for x in n]
             (e1,) = _gram_schmidt_jets([sigma_jet(1)])
@@ -234,19 +237,6 @@ def frame_jet(path, k, lam, policy=FRENET):
         k=k,
         sigma=sigma,
     )
-
-
-def frame_at(path, k, lam, policy=FRENET):
-    """Orthonormal frame at (k, lam) under the given policy."""
-    fj = frame_jet(path, k, lam, policy)
-    return Frame(
-        vectors=fj.e, curvatures=fj.curvatures, lam=fj.lam, k=fj.k, policy=policy
-    )
-
-
-def curvatures_at(path, k, lam, policy=FRENET):
-    """Generalized curvatures chi_1..chi_{p-1} from analytic derivatives."""
-    return frame_jet(path, k, lam, policy).curvatures
 
 
 def fs_coefficient_matrix(curvatures, speed):

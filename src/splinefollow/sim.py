@@ -2,10 +2,12 @@
 
 The control input is held over each 20 ms (default) period while the
 plant integrates with a fixed-step classical Runge-Kutta scheme at a
-finer substep.  Zero-dynamics portraits are produced by running the full
-controller from states constructed on the path-following manifold, so
-the redundant flow reflects the actual pipeline rather than a symbolic
-reduction.
+finer substep.  One loop, ``_simulate``, runs every control period:
+measurement, ``control.step``, the RK4 hold and the clock.  ``run``
+drives it once per scenario and logs every period; the zero-dynamics
+portrait drives it once per initial condition from states constructed
+on the path-following manifold, so the redundant flow reflects the
+actual pipeline rather than a symbolic reduction.
 """
 
 import json
@@ -21,6 +23,17 @@ from .errors import DivergenceError, ParameterError, SplineFollowError
 
 DIVERGENCE_BOUND = 1e6
 FMT = "%.17g"
+
+# zero-dynamics portrait: control period (flows and field), redundancy
+# resolution, RK4 substeps and projection settings of the flows, and the
+# equilibrium search's tolerance and merge radius
+PORTRAIT_DT = 0.02
+PORTRAIT_REDUNDANCY = control.RedundancyConfig()
+PORTRAIT_SUBSTEPS = 2
+# flows start on the manifold, so a loose descent tolerance suffices
+PORTRAIT_PROJECTION = projection.ProjectionConfig(eps=1e-6, alpha0=1e-3)
+EQUILIBRIUM_TOL = 1e-6
+CLUSTER_RADIUS = 1e-3
 
 
 # --- scenario ----------------------------------------------------------------
@@ -260,6 +273,43 @@ def _rk4_hold(system, state, u, h, substeps):
     return State(q=q, qd=qd)
 
 
+def _simulate(system, path, state, gains, steps, dt, substeps, *,
+              redundancy, limits, proj_cfg, policy=frames.FRENET,
+              proj=None, resolution=None):
+    """Run ``steps`` control periods; yield (t, state, u, diag) for each.
+
+    ``state`` is the true state at the start of the period and ``u`` the
+    input held over it.  The controller sees the state through the
+    measurement model (quantized to ``resolution`` when given); the plant
+    integrates the true state.  Without a projection state ``proj``, the
+    closest point is found globally from the first measurement.  A
+    library error raised during a control period carries that period's
+    start time as ``time``.
+    """
+    meas = _Measurement(resolution, dt)
+    observed = meas.observe(state)
+    if proj is None:
+        proj = projection.global_initialize(path, system.h(observed.q), proj_cfg)
+    ctrl = control.ControllerState()
+    h = dt / substeps
+    t = 0.0
+    for _ in range(steps):
+        try:
+            u, proj, ctrl, diag = control.step(
+                system, path, observed, proj, ctrl, gains,
+                redundancy=redundancy, limits=limits,
+                proj_cfg=proj_cfg, policy=policy, dt=dt, t=t,
+            )
+            new_state = _rk4_hold(system, state, u, h, substeps)
+        except SplineFollowError as exc:
+            exc.time = t   # keeps the error's own fields (state, index)
+            raise
+        yield t, state, u, diag
+        state = new_state
+        observed = meas.observe(state)
+        t += dt
+
+
 def _check_sizes(scenario, system, limits):
     """ParameterError unless the scenario's per-joint data fit the plant."""
     N = system.N
@@ -280,17 +330,28 @@ def _check_sizes(scenario, system, limits):
     if W is not None and W.shape != (N, N):
         raise ParameterError(f"redundancy W must be {N} x {N} for plant "
                              f"{system.name!r}; got {W.shape[0]} x {W.shape[1]}")
+    _check_gains(scenario.gains, system)
+
+
+def _check_gains(gains, system):
+    """ParameterError unless robust transversal gains fit the plant's p."""
+    m = system.p - 1   # transversal coordinates; none to act on when p = 1
+    if (gains.transversal_mode == "robust" and m > 0
+            and gains.robust_shape != (m, 2 * m)):
+        raise ParameterError(f"robust gains K, K0 and K2 must be {m} x {2 * m} "
+                             f"for plant {system.name!r} (p = {system.p}); got "
+                             f"shape {gains.robust_shape}")
 
 
 def run(scenario, path=None, system=None, proj_cfg=None):
     """Execute a scenario and return its RunLog.
 
     The controller sees the (optionally quantized) measured state; the
-    plant always integrates the true state.  Per-joint sizes that do not
-    match the plant raise ParameterError before the first period.
-    Divergence (a non-finite state, or a state norm above 1e6) aborts.
-    A library error raised during a control period carries that period's
-    start time as ``time``.
+    plant always integrates the true state.  Per-joint sizes or robust
+    gains that do not match the plant raise ParameterError before the
+    first period.  Divergence (a non-finite state, or a state norm above
+    1e6) aborts.  A library error raised during a control period carries
+    that period's start time as ``time``.
     """
     if system is None:
         system = dynamics.make_plant(scenario.plant, **scenario.plant_kwargs)
@@ -301,79 +362,18 @@ def run(scenario, path=None, system=None, proj_cfg=None):
     if proj_cfg is None:
         proj_cfg = projection.ProjectionConfig()
 
-    policy = scenario.frame_policy
-    state = State(q=scenario.q0, qd=scenario.qd0)
-    meas = _Measurement(scenario.encoder_resolution, scenario.dt)
-    observed = meas.observe(state)
-    proj = projection.global_initialize(path, system.h(observed.q), proj_cfg)
-    ctrl = control.ControllerState()
-
-    steps = int(round(scenario.duration / scenario.dt))
-    h = scenario.dt / scenario.substeps
-    rows = {key: [] for key in (
-        "t", "q", "qd", "u", "eta", "xi", "zeta",
-        "k_star", "lambda_star", "iterations", "saturated")}
-
-    t = 0.0
-    for _ in range(steps):
-        try:
-            u, proj, ctrl, diag = control.step(
-                system, path, observed, proj, ctrl, scenario.gains,
-                redundancy=scenario.redundancy, limits=limits,
-                proj_cfg=proj_cfg, policy=policy, dt=scenario.dt, t=t,
-            )
-            new_state = _rk4_hold(system, state, u, h, scenario.substeps)
-        except SplineFollowError as exc:
-            exc.time = t   # keeps the error's own fields (state, index)
-            raise
-        rows["t"].append(t)
-        rows["q"].append(state.q)
-        rows["qd"].append(state.qd)
-        rows["u"].append(u)
-        rows["eta"].append(diag.eta)
-        rows["xi"].append(diag.xi)
-        rows["zeta"].append(diag.zeta)
-        rows["k_star"].append(proj.k_star)
-        rows["lambda_star"].append(proj.lambda_star)
-        rows["iterations"].append(diag.iterations)
-        rows["saturated"].append(diag.saturated)
-
-        state = new_state
-        observed = meas.observe(state)
-        t += scenario.dt
-
-    return RunLog(
-        scenario_name=scenario.name,
-        t=np.asarray(rows["t"]),
-        q=np.asarray(rows["q"]),
-        qd=np.asarray(rows["qd"]),
-        u=np.asarray(rows["u"]),
-        eta=np.asarray(rows["eta"]),
-        xi=np.asarray(rows["xi"]),
-        zeta=np.asarray(rows["zeta"]),
-        k_star=np.asarray(rows["k_star"]),
-        lambda_star=np.asarray(rows["lambda_star"]),
-        iterations=np.asarray(rows["iterations"]),
-        saturated=np.asarray(rows["saturated"]),
-    )
-
-
-def boundedness_report(log, limits=None, zeta_bound=100.0):
-    """Verdict on redundant-state boundedness and joint-limit compliance."""
-    band = np.deg2rad(2.0)
-    verdict = {
-        "zeta_bounded": bool(
-            np.max(np.linalg.norm(log.zeta, axis=1)) < zeta_bound
-        ),
-        "max_zeta_norm": float(np.max(np.linalg.norm(log.zeta, axis=1))),
-        "saturation_events": int(np.sum(log.saturated)),
-    }
-    if limits is not None:
-        ok = np.all(
-            (log.q >= limits.q_min - band) & (log.q <= limits.q_max + band)
-        )
-        verdict["joint_limits_respected"] = bool(ok)
-    return verdict
+    rows = [(t, state.q, state.qd, u, diag.eta, diag.xi, diag.zeta, diag.k_star,
+             diag.lambda_star, diag.iterations, diag.saturated)
+            for t, state, u, diag in _simulate(
+                system, path, State(q=scenario.q0, qd=scenario.qd0),
+                scenario.gains, int(round(scenario.duration / scenario.dt)),
+                scenario.dt, scenario.substeps, redundancy=scenario.redundancy,
+                limits=limits, proj_cfg=proj_cfg, policy=scenario.frame_policy,
+                resolution=scenario.encoder_resolution)]
+    columns = ("t", "q", "qd", "u", "eta", "xi", "zeta",
+               "k_star", "lambda_star", "iterations", "saturated")
+    return RunLog(scenario_name=scenario.name,
+                  **{key: np.asarray(col) for key, col in zip(columns, zip(*rows))})
 
 
 # --- planar 3R inverse kinematics on the zero-dynamics manifold --------------
@@ -398,23 +398,23 @@ def ik_planar3r(y, zeta1, elbow="up"):
     return np.array([q1, q2, q3])
 
 
-def zero_dynamics_state(system, path, zeta, eta1_ref=0.0, elbow="up"):
+def zero_dynamics_state(system, path, zeta, eta1_ref=0.0):
     """State on the manifold eta = (eta1_ref, 0), xi = 0, at the given zeta.
 
-    The configuration comes from the arm's inverse kinematics; the
-    velocity solves J qd = 0 (output at rest) together with the redundant
-    rate sum(qd) = zeta_2.
+    The configuration comes from the arm's inverse kinematics (elbow up);
+    the velocity solves J qd = 0 (output at rest) together with the
+    redundant rate Z qd = zeta_2.
     """
     ps = _point_on_path(path, eta1_ref)
-    return _manifold_state(system, path, ps, zeta, elbow), ps
+    return _manifold_state(system, path, ps, zeta), ps
 
 
-def _manifold_state(system, path, ps, zeta, elbow):
+def _manifold_state(system, path, ps, zeta):
     """zero_dynamics_state at an already located path point ps."""
     y_ref = path.evaluate(ps.k_star, ps.lambda_star, 0)
-    q = ik_planar3r(y_ref, zeta[0], elbow=elbow)
-    A = np.vstack([system.J(q), np.ones((1, system.N))])
-    qd = np.linalg.solve(A, np.array([0.0, 0.0, zeta[1]]))
+    q = ik_planar3r(y_ref, zeta[0])
+    A = np.vstack([system.J(q), system.Z])
+    qd = np.linalg.solve(A, np.array([0.0] * system.p + [zeta[1]]))
     return State(q=q, qd=qd)
 
 
@@ -446,67 +446,54 @@ class PhasePortrait:
     field: callable           # zeta -> (zeta2, zetadot2)
 
 
-def _zero_dynamics_field(system, path, gains, redundancy, limits, ps, elbow):
+def _zero_dynamics_field(system, path, gains, limits, ps):
     """The redundant flow (zeta1., zeta2.) at the held path point ps."""
 
     def field(zeta):
-        st = _manifold_state(system, path, ps, zeta, elbow)
+        st = _manifold_state(system, path, ps, zeta)
         lin = transform.linearize(system, st, path, ps)
         u = control.command(lin, st.q, control.ControllerState(), gains,
-                            redundancy, limits, dt=0.02, t=0.0)[0]
+                            PORTRAIT_REDUNDANCY, limits,
+                            dt=PORTRAIT_DT, t=0.0)[0]
         return np.array([zeta[1], float(np.sum(lin.f_v + lin.g_v @ u))])
 
     return field
 
 
-def zero_dynamics_portrait(system, path, gains, grid,
-                           redundancy=None, limits=None, eta1_ref=0.0,
-                           elbow="up", sim_duration=5.0, dt=0.02,
-                           substeps=2, equilibrium_tol=1e-6,
-                           cluster_radius=1e-3):
+def zero_dynamics_portrait(system, path, gains, grid, limits=None,
+                           eta1_ref=0.0, sim_duration=5.0):
     """Phase portrait of the redundant dynamics while a path point is held.
 
-    Each grid point seeds a full closed-loop simulation whose zeta trace
-    is recorded; grid points where the controller fails (singular
-    decoupling, unreachable kinematics) are marked, not fatal.
-    Equilibria are found by driving the flow-field norm to zero along
-    zeta_2 = 0 and classified by finite-difference linearization.
+    Each grid point seeds a full closed-loop simulation, ``sim_duration``
+    long, whose zeta trace is recorded; grid points where the controller
+    fails (singular decoupling, unreachable kinematics) are marked, not
+    fatal; robust gains that do not fit the plant raise ParameterError
+    first.  Equilibria are found by driving the flow-field norm to zero
+    along zeta_2 = 0 and classified by finite-difference linearization.
     """
+    _check_gains(gains, system)
     if limits is None:
         limits = system.default_limits
-    if redundancy is None:
-        redundancy = control.RedundancyConfig()
     grid = np.asarray(grid, dtype=float).reshape(-1, 2)
     ps0 = _point_on_path(path, eta1_ref)
-    field = _zero_dynamics_field(system, path, gains, redundancy, limits,
-                                 ps0, elbow)
+    field = _zero_dynamics_field(system, path, gains, limits, ps0)
 
     flows = []
     failed = np.zeros(len(grid), dtype=bool)
-    steps = int(round(sim_duration / dt))
-    h = dt / substeps
-    # flows start on the manifold, so a loose descent tolerance suffices
-    proj_cfg = projection.ProjectionConfig(eps=1e-6, alpha0=1e-3)
+    steps = int(round(sim_duration / PORTRAIT_DT))
     for i, z0 in enumerate(grid):
         try:
-            ps = ps0
-            st = _manifold_state(system, path, ps0, z0, elbow)
-            ctrl = control.ControllerState()
-            trace = np.empty((steps, 2))
-            for s in range(steps):
-                u, ps, ctrl, diag = control.step(
-                    system, path, st, ps, ctrl, gains,
-                    redundancy=redundancy, limits=limits,
-                    proj_cfg=proj_cfg, dt=dt, t=s * dt,
-                )
-                trace[s] = diag.zeta
-                st = _rk4_hold(system, st, u, h, substeps)
-            flows.append(trace)
+            periods = _simulate(
+                system, path, _manifold_state(system, path, ps0, z0), gains,
+                steps, PORTRAIT_DT, PORTRAIT_SUBSTEPS,
+                redundancy=PORTRAIT_REDUNDANCY, limits=limits,
+                proj_cfg=PORTRAIT_PROJECTION, proj=ps0)
+            flows.append(np.reshape([diag.zeta for *_, diag in periods], (-1, 2)))
         except SplineFollowError:
             flows.append(None)
             failed[i] = True
 
-    equilibria = _find_equilibria(field, grid, equilibrium_tol, cluster_radius)
+    equilibria = _find_equilibria(field, grid)
     return PhasePortrait(grid=grid, flows=flows, failed=failed,
                          equilibria=equilibria, field=field)
 
@@ -518,7 +505,7 @@ def _try_field(field, z1):
         return np.nan
 
 
-def _find_equilibria(field, grid, tol, cluster_radius):
+def _find_equilibria(field, grid):
     """Root-find the flow field along zeta_2 = 0, then classify.
 
     Interior equilibria come from sign changes of the flow.  At the edges
@@ -550,18 +537,18 @@ def _find_equilibria(field, grid, tol, cluster_radius):
     roots = sorted(roots)
     merged = []
     for rt in roots:
-        if not merged or abs(rt - merged[-1]) > cluster_radius:
+        if not merged or abs(rt - merged[-1]) > CLUSTER_RADIUS:
             merged.append(rt)
 
     equilibria = []
     for z1 in merged:
         z = np.array([z1, 0.0])
-        if np.linalg.norm(field(z)) > tol:
+        if np.linalg.norm(field(z)) > EQUILIBRIUM_TOL:
             continue
         equilibria.append(_classify(field, z, boundary=0))
 
     for eq in _boundary_equilibria(field, scan, g, span):
-        if not any(abs(eq["zeta"][0] - e["zeta"][0]) <= cluster_radius
+        if not any(abs(eq["zeta"][0] - e["zeta"][0]) <= CLUSTER_RADIUS
                    for e in equilibria):
             equilibria.append(eq)
     equilibria.sort(key=lambda e: e["zeta"][0])

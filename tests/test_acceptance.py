@@ -284,10 +284,7 @@ def test_criterion_6_redundancy_decoupling(capsys, twisted_path, cpm4):
     a, b = logs
     d_eta = float(np.abs(a.eta - b.eta).max())
     d_xi = float(np.abs(a.xi - b.xi).max())
-    zeta_bound = max(
-        sim.boundedness_report(log, zeta_bound=100.0)["max_zeta_norm"]
-        for log in logs
-    )
+    zeta_bound = max(log.summary()["max_zeta_norm"] for log in logs)
     elapsed = time.perf_counter() - t0
     ok = (
         d_eta < 1e-3 and d_xi < 1e-3

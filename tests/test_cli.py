@@ -128,6 +128,26 @@ class TestRun:
         assert rc == 1
         assert "encoder_resolution must have 2 entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gains", [
+        {"transversal_mode": "robust"},     # default robust gains
+        {"transversal_mode": "robust", "robust_K": [[-1.0]],
+         "robust_K0": [[0.0]], "robust_K2": [[0.0]]},
+        {"transversal_mode": "robust", "robust_K": [[-1, -1, 0, 0], [0, 0, -1, -1]],
+         "robust_K0": [[0, 0, 0, 0], [0, 0, 0, 0]],
+         "robust_K2": [[0, 0, 0, 0], [0, 0, 0, 0]]},   # p = 3 gains, p = 2 plant
+    ], ids=["defaults", "1x1", "2x4"])
+    def test_bad_robust_gains_are_validation_failure(self, tmp_path, capsys,
+                                                     gains):
+        scen = json.loads((SCENARIOS / "figure_eight_3r.json").read_text())
+        scen["gains"].update(gains)
+        f = tmp_path / "robust.json"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "validation failure: robust gains" in err
+        assert "t=" not in err
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         # one period of 1e20 s: the state overflows during the integration
         scenario = str(SCENARIOS / "two_mass_line.json")

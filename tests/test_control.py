@@ -163,6 +163,27 @@ class TestTransversal:
         outer = control.transversal_v((mu + 1e-9) * direction, gains)
         np.testing.assert_allclose(inner, outer, atol=1e-7)
 
+    @pytest.mark.parametrize("gains", [
+        {},                                                # default K2 = 0.0
+        {"robust_K": ((-1.0,),), "robust_K0": ((0.0,),), "robust_K2": ((0.0,),)},
+        {"robust_K": ((-1.0, -1.0),), "robust_K0": ((0.0, 0.0),),
+         "robust_K2": 0.0},
+        {"robust_K": ((-1.0, -1.0), (0.0,)), "robust_K0": ((0.0, 0.0),),
+         "robust_K2": ((0.0, 0.0),)},
+    ], ids=["defaults", "1x1", "K2-disagrees", "ragged"])
+    def test_robust_gain_shapes_validated(self, gains):
+        """K, K0 and K2 must share one (p - 1) x 2(p - 1) shape."""
+        with pytest.raises(ParameterError, match="robust gains"):
+            control.OuterLoopGains(transversal_mode="robust", **gains)
+
+    def test_robust_shape(self):
+        K = ((-1.0, -1.0, 0.0, 0.0), (0.0, 0.0, -1.0, -1.0))
+        gains = control.OuterLoopGains(transversal_mode="robust", robust_K=K,
+                                       robust_K0=K, robust_K2=K)
+        assert gains.robust_shape == (2, 4)
+        v = control.transversal_v(np.array([[0.1, 0.2], [0.3, 0.4]]), gains)
+        assert len(v) == 2
+
     def test_gain_validation(self):
         with pytest.raises(ParameterError):
             control.OuterLoopGains(xi_Kp=(0.0,))

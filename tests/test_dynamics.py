@@ -51,6 +51,91 @@ def _cpm_coms(q):
     )
 
 
+def _planar3r_tip(q):
+    """Tool point of the unit 3R arm."""
+    phi = np.cumsum(q)
+    return np.array([np.cos(phi).sum(), np.sin(phi).sum()])
+
+
+def _cpm_tip(q):
+    """Tool point of the 4-DOF arm: waist q0, then the planar 3-link arm."""
+    phi = q[1] + np.cumsum(np.r_[0.0, q[2:]])
+    lengths = np.array(dynamics._CPM_LENGTHS)
+    reach = lengths @ np.cos(phi)
+    height = dynamics._CPM_BASE_HEIGHT + lengths @ np.sin(phi)
+    return np.array([np.cos(q[0]) * reach, np.sin(q[0]) * reach, height])
+
+
+def _cpm_potential(q):
+    masses = np.array(dynamics._CPM_MASSES)
+    return dynamics._CPM_GRAVITY * masses @ _cpm_coms(q)[:, 2]
+
+
+M1, M2 = 2.5, 0.7   # example1 masses away from the unit defaults
+
+# view -> oracle(system, q): example1's hand-written matrices, and the
+# mass-centre, forward-kinematics and finite-difference oracles of the arms
+ORACLES = {
+    "example1": {
+        "D": lambda s, q: np.diag([M1, M2]),
+        "G": lambda s, q: np.zeros(2),
+        "h": lambda s, q: np.array([q[1]]),
+        "J": lambda s, q: np.array([[0.0, 1.0]]),
+        "dJ_dq": lambda s, q: np.zeros((1, 2, 2)),
+    },
+    "example2": {
+        "D": lambda s, q: (_point_mass_inertia(_planar3r_coms, np.ones(3), q)
+                           + np.tril(np.ones((3, 3))).T @ np.tril(np.ones((3, 3)))),
+        "G": lambda s, q: np.zeros(3),
+        "h": lambda s, q: _planar3r_tip(q),
+        "J": lambda s, q: _fd_jacobian(_planar3r_tip, q),
+        "dJ_dq": lambda s, q: _fd_jacobian(s.J, q),
+    },
+    "cpm4": {
+        "D": lambda s, q: (_point_mass_inertia(_cpm_coms, np.array(dynamics._CPM_MASSES), q)
+                           + np.diag(dynamics._CPM_ROTOR)),
+        "G": lambda s, q: _fd_jacobian(_cpm_potential, q),
+        "h": lambda s, q: _cpm_tip(q),
+        "J": lambda s, q: _fd_jacobian(_cpm_tip, q),
+        "dJ_dq": lambda s, q: _fd_jacobian(s.J, q),
+    },
+}
+
+# the completion functions the plants stated by hand before Z
+COMPLETIONS = {
+    "example1": lambda st: np.array([st.q[0], st.qd[0]]),
+    "example2": lambda st: np.array([st.q.sum(), st.qd.sum()]),
+    "cpm4": lambda st: np.array([st.q[1:].sum(), st.qd[1:].sum()]),
+}
+
+
+@pytest.fixture(params=sorted(ORACLES))
+def plant(request):
+    if request.param == "example1":
+        return dynamics.make_example1(m1=M1, m2=M2)
+    return request.getfixturevalue(request.param)
+
+
+class TestDerivedViews:
+    """The methods derived from ``forces``, ``kinematics`` and Z."""
+
+    @pytest.mark.parametrize("view", ["D", "G", "h", "J", "dJ_dq"])
+    def test_matches_oracle(self, plant, view):
+        oracle = ORACLES[plant.name][view]
+        rng = np.random.default_rng(21)
+        for q in rng.uniform(-1.5, 1.5, (4, plant.N)):
+            np.testing.assert_allclose(getattr(plant, view)(q), oracle(plant, q),
+                                       rtol=1e-7, atol=1e-7)
+
+    def test_completion_is_the_hand_written_one(self, plant):
+        for st in _random_states(plant, 6, seed=22):
+            np.testing.assert_array_equal(plant.completion(st),
+                                          COMPLETIONS[plant.name](st))
+
+    def test_completion_matrix_shape(self, plant):
+        assert plant.Z.shape == (plant.N - plant.p, plant.N)
+
+
 class TestExample1:
     def test_matrices(self, example1):
         q = np.zeros(2)

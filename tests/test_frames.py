@@ -115,19 +115,19 @@ class TestCircleFrame:
     def test_tangent_and_normal(self):
         path = curves.circle_path(radius=2.0)
         for lam in np.linspace(0.1, 4.0, 5):
-            f = frames.frame_at(path, 0, lam)
+            f = frames.frame_jet(path, 0, lam)
             t = lam / 2.0
             np.testing.assert_allclose(
-                f.vectors[0], [-np.sin(t), np.cos(t)], atol=1e-10
+                f.e[0], [-np.sin(t), np.cos(t)], atol=1e-10
             )
             np.testing.assert_allclose(
-                f.vectors[1], [-np.cos(t), -np.sin(t)], atol=1e-10
+                f.e[1], [-np.cos(t), -np.sin(t)], atol=1e-10
             )
 
     def test_curvature_is_inverse_radius(self):
         for radius in (0.5, 2.0, 3.7):
             path = curves.circle_path(radius=radius)
-            chi = frames.curvatures_at(path, 0, 1.0)
+            chi = frames.frame_jet(path, 0, 1.0).curvatures
             assert chi[0] == pytest.approx(1.0 / radius, rel=1e-10)
 
 
@@ -135,7 +135,7 @@ class TestHelixFrame:
     def test_curvature_and_torsion(self):
         R, c = 2.0, 0.5
         path = curves.helix_path(radius=R, pitch=c)
-        chi = frames.curvatures_at(path, 0, 1.3)
+        chi = frames.frame_jet(path, 0, 1.3).curvatures
         denom = R * R + c * c
         assert chi[0] == pytest.approx(R / denom, rel=1e-9)
         assert chi[1] == pytest.approx(c / denom, rel=1e-9)
@@ -143,9 +143,9 @@ class TestHelixFrame:
     def test_frame_is_orthonormal(self):
         path = curves.helix_path()
         for lam in np.linspace(0.5, 10.0, 7):
-            f = frames.frame_at(path, 0, lam)
+            f = frames.frame_jet(path, 0, lam)
             np.testing.assert_allclose(
-                f.vectors @ f.vectors.T, np.eye(3), atol=1e-12
+                f.e @ f.e.T, np.eye(3), atol=1e-12
             )
 
 
@@ -242,12 +242,27 @@ class TestFallbacks:
     def test_line_needs_completion_vectors(self):
         path = curves.line_path([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(DegenerateFrameError):
-            frames.frame_at(path, 0, 0.5)
+            frames.frame_jet(path, 0, 0.5)
         policy = frames.FramePolicy(
             mode="line_fallback", fixed_vectors=([0.0, 1.0],)
         )
-        f = frames.frame_at(path, 0, 0.5, policy)
-        np.testing.assert_allclose(f.vectors, np.eye(2), atol=1e-12)
+        f = frames.frame_jet(path, 0, 0.5, policy)
+        np.testing.assert_allclose(f.e, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("mode, end, vectors, p", [
+        ("line_fallback", [1.0, 1.0], ([-1.0, 1.0, 5.0],), 2),    # too long
+        ("line_fallback", [1.0, 1.0], ([1.0],), 2),               # too short
+        ("line_fallback", [1.0, 1.0, 1.0], ([1.0, 0.0], [0.0, 1.0]), 3),
+        ("line_fallback", [1.0, 1.0, 1.0], ([1.0, 0.0, 0.0],), 3),  # too few
+        ("planar_fallback", [1.0, 1.0, 0.0], ([0.0, 1.0],), 3),
+        ("planar_fallback", [1.0, 1.0, 0.0], (), 3),             # no normal
+    ])
+    def test_completion_vectors_need_p_entries(self, mode, end, vectors, p):
+        """Each completion vector a fallback uses has exactly p entries."""
+        path = curves.line_path([0.0] * len(end), end)
+        policy = frames.FramePolicy(mode=mode, fixed_vectors=vectors)
+        with pytest.raises(ValueError, match=f"p = {p}"):
+            frames.frame_jet(path, 0, 0.5, policy)
 
     def test_planar_fallback_survives_inflection(self, fig8_path):
         """Strict Gram-Schmidt degenerates somewhere on the figure-eight;
@@ -257,12 +272,12 @@ class TestFallbacks:
         for k in range(fig8_path.n_segments):
             lo, hi = fig8_path.segments[k].domain
             for lam in np.linspace(lo, hi, 16):
-                f = frames.frame_at(fig8_path, k, lam, policy)
+                f = frames.frame_jet(fig8_path, k, lam, policy)
                 np.testing.assert_allclose(
-                    f.vectors @ f.vectors.T, np.eye(2), atol=1e-12
+                    f.e @ f.e.T, np.eye(2), atol=1e-12
                 )
                 try:
-                    frames.frame_at(fig8_path, k, lam)
+                    frames.frame_jet(fig8_path, k, lam)
                 except DegenerateFrameError:
                     degenerate_hits += 1
         assert degenerate_hits > 0
@@ -273,7 +288,7 @@ class TestFallbacks:
         for k in range(fig8_path.n_segments):
             lo, hi = fig8_path.segments[k].domain
             for lam in np.linspace(lo, hi, 24):
-                e = frames.frame_at(fig8_path, k, lam, policy).vectors
+                e = frames.frame_jet(fig8_path, k, lam, policy).e
                 if prev is not None:
                     assert prev[1] @ e[1] > 0.5
                 prev = e
@@ -285,7 +300,7 @@ class TestFallbacks:
         )
         with pytest.raises(DegenerateFrameError):
             # helix tangent is not orthogonal to z: not a planar curve
-            frames.frame_at(helix, 0, 1.0, policy)
+            frames.frame_jet(helix, 0, 1.0, policy)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

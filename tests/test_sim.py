@@ -173,6 +173,33 @@ class TestRun:
         with pytest.raises(ParameterError):
             sim.run(_example1_scenario(**bad))
 
+    @pytest.mark.parametrize("scenario, K, want", [
+        ("figure_eight_3r", ((-1.0, -1.0, 0.0, 0.0), (0.0, 0.0, -1.0, -1.0)),
+         "1 x 2"),                                     # p = 3 gains, p = 2 plant
+        ("twisted_loop_4dof", ((-1.0, -1.0),), "2 x 4"),   # p = 2 gains, p = 3
+    ])
+    def test_robust_gains_must_fit_the_plant(self, scenario, K, want):
+        """K, K0 and K2 are (p - 1) x 2(p - 1), checked before the first period."""
+        scen = sim.Scenario.from_file(SCENARIOS / f"{scenario}.json")
+        zero = np.zeros(np.shape(K)).tolist()
+        gains = dataclasses.replace(scen.gains, transversal_mode="robust",
+                                    robust_K=K, robust_K0=zero, robust_K2=zero)
+        with pytest.raises(ParameterError, match=f"must be {want} for plant"):
+            sim.run(dataclasses.replace(scen, gains=gains))
+
+    def test_robust_mode_runs_in_closed_loop(self):
+        """Robust gains with K = -(Kp, Kd) and no switched term are the PD law."""
+        scen = sim.Scenario.from_file(SCENARIOS / "figure_eight_3r.json")
+        scen = dataclasses.replace(scen, duration=0.25)
+        (kp,), (kd,) = scen.gains.xi_Kp, scen.gains.xi_Kd
+        robust = dataclasses.replace(
+            scen.gains, transversal_mode="robust", robust_K=((-kp, -kd),),
+            robust_K0=((0.0, 0.0),), robust_K2=((0.0, 0.0),))
+        pd = sim.run(scen)
+        log = sim.run(dataclasses.replace(scen, gains=robust))
+        np.testing.assert_allclose(log.u, pd.u, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(log.q, pd.q, rtol=1e-9, atol=1e-9)
+
     def test_quantized_measurement(self):
         scen = _example1_scenario(encoder_resolution=np.array([1e-4, 1e-4]))
         log = sim.run(scen)
@@ -183,9 +210,7 @@ class TestRun:
         log = sim.run(scen)
         s = log.summary(limits=example1.default_limits)
         assert s["joint_limit_violations"] == 0
-        verdict = sim.boundedness_report(log, limits=example1.default_limits)
-        assert verdict["zeta_bounded"]
-        assert verdict["joint_limits_respected"]
+        assert s["max_zeta_norm"] < 100.0
 
 
 class TestPlanar3RKinematics:
@@ -218,6 +243,9 @@ class TestPlanar3RKinematics:
         )
         np.testing.assert_allclose(example2.J(st.q) @ st.qd, 0.0, atol=1e-12)
         assert st.qd.sum() == pytest.approx(0.7, abs=1e-12)
+        # the plant's own completion matrix: Z q = zeta_1, Z qd = zeta_2
+        np.testing.assert_allclose(example2.Z @ st.q, [0.4], atol=1e-12)
+        np.testing.assert_allclose(example2.Z @ st.qd, [0.7], atol=1e-12)
 
 
 class TestPortrait:
@@ -247,6 +275,19 @@ class TestPortrait:
         eq = json.loads(json_f.read_text())
         assert eq["grid_points"] == 4
         assert eq["failed_grid_points"] == 1
+
+    def test_robust_gains_must_fit_the_plant(self, example2):
+        """The portrait checks robust gains as run does, before any flow."""
+        radius = 2.2
+        path = curves.circle_path(radius, span=(-np.pi * radius, np.pi * radius))
+        K = ((-40.0, -13.0, 0.0, 0.0), (0.0, 0.0, -40.0, -13.0))   # p = 3
+        zero = np.zeros((2, 4)).tolist()
+        gains = control.OuterLoopGains(
+            tangential_mode="position", K_P=20.0, K_D=9.0, eta1_ref=np.pi * radius,
+            transversal_mode="robust", robust_K=K, robust_K0=zero, robust_K2=zero)
+        with pytest.raises(ParameterError, match="must be 1 x 2 for plant"):
+            sim.zero_dynamics_portrait(example2, path, gains, [[0.1, 0.0]],
+                                       eta1_ref=np.pi * radius, sim_duration=0.02)
 
     def test_field_is_the_closed_loop_law(self, example2):
         """The field's zeta_2 rate is the plant's under control.step's u."""
