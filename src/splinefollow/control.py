@@ -15,7 +15,7 @@ solve.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,7 +58,9 @@ class OuterLoopGains:
     K1 xi/||xi|| outside the boundary layer mu and K2 ||xi|| xi inside.
     K1 = mu^2 K2 is enforced so the switch is continuous.  K, K0 and K2
     act on the interleaved (xi_1^1, xi_2^1, ...), so each is
-    (p - 1) x 2(p - 1); ``robust_shape`` is their common shape.
+    (p - 1) x 2(p - 1); ``robust_shape`` is their common shape.  In
+    robust mode ``robust_matrices`` holds the arrays K + K0, K1 and K2,
+    converted once at construction.
     """
 
     tangential_mode: str = "velocity"
@@ -77,6 +79,7 @@ class OuterLoopGains:
     robust_K0: tuple = ()
     robust_K2: float = 0.0
     robust_mu: float = 0.01
+    robust_matrices: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tangential_mode not in ("velocity", "position"):
@@ -96,6 +99,11 @@ class OuterLoopGains:
                 raise ParameterError(
                     f"robust gains K, K0 and K2 must each be (p - 1) x 2(p - 1); "
                     f"got {m} x {n}")
+            K, K0, K2 = (np.atleast_2d(np.asarray(x, dtype=float))
+                         for x in (self.robust_K, self.robust_K0, self.robust_K2))
+            # K1 = mu^2 K2: continuity of the switched term at ||xi|| = mu
+            object.__setattr__(self, "robust_matrices",
+                               (K + K0, self.robust_mu**2 * K2, K2))
 
     @property
     def robust_shape(self):
@@ -109,13 +117,6 @@ class OuterLoopGains:
             raise ParameterError("robust gains K, K0 and K2 must be matrices of "
                                  f"one shape; got shapes {shapes}")
         return shapes[0]
-
-    @property
-    def robust_K1(self):
-        # continuity of the switched term at ||xi|| = mu
-        return self.robust_mu**2 * np.atleast_2d(
-            np.asarray(self.robust_K2, dtype=float)
-        )
 
     def eta2_reference(self, t):
         """Reference speed at time t (piecewise-linear table, else constant)."""
@@ -210,13 +211,11 @@ def transversal_v(xi, gains):
                 for i, (x1, x2) in enumerate(zip(*xi.tolist()))]
     # robust mode operates on the interleaved vector (xi_1^1, xi_2^1, ...)
     z = xi.T.ravel()
-    K = np.atleast_2d(np.asarray(gains.robust_K, dtype=float))
-    K0 = np.atleast_2d(np.asarray(gains.robust_K0, dtype=float))
-    K2 = np.atleast_2d(np.asarray(gains.robust_K2, dtype=float))
-    lin = (K + K0) @ z
-    nz = np.linalg.norm(z)
+    KK0, K1, K2 = gains.robust_matrices
+    lin = KK0 @ z
+    nz = math.sqrt(z @ z)
     if nz >= gains.robust_mu:
-        sw = (gains.robust_K1 @ z) / nz
+        sw = (K1 @ z) / nz
     else:
         sw = nz * (K2 @ z)
     return (lin + sw).tolist()

@@ -1,10 +1,13 @@
 """Euler-Lagrange plants: D(q) qdd + C(q, qd) qd + G(q) + Bd qd = A u.
 
-The manipulator models are derived symbolically once per parameter set
+The manipulator models are derived symbolically once per process
 (mass-centre Jacobians -> inertia matrix -> Christoffel symbols), so the
 skew-symmetry of Ddot - 2C holds structurally rather than incidentally.
-Viscous damping is kept as a separate matrix term Bd, outside C.  The
-input matrix A and the damping Bd are constant.
+The derivation lives in ``symbolic``, the one module that loads sympy;
+``make_example2`` and ``make_cpm_like`` import it when called, and
+``example1``, whose matrices are constant, never does.  Viscous damping
+is kept as a separate matrix term Bd, outside C.  The input matrix A and
+the damping Bd are constant.
 
 A plant is described once: its compiled ``forces`` call gives D and
 C qd + G, its compiled ``kinematics`` call gives the output map h, its
@@ -25,8 +28,6 @@ from functools import lru_cache
 from operator import mul
 
 import numpy as np
-import sympy as sp
-from sympy.simplify.fu import TR8
 
 from .errors import DivergenceError, NonSPDInertiaError, ParameterError
 
@@ -41,7 +42,8 @@ class State:
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "qd", np.asarray(self.qd, dtype=float))
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.qd))):
+        entries = self.q.ravel().tolist() + self.qd.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
             raise ValueError("state entries must be finite")
 
 
@@ -244,90 +246,9 @@ def energy(system, state):
     return 0.5 * state.qd @ system.D(state.q) @ state.qd
 
 
-# --- symbolic helpers -------------------------------------------------------
-
-
 def _floats(v):
     """Entries of a configuration or velocity as Python floats."""
     return np.asarray(v, dtype=float).tolist()
-
-
-def _cse_nested(tree):
-    """sympy.cse over every entry of nested lists of expressions.
-
-    sympy's own cse, which ``lambdify(cse=True)`` calls, shares
-    subexpressions between the top-level items only, so it finds none
-    in a list of matrices.
-    """
-    leaves = []
-
-    def layout(t):
-        if isinstance(t, list):
-            return [layout(x) for x in t]
-        leaves.append(t)
-        return len(leaves) - 1
-
-    shape = layout(tree)
-    cses, reduced = sp.cse(leaves)
-
-    def rebuild(t):
-        return [rebuild(x) for x in t] if isinstance(t, list) else reduced[t]
-
-    return cses, rebuild(shape)
-
-
-def _lambdify(args, tree):
-    """Float function of ``args`` returning the nested lists ``tree``."""
-    return sp.lambdify(args, tree, "math", cse=_cse_nested)
-
-
-def _lagrangian(q, coms, masses, inertia, potential, output):
-    """Compile the dynamics and output kinematics of a plant.
-
-    D = inertia + sum_i m_i Jc_i^T Jc_i, with Jc_i the Jacobian of mass
-    centre ``coms[i]`` (Spong, Hutchinson & Vidyasagar, ch. 7); ``inertia``
-    is the constant rotational part.  TR8 turns the products of sines and
-    cosines in each entry into sums, which is all the simplification D
-    needs.  C holds the Christoffel symbols of D, G is the gradient of
-    ``potential`` and J is the Jacobian of the output map ``output``.
-
-    It returns three functions.  The first maps q, qd to the (N, N) array
-    C.  The plant's ``forces`` maps float lists q, qd to (rows of D,
-    C qd + G) in one call that shares subexpressions between the two;
-    C qd + G is summed over the velocity products qd_i qd_j, which
-    evaluates faster than the product of C with qd.  ``kinematics`` maps
-    q, qd to (h, rows of J, rows of d(J qd)/dq) in one call, again with
-    shared subexpressions.  These two return nested lists of Python
-    numbers: lambdified with the math module's sin and cos, each entry is
-    a few float operations.
-    """
-    n = len(q)
-    qv = sp.Matrix(q)
-    qd = sp.symbols(f"qdot0:{n}")
-    D = sp.Matrix(inertia)
-    for com, m in zip(coms, masses):
-        Jc = sp.Matrix(com).jacobian(qv)
-        D += m * Jc.T * Jc
-    D = D.applyfunc(lambda e: sp.expand(TR8(sp.expand(e))))
-    # Christoffel symbols times 2: gamma[k][i][j] qd_i qd_j / 2 summed is (C qd)_k
-    gamma = [[[D[k, j].diff(q[i]) + D[k, i].diff(q[j]) - D[i, j].diff(q[k])
-               for j in range(n)] for i in range(n)] for k in range(n)]
-    C = sp.Matrix(n, n, lambda k, j: sum(gamma[k][i][j] * qd[i]
-                                         for i in range(n)) / 2)
-    # C qd + G with the symmetric pairs (i, j), (j, i) taken together
-    bias = [sp.diff(potential, q[k]) + sum(
-        gamma[k][i][j] / (2 if i == j else 1) * qd[i] * qd[j]
-        for i in range(n) for j in range(i, n)) for k in range(n)]
-    forces = _lambdify([q, qd], [D.tolist(), bias])
-    coriolis = _lambdify([q, qd], C.tolist())
-    J = sp.Matrix(output).jacobian(qv)
-    kinematics = _lambdify(
-        [q, qd], [list(output), J.tolist(), (J * sp.Matrix(qd)).jacobian(qv).tolist()])
-    return (
-        lambda q, qd: np.array(coriolis(_floats(q), _floats(qd)), dtype=float),
-        forces,
-        kinematics,
-    )
 
 
 # --- plants -----------------------------------------------------------------
@@ -359,20 +280,6 @@ def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
     )
 
 
-@lru_cache(maxsize=1)
-def _planar3r_symbolic():
-    q = sp.symbols("q0:3")
-    # unit links, masses and inertias; link i turns at q0 + ... + qi, so
-    # its inertia adds 1 to every D[a, b] with a, b <= i
-    coms, jx, jy, phi = [], sp.Integer(0), sp.Integer(0), sp.Integer(0)
-    for qi in q:
-        phi += qi
-        coms.append((jx + sp.cos(phi) / 2, jy + sp.sin(phi) / 2))
-        jx, jy = jx + sp.cos(phi), jy + sp.sin(phi)
-    inertia = sp.Matrix(3, 3, lambda a, b: 3 - max(a, b))
-    return _lagrangian(q, coms, (1, 1, 1), inertia, 0, (jx, jy))
-
-
 def make_example2(damping=(2.0, 2.0, 2.0)):
     """Planar 3R manipulator, unit links/masses/inertias, no gravity.
 
@@ -383,6 +290,8 @@ def make_example2(damping=(2.0, 2.0, 2.0)):
     d = np.asarray(damping, dtype=float)
     if d.shape != (3,) or np.any(d < 0):
         raise ParameterError("damping must be 3 nonnegative coefficients")
+    from .symbolic import _planar3r_symbolic
+
     C, forces, kinematics = _planar3r_symbolic()
 
     return MechanicalSystem(
@@ -413,23 +322,6 @@ _CPM_GRAVITY = 9.81
 _CPM_GAINS = (2.0, 1.6, 1.3, 1.0)
 
 
-@lru_cache(maxsize=1)
-def _cpm_symbolic():
-    q = sp.symbols("q0:4")
-    cw, sw = sp.cos(q[0]), sp.sin(q[0])
-    phi = [q[1], q[1] + q[2], q[1] + q[2] + q[3]]
-    lengths = [sp.Rational(str(v)) for v in _CPM_LENGTHS]
-    coms, reach, height = [], sp.Integer(0), sp.Float(_CPM_BASE_HEIGHT)
-    for length, f in zip(lengths, phi):
-        c_r = reach + length * sp.cos(f) / 2
-        coms.append((cw * c_r, sw * c_r, height + length * sp.sin(f) / 2))
-        reach, height = reach + length * sp.cos(f), height + length * sp.sin(f)
-    V = sum(m * _CPM_GRAVITY * c[2] for m, c in zip(_CPM_MASSES, coms))
-    # rotor inertia keeps D SPD everywhere
-    return _lagrangian(q, coms, _CPM_MASSES, sp.diag(*_CPM_ROTOR), V,
-                       (cw * reach, sw * reach, height))
-
-
 def make_cpm_like():
     """Synthetic 4-DOF arm with 3-D output: N = 4, p = 3, n - 2p = 2.
 
@@ -437,6 +329,8 @@ def make_cpm_like():
     with viscous damping and static actuator gains folded into A.
     zeta = (q2 + q3 + q4, qd2 + qd3 + qd4), the wrist-plane angle sum.
     """
+    from .symbolic import _cpm_symbolic
+
     C, forces, kinematics = _cpm_symbolic()
 
     return MechanicalSystem(

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import control, curves, dynamics, frames, projection, transform
 from .dynamics import Limits, State
@@ -420,6 +419,8 @@ def _manifold_state(system, path, ps, zeta):
 
 def _point_on_path(path, eta1_ref):
     """Projection state whose arclength coordinate equals eta1_ref."""
+    from scipy.optimize import brentq
+
     offs = path.arclength_offsets
     k = int(np.searchsorted(offs, eta1_ref, side="right") - 1)
     k = min(max(k, 0), path.n_segments - 1)
@@ -514,6 +515,8 @@ def _find_equilibria(field, grid):
     detected by checking that |flow| decays toward the feasibility
     boundary and reported at the boundary itself.
     """
+    from scipy.optimize import brentq
+
     z1_vals = np.unique(grid[:, 0])
     lo, hi = z1_vals.min(), z1_vals.max()
     span = hi - lo

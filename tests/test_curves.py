@@ -130,6 +130,29 @@ class TestSplinePath:
                 fig8_path.arclength(k, lam), abs=1e-7
             )
 
+    @pytest.mark.parametrize("name", ["fig8", "ellipse", "helix"])
+    def test_arclength_matches_adaptive_quadrature(self, name, fig8_path):
+        """s_k(lam) against scipy's quad at interior lam of every segment."""
+        from scipy.integrate import quad
+
+        path = {"fig8": fig8_path, "ellipse": curves.ellipse_path(),
+                "helix": curves.helix_path(radius=1.5, pitch=0.4)}[name]
+        rng = np.random.default_rng(5)
+        for k, seg in enumerate(path.segments):
+            lo, hi = seg.domain
+            for lam in rng.uniform(lo, hi, 6):
+                want, _ = quad(lambda l: float(np.linalg.norm(seg.evaluate(l, 1))),
+                               lo, lam, epsabs=1e-13, epsrel=1e-13, limit=500)
+                assert abs(path.arclength(k, lam) - want) <= 1e-12
+
+    @pytest.mark.parametrize("path, want", [
+        (curves.circle_path(radius=2.0), 4.0 * np.pi),
+        (curves.circle_path(radius=0.7, unit_speed=False), 1.4 * np.pi),
+        (curves.helix_path(radius=1.5, pitch=0.4), 4.0 * np.pi * np.hypot(1.5, 0.4)),
+    ], ids=["circle", "circle-angle", "helix"])
+    def test_total_arclength_closed_form(self, path, want):
+        assert path.total_arclength == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_round_trip_serialization(self, wavy_path):
         clone = curves.SplinePath.from_dict(wavy_path.to_dict())
         assert clone.n_segments == wavy_path.n_segments

@@ -116,6 +116,23 @@ def plant(request):
     return request.getfixturevalue(request.param)
 
 
+class TestState:
+    @pytest.mark.parametrize("field", ["q", "qd"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), ()])
+    def test_non_finite_entry_raises(self, field, bad, shape):
+        entries = {"q": np.zeros(shape), "qd": np.zeros(shape)}
+        entries[field].flat[-1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            State(**entries)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), ()])
+    def test_finite_entries_become_arrays(self, shape):
+        st = State(q=np.ones(shape).tolist(), qd=np.zeros(shape).tolist())
+        assert st.q.shape == st.qd.shape == shape
+        assert st.q.dtype == st.qd.dtype == float
+
+
 class TestDerivedViews:
     """The methods derived from ``forces``, ``kinematics`` and Z."""
 

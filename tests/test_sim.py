@@ -200,6 +200,41 @@ class TestRun:
         np.testing.assert_allclose(log.u, pd.u, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(log.q, pd.q, rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("scenario, mu", [("figure_eight_3r", 1e-5),
+                                              ("twisted_loop_4dof", 5e-3)])
+    def test_robust_log_matches_gains_rebuilt_per_call(self, scenario, mu,
+                                                       monkeypatch):
+        """Gains converted once give the log, bit for bit, of gains rebuilt
+        from the tuples at every period; mu puts both switched branches in."""
+        scen = sim.Scenario.from_file(SCENARIOS / f"{scenario}.json")
+        scen = dataclasses.replace(scen, duration=0.5)
+        m = len(scen.gains.xi_Kp)
+        K = np.kron(np.eye(m), [[-scen.gains.xi_Kp[0], -scen.gains.xi_Kd[0]]])
+        robust = dataclasses.replace(
+            scen.gains, transversal_mode="robust", robust_mu=mu,
+            robust_K=K.tolist(), robust_K0=(0.1 * K).tolist(),
+            robust_K2=(0.1 / mu * K).tolist())
+        scen = dataclasses.replace(scen, gains=robust)
+        log = sim.run(scen)
+
+        branches = set()
+
+        def rebuilt(xi, gains):
+            z = np.asarray(xi, dtype=float).reshape(2, -1).T.ravel()
+            K, K0, K2 = (np.atleast_2d(np.asarray(g, dtype=float))
+                         for g in (gains.robust_K, gains.robust_K0, gains.robust_K2))
+            K1 = gains.robust_mu**2 * K2
+            nz = np.linalg.norm(z)
+            branches.add(bool(nz >= gains.robust_mu))
+            sw = (K1 @ z) / nz if nz >= gains.robust_mu else nz * (K2 @ z)
+            return ((K + K0) @ z + sw).tolist()
+
+        monkeypatch.setattr(control, "transversal_v", rebuilt)
+        ref = sim.run(scen)
+        assert branches == {True, False}
+        for name in ("q", "qd", "u", "eta", "xi", "zeta", "lambda_star"):
+            assert np.array_equal(getattr(log, name), getattr(ref, name)), name
+
     def test_quantized_measurement(self):
         scen = _example1_scenario(encoder_resolution=np.array([1e-4, 1e-4]))
         log = sim.run(scen)
