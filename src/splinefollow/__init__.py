@@ -41,7 +41,6 @@ from .transform import (
     TransformedState,
     check_differentials,
     linearize,
-    to_transformed,
 )
 from .control import (
     ControllerState,

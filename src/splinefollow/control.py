@@ -273,8 +273,9 @@ def step(system, path, state, proj_state, ctrl_state, gains,
     """
     if limits is None:
         limits = system.default_limits
-    proj_state = projection.update(proj_state, path, system.h(state.q), proj_cfg)
-    lin = transform.linearize(system, state, path, proj_state, policy)
+    kinematics = system.kinematics(state.q.tolist(), state.qd.tolist())
+    proj_state = projection.update(proj_state, path, kinematics[0], proj_cfg)
+    lin = transform.linearize(system, state, path, proj_state, policy, kinematics)
     u_clamped, u, v, ctrl_state = command(
         lin, state.q, ctrl_state, gains, redundancy, limits, dt, t
     )

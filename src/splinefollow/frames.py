@@ -238,12 +238,3 @@ def frame_jet(path, k, lam, policy=FRENET):
         sigma=sigma,
     )
 
-
-def fs_coefficient_matrix(curvatures, speed):
-    """Skew-symmetric tridiagonal matrix of the generalized FS equations."""
-    p = len(curvatures) + 1
-    M = np.zeros((p, p))
-    for i, c in enumerate(curvatures):
-        M[i, i + 1] = c
-        M[i + 1, i] = -c
-    return speed * M

@@ -12,7 +12,7 @@ actual pipeline rather than a symbolic reduction.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -107,45 +107,62 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d):
-        gains = control.OuterLoopGains(
-            **{
-                k: tuple(map(tuple, v)) if isinstance(v, list)
-                and v and isinstance(v[0], list) else tuple(v)
-                if isinstance(v, list) else v
-                for k, v in d.get("gains", {}).items()
-            }
-        )
-        red = d.get("redundancy", {})
-        redundancy = control.RedundancyConfig(
-            W=np.asarray(red["W"], float) if "W" in red else None,
-            bias_mode=red.get("bias_mode", "joint_limit"),
-        )
-        limits = None
-        if "limits" in d:
-            limits = Limits(**d["limits"])
-        enc = d.get("encoder_resolution")
-        return cls(
-            plant=d["plant"],
-            path_spec=d["path"],
-            q0=d["q0"],
-            qd0=d["qd0"],
-            gains=gains,
-            duration=float(d.get("duration", 10.0)),
-            dt=float(d.get("dt", 0.02)),
-            substeps=int(d.get("substeps", 10)),
-            plant_kwargs=d.get("plant_kwargs", {}),
-            redundancy=redundancy,
-            limits=limits,
-            encoder_resolution=np.asarray(enc, float) if enc else None,
-            frame_mode=d.get("frame_mode", "frenet_serret"),
-            frame_fixed=tuple(d.get("frame_fixed", ())),
-            name=d.get("name", "scenario"),
-        )
+        """Scenario from its JSON form, whose ``path`` is ``path_spec``.
+
+        A key left out takes the dataclass default.  A missing required
+        key, or a key that names no field at the top level or in
+        ``gains``, ``redundancy`` or ``limits``, raises ParameterError.
+        """
+        names = {f.name: f for f in fields(cls)}
+        names["path"] = names.pop("path_spec")
+        kw = _known_keys("scenario", d, names)
+        missing = [n for n, f in names.items() if n not in kw and n != "gains"
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ParameterError(f"missing scenario key(s) {', '.join(missing)}")
+        kw["path_spec"] = kw.pop("path")
+        kw["gains"] = control.OuterLoopGains(**{
+            k: tuple(map(tuple, v)) if isinstance(v, list)
+            and v and isinstance(v[0], list) else tuple(v)
+            if isinstance(v, list) else v
+            for k, v in _known_keys("gains", kw.get("gains", {}),
+                                    control.OuterLoopGains).items()
+        })
+        if "redundancy" in kw:
+            kw["redundancy"] = control.RedundancyConfig(
+                **_known_keys("redundancy", kw["redundancy"],
+                              control.RedundancyConfig))
+        if "limits" in kw:
+            kw["limits"] = Limits(**_known_keys("limits", kw["limits"], Limits))
+        if "encoder_resolution" in kw:
+            enc = kw["encoder_resolution"]
+            kw["encoder_resolution"] = np.asarray(enc, float) if enc else None
+        for key, kind in (("duration", float), ("dt", float), ("substeps", int),
+                          ("frame_fixed", tuple)):
+            if key in kw:
+                kw[key] = kind(kw[key])
+        return cls(**kw)
 
     @classmethod
     def from_file(cls, filename):
         with open(filename) as f:
             return cls.from_dict(json.load(f))
+
+
+def _known_keys(where, d, known):
+    """A copy of the dict d; ParameterError if a key is not in ``known``.
+
+    ``known`` is a collection of names or a dataclass, whose init fields
+    are the names.
+    """
+    if isinstance(known, type):
+        known = [f.name for f in fields(known) if f.init]
+    unknown = [k for k in d if k not in known]
+    if unknown:
+        unknown = ", ".join(map(repr, unknown))
+        raise ParameterError(f"unknown {where} key(s) {unknown}; "
+                             f"known: {', '.join(known)}")
+    return dict(d)
 
 
 # --- run log -----------------------------------------------------------------
@@ -456,7 +473,7 @@ def _zero_dynamics_field(system, path, gains, limits, ps):
         u = control.command(lin, st.q, control.ControllerState(), gains,
                             PORTRAIT_REDUNDANCY, limits,
                             dt=PORTRAIT_DT, t=0.0)[0]
-        return np.array([zeta[1], float(np.sum(lin.f_v + lin.g_v @ u))])
+        return np.array([zeta[1], float(system.Z[0] @ (lin.f_v + lin.g_v @ u))])
 
     return field
 

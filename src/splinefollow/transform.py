@@ -31,10 +31,6 @@ class TransformedState:
     k_star: int
     lambda_star: float
 
-    def flat(self):
-        """Stacked vector (eta_1, eta_2, xi_1^1, xi_2^1, ..., zeta)."""
-        return np.concatenate([self.eta, self.xi.T.ravel(), self.zeta])
-
 
 @dataclass(frozen=True)
 class LinearizationData:
@@ -52,27 +48,29 @@ def path_arclength(path, k, lam):
     return float(path.arclength_offsets[k] + path.arclength_interp(k, lam))
 
 
-def _geometry(system, state, path, proj_state, policy):
-    """Frame jet and output geometry at the tracked point, on floats.
+def linearize(system, state, path, proj_state, policy=frames.FRENET,
+              kinematics=None):
+    """Path coordinates, drift alpha and decoupling beta at one state.
 
-    Returns the frame jet, the rows of J, the offset h(q) - sigma, J qd
-    and d(J qd)/dq qd, all but the first as float lists.
+    Row 0 corresponds to eta_1'' and rows 1..p-1 to the transversal
+    offsets xi_1''.  beta is the matrix multiplying u in those second
+    derivatives; it loses rank exactly where the transform degenerates.
+    ``kinematics`` is the plant's call (h, J, d(J qd)/dq) at ``state``,
+    made here when not given.  The arithmetic runs on Python floats.
     """
     fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
     qd = state.qd.tolist()
-    y, J, dJqd_dq = system.kinematics(state.q.tolist(), qd)
+    if kinematics is None:
+        kinematics = system.kinematics(state.q.tolist(), qd)
+    y, J, dJqd_dq = kinematics
     offset = [a - b for a, b in zip(y, fj.sigma[0].tolist())]
-    return (fj, J, offset, [dot(row, qd) for row in J],
-            [dot(row, qd) for row in dJqd_dq])
+    Jqd = [dot(row, qd) for row in J]
+    e, de, dde = fj.e.tolist(), fj.de.tolist(), fj.dde.tolist()
+    speed = fj.speed[0].item()
 
-
-def _coordinates(system, state, path, fj, e, de, offset, Jqd):
-    """(eta, xi, zeta) at the frame's path point (fj.k, fj.lam), and eta_2.
-
-    ``e`` and ``de`` are the frame vectors and their derivatives as lists.
-    """
+    # (eta, xi, zeta) at the frame's path point (fj.k, fj.lam)
     eta2 = dot(e[0], Jqd)
-    lam_rate = eta2 / fj.speed[0].item()     # d lambda* / dt on the path
+    lam_rate = eta2 / speed     # d lambda* / dt on the path
     xi = [[dot(ej, offset) for ej in e[1:]],
           [lam_rate * dot(dej, offset) + dot(ej, Jqd)
            for ej, dej in zip(e[1:], de[1:])]]
@@ -83,34 +81,10 @@ def _coordinates(system, state, path, fj, e, de, offset, Jqd):
         k_star=fj.k,
         lambda_star=fj.lam,
     )
-    return transformed, eta2
-
-
-def to_transformed(system, state, path, proj_state, policy=frames.FRENET):
-    """Compute (eta, xi, zeta) at the tracked closest point."""
-    fj, _, offset, Jqd, _ = _geometry(system, state, path, proj_state, policy)
-    return _coordinates(system, state, path, fj, fj.e.tolist(), fj.de.tolist(),
-                        offset, Jqd)[0]
-
-
-def linearize(system, state, path, proj_state, policy=frames.FRENET):
-    """Drift alpha and decoupling beta of the linearizing coordinates.
-
-    Row 0 corresponds to eta_1'' and rows 1..p-1 to the transversal
-    offsets xi_1''.  beta is the matrix multiplying u in those second
-    derivatives; it loses rank exactly where the transform degenerates.
-    The arithmetic runs on Python floats; the result holds arrays.
-    """
-    fj, J, offset, Jqd, dJqd_qd = _geometry(system, state, path, proj_state,
-                                            policy)
-    e, de, dde = fj.e.tolist(), fj.de.tolist(), fj.dde.tolist()
-    transformed, eta2 = _coordinates(system, state, path, fj, e, de, offset, Jqd)
-    speed = fj.speed[0].item()
     f_v, g_v = drift_and_input(system, state)
 
     # d(J qd)/dt along the drift
-    accel_drift = [a + dot(Ja, f_v) for a, Ja in zip(dJqd_qd, J)]
-    lam_rate = eta2 / speed
+    accel_drift = [dot(row, qd) + dot(Ja, f_v) for row, Ja in zip(dJqd_dq, J)]
 
     # tangential channel
     lf2_eta1 = lam_rate * dot(de[0], Jqd) + dot(e[0], accel_drift)
@@ -161,8 +135,8 @@ def check_differentials(system, state, path, proj_state,
     rows is therefore equivalent to both p x N blocks having full rank,
     which is measured here by their smallest singular values.
     """
-    fj, J, offset, _, _ = _geometry(system, state, path, proj_state, policy)
-    J, offset = np.array(J, dtype=float), np.array(offset)
+    fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
+    J, offset = system.J(state.q), system.h(state.q) - fj.sigma[0]
     p, N = system.p, system.N
     speed = fj.speed[0]
     sig1, sig2 = fj.sigma[1], fj.sigma[2]

@@ -148,6 +148,27 @@ class TestRun:
         assert "validation failure: robust gains" in err
         assert "t=" not in err
 
+    @pytest.mark.parametrize("where, key", [
+        (None, "duraton"),
+        ("redundancy", "bias"),
+        ("gains", "K_p"),
+        ("limits", "q_lo"),
+    ], ids=["top-level", "redundancy", "gains", "limits"])
+    def test_unknown_scenario_key_is_validation_failure(self, tmp_path, capsys,
+                                                        where, key):
+        scen = json.loads((SCENARIOS / "two_mass_line.json").read_text())
+        if where is None:
+            scen[key] = 0.1
+        else:
+            scen[where] = {**scen.get(where, {}), key: 1.0}
+        f = tmp_path / "typo.json"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "validation failure" in err
+        assert repr(key) in err
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         # one period of 1e20 s: the state overflows during the integration
         scenario = str(SCENARIOS / "two_mass_line.json")

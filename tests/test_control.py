@@ -97,6 +97,12 @@ class TestResolveInput:
             control.RedundancyConfig(W=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ParameterError):
             control.RedundancyConfig(W=np.ones((2, 3)))
+        with pytest.raises(ParameterError, match="symmetric"):
+            control.RedundancyConfig(W=np.array([[2.0, 0.5], [0.0, 2.0]]))
+
+    def test_unknown_bias_mode_rejected(self):
+        with pytest.raises(ParameterError, match="bias_mode"):
+            control.RedundancyConfig(bias_mode="midrange")
 
 
 class TestBias:
@@ -189,6 +195,14 @@ class TestTransversal:
             control.OuterLoopGains(xi_Kp=(0.0,))
         with pytest.raises(ParameterError):
             control.OuterLoopGains(tangential_mode="bang-bang")
+        with pytest.raises(ParameterError, match="transversal_mode"):
+            control.OuterLoopGains(transversal_mode="sliding")
+        for gain in ("K_P", "K_I", "K_D"):
+            with pytest.raises(ParameterError, match="nonnegative"):
+                control.OuterLoopGains(**{gain: -1.0})
+        for mu in (0.0, -0.01):
+            with pytest.raises(ParameterError, match="mu must be positive"):
+                control.OuterLoopGains(robust_mu=mu)
 
 
 class TestStep:
@@ -231,6 +245,30 @@ class TestStep:
         np.testing.assert_allclose(diag.u_unclamped, want, atol=1e-8)
         assert not diag.saturated
         np.testing.assert_allclose(u, want, atol=1e-8)
+
+    def test_zero_bias_step_matches_kkt_oracle(self, example2, fig8_path):
+        """With bias_mode "zero", u is the KKT solution with r = 0."""
+        from splinefollow import frames, sim, transform
+
+        policy = frames.FramePolicy(mode="planar_fallback")
+        k, lam = 6, 0.3 * fig8_path.segments[6].domain[1]
+        fj = frames.frame_jet(fig8_path, k, lam, policy)
+        q = sim.ik_planar3r(fig8_path.evaluate(k, lam, 0) - 0.02 * fj.e[1], 0.2)
+        st = State(q=q, qd=[-0.1, 0.2, 0.05])
+        ps = projection.global_initialize(fig8_path, example2.h(q))
+        red = control.RedundancyConfig(bias_mode="zero")
+        gains = control.OuterLoopGains(eta2_ref=0.2, K_P=5.0, K_I=2.0,
+                                       xi_Kp=(150.0,), xi_Kd=(30.0,))
+        u, ps_new, _, diag = control.step(
+            example2, fig8_path, st, ps, control.ControllerState(), gains,
+            redundancy=red, policy=policy)
+        lin = transform.linearize(example2, st, fig8_path, ps_new, policy)
+        want = _kkt_oracle(lin.alpha, lin.beta, diag.v, np.zeros(3), np.eye(3))
+        np.testing.assert_allclose(diag.u_unclamped, want, atol=1e-8)
+        # the joint-limit bias moves u within beta's null space
+        biased = control.step(example2, fig8_path, st, ps,
+                              control.ControllerState(), gains, policy=policy)[3]
+        assert np.abs(biased.u_unclamped - want).max() > 1e-3
 
     def test_clamps_and_reports_saturation(self, example1):
         path = curves.line_path([-5.0], [5.0])

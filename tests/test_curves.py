@@ -74,6 +74,14 @@ class TestFitSpline:
         with pytest.raises(ValueError):
             curves.fit_spline([[0, 0], [1, 1]], smoothness_order=3)
 
+    @pytest.mark.parametrize("waypoints, closed, kind", [
+        ([[0.0, 0.0], [1.0, 1.0]], True, "closed paths need at least 3"),
+        ([[0.0, 0.0]], False, "open paths need at least 2"),
+    ], ids=["closed-2", "open-1"])
+    def test_too_few_waypoints(self, waypoints, closed, kind):
+        with pytest.raises(ValueError, match=kind):
+            curves.fit_spline(waypoints, closed=closed)
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(
@@ -180,6 +188,10 @@ class TestSplinePath:
 
 
 class TestCheckAssumptions:
+    def test_grid_density_below_two_rejected(self, wavy_path):
+        with pytest.raises(ValueError, match="grid_density"):
+            curves.check_assumptions(wavy_path, grid_density=1)
+
     def test_fitted_path_passes(self, wavy_path):
         report = curves.check_assumptions(wavy_path)
         assert report.smooth_ok

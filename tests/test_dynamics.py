@@ -174,7 +174,25 @@ class TestExample1:
             dynamics.make_example1(m1=-1.0)
 
 
+class TestLimits:
+    @pytest.mark.parametrize("bad", [
+        {"q_max": [1.0, -1.0]},          # q_min = q_max in joint 2
+        {"u_min": [2.0, -1.0]},          # u_min > u_max in joint 1
+    ], ids=["q-equal", "u-above"])
+    def test_min_must_be_below_max(self, bad):
+        kw = dict(q_min=[-1.0, -1.0], q_max=[1.0, 1.0],
+                  u_min=[-1.0, -1.0], u_max=[1.0, 1.0])
+        with pytest.raises(ParameterError, match="min < max"):
+            dynamics.Limits(**{**kw, **bad})
+
+
 class TestPlanar3R:
+    @pytest.mark.parametrize("damping", [(1.0, -0.5, 1.0), (1.0, 1.0)],
+                             ids=["negative", "two"])
+    def test_damping_validation(self, damping):
+        with pytest.raises(ParameterError, match="damping"):
+            dynamics.make_example2(damping=damping)
+
     def test_tip_position(self, example2):
         np.testing.assert_allclose(
             example2.h(np.zeros(3)), [3.0, 0.0], atol=1e-12

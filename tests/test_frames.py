@@ -10,6 +10,16 @@ import pytest
 from splinefollow import curves, frames
 from splinefollow.errors import DegenerateFrameError
 
+def _fs_coefficient_matrix(curvatures, speed):
+    """Skew-symmetric tridiagonal matrix of the generalized FS equations."""
+    p = len(curvatures) + 1
+    M = np.zeros((p, p))
+    for i, c in enumerate(curvatures):
+        M[i, i + 1] = c
+        M[i + 1, i] = -c
+    return speed * M
+
+
 # --- numpy reference: a vector jet is a (3, p) array (value, d1, d2) ---------
 
 
@@ -182,7 +192,7 @@ class TestJetDerivatives:
             lo, hi = twisted_path.segments[k].domain
             lam = rng.uniform(lo, hi)
             fj = frames.frame_jet(twisted_path, k, lam)
-            S = frames.fs_coefficient_matrix(fj.curvatures, fj.speed[0])
+            S = _fs_coefficient_matrix(fj.curvatures, fj.speed[0])
             np.testing.assert_allclose(fj.de, S @ fj.e, atol=1e-8)
 
     def test_speed_jet(self):
@@ -301,6 +311,14 @@ class TestFallbacks:
         with pytest.raises(DegenerateFrameError):
             # helix tangent is not orthogonal to z: not a planar curve
             frames.frame_jet(helix, 0, 1.0, policy)
+
+    def test_planar_fallback_needs_2d_or_3d_output(self):
+        path = curves.line_path([0.0] * 4, [1.0, 1.0, 0.0, 0.0])
+        policy = frames.FramePolicy(
+            mode="planar_fallback", fixed_vectors=([0.0, 0.0, 1.0, 0.0],)
+        )
+        with pytest.raises(ValueError, match="2-D or 3-D output"):
+            frames.frame_jet(path, 0, 0.5, policy)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,8 @@ class TestScenario:
                        "u_min": [-5, -5], "u_max": [5, 5]},
             "frame_mode": "line_fallback",
             "frame_fixed": [[0.0, 1.0]],
+            "redundancy": {"W": [[2.0, 0.0], [0.0, 1.0]], "bias_mode": "zero"},
+            "encoder_resolution": [1e-3, 1e-3],
             "name": "roundtrip",
         }
         scen = sim.Scenario.from_dict(d)
@@ -79,6 +81,12 @@ class TestScenario:
         assert scen.gains.K_P == 4.0
         assert scen.frame_policy.mode == "line_fallback"
         np.testing.assert_allclose(scen.limits.q_max, [2, 5])
+        np.testing.assert_array_equal(scen.redundancy.W, [[2.0, 0.0], [0.0, 1.0]])
+        assert scen.redundancy.bias_mode == "zero"
+        np.testing.assert_array_equal(scen.encoder_resolution, [1e-3, 1e-3])
+        # left-out keys take the dataclass defaults
+        assert (scen.dt, scen.substeps) == (0.02, 10)
+        assert scen.duration == 1.0 and isinstance(scen.duration, float)
 
     def test_from_file(self, tmp_path):
         d = {
@@ -235,6 +243,21 @@ class TestRun:
         for name in ("q", "qd", "u", "eta", "xi", "zeta", "lambda_star"):
             assert np.array_equal(getattr(log, name), getattr(ref, name)), name
 
+    def test_one_kinematics_call_per_period(self, example1):
+        """The projection and linearize share each period's kinematics call;
+        the one extra call is the global initialization's."""
+        calls = []
+
+        def kinematics(q, qd):
+            calls.append(1)
+            return example1.kinematics(q, qd)
+
+        counted = dataclasses.replace(example1, kinematics=kinematics)
+        scen = _example1_scenario(duration=1.0)
+        log = sim.run(scen, system=counted)
+        assert len(log.t) == 50
+        assert len(calls) == len(log.t) + 1
+
     def test_quantized_measurement(self):
         scen = _example1_scenario(encoder_resolution=np.array([1e-4, 1e-4]))
         log = sim.run(scen)
@@ -324,8 +347,9 @@ class TestPortrait:
             sim.zero_dynamics_portrait(example2, path, gains, [[0.1, 0.0]],
                                        eta1_ref=np.pi * radius, sim_duration=0.02)
 
-    def test_field_is_the_closed_loop_law(self, example2):
-        """The field's zeta_2 rate is the plant's under control.step's u."""
+    @staticmethod
+    def _check_field_is_the_closed_loop_law(system):
+        """The field's zeta_2 rate is Z qdd under control.step's u."""
         radius = 2.2
         path = curves.circle_path(radius, span=(-np.pi * radius, np.pi * radius))
         q0 = sim.ik_planar3r((radius, 0.0), 0.0)
@@ -337,19 +361,28 @@ class TestPortrait:
             eta1_ref=np.pi * radius, xi_Kp=(40.0,), xi_Kd=(13.0,),
         )
         portrait = sim.zero_dynamics_portrait(
-            example2, path, gains, np.array([[0.4, 0.3], [0.5, 0.3]]),
+            system, path, gains, np.array([[0.4, 0.3], [0.5, 0.3]]),
             limits=limits, eta1_ref=np.pi * radius, sim_duration=0.02,
         )
         for zeta in ([0.4, 0.3], [-0.2, -0.5], [0.9, 0.0]):
             zeta = np.array(zeta)
             st, ps = sim.zero_dynamics_state(
-                example2, path, zeta, eta1_ref=np.pi * radius
+                system, path, zeta, eta1_ref=np.pi * radius
             )
             u, _, _, _ = control.step(
-                example2, path, st, ps, control.ControllerState(), gains,
+                system, path, st, ps, control.ControllerState(), gains,
                 limits=limits, dt=0.02, t=0.0,
             )
-            qdd = dynamics.acceleration(example2, st.q, st.qd, u)
+            qdd = dynamics.acceleration(system, st.q, st.qd, u)
             flow = portrait.field(zeta)
             assert flow[0] == zeta[1]
-            assert flow[1] == pytest.approx(sum(qdd), abs=1e-9)
+            assert flow[1] == pytest.approx(system.Z[0] @ qdd, abs=1e-9)
+
+    def test_field_is_the_closed_loop_law(self, example2):
+        """The field's zeta_2 rate is the plant's under control.step's u."""
+        self._check_field_is_the_closed_loop_law(example2)
+
+    def test_field_rate_uses_the_plants_completion(self, example2):
+        """With Z other than (1, 1, 1) the rate is Z qdd, not the sum of qdd."""
+        system = dataclasses.replace(example2, Z=np.array([[0.0, 1.0, 1.0]]))
+        self._check_field_is_the_closed_loop_law(system)

@@ -67,7 +67,7 @@ class TestCoordinates:
         q = sim.ik_planar3r(y, 0.4)
         st = State(q=q, qd=np.zeros(3))
         ps = _project(fig8_path, example2, q)
-        T = transform.to_transformed(example2, st, fig8_path, ps)
+        T = transform.linearize(example2, st, fig8_path, ps).transformed
         np.testing.assert_allclose(T.xi, 0.0, atol=1e-8)
         assert T.eta[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -76,8 +76,8 @@ class TestCoordinates:
         y = fig8_path.evaluate(k, lam, 0)
         q = sim.ik_planar3r(y, 0.4)
         ps = _project(fig8_path, example2, q)
-        T = transform.to_transformed(example2, State(q=q, qd=np.zeros(3)),
-                                     fig8_path, ps)
+        T = transform.linearize(example2, State(q=q, qd=np.zeros(3)),
+                                fig8_path, ps).transformed
         want = fig8_path.arclength_offsets[k] + fig8_path.arclength(k, lam)
         assert T.eta[0] == pytest.approx(want, abs=1e-5)
 
@@ -86,8 +86,8 @@ class TestCoordinates:
         # tip 0.1 outside the circle: offset along -e2 (outward) for a CCW circle
         q = sim.ik_planar3r((2.1, 0.0), 0.5)
         ps = _project(path, example2, q)
-        T = transform.to_transformed(example2, State(q=q, qd=np.zeros(3)),
-                                     path, ps)
+        T = transform.linearize(example2, State(q=q, qd=np.zeros(3)),
+                                path, ps).transformed
         assert abs(abs(T.xi[0, 0]) - 0.1) < 1e-6
 
     def test_zeta_is_completion(self, example2):
@@ -95,17 +95,16 @@ class TestCoordinates:
         q = sim.ik_planar3r((2.0, 0.0), 0.3)
         qd = np.array([0.1, 0.2, -0.3])
         ps = _project(path, example2, q)
-        T = transform.to_transformed(example2, State(q=q, qd=qd), path, ps)
+        T = transform.linearize(example2, State(q=q, qd=qd), path, ps).transformed
         np.testing.assert_allclose(T.zeta, [q.sum(), qd.sum()], atol=1e-12)
 
     def test_flat_layout(self, example2):
         path = curves.circle_path(radius=2.0, span=(0.0, 4.0 * np.pi))
         q = sim.ik_planar3r((2.0, 0.0), 0.3)
         ps = _project(path, example2, q)
-        T = transform.to_transformed(example2, State(q=q, qd=np.zeros(3)),
-                                     path, ps)
-        flat = T.flat()
-        assert flat.shape == (2 * example2.N,)
+        T = transform.linearize(example2, State(q=q, qd=np.zeros(3)),
+                                path, ps).transformed
+        assert T.eta.size + T.xi.size + T.zeta.size == 2 * example2.N
 
 
 class TestNumpyReference:
@@ -176,7 +175,8 @@ class TestLieDerivativeOracle:
 
         def xi1_at(state, pstate):
             pstate = projection.update(pstate, fig8_path, example2.h(state.q), cfg)
-            T = transform.to_transformed(example2, state, fig8_path, pstate, policy)
+            T = transform.linearize(example2, state, fig8_path, pstate,
+                                    policy).transformed
             return T.xi[0], pstate
 
         h = 1e-4
