@@ -1,19 +1,19 @@
 """Euler-Lagrange plants: D(q) qdd + C(q, qd) qd + G(q) + Bd qd = A u.
 
-The manipulator models are derived symbolically once per process
-(mass-centre Jacobians -> inertia matrix -> Christoffel symbols), so the
-skew-symmetry of Ddot - 2C holds structurally rather than incidentally.
-The derivation lives in ``symbolic``, the one module that loads sympy;
-``make_example2`` and ``make_cpm_like`` import it when called, and
-``example1``, whose matrices are constant, never does.  Viscous damping
-is kept as a separate matrix term Bd, outside C.  The input matrix A and
-the damping Bd are constant.
+The manipulator models are derived symbolically (mass-centre Jacobians
+-> inertia matrix -> Christoffel symbols), so the skew-symmetry of
+Ddot - 2C holds structurally rather than incidentally.  The derivation
+lives in ``symbolic``, the one module that loads sympy, and runs only
+when the plant code is regenerated (``python -m splinefollow.symbolic``):
+``make_example2`` and ``make_cpm_like`` import the plain Python it wrote,
+``_plants_generated``, and ``example1``, whose matrices are constant,
+needs neither.  Viscous damping is kept as a separate matrix term Bd,
+outside C.  The input matrix A and the damping Bd are constant.
 
 A plant is described once: its compiled ``forces`` call gives D and
 C qd + G, its compiled ``kinematics`` call gives the output map h, its
 Jacobian J and d(J qd)/dq, and the constant completion matrix Z gives
-the redundant coordinates zeta = (Z q, Z qd).  ``C`` (the Christoffel
-matrix) is kept as an independent oracle for the tests.  The array-valued
+the redundant coordinates zeta = (Z q, Z qd).  The array-valued
 D, G, h, J, dJ_dq and ``completion`` are ``MechanicalSystem`` methods
 derived from those calls, for callers outside the loop.
 
@@ -76,7 +76,6 @@ class MechanicalSystem:
     name: str
     N: int
     p: int
-    C: callable            # (N,), (N,) -> (N, N) Coriolis (Christoffel)
     A: np.ndarray          # (N, N) input matrix
     damping: np.ndarray    # (N, N) viscous matrix Bd, force Bd @ qd
     Z: np.ndarray          # (N - p, N) completion matrix, zeta = (Z q, Z qd)
@@ -241,11 +240,6 @@ def acceleration(system, q, qd, u):
     return system.solve(d, (system.rhs(u, qd, bias),), q)[0]
 
 
-def energy(system, state):
-    """Kinetic energy (1/2) qd^T D qd; gravity potential not included."""
-    return 0.5 * state.qd @ system.D(state.q) @ state.qd
-
-
 def _floats(v):
     """Entries of a configuration or velocity as Python floats."""
     return np.asarray(v, dtype=float).tolist()
@@ -267,7 +261,6 @@ def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
         name="example1",
         N=2,
         p=1,
-        C=lambda q, qd: np.zeros((2, 2)),
         A=np.eye(2),
         damping=np.array([[b1 + b2, -b2], [-b2, b2]]),
         Z=np.array([[1.0, 0.0]]),
@@ -290,20 +283,17 @@ def make_example2(damping=(2.0, 2.0, 2.0)):
     d = np.asarray(damping, dtype=float)
     if d.shape != (3,) or np.any(d < 0):
         raise ParameterError("damping must be 3 nonnegative coefficients")
-    from .symbolic import _planar3r_symbolic
-
-    C, forces, kinematics = _planar3r_symbolic()
+    from ._plants_generated import planar3r_forces, planar3r_kinematics
 
     return MechanicalSystem(
         name="example2",
         N=3,
         p=2,
-        C=C,
         A=np.eye(3),
         damping=np.diag(d),
         Z=np.ones((1, 3)),
-        forces=forces,
-        kinematics=kinematics,
+        forces=planar3r_forces,
+        kinematics=planar3r_kinematics,
         default_limits=Limits(
             q_min=[-np.pi, -np.pi, -np.pi], q_max=[np.pi, np.pi, np.pi],
             u_min=[-10.0, -10.0, -10.0], u_max=[10.0, 10.0, 10.0],
@@ -329,20 +319,17 @@ def make_cpm_like():
     with viscous damping and static actuator gains folded into A.
     zeta = (q2 + q3 + q4, qd2 + qd3 + qd4), the wrist-plane angle sum.
     """
-    from .symbolic import _cpm_symbolic
-
-    C, forces, kinematics = _cpm_symbolic()
+    from ._plants_generated import cpm_forces, cpm_kinematics
 
     return MechanicalSystem(
         name="cpm4",
         N=4,
         p=3,
-        C=C,
         A=np.diag(_CPM_GAINS),
         damping=np.diag([3.0, 4.0, 3.0, 1.5]),
         Z=np.array([[0.0, 1.0, 1.0, 1.0]]),
-        forces=forces,
-        kinematics=kinematics,
+        forces=cpm_forces,
+        kinematics=cpm_kinematics,
         default_limits=Limits(
             q_min=[-np.pi, -0.4, -2.4, -2.0],
             q_max=[np.pi, 1.8, 2.4, 2.0],

@@ -1,14 +1,26 @@
 """Symbolic derivation of the manipulator plants; the one module loading sympy.
 
 ``_lagrangian`` forms the inertia matrix from mass-centre Jacobians, its
-Christoffel symbols, the gravity vector and the output kinematics, and
-compiles them into functions of Python floats.  ``make_example2`` and
-``make_cpm_like`` import this module when called, so a run on a plant
-with constant matrices (``example1``) never loads sympy.  Each plant is
-derived once per process.
+Christoffel symbols, the gravity vector and the output kinematics.  This
+module is a generator, not a run-time dependency: run from the
+repository root,
+
+    python -m splinefollow.symbolic
+
+it writes the float code of each plant's ``forces`` and ``kinematics``
+calls to ``_plants_generated.py`` next to this file, and that checked-in
+module is all that ``make_example2`` and ``make_cpm_like`` import, so no
+run loads sympy.  Regenerate after changing a plant here; a test
+regenerates the text and fails while the checked-in file differs.
+
+``oracle`` compiles the Christoffel matrix and the kinetic energy, which
+only the tests use, as independent checks of the generated code.
 """
 
+import re
 from functools import lru_cache
+from inspect import getsource
+from pathlib import Path
 
 import numpy as np
 import sympy as sp
@@ -22,6 +34,19 @@ from .dynamics import (
     _CPM_ROTOR,
     _floats,
 )
+
+GENERATED = Path(__file__).with_name("_plants_generated.py")
+
+_HEADER = '''"""Float code of the symbolic plants' ``forces`` and ``kinematics`` calls.
+
+Written by ``python -m splinefollow.symbolic`` from the derivations in
+``symbolic.py``; do not edit.  ``<plant>_forces(q, qd)`` returns (rows of
+D, C qd + G) and ``<plant>_kinematics(q, qd)`` returns (h, rows of J,
+rows of d(J qd)/dq), as nested lists of floats.
+"""
+
+from math import cos, sin
+'''
 
 
 def _cse_nested(tree):
@@ -48,13 +73,13 @@ def _cse_nested(tree):
     return cses, rebuild(shape)
 
 
-def _lambdify(args, tree):
-    """Float function of ``args`` returning the nested lists ``tree``."""
-    return sp.lambdify(args, tree, "math", cse=_cse_nested)
+def _lambdify(q, qd, tree):
+    """Float function of q, qd returning the nested lists ``tree``."""
+    return sp.lambdify([q, qd], tree, "math", cse=_cse_nested)
 
 
 def _lagrangian(q, coms, masses, inertia, potential, output):
-    """Compile the dynamics and output kinematics of a plant.
+    """Derive the dynamics and output kinematics of a plant.
 
     D = inertia + sum_i m_i Jc_i^T Jc_i, with Jc_i the Jacobian of mass
     centre ``coms[i]`` (Spong, Hutchinson & Vidyasagar, ch. 7); ``inertia``
@@ -63,15 +88,12 @@ def _lagrangian(q, coms, masses, inertia, potential, output):
     needs.  C holds the Christoffel symbols of D, G is the gradient of
     ``potential`` and J is the Jacobian of the output map ``output``.
 
-    It returns three functions.  The first maps q, qd to the (N, N) array
-    C.  The plant's ``forces`` maps float lists q, qd to (rows of D,
-    C qd + G) in one call that shares subexpressions between the two;
-    C qd + G is summed over the velocity products qd_i qd_j, which
-    evaluates faster than the product of C with qd.  ``kinematics`` maps
-    q, qd to (h, rows of J, rows of d(J qd)/dq) in one call, again with
-    shared subexpressions.  These two return nested lists of Python
-    numbers: lambdified with the math module's sin and cos, each entry is
-    a few float operations.
+    Returns the velocity symbols qd and nested lists of expressions in
+    q, qd: ``forces`` is (rows of D, C qd + G), with C qd + G summed over
+    the velocity products qd_i qd_j, which evaluates faster than the
+    product of C with qd; ``kinematics`` is (h, rows of J, rows of
+    d(J qd)/dq); ``christoffel`` is the rows of C and ``energy`` is
+    qd^T D qd / 2.
     """
     n = len(q)
     qv = sp.Matrix(q)
@@ -90,20 +112,18 @@ def _lagrangian(q, coms, masses, inertia, potential, output):
     bias = [sp.diff(potential, q[k]) + sum(
         gamma[k][i][j] / (2 if i == j else 1) * qd[i] * qd[j]
         for i in range(n) for j in range(i, n)) for k in range(n)]
-    forces = _lambdify([q, qd], [D.tolist(), bias])
-    coriolis = _lambdify([q, qd], C.tolist())
     J = sp.Matrix(output).jacobian(qv)
-    kinematics = _lambdify(
-        [q, qd], [list(output), J.tolist(), (J * sp.Matrix(qd)).jacobian(qv).tolist()])
-    return (
-        lambda q, qd: np.array(coriolis(_floats(q), _floats(qd)), dtype=float),
-        forces,
-        kinematics,
-    )
+    return qd, {
+        "forces": [D.tolist(), bias],
+        "kinematics": [list(output), J.tolist(),
+                       (J * sp.Matrix(qd)).jacobian(qv).tolist()],
+        "christoffel": C.tolist(),
+        "energy": (sp.Matrix(qd).T * D * sp.Matrix(qd))[0] / 2,
+    }
 
 
 @lru_cache(maxsize=1)
-def _planar3r_symbolic():
+def _planar3r():
     q = sp.symbols("q0:3")
     # unit links, masses and inertias; link i turns at q0 + ... + qi, so
     # its inertia adds 1 to every D[a, b] with a, b <= i
@@ -113,11 +133,11 @@ def _planar3r_symbolic():
         coms.append((jx + sp.cos(phi) / 2, jy + sp.sin(phi) / 2))
         jx, jy = jx + sp.cos(phi), jy + sp.sin(phi)
     inertia = sp.Matrix(3, 3, lambda a, b: 3 - max(a, b))
-    return _lagrangian(q, coms, (1, 1, 1), inertia, 0, (jx, jy))
+    return q, *_lagrangian(q, coms, (1, 1, 1), inertia, 0, (jx, jy))
 
 
 @lru_cache(maxsize=1)
-def _cpm_symbolic():
+def _cpm():
     q = sp.symbols("q0:4")
     cw, sw = sp.cos(q[0]), sp.sin(q[0])
     phi = [q[1], q[1] + q[2], q[1] + q[2] + q[3]]
@@ -129,5 +149,54 @@ def _cpm_symbolic():
         reach, height = reach + length * sp.cos(f), height + length * sp.sin(f)
     V = sum(m * _CPM_GRAVITY * c[2] for m, c in zip(_CPM_MASSES, coms))
     # rotor inertia keeps D SPD everywhere
-    return _lagrangian(q, coms, _CPM_MASSES, sp.diag(*_CPM_ROTOR), V,
-                       (cw * reach, sw * reach, height))
+    return q, *_lagrangian(q, coms, _CPM_MASSES, sp.diag(*_CPM_ROTOR), V,
+                           (cw * reach, sw * reach, height))
+
+
+# plant name, as it prefixes the generated functions -> its derivation
+PLANTS = {"planar3r": _planar3r, "cpm": _cpm}
+
+
+def _function_source(plant, call):
+    """Source of ``<plant>_<call>(q, qd)`` as lambdify prints it.
+
+    lambdify unpacks each list argument from a ``_Dummy_<n>`` whose
+    number comes from a global counter; those become ``q`` and ``qd``.
+    """
+    q, qd, trees = PLANTS[plant]()
+    src = getsource(_lambdify(q, qd, trees[call]))
+    head = re.match(r"def _lambdifygenerated\((\w+), (\w+)\):", src)
+    for dummy, name in zip(head.groups(), ("q", "qd")):
+        src = re.sub(rf"\b{dummy}\b", name, src)
+    return src.replace("_lambdifygenerated", f"{plant}_{call}", 1)
+
+
+def source():
+    """Text of ``_plants_generated.py``."""
+    return _HEADER + "".join(
+        "\n\n" + _function_source(plant, call)
+        for plant in PLANTS for call in ("forces", "kinematics"))
+
+
+@lru_cache(maxsize=None)
+def oracle(plant, what):
+    """Float function of q, qd: the array ``what`` of ``plant``.
+
+    ``what`` is "christoffel", the (N, N) matrix C with C qd the
+    Coriolis and centrifugal forces, or "energy", the kinetic energy
+    qd^T D qd / 2.  Both are compiled here from the derivation, apart
+    from the generated module.
+    """
+    q, qd, trees = PLANTS[plant]()
+    f = _lambdify(q, qd, trees[what])
+    return lambda q, qd: np.array(f(_floats(q), _floats(qd)), dtype=float)
+
+
+def main():
+    """Write ``_plants_generated.py``."""
+    GENERATED.write_text(source())
+    print(f"wrote {GENERATED}")
+
+
+if __name__ == "__main__":
+    main()

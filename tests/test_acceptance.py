@@ -39,7 +39,7 @@ def _fig8():
 def _fig8_setup(system, offset=0.0):
     """Figure-eight scenario for the planar 3R arm, started on/off the path.
 
-    ``system`` is the (prebuilt) example2 plant, so the symbolic build
+    ``system`` is the (prebuilt) example2 plant, so the plant build
     stays outside the callers' timers.
     """
     path = _fig8()

@@ -1,11 +1,11 @@
 """A cold start loads only what the run calls.
 
 ``import splinefollow``, the ``example1`` plant, the ``two_mass_line``
-path and a short run need numpy alone; sympy loads with the first
-symbolic plant.  The check runs in a fresh interpreter, since the rest
-of the suite has loaded both long before.  Run as a script, it checks
-whichever ``splinefollow`` the interpreter imports (an installed copy,
-say) and exits 1 on a failure:
+path and a short run need numpy alone, and so do the symbolic plants,
+whose code ships generated: neither scipy nor sympy loads.  The check
+runs in a fresh interpreter, since the rest of the suite has loaded both
+long before.  Run as a script, it checks whichever ``splinefollow`` the
+interpreter imports (an installed copy, say) and exits 1 on a failure:
 
     python tests/test_cold_start.py
 """
@@ -31,8 +31,9 @@ def check():
     problems = [f"{name} loaded by the example1 run"
                 for name in HEAVY if name in sys.modules]
     dynamics.make_example2()
-    if "sympy" not in sys.modules:
-        problems.append("make_example2 did not load sympy")
+    dynamics.make_cpm_like()
+    problems += [f"{name} loaded by make_example2 or make_cpm_like"
+                 for name in HEAVY if name in sys.modules]
     return problems
 
 

@@ -221,11 +221,12 @@ class TestPlanar3R:
                 fd = (example2.J(st.q + dq) - example2.J(st.q - dq)) / (2 * h)
                 np.testing.assert_allclose(dJ[:, :, c], fd, atol=1e-7)
 
-    def test_skew_symmetry(self, example2):
+    def test_skew_symmetry(self, example2, symbolic_oracle):
         """Ddot - 2C is skew-symmetric (passivity structure)."""
+        christoffel = symbolic_oracle(example2, "christoffel")
         h = 1e-6
         for st in _random_states(example2, 4, seed=3):
-            C = example2.C(st.q, st.qd)
+            C = christoffel(st.q, st.qd)
             Ddot = (
                 example2.D(st.q + h * st.qd) - example2.D(st.q - h * st.qd)
             ) / (2 * h)
@@ -246,11 +247,12 @@ class TestPlanar3R:
             eig = np.linalg.eigvalsh(example2.D(st.q))
             assert np.all(eig > 0)
 
-    def test_undamped_energy_conserved(self):
+    def test_undamped_energy_conserved(self, symbolic_oracle):
         """With no damping and u = 0, kinetic energy is constant."""
         system = dynamics.make_example2(damping=(0.0, 0.0, 0.0))
+        energy = symbolic_oracle(system, "energy")
         st = State(q=[0.3, -0.5, 0.8], qd=[0.4, -0.2, 0.1])
-        e0 = dynamics.energy(system, st)
+        e0 = energy(st.q, st.qd)
         x = np.concatenate([st.q, st.qd])
         h = 1e-4
         for _ in range(200):
@@ -263,7 +265,7 @@ class TestPlanar3R:
             k3 = f(x + 0.5 * h * k2)
             k4 = f(x + h * k3)
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        e1 = dynamics.energy(system, State(q=x[:3], qd=x[3:]))
+        e1 = energy(x[:3], x[3:])
         assert e1 == pytest.approx(e0, rel=1e-9)
 
 
@@ -308,10 +310,11 @@ class TestCpm4:
                 cpm4.G(q), _fd_jacobian(potential, q), rtol=1e-7, atol=1e-7
             )
 
-    def test_skew_symmetry(self, cpm4):
+    def test_skew_symmetry(self, cpm4, symbolic_oracle):
+        christoffel = symbolic_oracle(cpm4, "christoffel")
         h = 1e-6
         for st in _random_states(cpm4, 3, seed=8):
-            C = cpm4.C(st.q, st.qd)
+            C = christoffel(st.q, st.qd)
             Ddot = (cpm4.D(st.q + h * st.qd) - cpm4.D(st.q - h * st.qd)) / (2 * h)
             S = Ddot - 2.0 * C
             np.testing.assert_allclose(S, -S.T, atol=1e-6)

@@ -17,8 +17,11 @@ def _project(path, system, q):
     return projection.global_initialize(path, system.h(q))
 
 
-def _reference_linearize(system, state, path, proj_state, policy):
-    """(eta, xi, alpha, beta, f_v, g_v) on numpy arrays."""
+def _reference_linearize(system, state, path, proj_state, policy, christoffel):
+    """(eta, xi, alpha, beta, f_v, g_v) on numpy arrays.
+
+    C qd comes from ``christoffel``, the plant's symbolic Christoffel matrix.
+    """
     fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
     q, qd = state.q, state.qd
     p, N = system.p, system.N
@@ -27,7 +30,7 @@ def _reference_linearize(system, state, path, proj_state, policy):
     Jqd = J @ qd
     speed = fj.speed[0]
     D = system.D(q)
-    f_v = np.linalg.solve(D, -system.C(q, qd) @ qd - system.G(q)
+    f_v = np.linalg.solve(D, -christoffel(q, qd) @ qd - system.G(q)
                           - system.damping @ qd)
     g_v = np.linalg.solve(D, system.A)
 
@@ -116,8 +119,9 @@ class TestNumpyReference:
         ("example2", "fig8_path", frames.FramePolicy(mode="planar_fallback")),
         ("cpm4", "twisted_path", frames.FRENET),
     ])
-    def test_matches_numpy(self, plant, path_name, policy, request):
+    def test_matches_numpy(self, plant, path_name, policy, request, symbolic_oracle):
         system = request.getfixturevalue(plant)
+        christoffel = symbolic_oracle(system, "christoffel")
         path = (curves.line_path([-5.0], [5.0]) if path_name == "line"
                 else request.getfixturevalue(path_name))
         lim = system.default_limits
@@ -131,7 +135,7 @@ class TestNumpyReference:
             lin = transform.linearize(system, st, path, ps, policy)
             ts = lin.transformed
             got = (ts.eta, ts.xi, lin.alpha, lin.beta, lin.f_v, lin.g_v)
-            want = _reference_linearize(system, st, path, ps, policy)
+            want = _reference_linearize(system, st, path, ps, policy, christoffel)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 scale = max(np.abs(w).max(initial=0.0), 1e-300)
