@@ -1,0 +1,214 @@
+"""Straight-line float code, recorded from the arithmetic that defines it.
+
+The control period's arithmetic is written once, as plain Python on
+sequences of numbers: the frame jets, the linearization and the input
+resolution.  Run on ``Var`` inputs, each operator records one
+assignment of the code that computes its result, so the code does the
+float operations of the written arithmetic in the same order.  A
+``Recorder`` writes its record as the body of one function with no
+loops and no calls but those it is given: an assignment whose value is
+never used is left out, one used once is written into its use, and an
+expression recorded twice is computed once.  ``kernel`` compiles such a
+function once per builder and key.
+
+Checks are written around the record as source text: formatting a
+``Var`` into a string gives its name and keeps it computed.
+"""
+
+import math
+from functools import lru_cache
+
+
+class Var:
+    """A float of the recorded code; its operators record assignments."""
+
+    __slots__ = ("code", "name")
+
+    def __init__(self, code, name):
+        self.code, self.name = code, name
+
+    def __add__(self, other):
+        return self.code.let("{} + {}", self, other)
+
+    def __radd__(self, other):
+        return self.code.let("{} + {}", other, self)
+
+    def __sub__(self, other):
+        return self.code.let("{} - {}", self, other)
+
+    def __rsub__(self, other):
+        return self.code.let("{} - {}", other, self)
+
+    def __mul__(self, other):
+        return self.code.let("{} * {}", self, other)
+
+    def __rmul__(self, other):
+        return self.code.let("{} * {}", other, self)
+
+    def __truediv__(self, other):
+        return self.code.let("{} / {}", self, other)
+
+    def __rtruediv__(self, other):
+        return self.code.let("{} / {}", other, self)
+
+    def __pow__(self, n):
+        return self.code.let("{} ** {}", self, n)
+
+    def __neg__(self):
+        return self.code.let("-{}", self)
+
+    def __abs__(self):
+        return self.code.let("abs({})", self)
+
+    def __bool__(self):
+        raise TypeError("a recorded float has no truth value; write a check")
+
+    def __format__(self, spec):
+        self.code.named.add(self.name)
+        return self.name
+
+
+def sqrt(x):
+    """The recorded square root of the Var x."""
+    return x.code.let("sqrt({})", x)
+
+
+# IEEE-754 addition and multiplication are commutative, so an expression
+# and its mirror image are one expression
+_COMMUTATIVE = ("{} + {}", "{} * {}")
+
+
+def _literal(x):
+    if not math.isfinite(x):
+        raise ValueError(f"no literal for {x!r}")
+    return repr(x)
+
+
+class Recorder:
+    """The record of one function's body: assignments and source lines."""
+
+    def __init__(self):
+        self.lines = []     # (Var, template, args) assignments, or source text
+        self.memo = {}      # (template, arg names) -> Var
+        self.named = set()  # names the source text refers to
+
+    def let(self, template, *args):
+        """The Var assigned ``template`` filled with the args."""
+        keys = [a.name if isinstance(a, Var) else _literal(a) for a in args]
+        if template in _COMMUTATIVE and keys[1] < keys[0]:
+            keys.reverse()
+            args = args[::-1]
+        key = (template, *keys)
+        if key not in self.memo:
+            var = self.memo[key] = Var(self, f"t{len(self.memo)}")
+            self.lines.append((var, template, args))
+        return self.memo[key]
+
+    def source(self, text):
+        """Add lines of source text (a statement, a check)."""
+        self.lines.append(text)
+
+    def require(self, test, failure):
+        """Run the statement ``failure`` unless ``test`` is true.
+
+        A NaN fails every comparison, so it fails the test.
+        """
+        self.source(f"if not {test}:\n    {failure}")
+
+    def unpack(self, value, shape, prefix=None):
+        """Vars for the entries of the nested sequence ``value``.
+
+        ``value`` is a source expression; ``shape`` is (n,) for n floats
+        or (n, m) for n rows of m.  The Vars are named after ``prefix``
+        (``value`` by default) and their indices.
+        """
+        prefix = prefix or value
+
+        def names(stem, dims):
+            if not dims:
+                return Var(self, stem)
+            sep = "_" if stem != prefix else ""
+            return [names(f"{stem}{sep}{i}", dims[1:]) for i in range(dims[0])]
+
+        out = names(prefix, tuple(shape))
+        self.source(f"{render(out, lambda v: v.name)} = {value}")
+        return out
+
+    def function(self, signature, result):
+        """Source of ``def f(signature)`` returning ``result``.
+
+        ``result`` nests lists and tuples of Vars and numbers.
+        """
+        live = set(self.named)
+        _walk(result, live.add)
+        for line in reversed(self.lines):
+            if isinstance(line, tuple) and line[0].name in live:
+                for a in line[2]:
+                    if isinstance(a, Var):
+                        live.add(a.name)
+        uses = {}
+
+        def count(name):
+            uses[name] = uses.get(name, 0) + 1
+
+        _walk(result, count)
+        for var, _, args in (x for x in self.lines if isinstance(x, tuple)):
+            if var.name in live:
+                for a in args:
+                    if isinstance(a, Var):
+                        count(a.name)
+        inline = {}
+
+        def text(x):
+            if isinstance(x, Var):
+                return inline.pop(x.name, x.name)
+            s = _literal(x)
+            return f"({s})" if s.startswith("-") else s
+
+        body = []
+        for line in self.lines:
+            if isinstance(line, str):
+                body += line.split("\n")
+            elif line[0].name in live:
+                var, template, args = line
+                expr = template.format(*map(text, args))
+                if uses.get(var.name) == 1 and var.name not in self.named:
+                    inline[var.name] = f"({expr})"
+                else:
+                    body.append(f"{var.name} = {expr}")
+        body.append(f"return {render(result, text)}")
+        return "\n    ".join([f"def f({signature}):", *body])
+
+
+def _walk(x, visit):
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            _walk(y, visit)
+    elif isinstance(x, Var):
+        visit(x.name)
+
+
+def render(x, text):
+    """Source of the nested lists and tuples x, entries written by text."""
+    if isinstance(x, list):
+        return f"[{', '.join(render(y, text) for y in x)}]"
+    if isinstance(x, tuple):
+        return f"({''.join(render(y, text) + ', ' for y in x)})"
+    return text(x)
+
+
+def compiled(source, label="generated", **names):
+    """The function ``f`` that ``source`` defines over ``names``."""
+    namespace = dict(names)
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace["f"]
+
+
+@lru_cache(maxsize=None)
+def kernel(build, *key):
+    """The function ``build(*key)`` writes, compiled once per (build, key).
+
+    ``build`` returns the source and the names it uses.
+    """
+    source, names = build(*key)
+    return compiled(source, f"{build.__qualname__}{key}", **names)

@@ -8,18 +8,20 @@ pseudoinverse of beta.  The null-space bias r steers the redundant
 degrees of freedom away from joint limits.
 
 The control pass runs once per period on lists of Python floats: the
-outer loops, the bias, and the input resolution, which forms
-beta W^-1 beta' on floats, checks its conditioning with one symmetric
+outer loops, the bias, and the input resolution.  The resolution's
+arithmetic, written out in ``_resolve_code``, runs as one straight-line
+function generated at first use for the plant's N and the path's p: it
+forms beta W^-1 beta', checks its conditioning with one symmetric
 eigenvalue call and solves with the plant layer's generated Cholesky
 solve.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, frames, projection, transform
+from . import codegen, dynamics, frames, projection, transform
 from .errors import NearSingularDecouplingError, ParameterError
 from .frames import dot
 
@@ -146,6 +148,44 @@ def bias_r(x_c, limits):
     ]
 
 
+def _near_singular(cond):
+    raise NearSingularDecouplingError(
+        f"decoupling matrix nearly singular (cond(beta W^-1 beta') = {cond:.3e})",
+        cond=cond,
+    )
+
+
+def _resolve_code(p, N, weighted):
+    """Source of ``f(alpha, beta, v, r, W)``, the input u of resolve_input.
+
+    Without ``weighted``, W is the identity and the argument is unused.
+    """
+    code = codegen.Recorder()
+    alpha, v = code.unpack("alpha", (p,)), code.unpack("v", (p,))
+    beta, r = code.unpack("beta", (p, N)), code.unpack("r", (N,))
+    # rows of beta W^-1, that is columns of W^-1 beta'
+    bw = code.unpack("solve_W(W, beta, W)", (p, N), "bw") if weighted else beta
+    M = [[dot(b, c) for c in bw] for b in beta]
+    M_text = codegen.render(M, format)
+    code.source(
+        "cond = nan\n"
+        f"if all(map(isfinite, {codegen.render(sum(M, []), format)})):\n"
+        f"    eig = [abs(x) for x in eigvalsh({M_text}).tolist()]\n"
+        "    cond = max(eig) / min(eig) if min(eig) > 0.0 else inf")
+    code.require(f"cond <= {CONDITION_LIMIT!r}", "near_singular(cond)")
+    rhs = [vi - ai - dot(b, r) for vi, ai, b in zip(v, alpha, beta)]
+    (w,) = code.unpack(f"solve_M({M_text}, [{codegen.render(rhs, format)}], beta)",
+                       (1, p), "w")
+    u = [ri + dot(col, w) for ri, col in zip(r, zip(*bw))]
+    names = dict(isfinite=math.isfinite, nan=math.nan, inf=math.inf,
+                 eigvalsh=np.linalg.eigvalsh, near_singular=_near_singular,
+                 solve_M=dynamics._cholesky(p, "decoupling matrix beta W^-1 beta'",
+                                            "beta"))
+    if weighted:
+        names["solve_W"] = dynamics._cholesky(N, "weight matrix", "W")
+    return code.function("alpha, beta, v, r, W", u), names
+
+
 def resolve_input(alpha, beta, v, r, W=None):
     """Closed-form constrained least squares: u = b+ (v - a) + (I - b+ b) r.
 
@@ -154,31 +194,13 @@ def resolve_input(alpha, beta, v, r, W=None):
     M is symmetric, so the absolute values of its eigenvalues are its
     singular values; NearSingularDecouplingError (with ``cond``) is
     raised when their ratio is above 1e10 (the transform is
-    degenerating) or M is not finite.
+    degenerating) or M is not finite.  beta has p rows of N; u is a
+    list of N floats.
     """
-    beta = np.atleast_2d(np.asarray(beta, dtype=float)).tolist()
-    alpha, v, r = (np.asarray(x, dtype=float).tolist() for x in (alpha, v, r))
     p, N = len(beta), len(beta[0])
-    # rows of beta W^-1, that is columns of W^-1 beta'
-    if W is None:
-        bw = beta
-    else:
+    if W is not None:
         W = np.asarray(W, dtype=float).tolist()
-        bw = dynamics._cholesky(N, "weight matrix", "W")(W, beta, W)
-    M = [[dot(b, c) for c in bw] for b in beta]
-    cond = math.nan
-    if all(map(math.isfinite, (m for row in M for m in row))):
-        eig = [abs(x) for x in np.linalg.eigvalsh(M).tolist()]
-        cond = max(eig) / min(eig) if min(eig) > 0.0 else math.inf
-    if not cond <= CONDITION_LIMIT:
-        raise NearSingularDecouplingError(
-            f"decoupling matrix nearly singular (cond(beta W^-1 beta') = {cond:.3e})",
-            cond=cond,
-        )
-    rhs = [vi - ai - dot(b, r) for vi, ai, b in zip(v, alpha, beta)]
-    (w,) = dynamics._cholesky(p, "decoupling matrix beta W^-1 beta'", "beta")(
-        M, [rhs], beta)
-    return np.array([ri + dot(col, w) for ri, col in zip(r, zip(*bw))])
+    return codegen.kernel(_resolve_code, p, N, W is not None)(alpha, beta, v, r, W)
 
 
 def tangential_v(eta, ctrl_state, gains, dt, t=0.0):
@@ -196,7 +218,7 @@ def tangential_v(eta, ctrl_state, gains, dt, t=0.0):
     lim = gains.integral_limit
     integral = min(max(integral, -lim), lim)
     v = gains.K_P * err + gains.K_I * integral
-    return v, replace(ctrl_state, integral=integral)
+    return v, ControllerState(integral)
 
 
 def transversal_v(xi, gains):
@@ -223,42 +245,44 @@ def transversal_v(xi, gains):
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Everything the logger wants to know about one control step."""
+    """Everything the logger wants to know about one control step.
+
+    eta, xi, zeta and alpha are the linearization's lists of floats.
+    """
 
     k_star: int
     lambda_star: float
-    eta: np.ndarray
-    xi: np.ndarray
-    zeta: np.ndarray
-    v: np.ndarray
-    alpha: np.ndarray
+    eta: list
+    xi: list
+    zeta: list
+    v: list
+    alpha: list
     iterations: int
     saturated: bool
-    u_unclamped: np.ndarray
+    u_unclamped: list
 
 
 def command(lin, q, ctrl_state, gains, redundancy, limits, dt, t):
     """Outer loops, null-space bias and input resolution at one state.
 
     ``lin`` is the linearization at configuration ``q``.  Returns
-    (u, u_unclamped, v, new_ctrl_state), the first three as arrays: u is
-    u_unclamped clamped elementwise to the actuation limits.
+    (u, u_unclamped, v, new_ctrl_state), the first three as lists of
+    floats: u is u_unclamped clamped elementwise to the actuation limits.
     """
-    p, N = lin.beta.shape
     ts = lin.transformed
-    v_eta, ctrl_state = tangential_v(ts.eta.tolist(), ctrl_state, gains, dt, t)
-    v = [v_eta]
-    if p > 1:
+    v_eta, ctrl_state = tangential_v(ts.eta, ctrl_state, gains, dt, t)
+    v = [float(v_eta)]
+    if len(lin.alpha) > 1:
         v += transversal_v(ts.xi, gains)
 
     if redundancy.bias_mode == "joint_limit":
         r = bias_r(q, limits)
     else:
-        r = [0.0] * N
+        r = [0.0] * len(lin.beta[0])
     u = resolve_input(lin.alpha, lin.beta, v, r, redundancy.W)
     clamped = [min(max(x, lo), hi) for x, lo, hi in zip(
-        u.tolist(), limits.u_min.tolist(), limits.u_max.tolist())]
-    return np.array(clamped), u, np.array(v), ctrl_state
+        u, limits.u_min.tolist(), limits.u_max.tolist())]
+    return clamped, u, v, ctrl_state
 
 
 def step(system, path, state, proj_state, ctrl_state, gains,
@@ -289,7 +313,7 @@ def step(system, path, state, proj_state, ctrl_state, gains,
         v=v,
         alpha=lin.alpha,
         iterations=proj_state.last_iterations,
-        saturated=u_clamped.tolist() != u.tolist(),
+        saturated=u_clamped != u,
         u_unclamped=u,
     )
     return u_clamped, proj_state, ctrl_state, diag

@@ -14,8 +14,9 @@ A plant is described once: its compiled ``forces`` call gives D and
 C qd + G, its compiled ``kinematics`` call gives the output map h, its
 Jacobian J and d(J qd)/dq, and the constant completion matrix Z gives
 the redundant coordinates zeta = (Z q, Z qd).  The array-valued
-D, G, h, J, dJ_dq and ``completion`` are ``MechanicalSystem`` methods
-derived from those calls, for callers outside the loop.
+D, G, h, J and dJ_dq are ``MechanicalSystem`` methods derived from
+those calls, for callers outside the loop; ``completion`` gives zeta
+as floats.
 
 ``acceleration`` and ``drift_and_input`` run on Python floats: one
 ``forces`` call, then a Cholesky solve unrolled for the plant's N gives
@@ -29,6 +30,7 @@ from operator import mul
 
 import numpy as np
 
+from . import codegen
 from .errors import DivergenceError, NonSPDInertiaError, ParameterError
 
 
@@ -69,8 +71,8 @@ class MechanicalSystem:
 
     The float columns of A, ``rhs(u, qd, bias)`` = A u - Bd qd - bias
     and the inertia solve are set at construction, for ``acceleration``
-    and ``drift_and_input``.  The methods evaluate the compiled calls
-    at rest (qd = 0) or along unit velocities and return arrays.
+    and ``drift_and_input``.  D, G, h, J and dJ_dq evaluate the compiled
+    calls at rest (qd = 0) or along unit velocities and return arrays.
     """
 
     name: str
@@ -117,10 +119,10 @@ class MechanicalSystem:
                         dtype=float).transpose(1, 0, 2)
 
     def completion(self, state):
-        """(2N - 2p,) redundant coordinates zeta = (Z q, Z qd), on floats."""
+        """The 2N - 2p redundant coordinates zeta = (Z q, Z qd), as floats."""
         Z = self.Z.tolist()
-        return np.array([sum(map(mul, z, x))
-                         for x in (state.q.tolist(), state.qd.tolist()) for z in Z])
+        return [sum(map(mul, z, x))
+                for x in (state.q.tolist(), state.qd.tolist()) for z in Z]
 
 
 @lru_cache(maxsize=None)
@@ -184,9 +186,10 @@ def _cholesky(n, name="inertia matrix", at="q"):
         f"        out.append([{', '.join(x)}])",
         "    return out",
     ]
-    return _generated(src, sqrt=math.sqrt, isfinite=math.isfinite,
-                      DivergenceError=DivergenceError,
-                      NonSPDInertiaError=NonSPDInertiaError)
+    return codegen.compiled("\n".join(src), f"_cholesky{(n, name, at)}",
+                            sqrt=math.sqrt, isfinite=math.isfinite,
+                            DivergenceError=DivergenceError,
+                            NonSPDInertiaError=NonSPDInertiaError)
 
 
 def _input_minus_damping(A, Bd):
@@ -201,16 +204,10 @@ def _input_minus_damping(A, Bd):
                        for c, v in terms if c != 0.0)
         return f"{code} - bias[{k}]".lstrip(" +")
 
-    return _generated(["def f(u, qd, bias):", "    return ["]
-                      + [f"        {entry(k)}," for k in range(len(A))]
-                      + ["    ]"])
-
-
-def _generated(src, **names):
-    """The function ``f`` that the source lines ``src`` define over ``names``."""
-    namespace = dict(names)
-    exec("\n".join(src), namespace)
-    return namespace["f"]
+    return codegen.compiled("\n".join(
+        ["def f(u, qd, bias):", "    return ["]
+        + [f"        {entry(k)}," for k in range(len(A))] + ["    ]"]),
+        "_input_minus_damping")
 
 
 def drift_and_input(system, state):

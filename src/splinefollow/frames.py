@@ -11,9 +11,11 @@ Curves violating the framed assumption (straight lines, planar curves in
 a 3-D workspace) are handled by fallback policies per the supported
 completion modes.
 
-``frame_jet`` runs once per control period, so its jet arithmetic works
-on lists of Python floats: for an output of a few dimensions that costs
-a fraction of the same arithmetic on small numpy arrays.
+``frame_jet`` runs once per control period.  Its jet arithmetic is
+written once, below, and runs on the recorded variables of ``codegen``:
+for each output dimension p and completion mode it becomes one
+straight-line function of Python floats, generated at first use.  A
+curve derivative that is NaN fails the regularity and degeneracy checks.
 """
 
 import math
@@ -22,6 +24,7 @@ from operator import mul
 
 import numpy as np
 
+from . import codegen
 from .errors import DegenerateFrameError, IrregularCurveError
 
 REGULARITY_TOL = 1e-12
@@ -39,7 +42,9 @@ class FramePolicy:
     sigma'' is parallel to sigma' and strict Gram-Schmidt collapses):
     with p = 2, e2 is the 90 degree rotation of e1; with p = 3,
     fixed_vectors[0] is the plane normal, e2 = n x e1 and e3 = n.  Each
-    fixed vector a fallback uses has exactly p entries.
+    fixed vector a fallback uses has exactly p entries.  The vectors are
+    kept as tuples of floats; a zero or non-finite one is a ValueError,
+    and the plane normal is stored as a unit vector.
     """
 
     mode: str = "frenet_serret"
@@ -48,24 +53,32 @@ class FramePolicy:
     def __post_init__(self):
         if self.mode not in ("frenet_serret", "planar_fallback", "line_fallback"):
             raise ValueError(f"unknown frame policy mode {self.mode!r}")
-        object.__setattr__(
-            self,
-            "fixed_vectors",
-            tuple(np.asarray(v, dtype=float) for v in self.fixed_vectors),
-        )
+        vectors = []
+        for j, v in enumerate(self.fixed_vectors):
+            v = np.asarray(v, dtype=float)
+            if v.ndim != 1 or not np.isfinite(v).all() or not v.any():
+                raise ValueError(f"completion vector {j} must be a nonzero list of "
+                                 f"finite numbers; got {v.tolist()}")
+            vectors.append(v.tolist())
+        if self.mode == "planar_fallback" and vectors:
+            n = vectors[0]   # the plane normal, made a unit vector once
+            norm = math.sqrt(dot(n, n))
+            vectors[0] = [x / norm for x in n]
+        object.__setattr__(self, "fixed_vectors", tuple(map(tuple, vectors)))
 
 
 FRENET = FramePolicy()
 
 
 # --- order-2 jet arithmetic -------------------------------------------------
-# A vector jet is a triple of float lists (value, d/dlam, d2/dlam2), each
-# of length p; a scalar jet is a triple of floats.
+# A vector jet is a triple of lists (value, d/dlam, d2/dlam2), each of
+# length p; a scalar jet is a triple.  The entries are floats, or the
+# recorded variables of the generated frame code.
 
 
 def dot(u, v):
-    """Inner product of two sequences of floats."""
-    return sum(map(mul, u, v))
+    """Inner product: 0.0 + u0 v0 + u1 v1 + ..., summed left to right."""
+    return sum(map(mul, u, v), 0.0)
 
 
 def _jinner(u, v):
@@ -88,11 +101,12 @@ def _jminus_scaled(b, s, v):
     )
 
 
-def _jnorm(u):
+def _jnorm(u, check):
+    """The jet of ||u||; ``check(n0)`` records the test of ||u|| before the
+    division by it."""
     s0, s1, s2 = _jinner(u, u)
-    n0 = math.sqrt(s0)
-    if n0 == 0.0:
-        return 0.0, 0.0, 0.0
+    n0 = codegen.sqrt(s0)
+    check(n0)
     n1 = s1 / (2.0 * n0)
     return n0, n1, (s2 - 2.0 * n1 * n1) / (2.0 * n0)
 
@@ -106,108 +120,139 @@ def _jdiv(v, n):
     return w0, w1, w2
 
 
-@dataclass
-class FrameJet:
-    """Frame vectors together with their first two lambda-derivatives."""
-
-    e: np.ndarray     # (p, p)
-    de: np.ndarray    # (p, p)
-    dde: np.ndarray   # (p, p)
-    curvatures: np.ndarray          # (p-1,)
-    curvature_rates: np.ndarray     # (p-1,), d chi / d lambda
-    speed: np.ndarray               # jet of ||sigma'||, shape (3,)
-    lam: float
-    k: int
-    sigma: np.ndarray               # (p+2, p): sigma, sigma', ..., sigma^(p+1)
-
-
-def _gram_schmidt_jets(base_jets):
+def _gram_schmidt_jets(code, base_jets):
     """Orthonormalize jet vectors, propagating derivatives."""
     out = []
-    for j, B in enumerate(base_jets):
+    for j, B in enumerate(base_jets, 1):
         eb = B
         for e in out:
             eb = _jminus_scaled(eb, _jinner(B, e), e)
-        n = _jnorm(eb)
-        if n[0] < DEGENERACY_TOL:
-            raise DegenerateFrameError(
-                f"Gram-Schmidt residual collapsed at vector {j + 1} "
-                f"(norm {n[0]:.3e})",
-                index=j + 1,
-            )
-        out.append(_jdiv(eb, n))
+
+        def nondegenerate(n0, j=j):
+            code.require(f"{n0} >= {DEGENERACY_TOL!r}", f"degenerate({j}, {n0})")
+
+        out.append(_jdiv(eb, _jnorm(eb, nondegenerate)))
     return out
 
 
-def _completion_vectors(policy, p, count):
-    """The policy's first ``count`` fixed vectors, as lists of p floats.
+def _parts(values, p):
+    """(e, de, dde, curvatures, curvature rates, speed jet) of the frame values.
+
+    e, de and dde are lists of p rows of p; the rest are lists.
+    """
+    sq = p * p
+    rows = [list(values[i:i + p]) for i in range(0, 3 * sq, p)]
+    tail = list(values[3 * sq:])
+    return (rows[:p], rows[p:2 * p], rows[2 * p:],
+            tail[:p - 1], tail[p - 1:2 * p - 2], tail[2 * p - 2:])
+
+
+@dataclass
+class FrameJet:
+    """The frame at (k, lam) and its first two lambda-derivatives, as floats.
+
+    ``rows`` holds sigma, sigma', ..., sigma^(p+1).  ``values`` is what
+    the generated frame code returns: the frame vectors e_i, their
+    derivatives e_i' and e_i'' (p rows of p each), the p - 1 curvatures
+    chi_i = <e_i', e_{i+1}> / ||sigma'||, their derivatives, and the jet
+    of ||sigma'||.  The properties are numpy arrays of them, for callers
+    outside the control period.
+    """
+
+    k: int
+    lam: float
+    rows: list
+    values: tuple
+
+    def _array(self, i):
+        return np.array(_parts(self.values, len(self.rows[0]))[i])
+
+    e = property(lambda self: self._array(0), doc="(p, p): e_i in row i")
+    de = property(lambda self: self._array(1), doc="(p, p)")
+    dde = property(lambda self: self._array(2), doc="(p, p)")
+    curvatures = property(lambda self: self._array(3), doc="(p-1,)")
+    curvature_rates = property(lambda self: self._array(4), doc="(p-1,)")
+    speed = property(lambda self: self._array(5), doc="(3,): jet of ||sigma'||")
+    sigma = property(lambda self: np.array(self.rows), doc="(p+2, p)")
+
+
+def _completion_count(mode, p):
+    """How many fixed vectors ``mode`` completes a p-dimensional frame with."""
+    return {"line_fallback": p - 1, "planar_fallback": int(p == 3)}.get(mode, 0)
+
+
+def _completion_vectors(policy, p):
+    """The fixed vectors the policy's mode uses, each of p floats.
 
     ValueError, naming p, if fewer are given or one has a length other
     than p.
     """
+    count = _completion_count(policy.mode, p)
     vectors = policy.fixed_vectors[:count]
     if len(vectors) < count:
         raise ValueError(f"{policy.mode} needs {count} completion vector(s) "
                          f"for p = {p}; got {len(vectors)}")
     for j, v in enumerate(vectors):
-        if v.shape != (p,):
+        if len(v) != p:
             raise ValueError(f"{policy.mode} completion vector {j} must have "
-                             f"p = {p} entries; got shape {v.shape}")
-    return [v.tolist() for v in vectors]
+                             f"p = {p} entries; got {len(v)}")
+    return vectors
 
 
-def frame_jet(path, k, lam, policy=FRENET):
-    """Compute the frame and its first two derivatives at (k, lam).
+def _irregular(lam, norm):
+    raise IrregularCurveError(f"||sigma'({lam})|| = {norm:.3e} (irregular)")
 
-    The jets and Gram-Schmidt run on Python floats; the FrameJet's
-    arrays are built once, at the end.
+
+def _degenerate(index, norm):
+    raise DegenerateFrameError(f"Gram-Schmidt residual collapsed at vector {index} "
+                               f"(norm {norm:.3e})", index=index)
+
+
+def _not_in_plane():
+    raise DegenerateFrameError(
+        "tangent is not orthogonal to the supplied plane normal", index=2)
+
+
+def _frame_code(p, mode):
+    """Source of ``f(rows, fixed, lam)``, the frame values at one point.
+
+    ``rows`` holds sigma, ..., sigma^(p+1), ``fixed`` the completion
+    vectors of the mode, and ``lam`` is reported by the checks.
     """
-    p = path.output_dim
-    lam = float(lam)
+    if mode == "planar_fallback" and p not in (2, 3):
+        raise ValueError("planar_fallback requires a 2-D or 3-D output")
+    code = codegen.Recorder()
     # curve derivatives sigma^(0) .. sigma^(p+1); beyond that jets get zeros
-    sigma = path.jet_unchecked(k, lam, p + 1)
     zero = [0.0] * p
-    rows = sigma.tolist() + [zero, zero]
+    rows = code.unpack("rows", (p + 2, p)) + [zero, zero]
+    count = _completion_count(mode, p)
+    fixed = code.unpack("fixed", (count, p)) if count else []
 
     def sigma_jet(j):
         # jet of sigma^(j): value sigma^(j), d1 sigma^(j+1), d2 sigma^(j+2)
         return rows[j], rows[j + 1], rows[j + 2]
 
-    speed = _jnorm(sigma_jet(1))
-    if speed[0] < REGULARITY_TOL:
-        raise IrregularCurveError(
-            f"||sigma'({lam})|| = {speed[0]:.3e} (irregular)")
+    def regular(n0):
+        code.require(f"{n0} >= {REGULARITY_TOL!r}", f"irregular(lam, {n0})")
 
-    last_dde_from_fs = False
-    if policy.mode == "frenet_serret":
-        ejets = _gram_schmidt_jets([sigma_jet(j) for j in range(1, p + 1)])
-        # sigma^(p+2) is unavailable, so e_p'' from the jet is wrong for p>1
-        last_dde_from_fs = p > 1
-    elif policy.mode == "line_fallback":
-        ejets = _gram_schmidt_jets([sigma_jet(1)] + [
-            (v, zero, zero) for v in _completion_vectors(policy, p, p - 1)
-        ])
-    elif policy.mode == "planar_fallback":
-        if p == 2:
-            (e1,) = _gram_schmidt_jets([sigma_jet(1)])
-            # e2 is e1 turned by +90 degrees
-            ejets = [e1, tuple([-y, x] for x, y in e1)]
-        elif p == 3:
-            (n,) = _completion_vectors(policy, p, 1)   # the plane normal
-            norm = math.sqrt(dot(n, n))
-            n = [x / norm for x in n]
-            (e1,) = _gram_schmidt_jets([sigma_jet(1)])
-            if abs(dot(n, e1[0])) > 1e-8:
-                raise DegenerateFrameError(
-                    "tangent is not orthogonal to the supplied plane normal",
-                    index=2,
-                )
-            n0, n1, n2 = n
-            e2 = tuple([n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x]
-                       for x, y, z in e1)   # n x e1
-            ejets = [e1, e2, (n, zero, zero)]
-        else:
-            raise ValueError("planar_fallback requires a 2-D or 3-D output")
+    speed = _jnorm(sigma_jet(1), regular)
+    if mode == "frenet_serret":
+        ejets = _gram_schmidt_jets(code, [sigma_jet(j) for j in range(1, p + 1)])
+    elif mode == "line_fallback":
+        ejets = _gram_schmidt_jets(
+            code, [sigma_jet(1)] + [(v, zero, zero) for v in fixed])
+    elif p == 2:
+        (e1,) = _gram_schmidt_jets(code, [sigma_jet(1)])
+        # e2 is e1 turned by +90 degrees
+        ejets = [e1, tuple([-y, x] for x, y in e1)]
+    else:
+        (n,) = fixed   # the unit plane normal
+        (e1,) = _gram_schmidt_jets(code, [sigma_jet(1)])
+        code.require(f"{abs(dot(n, e1[0]))} <= 1e-08", "not_in_plane()")
+        n0, n1, n2 = n
+        e2 = tuple([n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x]
+                   for x, y, z in e1)   # n x e1
+        ejets = [e1, e2, (n, zero, zero)]
 
     e, de, dde = (list(r) for r in zip(*ejets))
     s0, s1, _ = speed
@@ -219,22 +264,30 @@ def frame_jet(path, k, lam, policy=FRENET):
         for i in range(p - 1)
     ]
 
-    if last_dde_from_fs:
+    if mode == "frenet_serret" and p > 1:
+        # sigma^(p+2) is unavailable, so e_p'' from the jet is wrong:
         # e_p' = -||sigma'|| chi_{p-1} e_{p-1}; differentiate once more
         cm, cmr = chi[p - 2], chi_rate[p - 2]
         c = -(s1 * cm + s0 * cmr)
         dde[p - 1] = [c * x - s0 * cm * dx for x, dx in zip(e[p - 2], de[p - 2])]
 
-    e, de, dde = np.array([e, de, dde])
-    return FrameJet(
-        e=e,
-        de=de,
-        dde=dde,
-        curvatures=np.array(chi),
-        curvature_rates=np.array(chi_rate),
-        speed=np.array(speed),
-        lam=lam,
-        k=k,
-        sigma=sigma,
-    )
+    values = [x for block in (e, de, dde) for row in block for x in row]
+    values += chi + chi_rate + list(speed)
+    return code.function("rows, fixed, lam", tuple(values)), dict(
+        sqrt=math.sqrt, irregular=_irregular, degenerate=_degenerate,
+        not_in_plane=_not_in_plane)
 
+
+def frame_jet(path, k, lam, policy=FRENET):
+    """Compute the frame and its first two derivatives at (k, lam).
+
+    Runs the generated frame code of the path's p and the policy's mode
+    on the curve derivatives at (k, lam).  IrregularCurveError if
+    ||sigma'|| is below 1e-12 or NaN, DegenerateFrameError (with the
+    vector's ``index``) if a Gram-Schmidt residual is below 1e-10 or NaN.
+    """
+    p = path.output_dim
+    lam = float(lam)
+    frame = codegen.kernel(_frame_code, p, policy.mode)
+    rows = path.jet_unchecked(k, lam, p + 1).tolist()
+    return FrameJet(k, lam, rows, frame(rows, _completion_vectors(policy, p), lam))

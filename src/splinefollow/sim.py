@@ -473,7 +473,8 @@ def _zero_dynamics_field(system, path, gains, limits, ps):
         u = control.command(lin, st.q, control.ControllerState(), gains,
                             PORTRAIT_REDUNDANCY, limits,
                             dt=PORTRAIT_DT, t=0.0)[0]
-        return np.array([zeta[1], float(system.Z[0] @ (lin.f_v + lin.g_v @ u))])
+        qdd = np.array(lin.f_v) + np.array(lin.g_v) @ u
+        return np.array([zeta[1], float(system.Z[0] @ qdd)])
 
     return field
 

@@ -8,39 +8,42 @@ differentiation of (eta_1, xi_1) along the dynamics yields the drift
 vector alpha and decoupling matrix beta that render the virtual input
 v = alpha + beta u exactly the second derivatives of those coordinates.
 
-``linearize`` runs once per control period on lists of Python floats,
-fed by the plant's compiled ``kinematics`` call and the float frame jet.
+``linearize`` runs once per control period, on Python floats: the
+plant's compiled ``kinematics`` call, the frame jet and the affine
+dynamics feed one straight-line function, generated at first use for
+the plant's N and the path's p from the arithmetic written out in
+``_linearize_code``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import frames
+from . import codegen, frames
 from .dynamics import drift_and_input
 from .frames import dot
 
 
 @dataclass(frozen=True)
 class TransformedState:
-    """Path coordinates of one mechanical state."""
+    """Path coordinates of one mechanical state, as Python floats."""
 
-    eta: np.ndarray            # (2,): arclength, tangential speed
-    xi: np.ndarray             # (2, p-1): rows are offsets, offset rates
-    zeta: np.ndarray           # (2N - 2p,)
+    eta: list                  # 2: arclength, tangential speed
+    xi: list                   # 2 lists of p - 1: offsets, offset rates
+    zeta: list                 # 2N - 2p
     k_star: int
     lambda_star: float
 
 
 @dataclass(frozen=True)
 class LinearizationData:
-    """Quantities needed by the control layer at one state."""
+    """Quantities needed by the control layer at one state, as Python floats."""
 
     transformed: TransformedState
-    alpha: np.ndarray          # (p,): drift of (eta_1'', xi_1'')
-    beta: np.ndarray           # (p, N): decoupling matrix
-    f_v: np.ndarray            # qdd = f_v + g_v u
-    g_v: np.ndarray
+    alpha: list                # p: drift of (eta_1'', xi_1'')
+    beta: list                 # p rows of N: decoupling matrix
+    f_v: list                  # qdd = f_v + g_v u; N
+    g_v: list                  # N rows of N
 
 
 def path_arclength(path, k, lam):
@@ -48,40 +51,32 @@ def path_arclength(path, k, lam):
     return float(path.arclength_offsets[k] + path.arclength_interp(k, lam))
 
 
-def linearize(system, state, path, proj_state, policy=frames.FRENET,
-              kinematics=None):
-    """Path coordinates, drift alpha and decoupling beta at one state.
+def _linearize_code(p, N):
+    """Source of ``f(rows, frame, kinematics, qd, f_v, g_v)``.
 
-    Row 0 corresponds to eta_1'' and rows 1..p-1 to the transversal
-    offsets xi_1''.  beta is the matrix multiplying u in those second
-    derivatives; it loses rank exactly where the transform degenerates.
-    ``kinematics`` is the plant's call (h, J, d(J qd)/dq) at ``state``,
-    made here when not given.  The arithmetic runs on Python floats.
+    The arguments are the FrameJet's rows and values, the plant's
+    (h, J, d(J qd)/dq), the velocity and the affine dynamics
+    qdd = f_v + g_v u; the function returns (eta_2, xi, alpha, beta).
     """
-    fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
-    qd = state.qd.tolist()
-    if kinematics is None:
-        kinematics = system.kinematics(state.q.tolist(), qd)
-    y, J, dJqd_dq = kinematics
-    offset = [a - b for a, b in zip(y, fj.sigma[0].tolist())]
-    Jqd = [dot(row, qd) for row in J]
-    e, de, dde = fj.e.tolist(), fj.de.tolist(), fj.dde.tolist()
-    speed = fj.speed[0].item()
+    code = codegen.Recorder()
+    sigma = code.unpack("rows", (p + 2, p))
+    e, de, dde, _, _, (speed, _, _) = frames._parts(
+        code.unpack("frame", (3 * p * p + 2 * p + 1,)), p)
+    code.source("y, J, dJqd_dq = kinematics")
+    y, J, dJqd_dq = (code.unpack("y", (p,)), code.unpack("J", (p, N)),
+                     code.unpack("dJqd_dq", (p, N)))
+    qd, f_v = code.unpack("qd", (N,)), code.unpack("f_v", (N,))
+    g_v = code.unpack("g_v", (N, N))
 
-    # (eta, xi, zeta) at the frame's path point (fj.k, fj.lam)
+    offset = [a - b for a, b in zip(y, sigma[0])]
+    Jqd = [dot(row, qd) for row in J]
+
+    # (eta, xi) at the frame's path point
     eta2 = dot(e[0], Jqd)
     lam_rate = eta2 / speed     # d lambda* / dt on the path
     xi = [[dot(ej, offset) for ej in e[1:]],
           [lam_rate * dot(dej, offset) + dot(ej, Jqd)
            for ej, dej in zip(e[1:], de[1:])]]
-    transformed = TransformedState(
-        eta=np.array([path_arclength(path, fj.k, fj.lam), eta2]),
-        xi=np.array(xi),
-        zeta=system.completion(state),
-        k_star=fj.k,
-        lambda_star=fj.lam,
-    )
-    f_v, g_v = drift_and_input(system, state)
 
     # d(J qd)/dt along the drift
     accel_drift = [dot(row, qd) + dot(Ja, f_v) for row, Ja in zip(dJqd_dq, J)]
@@ -89,7 +84,7 @@ def linearize(system, state, path, proj_state, policy=frames.FRENET,
     # tangential channel
     lf2_eta1 = lam_rate * dot(de[0], Jqd) + dot(e[0], accel_drift)
 
-    sig1, sig2 = fj.sigma[1:3].tolist()
+    sig1, sig2 = sigma[1:3]
     # d/dt of lam_rate along the drift, input-independent part
     lam_rate_drift = lf2_eta1 / speed - eta2**2 * dot(sig1, sig2) / speed**4
 
@@ -107,11 +102,36 @@ def linearize(system, state, path, proj_state, policy=frames.FRENET,
         )
         weights.append([a_j * t + x for t, x in zip(e[0], ej)])
     beta = [[dot(w, col) for col in Jg_cols] for w in weights]
+    return code.function("rows, frame, kinematics, qd, f_v, g_v",
+                         (eta2, xi, alpha, beta)), {}
 
-    return LinearizationData(
-        transformed=transformed, alpha=np.array(alpha), beta=np.array(beta),
-        f_v=np.array(f_v), g_v=np.array(g_v),
+
+def linearize(system, state, path, proj_state, policy=frames.FRENET,
+              kinematics=None):
+    """Path coordinates, drift alpha and decoupling beta at one state.
+
+    Row 0 corresponds to eta_1'' and rows 1..p-1 to the transversal
+    offsets xi_1''.  beta is the matrix multiplying u in those second
+    derivatives; it loses rank exactly where the transform degenerates.
+    ``kinematics`` is the plant's call (h, J, d(J qd)/dq) at ``state``,
+    made here when not given.
+    """
+    fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
+    qd = state.qd.tolist()
+    if kinematics is None:
+        kinematics = system.kinematics(state.q.tolist(), qd)
+    f_v, g_v = drift_and_input(system, state)
+    eta2, xi, alpha, beta = codegen.kernel(_linearize_code, system.p, system.N)(
+        fj.rows, fj.values, kinematics, qd, f_v, g_v)
+    transformed = TransformedState(
+        eta=[path_arclength(path, fj.k, fj.lam), eta2],
+        xi=xi,
+        zeta=system.completion(state),
+        k_star=fj.k,
+        lambda_star=fj.lam,
     )
+    return LinearizationData(transformed=transformed, alpha=alpha, beta=beta,
+                             f_v=f_v, g_v=g_v)
 
 
 @dataclass(frozen=True)

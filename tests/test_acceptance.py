@@ -202,8 +202,8 @@ def test_criterion_4_junction_continuity(capsys, wavy_path, example2):
             )
             v = np.concatenate([[v_eta], control.transversal_v(T.xi, gains)])
             r = control.bias_r(st.q, limits)
-            u = control.resolve_input(lin.alpha, lin.beta, v, r)
-            outs.append((np.concatenate([T.eta, T.xi.ravel(), T.zeta]), u))
+            u = np.array(control.resolve_input(lin.alpha, lin.beta, v, r))
+            outs.append((np.concatenate([T.eta, np.ravel(T.xi), T.zeta]), u))
         worst_T = max(worst_T, float(np.abs(outs[0][0] - outs[1][0]).max()))
         du = np.abs(outs[0][1] - outs[1][1]).max()
         worst_u = max(worst_u, float(du / np.abs(outs[0][1]).max()))

@@ -169,6 +169,19 @@ class TestRun:
         assert "validation failure" in err
         assert repr(key) in err
 
+    @pytest.mark.parametrize("normal", [[0.0, 0.0, 0.0], [0.0, float("nan"), 1.0]],
+                             ids=["zero", "nan"])
+    def test_bad_plane_normal_is_validation_failure(self, tmp_path, capsys,
+                                                    normal):
+        scen = json.loads((SCENARIOS / "twisted_loop_4dof.json").read_text())
+        scen.update(frame_mode="planar_fallback", frame_fixed=[normal])
+        f = tmp_path / "normal.json"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "validation failure: completion vector 0" in err
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         # one period of 1e20 s: the state overflows during the integration
         scenario = str(SCENARIOS / "two_mass_line.json")

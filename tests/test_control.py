@@ -10,6 +10,7 @@ from splinefollow.errors import NearSingularDecouplingError, ParameterError
 
 def _kkt_oracle(alpha, beta, v, r, W):
     """Solve min (u-r)' W (u-r) s.t. beta u = v - alpha via the KKT system."""
+    alpha, beta, v, r = (np.asarray(x, dtype=float) for x in (alpha, beta, v, r))
     p, N = beta.shape
     K = np.block([[W, beta.T], [beta, np.zeros((p, p))]])
     rhs = np.concatenate([W @ r, v - alpha])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from splinefollow import curves, frames
-from splinefollow.errors import DegenerateFrameError
+from splinefollow.errors import DegenerateFrameError, IrregularCurveError
 
 def _fs_coefficient_matrix(curvatures, speed):
     """Skew-symmetric tridiagonal matrix of the generalized FS equations."""
@@ -98,7 +98,8 @@ def _reference_frame_jet(path, k, lam, policy):
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         ejets = [e1, e1 @ rot.T]
     else:
-        n_vec = policy.fixed_vectors[0] / np.linalg.norm(policy.fixed_vectors[0])
+        n_vec = np.asarray(policy.fixed_vectors[0])
+        n_vec = n_vec / np.linalg.norm(n_vec)
         (e1,) = _gram_schmidt_jets([sigma_jet(1)])
         e2 = np.stack([np.cross(n_vec, e1[i]) for i in range(3)])
         ejets = [e1, e2, _const_jet(n_vec, p)]
@@ -221,10 +222,15 @@ class TestNumpyReference:
                                     fixed_vectors=([0.0, 0.0, 1.0], [0.0, 1.0, 0.0]))),
         ("circle", frames.FramePolicy(mode="planar_fallback",
                                       fixed_vectors=([0.3, -0.2, 1.0],))),
+        ("line1d", frames.FRENET),
+        ("wavy_path", frames.FramePolicy(mode="line_fallback",
+                                         fixed_vectors=([0.0, 1.0],))),
     ])
     def test_matches_numpy_jets(self, fixture, policy, request):
         if fixture == "line":
             path = self.LINE
+        elif fixture == "line1d":   # a 1-D output whose speed varies
+            path = curves.fit_spline(np.array([[0.0], [0.3], [1.1], [1.5], [2.6]]))
         elif fixture == "circle":   # a circle in the plane normal to (0.3, -0.2, 1)
             n = np.array([0.3, -0.2, 1.0]) / np.linalg.norm([0.3, -0.2, 1.0])
             a = np.cross(n, [1.0, 0.0, 0.0])
@@ -323,3 +329,50 @@ class TestFallbacks:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             frames.FramePolicy(mode="parallel_transport")
+
+    @pytest.mark.parametrize("mode", ["planar_fallback", "line_fallback"])
+    @pytest.mark.parametrize("vector", [
+        [0.0, 0.0, 0.0], [0.0, np.nan, 1.0], [np.inf, 0.0, 0.0], [[1.0, 0.0, 0.0]],
+    ], ids=["zero", "nan", "inf", "nested"])
+    def test_bad_completion_vector_rejected(self, mode, vector):
+        with pytest.raises(ValueError, match="completion vector 0"):
+            frames.FramePolicy(mode=mode, fixed_vectors=(vector,))
+
+    def test_plane_normal_normalized_once(self):
+        """The policy holds the unit normal, computed as the frame code did."""
+        n = [0.3, -0.2, 1.0]
+        norm = np.sqrt(0.3 * 0.3 + -0.2 * -0.2 + 1.0 * 1.0)
+        policy = frames.FramePolicy(mode="planar_fallback", fixed_vectors=(n,))
+        assert policy.fixed_vectors == (tuple(x / norm for x in n),)
+        line = frames.FramePolicy(mode="line_fallback", fixed_vectors=(n,))
+        assert line.fixed_vectors == (tuple(n),)
+
+
+def _circle_nan_at(bad_lam, orders):
+    """A unit circle whose derivatives of the given orders are NaN at bad_lam."""
+
+    def fn(lam, order):
+        if np.isscalar(lam) and lam == bad_lam and order in orders:
+            return [np.nan, np.nan]
+        c, s = np.cos(lam), np.sin(lam)
+        return np.stack([(c, s), (-s, c), (-c, -s), (s, -c)][order % 4], axis=-1)
+
+    return curves.SplinePath([curves.CallbackSegment(fn, (0.0, 3.0), 2)])
+
+
+class TestNonFiniteCurve:
+    """A NaN curve derivative fails the regularity or degeneracy check."""
+
+    @pytest.mark.parametrize("policy", [
+        frames.FRENET, frames.FramePolicy(mode="planar_fallback")])
+    def test_nan_curve_is_irregular(self, policy):
+        path = _circle_nan_at(1.5, range(4))
+        frames.frame_jet(path, 0, 1.4, policy)
+        with pytest.raises(IrregularCurveError, match="nan"):
+            frames.frame_jet(path, 0, 1.5, policy)
+
+    def test_nan_curvature_is_degenerate(self):
+        path = _circle_nan_at(1.5, (2,))
+        with pytest.raises(DegenerateFrameError) as exc:
+            frames.frame_jet(path, 0, 1.5)
+        assert exc.value.index == 2

@@ -8,7 +8,7 @@ import pytest
 
 from pathlib import Path
 
-from splinefollow import control, curves, dynamics, projection, sim
+from splinefollow import codegen, control, curves, dynamics, projection, sim
 from splinefollow.dynamics import State
 from splinefollow.errors import (
     DivergenceError,
@@ -257,6 +257,32 @@ class TestRun:
         log = sim.run(scen, system=counted)
         assert len(log.t) == 50
         assert len(calls) == len(log.t) + 1
+
+    def test_control_code_generated_once(self, monkeypatch):
+        """Two consecutive 50-period figure-eight runs: the first generates
+        the frame, linearization and input-resolution code of its (p, N,
+        frame mode) once each, the second generates nothing."""
+        labels = []
+        compiled = codegen.compiled
+
+        def counted(source, label="generated", **names):
+            labels.append(label)
+            return compiled(source, label, **names)
+
+        scen = sim.Scenario.from_file(SCENARIOS / "figure_eight_3r.json")
+        scen.duration = 50 * scen.dt
+        system, path = dynamics.make_example2(), sim._build_path(scen.path_spec)
+        codegen.kernel.cache_clear()
+        monkeypatch.setattr(codegen, "compiled", counted)
+        log = sim.run(scen, path=path, system=system)
+        first = list(labels)
+        sim.run(scen, path=path, system=system)
+        assert len(log.t) == 50
+        for label in ("_frame_code(2, 'planar_fallback')", "_linearize_code(2, 3)",
+                      "_resolve_code(2, 3, False)"):
+            assert first.count(label) == 1, first
+        assert len(set(first)) == len(first)
+        assert labels == first
 
     def test_quantized_measurement(self):
         scen = _example1_scenario(encoder_resolution=np.array([1e-4, 1e-4]))
