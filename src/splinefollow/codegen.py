@@ -1,8 +1,8 @@
 """Straight-line float code, recorded from the arithmetic that defines it.
 
 The control period's arithmetic is written once, as plain Python on
-sequences of numbers: the frame jets, the linearization and the input
-resolution.  Run on ``Var`` inputs, each operator records one
+sequences of numbers: the curve and frame jets, the linearization and
+the input resolution.  Run on ``Var`` inputs, each operator records one
 assignment of the code that computes its result, so the code does the
 float operations of the written arithmetic in the same order.  A
 ``Recorder`` writes its record as the body of one function with no

@@ -142,9 +142,8 @@ def bias_r(x_c, limits):
     """
     return [
         -(hu - lu) / (hq - lq) * (x - lq) + hu
-        for x, lq, hq, lu, hu in zip(
-            np.asarray(x_c, dtype=float).tolist(), limits.q_min.tolist(),
-            limits.q_max.tolist(), limits.u_min.tolist(), limits.u_max.tolist())
+        for x, lq, hq, lu, hu in zip(np.asarray(x_c, dtype=float).tolist(),
+                                     *limits.floats)
     ]
 
 
@@ -222,17 +221,18 @@ def tangential_v(eta, ctrl_state, gains, dt, t=0.0):
 
 
 def transversal_v(xi, gains):
-    """Transversal virtual input, as a list, from the stacked (xi_1; xi_2).
+    """Transversal virtual input, as a list, from (xi_1, xi_2).
 
-    The PD gains repeat cyclically over the p - 1 components.
+    ``xi`` is the linearization's two lists of p - 1 floats, offsets and
+    offset rates.  The PD gains repeat cyclically over the p - 1
+    components.
     """
-    xi = np.asarray(xi, dtype=float).reshape(2, -1)
     if gains.transversal_mode == "pd":
         Kp, Kd = gains.xi_Kp, gains.xi_Kd
         return [-Kp[i % len(Kp)] * x1 - Kd[i % len(Kd)] * x2
-                for i, (x1, x2) in enumerate(zip(*xi.tolist()))]
+                for i, (x1, x2) in enumerate(zip(*xi))]
     # robust mode operates on the interleaved vector (xi_1^1, xi_2^1, ...)
-    z = xi.T.ravel()
+    z = np.asarray(xi, dtype=float).reshape(2, -1).T.ravel()
     KK0, K1, K2 = gains.robust_matrices
     lin = KK0 @ z
     nz = math.sqrt(z @ z)
@@ -280,8 +280,7 @@ def command(lin, q, ctrl_state, gains, redundancy, limits, dt, t):
     else:
         r = [0.0] * len(lin.beta[0])
     u = resolve_input(lin.alpha, lin.beta, v, r, redundancy.W)
-    clamped = [min(max(x, lo), hi) for x, lo, hi in zip(
-        u, limits.u_min.tolist(), limits.u_max.tolist())]
+    clamped = [min(max(x, lo), hi) for x, lo, hi in zip(u, *limits.floats[2:])]
     return clamped, u, v, ctrl_state
 
 

@@ -5,18 +5,26 @@ parameter interval.  Fitted segments are polynomials in the chord-length
 parameter; analytic curves (circles, ellipses, ...) plug into the same
 pipeline through :class:`CallbackSegment`.
 
+At one lambda, a segment's ``jet`` returns the derivatives 0..r as
+lists of p floats: for polynomial segments, straight-line Horner code
+generated by ``codegen`` once per (p, ncoef, r).  Over many lambda,
+``evaluate`` is numpy.
+
 Arclength is the integral of the speed ||sigma'|| by composite
 Gauss-Legendre quadrature: one table per segment, built once with the
 path, holds s_k at every node of a uniform grid, and ``arclength``
 adds the same rule over the remainder past the grid node below lambda.
-The module needs numpy only.
+``arclength_interp`` interpolates the table on floats.  The module
+needs numpy only.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import perm
 
 import numpy as np
 
+from . import codegen
 from .errors import (
     DegenerateChordError,
     DomainError,
@@ -63,9 +71,11 @@ class PolynomialSegment:
     Derivatives come from a table built once at construction: entry
     ``[r, :, j]`` is the coefficient of lambda^j in d^r sigma / d lambda^r,
     with the falling factorial i!/(i-r)! of the source power i = j + r
-    folded in.  One derivative is then a single (p, ncoef) matrix-vector
-    product against the power vector (1, lambda, lambda^2, ...).  Orders
-    at or above ncoef are zero and have no table entry.
+    folded in.  Over many lambda, one derivative is a (p, ncoef)
+    matrix product against the powers of lambda.  At one lambda, ``jet``
+    runs the Horner evaluation of the table's rows as straight-line
+    float code.  Orders at or above ncoef are zero and have no table
+    entry.
     """
 
     def __init__(self, coeffs, domain):
@@ -77,32 +87,59 @@ class PolynomialSegment:
             raise DomainError(f"degenerate segment domain [{lo}, {hi}]")
         self.domain = (lo, hi)
         self.dim, ncoef = self.coeffs.shape
-        self._powers = np.arange(ncoef, dtype=float)
         table = np.zeros((ncoef, self.dim, ncoef))
         for r in range(ncoef):
             fac = [perm(i, r) for i in range(r, ncoef)]
             table[r, :, : ncoef - r] = self.coeffs[:, r:] * fac
         self._table = table
+        # the table's nonzero entries in the order _jet_code reads them
+        self._flat = tuple(np.concatenate(
+            [table[r, :, : ncoef - r].ravel() for r in range(ncoef)]).tolist())
 
     def evaluate(self, lam, order=0):
         """Evaluate d^order sigma / d lambda^order; no domain check."""
-        if order >= len(self._table):
-            shape = (self.dim,) if np.isscalar(lam) else (np.size(lam), self.dim)
-            return np.zeros(shape)
         if np.isscalar(lam):
-            return self._table[order] @ (float(lam) ** self._powers)
+            return np.array(self.row(lam, order))
+        ncoef = len(self._table)
+        if order >= ncoef:
+            return np.zeros((np.size(lam), self.dim))
         lams = np.asarray(lam, dtype=float).reshape(-1, 1)
-        return (lams**self._powers) @ self._table[order].T
+        return (lams ** np.arange(ncoef)) @ self._table[order].T
 
     def jet(self, lam, max_order):
-        """Derivatives 0..max_order at scalar lam, shape (max_order + 1, p)."""
-        out = self._table[: max_order + 1] @ (float(lam) ** self._powers)
-        if len(out) <= max_order:
-            out = np.vstack([out, np.zeros((max_order + 1 - len(out), self.dim))])
-        return out
+        """Derivatives 0..max_order at scalar lam: max_order + 1 lists of p floats."""
+        return codegen.kernel(_jet_code, self.dim, len(self._table), max_order)(
+            self._flat, float(lam))
+
+    def row(self, lam, order):
+        """d^order sigma / d lambda^order at scalar lam, as a list of p floats."""
+        return self.jet(lam, order)[order]
 
     def to_dict(self):
         return {"coeffs": self.coeffs.tolist(), "domain": list(self.domain)}
+
+
+def _jet_code(p, ncoef, r):
+    """Source of ``f(c, lam)``, the derivatives 0..r of a segment at lam.
+
+    ``c`` is the segment's flattened table: order by order, the p rows
+    of the ncoef - order coefficients of that order.  Each row is one
+    Horner evaluation; orders at or above ncoef are rows of zeros.
+    """
+    code = codegen.Recorder()
+    lam = codegen.Var(code, "lam")
+    coef = iter(code.unpack("c", (p * ncoef * (ncoef + 1) // 2,)))
+    rows = []
+    for order in range(min(r + 1, ncoef)):
+        row = []
+        for _ in range(p):
+            *rest, value = [next(coef) for _ in range(ncoef - order)]
+            for c in reversed(rest):
+                value = value * lam + c
+            row.append(value)
+        rows.append(row)
+    rows += [[0.0] * p for _ in range(r + 1 - len(rows))]
+    return code.function("c, lam", rows), {}
 
 
 class CallbackSegment:
@@ -128,10 +165,15 @@ class CallbackSegment:
         return out.reshape(len(np.atleast_1d(lam)), self.dim)
 
     def jet(self, lam, max_order):
-        """Derivatives 0..max_order at scalar lam, shape (max_order + 1, p)."""
+        """Derivatives 0..max_order at scalar lam: max_order + 1 lists of p floats."""
         lam = float(lam)
         return np.array([self.fn(lam, r) for r in range(max_order + 1)],
-                        dtype=float).reshape(max_order + 1, self.dim)
+                        dtype=float).reshape(max_order + 1, self.dim).tolist()
+
+    def row(self, lam, order):
+        """d^order sigma / d lambda^order at scalar lam, as a list of p floats."""
+        return np.asarray(self.fn(float(lam), order), dtype=float).reshape(
+            self.dim).tolist()
 
     def to_dict(self):
         raise TypeError("callback segments are not serializable")
@@ -169,10 +211,11 @@ class SplinePath:
 
     @staticmethod
     def _arc_table(seg):
-        """Arclength table (grid, s) of one segment: s at every grid node."""
+        """Arclength table (grid, s) of one segment: s at every grid node,
+        as memoryviews of float arrays."""
         grid = np.linspace(*seg.domain, ARC_GRID)
         cells = _gauss_legendre(seg, grid[:-1], np.diff(grid))
-        return grid, np.concatenate(([0.0], np.cumsum(cells)))
+        return memoryview(grid), memoryview(np.concatenate(([0.0], np.cumsum(cells))))
 
     def arclength(self, k, lam):
         """Arclength s_k(lam) from the segment start.
@@ -184,9 +227,8 @@ class SplinePath:
         self._check_domain(seg, lam)
         grid, cum = self._arc_tables[k]
         lam = float(lam)
-        i = int(np.clip(np.searchsorted(grid, lam, side="right") - 1,
-                        0, len(grid) - 2))
-        rest = _gauss_legendre(seg, grid[i:i + 1], np.array([lam - grid[i]]))
+        i = min(max(bisect_right(grid, lam) - 1, 0), len(grid) - 2)
+        rest = _gauss_legendre(seg, np.array([grid[i]]), np.array([lam - grid[i]]))
         return float(cum[i] + rest[0])
 
     def arclength_interp(self, k, lam):
@@ -194,10 +236,18 @@ class SplinePath:
 
         Exact at the grid nodes; between them it errs by at most
         h^2/8 max |d||sigma'||/dlambda| for the grid spacing h (3e-9 on the
-        fitted figure-eight).  The control loop queries this every step.
+        fitted figure-eight).  The control loop queries this every step,
+        so it does np.interp's float arithmetic on the table itself:
+        clamped to the end values outside the grid, NaN at NaN.
         """
         grid, cum = self._arc_tables[k]
-        return float(np.interp(lam, grid, cum))
+        j = bisect_right(grid, lam) - 1
+        if j < 0:
+            return cum[0]
+        if j == len(grid) - 1:   # at or past the last node, or NaN
+            return cum[j] if lam == lam else lam
+        slope = (cum[j + 1] - cum[j]) / (grid[j + 1] - grid[j])
+        return slope * (lam - grid[j]) + cum[j]
 
     def evaluate(self, k, lam, order=0):
         """Evaluate d^order sigma_k / d lambda^order with domain checks."""
@@ -210,11 +260,17 @@ class SplinePath:
         return seg.evaluate(lam, order)
 
     def evaluate_unchecked(self, k, lam, order=0):
-        """Evaluate extrapolating outside the domain (projection internals)."""
+        """Evaluate extrapolating outside the domain (projection internals).
+
+        At a scalar lam the result is a list of p floats.
+        """
+        if np.isscalar(lam):
+            return self.segments[k].row(lam, order)
         return self.segments[k].evaluate(lam, order)
 
     def jet_unchecked(self, k, lam, max_order):
-        """Derivatives 0..max_order of sigma_k at scalar lam, no domain check."""
+        """Derivatives 0..max_order of sigma_k at scalar lam, no domain check:
+        max_order + 1 lists of p floats."""
         return self.segments[k].jet(lam, max_order)
 
     @staticmethod

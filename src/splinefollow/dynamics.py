@@ -51,18 +51,26 @@ class State:
 
 @dataclass(frozen=True)
 class Limits:
-    """Per-joint configuration windows and per-input actuation windows."""
+    """Per-joint configuration windows and per-input actuation windows.
+
+    ``floats`` holds (q_min, q_max, u_min, u_max) as lists of floats,
+    converted once at construction, for the control period.
+    """
 
     q_min: np.ndarray
     q_max: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
+    floats: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("q_min", "q_max", "u_min", "u_max"):
+        names = ("q_min", "q_max", "u_min", "u_max")
+        for name in names:
             object.__setattr__(self, name, np.asarray(getattr(self, name), float))
         if np.any(self.q_min >= self.q_max) or np.any(self.u_min >= self.u_max):
             raise ParameterError("limit windows must satisfy min < max")
+        object.__setattr__(self, "floats",
+                           tuple(getattr(self, name).tolist() for name in names))
 
 
 @dataclass

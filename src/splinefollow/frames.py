@@ -15,7 +15,8 @@ completion modes.
 written once, below, and runs on the recorded variables of ``codegen``:
 for each output dimension p and completion mode it becomes one
 straight-line function of Python floats, generated at first use.  A
-curve derivative that is NaN fails the regularity and degeneracy checks.
+curve derivative that is NaN or infinite fails the regularity, the
+degeneracy or, last, the finiteness check of the returned values.
 """
 
 import math
@@ -208,6 +209,11 @@ def _degenerate(index, norm):
                                f"(norm {norm:.3e})", index=index)
 
 
+def _not_finite(lam, mode, p):
+    raise DegenerateFrameError(f"the {mode} frame (p = {p}) at lambda = {lam} has "
+                               "values that are not finite")
+
+
 def _not_in_plane():
     raise DegenerateFrameError(
         "tangent is not orthogonal to the supplied plane normal", index=2)
@@ -273,9 +279,13 @@ def _frame_code(p, mode):
 
     values = [x for block in (e, de, dde) for row in block for x in row]
     values += chi + chi_rate + list(speed)
+    # a NaN or an infinity in any value makes their sum NaN or infinite
+    total = " + ".join(dict.fromkeys(
+        format(x) for x in values if isinstance(x, codegen.Var)))
+    code.require(f"isfinite({total})", f"not_finite(lam, {mode!r}, {p})")
     return code.function("rows, fixed, lam", tuple(values)), dict(
-        sqrt=math.sqrt, irregular=_irregular, degenerate=_degenerate,
-        not_in_plane=_not_in_plane)
+        sqrt=math.sqrt, isfinite=math.isfinite, irregular=_irregular,
+        degenerate=_degenerate, not_in_plane=_not_in_plane, not_finite=_not_finite)
 
 
 def frame_jet(path, k, lam, policy=FRENET):
@@ -284,10 +294,12 @@ def frame_jet(path, k, lam, policy=FRENET):
     Runs the generated frame code of the path's p and the policy's mode
     on the curve derivatives at (k, lam).  IrregularCurveError if
     ||sigma'|| is below 1e-12 or NaN, DegenerateFrameError (with the
-    vector's ``index``) if a Gram-Schmidt residual is below 1e-10 or NaN.
+    vector's ``index``) if a Gram-Schmidt residual is below 1e-10 or NaN,
+    and DegenerateFrameError (index None, naming lam and the frame) if
+    any returned value is not finite.
     """
     p = path.output_dim
     lam = float(lam)
     frame = codegen.kernel(_frame_code, p, policy.mode)
-    rows = path.jet_unchecked(k, lam, p + 1).tolist()
+    rows = path.jet_unchecked(k, lam, p + 1)
     return FrameJet(k, lam, rows, frame(rows, _completion_vectors(policy, p), lam))

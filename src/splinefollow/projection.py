@@ -7,13 +7,21 @@ step size.  Both search only the incumbent segment, and no Newton step is
 longer than the descent's first probe, so tracking does not jump branch
 at self-intersections; segment hand-off happens only when lambda* leaves
 the current domain.
+
+The per-step search runs on Python floats: the curve rows come from the
+segments' generated jet code, and the differences, inner products,
+norm and sign of each iterate are float arithmetic.  The global
+initializer and the window analysis evaluate many lambda at once with
+numpy.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NonConvergenceError
+from .frames import dot
 
 ON_PATH_TOL = 1e-12  # below this distance, descend on the squared distance
 GROW, SHRINK = 1.2, 0.5  # descent step factors after a success / a failure
@@ -46,12 +54,12 @@ class ProjectionState:
 def _objective_and_gradient(path, k, lam, y):
     sigma = path.evaluate_unchecked(k, lam, 0)
     dsigma = path.evaluate_unchecked(k, lam, 1)
-    diff = y - sigma
-    dist = np.linalg.norm(diff)
+    diff = [a - b for a, b in zip(y, sigma)]
+    dist = math.sqrt(dot(diff, diff))
     if dist < ON_PATH_TOL:
         # the norm is not differentiable on the path; use squared distance
-        return dist, -2.0 * (diff @ dsigma)
-    return dist, -(diff @ dsigma) / dist
+        return dist, -2.0 * dot(diff, dsigma)
+    return dist, -dot(diff, dsigma) / dist
 
 
 def _newton(path, k, lam, y, cfg):
@@ -68,22 +76,22 @@ def _newton(path, k, lam, y, cfg):
     iterate.
     """
     lo, hi = path.segments[k].domain
-    sig = path.jet_unchecked(k, lam, 2)
-    diff = sig[0] - y
-    dist2 = diff @ diff
+    s0, s1, s2 = path.jet_unchecked(k, lam, 2)
+    diff = [a - b for a, b in zip(s0, y)]
+    dist2 = dot(diff, diff)
     iters = 0
     while iters < cfg.max_iters:
-        gp = sig[1] @ sig[1] + diff @ sig[2]
+        gp = dot(s1, s1) + dot(diff, s2)
         if not gp > 0.0:
             break
-        step = (diff @ sig[1]) / gp
+        step = dot(diff, s1) / gp
         lam_new = lam - step
         if abs(step) > cfg.alpha0 or not lo <= lam_new <= hi:
             break
         iters += 1
-        sig_new = path.jet_unchecked(k, lam_new, 2)
-        diff_new = sig_new[0] - y
-        dist2_new = diff_new @ diff_new
+        t0, t1, t2 = path.jet_unchecked(k, lam_new, 2)
+        diff_new = [a - b for a, b in zip(t0, y)]
+        dist2_new = dot(diff_new, diff_new)
         if abs(step) < cfg.eps:
             # converged; a sub-eps step that rounding made look uphill
             # is simply not taken
@@ -92,7 +100,7 @@ def _newton(path, k, lam, y, cfg):
             return lam, iters, True
         if dist2_new > dist2:
             break
-        lam, sig, diff, dist2 = lam_new, sig_new, diff_new, dist2_new
+        lam, s1, s2, diff, dist2 = lam_new, t1, t2, diff_new, dist2_new
     return lam, iters, False
 
 
@@ -107,12 +115,11 @@ def update(state, path, y, cfg):
     Raises NonConvergenceError (carrying the best state so far) if the
     iteration cap is hit.
     """
-    y = np.asarray(y, dtype=float)
+    y = [float(x) for x in y]
     k = state.k_star
-    lam, iters, converged = _newton(path, k, state.lambda_star, y, cfg)
+    lam, iters, converged = _newton(path, k, float(state.lambda_star), y, cfg)
     if converged:
-        return ProjectionState(k_star=k, lambda_star=float(lam),
-                               last_iterations=iters)
+        return ProjectionState(k_star=k, lambda_star=lam, last_iterations=iters)
     alpha = cfg.alpha0
     clamped = False
 
@@ -126,8 +133,10 @@ def update(state, path, y, cfg):
                                   last_iterations=iters),
                 )
             iters += 1
-            # exactly-zero gradient (ridge between branches): nudge forward
-            direction = np.sign(grad) if grad != 0.0 else -1.0
+            # the sign of the gradient, NaN at NaN; an exactly-zero
+            # gradient (ridge between branches) nudges forward
+            direction = (-1.0 if grad == 0.0 else math.copysign(1.0, grad)
+                         if grad == grad else grad)
             lam_new = lam - alpha * direction
             obj_new, grad_new = _objective_and_gradient(path, k, lam_new, y)
             if obj_new < obj:
@@ -164,7 +173,7 @@ def update(state, path, y, cfg):
         # restart the descent on the new segment (Algorithm 1 re-entry)
         alpha = max(alpha, cfg.eps * 2.0)
 
-    return ProjectionState(k_star=k, lambda_star=float(lam),
+    return ProjectionState(k_star=k, lambda_star=lam,
                            last_iterations=iters, clamped=clamped)
 
 

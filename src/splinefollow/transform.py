@@ -48,7 +48,7 @@ class LinearizationData:
 
 def path_arclength(path, k, lam):
     """eta_1: arclength from the path start to sigma_k(lam)."""
-    return float(path.arclength_offsets[k] + path.arclength_interp(k, lam))
+    return path.arclength_offsets.item(k) + path.arclength_interp(k, lam)
 
 
 def _linearize_code(p, N):

@@ -1,8 +1,9 @@
 """Polynomial segment evaluation vs numpy.polynomial and a loop reference.
 
-``PolynomialSegment.evaluate`` and ``PolynomialSegment.jet`` are the
-evaluators the control loop runs; the term-by-term loop below is the
-reference they must agree with.
+``PolynomialSegment.jet`` (generated float code, one Horner evaluation
+per row) is the evaluator the control loop runs, and ``evaluate`` over
+many lambda is numpy's; the term-by-term loop below is the reference
+both must agree with.
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ def test_poly_eval_matches_polyval(rng):
     for order in range(6):
         for lam in (-1.3, 0.0, 0.4, 2.7):
             got = seg.evaluate(lam, order)
-            jet = seg.jet(lam, order)
+            jet = np.asarray(seg.jet(lam, order))
             for j in range(3):
                 c = np.polynomial.polynomial.Polynomial(coeffs[j])
                 want = c.deriv(order)(lam) if order else c(lam)
@@ -63,7 +64,7 @@ def test_order_beyond_degree_is_zero(rng):
     seg = PolynomialSegment(coeffs, (0.0, 1.0))
     assert np.all(seg.evaluate(0.7, 4) == 0.0)
     assert np.all(seg.evaluate(np.array([0.7]), 9) == 0.0)
-    jet = seg.jet(0.7, 6)
+    jet = np.asarray(seg.jet(0.7, 6))
     assert jet.shape == (7, 2)
     assert np.all(jet[4:] == 0.0)
 
@@ -89,3 +90,23 @@ def test_fallback_path_matches_active_kernels(rng):
             seg.jet(lams[0], order),
             rtol=1e-12, atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("ncoef", range(2, 11))
+def test_jet_rows_match_array_evaluate(rng, ncoef):
+    """Rows 0..r of the jet are lists of p floats equal to numpy's array
+    evaluation to 1e-13 relative, zero beyond the degree."""
+    coeffs = rng.normal(size=(3, ncoef))
+    seg = PolynomialSegment(coeffs, (0.0, 1.0))
+    lams = rng.uniform(-1.5, 1.5, size=5)
+    for r in range(ncoef + 2):
+        want = [seg.evaluate(lams, order) for order in range(r + 1)]
+        for i, lam in enumerate(lams):
+            rows = seg.jet(lam, r)
+            assert len(rows) == r + 1
+            for order, row in enumerate(rows):
+                assert all(type(x) is float for x in row) and len(row) == 3
+                if order >= ncoef:
+                    assert row == [0.0, 0.0, 0.0]
+                np.testing.assert_allclose(row, want[order][i], rtol=1e-13,
+                                           atol=1e-13 * np.abs(want[order][i]).max())

@@ -261,7 +261,8 @@ class TestRun:
     def test_control_code_generated_once(self, monkeypatch):
         """Two consecutive 50-period figure-eight runs: the first generates
         the frame, linearization and input-resolution code of its (p, N,
-        frame mode) once each, the second generates nothing."""
+        frame mode) and the segments' jets of orders 0..2 (projection) and
+        0..3 (frame) once each, the second generates nothing."""
         labels = []
         compiled = codegen.compiled
 
@@ -279,7 +280,8 @@ class TestRun:
         sim.run(scen, path=path, system=system)
         assert len(log.t) == 50
         for label in ("_frame_code(2, 'planar_fallback')", "_linearize_code(2, 3)",
-                      "_resolve_code(2, 3, False)"):
+                      "_resolve_code(2, 3, False)", "_jet_code(2, 6, 2)",
+                      "_jet_code(2, 6, 3)"):
             assert first.count(label) == 1, first
         assert len(set(first)) == len(first)
         assert labels == first
