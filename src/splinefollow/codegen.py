@@ -1,8 +1,9 @@
 """Straight-line float code, recorded from the arithmetic that defines it.
 
 The control period's arithmetic is written once, as plain Python on
-sequences of numbers: the curve and frame jets, the linearization and
-the input resolution.  Run on ``Var`` inputs, each operator records one
+sequences of numbers: the curve and frame jets, the linearization, the
+input resolution, the plant's right-hand side and Cholesky solve, and
+the RK4 substep.  Run on ``Var`` inputs, each operator records one
 assignment of the code that computes its result, so the code does the
 float operations of the written arithmetic in the same order.  A
 ``Recorder`` writes its record as the body of one function with no
@@ -11,8 +12,12 @@ never used is left out, one used once is written into its use, and an
 expression recorded twice is computed once.  ``kernel`` compiles such a
 function once per builder and key.
 
-Checks are written around the record as source text: formatting a
-``Var`` into a string gives its name and keeps it computed.
+Checks and calls are written around the record as source text:
+formatting a ``Var`` into a string gives its name and keeps it
+computed, and ``Recorder.unpack`` names the results of a call.  All
+code the package generates at run time is recorded here; only the
+plants' ``forces`` and ``kinematics`` are written ahead of time, by
+``symbolic``.
 """
 
 import math

@@ -11,9 +11,9 @@ The control pass runs once per period on lists of Python floats: the
 outer loops, the bias, and the input resolution.  The resolution's
 arithmetic, written out in ``_resolve_code``, runs as one straight-line
 function generated at first use for the plant's N and the path's p: it
-forms beta W^-1 beta', checks its conditioning with one symmetric
-eigenvalue call and solves with the plant layer's generated Cholesky
-solve.
+forms beta W^-1 beta', checks its conditioning (with one symmetric
+eigenvalue call for p >= 2) and solves with the plant layer's recorded
+Cholesky solve, written into the same function.
 """
 
 import math
@@ -163,26 +163,24 @@ def _resolve_code(p, N, weighted):
     alpha, v = code.unpack("alpha", (p,)), code.unpack("v", (p,))
     beta, r = code.unpack("beta", (p, N)), code.unpack("r", (N,))
     # rows of beta W^-1, that is columns of W^-1 beta'
-    bw = code.unpack("solve_W(W, beta, W)", (p, N), "bw") if weighted else beta
+    bw = (dynamics.cholesky_solve(code, code.unpack("W", (N, N)), beta,
+                                  "weight matrix", "W") if weighted else beta)
     M = [[dot(b, c) for c in bw] for b in beta]
-    M_text = codegen.render(M, format)
-    code.source(
-        "cond = nan\n"
-        f"if all(map(isfinite, {codegen.render(sum(M, []), format)})):\n"
-        f"    eig = [abs(x) for x in eigvalsh({M_text}).tolist()]\n"
-        "    cond = max(eig) / min(eig) if min(eig) > 0.0 else inf")
+    if p == 1:   # eigvalsh([[m]]) is [m]: |m| / |m|, or inf for m = 0
+        cond = f"cond = 1.0 if {M[0][0]} != 0.0 else inf"
+    else:
+        cond = (f"eig = [abs(x) for x in eigvalsh({codegen.render(M, format)}).tolist()]"
+                "\n    cond = max(eig) / min(eig) if min(eig) > 0.0 else inf")
+    code.source("cond = nan\n"
+                f"if all(map(isfinite, {codegen.render(sum(M, []), format)})):\n    {cond}")
     code.require(f"cond <= {CONDITION_LIMIT!r}", "near_singular(cond)")
     rhs = [vi - ai - dot(b, r) for vi, ai, b in zip(v, alpha, beta)]
-    (w,) = code.unpack(f"solve_M({M_text}, [{codegen.render(rhs, format)}], beta)",
-                       (1, p), "w")
+    (w,) = dynamics.cholesky_solve(code, M, [rhs],
+                                   "decoupling matrix beta W^-1 beta'", "beta")
     u = [ri + dot(col, w) for ri, col in zip(r, zip(*bw))]
-    names = dict(isfinite=math.isfinite, nan=math.nan, inf=math.inf,
-                 eigvalsh=np.linalg.eigvalsh, near_singular=_near_singular,
-                 solve_M=dynamics._cholesky(p, "decoupling matrix beta W^-1 beta'",
-                                            "beta"))
-    if weighted:
-        names["solve_W"] = dynamics._cholesky(N, "weight matrix", "W")
-    return code.function("alpha, beta, v, r, W", u), names
+    return code.function("alpha, beta, v, r, W", u), dict(
+        dynamics.SOLVE_NAMES, nan=math.nan, inf=math.inf,
+        eigvalsh=np.linalg.eigvalsh, near_singular=_near_singular)
 
 
 def resolve_input(alpha, beta, v, r, W=None):

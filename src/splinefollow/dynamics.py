@@ -19,13 +19,15 @@ those calls, for callers outside the loop; ``completion`` gives zeta
 as floats.
 
 ``acceleration`` and ``drift_and_input`` run on Python floats: one
-``forces`` call, then a Cholesky solve unrolled for the plant's N gives
-D^-1 times the right-hand sides.
+``forces`` call, then one generated call.  ``_plant_code`` records the
+right-hand side A u - Bd qd - (C qd + G) and the Cholesky solve of D,
+``cholesky_solve``, with ``codegen``'s recorder into one straight-line
+function per plant and use; the control layer records its two solves
+with the same ``cholesky_solve``.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -77,9 +79,9 @@ class Limits:
 class MechanicalSystem:
     """Evaluator bundle for one plant; immutable in practice.
 
-    The float columns of A, ``rhs(u, qd, bias)`` = A u - Bd qd - bias
-    and the inertia solve are set at construction, for ``acceleration``
-    and ``drift_and_input``.  D, G, h, J and dJ_dq evaluate the compiled
+    ``solves`` holds the generated solves of ``acceleration`` and
+    ``drift_and_input``, with A and Bd written into them; each is
+    compiled at first use.  D, G, h, J and dJ_dq evaluate the compiled
     calls at rest (qd = 0) or along unit velocities and return arrays.
     """
 
@@ -92,14 +94,10 @@ class MechanicalSystem:
     forces: callable       # q, qd floats -> (rows of D, entries of C qd + G)
     kinematics: callable   # q, qd floats -> (h, rows of J, rows of d(J qd)/dq)
     default_limits: Limits = None
-    A_cols: list = field(init=False, repr=False)
-    rhs: callable = field(init=False, repr=False)
-    solve: callable = field(init=False, repr=False)
+    solves: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.A_cols = self.A.T.tolist()
-        self.rhs = _input_minus_damping(self.A.tolist(), self.damping.tolist())
-        self.solve = _cholesky(self.N)
+        self.solves = _PlantSolves(self.A, self.damping)
 
     def D(self, q):
         """(N, N) inertia matrix."""
@@ -133,89 +131,109 @@ class MechanicalSystem:
                 for x in (state.q.tolist(), state.qd.tolist()) for z in Z]
 
 
-@lru_cache(maxsize=None)
-def _cholesky(n, name="inertia matrix", at="q"):
-    """Solve ``f(d, cols, where)``: D^-1 b for each b in cols, as float lists.
+SOLVE_NAMES = dict(sqrt=math.sqrt, isfinite=math.isfinite,
+                   DivergenceError=DivergenceError,
+                   NonSPDInertiaError=NonSPDInertiaError)
 
-    The factorization D = L L^T of the rows ``d`` (lower triangle read)
-    and the two triangular substitutions are unrolled into straight-line
-    code for this n, so a solve costs a few microseconds of float
-    arithmetic and no array calls.  A non-finite D or solution raises
+
+def cholesky_solve(code, d, cols, name="inertia matrix", at="q"):
+    """Record D^-1 b for each b in cols into ``code``; return them as lists.
+
+    ``d`` holds the rows of D as Vars (the lower triangle is read), each
+    b Vars or floats.  The factorization D = L L^T and the two
+    triangular substitutions are recorded as straight-line code, which
+    needs the names of SOLVE_NAMES.  A non-finite D or solution raises
     DivergenceError; a pivot that is not positive raises
-    NonSPDInertiaError.  The messages call D ``name`` and report
-    ``where`` as ``at`` (the plant's configuration q by default).
+    NonSPDInertiaError.  The messages call D ``name`` and report the
+    value of the source expression ``at`` (the plant's configuration q
+    by default).
     """
+    n = len(d)
     r = range(n)
 
-    def minus(products):
-        return "".join(f" - {a} * {b}" for a, b in products)
+    def finite(xs, what):
+        code.require(f"isfinite({' + '.join(map(format, xs))})",
+                     f'raise DivergenceError(f"non-finite {what} at {at}={{{at}}}")')
 
-    def low(i, j):
-        return f"l{i}_{j}"
-
-    def finite(names):
-        return f"isfinite({' + '.join(names)})"
-
-    rows = ", ".join(
-        "(" + ", ".join(f"d{i}_{j}" if j <= i else "_" for j in r) + ",)"
-        for i in r)
-    x = [f"x{i}" for i in r]
-    src = [
-        "def f(d, cols, where):",
-        f"    ({rows},) = d",
-        f"    if not {finite(f'd{i}_{j}' for i in r for j in range(i + 1))}:",
-        f'        raise DivergenceError(f"non-finite {name} at {at}={{where}}")',
-    ]
+    finite([d[i][j] for i in r for j in range(i + 1)], name)
+    L = [[None] * n for _ in r]
     for j in r:   # column j of L
-        src += [
-            f"    p = d{j}_{j}{minus((low(j, k), low(j, k)) for k in range(j))}",
-            "    if not p > 0.0:",
-            f'        raise NonSPDInertiaError(f"{name} not SPD at {at}={{where}}")',
-            f"    {low(j, j)} = sqrt(p)",
-        ] + [
-            f"    {low(i, j)} = "
-            f"(d{i}_{j}{minus((low(i, k), low(j, k)) for k in range(j))}) / {low(j, j)}"
-            for i in range(j + 1, n)
-        ]
-    src += ["    out = []", f"    for ({', '.join(f'b{i}' for i in r)},) in cols:"]
-    src += [   # L y = b, then L^T x = y
-        f"        y{i} = (b{i}{minus((low(i, k), f'y{k}') for k in range(i))})"
-        f" / {low(i, i)}"
-        for i in r
-    ] + [
-        f"        x{i} = (y{i}{minus((low(k, i), x[k]) for k in range(i + 1, n))})"
-        f" / {low(i, i)}"
-        for i in reversed(r)
-    ]
-    src += [
-        f"        if not {finite(x)}:",
-        "            raise DivergenceError(",
-        f'                f"non-finite solution of the {name} system at {at}={{where}}")',
-        f"        out.append([{', '.join(x)}])",
-        "    return out",
-    ]
-    return codegen.compiled("\n".join(src), f"_cholesky{(n, name, at)}",
-                            sqrt=math.sqrt, isfinite=math.isfinite,
-                            DivergenceError=DivergenceError,
-                            NonSPDInertiaError=NonSPDInertiaError)
+        p = d[j][j]
+        for k in range(j):
+            p = p - L[j][k] * L[j][k]
+        code.require(f"{p} > 0.0",
+                     f'raise NonSPDInertiaError(f"{name} not SPD at {at}={{{at}}}")')
+        L[j][j] = codegen.sqrt(p)
+        for i in range(j + 1, n):
+            s = d[i][j]
+            for k in range(j):
+                s = s - L[i][k] * L[j][k]
+            L[i][j] = s / L[j][j]
+    out = []
+    for b in cols:   # L y = b, then L^T x = y
+        y, x = [], [None] * n
+        for i in r:
+            s = b[i]
+            for k in range(i):
+                s = s - L[i][k] * y[k]
+            y.append(s / L[i][i])
+        for i in reversed(r):
+            s = y[i]
+            for k in range(i + 1, n):
+                s = s - L[k][i] * x[k]
+            x[i] = s / L[i][i]
+        finite(x, f"solution of the {name} system")
+        out.append(x)
+    return out
 
 
-def _input_minus_damping(A, Bd):
-    """``rhs(u, qd, bias)`` = A u - Bd qd - bias for the constant rows A, Bd.
+def _rhs(A, Bd, u, qd, bias):
+    """A u - Bd qd - bias for the constant rows A, Bd, as recorded entries.
 
-    Unrolled over the nonzero entries, which are written into the code.
+    Each row sums its terms with a nonzero coefficient left to right.
     """
-    def entry(k):
-        terms = ([(a, f"u[{j}]") for j, a in enumerate(A[k])]
-                 + [(-b, f"qd[{j}]") for j, b in enumerate(Bd[k])])
-        code = "".join(f" {'-' if c < 0 else '+'} {abs(c)!r} * {v}"
-                       for c, v in terms if c != 0.0)
-        return f"{code} - bias[{k}]".lstrip(" +")
+    out = []
+    for a_row, b_row, b in zip(A, Bd, bias):
+        terms = [c * x for c, x in [*zip(a_row, u), *zip([-c for c in b_row], qd)]
+                 if c != 0.0]
+        out.append(sum(terms[1:], terms[0]) - b if terms else -b)
+    return out
 
-    return codegen.compiled("\n".join(
-        ["def f(u, qd, bias):", "    return ["]
-        + [f"        {entry(k)}," for k in range(len(A))] + ["    ]"]),
-        "_input_minus_damping")
+
+def _plant_code(A, Bd, inputs):
+    """Source of the plant solve for the constant rows A and Bd.
+
+    ``f(d, bias, u, qd, q)`` returns qdd = D^-1 (A u - Bd qd - bias) for
+    the rows ``d`` of D and ``bias`` = C qd + G.  With ``inputs``,
+    ``f(d, bias, qd, q)`` returns f_v = D^-1 (-Bd qd - bias) and the rows
+    of g_v = D^-1 A from one factorization.  ``q`` only goes into error
+    messages.
+    """
+    N = len(A)
+    code = codegen.Recorder()
+    d = code.unpack("d", (N, N))
+    bias, qd = code.unpack("bias", (N,)), code.unpack("qd", (N,))
+    if inputs:
+        f_v, *g = cholesky_solve(code, d, [_rhs(A, Bd, [0.0] * N, qd, bias), *zip(*A)])
+        source = code.function("d, bias, qd, q", (f_v, [list(x) for x in zip(*g)]))
+    else:
+        u = code.unpack("u", (N,))
+        (qdd,) = cholesky_solve(code, d, [_rhs(A, Bd, u, qd, bias)])
+        source = code.function("d, bias, u, qd, q", qdd)
+    return source, SOLVE_NAMES
+
+
+class _PlantSolves(dict):
+    """A plant's generated solves by ``inputs`` flag: ``_plant_code`` for
+    its A and Bd, compiled at first use."""
+
+    def __init__(self, A, Bd):
+        super().__init__()
+        self.constants = tuple(tuple(map(tuple, X.tolist())) for X in (A, Bd))
+
+    def __missing__(self, inputs):
+        solve = self[inputs] = codegen.kernel(_plant_code, *self.constants, inputs)
+        return solve
 
 
 def drift_and_input(system, state):
@@ -225,10 +243,7 @@ def drift_and_input(system, state):
     of A.  Returns float lists: f_v, and the rows of g_v.
     """
     q, qd = state.q.tolist(), state.qd.tolist()
-    d, bias = system.forces(q, qd)
-    drift = system.rhs([0.0] * system.N, qd, bias)
-    f_v, *cols = system.solve(d, [drift, *system.A_cols], q)
-    return f_v, [list(row) for row in zip(*cols)]
+    return system.solves[True](*system.forces(q, qd), qd, q)
 
 
 def acceleration(system, q, qd, u):
@@ -242,7 +257,7 @@ def acceleration(system, q, qd, u):
         if all(map(math.isfinite, q)):
             raise
         raise DivergenceError(f"non-finite configuration q={q}") from None
-    return system.solve(d, (system.rhs(u, qd, bias),), q)[0]
+    return system.solves[False](d, bias, u, qd, q)
 
 
 def _floats(v):

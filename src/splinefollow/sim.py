@@ -2,12 +2,15 @@
 
 The control input is held over each 20 ms (default) period while the
 plant integrates with a fixed-step classical Runge-Kutta scheme at a
-finer substep.  One loop, ``_simulate``, runs every control period:
-measurement, ``control.step``, the RK4 hold and the clock.  ``run``
-drives it once per scenario and logs every period; the zero-dynamics
-portrait drives it once per initial condition from states constructed
-on the path-following manifold, so the redundant flow reflects the
-actual pipeline rather than a symbolic reduction.
+finer substep.  One substep is written once as list arithmetic,
+``_rk4_code``, and runs as straight-line float code recorded for the
+plant's N; its four stages call ``dynamics.acceleration``.  One loop,
+``_simulate``, runs every control period: measurement,
+``control.step``, the RK4 hold and the clock.  ``run`` drives it once
+per scenario and logs every period; the zero-dynamics portrait drives
+it once per initial condition from states constructed on the
+path-following manifold, so the redundant flow reflects the actual
+pipeline rather than a symbolic reduction.
 """
 
 import json
@@ -16,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from . import control, curves, dynamics, frames, projection, transform
+from . import codegen, control, curves, dynamics, frames, projection, transform
 from .dynamics import Limits, State
 from .errors import DivergenceError, ParameterError, SplineFollowError
 
@@ -258,32 +261,54 @@ class _Measurement:
 # --- simulation --------------------------------------------------------------
 
 
+def _rk4_code(N):
+    """Source of ``f(system, q, qd, u, h, half, sixth)``: one RK4 substep.
+
+    The four stages call ``dynamics.acceleration`` through the module,
+    and the updates of q and qd run as straight-line float code for the
+    plant's N.  Returns the new q and qd as lists.
+    """
+    code = codegen.Recorder()
+    q, qd = code.unpack("q", (N,)), code.unpack("qd", (N,))
+    h, half, sixth = (codegen.Var(code, x) for x in ("h", "half", "sixth"))
+
+    def acceleration(stage, q, qd):
+        args = ", ".join(codegen.render(x, format) for x in (q, qd))
+        return code.unpack(f"dynamics.acceleration(system, {args}, u)", (N,),
+                           f"a{stage}")
+
+    a1 = acceleration(1, q, qd)
+    q2 = [x + half * v for x, v in zip(q, qd)]
+    v2 = [v + half * a for v, a in zip(qd, a1)]
+    a2 = acceleration(2, q2, v2)
+    q3 = [x + half * v for x, v in zip(q, v2)]
+    v3 = [v + half * a for v, a in zip(qd, a2)]
+    a3 = acceleration(3, q3, v3)
+    q4 = [x + h * v for x, v in zip(q, v3)]
+    v4 = [v + h * a for v, a in zip(qd, a3)]
+    a4 = acceleration(4, q4, v4)
+    q = [x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+         for x, k1, k2, k3, k4 in zip(q, qd, v2, v3, v4)]
+    qd = [v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+          for v, k1, k2, k3, k4 in zip(qd, a1, a2, a3, a4)]
+    return (code.function("system, q, qd, u, h, half, sixth", (q, qd)),
+            {"dynamics": dynamics})
+
+
 def _rk4_hold(system, state, u, h, substeps):
     """Integrate the plant over one control period with u held constant.
 
-    The stages run on lists of Python floats, converted from and to a
-    State once per period.  A non-finite state, or one whose norm
-    exceeds DIVERGENCE_BOUND at the end of the period, raises
-    DivergenceError.
+    Each substep is one call of the plant size's ``_rk4_code``, on lists
+    of Python floats converted from and to a State once per period.  A
+    non-finite state, or one whose norm exceeds DIVERGENCE_BOUND at the
+    end of the period, raises DivergenceError.
     """
     q, qd = state.q.tolist(), state.qd.tolist()
     u = np.asarray(u, dtype=float).tolist()
+    substep = codegen.kernel(_rk4_code, len(q))
     half, sixth = 0.5 * h, h / 6.0
     for _ in range(substeps):
-        a1 = dynamics.acceleration(system, q, qd, u)
-        q2 = [x + half * v for x, v in zip(q, qd)]
-        v2 = [v + half * a for v, a in zip(qd, a1)]
-        a2 = dynamics.acceleration(system, q2, v2, u)
-        q3 = [x + half * v for x, v in zip(q, v2)]
-        v3 = [v + half * a for v, a in zip(qd, a2)]
-        a3 = dynamics.acceleration(system, q3, v3, u)
-        q4 = [x + h * v for x, v in zip(q, v3)]
-        v4 = [v + h * a for v, a in zip(qd, a3)]
-        a4 = dynamics.acceleration(system, q4, v4, u)
-        q = [x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-             for x, k1, k2, k3, k4 in zip(q, qd, v2, v3, v4)]
-        qd = [v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-              for v, k1, k2, k3, k4 in zip(qd, a1, a2, a3, a4)]
+        q, qd = substep(system, q, qd, u, h, half, sixth)
     if not math.hypot(*q, *qd) <= DIVERGENCE_BOUND:
         raise DivergenceError(f"state norm exceeded {DIVERGENCE_BOUND:g}")
     return State(q=q, qd=qd)

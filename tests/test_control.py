@@ -71,8 +71,10 @@ class TestResolveInput:
     ], ids=["p1", "p2", "p3"])
     def test_near_singular_raises(self, beta):
         p, N = np.shape(beta)
-        with pytest.raises(NearSingularDecouplingError):
+        with pytest.raises(NearSingularDecouplingError) as exc:
             control.resolve_input(np.zeros(p), beta, np.zeros(p), np.zeros(N))
+        if p == 1:
+            assert exc.value.cond == np.inf
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_reported_cond_is_the_2_norm_cond(self, p):
@@ -89,9 +91,10 @@ class TestResolveInput:
         assert f"{exc.value.cond:.3e}" in str(exc.value)
 
     def test_non_finite_decoupling_raises(self):
-        beta = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(NearSingularDecouplingError):
-            control.resolve_input(np.zeros(2), beta, np.zeros(2), np.zeros(2))
+        for beta in ([[1.0, np.nan], [0.0, 1.0]], [[1.0, np.nan]], [[np.nan]]):
+            p, N = np.shape(beta)
+            with pytest.raises(NearSingularDecouplingError):
+                control.resolve_input(np.zeros(p), beta, np.zeros(p), np.zeros(N))
 
     def test_invalid_weight_rejected(self):
         with pytest.raises(ParameterError):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from splinefollow import dynamics
+from splinefollow import codegen, dynamics
 from splinefollow.dynamics import State
 from splinefollow.errors import DivergenceError, NonSPDInertiaError, ParameterError
 
@@ -375,7 +375,12 @@ class TestInertiaSolve:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_numpy_solve(self, n):
-        solve = dynamics._cholesky(n)
+        """The recorded solve of n + 1 right-hand sides, compiled alone."""
+        code = codegen.Recorder()
+        x = dynamics.cholesky_solve(code, code.unpack("d", (n, n)),
+                                    code.unpack("b", (n + 1, n)))
+        solve = codegen.compiled(code.function("d, b, q", x),
+                                 **dynamics.SOLVE_NAMES)
         rng = np.random.default_rng(n)
         for _ in range(20):
             M = rng.normal(size=(n, n))

@@ -37,7 +37,56 @@ def _example1_scenario(**overrides):
     return sim.Scenario(**base)
 
 
+def _reference_hold(system, state, u, h, substeps):
+    """The RK4 hold as list arithmetic: the code the generated substep
+    records, run on floats."""
+    q, qd = state.q.tolist(), state.qd.tolist()
+    u = np.asarray(u, dtype=float).tolist()
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(substeps):
+        a1 = dynamics.acceleration(system, q, qd, u)
+        q2 = [x + half * v for x, v in zip(q, qd)]
+        v2 = [v + half * a for v, a in zip(qd, a1)]
+        a2 = dynamics.acceleration(system, q2, v2, u)
+        q3 = [x + half * v for x, v in zip(q, v2)]
+        v3 = [v + half * a for v, a in zip(qd, a2)]
+        a3 = dynamics.acceleration(system, q3, v3, u)
+        q4 = [x + h * v for x, v in zip(q, v3)]
+        v4 = [v + h * a for v, a in zip(qd, a3)]
+        a4 = dynamics.acceleration(system, q4, v4, u)
+        q = [x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+             for x, k1, k2, k3, k4 in zip(q, qd, v2, v3, v4)]
+        qd = [v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+              for v, k1, k2, k3, k4 in zip(qd, a1, a2, a3, a4)]
+    return q, qd
+
+
 class TestIntegrator:
+    @pytest.mark.parametrize("plant", ["example1", "example2", "cpm4"])
+    @pytest.mark.parametrize("substeps", [1, 2, 5])
+    def test_hold_matches_list_code(self, plant, substeps, monkeypatch):
+        """The generated hold gives the list code's floats exactly and
+        calls dynamics.acceleration, through the module, 4 x substeps times."""
+        system = dynamics.make_plant(plant)
+        rng = np.random.default_rng(substeps)
+        calls = []
+        acceleration = dynamics.acceleration
+
+        def counted(*args):
+            calls.append(1)
+            return acceleration(*args)
+
+        for _ in range(10):
+            st = State(q=rng.uniform(-1.0, 1.0, system.N),
+                       qd=rng.uniform(-1.0, 1.0, system.N))
+            u, h = rng.uniform(-2.0, 2.0, system.N), 0.02 / substeps
+            q, qd = _reference_hold(system, st, u, h, substeps)
+            out = sim._rk4_hold(system, st, u, h, substeps)
+            assert out.q.tolist() == q and out.qd.tolist() == qd
+        monkeypatch.setattr(dynamics, "acceleration", counted)
+        sim._rk4_hold(system, st, u, h, substeps)
+        assert len(calls) == 4 * substeps
+
     def test_rk4_order_on_linear_system(self, example1):
         """Halving the step shrinks the error by ~16 (4th order)."""
         st = State(q=[0.3, -0.2], qd=[0.5, 0.1])
@@ -261,8 +310,9 @@ class TestRun:
     def test_control_code_generated_once(self, monkeypatch):
         """Two consecutive 50-period figure-eight runs: the first generates
         the frame, linearization and input-resolution code of its (p, N,
-        frame mode) and the segments' jets of orders 0..2 (projection) and
-        0..3 (frame) once each, the second generates nothing."""
+        frame mode), the segments' jets of orders 0..2 (projection) and
+        0..3 (frame), the N = 3 RK4 substep and the plant's two solves
+        once each, the second generates nothing."""
         labels = []
         compiled = codegen.compiled
 
@@ -281,8 +331,11 @@ class TestRun:
         assert len(log.t) == 50
         for label in ("_frame_code(2, 'planar_fallback')", "_linearize_code(2, 3)",
                       "_resolve_code(2, 3, False)", "_jet_code(2, 6, 2)",
-                      "_jet_code(2, 6, 3)"):
+                      "_jet_code(2, 6, 3)", "_rk4_code(3,)"):
             assert first.count(label) == 1, first
+        constants = "{}, {}".format(*system.solves.constants)
+        for inputs in (False, True):
+            assert first.count(f"_plant_code({constants}, {inputs})") == 1, first
         assert len(set(first)) == len(first)
         assert labels == first
 
