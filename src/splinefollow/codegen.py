@@ -10,7 +10,8 @@ float operations of the written arithmetic in the same order.  A
 loops and no calls but those it is given: an assignment whose value is
 never used is left out, one used once is written into its use, and an
 expression recorded twice is computed once.  ``kernel`` compiles such a
-function once per builder and key.
+function once per builder, key and binding of the ``math`` functions it
+calls: to ``math``'s it runs on floats, to numpy's on arrays.
 
 Checks and calls are written around the record as source text:
 formatting a ``Var`` into a string gives its name and keeps it
@@ -73,9 +74,12 @@ class Var:
         return self.name
 
 
-def sqrt(x):
-    """The recorded square root of the Var x."""
-    return x.code.let("sqrt({})", x)
+def _recorded(name):
+    """The recorded call of the ``math`` function ``name`` on a Var."""
+    return lambda x: x.code.let(name + "({})", x)
+
+
+sqrt, cos, sin = map(_recorded, ("sqrt", "cos", "sin"))
 
 
 # IEEE-754 addition and multiplication are commutative, so an expression
@@ -210,10 +214,20 @@ def compiled(source, label="generated", **names):
 
 
 @lru_cache(maxsize=None)
-def kernel(build, *key):
-    """The function ``build(*key)`` writes, compiled once per (build, key).
+def kernel(build, *key, lib=math):
+    """The function ``build(*key)`` writes, compiled once per (build, key, lib).
 
-    ``build`` returns the source and the names it uses.
+    ``build`` returns the source and the names it uses; its ``math``
+    functions are bound to ``lib``'s of the same name, so bound to numpy
+    the code runs on arrays.  A source that names none is the one
+    function ``kernel(build, *key)`` under every ``lib``.
     """
     source, names = build(*key)
-    return compiled(source, f"{build.__qualname__}{key}", **names)
+    label = f"{build.__qualname__}{key}"
+    if lib is not math:
+        calls = {k: getattr(lib, k) for k, v in names.items()
+                 if v is getattr(math, k, None)}
+        if not calls:
+            return kernel(build, *key)
+        names, label = {**names, **calls}, f"{label} on {lib.__name__}"
+    return compiled(source, label, **names)

@@ -1,14 +1,12 @@
 """Composite parametrized paths and quintic spline fitting.
 
 A path is an ordered list of curve segments, each defined on a closed
-parameter interval.  Fitted segments are polynomials in the chord-length
-parameter; analytic curves (circles, ellipses, ...) plug into the same
-pipeline through :class:`CallbackSegment`.
-
-At one lambda, a segment's ``jet`` returns the derivatives 0..r as
-lists of p floats: for polynomial segments, straight-line Horner code
-generated by ``codegen`` once per (p, ncoef, r).  Over many lambda,
-``evaluate`` is numpy.
+parameter interval.  Fitted segments and lines are polynomials; circles,
+ellipses and helices are harmonic (sums of a cos, a sin, b lambda and c
+terms).  Each kind records its derivatives 0..r once per key and r with
+``codegen``: bound to ``math``, a segment's ``jet`` runs that code at one
+lambda and returns lists of p floats; bound to numpy, ``evaluate`` runs
+it over an array of lambda.
 
 Arclength is the integral of the speed ||sigma'|| by composite
 Gauss-Legendre quadrature: one table per segment, built once with the
@@ -18,9 +16,9 @@ adds the same rule over the remainder past the grid node below lambda.
 needs numpy only.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import perm
 
 import numpy as np
 
@@ -57,74 +55,66 @@ class Waypoint:
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
 
 
-class PolynomialSegment:
-    """One polynomial piece sigma_k of a composite path.
+class Segment:
+    """One piece sigma_k of a composite path on a closed parameter interval.
 
-    Parameters
-    ----------
-    coeffs : (p, ncoef) array
-        Ascending-power polynomial coefficients, one row per output
-        dimension.
-    domain : (float, float)
-        Closed parameter interval [lambda_min, lambda_max].
-
-    Derivatives come from a table built once at construction: entry
-    ``[r, :, j]`` is the coefficient of lambda^j in d^r sigma / d lambda^r,
-    with the falling factorial i!/(i-r)! of the source power i = j + r
-    folded in.  Over many lambda, one derivative is a (p, ncoef)
-    matrix product against the powers of lambda.  At one lambda, ``jet``
-    runs the Horner evaluation of the table's rows as straight-line
-    float code.  Orders at or above ncoef are zero and have no table
-    entry.
+    A segment is its kind's recorded code ``(build, *key)`` and its own
+    constants c: ``build(*key, r)`` records ``f(c, lam)``, the derivatives
+    0..r at lam as r + 1 rows of p values.  Bound to ``math``, ``jet``
+    runs it on one float; bound to numpy, ``evaluate`` runs the same
+    arithmetic on arrays.
     """
 
-    def __init__(self, coeffs, domain):
-        self.coeffs = np.ascontiguousarray(coeffs, dtype=float)
-        if self.coeffs.ndim == 1:
-            self.coeffs = self.coeffs[None, :]
+    def __init__(self, domain, dim, code, consts):
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise DomainError(f"degenerate segment domain [{lo}, {hi}]")
         self.domain = (lo, hi)
-        self.dim, ncoef = self.coeffs.shape
-        table = np.zeros((ncoef, self.dim, ncoef))
-        for r in range(ncoef):
-            fac = [perm(i, r) for i in range(r, ncoef)]
-            table[r, :, : ncoef - r] = self.coeffs[:, r:] * fac
-        self._table = table
-        # the table's nonzero entries in the order _jet_code reads them
-        self._flat = tuple(np.concatenate(
-            [table[r, :, : ncoef - r].ravel() for r in range(ncoef)]).tolist())
+        self.dim = dim
+        self._code, self._consts = code, consts
 
     def evaluate(self, lam, order=0):
-        """Evaluate d^order sigma / d lambda^order; no domain check."""
-        if np.isscalar(lam):
-            return np.array(self.row(lam, order))
-        ncoef = len(self._table)
-        if order >= ncoef:
-            return np.zeros((np.size(lam), self.dim))
-        lams = np.asarray(lam, dtype=float).reshape(-1, 1)
-        return (lams ** np.arange(ncoef)) @ self._table[order].T
+        """d^order sigma / d lambda^order at scalar lam, shape (p,), or at
+        each entry of a 1-D array of lam, shape (n, p); no domain check."""
+        lam = np.asarray(lam, dtype=float)
+        row = codegen.kernel(*self._code, order, lib=np)(self._consts, lam)[order]
+        # a row entry that is constant in lambda is one float
+        return np.stack(np.broadcast_arrays(lam, *row)[1:], axis=-1)
 
     def jet(self, lam, max_order):
         """Derivatives 0..max_order at scalar lam: max_order + 1 lists of p floats."""
-        return codegen.kernel(_jet_code, self.dim, len(self._table), max_order)(
-            self._flat, float(lam))
+        return codegen.kernel(*self._code, max_order)(self._consts, float(lam))
 
-    def row(self, lam, order):
-        """d^order sigma / d lambda^order at scalar lam, as a list of p floats."""
-        return self.jet(lam, order)[order]
+
+class PolynomialSegment(Segment):
+    """A polynomial piece: row i of ``coeffs`` (p, ncoef) holds the
+    ascending-power coefficients of output dimension i.
+
+    The constants are, order by order, the coefficients of
+    d^r sigma / d lambda^r: that of lambda^j is the coefficient of the
+    source power i = j + r times the falling factorial i!/(i-r)!.
+    """
+
+    def __init__(self, coeffs, domain):
+        self.coeffs = np.atleast_2d(np.ascontiguousarray(coeffs, dtype=float))
+        dim, ncoef = self.coeffs.shape
+        flat = []
+        for r in range(ncoef):
+            fac = [math.perm(i, r) for i in range(r, ncoef)]
+            flat += (self.coeffs[:, r:] * fac).ravel().tolist()
+        super().__init__(domain, dim, (_jet_code, dim, ncoef), tuple(flat))
 
     def to_dict(self):
         return {"coeffs": self.coeffs.tolist(), "domain": list(self.domain)}
 
 
 def _jet_code(p, ncoef, r):
-    """Source of ``f(c, lam)``, the derivatives 0..r of a segment at lam.
+    """Source of ``f(c, lam)``, the derivatives 0..r of a polynomial
+    segment at lam.
 
-    ``c`` is the segment's flattened table: order by order, the p rows
-    of the ncoef - order coefficients of that order.  Each row is one
-    Horner evaluation; orders at or above ncoef are rows of zeros.
+    ``c`` is the segment's derivative coefficients: order by order, the
+    p rows of the ncoef - order coefficients of that order.  Each row is
+    one Horner evaluation; orders at or above ncoef are rows of zeros.
     """
     code = codegen.Recorder()
     lam = codegen.Var(code, "lam")
@@ -142,41 +132,51 @@ def _jet_code(p, ncoef, r):
     return code.function("c, lam", rows), {}
 
 
-class CallbackSegment:
-    """Adapter wrapping closed-form derivative callbacks.
+class HarmonicSegment(Segment):
+    """An analytic piece: coordinate i is the sum of the terms named by
+    the tuple ``terms[i]`` (see ``_harmonic_code``), whose constants
+    ``consts`` lists in the same order; w scales lambda in the
+    trigonometric terms."""
 
-    ``fn(lam, order)`` must return the order-th derivative at ``lam`` and
-    broadcast over arrays of ``lam``.  Lets non-polynomial curves (the
-    ellipse, circles, helices) run through the same machinery.
-    """
-
-    def __init__(self, fn, domain, dim):
-        self.fn = fn
-        lo, hi = float(domain[0]), float(domain[1])
-        if not lo < hi:
-            raise DomainError(f"degenerate segment domain [{lo}, {hi}]")
-        self.domain = (lo, hi)
-        self.dim = dim
-
-    def evaluate(self, lam, order=0):
-        out = np.asarray(self.fn(lam, order), dtype=float)
-        if np.isscalar(lam):
-            return out.reshape(self.dim)
-        return out.reshape(len(np.atleast_1d(lam)), self.dim)
-
-    def jet(self, lam, max_order):
-        """Derivatives 0..max_order at scalar lam: max_order + 1 lists of p floats."""
-        lam = float(lam)
-        return np.array([self.fn(lam, r) for r in range(max_order + 1)],
-                        dtype=float).reshape(max_order + 1, self.dim).tolist()
-
-    def row(self, lam, order):
-        """d^order sigma / d lambda^order at scalar lam, as a list of p floats."""
-        return np.asarray(self.fn(float(lam), order), dtype=float).reshape(
-            self.dim).tolist()
+    def __init__(self, terms, consts, w, domain):
+        super().__init__(domain, len(terms), (_harmonic_code, terms),
+                         tuple(map(float, (w, *consts))))
 
     def to_dict(self):
-        raise TypeError("callback segments are not serializable")
+        raise TypeError("analytic segments are not serializable")
+
+
+def _harmonic_code(terms, r):
+    """Source of ``f(c, lam)``, the derivatives 0..r of a harmonic segment
+    at lam.
+
+    ``c`` is w followed by the constants of ``terms``, whose entries name
+    the terms of a coordinate: ``"cos"`` or ``"sin"`` for a trig(lam / w),
+    ``"b"`` for b lam, ``"c"`` for c.  The order-r derivative of
+    a trig(lam / w) is a / w^r trig(lam / w + r pi / 2); a coordinate
+    whose terms all vanish is zero.
+    """
+    code = codegen.Recorder()
+    lam = codegen.Var(code, "lam")
+    w, *consts = code.unpack("c", (1 + sum(map(len, terms)),))
+    consts = iter(consts)
+    coords = [[(term, next(consts)) for term in coord] for coord in terms]
+    rows = []
+    for order in range(r + 1):
+        ang = lam / w + order * math.pi / 2.0
+        row = []
+        for coord in coords:
+            parts = []
+            for term, k in coord:
+                if term in ("cos", "sin"):
+                    parts.append(k / w ** order * getattr(codegen, term)(ang))
+                elif order == 0:
+                    parts.append(k * lam if term == "b" else k)
+                elif order == 1 and term == "b":
+                    parts.append(k)
+            row.append(sum(parts[1:], parts[0]) if parts else 0.0)
+        rows.append(row)
+    return code.function("c, lam", rows), {"cos": math.cos, "sin": math.sin}
 
 
 class SplinePath:
@@ -260,13 +260,9 @@ class SplinePath:
         return seg.evaluate(lam, order)
 
     def evaluate_unchecked(self, k, lam, order=0):
-        """Evaluate extrapolating outside the domain (projection internals).
-
-        At a scalar lam the result is a list of p floats.
-        """
-        if np.isscalar(lam):
-            return self.segments[k].row(lam, order)
-        return self.segments[k].evaluate(lam, order)
+        """d^order sigma_k / d lambda^order at scalar lam, extrapolating
+        outside the domain (projection internals): a list of p floats."""
+        return self.segments[k].jet(lam, order)[order]
 
     def jet_unchecked(self, k, lam, max_order):
         """Derivatives 0..max_order of sigma_k at scalar lam, no domain check:
@@ -277,7 +273,9 @@ class SplinePath:
     def _check_domain(seg, lam):
         lo, hi = seg.domain
         tol = 1e-12 * (1.0 + hi - lo)
-        if np.any(np.asarray(lam) < lo - tol) or np.any(np.asarray(lam) > hi + tol):
+        lams = np.asarray(lam)
+        # a NaN fails both comparisons
+        if not np.all((lo - tol <= lams) & (lams <= hi + tol)):
             raise DomainError(f"lambda {lam} outside segment domain [{lo}, {hi}]")
 
     def to_dict(self):
@@ -309,7 +307,7 @@ def _power_row(ncoef, lam, order):
     """Row of d^order lambda^i / d lambda^order coefficients."""
     row = np.zeros(ncoef)
     for i in range(order, ncoef):
-        row[i] = perm(i, order) * lam ** (i - order)
+        row[i] = math.perm(i, order) * lam ** (i - order)
     return row
 
 
@@ -441,17 +439,13 @@ def check_assumptions(path, grid_density=64):
 
     min_det = np.inf
     for seg in path.segments:
-        lo, hi = seg.domain
-        grid = np.linspace(lo, hi, grid_density)
-        for lam in grid:
-            V = np.stack([seg.evaluate(lam, r) for r in range(1, p + 1)])
-            norms = np.linalg.norm(V, axis=1)
-            if np.any(norms < 1e-300):
-                min_det = 0.0
-                continue
-            G = V @ V.T
-            d = np.linalg.det(G) / np.prod(norms**2)
-            min_det = min(min_det, d)
+        grid = np.linspace(*seg.domain, grid_density)
+        # V[i] stacks sigma', ..., sigma^(p) at grid[i] as rows
+        V = np.stack([seg.evaluate(grid, r) for r in range(1, p + 1)], axis=1)
+        norms = np.linalg.norm(V, axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.linalg.det(V @ V.transpose(0, 2, 1)) / np.prod(norms**2, axis=1)
+        min_det = min(min_det, *np.where((norms < 1e-300).any(axis=1), 0.0, d))
 
     return AssumptionReport(
         smooth_ok=worst < JUNCTION_TOL,
@@ -473,27 +467,16 @@ def circle_path(radius=1.0, center=(0.0, 0.0), unit_speed=True, span=None):
     """
     cx, cy = center
     w = radius if unit_speed else 1.0
-
-    def fn(lam, order):
-        ang = np.asarray(lam) / w + order * np.pi / 2.0
-        r = radius / w**order
-        if order == 0:
-            return np.array([r * np.cos(ang) + cx, r * np.sin(ang) + cy]).T
-        return np.array([r * np.cos(ang), r * np.sin(ang)]).T
-
     domain = span if span is not None else (0.0, 2.0 * np.pi * w)
-    return SplinePath([CallbackSegment(fn, domain, 2)], closed=span is None)
+    seg = HarmonicSegment((("cos", "c"), ("sin", "c")),
+                          (radius, cx, radius, cy), w, domain)
+    return SplinePath([seg], closed=span is None)
 
 
 def ellipse_path(a=2.0, b=1.0, span=(-np.pi, np.pi)):
     """Single-segment ellipse (a*cos(lam), b*sin(lam))."""
-
-    def fn(lam, order):
-        t = np.asarray(lam)
-        phase = order * np.pi / 2.0
-        return np.array([a * np.cos(t + phase), b * np.sin(t + phase)]).T
-
-    return SplinePath([CallbackSegment(fn, span, 2)], closed=False)
+    seg = HarmonicSegment((("cos",), ("sin",)), (a, b), 1.0, span)
+    return SplinePath([seg], closed=False)
 
 
 def line_path(start, end):
@@ -510,13 +493,6 @@ def line_path(start, end):
 
 def helix_path(radius=1.0, pitch=1.0, span=(0.0, 4.0 * np.pi)):
     """Helix (R cos, R sin, pitch*lam) in R^3; framed everywhere."""
-
-    def fn(lam, order):
-        t = np.asarray(lam)
-        phase = order * np.pi / 2.0
-        z = {0: pitch * t, 1: pitch * np.ones_like(t)}.get(order, np.zeros_like(t))
-        return np.array(
-            [radius * np.cos(t + phase), radius * np.sin(t + phase), z]
-        ).T
-
-    return SplinePath([CallbackSegment(fn, span, 3)], closed=False)
+    seg = HarmonicSegment((("cos",), ("sin",), ("b",)), (radius, radius, pitch),
+                          1.0, span)
+    return SplinePath([seg], closed=False)

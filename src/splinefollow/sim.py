@@ -13,6 +13,7 @@ path-following manifold, so the redundant flow reflects the actual
 pipeline rather than a symbolic reduction.
 """
 
+import inspect
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
@@ -61,7 +62,11 @@ def _build_path(spec):
         kind = spec["analytic"]
         if kind not in _ANALYTIC_PATHS:
             raise ParameterError(f"unknown analytic path {kind!r}")
-        return _ANALYTIC_PATHS[kind](**spec.get("params", {}))
+        build = _ANALYTIC_PATHS[kind]
+        known = inspect.signature(build).parameters
+        required = [n for n, p in known.items() if p.default is p.empty]
+        return build(**_known_keys(f"{kind} params", spec.get("params", {}),
+                                   known, required))
     if "file" in spec:
         with open(spec["file"]) as f:
             return curves.SplinePath.from_dict(json.load(f))
@@ -118,11 +123,9 @@ class Scenario:
         """
         names = {f.name: f for f in fields(cls)}
         names["path"] = names.pop("path_spec")
-        kw = _known_keys("scenario", d, names)
-        missing = [n for n, f in names.items() if n not in kw and n != "gains"
-                   and f.default is MISSING and f.default_factory is MISSING]
-        if missing:
-            raise ParameterError(f"missing scenario key(s) {', '.join(missing)}")
+        kw = _known_keys("scenario", d, names, [
+            n for n, f in names.items() if n != "gains"
+            and f.default is MISSING and f.default_factory is MISSING])
         kw["path_spec"] = kw.pop("path")
         kw["gains"] = control.OuterLoopGains(**{
             k: tuple(map(tuple, v)) if isinstance(v, list)
@@ -152,8 +155,9 @@ class Scenario:
             return cls.from_dict(json.load(f))
 
 
-def _known_keys(where, d, known):
-    """A copy of the dict d; ParameterError if a key is not in ``known``.
+def _known_keys(where, d, known, required=()):
+    """A copy of the dict d; ParameterError if a key is not in ``known``
+    or a name in ``required`` is not a key.
 
     ``known`` is a collection of names or a dataclass, whose init fields
     are the names.
@@ -165,6 +169,9 @@ def _known_keys(where, d, known):
         unknown = ", ".join(map(repr, unknown))
         raise ParameterError(f"unknown {where} key(s) {unknown}; "
                              f"known: {', '.join(known)}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ParameterError(f"missing {where} key(s) {', '.join(missing)}")
     return dict(d)
 
 

@@ -169,6 +169,26 @@ class TestRun:
         assert "validation failure" in err
         assert repr(key) in err
 
+    @pytest.mark.parametrize("path, message", [
+        ({"analytic": "circle", "params": {"centre": [0, 0]}},
+         "unknown circle params key(s) 'centre'; known: radius, center, "
+         "unit_speed, span"),
+        ({"analytic": "line", "params": {"start": [-5.0]}},
+         "missing line params key(s) end"),
+    ], ids=["misspelled", "missing"])
+    def test_bad_analytic_params_are_validation_failure(self, scenario_file,
+                                                        tmp_path, capsys, path,
+                                                        message):
+        scen = json.loads(scenario_file.read_text())
+        scen["path"] = path
+        scenario_file.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(scenario_file), "--out",
+                       str(tmp_path / "log.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"validation failure: {message}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("normal", [[0.0, 0.0, 0.0], [0.0, float("nan"), 1.0]],
                              ids=["zero", "nan"])
     def test_bad_plane_normal_is_validation_failure(self, tmp_path, capsys,

@@ -115,6 +115,14 @@ class TestSplinePath:
         # unchecked extrapolates without complaint
         wavy_path.evaluate_unchecked(0, hi + 0.5, 0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.array([0.5, np.nan]), -np.inf],
+                             ids=["nan", "array-with-nan", "-inf"])
+    @pytest.mark.parametrize("method", ["evaluate", "arclength"])
+    def test_non_finite_lambda_is_outside(self, method, lam):
+        path = curves.circle_path(2.0)
+        with pytest.raises(DomainError, match="outside segment domain"):
+            getattr(path, method)(0, lam)
+
     def test_order_cap(self, wavy_path):
         with pytest.raises(UnsupportedOrderError):
             wavy_path.evaluate(0, 0.0, wavy_path.output_dim + 2)
@@ -223,6 +231,41 @@ class TestAnalyticPaths:
     def test_circle_span_open(self):
         path = curves.circle_path(radius=1.0, span=(0.0, np.pi))
         assert not path.closed
+
+    @pytest.mark.parametrize("name", ["circle", "circle-angle", "ellipse", "helix"])
+    def test_jets_match_closed_form(self, name):
+        """Rows 0..4 of the jet against the shapes' derivatives written out."""
+        R, cx, cy, a, b, pitch = 1.7, 0.3, -0.8, 2.0, 0.6, 0.45
+
+        def circle(w):
+            def rows(lam):
+                c, s = np.cos(lam / w), np.sin(lam / w)
+                return [[R * c + cx, R * s + cy], [-R / w * s, R / w * c],
+                        [-R / w**2 * c, -R / w**2 * s], [R / w**3 * s, -R / w**3 * c],
+                        [R / w**4 * c, R / w**4 * s]]
+            return rows
+
+        def ellipse(lam):
+            c, s = np.cos(lam), np.sin(lam)
+            return [[a * c, b * s], [-a * s, b * c], [-a * c, -b * s],
+                    [a * s, -b * c], [a * c, b * s]]
+
+        def helix(lam):
+            c, s = np.cos(lam), np.sin(lam)
+            return [[R * c, R * s, pitch * lam], [-R * s, R * c, pitch],
+                    [-R * c, -R * s, 0.0], [R * s, -R * c, 0.0], [R * c, R * s, 0.0]]
+
+        path, want = {
+            "circle": (curves.circle_path(R, (cx, cy)), circle(R)),
+            "circle-angle": (curves.circle_path(R, (cx, cy), unit_speed=False),
+                             circle(1.0)),
+            "ellipse": (curves.ellipse_path(a, b), ellipse),
+            "helix": (curves.helix_path(R, pitch), helix),
+        }[name]
+        seg = path.segments[0]
+        for lam in np.linspace(*seg.domain, 9):
+            np.testing.assert_allclose(seg.jet(lam, 4), want(lam),
+                                       rtol=1e-12, atol=1e-12)
 
     def test_ellipse_points(self):
         path = curves.ellipse_path(a=2.0, b=1.0)

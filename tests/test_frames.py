@@ -362,16 +362,28 @@ class TestFallbacks:
         assert line.fixed_vectors == (tuple(n),)
 
 
+class _CircleNanAt:
+    """The unit circle on [0, 3] by angle, its rows of the given orders NaN
+    in the jet at bad_lam."""
+
+    def __init__(self, bad_lam, orders):
+        circle = curves.circle_path(unit_speed=False, span=(0.0, 3.0)).segments[0]
+        self.circle, self.domain, self.dim = circle, circle.domain, circle.dim
+        self.bad_lam, self.orders = bad_lam, orders
+
+    def evaluate(self, lam, order=0):
+        return self.circle.evaluate(lam, order)
+
+    def jet(self, lam, max_order):
+        rows = self.circle.jet(lam, max_order)
+        if lam != self.bad_lam:
+            return rows
+        return [[np.nan] * 2 if r in self.orders else row for r, row in enumerate(rows)]
+
+
 def _circle_nan_at(bad_lam, orders):
     """A unit circle whose derivatives of the given orders are NaN at bad_lam."""
-
-    def fn(lam, order):
-        if np.isscalar(lam) and lam == bad_lam and order in orders:
-            return [np.nan, np.nan]
-        c, s = np.cos(lam), np.sin(lam)
-        return np.stack([(c, s), (-s, c), (-c, -s), (s, -c)][order % 4], axis=-1)
-
-    return curves.SplinePath([curves.CallbackSegment(fn, (0.0, 3.0), 2)])
+    return curves.SplinePath([_CircleNanAt(bad_lam, orders)])
 
 
 class TestNonFiniteCurve:

@@ -1,14 +1,17 @@
-"""Polynomial segment evaluation vs numpy.polynomial and a loop reference.
+"""Segment evaluation: one recorded source, bound to floats and to arrays.
 
-``PolynomialSegment.jet`` (generated float code, one Horner evaluation
-per row) is the evaluator the control loop runs, and ``evaluate`` over
-many lambda is numpy's; the term-by-term loop below is the reference
-both must agree with.
+A segment's ``jet`` (recorded straight-line code bound to ``math``, one
+Horner evaluation per row of a polynomial) is the evaluator the control
+loop runs, and ``evaluate`` runs the same source bound to numpy over
+many lambda.  For polynomials, ``numpy.polynomial`` and the
+term-by-term loop below are the references both must agree with; for
+every segment kind, the two bindings must agree bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from splinefollow import curves
 from splinefollow.curves import PolynomialSegment
 
 
@@ -110,3 +113,25 @@ def test_jet_rows_match_array_evaluate(rng, ncoef):
                     assert row == [0.0, 0.0, 0.0]
                 np.testing.assert_allclose(row, want[order][i], rtol=1e-13,
                                            atol=1e-13 * np.abs(want[order][i]).max())
+
+
+@pytest.mark.parametrize("name", ["fitted", "circle", "circle-angle", "ellipse", "helix"])
+def test_array_evaluate_equals_float_jet(name, fig8_path):
+    """Over an array of lambda, ``evaluate`` of orders 0..p+1 equals the
+    jet rows at each lambda with ``==``: both bindings run the same
+    float operations of one recorded source."""
+    path = {
+        "fitted": fig8_path,
+        "circle": curves.circle_path(1.3, center=(0.4, -0.2)),
+        "circle-angle": curves.circle_path(0.7, unit_speed=False, span=(-2.0, 2.5)),
+        "ellipse": curves.ellipse_path(a=2.0, b=0.6),
+        "helix": curves.helix_path(radius=1.5, pitch=-0.4),
+    }[name]
+    p = path.output_dim
+    for seg in path.segments:
+        lams = np.concatenate([np.linspace(*seg.domain, 37), [-0.0, 0.0]])
+        rows = [seg.jet(lam, p + 1) for lam in lams]
+        for order in range(p + 2):
+            many = seg.evaluate(lams, order)
+            assert many.shape == (len(lams), p)
+            assert np.array_equal(many, [r[order] for r in rows]), order
