@@ -7,8 +7,8 @@ to beta u + alpha = v, whose closed form uses the W-weighted right
 pseudoinverse of beta.  The null-space bias r steers the redundant
 degrees of freedom away from joint limits.
 
-The control pass runs once per period on lists of Python floats: the
-outer loops, the bias, and the input resolution.  The resolution's
+The control pass (outer loops, bias, input resolution) runs once per
+period on q, qd and constants as Python floats.  The resolution's
 arithmetic, written out in ``_resolve_code``, runs as one straight-line
 function generated at first use for the plant's N and the path's p: it
 forms beta W^-1 beta', checks its conditioning (with one symmetric
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codegen, dynamics, frames, projection, transform
+from . import codegen, curves, dynamics, frames, projection, transform
 from .errors import NearSingularDecouplingError, ParameterError
 from .frames import dot
 
@@ -30,10 +30,11 @@ CONDITION_LIMIT = 1e10
 
 @dataclass(frozen=True)
 class RedundancyConfig:
-    """Weighting and bias selection for the input resolution."""
+    """Weighting and bias selection for the input resolution; W as floats in W_rows."""
 
     W: np.ndarray | None = None          # SPD weight, defaults to identity
     bias_mode: str = "joint_limit"       # or "zero"
+    W_rows: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bias_mode not in ("joint_limit", "zero"):
@@ -42,11 +43,14 @@ class RedundancyConfig:
             W = np.asarray(self.W, dtype=float)
             if W.ndim != 2 or W.shape[0] != W.shape[1]:
                 raise ParameterError("W must be square")
+            if not np.isfinite(W).all():
+                raise ParameterError("W must be finite")
             if not np.allclose(W, W.T, atol=1e-12):
                 raise ParameterError("W must be symmetric")
             if np.any(np.linalg.eigvalsh(W) <= 0):
                 raise ParameterError("W must be positive definite")
             object.__setattr__(self, "W", W)
+            object.__setattr__(self, "W_rows", W.tolist())
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,9 @@ class OuterLoopGains:
     act on the interleaved (xi_1^1, xi_2^1, ...), so each is
     (p - 1) x 2(p - 1); ``robust_shape`` is their common shape.  In
     robust mode ``robust_matrices`` holds the arrays K + K0, K1 and K2,
-    converted once at construction.
+    converted once at construction; ``eta2_ref_columns`` holds the
+    table's times and speeds as lists of floats the same way.  Every
+    gain and reference must be finite.
     """
 
     tangential_mode: str = "velocity"
@@ -82,12 +88,17 @@ class OuterLoopGains:
     robust_K2: float = 0.0
     robust_mu: float = 0.01
     robust_matrices: tuple = field(default=(), init=False, repr=False, compare=False)
+    eta2_ref_columns: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tangential_mode not in ("velocity", "position"):
             raise ParameterError(f"bad tangential_mode {self.tangential_mode!r}")
         if self.transversal_mode not in ("pd", "robust"):
             raise ParameterError(f"bad transversal_mode {self.transversal_mode!r}")
+        if not all(map(math.isfinite, (
+                self.K_P, self.K_I, self.K_D, self.eta2_ref, self.eta1_ref,
+                self.integral_limit, self.robust_mu, *self.xi_Kp, *self.xi_Kd))):
+            raise ParameterError("gains and references must be finite")
         if self.K_P < 0 or self.K_I < 0 or self.K_D < 0:
             raise ParameterError("tangential gains must be nonnegative")
         if self.transversal_mode == "pd":
@@ -103,9 +114,21 @@ class OuterLoopGains:
                     f"got {m} x {n}")
             K, K0, K2 = (np.atleast_2d(np.asarray(x, dtype=float))
                          for x in (self.robust_K, self.robust_K0, self.robust_K2))
+            if not all(np.isfinite(x).all() for x in (K, K0, K2)):
+                raise ParameterError("robust gains K, K0 and K2 must be finite")
             # K1 = mu^2 K2: continuity of the switched term at ||xi|| = mu
             object.__setattr__(self, "robust_matrices",
                                (K + K0, self.robust_mu**2 * K2, K2))
+        if self.eta2_ref_table:
+            try:
+                table = np.asarray(self.eta2_ref_table, dtype=float)
+            except (TypeError, ValueError):   # ragged rows, not numbers
+                table = np.empty(0)
+            if not (table.ndim == 2 and table.shape[1] == 2 and np.isfinite(table).all()
+                    and np.all(np.diff(table[:, 0]) > 0)):
+                raise ParameterError("eta2_ref_table rows must be (t, eta2_ref) pairs "
+                                     "of finite numbers, t strictly increasing")
+            object.__setattr__(self, "eta2_ref_columns", tuple(table.T.tolist()))
 
     @property
     def robust_shape(self):
@@ -122,10 +145,9 @@ class OuterLoopGains:
 
     def eta2_reference(self, t):
         """Reference speed at time t (piecewise-linear table, else constant)."""
-        if not self.eta2_ref_table:
+        if not self.eta2_ref_columns:
             return self.eta2_ref
-        pts = np.asarray(self.eta2_ref_table, dtype=float)
-        return float(np.interp(t, pts[:, 0], pts[:, 1]))
+        return curves.interp(*self.eta2_ref_columns, t)
 
 
 @dataclass(frozen=True)
@@ -138,12 +160,11 @@ class ControllerState:
 def bias_r(x_c, limits):
     """Joint-limit avoidance bias: affine, u_max at q_min, u_min at q_max.
 
-    Returns a list of floats.
+    Takes a sequence of floats and returns a list of floats.
     """
     return [
         -(hu - lu) / (hq - lq) * (x - lq) + hu
-        for x, lq, hq, lu, hu in zip(np.asarray(x_c, dtype=float).tolist(),
-                                     *limits.floats)
+        for x, lq, hq, lu, hu in zip(x_c, *limits.floats)
     ]
 
 
@@ -191,12 +212,10 @@ def resolve_input(alpha, beta, v, r, W=None):
     M is symmetric, so the absolute values of its eigenvalues are its
     singular values; NearSingularDecouplingError (with ``cond``) is
     raised when their ratio is above 1e10 (the transform is
-    degenerating) or M is not finite.  beta has p rows of N; u is a
-    list of N floats.
+    degenerating) or M is not finite.  beta has p rows of N, and W,
+    when given, N rows of N; u is a list of N floats.
     """
     p, N = len(beta), len(beta[0])
-    if W is not None:
-        W = np.asarray(W, dtype=float).tolist()
     return codegen.kernel(_resolve_code, p, N, W is not None)(alpha, beta, v, r, W)
 
 
@@ -277,28 +296,28 @@ def command(lin, q, ctrl_state, gains, redundancy, limits, dt, t):
         r = bias_r(q, limits)
     else:
         r = [0.0] * len(lin.beta[0])
-    u = resolve_input(lin.alpha, lin.beta, v, r, redundancy.W)
+    u = resolve_input(lin.alpha, lin.beta, v, r, redundancy.W_rows)
     clamped = [min(max(x, lo), hi) for x, lo, hi in zip(u, *limits.floats[2:])]
     return clamped, u, v, ctrl_state
 
 
-def step(system, path, state, proj_state, ctrl_state, gains,
+def step(system, path, q, qd, proj_state, ctrl_state, gains,
          redundancy=RedundancyConfig(), limits=None,
          proj_cfg=projection.ProjectionConfig(), policy=frames.FRENET,
          dt=0.02, t=0.0):
     """One full control pass: project, transform, outer loops, resolve.
 
-    Returns (u, new_proj_state, new_ctrl_state, diagnostics).  u is
-    clamped elementwise to the actuation limits; the pre-clamp value is
-    kept in the diagnostics.
+    q and qd are the measured state, float lists.  Returns (u, new_proj_state,
+    new_ctrl_state, diagnostics); u is clamped elementwise to the actuation
+    limits, and the pre-clamp value is kept in the diagnostics.
     """
     if limits is None:
         limits = system.default_limits
-    kinematics = system.kinematics(state.q.tolist(), state.qd.tolist())
+    kinematics = system.kinematics(q, qd)
     proj_state = projection.update(proj_state, path, kinematics[0], proj_cfg)
-    lin = transform.linearize(system, state, path, proj_state, policy, kinematics)
+    lin = transform.linearize(system, q, qd, path, proj_state, policy, kinematics)
     u_clamped, u, v, ctrl_state = command(
-        lin, state.q, ctrl_state, gains, redundancy, limits, dt, t
+        lin, q, ctrl_state, gains, redundancy, limits, dt, t
     )
     ts = lin.transformed
     diag = StepDiagnostics(

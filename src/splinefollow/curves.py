@@ -12,7 +12,8 @@ Arclength is the integral of the speed ||sigma'|| by composite
 Gauss-Legendre quadrature: one table per segment, built once with the
 path, holds s_k at every node of a uniform grid, and ``arclength``
 adds the same rule over the remainder past the grid node below lambda.
-``arclength_interp`` interpolates the table on floats.  The module
+``arclength_interp`` interpolates the table on floats with ``interp``,
+which the control layer's reference-speed table uses too.  The module
 needs numpy only.
 """
 
@@ -196,10 +197,10 @@ class SplinePath:
         self.output_dim = segments[0].dim
         self._arc_tables = [self._arc_table(s) for s in self.segments]
         self.cumulative_arclength = np.array([cum[-1] for _, cum in self._arc_tables])
-        # eta_1 offset of segment k is the total arclength of segments < k
+        # eta_1 offset (a float) of segment k: total arclength of segments < k
         self.arclength_offsets = np.concatenate(
             ([0.0], np.cumsum(self.cumulative_arclength)[:-1])
-        )
+        ).tolist()
 
     @property
     def n_segments(self):
@@ -237,17 +238,9 @@ class SplinePath:
         Exact at the grid nodes; between them it errs by at most
         h^2/8 max |d||sigma'||/dlambda| for the grid spacing h (3e-9 on the
         fitted figure-eight).  The control loop queries this every step,
-        so it does np.interp's float arithmetic on the table itself:
-        clamped to the end values outside the grid, NaN at NaN.
+        so it runs ``interp`` on the table itself.
         """
-        grid, cum = self._arc_tables[k]
-        j = bisect_right(grid, lam) - 1
-        if j < 0:
-            return cum[0]
-        if j == len(grid) - 1:   # at or past the last node, or NaN
-            return cum[j] if lam == lam else lam
-        slope = (cum[j + 1] - cum[j]) / (grid[j + 1] - grid[j])
-        return slope * (lam - grid[j]) + cum[j]
+        return interp(*self._arc_tables[k], lam)
 
     def evaluate(self, k, lam, order=0):
         """Evaluate d^order sigma_k / d lambda^order with domain checks."""
@@ -301,6 +294,21 @@ class AssumptionReport:
     worst_junction_error: float
     min_gram_determinant: float
     worst_junction: int = -1
+
+
+def interp(xs, ys, x):
+    """np.interp(x, xs, ys)'s float arithmetic on sequences of floats.
+
+    xs strictly increase; the result is clamped to the end values outside
+    them, and NaN at NaN.
+    """
+    j = bisect_right(xs, x) - 1
+    if j < 0:
+        return ys[0]
+    if j == len(xs) - 1:   # at or past the last node, or NaN
+        return ys[j] if x == x else x
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return slope * (x - xs[j]) + ys[j]
 
 
 def _power_row(ncoef, lam, order):

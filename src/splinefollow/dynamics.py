@@ -18,12 +18,12 @@ D, G, h, J and dJ_dq are ``MechanicalSystem`` methods derived from
 those calls, for callers outside the loop; ``completion`` gives zeta
 as floats.
 
-``acceleration`` and ``drift_and_input`` run on Python floats: one
-``forces`` call, then one generated call.  ``_plant_code`` records the
-right-hand side A u - Bd qd - (C qd + G) and the Cholesky solve of D,
-``cholesky_solve``, with ``codegen``'s recorder into one straight-line
-function per plant and use; the control layer records its two solves
-with the same ``cholesky_solve``.
+``acceleration`` and ``drift_and_input`` run on the period's float lists
+q and qd: one ``forces`` call, then one generated call.  ``_plant_code``
+records the right-hand side A u - Bd qd - (C qd + G) and the Cholesky
+solve of D, ``cholesky_solve``, with ``codegen``'s recorder into one
+straight-line function per plant and use; the control layer records its
+two solves with the same ``cholesky_solve``.
 """
 
 import math
@@ -38,7 +38,7 @@ from .errors import DivergenceError, NonSPDInertiaError, ParameterError
 
 @dataclass(frozen=True)
 class State:
-    """Configuration and velocity of a plant."""
+    """Finite configuration and velocity arrays, for callers outside the loop."""
 
     q: np.ndarray
     qd: np.ndarray
@@ -46,8 +46,7 @@ class State:
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "qd", np.asarray(self.qd, dtype=float))
-        entries = self.q.ravel().tolist() + self.qd.ravel().tolist()
-        if not all(map(math.isfinite, entries)):
+        if not (np.isfinite(self.q).all() and np.isfinite(self.qd).all()):
             raise ValueError("state entries must be finite")
 
 
@@ -69,7 +68,9 @@ class Limits:
         names = ("q_min", "q_max", "u_min", "u_max")
         for name in names:
             object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-        if np.any(self.q_min >= self.q_max) or np.any(self.u_min >= self.u_max):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ParameterError(f"limits {name} must be finite")
+        if not (np.all(self.q_min < self.q_max) and np.all(self.u_min < self.u_max)):
             raise ParameterError("limit windows must satisfy min < max")
         object.__setattr__(self, "floats",
                            tuple(getattr(self, name).tolist() for name in names))
@@ -81,8 +82,9 @@ class MechanicalSystem:
 
     ``solves`` holds the generated solves of ``acceleration`` and
     ``drift_and_input``, with A and Bd written into them; each is
-    compiled at first use.  D, G, h, J and dJ_dq evaluate the compiled
-    calls at rest (qd = 0) or along unit velocities and return arrays.
+    compiled at first use; ``Z_rows``, Z's rows as floats, serves
+    ``completion``.  D, G, h, J and dJ_dq evaluate the compiled calls at
+    rest (qd = 0) or along unit velocities and return arrays.
     """
 
     name: str
@@ -95,9 +97,11 @@ class MechanicalSystem:
     kinematics: callable   # q, qd floats -> (h, rows of J, rows of d(J qd)/dq)
     default_limits: Limits = None
     solves: dict = field(init=False, repr=False, compare=False)
+    Z_rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.solves = _PlantSolves(self.A, self.damping)
+        self.Z_rows = self.Z.tolist()
 
     def D(self, q):
         """(N, N) inertia matrix."""
@@ -124,11 +128,9 @@ class MechanicalSystem:
         return np.array([self.kinematics(q, e)[2] for e in np.eye(self.N).tolist()],
                         dtype=float).transpose(1, 0, 2)
 
-    def completion(self, state):
+    def completion(self, q, qd):
         """The 2N - 2p redundant coordinates zeta = (Z q, Z qd), as floats."""
-        Z = self.Z.tolist()
-        return [sum(map(mul, z, x))
-                for x in (state.q.tolist(), state.qd.tolist()) for z in Z]
+        return [sum(map(mul, z, x)) for x in (q, qd) for z in self.Z_rows]
 
 
 SOLVE_NAMES = dict(sqrt=math.sqrt, isfinite=math.isfinite,
@@ -236,13 +238,12 @@ class _PlantSolves(dict):
         return solve
 
 
-def drift_and_input(system, state):
+def drift_and_input(system, q, qd):
     """Affine velocity dynamics: qdd = f_v(x) + g_v(q) u.
 
     One Cholesky factorization of D serves the drift and every column
-    of A.  Returns float lists: f_v, and the rows of g_v.
+    of A.  Takes and returns float lists: f_v, and the rows of g_v.
     """
-    q, qd = state.q.tolist(), state.qd.tolist()
     return system.solves[True](*system.forces(q, qd), qd, q)
 
 

@@ -5,12 +5,13 @@ plant integrates with a fixed-step classical Runge-Kutta scheme at a
 finer substep.  One substep is written once as list arithmetic,
 ``_rk4_code``, and runs as straight-line float code recorded for the
 plant's N; its four stages call ``dynamics.acceleration``.  One loop,
-``_simulate``, runs every control period: measurement,
-``control.step``, the RK4 hold and the clock.  ``run`` drives it once
-per scenario and logs every period; the zero-dynamics portrait drives
-it once per initial condition from states constructed on the
-path-following manifold, so the redundant flow reflects the actual
-pipeline rather than a symbolic reduction.
+``_simulate``, runs every control period on q and qd as float lists:
+measurement, ``control.step``, the RK4 hold and the clock.  ``run``
+checks the initial ``State`` and drives it once per scenario, logging
+every period; the zero-dynamics portrait drives it once per initial
+condition from states constructed on the path-following manifold, so
+the redundant flow reflects the actual pipeline rather than a symbolic
+reduction.
 """
 
 import inspect
@@ -246,23 +247,24 @@ class RunLog:
 
 
 class _Measurement:
-    """Optionally quantized state feedback with first-difference velocity."""
+    """Optionally quantized state feedback with first-difference velocity;
+    round(x, 0), unlike round(x), keeps a zero's sign, as np.round does."""
 
     def __init__(self, resolution, dt):
-        self.resolution = resolution
+        self.resolution = None if resolution is None else list(map(float, resolution))
         self.dt = dt
         self._prev_q = None
 
-    def observe(self, state):
+    def observe(self, q, qd):
         if self.resolution is None:
-            return state
-        q = np.round(state.q / self.resolution) * self.resolution
+            return q, qd
+        q = [round(x / r, 0) * r for x, r in zip(q, self.resolution)]
         if self._prev_q is None:
-            qd = np.zeros_like(q)
+            qd = [0.0] * len(q)
         else:
-            qd = (q - self._prev_q) / self.dt
+            qd = [(x - x0) / self.dt for x, x0 in zip(q, self._prev_q)]
         self._prev_q = q
-        return State(q=q, qd=qd)
+        return q, qd
 
 
 # --- simulation --------------------------------------------------------------
@@ -302,59 +304,57 @@ def _rk4_code(N):
             {"dynamics": dynamics})
 
 
-def _rk4_hold(system, state, u, h, substeps):
+def _rk4_hold(system, q, qd, u, h, substeps):
     """Integrate the plant over one control period with u held constant.
 
     Each substep is one call of the plant size's ``_rk4_code``, on lists
-    of Python floats converted from and to a State once per period.  A
-    non-finite state, or one whose norm exceeds DIVERGENCE_BOUND at the
-    end of the period, raises DivergenceError.
+    of Python floats: q, qd and u in, the new (q, qd) out.  A non-finite
+    state, or one whose norm exceeds DIVERGENCE_BOUND at the end of the
+    period, raises DivergenceError.
     """
-    q, qd = state.q.tolist(), state.qd.tolist()
-    u = np.asarray(u, dtype=float).tolist()
     substep = codegen.kernel(_rk4_code, len(q))
     half, sixth = 0.5 * h, h / 6.0
     for _ in range(substeps):
         q, qd = substep(system, q, qd, u, h, half, sixth)
-    if not math.hypot(*q, *qd) <= DIVERGENCE_BOUND:
+    if not math.hypot(*q, *qd) <= DIVERGENCE_BOUND:   # NaN fails too
         raise DivergenceError(f"state norm exceeded {DIVERGENCE_BOUND:g}")
-    return State(q=q, qd=qd)
+    return q, qd
 
 
-def _simulate(system, path, state, gains, steps, dt, substeps, *,
+def _simulate(system, path, q, qd, gains, steps, dt, substeps, *,
               redundancy, limits, proj_cfg, policy=frames.FRENET,
               proj=None, resolution=None):
-    """Run ``steps`` control periods; yield (t, state, u, diag) for each.
+    """Run ``steps`` control periods; yield (t, q, qd, u, diag) for each.
 
-    ``state`` is the true state at the start of the period and ``u`` the
-    input held over it.  The controller sees the state through the
-    measurement model (quantized to ``resolution`` when given); the plant
-    integrates the true state.  Without a projection state ``proj``, the
-    closest point is found globally from the first measurement.  A
-    library error raised during a control period carries that period's
-    start time as ``time``.
+    q and qd are the true state at the start of the period and ``u`` the
+    input held over it, lists of floats.  The controller sees the state
+    through the measurement model (quantized to ``resolution`` when
+    given); the plant integrates the true state.  Without a projection
+    state ``proj``, the closest point is found globally from the first
+    measurement.  A library error raised during a control period carries
+    that period's start time as ``time``.
     """
     meas = _Measurement(resolution, dt)
-    observed = meas.observe(state)
+    q_meas, qd_meas = meas.observe(q, qd)
     if proj is None:
-        proj = projection.global_initialize(path, system.h(observed.q), proj_cfg)
+        proj = projection.global_initialize(path, system.h(q_meas), proj_cfg)
     ctrl = control.ControllerState()
     h = dt / substeps
     t = 0.0
     for _ in range(steps):
         try:
             u, proj, ctrl, diag = control.step(
-                system, path, observed, proj, ctrl, gains,
+                system, path, q_meas, qd_meas, proj, ctrl, gains,
                 redundancy=redundancy, limits=limits,
                 proj_cfg=proj_cfg, policy=policy, dt=dt, t=t,
             )
-            new_state = _rk4_hold(system, state, u, h, substeps)
+            q_next, qd_next = _rk4_hold(system, q, qd, u, h, substeps)
         except SplineFollowError as exc:
             exc.time = t   # keeps the error's own fields (state, index)
             raise
-        yield t, state, u, diag
-        state = new_state
-        observed = meas.observe(state)
+        yield t, q, qd, u, diag
+        q, qd = q_next, qd_next
+        q_meas, qd_meas = meas.observe(q, qd)
         t += dt
 
 
@@ -409,11 +409,12 @@ def run(scenario, path=None, system=None, proj_cfg=None):
     _check_sizes(scenario, system, limits)
     if proj_cfg is None:
         proj_cfg = projection.ProjectionConfig()
+    start = State(q=scenario.q0, qd=scenario.qd0)
 
-    rows = [(t, state.q, state.qd, u, diag.eta, diag.xi, diag.zeta, diag.k_star,
+    rows = [(t, q, qd, u, diag.eta, diag.xi, diag.zeta, diag.k_star,
              diag.lambda_star, diag.iterations, diag.saturated)
-            for t, state, u, diag in _simulate(
-                system, path, State(q=scenario.q0, qd=scenario.qd0),
+            for t, q, qd, u, diag in _simulate(
+                system, path, start.q.tolist(), start.qd.tolist(),
                 scenario.gains, int(round(scenario.duration / scenario.dt)),
                 scenario.dt, scenario.substeps, redundancy=scenario.redundancy,
                 limits=limits, proj_cfg=proj_cfg, policy=scenario.frame_policy,
@@ -454,16 +455,16 @@ def zero_dynamics_state(system, path, zeta, eta1_ref=0.0):
     redundant rate Z qd = zeta_2.
     """
     ps = _point_on_path(path, eta1_ref)
-    return _manifold_state(system, path, ps, zeta), ps
+    return State(*_manifold_state(system, path, ps, zeta)), ps
 
 
 def _manifold_state(system, path, ps, zeta):
-    """zero_dynamics_state at an already located path point ps."""
+    """zero_dynamics_state's (q, qd) lists at an already located point ps."""
     y_ref = path.evaluate(ps.k_star, ps.lambda_star, 0)
     q = ik_planar3r(y_ref, zeta[0])
     A = np.vstack([system.J(q), system.Z])
     qd = np.linalg.solve(A, np.array([0.0] * system.p + [zeta[1]]))
-    return State(q=q, qd=qd)
+    return q.tolist(), qd.tolist()
 
 
 def _point_on_path(path, eta1_ref):
@@ -500,9 +501,9 @@ def _zero_dynamics_field(system, path, gains, limits, ps):
     """The redundant flow (zeta1., zeta2.) at the held path point ps."""
 
     def field(zeta):
-        st = _manifold_state(system, path, ps, zeta)
-        lin = transform.linearize(system, st, path, ps)
-        u = control.command(lin, st.q, control.ControllerState(), gains,
+        q, qd = _manifold_state(system, path, ps, zeta)
+        lin = transform.linearize(system, q, qd, path, ps)
+        u = control.command(lin, q, control.ControllerState(), gains,
                             PORTRAIT_REDUNDANCY, limits,
                             dt=PORTRAIT_DT, t=0.0)[0]
         qdd = np.array(lin.f_v) + np.array(lin.g_v) @ u
@@ -535,7 +536,7 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
     for i, z0 in enumerate(grid):
         try:
             periods = _simulate(
-                system, path, _manifold_state(system, path, ps0, z0), gains,
+                system, path, *_manifold_state(system, path, ps0, z0), gains,
                 steps, PORTRAIT_DT, PORTRAIT_SUBSTEPS,
                 redundancy=PORTRAIT_REDUNDANCY, limits=limits,
                 proj_cfg=PORTRAIT_PROJECTION, proj=ps0)

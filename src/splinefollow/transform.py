@@ -8,11 +8,11 @@ differentiation of (eta_1, xi_1) along the dynamics yields the drift
 vector alpha and decoupling matrix beta that render the virtual input
 v = alpha + beta u exactly the second derivatives of those coordinates.
 
-``linearize`` runs once per control period, on Python floats: the
-plant's compiled ``kinematics`` call, the frame jet and the affine
-dynamics feed one straight-line function, generated at first use for
-the plant's N and the path's p from the arithmetic written out in
-``_linearize_code``.
+``linearize`` runs once per control period, on q and qd as lists of
+Python floats: the plant's compiled ``kinematics`` call, the frame jet
+and the affine dynamics feed one straight-line function, generated at
+first use for the plant's N and the path's p from the arithmetic
+written out in ``_linearize_code``.
 """
 
 from dataclasses import dataclass
@@ -48,7 +48,7 @@ class LinearizationData:
 
 def path_arclength(path, k, lam):
     """eta_1: arclength from the path start to sigma_k(lam)."""
-    return path.arclength_offsets.item(k) + path.arclength_interp(k, lam)
+    return path.arclength_offsets[k] + path.arclength_interp(k, lam)
 
 
 def _linearize_code(p, N):
@@ -106,27 +106,26 @@ def _linearize_code(p, N):
                          (eta2, xi, alpha, beta)), {}
 
 
-def linearize(system, state, path, proj_state, policy=frames.FRENET,
+def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
               kinematics=None):
     """Path coordinates, drift alpha and decoupling beta at one state.
 
     Row 0 corresponds to eta_1'' and rows 1..p-1 to the transversal
     offsets xi_1''.  beta is the matrix multiplying u in those second
     derivatives; it loses rank exactly where the transform degenerates.
-    ``kinematics`` is the plant's call (h, J, d(J qd)/dq) at ``state``,
-    made here when not given.
+    ``kinematics`` is the plant's call (h, J, d(J qd)/dq) at the float
+    lists q and qd, made here when not given.
     """
     fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
-    qd = state.qd.tolist()
     if kinematics is None:
-        kinematics = system.kinematics(state.q.tolist(), qd)
-    f_v, g_v = drift_and_input(system, state)
+        kinematics = system.kinematics(q, qd)
+    f_v, g_v = drift_and_input(system, q, qd)
     eta2, xi, alpha, beta = codegen.kernel(_linearize_code, system.p, system.N)(
         fj.rows, fj.values, kinematics, qd, f_v, g_v)
     transformed = TransformedState(
         eta=[path_arclength(path, fj.k, fj.lam), eta2],
         xi=xi,
-        zeta=system.completion(state),
+        zeta=system.completion(q, qd),
         k_star=fj.k,
         lambda_star=fj.lam,
     )

@@ -195,7 +195,8 @@ def test_criterion_4_junction_continuity(capsys, wavy_path, example2):
         outs = []
         for kk, ll in ((k, hi), (k + 1, lo2)):
             ps = projection.ProjectionState(k_star=kk, lambda_star=ll)
-            lin = transform.linearize(example2, st, wavy_path, ps)
+            lin = transform.linearize(example2, st.q.tolist(), st.qd.tolist(),
+                                      wavy_path, ps)
             T = lin.transformed
             v_eta, _ = control.tangential_v(
                 T.eta, control.ControllerState(), gains, dt=0.02
@@ -356,19 +357,19 @@ def test_criterion_7_oracle_suites(capsys, wavy_path, example2):
     scen, path, system, _ = _fig8_setup(example2)
     scen.dt = 0.002  # the hold interval bounds the comparison error
     dt = scen.dt
-    state = State(q=scen.q0, qd=scen.qd0)
-    ps = projection.global_initialize(path, system.h(state.q))
+    q, qd = scen.q0.tolist(), scen.qd0.tolist()
+    ps = projection.global_initialize(path, system.h(q))
     ctrl = control.ControllerState()
     policy = scen.frame_policy
     eta2_hist, v_hist = [], []
     for s in range(1500):
         u, ps, ctrl, diag = control.step(
-            system, path, state, ps, ctrl, scen.gains,
+            system, path, q, qd, ps, ctrl, scen.gains,
             limits=scen.limits, policy=policy, dt=dt, t=s * dt,
         )
         eta2_hist.append(diag.eta[1])
         v_hist.append(diag.v[0])
-        state = sim._rk4_hold(system, state, u, dt / scen.substeps,
+        q, qd = sim._rk4_hold(system, q, qd, u, dt / scen.substeps,
                               scen.substeps)
     eta2 = np.asarray(eta2_hist)
     v_eta = np.asarray(v_hist)

@@ -202,6 +202,27 @@ class TestRun:
         err = capsys.readouterr().err
         assert "validation failure: completion vector 0" in err
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("limits", "u_min", [float("nan"), -5.0]),
+        ("limits", "q_min", [-float("inf"), -5.0]),
+        ("gains", "K_P", float("nan")),
+    ], ids=["nan-u_min", "inf-q_min", "nan-K_P"])
+    def test_non_finite_limits_and_gains_are_validation_failure(
+            self, scenario_file, tmp_path, capsys, where, key, value):
+        """json reads NaN and Infinity, so a scenario file can hold them."""
+        scen = json.loads(scenario_file.read_text())
+        if where == "limits":
+            scen["limits"] = {"q_min": [-2.0, -5.0], "q_max": [2.0, 5.0],
+                              "u_min": [-5.0, -5.0], "u_max": [5.0, 5.0]}
+        scen[where][key] = value
+        scenario_file.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(scenario_file), "--out",
+                       str(tmp_path / "log.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "validation failure" in err and "must be finite" in err
+        assert "t=" not in err
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         # one period of 1e20 s: the state overflows during the integration
         scenario = str(SCENARIOS / "two_mass_line.json")

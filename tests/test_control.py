@@ -208,6 +208,50 @@ class TestTransversal:
             with pytest.raises(ParameterError, match="mu must be positive"):
                 control.OuterLoopGains(robust_mu=mu)
 
+    @pytest.mark.parametrize("gains", [
+        {"K_P": np.nan}, {"K_I": np.inf}, {"K_D": np.nan}, {"eta2_ref": np.nan},
+        {"eta1_ref": -np.inf}, {"integral_limit": np.nan}, {"robust_mu": np.nan},
+        {"xi_Kp": (np.nan,)}, {"xi_Kd": (1.0, np.inf)},
+        {"transversal_mode": "robust", "robust_K": ((np.nan, -1.0),),
+         "robust_K0": ((0.0, 0.0),), "robust_K2": ((0.0, 0.0),)},
+        {"transversal_mode": "robust", "robust_K": ((-1.0, -1.0),),
+         "robust_K0": ((0.0, 0.0),), "robust_K2": ((np.inf, 0.0),)},
+    ], ids=["K_P", "K_I", "K_D", "eta2_ref", "eta1_ref", "integral_limit",
+            "robust_mu", "xi_Kp", "xi_Kd", "robust_K", "robust_K2"])
+    def test_gains_must_be_finite(self, gains):
+        with pytest.raises(ParameterError, match="must be finite"):
+            control.OuterLoopGains(**gains)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_weight_must_be_finite(self, bad):
+        """An infinite W has NaN eigenvalues, which no test for <= 0 catches."""
+        with pytest.raises(ParameterError, match="W must be finite"):
+            control.RedundancyConfig(W=np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("table", [
+        ((0.0, 0.0), (1.0,)),
+        ((0.0, 0.0, 1.0), (1.0, 2.0, 3.0)),
+        (0.0, 1.0),
+        ((0.0, "fast"), (1.0, 2.0)),
+        ((0.0, np.nan), (1.0, 2.0)),
+        ((0.0, 0.0), (np.inf, 2.0)),
+        ((2.0, 0.4), (0.0, 0.0), (1.0, 0.2)),   # read as 0.4 at t = 0
+        ((0.0, 0.0), (0.0, 1.0)),
+    ], ids=["ragged", "three-columns", "flat", "text", "nan", "inf", "unsorted",
+            "repeated-time"])
+    def test_reference_table_validated(self, table):
+        with pytest.raises(ParameterError, match="eta2_ref_table rows"):
+            control.OuterLoopGains(eta2_ref_table=table)
+
+    def test_reference_table_is_np_interp(self):
+        """The stored columns give np.interp's values, bit for bit,
+        between, at and outside the table's times."""
+        table = ((0.0, 0.0), (0.7, 0.3), (1.9, -0.25), (4.0, 0.1))
+        gains = control.OuterLoopGains(eta2_ref_table=table)
+        times, speeds = np.array(table).T
+        for t in np.concatenate([np.linspace(-1.0, 5.0, 241), times]):
+            assert gains.eta2_reference(float(t)) == np.interp(t, times, speeds)
+
 
 class TestStep:
     def test_example1_first_input_is_bias(self, example1):
@@ -219,7 +263,8 @@ class TestStep:
             tangential_mode="position", K_P=4.0, K_D=3.0, eta1_ref=6.0
         )
         u, _, _, diag = control.step(
-            example1, path, st, ps, control.ControllerState(), gains
+            example1, path, st.q.tolist(), st.qd.tolist(), ps,
+            control.ControllerState(), gains
         )
         r = control.bias_r(st.q, example1.default_limits)
         assert u[0] == pytest.approx(r[0], abs=1e-10)
@@ -241,9 +286,11 @@ class TestStep:
                                        xi_Kp=(150.0,), xi_Kd=(30.0,))
         limits = example2.default_limits
         u, ps_new, _, diag = control.step(
-            example2, fig8_path, st, ps, control.ControllerState(), gains,
+            example2, fig8_path, st.q.tolist(), st.qd.tolist(), ps,
+            control.ControllerState(), gains,
             redundancy=red, limits=limits, policy=policy)
-        lin = transform.linearize(example2, st, fig8_path, ps_new, policy)
+        lin = transform.linearize(example2, st.q.tolist(), st.qd.tolist(),
+                                  fig8_path, ps_new, policy)
         want = _kkt_oracle(lin.alpha, lin.beta, diag.v,
                            np.array(control.bias_r(q, limits)), red.W)
         np.testing.assert_allclose(diag.u_unclamped, want, atol=1e-8)
@@ -264,14 +311,17 @@ class TestStep:
         gains = control.OuterLoopGains(eta2_ref=0.2, K_P=5.0, K_I=2.0,
                                        xi_Kp=(150.0,), xi_Kd=(30.0,))
         u, ps_new, _, diag = control.step(
-            example2, fig8_path, st, ps, control.ControllerState(), gains,
+            example2, fig8_path, st.q.tolist(), st.qd.tolist(), ps,
+            control.ControllerState(), gains,
             redundancy=red, policy=policy)
-        lin = transform.linearize(example2, st, fig8_path, ps_new, policy)
+        lin = transform.linearize(example2, st.q.tolist(), st.qd.tolist(),
+                                  fig8_path, ps_new, policy)
         want = _kkt_oracle(lin.alpha, lin.beta, diag.v, np.zeros(3), np.eye(3))
         np.testing.assert_allclose(diag.u_unclamped, want, atol=1e-8)
         # the joint-limit bias moves u within beta's null space
-        biased = control.step(example2, fig8_path, st, ps,
-                              control.ControllerState(), gains, policy=policy)[3]
+        biased = control.step(example2, fig8_path, st.q.tolist(), st.qd.tolist(),
+                              ps, control.ControllerState(), gains,
+                              policy=policy)[3]
         assert np.abs(biased.u_unclamped - want).max() > 1e-3
 
     def test_clamps_and_reports_saturation(self, example1):
@@ -282,7 +332,8 @@ class TestStep:
             tangential_mode="position", K_P=100.0, K_D=1.0, eta1_ref=9.9
         )
         u, _, _, diag = control.step(
-            example1, path, st, ps, control.ControllerState(), gains
+            example1, path, st.q.tolist(), st.qd.tolist(), ps,
+            control.ControllerState(), gains
         )
         assert diag.saturated
         assert np.all(u <= example1.default_limits.u_max + 1e-12)

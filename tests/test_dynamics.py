@@ -146,7 +146,7 @@ class TestDerivedViews:
 
     def test_completion_is_the_hand_written_one(self, plant):
         for st in _random_states(plant, 6, seed=22):
-            np.testing.assert_array_equal(plant.completion(st),
+            np.testing.assert_array_equal(plant.completion(st.q, st.qd),
                                           COMPLETIONS[plant.name](st))
 
     def test_completion_matrix_shape(self, plant):
@@ -164,7 +164,7 @@ class TestExample1:
 
     def test_drift_and_input(self, example1):
         st = State(q=[0.0, 0.0], qd=[1.0, 2.0])
-        f_v, g_v = dynamics.drift_and_input(example1, st)
+        f_v, g_v = dynamics.drift_and_input(example1, st.q, st.qd)
         # m qdd = u - Bd qd with unit masses
         np.testing.assert_allclose(f_v, -example1.damping @ st.qd)
         np.testing.assert_allclose(g_v, np.eye(2))
@@ -184,6 +184,17 @@ class TestLimits:
                   u_min=[-1.0, -1.0], u_max=[1.0, 1.0])
         with pytest.raises(ParameterError, match="min < max"):
             dynamics.Limits(**{**kw, **bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["q_min", "q_max", "u_min", "u_max"])
+    def test_entries_must_be_finite(self, name, bad):
+        """NaN passes no comparison, so it would pass a test for min >= max;
+        an infinite window turns the joint-limit bias into NaN."""
+        kw = dict(q_min=[-1.0, -1.0], q_max=[1.0, 1.0],
+                  u_min=[-1.0, -1.0], u_max=[1.0, 1.0])
+        kw[name] = [kw[name][0], bad]
+        with pytest.raises(ParameterError, match=f"limits {name} must be finite"):
+            dynamics.Limits(**kw)
 
 
 class TestPlanar3R:
@@ -332,7 +343,7 @@ class TestFactory:
     def test_acceleration_consistent_with_drift(self, example2):
         st = State(q=[0.2, 0.4, -0.3], qd=[0.1, -0.2, 0.3])
         u = np.array([1.0, -0.5, 0.25])
-        f_v, g_v = dynamics.drift_and_input(example2, st)
+        f_v, g_v = dynamics.drift_and_input(example2, st.q, st.qd)
         np.testing.assert_allclose(
             dynamics.acceleration(example2, st.q, st.qd, u),
             f_v + g_v @ u,
@@ -358,7 +369,7 @@ class TestInertiaSolve:
         with pytest.raises(NonSPDInertiaError):
             dynamics.acceleration(system, st.q, st.qd, [1.0, 0.0])
         with pytest.raises(NonSPDInertiaError):
-            dynamics.drift_and_input(system, st)
+            dynamics.drift_and_input(system, st.q, st.qd)
 
     def test_non_finite_raises_divergence(self, example1, example2):
         system = self._with_inertia(example1, [[np.inf, 0.0], [0.0, 1.0]])
@@ -366,7 +377,7 @@ class TestInertiaSolve:
         with pytest.raises(DivergenceError):
             dynamics.acceleration(system, st.q, st.qd, [1.0, 0.0])
         with pytest.raises(DivergenceError):
-            dynamics.drift_and_input(system, st)
+            dynamics.drift_and_input(system, st.q, st.qd)
         with pytest.raises(DivergenceError):
             dynamics.acceleration(example1, st.q, st.qd, [np.nan, 0.0])
         with pytest.raises(DivergenceError):   # math.cos(inf) raises

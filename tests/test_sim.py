@@ -1,7 +1,10 @@
 """Closed-loop simulation plumbing: integrator, scenarios, logs, portraits."""
 
+import collections
 import dataclasses
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -81,30 +84,32 @@ class TestIntegrator:
                        qd=rng.uniform(-1.0, 1.0, system.N))
             u, h = rng.uniform(-2.0, 2.0, system.N), 0.02 / substeps
             q, qd = _reference_hold(system, st, u, h, substeps)
-            out = sim._rk4_hold(system, st, u, h, substeps)
-            assert out.q.tolist() == q and out.qd.tolist() == qd
+            out = sim._rk4_hold(system, st.q.tolist(), st.qd.tolist(), u.tolist(),
+                                h, substeps)
+            assert out == (q, qd)
         monkeypatch.setattr(dynamics, "acceleration", counted)
-        sim._rk4_hold(system, st, u, h, substeps)
+        sim._rk4_hold(system, st.q.tolist(), st.qd.tolist(), u.tolist(), h, substeps)
         assert len(calls) == 4 * substeps
 
     def test_rk4_order_on_linear_system(self, example1):
         """Halving the step shrinks the error by ~16 (4th order)."""
         st = State(q=[0.3, -0.2], qd=[0.5, 0.1])
         u = np.array([0.7, -0.4])
-        ref = sim._rk4_hold(example1, st, u, 1e-4, 10000)
+        x = st.q.tolist(), st.qd.tolist(), u.tolist()
+        ref = np.concatenate(sim._rk4_hold(example1, *x, 1e-4, 10000))
         errs = []
         for substeps in (2, 4):
-            out = sim._rk4_hold(example1, st, u, 1.0 / substeps, substeps)
-            errs.append(
-                np.linalg.norm(np.concatenate([out.q - ref.q, out.qd - ref.qd]))
-            )
+            out = np.concatenate(sim._rk4_hold(example1, *x, 1.0 / substeps,
+                                               substeps))
+            errs.append(np.linalg.norm(out - ref))
         order = np.log2(errs[0] / errs[1])
         assert order > 3.5
 
     def test_zero_input_at_rest_stays(self, example2):
         st = State(q=[0.1, 0.2, 0.3], qd=np.zeros(3))
-        out = sim._rk4_hold(example2, st, np.zeros(3), 0.01, 10)
-        np.testing.assert_allclose(out.q, st.q, atol=1e-12)
+        q, _ = sim._rk4_hold(example2, st.q.tolist(), st.qd.tolist(), [0.0] * 3,
+                             0.01, 10)
+        np.testing.assert_allclose(q, st.q, atol=1e-12)
 
 
 class TestScenario:
@@ -344,6 +349,73 @@ class TestRun:
         log = sim.run(scen)
         assert np.isfinite(log.u).all()
 
+    def test_float_measurement_is_numpy_quantization(self):
+        """Quantized q equals np.round(q / r) * r and qd equals
+        (q - q_prev) / dt bit for bit, also at exact half-steps (dyadic
+        resolutions) and for the -0.0 of a small negative q."""
+        rng = np.random.default_rng(5)
+        r, dt = np.array([2.0**-10, 1e-3, 2.0**-6]), 0.02
+        meas = sim._Measurement(r, dt)
+        prev = None
+        for i in range(300):
+            q = [rng.uniform(-1.0, 1.0, 3),
+                 (rng.integers(-500, 500, 3) + 0.5) * r,     # half-steps
+                 -rng.uniform(0.0, 0.5, 3) * r][i % 3]       # round to -0.0
+            got_q, got_qd = meas.observe(q.tolist(), [9.0] * 3)
+            want_q = np.round(q / r) * r
+            want_qd = np.zeros(3) if prev is None else (want_q - prev) / dt
+            prev = want_q
+            assert np.array(got_q).tobytes() == want_q.tobytes()
+            assert np.array(got_qd).tobytes() == want_qd.tobytes()
+            assert all(type(x) is float for x in got_q + got_qd)
+
+    @pytest.mark.parametrize("scenario, allowed", [
+        ("two_mass_line", {}),
+        ("figure_eight_3r", {"eigvalsh": 50, "tolist": 50}),
+        ("twisted_loop_4dof", {"eigvalsh": 50, "tolist": 50}),
+    ])
+    def test_period_calls_no_numpy(self, scenario, allowed):
+        """Over 50 warm periods, package code calls numpy only for the
+        conditioning check's eigvalsh (p >= 2) and the tolist of its
+        result, and q, qd and u stay lists of Python floats."""
+        scen = sim.Scenario.from_file(SCENARIOS / f"{scenario}.json")
+        system = dynamics.make_plant(scen.plant, **scen.plant_kwargs)
+        periods = sim._simulate(
+            system, sim._build_path(scen.path_spec), scen.q0.tolist(),
+            scen.qd0.tolist(), scen.gains, 60, scen.dt, scen.substeps,
+            redundancy=scen.redundancy,
+            limits=scen.limits or system.default_limits,
+            proj_cfg=projection.ProjectionConfig(), policy=scen.frame_policy)
+        for _ in range(10):
+            next(periods)
+        numpy_dir = os.path.dirname(np.__file__)
+        package_dir = os.path.dirname(sim.__file__)
+        calls = collections.Counter()
+
+        def from_package(frame):   # a package file, or code it generated
+            name = frame.f_code.co_filename
+            return name.startswith(package_dir) or name.startswith("<")
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+                name = frame.f_code.co_name
+                if from_package(frame.f_back) and not name.endswith("_dispatcher"):
+                    calls[name] += 1
+            elif event == "c_call" and from_package(frame):
+                module = (getattr(arg, "__module__", None)
+                          or type(getattr(arg, "__self__", None)).__module__)
+                if module.startswith("numpy"):
+                    calls[arg.__name__] += 1
+
+        sys.setprofile(profile)
+        try:
+            rows = [next(periods) for _ in range(50)]
+        finally:
+            sys.setprofile(None)
+        assert dict(calls) == allowed
+        for _, q, qd, u, _ in rows:
+            assert all(type(x) is float for x in q + qd + u)
+
     def test_summary_and_boundedness(self, example1):
         scen = _example1_scenario(duration=4.0)
         log = sim.run(scen)
@@ -451,7 +523,8 @@ class TestPortrait:
                 system, path, zeta, eta1_ref=np.pi * radius
             )
             u, _, _, _ = control.step(
-                system, path, st, ps, control.ControllerState(), gains,
+                system, path, st.q.tolist(), st.qd.tolist(), ps,
+                control.ControllerState(), gains,
                 limits=limits, dt=0.02, t=0.0,
             )
             qdd = dynamics.acceleration(system, st.q, st.qd, u)

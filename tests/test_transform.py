@@ -70,7 +70,8 @@ class TestCoordinates:
         q = sim.ik_planar3r(y, 0.4)
         st = State(q=q, qd=np.zeros(3))
         ps = _project(fig8_path, example2, q)
-        T = transform.linearize(example2, st, fig8_path, ps).transformed
+        T = transform.linearize(example2, st.q.tolist(), st.qd.tolist(),
+                                fig8_path, ps).transformed
         np.testing.assert_allclose(T.xi, 0.0, atol=1e-8)
         assert T.eta[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -79,7 +80,7 @@ class TestCoordinates:
         y = fig8_path.evaluate(k, lam, 0)
         q = sim.ik_planar3r(y, 0.4)
         ps = _project(fig8_path, example2, q)
-        T = transform.linearize(example2, State(q=q, qd=np.zeros(3)),
+        T = transform.linearize(example2, q.tolist(), [0.0] * 3,
                                 fig8_path, ps).transformed
         want = fig8_path.arclength_offsets[k] + fig8_path.arclength(k, lam)
         assert T.eta[0] == pytest.approx(want, abs=1e-5)
@@ -89,7 +90,7 @@ class TestCoordinates:
         # tip 0.1 outside the circle: offset along -e2 (outward) for a CCW circle
         q = sim.ik_planar3r((2.1, 0.0), 0.5)
         ps = _project(path, example2, q)
-        T = transform.linearize(example2, State(q=q, qd=np.zeros(3)),
+        T = transform.linearize(example2, q.tolist(), [0.0] * 3,
                                 path, ps).transformed
         assert abs(abs(T.xi[0][0]) - 0.1) < 1e-6
 
@@ -98,14 +99,15 @@ class TestCoordinates:
         q = sim.ik_planar3r((2.0, 0.0), 0.3)
         qd = np.array([0.1, 0.2, -0.3])
         ps = _project(path, example2, q)
-        T = transform.linearize(example2, State(q=q, qd=qd), path, ps).transformed
+        T = transform.linearize(example2, q.tolist(), qd.tolist(), path,
+                                ps).transformed
         np.testing.assert_allclose(T.zeta, [q.sum(), qd.sum()], atol=1e-12)
 
     def test_flat_layout(self, example2):
         path = curves.circle_path(radius=2.0, span=(0.0, 4.0 * np.pi))
         q = sim.ik_planar3r((2.0, 0.0), 0.3)
         ps = _project(path, example2, q)
-        T = transform.linearize(example2, State(q=q, qd=np.zeros(3)),
+        T = transform.linearize(example2, q.tolist(), [0.0] * 3,
                                 path, ps).transformed
         assert np.size(T.eta) + np.size(T.xi) + np.size(T.zeta) == 2 * example2.N
 
@@ -136,7 +138,8 @@ class TestNumpyReference:
                 k_star=k, lambda_star=rng.uniform(*path.segments[k].domain))
             st = State(q=rng.uniform(lim.q_min, lim.q_max) * 0.8,
                        qd=rng.normal(size=system.N))
-            lin = transform.linearize(system, st, path, ps, policy)
+            lin = transform.linearize(system, st.q.tolist(), st.qd.tolist(), path,
+                                      ps, policy)
             ts = lin.transformed
             got = (ts.eta, ts.xi, lin.alpha, lin.beta, lin.f_v, lin.g_v)
             want = _reference_linearize(system, st, path, ps, policy, christoffel)
@@ -145,7 +148,8 @@ class TestNumpyReference:
                 assert g.shape == w.shape
                 scale = max(np.abs(w).max(initial=0.0), 1e-300)
                 assert np.abs(g - w).max(initial=0.0) <= 1e-12 * scale
-            np.testing.assert_allclose(ts.zeta, system.completion(st))
+            np.testing.assert_allclose(ts.zeta, system.completion(st.q.tolist(),
+                                                                  st.qd.tolist()))
 
 
 class TestExample1Linearization:
@@ -154,7 +158,8 @@ class TestExample1Linearization:
         path = curves.line_path([-5.0], [5.0])
         policy_state = State(q=[0.4, 1.0], qd=[0.3, -0.2])
         ps = projection.ProjectionState(k_star=0, lambda_star=6.0)
-        lin = transform.linearize(example1, policy_state, path, ps)
+        lin = transform.linearize(example1, policy_state.q.tolist(),
+                                  policy_state.qd.tolist(), path, ps)
         b2 = 1.0
         want_alpha = b2 * (policy_state.qd[0] - policy_state.qd[1])
         assert lin.alpha[0] == pytest.approx(want_alpha, abs=1e-12)
@@ -180,20 +185,21 @@ class TestLieDerivativeOracle:
         u = np.array([0.5, -0.3, 0.2])
         cfg = projection.ProjectionConfig(alpha0=1e-4)
         ps = projection.global_initialize(fig8_path, example2.h(q), cfg)
-        lin = transform.linearize(example2, st, fig8_path, ps, policy)
+        x = st.q.tolist(), st.qd.tolist()
+        lin = transform.linearize(example2, *x, fig8_path, ps, policy)
 
-        def xi1_at(state, pstate):
-            pstate = projection.update(pstate, fig8_path, example2.h(state.q), cfg)
-            T = transform.linearize(example2, state, fig8_path, pstate,
+        def xi1_at(q, qd, pstate):
+            pstate = projection.update(pstate, fig8_path, example2.h(q), cfg)
+            T = transform.linearize(example2, q, qd, fig8_path, pstate,
                                     policy).transformed
             return np.array(T.xi[0]), pstate
 
         h = 1e-4
-        sp = sim._rk4_hold(example2, st, u, h / 4, 4)
-        sm = sim._rk4_hold(example2, st, u, -h / 4, 4)
-        x0, _ = xi1_at(st, ps)
-        xp, _ = xi1_at(sp, ps)
-        xm, _ = xi1_at(sm, ps)
+        sp = sim._rk4_hold(example2, *x, u.tolist(), h / 4, 4)
+        sm = sim._rk4_hold(example2, *x, u.tolist(), -h / 4, 4)
+        x0, _ = xi1_at(*x, ps)
+        xp, _ = xi1_at(*sp, ps)
+        xm, _ = xi1_at(*sm, ps)
         fd = (xp - 2.0 * x0 + xm) / h**2
         want = (np.array(lin.alpha) + np.array(lin.beta) @ u)[1:]
         np.testing.assert_allclose(fd, want, atol=5e-3)
