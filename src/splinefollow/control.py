@@ -28,13 +28,13 @@ from .frames import dot
 CONDITION_LIMIT = 1e10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # == is identity: W is an array
 class RedundancyConfig:
     """Weighting and bias selection for the input resolution; W as floats in W_rows."""
 
     W: np.ndarray | None = None          # SPD weight, defaults to identity
     bias_mode: str = "joint_limit"       # or "zero"
-    W_rows: list | None = field(default=None, init=False, repr=False, compare=False)
+    W_rows: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.bias_mode not in ("joint_limit", "zero"):
@@ -101,6 +101,8 @@ class OuterLoopGains:
             raise ParameterError("gains and references must be finite")
         if self.K_P < 0 or self.K_I < 0 or self.K_D < 0:
             raise ParameterError("tangential gains must be nonnegative")
+        if self.integral_limit < 0:
+            raise ParameterError("integral_limit must be nonnegative")
         if self.transversal_mode == "pd":
             if min(self.xi_Kp) <= 0 or min(self.xi_Kd) <= 0:
                 raise ParameterError("PD transversal gains must be positive")

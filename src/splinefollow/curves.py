@@ -13,8 +13,8 @@ Gauss-Legendre quadrature: one table per segment, built once with the
 path, holds s_k at every node of a uniform grid, and ``arclength``
 adds the same rule over the remainder past the grid node below lambda.
 ``arclength_interp`` interpolates the table on floats with ``interp``,
-which the control layer's reference-speed table uses too.  The module
-needs numpy only.
+which the control layer's reference-speed table uses too; ``bisect``
+is every layer's scalar search.  The module needs numpy only.
 """
 
 import math
@@ -309,6 +309,18 @@ def interp(xs, ys, x):
         return ys[j] if x == x else x
     slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
     return slope * (x - xs[j]) + ys[j]
+
+
+def bisect(inside, a, b, xtol):
+    """Bisect from a, where ``inside`` holds, toward b, where it does not.
+
+    Stops at |b - a| <= xtol or at adjacent floats; returns a.  b < a is fine.
+    """
+    mid = 0.5 * (a + b)
+    while abs(b - a) > xtol and a != mid != b:
+        a, b = (mid, b) if inside(mid) else (a, mid)
+        mid = 0.5 * (a + b)
+    return a
 
 
 def _power_row(ncoef, lam, order):

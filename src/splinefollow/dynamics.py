@@ -50,7 +50,7 @@ class State:
             raise ValueError("state entries must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # == is identity: the fields are arrays
 class Limits:
     """Per-joint configuration windows and per-input actuation windows.
 
@@ -62,7 +62,7 @@ class Limits:
     q_max: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
-    floats: tuple = field(default=(), init=False, repr=False, compare=False)
+    floats: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         names = ("q_min", "q_max", "u_min", "u_max")

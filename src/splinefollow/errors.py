@@ -74,5 +74,13 @@ class DivergenceError(NumericalFailure):
     """Simulated state magnitude exceeded the divergence guard."""
 
 
+class SingularManifoldError(NumericalFailure):
+    """[J; Z] is singular at the internal state ``zeta`` (a straight arm)."""
+
+    def __init__(self, message, zeta=None):
+        super().__init__(message)
+        self.zeta = zeta
+
+
 class ParameterError(SplineFollowError):
     """A model or configuration parameter is out of its valid range."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .curves import bisect
 from .errors import NonConvergenceError
 from .frames import dot
 
@@ -37,8 +38,12 @@ class ProjectionConfig:
     max_iters: int = 200
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and positive")
+        if not 0.0 < self.alpha0 < math.inf:
+            raise ValueError("alpha0 must be finite and positive")
+        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -256,12 +261,6 @@ def allowable_delta_lambda(path, k, samples=64):
         if not _window_ok(path, k, ls, tiny):
             deltas[i] = 0.0
             continue
-        a, b = tiny, width
-        while b - a > 1e-5 * width:
-            mid = 0.5 * (a + b)
-            if _window_ok(path, k, ls, mid):
-                a = mid
-            else:
-                b = mid
-        deltas[i] = a
+        deltas[i] = bisect(lambda d: _window_ok(path, k, ls, d),
+                           tiny, width, 1e-5 * width)
     return lam_stars, deltas, float(deltas.min())

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import codegen, control, curves, dynamics, frames, projection, transform
 from .dynamics import Limits, State
-from .errors import DivergenceError, ParameterError, SplineFollowError
+from .errors import (DivergenceError, ParameterError, SingularManifoldError,
+                     SplineFollowError)
 
 DIVERGENCE_BOUND = 1e6
 FMT = "%.17g"
@@ -76,7 +77,7 @@ def _build_path(spec):
     raise ParameterError("path spec needs waypoints, analytic, file or segments")
 
 
-@dataclass
+@dataclass(eq=False)   # == is identity: q0, qd0 and the limits hold arrays
 class Scenario:
     """Everything needed to reproduce one closed-loop run."""
 
@@ -463,14 +464,17 @@ def _manifold_state(system, path, ps, zeta):
     y_ref = path.evaluate(ps.k_star, ps.lambda_star, 0)
     q = ik_planar3r(y_ref, zeta[0])
     A = np.vstack([system.J(q), system.Z])
-    qd = np.linalg.solve(A, np.array([0.0] * system.p + [zeta[1]]))
+    try:
+        qd = np.linalg.solve(A, np.array([0.0] * system.p + [zeta[1]]))
+    except np.linalg.LinAlgError:
+        raise SingularManifoldError(
+            f"[J; Z] is singular at zeta = ({zeta[0]!r}, {zeta[1]!r})",
+            zeta=(float(zeta[0]), float(zeta[1]))) from None
     return q.tolist(), qd.tolist()
 
 
 def _point_on_path(path, eta1_ref):
     """Projection state whose arclength coordinate equals eta1_ref."""
-    from scipy.optimize import brentq
-
     offs = path.arclength_offsets
     k = int(np.searchsorted(offs, eta1_ref, side="right") - 1)
     k = min(max(k, 0), path.n_segments - 1)
@@ -481,8 +485,8 @@ def _point_on_path(path, eta1_ref):
     elif target >= path.cumulative_arclength[k]:
         lam = hi
     else:
-        lam = brentq(lambda l: path.arclength(k, l) - target, lo, hi,
-                     xtol=1e-12)
+        lam = curves.bisect(lambda l: path.arclength(k, l) < target,
+                            lo, hi, 1e-12)
     return projection.ProjectionState(k_star=k, lambda_star=float(lam))
 
 
@@ -566,8 +570,6 @@ def _find_equilibria(field, grid):
     detected by checking that |flow| decays toward the feasibility
     boundary and reported at the boundary itself.
     """
-    from scipy.optimize import brentq
-
     z1_vals = np.unique(grid[:, 0])
     lo, hi = z1_vals.min(), z1_vals.max()
     span = hi - lo
@@ -582,10 +584,9 @@ def _find_equilibria(field, grid):
         if a == 0.0:
             roots.append(scan[i])
         elif a * b < 0.0:
-            roots.append(
-                brentq(lambda z: field(np.array([z, 0.0]))[1],
-                       scan[i], scan[i + 1], xtol=1e-12)
-            )
+            roots.append(curves.bisect(
+                lambda z: (field(np.array([z, 0.0]))[1] > 0.0) == (a > 0.0),
+                scan[i], scan[i + 1], 1e-12))
 
     # deduplicate interior roots
     roots = sorted(roots)
@@ -628,13 +629,8 @@ def _boundary_equilibria(field, scan, g, span):
             b = a + sign * 1e-3 * span
             if not np.isnan(_try_field(field, b)):
                 continue
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if np.isnan(_try_field(field, mid)):
-                b = mid
-            else:
-                a = mid
-        zb = a
+        zb = curves.bisect(lambda z: not np.isnan(_try_field(field, z)),
+                           a, b, 0.0)
         # the flow must decay toward the boundary for a limit equilibrium
         probes = [abs(_try_field(field, zb - sign * d * span))
                   for d in (1e-3, 1e-5, 1e-7)]

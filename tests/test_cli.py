@@ -261,3 +261,11 @@ class TestPortrait:
         assert rc == 0
         data = json.loads(eq.read_text())
         assert data["grid_points"] == 4
+
+    def test_straight_arm_in_the_scan_is_infeasible(self, tmp_path):
+        """At radius 2.3 the boundary search meets a straight arm, which is
+        an infeasible point of the scan, not a failure of the portrait."""
+        rc = cli.main(["portrait", "--out", str(tmp_path / "flows.csv"),
+                       "--equilibria", str(tmp_path / "eq.json"),
+                       "--radius", "2.3", "--grid", "3", "--duration", "1"])
+        assert rc == 0

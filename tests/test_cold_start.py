@@ -2,7 +2,8 @@
 
 ``import splinefollow``, the ``example1`` plant, the ``two_mass_line``
 path and a short run need numpy alone, and so do the symbolic plants,
-whose code ships generated: neither scipy nor sympy loads.  The check
+whose code ships generated, and the zero-dynamics analysis: neither
+scipy nor sympy loads.  The check
 runs in a fresh interpreter, since the rest of the suite has loaded both
 long before.  Run as a script, it checks whichever ``splinefollow`` the
 interpreter imports (an installed copy, say) and exits 1 on a failure:
@@ -23,16 +24,28 @@ HEAVY = ("scipy", "sympy")
 
 def check():
     """Problems found in this interpreter, which must not have loaded HEAVY."""
-    from splinefollow import dynamics, sim
+    import numpy as np
+
+    from splinefollow import control, curves, dynamics, sim
 
     scenario = sim.Scenario.from_file(SCENARIO)
     # builds the example1 plant and the line path, then runs 50 periods
     sim.run(dataclasses.replace(scenario, duration=1.0))
     problems = [f"{name} loaded by the example1 run"
                 for name in HEAVY if name in sys.modules]
-    dynamics.make_example2()
+    example2 = dynamics.make_example2()
     dynamics.make_cpm_like()
     problems += [f"{name} loaded by make_example2 or make_cpm_like"
+                 for name in HEAVY if name in sys.modules]
+    radius = 2.2
+    path = curves.circle_path(radius, span=(-np.pi * radius, np.pi * radius))
+    sim.zero_dynamics_state(example2, path, (0.4, 0.7), eta1_ref=np.pi * radius)
+    gains = control.OuterLoopGains(
+        tangential_mode="position", K_P=20.0, K_D=9.0,
+        eta1_ref=np.pi * radius, xi_Kp=(40.0,), xi_Kd=(13.0,))
+    sim.zero_dynamics_portrait(example2, path, gains, [[-0.3, 0.0], [0.3, 0.0]],
+                               eta1_ref=np.pi * radius, sim_duration=0.04)
+    problems += [f"{name} loaded by zero_dynamics_state or the portrait"
                  for name in HEAVY if name in sys.modules]
     return problems
 

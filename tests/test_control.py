@@ -207,6 +207,9 @@ class TestTransversal:
         for mu in (0.0, -0.01):
             with pytest.raises(ParameterError, match="mu must be positive"):
                 control.OuterLoopGains(robust_mu=mu)
+        # a negative limit would pin the integral at -1 after one period
+        with pytest.raises(ParameterError, match="integral_limit"):
+            control.OuterLoopGains(K_I=1.0, integral_limit=-1.0)
 
     @pytest.mark.parametrize("gains", [
         {"K_P": np.nan}, {"K_I": np.inf}, {"K_D": np.nan}, {"eta2_ref": np.nan},

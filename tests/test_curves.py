@@ -1,5 +1,7 @@
 """Spline fitting, path evaluation, arclength, and serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -277,3 +279,31 @@ class TestAnalyticPaths:
     def test_line_degenerate(self):
         with pytest.raises(DegenerateChordError):
             curves.line_path([1.0, 2.0], [1.0, 2.0])
+
+
+class TestBisect:
+    def test_reversed_bracket(self):
+        """From a = 1 (inside) down to b = 0: the last inside point above 0.3."""
+        x = curves.bisect(lambda z: z > 0.3, 1.0, 0.0, 1e-9)
+        assert 0.3 < x <= 0.3 + 1e-9
+
+    def test_zero_tolerance_stops_at_adjacent_floats(self):
+        third = 1.0 / 3.0
+        x = curves.bisect(lambda z: z < third, 0.0, 1.0, 0.0)
+        assert x == math.nextafter(third, 0.0)
+        x = curves.bisect(lambda z: z > third, 1.0, 0.0, 0.0)
+        assert x == math.nextafter(third, 1.0)
+
+    def test_midpoint_at_an_end_ends_the_search(self):
+        calls = []
+
+        def inside(z):
+            calls.append(z)
+            return True
+
+        b = math.nextafter(1.0, 2.0)
+        assert curves.bisect(inside, 1.0, b, 0.0) == 1.0
+        assert calls == []
+
+    def test_bracket_within_tolerance_is_returned(self):
+        assert curves.bisect(lambda z: 1 / 0, 0.5, 0.75, 0.25) == 0.5

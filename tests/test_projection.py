@@ -145,8 +145,13 @@ class TestUpdate:
         assert exc.value.state is not None
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            projection.ProjectionConfig(eps=0.0)
+        """alpha0 = 0 would leave lambda* where it starts; NaN would turn
+        off the Newton step bound."""
+        for name, bad in [("eps", 0.0), ("eps", np.nan), ("eps", np.inf),
+                          ("alpha0", 0.0), ("alpha0", -1e-2), ("alpha0", np.nan),
+                          ("alpha0", np.inf), ("max_iters", 0), ("max_iters", 2.5)]:
+            with pytest.raises(ValueError, match=name):
+                projection.ProjectionConfig(**{name: bad})
 
 
 class TestDeltaLambda:

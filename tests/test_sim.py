@@ -16,7 +16,9 @@ from splinefollow.dynamics import State
 from splinefollow.errors import (
     DivergenceError,
     NonConvergenceError,
+    NumericalFailure,
     ParameterError,
+    SingularManifoldError,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -113,6 +115,18 @@ class TestIntegrator:
 
 
 class TestScenario:
+    def test_configs_compare_by_identity(self):
+        """Array fields have no single truth value, so == is identity."""
+        pairs = [
+            (dynamics.Limits([-1, -1], [1, 1], [-2, -2], [2, 2]),
+             dynamics.Limits([-1, -1], [1, 1], [-2, -2], [2, 2])),
+            (control.RedundancyConfig(W=np.eye(2)), control.RedundancyConfig(W=np.eye(2))),
+            (_example1_scenario(), _example1_scenario()),
+        ]
+        for a, b in pairs:
+            assert (a == b) is False
+            assert (a == a) is True
+
     def test_round_trip_through_dict(self):
         d = {
             "plant": "example1",
@@ -458,24 +472,66 @@ class TestPlanar3RKinematics:
         np.testing.assert_allclose(example2.Z @ st.q, [0.4], atol=1e-12)
         np.testing.assert_allclose(example2.Z @ st.qd, [0.7], atol=1e-12)
 
+    def test_straight_arm_raises_a_typed_error(self, example2):
+        """At zeta = 0 on the radius-3 circle the arm is straight: [J; Z] is singular."""
+        with pytest.raises(SingularManifoldError, match="zeta") as exc:
+            sim.zero_dynamics_state(example2, curves.circle_path(3.0), (0.0, 0.0))
+        assert isinstance(exc.value, NumericalFailure)
+        assert exc.value.zeta == (0.0, 0.0)
+
+    def test_point_on_path_matches_brentq(self, fig8_path):
+        from scipy.optimize import brentq
+
+        radius = 2.2
+        circle = curves.circle_path(radius, span=(-np.pi * radius, np.pi * radius))
+        cases = [(circle, s) for s in (np.pi * radius, 1.0, 13.0)]
+        cases += [(fig8_path, s) for s in
+                  np.linspace(0.05, fig8_path.arclength_offsets[-1] - 0.05, 7)]
+        for path, eta1 in cases:
+            ps = sim._point_on_path(path, eta1)
+            k = ps.k_star
+            target = eta1 - path.arclength_offsets[k]
+            want = brentq(lambda lam: path.arclength(k, lam) - target,
+                          *path.segments[k].domain, xtol=1e-12)
+            assert abs(ps.lambda_star - want) <= 1e-12
+
+
+def _criterion3_portrait(system, grid, sim_duration):
+    """Criterion 3's held point, limits and gains on the radius-2.2 circle."""
+    radius = 2.2
+    path = curves.circle_path(radius, span=(-np.pi * radius, np.pi * radius))
+    q0 = sim.ik_planar3r((radius, 0.0), 0.0)
+    limits = dynamics.Limits(
+        q_min=q0 - 1.0, q_max=q0 + 1.0, u_min=[-10.0] * 3, u_max=[10.0] * 3
+    )
+    gains = control.OuterLoopGains(
+        tangential_mode="position", K_P=20.0, K_D=9.0,
+        eta1_ref=np.pi * radius, xi_Kp=(40.0,), xi_Kd=(13.0,),
+    )
+    return sim.zero_dynamics_portrait(
+        system, path, gains, np.asarray(grid), limits=limits,
+        eta1_ref=np.pi * radius, sim_duration=sim_duration,
+    )
+
 
 class TestPortrait:
+    def test_flow_roots_match_brentq(self, example2):
+        """Interior equilibria are the flow's roots to brentq's xtol."""
+        from scipy.optimize import brentq
+
+        portrait = _criterion3_portrait(example2, [[-0.6, 0.0], [1.25, 0.0]], 0.02)
+        scan = np.linspace(-0.6, 1.25, 400)
+        interior = [e["zeta"][0] for e in portrait.equilibria if not e["boundary"]]
+        assert interior
+        for z1 in interior:
+            i = int(np.searchsorted(scan, z1)) - 1
+            want = brentq(lambda z: portrait.field(np.array([z, 0.0]))[1],
+                          scan[i], scan[i + 1], xtol=1e-12)
+            assert abs(z1 - want) <= 1e-12
+
     def test_small_grid_and_files(self, example2, tmp_path):
-        radius = 2.2
-        path = curves.circle_path(radius, span=(-np.pi * radius, np.pi * radius))
-        q0 = sim.ik_planar3r((radius, 0.0), 0.0)
-        limits = dynamics.Limits(
-            q_min=q0 - 1.0, q_max=q0 + 1.0, u_min=[-10.0] * 3, u_max=[10.0] * 3
-        )
-        gains = control.OuterLoopGains(
-            tangential_mode="position", K_P=20.0, K_D=9.0,
-            eta1_ref=np.pi * radius, xi_Kp=(40.0,), xi_Kd=(13.0,),
-        )
-        grid = np.array([[0.1, 0.0], [-0.2, 0.2], [0.4, -0.3], [2.5, 0.0]])
-        portrait = sim.zero_dynamics_portrait(
-            example2, path, gains, grid, limits=limits,
-            eta1_ref=np.pi * radius, sim_duration=1.0,
-        )
+        grid = [[0.1, 0.0], [-0.2, 0.2], [0.4, -0.3], [2.5, 0.0]]
+        portrait = _criterion3_portrait(example2, grid, 1.0)
         # the last grid point is kinematically infeasible
         assert portrait.failed[3]
         assert not portrait.failed[:3].any()
