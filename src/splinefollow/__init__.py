@@ -38,12 +38,10 @@ from .projection import (
 )
 from .transform import (
     LinearizationData,
-    TransformedState,
     check_differentials,
     linearize,
 )
 from .control import (
-    ControllerState,
     OuterLoopGains,
     RedundancyConfig,
     bias_r,

@@ -14,6 +14,12 @@ function generated at first use for the plant's N and the path's p: it
 forms beta W^-1 beta', checks its conditioning (with one symmetric
 eigenvalue call for p >= 2) and solves with the plant layer's recorded
 Cholesky solve, written into the same function.
+
+``step`` is one period: projection update, ``linearize``, outer loops
+and resolution.  It returns the clamped u, the PI loop's integral (a
+float the caller hands back next period) and a StepDiagnostics that
+points to the period's ProjectionState and LinearizationData and adds
+only v, the unclamped u and whether u was clamped.
 """
 
 import math
@@ -104,8 +110,11 @@ class OuterLoopGains:
         if self.integral_limit < 0:
             raise ParameterError("integral_limit must be nonnegative")
         if self.transversal_mode == "pd":
-            if min(self.xi_Kp) <= 0 or min(self.xi_Kd) <= 0:
-                raise ParameterError("PD transversal gains must be positive")
+            for name in ("xi_Kp", "xi_Kd"):
+                gains = getattr(self, name)
+                if not gains or min(gains) <= 0:
+                    raise ParameterError(
+                        f"PD transversal gains {name} must be nonempty and positive")
         if self.robust_mu <= 0:
             raise ParameterError("robust boundary layer mu must be positive")
         if self.transversal_mode == "robust":
@@ -150,13 +159,6 @@ class OuterLoopGains:
         if not self.eta2_ref_columns:
             return self.eta2_ref
         return curves.interp(*self.eta2_ref_columns, t)
-
-
-@dataclass(frozen=True)
-class ControllerState:
-    """Integrator memory of the tangential PI loop."""
-
-    integral: float = 0.0
 
 
 def bias_r(x_c, limits):
@@ -221,22 +223,21 @@ def resolve_input(alpha, beta, v, r, W=None):
     return codegen.kernel(_resolve_code, p, N, W is not None)(alpha, beta, v, r, W)
 
 
-def tangential_v(eta, ctrl_state, gains, dt, t=0.0):
-    """Tangential virtual input and the updated integrator state.
+def tangential_v(eta, integral, gains, dt, t=0.0):
+    """Tangential virtual input and the updated integral, both floats.
 
     Velocity mode is a PI loop on eta_2; position mode is a PD loop on
-    eta_1 (used for point stabilization).  The integral uses a
-    first-order update and is clamped for anti-windup.
+    eta_1 (used for point stabilization), which keeps the integral as
+    given.  The integral uses a first-order update and is clamped for
+    anti-windup.
     """
     if gains.tangential_mode == "position":
         v = gains.K_P * (gains.eta1_ref - eta[0]) - gains.K_D * eta[1]
-        return v, ctrl_state
+        return v, integral
     err = gains.eta2_reference(t) - eta[1]
-    integral = ctrl_state.integral + dt * err
     lim = gains.integral_limit
-    integral = min(max(integral, -lim), lim)
-    v = gains.K_P * err + gains.K_I * integral
-    return v, ControllerState(integral)
+    integral = min(max(integral + dt * err, -lim), lim)
+    return gains.K_P * err + gains.K_I * integral, integral
 
 
 def transversal_v(xi, gains):
@@ -264,35 +265,32 @@ def transversal_v(xi, gains):
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Everything the logger wants to know about one control step.
+    """One control period's records and what neither of them holds.
 
-    eta, xi, zeta and alpha are the linearization's lists of floats.
+    ``projection`` is the period's closest point (k*, lambda*, its
+    iterations), ``lin`` its coordinates eta, xi, zeta, drift alpha and
+    decoupling beta; v and the unclamped u are lists of floats.
     """
 
-    k_star: int
-    lambda_star: float
-    eta: list
-    xi: list
-    zeta: list
+    projection: projection.ProjectionState
+    lin: transform.LinearizationData
     v: list
-    alpha: list
-    iterations: int
-    saturated: bool
     u_unclamped: list
+    saturated: bool
 
 
-def command(lin, q, ctrl_state, gains, redundancy, limits, dt, t):
+def command(lin, q, integral, gains, redundancy, limits, dt, t):
     """Outer loops, null-space bias and input resolution at one state.
 
-    ``lin`` is the linearization at configuration ``q``.  Returns
-    (u, u_unclamped, v, new_ctrl_state), the first three as lists of
-    floats: u is u_unclamped clamped elementwise to the actuation limits.
+    ``lin`` is the linearization at configuration ``q`` and ``integral``
+    the PI loop's memory.  Returns (u, u_unclamped, v, new_integral), the
+    first three as lists of floats: u is u_unclamped clamped elementwise
+    to the actuation limits.
     """
-    ts = lin.transformed
-    v_eta, ctrl_state = tangential_v(ts.eta, ctrl_state, gains, dt, t)
+    v_eta, integral = tangential_v(lin.eta, integral, gains, dt, t)
     v = [float(v_eta)]
     if len(lin.alpha) > 1:
-        v += transversal_v(ts.xi, gains)
+        v += transversal_v(lin.xi, gains)
 
     if redundancy.bias_mode == "joint_limit":
         r = bias_r(q, limits)
@@ -300,38 +298,27 @@ def command(lin, q, ctrl_state, gains, redundancy, limits, dt, t):
         r = [0.0] * len(lin.beta[0])
     u = resolve_input(lin.alpha, lin.beta, v, r, redundancy.W_rows)
     clamped = [min(max(x, lo), hi) for x, lo, hi in zip(u, *limits.floats[2:])]
-    return clamped, u, v, ctrl_state
+    return clamped, u, v, integral
 
 
-def step(system, path, q, qd, proj_state, ctrl_state, gains,
+def step(system, path, q, qd, proj_state, integral, gains,
          redundancy=RedundancyConfig(), limits=None,
          proj_cfg=projection.ProjectionConfig(), policy=frames.FRENET,
          dt=0.02, t=0.0):
     """One full control pass: project, transform, outer loops, resolve.
 
-    q and qd are the measured state, float lists.  Returns (u, new_proj_state,
-    new_ctrl_state, diagnostics); u is clamped elementwise to the actuation
-    limits, and the pre-clamp value is kept in the diagnostics.
+    q and qd are the measured state, float lists, and ``integral`` the PI
+    loop's memory.  Returns (u, new_integral, diagnostics); u is clamped
+    elementwise to the actuation limits, the pre-clamp value is kept in
+    the diagnostics, and their ``projection`` is the new projection state.
     """
     if limits is None:
         limits = system.default_limits
     kinematics = system.kinematics(q, qd)
     proj_state = projection.update(proj_state, path, kinematics[0], proj_cfg)
     lin = transform.linearize(system, q, qd, path, proj_state, policy, kinematics)
-    u_clamped, u, v, ctrl_state = command(
-        lin, q, ctrl_state, gains, redundancy, limits, dt, t
-    )
-    ts = lin.transformed
-    diag = StepDiagnostics(
-        k_star=proj_state.k_star,
-        lambda_star=proj_state.lambda_star,
-        eta=ts.eta,
-        xi=ts.xi,
-        zeta=ts.zeta,
-        v=v,
-        alpha=lin.alpha,
-        iterations=proj_state.last_iterations,
-        saturated=u_clamped != u,
-        u_unclamped=u,
-    )
-    return u_clamped, proj_state, ctrl_state, diag
+    u_clamped, u, v, integral = command(
+        lin, q, integral, gains, redundancy, limits, dt, t)
+    return u_clamped, integral, StepDiagnostics(
+        projection=proj_state, lin=lin, v=v, u_unclamped=u,
+        saturated=u_clamped != u)

@@ -3,10 +3,10 @@
 A path is an ordered list of curve segments, each defined on a closed
 parameter interval.  Fitted segments and lines are polynomials; circles,
 ellipses and helices are harmonic (sums of a cos, a sin, b lambda and c
-terms).  Each kind records its derivatives 0..r once per key and r with
-``codegen``: bound to ``math``, a segment's ``jet`` runs that code at one
-lambda and returns lists of p floats; bound to numpy, ``evaluate`` runs
-it over an array of lambda.
+terms).  Each kind records its derivatives of orders first..r once per
+key, r and first with ``codegen``: bound to ``math``, a segment's ``jet``
+runs the rows 0..r at one lambda and returns lists of p floats; bound to
+numpy, ``evaluate`` runs the row r alone over an array of lambda.
 
 Arclength is the integral of the speed ||sigma'|| by composite
 Gauss-Legendre quadrature: one table per segment, built once with the
@@ -60,10 +60,10 @@ class Segment:
     """One piece sigma_k of a composite path on a closed parameter interval.
 
     A segment is its kind's recorded code ``(build, *key)`` and its own
-    constants c: ``build(*key, r)`` records ``f(c, lam)``, the derivatives
-    0..r at lam as r + 1 rows of p values.  Bound to ``math``, ``jet``
-    runs it on one float; bound to numpy, ``evaluate`` runs the same
-    arithmetic on arrays.
+    constants c: ``build(*key, r, first=0)`` records ``f(c, lam)``, the
+    derivatives first..r at lam as rows of p values.  Bound to ``math``,
+    ``jet`` runs rows 0..r on one float; bound to numpy, ``evaluate``
+    runs the same arithmetic of row r alone on arrays.
     """
 
     def __init__(self, domain, dim, code, consts):
@@ -78,7 +78,7 @@ class Segment:
         """d^order sigma / d lambda^order at scalar lam, shape (p,), or at
         each entry of a 1-D array of lam, shape (n, p); no domain check."""
         lam = np.asarray(lam, dtype=float)
-        row = codegen.kernel(*self._code, order, lib=np)(self._consts, lam)[order]
+        (row,) = codegen.kernel(*self._code, order, order, lib=np)(self._consts, lam)
         # a row entry that is constant in lambda is one float
         return np.stack(np.broadcast_arrays(lam, *row)[1:], axis=-1)
 
@@ -109,8 +109,8 @@ class PolynomialSegment(Segment):
         return {"coeffs": self.coeffs.tolist(), "domain": list(self.domain)}
 
 
-def _jet_code(p, ncoef, r):
-    """Source of ``f(c, lam)``, the derivatives 0..r of a polynomial
+def _jet_code(p, ncoef, r, first=0):
+    """Source of ``f(c, lam)``, the derivatives first..r of a polynomial
     segment at lam.
 
     ``c`` is the segment's derivative coefficients: order by order, the
@@ -130,7 +130,7 @@ def _jet_code(p, ncoef, r):
             row.append(value)
         rows.append(row)
     rows += [[0.0] * p for _ in range(r + 1 - len(rows))]
-    return code.function("c, lam", rows), {}
+    return code.function("c, lam", rows[first:]), {}
 
 
 class HarmonicSegment(Segment):
@@ -147,9 +147,9 @@ class HarmonicSegment(Segment):
         raise TypeError("analytic segments are not serializable")
 
 
-def _harmonic_code(terms, r):
-    """Source of ``f(c, lam)``, the derivatives 0..r of a harmonic segment
-    at lam.
+def _harmonic_code(terms, r, first=0):
+    """Source of ``f(c, lam)``, the derivatives first..r of a harmonic
+    segment at lam.
 
     ``c`` is w followed by the constants of ``terms``, whose entries name
     the terms of a coordinate: ``"cos"`` or ``"sin"`` for a trig(lam / w),
@@ -177,7 +177,8 @@ def _harmonic_code(terms, r):
                     parts.append(k)
             row.append(sum(parts[1:], parts[0]) if parts else 0.0)
         rows.append(row)
-    return code.function("c, lam", rows), {"cos": math.cos, "sin": math.sin}
+    return (code.function("c, lam", rows[first:]),
+            {"cos": math.cos, "sin": math.sin})
 
 
 class SplinePath:

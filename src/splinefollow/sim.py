@@ -7,8 +7,9 @@ finer substep.  One substep is written once as list arithmetic,
 plant's N; its four stages call ``dynamics.acceleration``.  One loop,
 ``_simulate``, runs every control period on q and qd as float lists:
 measurement, ``control.step``, the RK4 hold and the clock.  ``run``
-checks the initial ``State`` and drives it once per scenario, logging
-every period; the zero-dynamics portrait drives it once per initial
+checks the initial ``State`` and drives it once per scenario, appending
+each period's log columns to flat buffers, so no period's records
+outlive it; the zero-dynamics portrait drives it once per initial
 condition from states constructed on the path-following manifold, so
 the redundant flow reflects the actual pipeline rather than a symbolic
 reduction.
@@ -17,6 +18,7 @@ reduction.
 import inspect
 import json
 import math
+from array import array
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -100,10 +102,11 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
-        if not (0.0 < self.dt < math.inf and 0.0 < self.duration < math.inf
-                and self.substeps >= 1):
+        if not (0.0 < self.dt < math.inf and 0.0 < self.duration < math.inf):
+            raise ParameterError("need finite dt > 0 and duration > 0")
+        if not (isinstance(self.substeps, int) and self.substeps >= 1):
             raise ParameterError(
-                "need finite dt > 0 and duration > 0, substeps >= 1")
+                f"substeps must be an integer >= 1; got {self.substeps!r}")
         if round(self.duration / self.dt) < 1:
             raise ParameterError("duration must cover at least one period dt")
         self.q0 = np.asarray(self.q0, dtype=float)
@@ -145,7 +148,7 @@ class Scenario:
         if "encoder_resolution" in kw:
             enc = kw["encoder_resolution"]
             kw["encoder_resolution"] = np.asarray(enc, float) if enc else None
-        for key, kind in (("duration", float), ("dt", float), ("substeps", int),
+        for key, kind in (("duration", float), ("dt", float),
                           ("frame_fixed", tuple)):
             if key in kw:
                 kw[key] = kind(kw[key])
@@ -339,13 +342,13 @@ def _simulate(system, path, q, qd, gains, steps, dt, substeps, *,
     q_meas, qd_meas = meas.observe(q, qd)
     if proj is None:
         proj = projection.global_initialize(path, system.h(q_meas), proj_cfg)
-    ctrl = control.ControllerState()
+    integral = 0.0
     h = dt / substeps
     t = 0.0
     for _ in range(steps):
         try:
-            u, proj, ctrl, diag = control.step(
-                system, path, q_meas, qd_meas, proj, ctrl, gains,
+            u, integral, diag = control.step(
+                system, path, q_meas, qd_meas, proj, integral, gains,
                 redundancy=redundancy, limits=limits,
                 proj_cfg=proj_cfg, policy=policy, dt=dt, t=t,
             )
@@ -354,7 +357,7 @@ def _simulate(system, path, q, qd, gains, steps, dt, substeps, *,
             exc.time = t   # keeps the error's own fields (state, index)
             raise
         yield t, q, qd, u, diag
-        q, qd = q_next, qd_next
+        proj, q, qd = diag.projection, q_next, qd_next
         q_meas, qd_meas = meas.observe(q, qd)
         t += dt
 
@@ -412,18 +415,30 @@ def run(scenario, path=None, system=None, proj_cfg=None):
         proj_cfg = projection.ProjectionConfig()
     start = State(q=scenario.q0, qd=scenario.qd0)
 
-    rows = [(t, q, qd, u, diag.eta, diag.xi, diag.zeta, diag.k_star,
-             diag.lambda_star, diag.iterations, diag.saturated)
-            for t, q, qd, u, diag in _simulate(
-                system, path, start.q.tolist(), start.qd.tolist(),
-                scenario.gains, int(round(scenario.duration / scenario.dt)),
-                scenario.dt, scenario.substeps, redundancy=scenario.redundancy,
-                limits=limits, proj_cfg=proj_cfg, policy=scenario.frame_policy,
-                resolution=scenario.encoder_resolution)]
-    columns = ("t", "q", "qd", "u", "eta", "xi", "zeta",
-               "k_star", "lambda_star", "iterations", "saturated")
-    return RunLog(scenario_name=scenario.name,
-                  **{key: np.asarray(col) for key, col in zip(columns, zip(*rows))})
+    N, p = system.N, system.p
+    # one flat buffer per column, filled period by period: typecode, row shape
+    columns = {"t": ("d", ()), "q": ("d", (N,)), "qd": ("d", (N,)),
+               "u": ("d", (N,)), "eta": ("d", (2,)), "xi": ("d", (2, p - 1)),
+               "zeta": ("d", (2 * N - 2 * p,)), "k_star": ("q", ()),
+               "lambda_star": ("d", ()), "iterations": ("q", ()),
+               "saturated": ("b", ())}
+    buffers = [array(code) for code, _ in columns.values()]
+    for t, q, qd, u, diag in _simulate(
+            system, path, start.q.tolist(), start.qd.tolist(), scenario.gains,
+            int(round(scenario.duration / scenario.dt)), scenario.dt,
+            scenario.substeps, redundancy=scenario.redundancy, limits=limits,
+            proj_cfg=proj_cfg, policy=scenario.frame_policy,
+            resolution=scenario.encoder_resolution):
+        ps, lin = diag.projection, diag.lin
+        for buffer, x in zip(buffers, (
+                (t,), q, qd, u, lin.eta, lin.xi[0] + lin.xi[1], lin.zeta,
+                (ps.k_star,), (ps.lambda_star,), (ps.last_iterations,),
+                (diag.saturated,))):
+            buffer.extend(x)
+    log = {key: np.array(buffer).reshape(len(buffers[0]), *shape)
+           for (key, (_, shape)), buffer in zip(columns.items(), buffers)}
+    log["saturated"] = log["saturated"].astype(bool)
+    return RunLog(scenario_name=scenario.name, **log)
 
 
 # --- planar 3R inverse kinematics on the zero-dynamics manifold --------------
@@ -507,8 +522,7 @@ def _zero_dynamics_field(system, path, gains, limits, ps):
     def field(zeta):
         q, qd = _manifold_state(system, path, ps, zeta)
         lin = transform.linearize(system, q, qd, path, ps)
-        u = control.command(lin, q, control.ControllerState(), gains,
-                            PORTRAIT_REDUNDANCY, limits,
+        u = control.command(lin, q, 0.0, gains, PORTRAIT_REDUNDANCY, limits,
                             dt=PORTRAIT_DT, t=0.0)[0]
         qdd = np.array(lin.f_v) + np.array(lin.g_v) @ u
         return np.array([zeta[1], float(system.Z[0] @ qdd)])
@@ -544,7 +558,7 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
                 steps, PORTRAIT_DT, PORTRAIT_SUBSTEPS,
                 redundancy=PORTRAIT_REDUNDANCY, limits=limits,
                 proj_cfg=PORTRAIT_PROJECTION, proj=ps0)
-            flows.append(np.reshape([diag.zeta for *_, diag in periods], (-1, 2)))
+            flows.append(np.reshape([diag.lin.zeta for *_, diag in periods], (-1, 2)))
         except SplineFollowError:
             flows.append(None)
             failed[i] = True

@@ -12,7 +12,9 @@ v = alpha + beta u exactly the second derivatives of those coordinates.
 Python floats: the plant's compiled ``kinematics`` call, the frame jet
 and the affine dynamics feed one straight-line function, generated at
 first use for the plant's N and the path's p from the arithmetic
-written out in ``_linearize_code``.
+written out in ``_linearize_code``.  Its one record, LinearizationData,
+holds eta, xi, zeta, alpha, beta and the affine dynamics; the closest
+point (k*, lambda*) stays in the ProjectionState it was given.
 """
 
 from dataclasses import dataclass
@@ -25,21 +27,13 @@ from .frames import dot
 
 
 @dataclass(frozen=True)
-class TransformedState:
-    """Path coordinates of one mechanical state, as Python floats."""
+class LinearizationData:
+    """Path coordinates and control-layer quantities at one state, as
+    Python floats; the closest point (k*, lambda*) is the ProjectionState's."""
 
     eta: list                  # 2: arclength, tangential speed
     xi: list                   # 2 lists of p - 1: offsets, offset rates
     zeta: list                 # 2N - 2p
-    k_star: int
-    lambda_star: float
-
-
-@dataclass(frozen=True)
-class LinearizationData:
-    """Quantities needed by the control layer at one state, as Python floats."""
-
-    transformed: TransformedState
     alpha: list                # p: drift of (eta_1'', xi_1'')
     beta: list                 # p rows of N: decoupling matrix
     f_v: list                  # qdd = f_v + g_v u; N
@@ -113,6 +107,7 @@ def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
     Row 0 corresponds to eta_1'' and rows 1..p-1 to the transversal
     offsets xi_1''.  beta is the matrix multiplying u in those second
     derivatives; it loses rank exactly where the transform degenerates.
+    The frame is taken at proj_state's (k*, lambda*).
     ``kinematics`` is the plant's call (h, J, d(J qd)/dq) at the float
     lists q and qd, made here when not given.
     """
@@ -122,15 +117,9 @@ def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
     f_v, g_v = drift_and_input(system, q, qd)
     eta2, xi, alpha, beta = codegen.kernel(_linearize_code, system.p, system.N)(
         fj.rows, fj.values, kinematics, qd, f_v, g_v)
-    transformed = TransformedState(
-        eta=[path_arclength(path, fj.k, fj.lam), eta2],
-        xi=xi,
-        zeta=system.completion(q, qd),
-        k_star=fj.k,
-        lambda_star=fj.lam,
-    )
-    return LinearizationData(transformed=transformed, alpha=alpha, beta=beta,
-                             f_v=f_v, g_v=g_v)
+    return LinearizationData(
+        eta=[path_arclength(path, fj.k, fj.lam), eta2], xi=xi,
+        zeta=system.completion(q, qd), alpha=alpha, beta=beta, f_v=f_v, g_v=g_v)
 
 
 @dataclass(frozen=True)

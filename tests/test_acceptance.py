@@ -197,14 +197,11 @@ def test_criterion_4_junction_continuity(capsys, wavy_path, example2):
             ps = projection.ProjectionState(k_star=kk, lambda_star=ll)
             lin = transform.linearize(example2, st.q.tolist(), st.qd.tolist(),
                                       wavy_path, ps)
-            T = lin.transformed
-            v_eta, _ = control.tangential_v(
-                T.eta, control.ControllerState(), gains, dt=0.02
-            )
-            v = np.concatenate([[v_eta], control.transversal_v(T.xi, gains)])
+            v_eta, _ = control.tangential_v(lin.eta, 0.0, gains, dt=0.02)
+            v = np.concatenate([[v_eta], control.transversal_v(lin.xi, gains)])
             r = control.bias_r(st.q, limits)
             u = np.array(control.resolve_input(lin.alpha, lin.beta, v, r))
-            outs.append((np.concatenate([T.eta, np.ravel(T.xi), T.zeta]), u))
+            outs.append((np.concatenate([lin.eta, np.ravel(lin.xi), lin.zeta]), u))
         worst_T = max(worst_T, float(np.abs(outs[0][0] - outs[1][0]).max()))
         du = np.abs(outs[0][1] - outs[1][1]).max()
         worst_u = max(worst_u, float(du / np.abs(outs[0][1]).max()))
@@ -359,15 +356,16 @@ def test_criterion_7_oracle_suites(capsys, wavy_path, example2):
     dt = scen.dt
     q, qd = scen.q0.tolist(), scen.qd0.tolist()
     ps = projection.global_initialize(path, system.h(q))
-    ctrl = control.ControllerState()
+    integral = 0.0
     policy = scen.frame_policy
     eta2_hist, v_hist = [], []
     for s in range(1500):
-        u, ps, ctrl, diag = control.step(
-            system, path, q, qd, ps, ctrl, scen.gains,
+        u, integral, diag = control.step(
+            system, path, q, qd, ps, integral, scen.gains,
             limits=scen.limits, policy=policy, dt=dt, t=s * dt,
         )
-        eta2_hist.append(diag.eta[1])
+        ps = diag.projection
+        eta2_hist.append(diag.lin.eta[1])
         v_hist.append(diag.v[0])
         q, qd = sim._rk4_hold(system, q, qd, u, dt / scen.substeps,
                               scen.substeps)

@@ -246,6 +246,17 @@ class TestRun:
         assert rc == 2
         assert "t=0.000s" in capsys.readouterr().err
 
+    def test_fractional_substeps_are_validation_failure(self, tmp_path, capsys):
+        scen = json.loads((SCENARIOS / "two_mass_line.json").read_text())
+        scen["substeps"] = 2.5
+        f = tmp_path / "substeps.json"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "validation failure: substeps" in err
+        assert "t=" not in err
+
     def test_bad_scenario_is_validation_failure(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"plant": "acrobot"}))

@@ -122,27 +122,27 @@ class TestTangential:
         gains = control.OuterLoopGains(
             tangential_mode="position", K_P=4.0, K_D=3.0, eta1_ref=2.0
         )
-        v, st = control.tangential_v(
-            np.array([1.5, 0.2]), control.ControllerState(), gains, dt=0.02
+        v, integral = control.tangential_v(
+            np.array([1.5, 0.2]), 0.0, gains, dt=0.02
         )
         assert v == pytest.approx(4.0 * 0.5 - 3.0 * 0.2)
-        assert st.integral == 0.0
+        assert integral == 0.0
 
     def test_velocity_mode_integrates(self):
         gains = control.OuterLoopGains(K_P=2.0, K_I=1.0, eta2_ref=1.0)
-        st = control.ControllerState()
-        v, st = control.tangential_v(np.array([0.0, 0.0]), st, gains, dt=0.1)
-        assert st.integral == pytest.approx(0.1)
+        v, integral = control.tangential_v(np.array([0.0, 0.0]), 0.0, gains, dt=0.1)
+        assert integral == pytest.approx(0.1)
         assert v == pytest.approx(2.0 + 0.1)
 
     def test_anti_windup_clamp(self):
         gains = control.OuterLoopGains(
             K_P=1.0, K_I=1.0, eta2_ref=100.0, integral_limit=0.5
         )
-        st = control.ControllerState()
+        integral = 0.0
         for _ in range(50):
-            _, st = control.tangential_v(np.array([0.0, 0.0]), st, gains, dt=1.0)
-        assert st.integral == pytest.approx(0.5)
+            _, integral = control.tangential_v(np.array([0.0, 0.0]), integral,
+                                               gains, dt=1.0)
+        assert integral == pytest.approx(0.5)
 
     def test_reference_table(self):
         gains = control.OuterLoopGains(
@@ -197,6 +197,9 @@ class TestTransversal:
     def test_gain_validation(self):
         with pytest.raises(ParameterError):
             control.OuterLoopGains(xi_Kp=(0.0,))
+        for name in ("xi_Kp", "xi_Kd"):
+            with pytest.raises(ParameterError, match=name):
+                control.OuterLoopGains(**{name: ()})
         with pytest.raises(ParameterError):
             control.OuterLoopGains(tangential_mode="bang-bang")
         with pytest.raises(ParameterError, match="transversal_mode"):
@@ -265,9 +268,8 @@ class TestStep:
         gains = control.OuterLoopGains(
             tangential_mode="position", K_P=4.0, K_D=3.0, eta1_ref=6.0
         )
-        u, _, _, diag = control.step(
-            example1, path, st.q.tolist(), st.qd.tolist(), ps,
-            control.ControllerState(), gains
+        u, _, diag = control.step(
+            example1, path, st.q.tolist(), st.qd.tolist(), ps, 0.0, gains
         )
         r = control.bias_r(st.q, example1.default_limits)
         assert u[0] == pytest.approx(r[0], abs=1e-10)
@@ -288,12 +290,11 @@ class TestStep:
         gains = control.OuterLoopGains(eta2_ref=0.2, K_P=5.0, K_I=2.0,
                                        xi_Kp=(150.0,), xi_Kd=(30.0,))
         limits = example2.default_limits
-        u, ps_new, _, diag = control.step(
-            example2, fig8_path, st.q.tolist(), st.qd.tolist(), ps,
-            control.ControllerState(), gains,
+        u, _, diag = control.step(
+            example2, fig8_path, st.q.tolist(), st.qd.tolist(), ps, 0.0, gains,
             redundancy=red, limits=limits, policy=policy)
         lin = transform.linearize(example2, st.q.tolist(), st.qd.tolist(),
-                                  fig8_path, ps_new, policy)
+                                  fig8_path, diag.projection, policy)
         want = _kkt_oracle(lin.alpha, lin.beta, diag.v,
                            np.array(control.bias_r(q, limits)), red.W)
         np.testing.assert_allclose(diag.u_unclamped, want, atol=1e-8)
@@ -313,18 +314,16 @@ class TestStep:
         red = control.RedundancyConfig(bias_mode="zero")
         gains = control.OuterLoopGains(eta2_ref=0.2, K_P=5.0, K_I=2.0,
                                        xi_Kp=(150.0,), xi_Kd=(30.0,))
-        u, ps_new, _, diag = control.step(
-            example2, fig8_path, st.q.tolist(), st.qd.tolist(), ps,
-            control.ControllerState(), gains,
+        u, _, diag = control.step(
+            example2, fig8_path, st.q.tolist(), st.qd.tolist(), ps, 0.0, gains,
             redundancy=red, policy=policy)
         lin = transform.linearize(example2, st.q.tolist(), st.qd.tolist(),
-                                  fig8_path, ps_new, policy)
+                                  fig8_path, diag.projection, policy)
         want = _kkt_oracle(lin.alpha, lin.beta, diag.v, np.zeros(3), np.eye(3))
         np.testing.assert_allclose(diag.u_unclamped, want, atol=1e-8)
         # the joint-limit bias moves u within beta's null space
         biased = control.step(example2, fig8_path, st.q.tolist(), st.qd.tolist(),
-                              ps, control.ControllerState(), gains,
-                              policy=policy)[3]
+                              ps, 0.0, gains, policy=policy)[2]
         assert np.abs(biased.u_unclamped - want).max() > 1e-3
 
     def test_clamps_and_reports_saturation(self, example1):
@@ -334,9 +333,8 @@ class TestStep:
         gains = control.OuterLoopGains(
             tangential_mode="position", K_P=100.0, K_D=1.0, eta1_ref=9.9
         )
-        u, _, _, diag = control.step(
-            example1, path, st.q.tolist(), st.qd.tolist(), ps,
-            control.ControllerState(), gains
+        u, _, diag = control.step(
+            example1, path, st.q.tolist(), st.qd.tolist(), ps, 0.0, gains
         )
         assert diag.saturated
         assert np.all(u <= example1.default_limits.u_max + 1e-12)

@@ -171,6 +171,14 @@ class TestScenario:
     def test_validation(self):
         with pytest.raises(ParameterError):
             _example1_scenario(dt=-0.1)
+        # a fractional substep count is neither truncated nor left to fail
+        # in the first period
+        with pytest.raises(ParameterError, match="substeps"):
+            _example1_scenario(substeps=2.5)
+        d = {"plant": "example1", "q0": [0.0, 0.0], "qd0": [0.0, 0.0],
+             "path": {"analytic": "line", "params": {"start": [-5.0], "end": [5.0]}}}
+        with pytest.raises(ParameterError, match="substeps"):
+            sim.Scenario.from_dict({**d, "substeps": 2.5})
 
     @pytest.mark.parametrize("bad", [
         {"dt": float("nan")}, {"duration": float("inf")}, {"duration": 0.001},
@@ -430,6 +438,43 @@ class TestRun:
         for _, q, qd, u, _ in rows:
             assert all(type(x) is float for x in q + qd + u)
 
+    @pytest.mark.parametrize("scenario", ["two_mass_line", "figure_eight_3r",
+                                          "twisted_loop_4dof"])
+    def test_period_builds_one_record_per_layer(self, scenario):
+        """Over 50 warm periods, package code constructs one record of each
+        layer per period: the projection state, the frame jet, the
+        linearization and the diagnostics that point to them."""
+        scen = sim.Scenario.from_file(SCENARIOS / f"{scenario}.json")
+        system = dynamics.make_plant(scen.plant, **scen.plant_kwargs)
+        periods = sim._simulate(
+            system, sim._build_path(scen.path_spec), scen.q0.tolist(),
+            scen.qd0.tolist(), scen.gains, 60, scen.dt, scen.substeps,
+            redundancy=scen.redundancy,
+            limits=scen.limits or system.default_limits,
+            proj_cfg=projection.ProjectionConfig(), policy=scen.frame_policy)
+        for _ in range(10):
+            next(periods)
+        package_dir = os.path.dirname(sim.__file__)
+        records = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "__init__":
+                cls = type(frame.f_locals.get("self"))
+                caller = frame.f_back.f_code.co_filename
+                if (cls.__module__.startswith("splinefollow")
+                        and caller.startswith(package_dir)):
+                    records[cls.__name__] += 1
+
+        sys.setprofile(profile)
+        try:
+            for _ in range(50):
+                next(periods)
+        finally:
+            sys.setprofile(None)
+        assert dict(records) == dict.fromkeys(
+            ("ProjectionState", "FrameJet", "LinearizationData",
+             "StepDiagnostics"), 50)
+
     def test_summary_and_boundedness(self, example1):
         scen = _example1_scenario(duration=4.0)
         log = sim.run(scen)
@@ -578,9 +623,8 @@ class TestPortrait:
             st, ps = sim.zero_dynamics_state(
                 system, path, zeta, eta1_ref=np.pi * radius
             )
-            u, _, _, _ = control.step(
-                system, path, st.q.tolist(), st.qd.tolist(), ps,
-                control.ControllerState(), gains,
+            u, _, _ = control.step(
+                system, path, st.q.tolist(), st.qd.tolist(), ps, 0.0, gains,
                 limits=limits, dt=0.02, t=0.0,
             )
             qdd = dynamics.acceleration(system, st.q, st.qd, u)

@@ -71,7 +71,7 @@ class TestCoordinates:
         st = State(q=q, qd=np.zeros(3))
         ps = _project(fig8_path, example2, q)
         T = transform.linearize(example2, st.q.tolist(), st.qd.tolist(),
-                                fig8_path, ps).transformed
+                                fig8_path, ps)
         np.testing.assert_allclose(T.xi, 0.0, atol=1e-8)
         assert T.eta[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -81,7 +81,7 @@ class TestCoordinates:
         q = sim.ik_planar3r(y, 0.4)
         ps = _project(fig8_path, example2, q)
         T = transform.linearize(example2, q.tolist(), [0.0] * 3,
-                                fig8_path, ps).transformed
+                                fig8_path, ps)
         want = fig8_path.arclength_offsets[k] + fig8_path.arclength(k, lam)
         assert T.eta[0] == pytest.approx(want, abs=1e-5)
 
@@ -91,7 +91,7 @@ class TestCoordinates:
         q = sim.ik_planar3r((2.1, 0.0), 0.5)
         ps = _project(path, example2, q)
         T = transform.linearize(example2, q.tolist(), [0.0] * 3,
-                                path, ps).transformed
+                                path, ps)
         assert abs(abs(T.xi[0][0]) - 0.1) < 1e-6
 
     def test_zeta_is_completion(self, example2):
@@ -100,7 +100,7 @@ class TestCoordinates:
         qd = np.array([0.1, 0.2, -0.3])
         ps = _project(path, example2, q)
         T = transform.linearize(example2, q.tolist(), qd.tolist(), path,
-                                ps).transformed
+                                ps)
         np.testing.assert_allclose(T.zeta, [q.sum(), qd.sum()], atol=1e-12)
 
     def test_flat_layout(self, example2):
@@ -108,7 +108,7 @@ class TestCoordinates:
         q = sim.ik_planar3r((2.0, 0.0), 0.3)
         ps = _project(path, example2, q)
         T = transform.linearize(example2, q.tolist(), [0.0] * 3,
-                                path, ps).transformed
+                                path, ps)
         assert np.size(T.eta) + np.size(T.xi) + np.size(T.zeta) == 2 * example2.N
 
 
@@ -140,15 +140,14 @@ class TestNumpyReference:
                        qd=rng.normal(size=system.N))
             lin = transform.linearize(system, st.q.tolist(), st.qd.tolist(), path,
                                       ps, policy)
-            ts = lin.transformed
-            got = (ts.eta, ts.xi, lin.alpha, lin.beta, lin.f_v, lin.g_v)
+            got = (lin.eta, lin.xi, lin.alpha, lin.beta, lin.f_v, lin.g_v)
             want = _reference_linearize(system, st, path, ps, policy, christoffel)
             for g, w in zip(got, want):
                 g = np.asarray(g)
                 assert g.shape == w.shape
                 scale = max(np.abs(w).max(initial=0.0), 1e-300)
                 assert np.abs(g - w).max(initial=0.0) <= 1e-12 * scale
-            np.testing.assert_allclose(ts.zeta, system.completion(st.q.tolist(),
+            np.testing.assert_allclose(lin.zeta, system.completion(st.q.tolist(),
                                                                   st.qd.tolist()))
 
 
@@ -191,7 +190,7 @@ class TestLieDerivativeOracle:
         def xi1_at(q, qd, pstate):
             pstate = projection.update(pstate, fig8_path, example2.h(q), cfg)
             T = transform.linearize(example2, q, qd, fig8_path, pstate,
-                                    policy).transformed
+                                    policy)
             return np.array(T.xi[0]), pstate
 
         h = 1e-4
