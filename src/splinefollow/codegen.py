@@ -1,9 +1,10 @@
 """Straight-line float code, recorded from the arithmetic that defines it.
 
 The control period's arithmetic is written once, as plain Python on
-sequences of numbers: the curve and frame jets, the linearization, the
-input resolution, the plant's right-hand side and Cholesky solve, and
-the RK4 substep.  Run on ``Var`` inputs, each operator records one
+sequences of numbers: the curve jets and the projection's Newton
+iterate, the frame jet, the linearization, the input resolution with
+its conditioning check, the plant's right-hand side and Cholesky
+solve, and the RK4 substep.  Run on ``Var`` inputs, each operator records one
 assignment of the code that computes its result, so the code does the
 float operations of the written arithmetic in the same order.  A
 ``Recorder`` writes its record as the body of one function with no
@@ -220,10 +221,12 @@ def kernel(build, *key, lib=math):
     ``build`` returns the source and the names it uses; its ``math``
     functions are bound to ``lib``'s of the same name, so bound to numpy
     the code runs on arrays.  A source that names none is the one
-    function ``kernel(build, *key)`` under every ``lib``.
+    function ``kernel(build, *key)`` under every ``lib``.  The compiled
+    code's file name is ``build`` and the key, a function in the key
+    (a segment kind's row recorder) written by its name.
     """
     source, names = build(*key)
-    label = f"{build.__qualname__}{key}"
+    label = f"{build.__qualname__}{tuple(getattr(k, '__name__', k) for k in key)}"
     if lib is not math:
         calls = {k: getattr(lib, k) for k, v in names.items()
                  if v is getattr(math, k, None)}

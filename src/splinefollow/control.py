@@ -11,9 +11,10 @@ The control pass (outer loops, bias, input resolution) runs once per
 period on q, qd and constants as Python floats.  The resolution's
 arithmetic, written out in ``_resolve_code``, runs as one straight-line
 function generated at first use for the plant's N and the path's p: it
-forms beta W^-1 beta', checks its conditioning (with one symmetric
-eigenvalue call for p >= 2) and solves with the plant layer's recorded
-Cholesky solve, written into the same function.
+forms beta W^-1 beta', checks its conditioning (in closed form for
+p <= 2, with one symmetric eigenvalue call for p >= 3) and solves with
+the plant layer's recorded Cholesky solve, written into the same
+function.
 
 ``step`` is one period: projection update, ``linearize``, outer loops
 and resolution.  It returns the clamped u, the PI loop's integral (a
@@ -24,6 +25,7 @@ only v, the unclamped u and whether u was clamped.
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -101,6 +103,17 @@ class OuterLoopGains:
             raise ParameterError(f"bad tangential_mode {self.tangential_mode!r}")
         if self.transversal_mode not in ("pd", "robust"):
             raise ParameterError(f"bad transversal_mode {self.transversal_mode!r}")
+        for name in ("K_P", "K_I", "K_D", "eta2_ref", "eta1_ref", "integral_limit",
+                     "robust_mu"):
+            if not isinstance(getattr(self, name), Real):
+                raise ParameterError(
+                    f"{name} must be a real number; got {getattr(self, name)!r}")
+        for name in ("xi_Kp", "xi_Kd"):
+            gains = getattr(self, name)
+            if not (isinstance(gains, (tuple, list))
+                    and all(isinstance(x, Real) for x in gains)):
+                raise ParameterError(
+                    f"{name} must be a sequence of real numbers; got {gains!r}")
         if not all(map(math.isfinite, (
                 self.K_P, self.K_I, self.K_D, self.eta2_ref, self.eta1_ref,
                 self.integral_limit, self.robust_mu, *self.xi_Kp, *self.xi_Kd))):
@@ -193,6 +206,16 @@ def _resolve_code(p, N, weighted):
     M = [[dot(b, c) for c in bw] for b in beta]
     if p == 1:   # eigvalsh([[m]]) is [m]: |m| / |m|, or inf for m = 0
         cond = f"cond = 1.0 if {M[0][0]} != 0.0 else inf"
+    elif p == 2:
+        # M's lower triangle [[a, b], [b, c]], as eigvalsh reads it; M is
+        # positive semidefinite, so lmax = (a + c)/2 + hypot((a - c)/2, b)
+        # and lmax / |lmin| = 1 / |det(M / lmax)|, whose entries are at
+        # most 1: their products neither overflow nor underflow
+        (a, _), (b, c) = M
+        cond = (f"lmax = ({a} + {c}) / 2.0 + hypot(({a} - {c}) / 2.0, {b})"
+                f"\n    det = abs(({a} / lmax) * ({c} / lmax) - ({b} / lmax) * ({b} / lmax))"
+                " if lmax > 0.0 else 0.0"
+                "\n    cond = 1.0 / det if det > 0.0 else inf")
     else:
         cond = (f"eig = [abs(x) for x in eigvalsh({codegen.render(M, format)}).tolist()]"
                 "\n    cond = max(eig) / min(eig) if min(eig) > 0.0 else inf")
@@ -204,7 +227,7 @@ def _resolve_code(p, N, weighted):
                                    "decoupling matrix beta W^-1 beta'", "beta")
     u = [ri + dot(col, w) for ri, col in zip(r, zip(*bw))]
     return code.function("alpha, beta, v, r, W", u), dict(
-        dynamics.SOLVE_NAMES, nan=math.nan, inf=math.inf,
+        dynamics.SOLVE_NAMES, nan=math.nan, inf=math.inf, hypot=math.hypot,
         eigvalsh=np.linalg.eigvalsh, near_singular=_near_singular)
 
 

@@ -3,10 +3,12 @@
 A path is an ordered list of curve segments, each defined on a closed
 parameter interval.  Fitted segments and lines are polynomials; circles,
 ellipses and helices are harmonic (sums of a cos, a sin, b lambda and c
-terms).  Each kind records its derivatives of orders first..r once per
-key, r and first with ``codegen``: bound to ``math``, a segment's ``jet``
-runs the rows 0..r at one lambda and returns lists of p floats; bound to
-numpy, ``evaluate`` runs the row r alone over an array of lambda.
+terms).  Each kind writes the recording of its derivative rows 0..r
+once, and ``codegen`` compiles it per key, r and first row: bound to
+``math``, a segment's ``jet`` runs the rows 0..r at one lambda and
+returns lists of p floats; bound to numpy, ``evaluate`` runs the row r
+alone over an array of lambda.  The projection's Newton call records
+the same rows 0..2.
 
 Arclength is the integral of the speed ||sigma'|| by composite
 Gauss-Legendre quadrature: one table per segment, built once with the
@@ -59,11 +61,12 @@ class Waypoint:
 class Segment:
     """One piece sigma_k of a composite path on a closed parameter interval.
 
-    A segment is its kind's recorded code ``(build, *key)`` and its own
-    constants c: ``build(*key, r, first=0)`` records ``f(c, lam)``, the
-    derivatives first..r at lam as rows of p values.  Bound to ``math``,
-    ``jet`` runs rows 0..r on one float; bound to numpy, ``evaluate``
-    runs the same arithmetic of row r alone on arrays.
+    A segment is its kind's recorder and key ``code = (rows, *key)`` and
+    its own constants ``consts``: ``rows(recorder, lam, r, *key)``
+    records the derivatives 0..r at lam as rows of p values, reading the
+    constants from ``c``.  ``_jet_code`` writes them as ``f(c, lam)``:
+    bound to ``math``, ``jet`` runs rows 0..r on one float; bound to
+    numpy, ``evaluate`` runs the same arithmetic of row r alone on arrays.
     """
 
     def __init__(self, domain, dim, code, consts):
@@ -72,19 +75,29 @@ class Segment:
             raise DomainError(f"degenerate segment domain [{lo}, {hi}]")
         self.domain = (lo, hi)
         self.dim = dim
-        self._code, self._consts = code, consts
+        self.code, self.consts = code, consts
 
     def evaluate(self, lam, order=0):
         """d^order sigma / d lambda^order at scalar lam, shape (p,), or at
         each entry of a 1-D array of lam, shape (n, p); no domain check."""
         lam = np.asarray(lam, dtype=float)
-        (row,) = codegen.kernel(*self._code, order, order, lib=np)(self._consts, lam)
+        (row,) = codegen.kernel(_jet_code, order, order, *self.code, lib=np)(
+            self.consts, lam)
         # a row entry that is constant in lambda is one float
         return np.stack(np.broadcast_arrays(lam, *row)[1:], axis=-1)
 
     def jet(self, lam, max_order):
         """Derivatives 0..max_order at scalar lam: max_order + 1 lists of p floats."""
-        return codegen.kernel(*self._code, max_order)(self._consts, float(lam))
+        return codegen.kernel(_jet_code, max_order, 0, *self.code)(
+            self.consts, float(lam))
+
+
+def _jet_code(r, first, rows, *key):
+    """Source of ``f(c, lam)``, the derivatives first..r at lam of a
+    segment whose kind records its rows with ``rows`` for ``key``."""
+    code = codegen.Recorder()
+    out, names = rows(code, codegen.Var(code, "lam"), r, *key)
+    return code.function("c, lam", out[first:]), names
 
 
 class PolynomialSegment(Segment):
@@ -103,22 +116,20 @@ class PolynomialSegment(Segment):
         for r in range(ncoef):
             fac = [math.perm(i, r) for i in range(r, ncoef)]
             flat += (self.coeffs[:, r:] * fac).ravel().tolist()
-        super().__init__(domain, dim, (_jet_code, dim, ncoef), tuple(flat))
+        super().__init__(domain, dim, (_polynomial_rows, dim, ncoef), tuple(flat))
 
     def to_dict(self):
         return {"coeffs": self.coeffs.tolist(), "domain": list(self.domain)}
 
 
-def _jet_code(p, ncoef, r, first=0):
-    """Source of ``f(c, lam)``, the derivatives first..r of a polynomial
-    segment at lam.
+def _polynomial_rows(code, lam, r, p, ncoef):
+    """The derivatives 0..r at lam of a polynomial segment, and the
+    functions they call (none).
 
     ``c`` is the segment's derivative coefficients: order by order, the
     p rows of the ncoef - order coefficients of that order.  Each row is
     one Horner evaluation; orders at or above ncoef are rows of zeros.
     """
-    code = codegen.Recorder()
-    lam = codegen.Var(code, "lam")
     coef = iter(code.unpack("c", (p * ncoef * (ncoef + 1) // 2,)))
     rows = []
     for order in range(min(r + 1, ncoef)):
@@ -129,27 +140,26 @@ def _jet_code(p, ncoef, r, first=0):
                 value = value * lam + c
             row.append(value)
         rows.append(row)
-    rows += [[0.0] * p for _ in range(r + 1 - len(rows))]
-    return code.function("c, lam", rows[first:]), {}
+    return rows + [[0.0] * p for _ in range(r + 1 - len(rows))], {}
 
 
 class HarmonicSegment(Segment):
     """An analytic piece: coordinate i is the sum of the terms named by
-    the tuple ``terms[i]`` (see ``_harmonic_code``), whose constants
+    the tuple ``terms[i]`` (see ``_harmonic_rows``), whose constants
     ``consts`` lists in the same order; w scales lambda in the
     trigonometric terms."""
 
     def __init__(self, terms, consts, w, domain):
-        super().__init__(domain, len(terms), (_harmonic_code, terms),
+        super().__init__(domain, len(terms), (_harmonic_rows, terms),
                          tuple(map(float, (w, *consts))))
 
     def to_dict(self):
         raise TypeError("analytic segments are not serializable")
 
 
-def _harmonic_code(terms, r, first=0):
-    """Source of ``f(c, lam)``, the derivatives first..r of a harmonic
-    segment at lam.
+def _harmonic_rows(code, lam, r, terms):
+    """The derivatives 0..r at lam of a harmonic segment, and the
+    functions they call.
 
     ``c`` is w followed by the constants of ``terms``, whose entries name
     the terms of a coordinate: ``"cos"`` or ``"sin"`` for a trig(lam / w),
@@ -157,8 +167,6 @@ def _harmonic_code(terms, r, first=0):
     a trig(lam / w) is a / w^r trig(lam / w + r pi / 2); a coordinate
     whose terms all vanish is zero.
     """
-    code = codegen.Recorder()
-    lam = codegen.Var(code, "lam")
     w, *consts = code.unpack("c", (1 + sum(map(len, terms)),))
     consts = iter(consts)
     coords = [[(term, next(consts)) for term in coord] for coord in terms]
@@ -177,8 +185,7 @@ def _harmonic_code(terms, r, first=0):
                     parts.append(k)
             row.append(sum(parts[1:], parts[0]) if parts else 0.0)
         rows.append(row)
-    return (code.function("c, lam", rows[first:]),
-            {"cos": math.cos, "sin": math.sin})
+    return rows, {"cos": math.cos, "sin": math.sin}
 
 
 class SplinePath:

@@ -8,11 +8,13 @@ longer than the descent's first probe, so tracking does not jump branch
 at self-intersections; segment hand-off happens only when lambda* leaves
 the current domain.
 
-The per-step search runs on Python floats: the curve rows come from the
-segments' generated jet code, and the differences, inner products,
-norm and sign of each iterate are float arithmetic.  The global
-initializer and the window analysis evaluate many lambda at once with
-numpy.
+The per-step search runs on Python floats.  Each Newton iterate is one
+call of ``_newton_code``, recorded once per segment kind and key from
+the rows the kind records for its jet: the squared distance, g' and g
+at one lambda.  The descent reads sigma and sigma' through the path's
+``evaluate_unchecked``, and its differences, inner products, norm and
+sign are float arithmetic.  The global initializer and the window
+analysis evaluate many lambda at once with numpy.
 """
 
 import math
@@ -20,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import codegen
 from .curves import bisect
 from .errors import NonConvergenceError
 from .frames import dot
@@ -67,6 +70,20 @@ def _objective_and_gradient(path, k, lam, y):
     return dist, -dot(diff, dsigma) / dist
 
 
+def _newton_code(rows, *key):
+    """Source of ``f(c, lam, y)``: ||sigma - y||^2, g' and g at lam.
+
+    g = <sigma - y, sigma'> and g' = ||sigma'||^2 + <sigma - y, sigma''>
+    for a segment of the kind that ``rows`` records for ``key`` (see
+    ``curves.Segment``), from the same recorded rows as its jet.
+    """
+    code = codegen.Recorder()
+    (s0, s1, s2), names = rows(code, codegen.Var(code, "lam"), 2, *key)
+    diff = [a - b for a, b in zip(s0, code.unpack("y", (len(s0),)))]
+    return code.function("c, lam, y", (
+        dot(diff, diff), dot(s1, s1) + dot(diff, s2), dot(diff, s1))), names
+
+
 def _newton(path, k, lam, y, cfg):
     """Safeguarded Newton iteration on g(lam) = <sigma - y, sigma'> = 0.
 
@@ -77,26 +94,24 @@ def _newton(path, k, lam, y, cfg):
     point stays in the incumbent segment and the distance does not
     increase.  The length bound keeps a step where g' is small from
     leaping over a distance ridge to another branch of the same segment.
+    Each iterate is one call of the segment kind's ``_newton_code``.
     Returns (lam, iterations, converged); lam is always the last accepted
     iterate.
     """
-    lo, hi = path.segments[k].domain
-    s0, s1, s2 = path.jet_unchecked(k, lam, 2)
-    diff = [a - b for a, b in zip(s0, y)]
-    dist2 = dot(diff, diff)
+    seg = path.segments[k]
+    lo, hi = seg.domain
+    newton = codegen.kernel(_newton_code, *seg.code)
+    dist2, gp, g = newton(seg.consts, lam, y)
     iters = 0
     while iters < cfg.max_iters:
-        gp = dot(s1, s1) + dot(diff, s2)
         if not gp > 0.0:
             break
-        step = dot(diff, s1) / gp
+        step = g / gp
         lam_new = lam - step
         if abs(step) > cfg.alpha0 or not lo <= lam_new <= hi:
             break
         iters += 1
-        t0, t1, t2 = path.jet_unchecked(k, lam_new, 2)
-        diff_new = [a - b for a, b in zip(t0, y)]
-        dist2_new = dot(diff_new, diff_new)
+        dist2_new, gp_new, g_new = newton(seg.consts, lam_new, y)
         if abs(step) < cfg.eps:
             # converged; a sub-eps step that rounding made look uphill
             # is simply not taken
@@ -105,7 +120,7 @@ def _newton(path, k, lam, y, cfg):
             return lam, iters, True
         if dist2_new > dist2:
             break
-        lam, s1, s2, diff, dist2 = lam_new, t1, t2, diff_new, dist2_new
+        lam, dist2, gp, g = lam_new, dist2_new, gp_new, g_new
     return lam, iters, False
 
 

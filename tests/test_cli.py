@@ -223,6 +223,24 @@ class TestRun:
         assert "validation failure" in err and "must be finite" in err
         assert "t=" not in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("xi_Kp", 150.0, "xi_Kp must be a sequence of real numbers"),
+        ("xi_Kd", [30.0, "30"], "xi_Kd must be a sequence of real numbers"),
+        ("K_P", "1.0", "K_P must be a real number"),
+        ("integral_limit", None, "integral_limit must be a real number"),
+    ], ids=["scalar-xi_Kp", "string-in-xi_Kd", "string-K_P", "null-integral_limit"])
+    def test_gain_types_are_validation_failure(self, tmp_path, capsys, key, value,
+                                               message):
+        scen = json.loads((SCENARIOS / "figure_eight_3r.json").read_text())
+        scen["gains"][key] = value
+        f = tmp_path / "gains.json"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"validation failure: {message}" in err
+        assert "Traceback" not in err
+
     def test_divergence_exits_2(self, tmp_path, capsys):
         # one period of 1e20 s: the state overflows during the integration
         scenario = str(SCENARIOS / "two_mass_line.json")

@@ -1,10 +1,13 @@
 """Closest-point tracking and the descent-window criterion."""
 
+import collections
+
 import numpy as np
 import pytest
 
 from splinefollow import curves, projection
 from splinefollow.errors import NonConvergenceError
+from splinefollow.frames import dot
 
 
 def _dense_oracle(path, y, n=20000):
@@ -152,6 +155,68 @@ class TestUpdate:
                           ("alpha0", np.inf), ("max_iters", 0), ("max_iters", 2.5)]:
             with pytest.raises(ValueError, match=name):
                 projection.ProjectionConfig(**{name: bad})
+
+
+def _reference_newton(path, k, lam, y, cfg):
+    """The Newton iteration written on jet_unchecked and dot, and its exit."""
+    lo, hi = path.segments[k].domain
+    s0, s1, s2 = path.jet_unchecked(k, lam, 2)
+    diff = [a - b for a, b in zip(s0, y)]
+    dist2 = dot(diff, diff)
+    iters = 0
+    while iters < cfg.max_iters:
+        gp = dot(s1, s1) + dot(diff, s2)
+        if not gp > 0.0:
+            return lam, iters, False, "g' <= 0"
+        step = dot(diff, s1) / gp
+        lam_new = lam - step
+        if abs(step) > cfg.alpha0:
+            return lam, iters, False, "long step"
+        if not lo <= lam_new <= hi:
+            return lam, iters, False, "leaves the domain"
+        iters += 1
+        t0, t1, t2 = path.jet_unchecked(k, lam_new, 2)
+        diff_new = [a - b for a, b in zip(t0, y)]
+        dist2_new = dot(diff_new, diff_new)
+        if abs(step) < cfg.eps:
+            if dist2_new <= dist2:
+                lam = lam_new
+            return lam, iters, True, "converged"
+        if dist2_new > dist2:
+            return lam, iters, False, "uphill"
+        lam, s1, s2, diff, dist2 = lam_new, t1, t2, diff_new, dist2_new
+    return lam, iters, False, "iteration cap"
+
+
+class TestNewton:
+    def test_matches_the_jet_and_dot_iteration(self, fig8_path):
+        """(lam, iterations, converged) of _newton are bit-identical to
+        the iteration on jet_unchecked and dot, for queries near a fitted
+        figure-eight, a line, a circle, an ellipse and a helix, and every
+        exit of the iteration occurs."""
+        paths = [fig8_path, curves.line_path([0.0, 0.5], [2.0, -0.5]),
+                 curves.circle_path(radius=2.0, center=(0.5, -1.0)),
+                 curves.ellipse_path(), curves.helix_path(pitch=0.3)]
+        cfgs = [projection.ProjectionConfig(), projection.ProjectionConfig(alpha0=0.5),
+                projection.ProjectionConfig(alpha0=10.0),
+                projection.ProjectionConfig(max_iters=2, eps=1e-14)]
+        rng = np.random.default_rng(22)
+        exits = collections.Counter()
+        for path in paths:
+            for _ in range(300):
+                k = int(rng.integers(path.n_segments))
+                lo, hi = path.segments[k].domain
+                lam = float(rng.uniform(lo, hi))
+                near = float(np.clip(lam + rng.normal(0.0, 0.2 * (hi - lo)), lo, hi))
+                y = (path.evaluate(k, near, 0)
+                     + 10.0 ** rng.uniform(-4.0, 0.5) * rng.normal(size=path.output_dim))
+                y = y.tolist()
+                cfg = cfgs[int(rng.integers(len(cfgs)))]
+                *want, why = _reference_newton(path, k, lam, y, cfg)
+                assert projection._newton(path, k, lam, y, cfg) == tuple(want), why
+                exits[why] += 1
+        assert set(exits) == {"g' <= 0", "long step", "leaves the domain", "uphill",
+                              "converged", "iteration cap"}, exits
 
 
 class TestDeltaLambda:
