@@ -10,7 +10,6 @@ from .curves import (
     AssumptionReport,
     PolynomialSegment,
     SplinePath,
-    Waypoint,
     check_assumptions,
     circle_path,
     ellipse_path,
@@ -36,11 +35,7 @@ from .projection import (
     global_initialize,
     update,
 )
-from .transform import (
-    LinearizationData,
-    check_differentials,
-    linearize,
-)
+from .transform import LinearizationData, linearize
 from .control import (
     OuterLoopGains,
     RedundancyConfig,

@@ -48,16 +48,6 @@ def _gauss_legendre(seg, a, h):
     return h * (speeds.reshape(nodes.shape) @ GL_WEIGHTS)
 
 
-@dataclass(frozen=True)
-class Waypoint:
-    """A point in the output space the fitted path must interpolate."""
-
-    position: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-
-
 class Segment:
     """One piece sigma_k of a composite path on a closed parameter interval.
 
@@ -359,9 +349,7 @@ def fit_spline(waypoints, closed=False, smoothness_order=4):
     FitFailureError
         If the assembled linear system is rank deficient.
     """
-    pts = np.array(
-        [w.position if isinstance(w, Waypoint) else np.asarray(w, float) for w in waypoints]
-    )
+    pts = np.array(waypoints, dtype=float)
     if pts.ndim != 2:
         raise ValueError("waypoints must share a common dimension")
     n_wp, p = pts.shape

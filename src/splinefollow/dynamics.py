@@ -14,9 +14,9 @@ A plant is described once: its compiled ``forces`` call gives D and
 C qd + G, its compiled ``kinematics`` call gives the output map h, its
 Jacobian J and d(J qd)/dq, and the constant completion matrix Z gives
 the redundant coordinates zeta = (Z q, Z qd).  The array-valued
-D, G, h, J and dJ_dq are ``MechanicalSystem`` methods derived from
-those calls, for callers outside the loop; ``completion`` gives zeta
-as floats.
+D, h and J are ``MechanicalSystem`` methods derived from those calls,
+for callers outside the control period (h seeds the projection, J the
+zero-dynamics velocity); ``completion`` gives zeta as floats.
 
 ``acceleration`` and ``drift_and_input`` run on the period's float lists
 q and qd: one ``forces`` call, then one generated call.  ``_plant_code``
@@ -83,8 +83,8 @@ class MechanicalSystem:
     ``solves`` holds the generated solves of ``acceleration`` and
     ``drift_and_input``, with A and Bd written into them; each is
     compiled at first use; ``Z_rows``, Z's rows as floats, serves
-    ``completion``.  D, G, h, J and dJ_dq evaluate the compiled calls at
-    rest (qd = 0) or along unit velocities and return arrays.
+    ``completion``.  D, h and J evaluate the compiled calls at rest
+    (qd = 0) and return arrays.
     """
 
     name: str
@@ -107,10 +107,6 @@ class MechanicalSystem:
         """(N, N) inertia matrix."""
         return np.array(self.forces(_floats(q), [0.0] * self.N)[0])
 
-    def G(self, q):
-        """(N,) gravity vector: C qd + G at rest."""
-        return np.array(self.forces(_floats(q), [0.0] * self.N)[1])
-
     def h(self, q):
         """(p,) output map."""
         return np.array(self.kinematics(_floats(q), [0.0] * self.N)[0], dtype=float)
@@ -118,15 +114,6 @@ class MechanicalSystem:
     def J(self, q):
         """(p, N) output Jacobian."""
         return np.array(self.kinematics(_floats(q), [0.0] * self.N)[1], dtype=float)
-
-    def dJ_dq(self, q):
-        """(p, N, N) array d J[a, b] / d q[c].
-
-        Column b of d(J qd)/dq at qd = e_b is dJ/dq_b.
-        """
-        q = _floats(q)
-        return np.array([self.kinematics(q, e)[2] for e in np.eye(self.N).tolist()],
-                        dtype=float).transpose(1, 0, 2)
 
     def completion(self, q, qd):
         """The 2N - 2p redundant coordinates zeta = (Z q, Z qd), as floats."""

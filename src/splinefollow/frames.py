@@ -156,25 +156,13 @@ class FrameJet:
     the generated frame code returns: the frame vectors e_i, their
     derivatives e_i' and e_i'' (p rows of p each), the p - 1 curvatures
     chi_i = <e_i', e_{i+1}> / ||sigma'||, their derivatives, and the jet
-    of ||sigma'||.  The properties are numpy arrays of them, for callers
-    outside the control period.
+    of ||sigma'||; ``_parts`` splits them.
     """
 
     k: int
     lam: float
     rows: list
     values: tuple
-
-    def _array(self, i):
-        return np.array(_parts(self.values, len(self.rows[0]))[i])
-
-    e = property(lambda self: self._array(0), doc="(p, p): e_i in row i")
-    de = property(lambda self: self._array(1), doc="(p, p)")
-    dde = property(lambda self: self._array(2), doc="(p, p)")
-    curvatures = property(lambda self: self._array(3), doc="(p-1,)")
-    curvature_rates = property(lambda self: self._array(4), doc="(p-1,)")
-    speed = property(lambda self: self._array(5), doc="(3,): jet of ||sigma'||")
-    sigma = property(lambda self: np.array(self.rows), doc="(p+2, p)")
 
 
 def _completion_count(mode, p):

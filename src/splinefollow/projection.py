@@ -24,7 +24,7 @@ import numpy as np
 
 from . import codegen
 from .curves import bisect
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, ParameterError
 from .frames import dot
 
 ON_PATH_TOL = 1e-12  # below this distance, descend on the squared distance
@@ -201,9 +201,12 @@ def global_initialize(path, y, cfg=ProjectionConfig()):
     """Brute-force grid argmin over the whole path, then one local polish.
 
     Ties are broken lexicographically in (k, lambda), so repeated runs are
-    deterministic.
+    deterministic.  ParameterError if y does not have the path's p entries.
     """
     y = np.asarray(y, dtype=float)
+    if y.shape != (path.output_dim,):
+        raise ParameterError(f"query y must have p = {path.output_dim} "
+                             f"entries; got shape {y.shape}")
     spacing = path.total_arclength / INIT_GRID
     best = (np.inf, 0, 0.0)
     for k, seg in enumerate(path.segments):
@@ -263,7 +266,13 @@ def allowable_delta_lambda(path, k, samples=64):
     Returns (lam_stars, deltas, path_minimum).  The window is found by
     bisection on delta with an inner grid check of the convexity
     inequality; 0 is reported where the inequality fails immediately.
+    ParameterError unless 0 <= k < n_segments and samples >= 1.
     """
+    if not 0 <= k < path.n_segments:
+        raise ParameterError(f"segment k must be in 0..{path.n_segments - 1}; "
+                             f"got {k}")
+    if samples < 1:
+        raise ParameterError(f"samples must be >= 1; got {samples}")
     lo, hi = path.segments[k].domain
     width = hi - lo
     lam_stars = np.linspace(lo, hi, samples)

@@ -540,11 +540,19 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
     fatal; robust gains that do not fit the plant raise ParameterError
     first.  Equilibria are found by driving the flow-field norm to zero
     along zeta_2 = 0 and classified by finite-difference linearization.
+    ParameterError unless ``sim_duration`` is finite and covers at least
+    one period PORTRAIT_DT and the grid holds at least one point.
     """
+    if not (0.0 < sim_duration < math.inf
+            and round(sim_duration / PORTRAIT_DT) >= 1):
+        raise ParameterError("sim_duration must be finite and cover at least "
+                             f"one period {PORTRAIT_DT}; got {sim_duration!r}")
+    grid = np.asarray(grid, dtype=float).reshape(-1, 2)
+    if not len(grid):
+        raise ParameterError("the portrait grid must hold at least one point")
     _check_gains(gains, system)
     if limits is None:
         limits = system.default_limits
-    grid = np.asarray(grid, dtype=float).reshape(-1, 2)
     ps0 = _point_on_path(path, eta1_ref)
     field = _zero_dynamics_field(system, path, gains, limits, ps0)
 

@@ -19,8 +19,6 @@ point (k*, lambda*) stays in the ProjectionState it was given.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import codegen, frames
 from .dynamics import drift_and_input
 from .frames import dot
@@ -38,11 +36,6 @@ class LinearizationData:
     beta: list                 # p rows of N: decoupling matrix
     f_v: list                  # qdd = f_v + g_v u; N
     g_v: list                  # N rows of N
-
-
-def path_arclength(path, k, lam):
-    """eta_1: arclength from the path start to sigma_k(lam)."""
-    return path.arclength_offsets[k] + path.arclength_interp(k, lam)
 
 
 def _linearize_code(p, N):
@@ -117,60 +110,7 @@ def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
     f_v, g_v = drift_and_input(system, q, qd)
     eta2, xi, alpha, beta = codegen.kernel(_linearize_code, system.p, system.N)(
         fj.rows, fj.values, kinematics, qd, f_v, g_v)
+    eta1 = path.arclength_offsets[fj.k] + path.arclength_interp(fj.k, fj.lam)
     return LinearizationData(
-        eta=[path_arclength(path, fj.k, fj.lam), eta2], xi=xi,
+        eta=[eta1, eta2], xi=xi,
         zeta=system.completion(q, qd), alpha=alpha, beta=beta, f_v=f_v, g_v=g_v)
-
-
-@dataclass(frozen=True)
-class DifferentialReport:
-    """Rank diagnostics of the coordinate-change differentials."""
-
-    position_rows: np.ndarray   # (p, N): d(eta_1, xi_1)/dq
-    velocity_rows: np.ndarray   # (p, N): d(eta_2, xi_2)/dqd
-    min_sv_position: float
-    min_sv_velocity: float
-    independent: bool
-
-
-def check_differentials(system, state, path, proj_state,
-                        policy=frames.FRENET, sv_tol=1e-8):
-    """Verify the 2p linearizing coordinates have independent differentials.
-
-    The differential has block-triangular structure: (eta_1, xi_1) depend
-    on q only, and the velocity-gradient block of (eta_2, xi_2) equals the
-    position-gradient structure contracted with J.  Independence of all 2p
-    rows is therefore equivalent to both p x N blocks having full rank,
-    which is measured here by their smallest singular values.
-    """
-    fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
-    J, offset = system.J(state.q), system.h(state.q) - fj.sigma[0]
-    p, N = system.p, system.N
-    speed = fj.speed[0]
-    sig1, sig2 = fj.sigma[1], fj.sigma[2]
-
-    # implicit-function derivative of lambda* wrt q from the normality
-    # condition <h(q) - sigma(lambda), sigma'(lambda)> = 0
-    denom = speed**2 - offset @ sig2
-    dlam_dq = (sig1 @ J) / denom
-
-    position = np.empty((p, N))
-    position[0] = speed * dlam_dq                      # d eta_1 / dq
-    for j in range(1, p):
-        position[j] = fj.e[j] @ J + (fj.de[j] @ offset) * dlam_dq
-
-    velocity = np.empty((p, N))
-    velocity[0] = fj.e[0] @ J                          # d eta_2 / dqd
-    for j in range(1, p):
-        a_j = (offset @ fj.de[j]) / speed
-        velocity[j] = (a_j * fj.e[0] + fj.e[j]) @ J
-
-    sv_pos = float(np.linalg.svd(position, compute_uv=False)[-1])
-    sv_vel = float(np.linalg.svd(velocity, compute_uv=False)[-1])
-    return DifferentialReport(
-        position_rows=position,
-        velocity_rows=velocity,
-        min_sv_position=sv_pos,
-        min_sv_velocity=sv_vel,
-        independent=bool(sv_pos > sv_tol and sv_vel > sv_tol),
-    )

@@ -1,0 +1,107 @@
+"""Array views and diagnostics that only the tests use.
+
+Each is a second, numpy computation that tests compare the package with:
+- ``FrameArrays``, a FrameJet whose parts read as numpy arrays, and
+  ``frame_jet``, which returns one;
+- ``G`` and ``dJ_dq``, array views of a plant's compiled ``forces`` and
+  ``kinematics`` calls;
+- ``check_differentials``, the rank of the transform's gradient rows,
+  reported as a ``DifferentialReport``.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from splinefollow import frames
+from splinefollow.dynamics import _floats
+
+
+class FrameArrays(frames.FrameJet):
+    """A FrameJet whose frame values read as numpy arrays."""
+
+    def _array(self, i):
+        return np.array(frames._parts(self.values, len(self.rows[0]))[i])
+
+    e = property(lambda self: self._array(0), doc="(p, p): e_i in row i")
+    de = property(lambda self: self._array(1), doc="(p, p)")
+    dde = property(lambda self: self._array(2), doc="(p, p)")
+    curvatures = property(lambda self: self._array(3), doc="(p-1,)")
+    curvature_rates = property(lambda self: self._array(4), doc="(p-1,)")
+    speed = property(lambda self: self._array(5), doc="(3,): jet of ||sigma'||")
+    sigma = property(lambda self: np.array(self.rows), doc="(p+2, p)")
+
+
+def frame_jet(path, k, lam, policy=frames.FRENET):
+    """``frames.frame_jet`` at (k, lam), as FrameArrays."""
+    fj = frames.frame_jet(path, k, lam, policy)
+    return FrameArrays(fj.k, fj.lam, fj.rows, fj.values)
+
+
+def G(system, q):
+    """(N,) gravity vector: C qd + G at rest."""
+    return np.array(system.forces(_floats(q), [0.0] * system.N)[1])
+
+
+def dJ_dq(system, q):
+    """(p, N, N) array d J[a, b] / d q[c].
+
+    Column b of d(J qd)/dq at qd = e_b is dJ/dq_b.
+    """
+    q = _floats(q)
+    return np.array([system.kinematics(q, e)[2] for e in np.eye(system.N).tolist()],
+                    dtype=float).transpose(1, 0, 2)
+
+
+@dataclass(frozen=True)
+class DifferentialReport:
+    """Rank diagnostics of the coordinate-change differentials."""
+
+    position_rows: np.ndarray   # (p, N): d(eta_1, xi_1)/dq
+    velocity_rows: np.ndarray   # (p, N): d(eta_2, xi_2)/dqd
+    min_sv_position: float
+    min_sv_velocity: float
+    independent: bool
+
+
+def check_differentials(system, state, path, proj_state,
+                        policy=frames.FRENET, sv_tol=1e-8):
+    """Verify the 2p linearizing coordinates have independent differentials.
+
+    The differential has block-triangular structure: (eta_1, xi_1) depend
+    on q only, and the velocity-gradient block of (eta_2, xi_2) equals the
+    position-gradient structure contracted with J.  Independence of all 2p
+    rows is therefore equivalent to both p x N blocks having full rank,
+    which is measured here by their smallest singular values.
+    """
+    fj = frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
+    J, offset = system.J(state.q), system.h(state.q) - fj.sigma[0]
+    p, N = system.p, system.N
+    speed = fj.speed[0]
+    sig1, sig2 = fj.sigma[1], fj.sigma[2]
+
+    # implicit-function derivative of lambda* wrt q from the normality
+    # condition <h(q) - sigma(lambda), sigma'(lambda)> = 0
+    denom = speed**2 - offset @ sig2
+    dlam_dq = (sig1 @ J) / denom
+
+    position = np.empty((p, N))
+    position[0] = speed * dlam_dq                      # d eta_1 / dq
+    for j in range(1, p):
+        position[j] = fj.e[j] @ J + (fj.de[j] @ offset) * dlam_dq
+
+    velocity = np.empty((p, N))
+    velocity[0] = fj.e[0] @ J                          # d eta_2 / dqd
+    for j in range(1, p):
+        a_j = (offset @ fj.de[j]) / speed
+        velocity[j] = (a_j * fj.e[0] + fj.e[j]) @ J
+
+    sv_pos = float(np.linalg.svd(position, compute_uv=False)[-1])
+    sv_vel = float(np.linalg.svd(velocity, compute_uv=False)[-1])
+    return DifferentialReport(
+        position_rows=position,
+        velocity_rows=velocity,
+        min_sv_position=sv_pos,
+        min_sv_velocity=sv_vel,
+        independent=bool(sv_pos > sv_tol and sv_vel > sv_tol),
+    )

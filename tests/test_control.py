@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from splinefollow import codegen, control, curves, dynamics, frames, projection
 from splinefollow.dynamics import Limits, State
 from splinefollow.errors import NearSingularDecouplingError, ParameterError
@@ -357,7 +358,7 @@ class TestStep:
 
         policy = frames.FramePolicy(mode="planar_fallback")
         k, lam = 3, 0.6 * fig8_path.segments[3].domain[1]
-        fj = frames.frame_jet(fig8_path, k, lam, policy)
+        fj = oracles.frame_jet(fig8_path, k, lam, policy)
         q = sim.ik_planar3r(fig8_path.evaluate(k, lam, 0) + 0.02 * fj.e[1], 0.3)
         st = State(q=q, qd=[0.1, -0.2, 0.15])
         ps = projection.global_initialize(fig8_path, example2.h(q))
@@ -383,7 +384,7 @@ class TestStep:
 
         policy = frames.FramePolicy(mode="planar_fallback")
         k, lam = 6, 0.3 * fig8_path.segments[6].domain[1]
-        fj = frames.frame_jet(fig8_path, k, lam, policy)
+        fj = oracles.frame_jet(fig8_path, k, lam, policy)
         q = sim.ik_planar3r(fig8_path.evaluate(k, lam, 0) - 0.02 * fj.e[1], 0.2)
         st = State(q=q, qd=[-0.1, 0.2, 0.05])
         ps = projection.global_initialize(fig8_path, example2.h(q))

@@ -67,11 +67,6 @@ class TestFitSpline:
         with pytest.raises(DegenerateChordError):
             curves.fit_spline([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
 
-    def test_waypoint_objects_accepted(self):
-        wps = [curves.Waypoint([0.0, 0.0]), curves.Waypoint([1.0, 1.0])]
-        path = curves.fit_spline(wps, smoothness_order=2)
-        assert path.n_segments == 1
-
     def test_bad_smoothness_order(self):
         with pytest.raises(ValueError):
             curves.fit_spline([[0, 0], [1, 1]], smoothness_order=3)

