@@ -10,20 +10,24 @@ float operations of the written arithmetic in the same order.  A
 ``Recorder`` writes its record as the body of one function with no
 loops and no calls but those it is given: an assignment whose value is
 never used is left out, one used once is written into its use, and an
-expression recorded twice is computed once.  ``kernel`` compiles such a
-function once per builder, key and binding of the ``math`` functions it
-calls: to ``math``'s it runs on floats, to numpy's on arrays.
+expression recorded twice is computed once.  A builder returns only its
+source; ``kernel`` compiles it once per key and ``lib`` in ``namespace``,
+with math's functions to run on floats or with numpy's on arrays.
 
-Checks and calls are written around the record as source text:
-formatting a ``Var`` into a string gives its name and keeps it
-computed, and ``Recorder.unpack`` names the results of a call.  All
-code the package generates at run time is recorded here; only the
-plants' ``forces`` and ``kinematics`` are written ahead of time, by
-``symbolic``.
+Checks and calls are written around the record as source text: a
+``Var`` formatted into a string gives its name and stays computed,
+``Recorder.require`` raises a typed error, and ``Recorder.unpack``
+names the results of a call.  All code the package generates at run
+time is recorded here; only the plants' ``forces`` and ``kinematics``
+are written ahead of time, by ``symbolic``.
 """
 
 import math
 from functools import lru_cache
+
+from numpy.linalg import eigvalsh
+
+from . import errors
 
 
 class Var:
@@ -118,12 +122,14 @@ class Recorder:
         """Add lines of source text (a statement, a check)."""
         self.lines.append(text)
 
-    def require(self, test, failure):
-        """Run the statement ``failure`` unless ``test`` is true.
+    def require(self, test, error, message, **fields):
+        """Raise the ``errors`` class named ``error`` unless ``test`` is true.
 
-        A NaN fails every comparison, so it fails the test.
+        ``message`` is the body of its f-string, a field its keyword's
+        source.  A NaN fails every comparison, so it fails the test.
         """
-        self.source(f"if not {test}:\n    {failure}")
+        args = "".join(f", {k}={v}" for k, v in fields.items())
+        self.source(f"if not {test}:\n    raise {error}(f{message!r}{args})")
 
     def unpack(self, value, shape, prefix=None):
         """Vars for the entries of the nested sequence ``value``.
@@ -207,30 +213,31 @@ def render(x, text):
     return text(x)
 
 
-def compiled(source, label="generated", **names):
-    """The function ``f`` that ``source`` defines over ``names``."""
-    namespace = dict(names)
-    exec(compile(source, f"<{label}>", "exec"), namespace)
-    return namespace["f"]
+def namespace(lib=math):
+    """The names of all generated code: the exception classes of ``errors``,
+    ``eigvalsh``, and ``lib``'s sqrt, cos, sin, hypot, isfinite, nan, inf."""
+    names = {k: v for k, v in vars(errors).items() if isinstance(v, type)}
+    names.update((k, getattr(lib, k)) for k in
+                 ("sqrt", "cos", "sin", "hypot", "isfinite", "nan", "inf"))
+    return {**names, "eigvalsh": eigvalsh}
+
+
+def compiled(source, label="generated", lib=math):
+    """The function ``f`` that ``source`` defines in ``namespace(lib)``."""
+    names = namespace(lib)
+    exec(compile(source, f"<{label}>", "exec"), names)
+    return names["f"]
 
 
 @lru_cache(maxsize=None)
 def kernel(build, *key, lib=math):
     """The function ``build(*key)`` writes, compiled once per (build, key, lib).
 
-    ``build`` returns the source and the names it uses; its ``math``
-    functions are bound to ``lib``'s of the same name, so bound to numpy
-    the code runs on arrays.  A source that names none is the one
-    function ``kernel(build, *key)`` under every ``lib``.  The compiled
-    code's file name is ``build`` and the key, a function in the key
-    (a segment kind's row recorder) written by its name.
+    ``build`` returns the source alone; bound to numpy, its math
+    functions run on arrays.  The compiled code's file name is ``build``
+    and the key, a function in the key (a segment kind's row recorder)
+    written by its name.
     """
-    source, names = build(*key)
-    label = f"{build.__qualname__}{tuple(getattr(k, '__name__', k) for k in key)}"
-    if lib is not math:
-        calls = {k: getattr(lib, k) for k, v in names.items()
-                 if v is getattr(math, k, None)}
-        if not calls:
-            return kernel(build, *key)
-        names, label = {**names, **calls}, f"{label} on {lib.__name__}"
-    return compiled(source, label, **names)
+    on = "" if lib is math else f" on {lib.__name__}"
+    label = f"{build.__qualname__}{tuple(getattr(k, '__name__', k) for k in key)}{on}"
+    return compiled(build(*key), label, lib=lib)

@@ -30,7 +30,7 @@ from numbers import Real
 import numpy as np
 
 from . import codegen, curves, dynamics, frames, projection, transform
-from .errors import NearSingularDecouplingError, ParameterError
+from .errors import ParameterError
 from .frames import dot
 
 CONDITION_LIMIT = 1e10
@@ -185,13 +185,6 @@ def bias_r(x_c, limits):
     ]
 
 
-def _near_singular(cond):
-    raise NearSingularDecouplingError(
-        f"decoupling matrix nearly singular (cond(beta W^-1 beta') = {cond:.3e})",
-        cond=cond,
-    )
-
-
 def _resolve_code(p, N, weighted):
     """Source of ``f(alpha, beta, v, r, W)``, the input u of resolve_input.
 
@@ -221,14 +214,14 @@ def _resolve_code(p, N, weighted):
                 "\n    cond = max(eig) / min(eig) if min(eig) > 0.0 else inf")
     code.source("cond = nan\n"
                 f"if all(map(isfinite, {codegen.render(sum(M, []), format)})):\n    {cond}")
-    code.require(f"cond <= {CONDITION_LIMIT!r}", "near_singular(cond)")
+    code.require(f"cond <= {CONDITION_LIMIT!r}", "NearSingularDecouplingError",
+                 "decoupling matrix nearly singular "
+                 "(cond(beta W^-1 beta') = {cond:.3e})", cond="cond")
     rhs = [vi - ai - dot(b, r) for vi, ai, b in zip(v, alpha, beta)]
     (w,) = dynamics.cholesky_solve(code, M, [rhs],
                                    "decoupling matrix beta W^-1 beta'", "beta")
     u = [ri + dot(col, w) for ri, col in zip(r, zip(*bw))]
-    return code.function("alpha, beta, v, r, W", u), dict(
-        dynamics.SOLVE_NAMES, nan=math.nan, inf=math.inf, hypot=math.hypot,
-        eigvalsh=np.linalg.eigvalsh, near_singular=_near_singular)
+    return code.function("alpha, beta, v, r, W", u)
 
 
 def resolve_input(alpha, beta, v, r, W=None):

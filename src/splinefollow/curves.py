@@ -30,6 +30,7 @@ from .errors import (
     DegenerateChordError,
     DomainError,
     FitFailureError,
+    ParameterError,
     UnsupportedOrderError,
 )
 
@@ -86,8 +87,8 @@ def _jet_code(r, first, rows, *key):
     """Source of ``f(c, lam)``, the derivatives first..r at lam of a
     segment whose kind records its rows with ``rows`` for ``key``."""
     code = codegen.Recorder()
-    out, names = rows(code, codegen.Var(code, "lam"), r, *key)
-    return code.function("c, lam", out[first:]), names
+    out = rows(code, codegen.Var(code, "lam"), r, *key)
+    return code.function("c, lam", out[first:])
 
 
 class PolynomialSegment(Segment):
@@ -113,8 +114,7 @@ class PolynomialSegment(Segment):
 
 
 def _polynomial_rows(code, lam, r, p, ncoef):
-    """The derivatives 0..r at lam of a polynomial segment, and the
-    functions they call (none).
+    """The derivatives 0..r at lam of a polynomial segment.
 
     ``c`` is the segment's derivative coefficients: order by order, the
     p rows of the ncoef - order coefficients of that order.  Each row is
@@ -130,7 +130,7 @@ def _polynomial_rows(code, lam, r, p, ncoef):
                 value = value * lam + c
             row.append(value)
         rows.append(row)
-    return rows + [[0.0] * p for _ in range(r + 1 - len(rows))], {}
+    return rows + [[0.0] * p for _ in range(r + 1 - len(rows))]
 
 
 class HarmonicSegment(Segment):
@@ -148,8 +148,7 @@ class HarmonicSegment(Segment):
 
 
 def _harmonic_rows(code, lam, r, terms):
-    """The derivatives 0..r at lam of a harmonic segment, and the
-    functions they call.
+    """The derivatives 0..r at lam of a harmonic segment.
 
     ``c`` is w followed by the constants of ``terms``, whose entries name
     the terms of a coordinate: ``"cos"`` or ``"sin"`` for a trig(lam / w),
@@ -175,7 +174,7 @@ def _harmonic_rows(code, lam, r, terms):
                     parts.append(k)
             row.append(sum(parts[1:], parts[0]) if parts else 0.0)
         rows.append(row)
-    return rows, {"cos": math.cos, "sin": math.sin}
+    return rows
 
 
 class SplinePath:
@@ -279,8 +278,30 @@ class SplinePath:
 
     @classmethod
     def from_dict(cls, d):
-        segs = [PolynomialSegment(s["coeffs"], s["domain"]) for s in d["segments"]]
-        return cls(segs, closed=d.get("closed", False))
+        """The path of polynomial segments that ``to_dict`` wrote.
+
+        ParameterError, naming the key, unless ``d`` is an object whose
+        ``segments`` is a list of objects, each with a ``domain`` of two
+        finite numbers and ``coeffs`` a non-empty matrix of finite numbers.
+        """
+        if not isinstance(d, dict):
+            raise ParameterError(f"a path must be a JSON object; got {d!r}")
+        segs = d.get("segments")
+        if not isinstance(segs, list):
+            raise ParameterError(f"path 'segments' must be a list; got {segs!r}")
+        out = []
+        for k, s in enumerate(segs):
+            if not isinstance(s, dict):
+                raise ParameterError(f"path segment {k} must be a JSON object; got {s!r}")
+            domain, coeffs = (_finite(s.get(key)) for key in ("domain", "coeffs"))
+            if domain is None or domain.shape != (2,):
+                raise ParameterError(f"path segment {k} 'domain' must be two finite "
+                                     f"numbers; got {s.get('domain')!r}")
+            if coeffs is None or coeffs.ndim != 2 or not coeffs.size:
+                raise ParameterError(f"path segment {k} 'coeffs' must be a non-empty "
+                                     f"matrix of finite numbers; got {s.get('coeffs')!r}")
+            out.append(PolynomialSegment(coeffs, domain))
+        return cls(out, closed=d.get("closed", False))
 
 
 @dataclass
@@ -292,6 +313,15 @@ class AssumptionReport:
     worst_junction_error: float
     min_gram_determinant: float
     worst_junction: int = -1
+
+
+def _finite(x):
+    """x as a float array if its entries are finite numbers, else None."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return x if np.isfinite(x).all() else None
 
 
 def interp(xs, ys, x):

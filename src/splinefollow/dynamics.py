@@ -23,7 +23,8 @@ q and qd: one ``forces`` call, then one generated call.  ``_plant_code``
 records the right-hand side A u - Bd qd - (C qd + G) and the Cholesky
 solve of D, ``cholesky_solve``, with ``codegen``'s recorder into one
 straight-line function per plant and use; the control layer records its
-two solves with the same ``cholesky_solve``.
+two solves with the same ``cholesky_solve``, whose checks raise their
+typed errors from the generated code.
 """
 
 import math
@@ -33,7 +34,7 @@ from operator import mul
 import numpy as np
 
 from . import codegen
-from .errors import DivergenceError, NonSPDInertiaError, ParameterError
+from .errors import DivergenceError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -120,29 +121,23 @@ class MechanicalSystem:
         return [sum(map(mul, z, x)) for x in (q, qd) for z in self.Z_rows]
 
 
-SOLVE_NAMES = dict(sqrt=math.sqrt, isfinite=math.isfinite,
-                   DivergenceError=DivergenceError,
-                   NonSPDInertiaError=NonSPDInertiaError)
-
-
 def cholesky_solve(code, d, cols, name="inertia matrix", at="q"):
     """Record D^-1 b for each b in cols into ``code``; return them as lists.
 
     ``d`` holds the rows of D as Vars (the lower triangle is read), each
     b Vars or floats.  The factorization D = L L^T and the two
-    triangular substitutions are recorded as straight-line code, which
-    needs the names of SOLVE_NAMES.  A non-finite D or solution raises
-    DivergenceError; a pivot that is not positive raises
-    NonSPDInertiaError.  The messages call D ``name`` and report the
-    value of the source expression ``at`` (the plant's configuration q
-    by default).
+    triangular substitutions are recorded as straight-line code.  A
+    non-finite D or solution raises DivergenceError; a pivot that is not
+    positive raises NonSPDInertiaError.  The messages call D ``name``
+    and report the value of the source expression ``at`` (the plant's
+    configuration q by default).
     """
     n = len(d)
     r = range(n)
 
     def finite(xs, what):
         code.require(f"isfinite({' + '.join(map(format, xs))})",
-                     f'raise DivergenceError(f"non-finite {what} at {at}={{{at}}}")')
+                     "DivergenceError", f"non-finite {what} at {at}={{{at}}}")
 
     finite([d[i][j] for i in r for j in range(i + 1)], name)
     L = [[None] * n for _ in r]
@@ -150,8 +145,8 @@ def cholesky_solve(code, d, cols, name="inertia matrix", at="q"):
         p = d[j][j]
         for k in range(j):
             p = p - L[j][k] * L[j][k]
-        code.require(f"{p} > 0.0",
-                     f'raise NonSPDInertiaError(f"{name} not SPD at {at}={{{at}}}")')
+        code.require(f"{p} > 0.0", "NonSPDInertiaError",
+                     f"{name} not SPD at {at}={{{at}}}")
         L[j][j] = codegen.sqrt(p)
         for i in range(j + 1, n):
             s = d[i][j]
@@ -204,12 +199,10 @@ def _plant_code(A, Bd, inputs):
     bias, qd = code.unpack("bias", (N,)), code.unpack("qd", (N,))
     if inputs:
         f_v, *g = cholesky_solve(code, d, [_rhs(A, Bd, [0.0] * N, qd, bias), *zip(*A)])
-        source = code.function("d, bias, qd, q", (f_v, [list(x) for x in zip(*g)]))
-    else:
-        u = code.unpack("u", (N,))
-        (qdd,) = cholesky_solve(code, d, [_rhs(A, Bd, u, qd, bias)])
-        source = code.function("d, bias, u, qd, q", qdd)
-    return source, SOLVE_NAMES
+        return code.function("d, bias, qd, q", (f_v, [list(x) for x in zip(*g)]))
+    u = code.unpack("u", (N,))
+    (qdd,) = cholesky_solve(code, d, [_rhs(A, Bd, u, qd, bias)])
+    return code.function("d, bias, u, qd, q", qdd)
 
 
 class _PlantSolves(dict):

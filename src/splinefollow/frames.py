@@ -26,7 +26,6 @@ from operator import mul
 import numpy as np
 
 from . import codegen
-from .errors import DegenerateFrameError, IrregularCurveError
 
 REGULARITY_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -130,7 +129,9 @@ def _gram_schmidt_jets(code, base_jets):
             eb = _jminus_scaled(eb, _jinner(B, e), e)
 
         def nondegenerate(n0, j=j):
-            code.require(f"{n0} >= {DEGENERACY_TOL!r}", f"degenerate({j}, {n0})")
+            code.require(f"{n0} >= {DEGENERACY_TOL!r}", "DegenerateFrameError",
+                         f"Gram-Schmidt residual collapsed at vector {j} "
+                         f"(norm {{{n0}:.3e}})", index=j)
 
         out.append(_jdiv(eb, _jnorm(eb, nondegenerate)))
     return out
@@ -188,25 +189,6 @@ def _completion_vectors(policy, p):
     return vectors
 
 
-def _irregular(lam, norm):
-    raise IrregularCurveError(f"||sigma'({lam})|| = {norm:.3e} (irregular)")
-
-
-def _degenerate(index, norm):
-    raise DegenerateFrameError(f"Gram-Schmidt residual collapsed at vector {index} "
-                               f"(norm {norm:.3e})", index=index)
-
-
-def _not_finite(lam, mode, p):
-    raise DegenerateFrameError(f"the {mode} frame (p = {p}) at lambda = {lam} has "
-                               "values that are not finite")
-
-
-def _not_in_plane():
-    raise DegenerateFrameError(
-        "tangent is not orthogonal to the supplied plane normal", index=2)
-
-
 def _frame_code(p, mode):
     """Source of ``f(rows, fixed, lam)``, the frame values at one point.
 
@@ -227,7 +209,8 @@ def _frame_code(p, mode):
         return rows[j], rows[j + 1], rows[j + 2]
 
     def regular(n0):
-        code.require(f"{n0} >= {REGULARITY_TOL!r}", f"irregular(lam, {n0})")
+        code.require(f"{n0} >= {REGULARITY_TOL!r}", "IrregularCurveError",
+                     f"||sigma'({{lam}})|| = {{{n0}:.3e}} (irregular)")
 
     speed = _jnorm(sigma_jet(1), regular)
     if mode == "frenet_serret":
@@ -242,7 +225,9 @@ def _frame_code(p, mode):
     else:
         (n,) = fixed   # the unit plane normal
         (e1,) = _gram_schmidt_jets(code, [sigma_jet(1)])
-        code.require(f"{abs(dot(n, e1[0]))} <= 1e-08", "not_in_plane()")
+        code.require(f"{abs(dot(n, e1[0]))} <= 1e-08", "DegenerateFrameError",
+                     "tangent is not orthogonal to the supplied plane normal",
+                     index=2)
         n0, n1, n2 = n
         e2 = tuple([n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x]
                    for x, y, z in e1)   # n x e1
@@ -270,10 +255,10 @@ def _frame_code(p, mode):
     # a NaN or an infinity in any value makes their sum NaN or infinite
     total = " + ".join(dict.fromkeys(
         format(x) for x in values if isinstance(x, codegen.Var)))
-    code.require(f"isfinite({total})", f"not_finite(lam, {mode!r}, {p})")
-    return code.function("rows, fixed, lam", tuple(values)), dict(
-        sqrt=math.sqrt, isfinite=math.isfinite, irregular=_irregular,
-        degenerate=_degenerate, not_in_plane=_not_in_plane, not_finite=_not_finite)
+    code.require(f"isfinite({total})", "DegenerateFrameError",
+                 f"the {mode} frame (p = {p}) at lambda = {{lam}} has values "
+                 "that are not finite")
+    return code.function("rows, fixed, lam", tuple(values))
 
 
 def frame_jet(path, k, lam, policy=FRENET):

@@ -78,10 +78,10 @@ def _newton_code(rows, *key):
     ``curves.Segment``), from the same recorded rows as its jet.
     """
     code = codegen.Recorder()
-    (s0, s1, s2), names = rows(code, codegen.Var(code, "lam"), 2, *key)
+    s0, s1, s2 = rows(code, codegen.Var(code, "lam"), 2, *key)
     diff = [a - b for a, b in zip(s0, code.unpack("y", (len(s0),)))]
     return code.function("c, lam, y", (
-        dot(diff, diff), dot(s1, s1) + dot(diff, s2), dot(diff, s1))), names
+        dot(diff, diff), dot(s1, s1) + dot(diff, s2), dot(diff, s1)))
 
 
 def _newton(path, k, lam, y, cfg):

@@ -4,7 +4,7 @@ The control input is held over each 20 ms (default) period while the
 plant integrates with a fixed-step classical Runge-Kutta scheme at a
 finer substep.  One substep is written once as list arithmetic,
 ``_rk4_code``, and runs as straight-line float code recorded for the
-plant's N; its four stages call ``dynamics.acceleration``.  One loop,
+plant's N; its four stages call the ``acceleration`` it is given.  One loop,
 ``_simulate``, runs every control period on q and qd as float lists:
 measurement, ``control.step``, the RK4 hold and the clock.  ``run``
 checks the initial ``State`` and drives it once per scenario, appending
@@ -56,6 +56,8 @@ _ANALYTIC_PATHS = {
 
 def _build_path(spec):
     """Path from a scenario path spec (waypoints, analytic, or file)."""
+    if not isinstance(spec, dict):
+        raise ParameterError(f"path spec must be a JSON object; got {spec!r}")
     if "waypoints" in spec:
         return curves.fit_spline(
             np.asarray(spec["waypoints"], dtype=float),
@@ -104,11 +106,14 @@ class Scenario:
     def __post_init__(self):
         if not (0.0 < self.dt < math.inf and 0.0 < self.duration < math.inf):
             raise ParameterError("need finite dt > 0 and duration > 0")
-        if not (isinstance(self.substeps, int) and self.substeps >= 1):
+        if not (type(self.substeps) is int and self.substeps >= 1):   # not a bool
             raise ParameterError(
                 f"substeps must be an integer >= 1; got {self.substeps!r}")
         if round(self.duration / self.dt) < 1:
             raise ParameterError("duration must cover at least one period dt")
+        if not isinstance(self.plant_kwargs, dict):
+            raise ParameterError(
+                f"plant_kwargs must be a JSON object; got {self.plant_kwargs!r}")
         self.q0 = np.asarray(self.q0, dtype=float)
         self.qd0 = np.asarray(self.qd0, dtype=float)
 
@@ -123,8 +128,9 @@ class Scenario:
         """Scenario from its JSON form, whose ``path`` is ``path_spec``.
 
         A key left out takes the dataclass default.  A missing required
-        key, or a key that names no field at the top level or in
-        ``gains``, ``redundancy`` or ``limits``, raises ParameterError.
+        key, a key that names no field at the top level or in ``gains``,
+        ``redundancy`` or ``limits``, one of those that is not a JSON
+        object, or a value of the wrong type raises ParameterError.
         """
         names = {f.name: f for f in fields(cls)}
         names["path"] = names.pop("path_spec")
@@ -148,10 +154,14 @@ class Scenario:
         if "encoder_resolution" in kw:
             enc = kw["encoder_resolution"]
             kw["encoder_resolution"] = np.asarray(enc, float) if enc else None
-        for key, kind in (("duration", float), ("dt", float),
-                          ("frame_fixed", tuple)):
+        for key, kind, what in (("duration", float, "a number"), ("dt", float, "a number"),
+                                ("frame_fixed", tuple, "a list")):
             if key in kw:
-                kw[key] = kind(kw[key])
+                try:
+                    kw[key] = kind(kw[key])
+                except (TypeError, ValueError):
+                    raise ParameterError(f"{key} must be {what}; "
+                                         f"got {kw[key]!r}") from None
         return cls(**kw)
 
     @classmethod
@@ -161,12 +171,14 @@ class Scenario:
 
 
 def _known_keys(where, d, known, required=()):
-    """A copy of the dict d; ParameterError if a key is not in ``known``
-    or a name in ``required`` is not a key.
+    """A copy of the dict d; ParameterError if d is not a dict, a key is
+    not in ``known`` or a name in ``required`` is not a key.
 
     ``known`` is a collection of names or a dataclass, whose init fields
     are the names.
     """
+    if not isinstance(d, dict):
+        raise ParameterError(f"{where} must be a JSON object; got {d!r}")
     if isinstance(known, type):
         known = [f.name for f in fields(known) if f.init]
     unknown = [k for k in d if k not in known]
@@ -275,11 +287,12 @@ class _Measurement:
 
 
 def _rk4_code(N):
-    """Source of ``f(system, q, qd, u, h, half, sixth)``: one RK4 substep.
+    """Source of ``f(acceleration, system, q, qd, u, h, half, sixth)``:
+    one RK4 substep.
 
-    The four stages call ``dynamics.acceleration`` through the module,
-    and the updates of q and qd run as straight-line float code for the
-    plant's N.  Returns the new q and qd as lists.
+    The four stages call ``acceleration(system, q, qd, u)``, and the
+    updates of q and qd run as straight-line float code for the plant's
+    N.  Returns the new q and qd as lists.
     """
     code = codegen.Recorder()
     q, qd = code.unpack("q", (N,)), code.unpack("qd", (N,))
@@ -287,7 +300,7 @@ def _rk4_code(N):
 
     def acceleration(stage, q, qd):
         args = ", ".join(codegen.render(x, format) for x in (q, qd))
-        return code.unpack(f"dynamics.acceleration(system, {args}, u)", (N,),
+        return code.unpack(f"acceleration(system, {args}, u)", (N,),
                            f"a{stage}")
 
     a1 = acceleration(1, q, qd)
@@ -304,22 +317,22 @@ def _rk4_code(N):
          for x, k1, k2, k3, k4 in zip(q, qd, v2, v3, v4)]
     qd = [v + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
           for v, k1, k2, k3, k4 in zip(qd, a1, a2, a3, a4)]
-    return (code.function("system, q, qd, u, h, half, sixth", (q, qd)),
-            {"dynamics": dynamics})
+    return code.function("acceleration, system, q, qd, u, h, half, sixth", (q, qd))
 
 
 def _rk4_hold(system, q, qd, u, h, substeps):
     """Integrate the plant over one control period with u held constant.
 
     Each substep is one call of the plant size's ``_rk4_code``, on lists
-    of Python floats: q, qd and u in, the new (q, qd) out.  A non-finite
+    of Python floats: q, qd and u in, the new (q, qd) out, its stages
+    calling ``dynamics.acceleration`` as the module holds it.  A non-finite
     state, or one whose norm exceeds DIVERGENCE_BOUND at the end of the
     period, raises DivergenceError.
     """
     substep = codegen.kernel(_rk4_code, len(q))
     half, sixth = 0.5 * h, h / 6.0
     for _ in range(substeps):
-        q, qd = substep(system, q, qd, u, h, half, sixth)
+        q, qd = substep(dynamics.acceleration, system, q, qd, u, h, half, sixth)
     if not math.hypot(*q, *qd) <= DIVERGENCE_BOUND:   # NaN fails too
         raise DivergenceError(f"state norm exceeded {DIVERGENCE_BOUND:g}")
     return q, qd
@@ -541,7 +554,9 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
     first.  Equilibria are found by driving the flow-field norm to zero
     along zeta_2 = 0 and classified by finite-difference linearization.
     ParameterError unless ``sim_duration`` is finite and covers at least
-    one period PORTRAIT_DT and the grid holds at least one point.
+    one period PORTRAIT_DT, the grid holds at least one point and, after
+    the gains check, its entries are finite and its zeta_1 values span an
+    interval to search for equilibria.
     """
     if not (0.0 < sim_duration < math.inf
             and round(sim_duration / PORTRAIT_DT) >= 1):
@@ -551,6 +566,9 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
     if not len(grid):
         raise ParameterError("the portrait grid must hold at least one point")
     _check_gains(gains, system)
+    if not (np.isfinite(grid).all() and len(np.unique(grid[:, 0])) >= 2):
+        raise ParameterError("the portrait grid needs finite entries and at least "
+                             "two distinct zeta_1 values")
     if limits is None:
         limits = system.default_limits
     ps0 = _point_on_path(path, eta1_ref)

@@ -90,7 +90,7 @@ def _linearize_code(p, N):
         weights.append([a_j * t + x for t, x in zip(e[0], ej)])
     beta = [[dot(w, col) for col in Jg_cols] for w in weights]
     return code.function("rows, frame, kinematics, qd, f_v, g_v",
-                         (eta2, xi, alpha, beta)), {}
+                         (eta2, xi, alpha, beta))
 
 
 def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,

@@ -94,6 +94,35 @@ class TestProjectAndDlambda:
         assert f"validation failure: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["check", "dlambda"])
+    @pytest.mark.parametrize("change, message", [
+        ({"segments": None}, "path 'segments' must be a list; got None"),
+        ({"segments": [None]}, "path segment 0 must be a JSON object; got None"),
+        ({"domain": [0.0]}, "path segment 0 'domain' must be two finite numbers; "
+                            "got [0.0]"),
+        ({"coeffs": None}, "path segment 0 'coeffs' must be a non-empty matrix of "
+                           "finite numbers; got None"),
+        ({"coeffs": [[0.0, 1.0], [0.0, float("nan")]]},
+         "path segment 0 'coeffs' must be a non-empty matrix of finite numbers"),
+        ([], "a path must be a JSON object; got []"),
+    ], ids=["null-segments", "null-segment", "one-entry-domain", "null-coeffs",
+            "nan-coeffs", "list"])
+    def test_malformed_path_file_is_validation_failure(self, path_file, capsys,
+                                                       command, change, message):
+        """A path file that is not the form ``fit`` writes exits 1, naming
+        the key, whichever command reads it."""
+        path = json.loads(path_file.read_text())
+        if not change:
+            path = change
+        elif "segments" in change:
+            path.update(change)
+        else:
+            path["segments"][0].update(change)
+        path_file.write_text(json.dumps(path))
+        rc = cli.main([command, str(path_file)])
+        assert rc == 1
+        assert f"validation failure: {message}" in capsys.readouterr().err
+
     def test_query_of_wrong_size_is_validation_failure(self, path_file, tmp_path,
                                                        capsys):
         queries = tmp_path / "queries.json"
@@ -297,6 +326,35 @@ class TestRun:
         assert "validation failure: substeps" in err
         assert "t=" not in err
 
+    @pytest.mark.parametrize("change, message", [
+        ({"limits": None}, "limits must be a JSON object; got None"),
+        ({"gains": None}, "gains must be a JSON object; got None"),
+        ({"redundancy": None}, "redundancy must be a JSON object; got None"),
+        ({"path": None}, "path spec must be a JSON object; got None"),
+        ({"path": {"analytic": "line", "params": None}},
+         "line params must be a JSON object; got None"),
+        ({"frame_fixed": 3}, "frame_fixed must be a list; got 3"),
+        ({"plant_kwargs": [1]}, "plant_kwargs must be a JSON object; got [1]"),
+        ({"substeps": True}, "substeps must be an integer >= 1; got True"),
+        ([1.0], "scenario must be a JSON object; got [1.0]"),
+    ], ids=["null-limits", "null-gains", "null-redundancy", "null-path",
+            "null-params", "number-frame_fixed", "list-plant_kwargs",
+            "bool-substeps", "list"])
+    def test_malformed_scenario_is_validation_failure(self, tmp_path, capsys,
+                                                      change, message):
+        """A section of the wrong JSON type exits 1, naming the key."""
+        scen = json.loads((SCENARIOS / "two_mass_line.json").read_text())
+        if isinstance(change, dict):
+            scen.update(change)
+        else:
+            scen = change
+        f = tmp_path / "malformed.json"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
+        assert rc == 1
+        assert f"validation failure: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "log.csv").exists()
+
     def test_bad_scenario_is_validation_failure(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"plant": "acrobot"}))
@@ -304,6 +362,9 @@ class TestRun:
 
 
 class TestPortrait:
+    SPAN = ("the portrait grid needs finite entries and at least two distinct "
+            "zeta_1 values")
+
     def test_small_portrait(self, tmp_path):
         out = tmp_path / "flows.csv"
         eq = tmp_path / "eq.json"
@@ -318,7 +379,11 @@ class TestPortrait:
         (["--grid", "2", "--duration", "0"], "sim_duration must be finite"),
         (["--grid", "2", "--duration", "0.005"], "sim_duration must be finite"),
         (["--grid", "0"], "the portrait grid must hold at least one point"),
-    ], ids=["negative", "zero", "under-a-period", "no-grid"])
+        (["--grid", "1"], SPAN),
+        (["--grid", "2", "--zeta1-min", "0.3", "--zeta1-max", "0.3"], SPAN),
+        (["--grid", "2", "--zeta1-min", "nan"], SPAN),
+    ], ids=["negative", "zero", "under-a-period", "no-grid", "one-point",
+            "one-zeta1", "nan-zeta1"])
     def test_empty_portrait_is_validation_failure(self, tmp_path, capsys, args,
                                                   message):
         out = tmp_path / "flows.csv"

@@ -125,8 +125,7 @@ class TestResolveInput:
         [1e11, 1e12)), so the bound is 8 eps cond.
         """
         monkeypatch.setattr(control, "CONDITION_LIMIT", -1.0)
-        source, names = control._resolve_code(2, 2, False)
-        resolve = codegen.compiled(source, **names)
+        resolve = codegen.compiled(control._resolve_code(2, 2, False))
         rng = np.random.default_rng(20)
         for decade in range(12):
             for _ in range(500):

@@ -398,8 +398,7 @@ class TestInertiaSolve:
         code = codegen.Recorder()
         x = dynamics.cholesky_solve(code, code.unpack("d", (n, n)),
                                     code.unpack("b", (n + 1, n)))
-        solve = codegen.compiled(code.function("d, b, q", x),
-                                 **dynamics.SOLVE_NAMES)
+        solve = codegen.compiled(code.function("d, b, q", x))
         rng = np.random.default_rng(n)
         for _ in range(20):
             M = rng.normal(size=(n, n))
