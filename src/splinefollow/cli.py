@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import control, curves, dynamics, projection, sim
-from .errors import NumericalFailure, SplineFollowError
+from .errors import NumericalFailure, SplineFollowError, from_json
 
 
 def _load_json(path):
@@ -35,15 +35,11 @@ def _write_table(rows, header, out):
 
 def _cmd_fit(args):
     data = _load_json(args.waypoints)
-    waypoints = np.asarray(data["waypoints"], dtype=float)
-    path = curves.fit_spline(
-        waypoints,
-        closed=bool(data.get("closed", False)),
-        smoothness_order=args.smoothness_order,
-    )
+    path = from_json("waypoints file", lambda waypoints, closed=False:
+                     curves.fit_spline(waypoints, closed, args.smoothness_order), data)
     with open(args.out, "w") as f:
         json.dump(path.to_dict(), f, indent=2)
-    print(f"fit {len(waypoints)} waypoints -> {path.n_segments} segments "
+    print(f"fit {len(data['waypoints'])} waypoints -> {path.n_segments} segments "
           f"-> {args.out}")
     return 0
 

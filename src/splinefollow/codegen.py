@@ -155,24 +155,19 @@ class Recorder:
 
         ``result`` nests lists and tuples of Vars and numbers.
         """
-        live = set(self.named)
-        _walk(result, live.add)
-        for line in reversed(self.lines):
-            if isinstance(line, tuple) and line[0].name in live:
-                for a in line[2]:
-                    if isinstance(a, Var):
-                        live.add(a.name)
         uses = {}
 
         def count(name):
             uses[name] = uses.get(name, 0) + 1
 
+        # one backward pass: every use of a line's variable comes after
+        # it, so the count is complete when the pass reaches the line
         _walk(result, count)
-        for var, _, args in (x for x in self.lines if isinstance(x, tuple)):
-            if var.name in live:
-                for a in args:
-                    if isinstance(a, Var):
-                        count(a.name)
+        for line in reversed(self.lines):
+            if isinstance(line, tuple) and (line[0].name in uses
+                                            or line[0].name in self.named):
+                _walk(line[2], count)
+        live = self.named | uses.keys()
         inline = {}
 
         def text(x):

@@ -61,6 +61,10 @@ class RedundancyConfig:
             object.__setattr__(self, "W_rows", W.tolist())
 
 
+def _tuples(x):
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
 @dataclass(frozen=True)
 class OuterLoopGains:
     """Gains for the tangential and transversal outer loops.
@@ -99,6 +103,9 @@ class OuterLoopGains:
     eta2_ref_columns: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("eta2_ref_table", "xi_Kp", "xi_Kd", "robust_K", "robust_K0",
+                     "robust_K2"):   # JSON lists, nested or not, as tuples
+            object.__setattr__(self, name, _tuples(getattr(self, name)))
         if self.tangential_mode not in ("velocity", "position"):
             raise ParameterError(f"bad tangential_mode {self.tangential_mode!r}")
         if self.transversal_mode not in ("pd", "robust"):

@@ -22,6 +22,7 @@ is every layer's scalar search.  The module needs numpy only.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .errors import (
     FitFailureError,
     ParameterError,
     UnsupportedOrderError,
+    from_json,
 )
 
 JUNCTION_TOL = 1e-8
@@ -278,30 +280,38 @@ class SplinePath:
 
     @classmethod
     def from_dict(cls, d):
-        """The path of polynomial segments that ``to_dict`` wrote.
-
-        ParameterError, naming the key, unless ``d`` is an object whose
-        ``segments`` is a list of objects, each with a ``domain`` of two
-        finite numbers and ``coeffs`` a non-empty matrix of finite numbers.
-        """
+        """The path ``to_dict`` wrote: a JSON object of the arguments of
+        ``from_segments``, else ParameterError."""
         if not isinstance(d, dict):
             raise ParameterError(f"a path must be a JSON object; got {d!r}")
-        segs = d.get("segments")
-        if not isinstance(segs, list):
-            raise ParameterError(f"path 'segments' must be a list; got {segs!r}")
-        out = []
-        for k, s in enumerate(segs):
-            if not isinstance(s, dict):
-                raise ParameterError(f"path segment {k} must be a JSON object; got {s!r}")
-            domain, coeffs = (_finite(s.get(key)) for key in ("domain", "coeffs"))
-            if domain is None or domain.shape != (2,):
-                raise ParameterError(f"path segment {k} 'domain' must be two finite "
-                                     f"numbers; got {s.get('domain')!r}")
-            if coeffs is None or coeffs.ndim != 2 or not coeffs.size:
-                raise ParameterError(f"path segment {k} 'coeffs' must be a non-empty "
-                                     f"matrix of finite numbers; got {s.get('coeffs')!r}")
-            out.append(PolynomialSegment(coeffs, domain))
-        return cls(out, closed=d.get("closed", False))
+        return from_json("path", cls.from_segments, d)
+
+    @classmethod
+    def from_segments(cls, segments, cumulative_arclength=None, p=None, closed=False):
+        """The path of the polynomial segments ``to_dict`` wrote, each the
+        JSON object of ``_segment``'s keys; the arclengths and p are
+        recomputed from them.  ParameterError, naming the key, unless
+        ``segments`` is a list and ``closed`` a bool."""
+        if not isinstance(segments, list):
+            raise ParameterError(f"path 'segments' must be a list; got {segments!r}")
+        if not isinstance(closed, bool):
+            raise ParameterError(f"path 'closed' must be true or false; got {closed!r}")
+        return cls([from_json(f"path segment {k}", partial(_segment, k), s)
+                    for k, s in enumerate(segments)], closed=closed)
+
+
+def _segment(k, coeffs, domain):
+    """Path segment k; ParameterError, naming the key, unless ``domain`` is
+    two finite numbers and ``coeffs`` a non-empty matrix of finite numbers."""
+    lam = _finite(domain)
+    if lam is None or lam.shape != (2,):
+        raise ParameterError(f"path segment {k} 'domain' must be two finite "
+                             f"numbers; got {domain!r}")
+    c = _finite(coeffs)
+    if c is None or c.ndim != 2 or not c.size:
+        raise ParameterError(f"path segment {k} 'coeffs' must be a non-empty "
+                             f"matrix of finite numbers; got {coeffs!r}")
+    return PolynomialSegment(c, lam)
 
 
 @dataclass
@@ -379,11 +389,16 @@ def fit_spline(waypoints, closed=False, smoothness_order=4):
     FitFailureError
         If the assembled linear system is rank deficient.
     """
-    pts = np.array(waypoints, dtype=float)
+    pts = _finite(waypoints)
+    if pts is None:
+        raise ValueError("waypoints must be lists of finite numbers")
     if pts.ndim != 2:
         raise ValueError("waypoints must share a common dimension")
     n_wp, p = pts.shape
-    if smoothness_order < 2 or smoothness_order % 2 != 0:
+    if not isinstance(closed, bool):
+        raise ValueError(f"closed must be true or false; got {closed!r}")
+    if (isinstance(smoothness_order, bool) or not isinstance(smoothness_order, int)
+            or smoothness_order < 2 or smoothness_order % 2 != 0):
         raise ValueError("smoothness_order must be an even integer >= 2")
     if closed and n_wp < 3:
         raise ValueError("closed paths need at least 3 waypoints")

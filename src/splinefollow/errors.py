@@ -1,4 +1,6 @@
-"""Exception types raised across the library."""
+"""Exception types raised across the library, and the JSON key check."""
+
+import inspect
 
 
 class SplineFollowError(Exception):
@@ -84,3 +86,27 @@ class SingularManifoldError(NumericalFailure):
 
 class ParameterError(SplineFollowError):
     """A model or configuration parameter is out of its valid range."""
+
+
+def from_json(where, build, d, rename={}, **convert):
+    """``build`` called with the JSON object d's keys as arguments.
+
+    d may hold the parameters of ``build`` (a dataclass's init fields),
+    some under the key ``rename`` maps them to, and must hold those with
+    no default; a value with a ``convert`` entry goes through it.
+    ParameterError, naming ``where``, if d is not an object or a key is
+    unknown or missing."""
+    if not isinstance(d, dict):
+        raise ParameterError(f"{where} must be a JSON object; got {d!r}")
+    params = dict(inspect.signature(build).parameters)
+    for name, key in rename.items():
+        params[key] = params.pop(name)
+    unknown = [k for k in d if k not in params]
+    if unknown:
+        raise ParameterError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                             f"known: {', '.join(params)}")
+    missing = [k for k, p in params.items() if p.default is p.empty and k not in d]
+    if missing:
+        raise ParameterError(f"missing {where} key(s) {', '.join(missing)}")
+    return build(**{params[k].name: convert[k](v) if k in convert else v
+                    for k, v in d.items()})

@@ -167,29 +167,17 @@ def update(state, path, y, cfg):
             if alpha < cfg.eps:
                 break
 
+        # hand-off to the next or previous segment, wrapping when closed, else a clamp
         lo, hi = path.segments[k].domain
-        if lam > hi:
-            if k + 1 < path.n_segments:
-                lam = path.segments[k + 1].domain[0] + (lam - hi)
-                k += 1
-            elif path.closed:
-                lam = path.segments[0].domain[0] + (lam - hi)
-                k = 0
-            else:
-                lam, clamped = hi, True
-                break
-        elif lam < lo:
-            if k > 0:
-                lam = path.segments[k - 1].domain[1] - (lo - lam)
-                k -= 1
-            elif path.closed:
-                lam = path.segments[-1].domain[1] - (lo - lam)
-                k = path.n_segments - 1
-            else:
-                lam, clamped = lo, True
-                break
-        else:
+        step = 1 if lam > hi else -1 if lam < lo else 0   # 0 at NaN too
+        if not step:
             break
+        if not (path.closed or 0 <= k + step < path.n_segments):
+            lam, clamped = (hi if step > 0 else lo), True
+            break
+        k = (k + step) % path.n_segments
+        start, end = path.segments[k].domain
+        lam = start + (lam - hi) if step > 0 else end - (lo - lam)
         # restart the descent on the new segment (Algorithm 1 re-entry)
         alpha = max(alpha, cfg.eps * 2.0)
 

@@ -12,21 +12,23 @@ each period's log columns to flat buffers, so no period's records
 outlive it; the zero-dynamics portrait drives it once per initial
 condition from states constructed on the path-following manifold, so
 the redundant flow reflects the actual pipeline rather than a symbolic
-reduction.
+reduction.  ``Scenario.from_dict`` reads a scenario file: ``from_json``
+checks the scenario, its sections and its path spec, whatever the kind,
+against the arguments of what each builds.
 """
 
-import inspect
 import json
 import math
 from array import array
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import codegen, control, curves, dynamics, frames, projection, transform
 from .dynamics import Limits, State
 from .errors import (DivergenceError, ParameterError, SingularManifoldError,
-                     SplineFollowError)
+                     SplineFollowError, from_json)
 
 DIVERGENCE_BOUND = 1e6
 FMT = "%.17g"
@@ -54,30 +56,29 @@ _ANALYTIC_PATHS = {
 }
 
 
+def _analytic_path(analytic, params={}):   # params is read, not changed
+    if not (isinstance(analytic, str) and analytic in _ANALYTIC_PATHS):
+        raise ParameterError(f"unknown analytic path {analytic!r}")
+    return from_json(f"{analytic} params", _ANALYTIC_PATHS[analytic], params)
+
+
+def _path_file(file):
+    if not isinstance(file, str):
+        raise ParameterError(f"path 'file' must be a file name; got {file!r}")
+    with open(file) as f:
+        return curves.SplinePath.from_dict(json.load(f))
+
+
 def _build_path(spec):
-    """Path from a scenario path spec (waypoints, analytic, or file)."""
+    """Path from a scenario path spec: the builder of the first of the
+    kinds waypoints, analytic, file and segments that it holds, called
+    with its keys."""
     if not isinstance(spec, dict):
         raise ParameterError(f"path spec must be a JSON object; got {spec!r}")
-    if "waypoints" in spec:
-        return curves.fit_spline(
-            np.asarray(spec["waypoints"], dtype=float),
-            closed=bool(spec.get("closed", False)),
-            smoothness_order=int(spec.get("smoothness_order", 4)),
-        )
-    if "analytic" in spec:
-        kind = spec["analytic"]
-        if kind not in _ANALYTIC_PATHS:
-            raise ParameterError(f"unknown analytic path {kind!r}")
-        build = _ANALYTIC_PATHS[kind]
-        known = inspect.signature(build).parameters
-        required = [n for n, p in known.items() if p.default is p.empty]
-        return build(**_known_keys(f"{kind} params", spec.get("params", {}),
-                                   known, required))
-    if "file" in spec:
-        with open(spec["file"]) as f:
-            return curves.SplinePath.from_dict(json.load(f))
-    if "segments" in spec:
-        return curves.SplinePath.from_dict(spec)
+    for kind, build in (("waypoints", curves.fit_spline), ("analytic", _analytic_path),
+                        ("file", _path_file), ("segments", curves.SplinePath.from_segments)):
+        if kind in spec:
+            return from_json("path", build, spec)
     raise ParameterError("path spec needs waypoints, analytic, file or segments")
 
 
@@ -89,7 +90,7 @@ class Scenario:
     path_spec: dict
     q0: np.ndarray
     qd0: np.ndarray
-    gains: control.OuterLoopGains
+    gains: control.OuterLoopGains = field(default_factory=control.OuterLoopGains)
     duration: float = 10.0
     dt: float = 0.02
     substeps: int = 10
@@ -104,6 +105,13 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
+        for key, kind, what in (("duration", float, "a number"), ("dt", float, "a number"),
+                                ("frame_fixed", tuple, "a list")):
+            try:
+                setattr(self, key, kind(getattr(self, key)))
+            except (TypeError, ValueError):
+                raise ParameterError(f"{key} must be {what}; "
+                                     f"got {getattr(self, key)!r}") from None
         if not (0.0 < self.dt < math.inf and 0.0 < self.duration < math.inf):
             raise ParameterError("need finite dt > 0 and duration > 0")
         if not (type(self.substeps) is int and self.substeps >= 1):   # not a bool
@@ -125,71 +133,20 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d):
-        """Scenario from its JSON form, whose ``path`` is ``path_spec``.
-
-        A key left out takes the dataclass default.  A missing required
-        key, a key that names no field at the top level or in ``gains``,
-        ``redundancy`` or ``limits``, one of those that is not a JSON
-        object, or a value of the wrong type raises ParameterError.
-        """
-        names = {f.name: f for f in fields(cls)}
-        names["path"] = names.pop("path_spec")
-        kw = _known_keys("scenario", d, names, [
-            n for n, f in names.items() if n != "gains"
-            and f.default is MISSING and f.default_factory is MISSING])
-        kw["path_spec"] = kw.pop("path")
-        kw["gains"] = control.OuterLoopGains(**{
-            k: tuple(map(tuple, v)) if isinstance(v, list)
-            and v and isinstance(v[0], list) else tuple(v)
-            if isinstance(v, list) else v
-            for k, v in _known_keys("gains", kw.get("gains", {}),
-                                    control.OuterLoopGains).items()
-        })
-        if "redundancy" in kw:
-            kw["redundancy"] = control.RedundancyConfig(
-                **_known_keys("redundancy", kw["redundancy"],
-                              control.RedundancyConfig))
-        if "limits" in kw:
-            kw["limits"] = Limits(**_known_keys("limits", kw["limits"], Limits))
-        if "encoder_resolution" in kw:
-            enc = kw["encoder_resolution"]
-            kw["encoder_resolution"] = np.asarray(enc, float) if enc else None
-        for key, kind, what in (("duration", float, "a number"), ("dt", float, "a number"),
-                                ("frame_fixed", tuple, "a list")):
-            if key in kw:
-                try:
-                    kw[key] = kind(kw[key])
-                except (TypeError, ValueError):
-                    raise ParameterError(f"{key} must be {what}; "
-                                         f"got {kw[key]!r}") from None
-        return cls(**kw)
+        """Scenario from its JSON form, checked by ``from_json``: the key
+        ``path`` gives ``path_spec``, and ``gains``, ``redundancy`` and
+        ``limits`` are JSON objects of their classes' arguments."""
+        sections = {key: partial(from_json, key, build) for key, build in (
+            ("gains", control.OuterLoopGains), ("redundancy", control.RedundancyConfig),
+            ("limits", Limits))}
+        return from_json("scenario", cls, d, {"path_spec": "path"}, **sections,
+                         encoder_resolution=lambda enc: np.asarray(enc, float)
+                         if enc else None)
 
     @classmethod
     def from_file(cls, filename):
         with open(filename) as f:
             return cls.from_dict(json.load(f))
-
-
-def _known_keys(where, d, known, required=()):
-    """A copy of the dict d; ParameterError if d is not a dict, a key is
-    not in ``known`` or a name in ``required`` is not a key.
-
-    ``known`` is a collection of names or a dataclass, whose init fields
-    are the names.
-    """
-    if not isinstance(d, dict):
-        raise ParameterError(f"{where} must be a JSON object; got {d!r}")
-    if isinstance(known, type):
-        known = [f.name for f in fields(known) if f.init]
-    unknown = [k for k in d if k not in known]
-    if unknown:
-        unknown = ", ".join(map(repr, unknown))
-        raise ParameterError(f"unknown {where} key(s) {unknown}; "
-                             f"known: {', '.join(known)}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ParameterError(f"missing {where} key(s) {', '.join(missing)}")
-    return dict(d)
 
 
 # --- run log -----------------------------------------------------------------

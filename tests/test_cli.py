@@ -60,6 +60,26 @@ class TestFitAndCheck:
     def test_missing_file_is_validation_failure(self):
         assert cli.main(["check", "/nonexistent/path.json"]) == 1
 
+    @pytest.mark.parametrize("data, message", [
+        ({"waypoints": [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]], "closd": True},
+         "unknown waypoints file key(s) 'closd'; known: waypoints, closed"),
+        ({"waypoints": [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]], "closed": "false"},
+         "closed must be true or false; got 'false'"),
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]],
+         "waypoints file must be a JSON object; got [[0.0, 0.0]"),
+        ({"closed": False}, "missing waypoints file key(s) waypoints"),
+    ], ids=["misspelled-closed", "string-closed", "list", "no-waypoints"])
+    def test_malformed_waypoints_file_is_validation_failure(self, tmp_path, capsys,
+                                                            data, message):
+        """``fit`` reads the keys waypoints and closed, and no others."""
+        f = tmp_path / "waypoints.json"
+        f.write_text(json.dumps(data))
+        out = tmp_path / "path.json"
+        rc = cli.main(["fit", "--waypoints", str(f), "--out", str(out)])
+        assert rc == 1
+        assert f"validation failure: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestProjectAndDlambda:
     def test_project_table(self, path_file, tmp_path):
@@ -105,8 +125,9 @@ class TestProjectAndDlambda:
         ({"coeffs": [[0.0, 1.0], [0.0, float("nan")]]},
          "path segment 0 'coeffs' must be a non-empty matrix of finite numbers"),
         ([], "a path must be a JSON object; got []"),
+        ({"extra": 1}, "unknown path segment 0 key(s) 'extra'; known: coeffs, domain"),
     ], ids=["null-segments", "null-segment", "one-entry-domain", "null-coeffs",
-            "nan-coeffs", "list"])
+            "nan-coeffs", "list", "segment-extra"])
     def test_malformed_path_file_is_validation_failure(self, path_file, capsys,
                                                        command, change, message):
         """A path file that is not the form ``fit`` writes exits 1, naming
@@ -354,6 +375,103 @@ class TestRun:
         assert rc == 1
         assert f"validation failure: {message}" in capsys.readouterr().err
         assert not (tmp_path / "log.csv").exists()
+
+    @pytest.mark.parametrize("scenario, change, message", [
+        ("figure_eight_3r", {"closd": True},
+         "unknown path key(s) 'closd'; known: waypoints, closed, smoothness_order"),
+        ("figure_eight_3r", {"closed": "false"},
+         "closed must be true or false; got 'false'"),
+        ("figure_eight_3r", {"smoothness_order": None},
+         "smoothness_order must be an even integer >= 2"),
+        ("figure_eight_3r", {"smoothness_order": "4"},
+         "smoothness_order must be an even integer >= 2"),
+        ("figure_eight_3r", {"smoothness_order": 4.5},
+         "smoothness_order must be an even integer >= 2"),
+        ("two_mass_line", {"closed": True},
+         "unknown path key(s) 'closed'; known: analytic, params"),
+        ("two_mass_line", {"analytic": ["line"]}, "unknown analytic path ['line']"),
+        ("file", {"extra": 1}, "unknown path key(s) 'extra'; known: file"),
+        ("file", {"file": None}, "path 'file' must be a file name; got None"),
+        ("figure_eight_3r", {"waypoints": {"x": 1.0}},
+         "waypoints must be lists of finite numbers"),
+        ("figure_eight_3r", {"waypoints": [[1.5, 0.3], [2.0, float("nan")], [2.5, 0.3]]},
+         "waypoints must be lists of finite numbers"),
+        ("segments", {"closd": True}, "unknown path key(s) 'closd'; known: "
+                                      "segments, cumulative_arclength, p, closed"),
+        ("segments", {"closed": "false"},
+         "path 'closed' must be true or false; got 'false'"),
+    ], ids=["misspelled-closed", "string-closed", "null-order", "string-order",
+            "fractional-order", "analytic-closed", "list-analytic", "file-extra",
+            "null-file", "object-waypoints", "nan-waypoint", "segments-extra",
+            "segments-string-closed"])
+    def test_malformed_path_spec_is_validation_failure(self, tmp_path, capsys,
+                                                       path_file, scenario,
+                                                       change, message):
+        """A path spec holds the keys of its kind's builder, each of the
+        type it takes; nothing is dropped or converted on the way."""
+        name = "two_mass_line" if scenario in ("file", "segments") else scenario
+        scen = json.loads((SCENARIOS / f"{name}.json").read_text())
+        if scenario == "file":
+            scen["path"] = {"file": str(path_file)}
+        elif scenario == "segments":
+            scen["path"] = json.loads(path_file.read_text())
+        scen["path"].update(change)
+        f = tmp_path / "path_spec.json"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
+        assert rc == 1
+        assert f"validation failure: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "log.csv").exists()
+
+    @pytest.mark.parametrize("scenario, change, message", [
+        ("two_mass_line", {"plant": ["example1"]},
+         "unknown plant ['example1']; choices: ['cpm4', 'example1', 'example2']"),
+        ("twisted_loop_4dof", {"plant_kwargs": {"m1": 1.0}},
+         "unknown cpm4 plant_kwargs key(s) 'm1'; known: "),
+        ("two_mass_line", {"plant_kwargs": {"m1": "a"}},
+         "example1 parameter m1 must be a finite real number; got 'a'"),
+        ("two_mass_line", {"plant_kwargs": {"m1": float("inf")}},
+         "example1 parameter m1 must be a finite real number; got inf"),
+        ("two_mass_line", {"plant_kwargs": {"b2": float("nan")}},
+         "example1 parameter b2 must be a finite real number; got nan"),
+        ("figure_eight_3r", {"plant_kwargs": {"damping": [2.0, float("nan"), 2.0]}},
+         "example2 parameter damping must be finite real numbers; got [2.0, nan, 2.0]"),
+    ], ids=["list-plant", "cpm4-kwarg", "string-mass", "infinite-mass", "nan-friction",
+            "nan-damping"])
+    def test_malformed_plant_is_validation_failure(self, tmp_path, capsys, scenario,
+                                                   change, message):
+        """A plant's parameters are its factory's keyword arguments, each a
+        finite real number."""
+        scen = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+        scen.update(change)
+        f = tmp_path / "plant.json"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"validation failure: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "log.csv").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({}, "missing scenario key(s) path"),
+        ({"path_spec": {"analytic": "line", "params": {"start": [-5.0], "end": [5.0]}}},
+         "unknown scenario key(s) 'path_spec'; known: plant, q0, qd0, gains, "
+         "duration, dt, substeps, plant_kwargs, redundancy, limits, "
+         "encoder_resolution, frame_mode, frame_fixed, name, path"),
+    ], ids=["no-path", "path_spec"])
+    def test_scenario_key_is_path(self, tmp_path, capsys, change, message):
+        """The scenario's JSON key for its path is ``path``, in every message."""
+        scen = json.loads((SCENARIOS / "two_mass_line.json").read_text())
+        del scen["path"]
+        scen.update(change)
+        f = tmp_path / "no_path.json"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"validation failure: {message}" in err
+        assert "path_spec" not in err.replace("'path_spec'", "")
 
     def test_bad_scenario_is_validation_failure(self, tmp_path):
         f = tmp_path / "bad.json"

@@ -111,6 +111,36 @@ class TestUpdate:
         st = projection.update(st, fig8_path, y, cfg)
         assert st.k_star == 0
 
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_handoff_backward(self, closed):
+        """Leaving segment 0 at its start clamps on an open path and wraps
+        to the last segment on a closed one; leaving a later segment at
+        its start hands off to the previous one."""
+        wp = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [3.0, 0.5]])
+        path = curves.fit_spline(wp, closed=closed)
+        cfg = projection.ProjectionConfig()
+        st = projection.ProjectionState(k_star=1, lambda_star=1e-3)
+        y = path.evaluate(0, 0.5 * path.segments[0].domain[1], 0)
+        assert projection.update(st, path, y, cfg).k_star == 0
+        st = projection.ProjectionState(k_star=0, lambda_star=1e-3)
+        last = path.n_segments - 1
+        y = path.evaluate(last, path.segments[last].domain[1] - 0.1, 0)
+        got = projection.update(st, path, y if closed else [-1.0, 0.3], cfg)
+        assert (got.k_star, got.clamped) == ((last, False) if closed else (0, True))
+        if not closed:
+            assert got.lambda_star == 0.0
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_nan_lambda_leaves_the_loop(self, closed):
+        """A NaN lambda* is neither past an end nor handed off: the pass
+        ends on its segment, and the caller's checks see the NaN."""
+        wp = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [3.0, 0.5], [4.0, 0.0]])
+        path = curves.fit_spline(wp, closed=closed)
+        st = projection.ProjectionState(k_star=1, lambda_star=np.nan)
+        got = projection.update(st, path, np.array([1.0, 0.2]),
+                                projection.ProjectionConfig())
+        assert got.k_star == 1 and np.isnan(got.lambda_star) and not got.clamped
+
     def test_no_branch_jump_within_segment(self):
         """A circle traced three times is one segment crossing itself
         everywhere.  Seen from y = (0.1, 0), the Newton step from
