@@ -27,12 +27,6 @@ def _load_json(path):
         return json.load(f)
 
 
-def _write_table(rows, header, out):
-    """CSV table to the file ``out``, or to stdout when it is not given."""
-    np.savetxt(out or sys.stdout, rows, fmt=sim.FMT, delimiter=",",
-               header=header, comments="")
-
-
 def _cmd_fit(args):
     data = _load_json(args.waypoints)
     path = from_json("waypoints file", lambda waypoints, closed=False:
@@ -68,7 +62,7 @@ def _cmd_project(args):
         rows.append(
             [st.k_star, st.lambda_star, float(np.linalg.norm(y - sigma))]
         )
-    _write_table(rows, "k_star,lambda_star,distance", args.out)
+    sim.write_table(args.out or sys.stdout, rows, "k_star,lambda_star,distance")
     return 0
 
 
@@ -77,8 +71,8 @@ def _cmd_dlambda(args):
     lam, delta, dmin = projection.allowable_delta_lambda(
         path, args.segment, samples=args.samples
     )
-    _write_table(np.column_stack([lam, delta]), "lambda_star,delta_lambda",
-                 args.out)
+    sim.write_table(args.out or sys.stdout, np.column_stack([lam, delta]),
+                    "lambda_star,delta_lambda")
     print(f"minimum delta over segment {args.segment}: {dmin:.6g}",
           file=sys.stderr)
     return 0

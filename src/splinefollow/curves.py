@@ -33,6 +33,7 @@ from .errors import (
     FitFailureError,
     ParameterError,
     UnsupportedOrderError,
+    check_finite,
     from_json,
 )
 
@@ -322,7 +323,6 @@ class AssumptionReport:
     framed_ok: bool
     worst_junction_error: float
     min_gram_determinant: float
-    worst_junction: int = -1
 
 
 def _finite(x):
@@ -485,7 +485,6 @@ def check_assumptions(path, grid_density=64):
         raise ValueError("grid_density must be >= 2")
     p = path.output_dim
     worst = 0.0
-    worst_j = -1
     junctions = [(k, k + 1) for k in range(path.n_segments - 1)]
     if path.closed:
         junctions.append((path.n_segments - 1, 0))
@@ -495,8 +494,7 @@ def check_assumptions(path, grid_density=64):
             va = sa.evaluate(sa.domain[1], order)
             vb = sb.evaluate(sb.domain[0], order)
             err = np.linalg.norm(va - vb) / (1.0 + np.linalg.norm(va))
-            if err > worst:
-                worst, worst_j = err, ka
+            worst = max(worst, err)
 
     min_det = np.inf
     for seg in path.segments:
@@ -513,7 +511,6 @@ def check_assumptions(path, grid_density=64):
         framed_ok=min_det > GRAM_DET_THRESHOLD,
         worst_junction_error=worst,
         min_gram_determinant=float(min_det),
-        worst_junction=worst_j,
     )
 
 
@@ -526,6 +523,13 @@ def circle_path(radius=1.0, center=(0.0, 0.0), unit_speed=True, span=None):
     With ``unit_speed`` the parameter is arclength (domain length 2*pi*R),
     otherwise it is the angle.
     """
+    check_finite("circle", radius=radius)
+    check_finite("circle", size=2, center=center)
+    if span is not None:
+        check_finite("circle", size=2, span=span)
+    if not isinstance(unit_speed, bool):
+        raise ParameterError("circle parameter unit_speed must be true or false; "
+                             f"got {unit_speed!r}")
     cx, cy = center
     w = radius if unit_speed else 1.0
     domain = span if span is not None else (0.0, 2.0 * np.pi * w)
@@ -536,12 +540,19 @@ def circle_path(radius=1.0, center=(0.0, 0.0), unit_speed=True, span=None):
 
 def ellipse_path(a=2.0, b=1.0, span=(-np.pi, np.pi)):
     """Single-segment ellipse (a*cos(lam), b*sin(lam))."""
+    check_finite("ellipse", a=a, b=b)
+    check_finite("ellipse", size=2, span=span)
     seg = HarmonicSegment((("cos",), ("sin",)), (a, b), 1.0, span)
     return SplinePath([seg], closed=False)
 
 
 def line_path(start, end):
-    """Single polynomial segment tracing the straight line start -> end."""
+    """Single polynomial segment tracing the straight line start -> end,
+    lists of the same number of finite coordinates."""
+    if not (isinstance(start, (list, tuple, np.ndarray)) and len(start)):
+        raise ParameterError("line parameter start must be a non-empty list of "
+                             f"finite real numbers; got {start!r}")
+    check_finite("line", size=len(start), start=start, end=end)
     start = np.asarray(start, float)
     end = np.asarray(end, float)
     length = np.linalg.norm(end - start)
@@ -554,6 +565,8 @@ def line_path(start, end):
 
 def helix_path(radius=1.0, pitch=1.0, span=(0.0, 4.0 * np.pi)):
     """Helix (R cos, R sin, pitch*lam) in R^3; framed everywhere."""
+    check_finite("helix", radius=radius, pitch=pitch)
+    check_finite("helix", size=2, span=span)
     seg = HarmonicSegment((("cos",), ("sin",), ("b",)), (radius, radius, pitch),
                           1.0, span)
     return SplinePath([seg], closed=False)

@@ -29,16 +29,15 @@ typed errors from the generated code.
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from operator import mul
 
 import numpy as np
 
 from . import codegen
-from .errors import DivergenceError, ParameterError, from_json
+from .errors import DivergenceError, ParameterError, check_finite, from_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # == is identity: the fields are arrays
 class State:
     """Finite configuration and velocity arrays, for callers outside the loop."""
 
@@ -78,7 +77,7 @@ class Limits:
                            tuple(getattr(self, name).tolist() for name in names))
 
 
-@dataclass
+@dataclass(eq=False)   # == is identity: the fields hold arrays
 class MechanicalSystem:
     """Evaluator bundle for one plant; immutable in practice.
 
@@ -250,25 +249,13 @@ def _floats(v):
 # --- plants -----------------------------------------------------------------
 
 
-def _check_finite(plant, **params):
-    """ParameterError naming the first of ``params`` that is not a finite
-    real number or, given as a list, tuple or array, not all of them are."""
-    for name, value in params.items():
-        many = isinstance(value, (list, tuple, np.ndarray))
-        if not all(isinstance(x, Real) and math.isfinite(x)
-                   for x in (value if many else [value])):
-            what = "finite real numbers" if many else "a finite real number"
-            raise ParameterError(f"{plant} parameter {name} must be {what}; "
-                                 f"got {value!r}")
-
-
 def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
     """Two stacked masses on a line; output is the top (second) block.
 
     N = 2, p = 1.  Linear dynamics; the coupling friction b2 appears as an
     off-diagonal viscous term.  zeta = (q1, qd1).
     """
-    _check_finite("example1", m1=m1, m2=m2, b1=b1, b2=b2)
+    check_finite("example1", m1=m1, m2=m2, b1=b1, b2=b2)
     if min(m1, m2, b1, b2) <= 0:
         raise ParameterError("example1 parameters must be positive")
     forces = ([[m1, 0.0], [0.0, m2]], [0.0, 0.0])
@@ -295,7 +282,7 @@ def make_example2(damping=(2.0, 2.0, 2.0)):
     zeta = (q1 + q2 + q3, qd1 + qd2 + qd3), the end-effector angle and its
     rate.
     """
-    _check_finite("example2", damping=damping)
+    check_finite("example2", damping=damping)
     d = np.asarray(damping, dtype=float)
     if d.shape != (3,) or np.any(d < 0):
         raise ParameterError("damping must be 3 nonnegative coefficients")

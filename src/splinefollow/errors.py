@@ -1,6 +1,11 @@
-"""Exception types raised across the library, and the JSON key check."""
+"""Exception types raised across the library, and the checks of
+parameters read from JSON."""
 
 import inspect
+import math
+from numbers import Real
+
+import numpy as np
 
 
 class SplineFollowError(Exception):
@@ -110,3 +115,18 @@ def from_json(where, build, d, rename={}, **convert):
         raise ParameterError(f"missing {where} key(s) {', '.join(missing)}")
     return build(**{params[k].name: convert[k](v) if k in convert else v
                     for k, v in d.items()})
+
+
+def check_finite(where, size=None, **params):
+    """ParameterError naming the first of ``params`` that is not a finite
+    real number or, given as a list, tuple or array, not all of them are;
+    with ``size``, each must be such a list of ``size`` entries."""
+    for name, value in params.items():
+        many = isinstance(value, (list, tuple, np.ndarray))
+        if not (all(isinstance(x, Real) and math.isfinite(x)
+                    for x in (value if many else [value]))
+                and (size is None or many and len(value) == size)):
+            what = (f"a list of finite real numbers of length {size}" if size is not None
+                    else "finite real numbers" if many else "a finite real number")
+            raise ParameterError(f"{where} parameter {name} must be {what}; "
+                                 f"got {value!r}")

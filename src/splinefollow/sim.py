@@ -8,13 +8,15 @@ plant's N; its four stages call the ``acceleration`` it is given.  One loop,
 ``_simulate``, runs every control period on q and qd as float lists:
 measurement, ``control.step``, the RK4 hold and the clock.  ``run``
 checks the initial ``State`` and drives it once per scenario, appending
-each period's log columns to flat buffers, so no period's records
-outlive it; the zero-dynamics portrait drives it once per initial
-condition from states constructed on the path-following manifold, so
-the redundant flow reflects the actual pipeline rather than a symbolic
-reduction.  ``Scenario.from_dict`` reads a scenario file: ``from_json``
-checks the scenario, its sections and its path spec, whatever the kind,
-against the arguments of what each builds.
+each period's row to one float table whose layout ``_log_columns``
+states once, so no period's records outlive it; ``write_table`` writes
+every CSV the package writes.  The zero-dynamics portrait drives it
+once per initial condition from states constructed on the
+path-following manifold, so the redundant flow reflects the actual
+pipeline rather than a symbolic reduction.  ``Scenario.from_dict``
+reads a scenario file: ``from_json`` checks the scenario, its sections
+and its path spec, whatever the kind, against the arguments of what
+each builds.
 """
 
 import json
@@ -31,7 +33,6 @@ from .errors import (DivergenceError, ParameterError, SingularManifoldError,
                      SplineFollowError, from_json)
 
 DIVERGENCE_BOUND = 1e6
-FMT = "%.17g"
 
 # zero-dynamics portrait: control period (flows and field), redundancy
 # resolution, RK4 substeps and projection settings of the flows, and the
@@ -152,22 +153,45 @@ class Scenario:
 # --- run log -----------------------------------------------------------------
 
 
-@dataclass
+def _log_columns(N, p):
+    """The run log's layout for a plant's N and p: each RunLog field's CSV
+    column names in row order, nested as the field is in one row, and the
+    field's dtype."""
+    return {"t": ("t", float),
+            "q": ([f"q{i}" for i in range(N)], float),
+            "qd": ([f"qd{i}" for i in range(N)], float),
+            "u": ([f"u{i}" for i in range(N)], float),
+            "eta": (["eta1", "eta2"], float),
+            "xi": ([[f"xi{r}_{j}" for j in range(p - 1)] for r in (1, 2)], float),
+            "zeta": ([f"zeta{i}" for i in range(2 * N - 2 * p)], float),
+            "k_star": ("k_star", np.int64), "lambda_star": ("lambda_star", float),
+            "iterations": ("iterations", np.int64), "saturated": ("saturated", bool)}
+
+
+def write_table(out, table, header):
+    """``table`` as CSV under the ``header`` line, to a file name or an open file."""
+    np.savetxt(out, table, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+@dataclass(eq=False)   # == is identity: the table is an array
 class RunLog:
-    """Uniform-grid time series of one simulation, one row per control step."""
+    """Uniform-grid time series of one simulation: ``table`` holds one float
+    row per control period, its columns named by ``columns`` in the order of
+    the ``_log_columns`` layout.  Each field of the layout holds its columns
+    shaped (steps, *its row's shape) in its dtype: a view when float."""
 
     scenario_name: str
-    t: np.ndarray
-    q: np.ndarray
-    qd: np.ndarray
-    u: np.ndarray
-    eta: np.ndarray           # (steps, 2)
-    xi: np.ndarray            # (steps, 2, p-1)
-    zeta: np.ndarray
-    k_star: np.ndarray
-    lambda_star: np.ndarray
-    iterations: np.ndarray
-    saturated: np.ndarray
+    table: np.ndarray
+    layout: dict
+
+    def __post_init__(self):
+        self.columns = []
+        for key, (names, dtype) in self.layout.items():
+            start = len(self.columns)
+            self.columns += np.ravel(names).tolist()
+            view = self.table[:, start:len(self.columns)].reshape(
+                len(self.table), *np.shape(names))
+            setattr(self, key, view.astype(dtype, copy=False))
 
     def summary(self, limits=None, tail_fraction=0.25):
         """Scalar health indicators of the run."""
@@ -191,29 +215,7 @@ class RunLog:
         return out
 
     def to_csv(self, filename):
-        N = self.q.shape[1]
-        p1 = self.xi.shape[2]
-        cols = (
-            ["t"]
-            + [f"q{i}" for i in range(N)]
-            + [f"qd{i}" for i in range(N)]
-            + [f"u{i}" for i in range(N)]
-            + ["eta1", "eta2"]
-            + [f"xi1_{j}" for j in range(p1)]
-            + [f"xi2_{j}" for j in range(p1)]
-            + [f"zeta{i}" for i in range(self.zeta.shape[1])]
-            + ["k_star", "lambda_star", "iterations", "saturated"]
-        )
-        data = np.column_stack(
-            [
-                self.t, self.q, self.qd, self.u, self.eta,
-                self.xi[:, 0, :], self.xi[:, 1, :], self.zeta,
-                self.k_star, self.lambda_star, self.iterations,
-                self.saturated.astype(float),
-            ]
-        )
-        np.savetxt(filename, data, fmt=FMT, delimiter=",",
-                   header=",".join(cols), comments="")
+        write_table(filename, self.table, ",".join(self.columns))
 
 
 # --- measurement model -------------------------------------------------------
@@ -332,8 +334,9 @@ def _simulate(system, path, q, qd, gains, steps, dt, substeps, *,
         t += dt
 
 
-def _check_sizes(scenario, system, limits):
-    """ParameterError unless the scenario's per-joint data fit the plant."""
+def _check_sizes(scenario, system, path, limits):
+    """ParameterError unless the scenario's per-joint data and path fit the
+    plant."""
     N = system.N
     vectors = {"q0": scenario.q0, "qd0": scenario.qd0}
     vectors.update((f"limits {name}", getattr(limits, name))
@@ -352,11 +355,15 @@ def _check_sizes(scenario, system, limits):
     if W is not None and W.shape != (N, N):
         raise ParameterError(f"redundancy W must be {N} x {N} for plant "
                              f"{system.name!r}; got {W.shape[0]} x {W.shape[1]}")
-    _check_gains(scenario.gains, system)
+    _check_outputs(system, path, scenario.gains)
 
 
-def _check_gains(gains, system):
-    """ParameterError unless robust transversal gains fit the plant's p."""
+def _check_outputs(system, path, gains):
+    """ParameterError unless the path's dimension and robust transversal
+    gains fit the plant's p."""
+    if path.output_dim != system.p:
+        raise ParameterError(f"path dimension {path.output_dim} must equal the "
+                             f"p = {system.p} of plant {system.name!r}")
     m = system.p - 1   # transversal coordinates; none to act on when p = 1
     if (gains.transversal_mode == "robust" and m > 0
             and gains.robust_shape != (m, 2 * m)):
@@ -369,46 +376,35 @@ def run(scenario, path=None, system=None, proj_cfg=None):
     """Execute a scenario and return its RunLog.
 
     The controller sees the (optionally quantized) measured state; the
-    plant always integrates the true state.  Per-joint sizes or robust
-    gains that do not match the plant raise ParameterError before the
-    first period.  Divergence (a non-finite state, or a state norm above
-    1e6) aborts.  A library error raised during a control period carries
-    that period's start time as ``time``.
+    plant always integrates the true state.  Per-joint sizes, a path
+    dimension or robust gains that do not match the plant raise
+    ParameterError before the first period.  Divergence (a non-finite
+    state, or a state norm above 1e6) aborts.  A library error raised
+    during a control period carries that period's start time as ``time``.
     """
     if system is None:
         system = dynamics.make_plant(scenario.plant, **scenario.plant_kwargs)
     if path is None:
         path = _build_path(scenario.path_spec)
     limits = scenario.limits or system.default_limits
-    _check_sizes(scenario, system, limits)
+    _check_sizes(scenario, system, path, limits)
     if proj_cfg is None:
         proj_cfg = projection.ProjectionConfig()
     start = State(q=scenario.q0, qd=scenario.qd0)
 
-    N, p = system.N, system.p
-    # one flat buffer per column, filled period by period: typecode, row shape
-    columns = {"t": ("d", ()), "q": ("d", (N,)), "qd": ("d", (N,)),
-               "u": ("d", (N,)), "eta": ("d", (2,)), "xi": ("d", (2, p - 1)),
-               "zeta": ("d", (2 * N - 2 * p,)), "k_star": ("q", ()),
-               "lambda_star": ("d", ()), "iterations": ("q", ()),
-               "saturated": ("b", ())}
-    buffers = [array(code) for code, _ in columns.values()]
+    layout = _log_columns(system.N, system.p)
+    steps = int(round(scenario.duration / scenario.dt))
+    rows = array("d")   # the log table, one row per period in layout order
     for t, q, qd, u, diag in _simulate(
             system, path, start.q.tolist(), start.qd.tolist(), scenario.gains,
-            int(round(scenario.duration / scenario.dt)), scenario.dt,
-            scenario.substeps, redundancy=scenario.redundancy, limits=limits,
-            proj_cfg=proj_cfg, policy=scenario.frame_policy,
+            steps, scenario.dt, scenario.substeps, redundancy=scenario.redundancy,
+            limits=limits, proj_cfg=proj_cfg, policy=scenario.frame_policy,
             resolution=scenario.encoder_resolution):
         ps, lin = diag.projection, diag.lin
-        for buffer, x in zip(buffers, (
-                (t,), q, qd, u, lin.eta, lin.xi[0] + lin.xi[1], lin.zeta,
-                (ps.k_star,), (ps.lambda_star,), (ps.last_iterations,),
-                (diag.saturated,))):
-            buffer.extend(x)
-    log = {key: np.array(buffer).reshape(len(buffers[0]), *shape)
-           for (key, (_, shape)), buffer in zip(columns.items(), buffers)}
-    log["saturated"] = log["saturated"].astype(bool)
-    return RunLog(scenario_name=scenario.name, **log)
+        rows.extend((t, *q, *qd, *u, *lin.eta, *lin.xi[0], *lin.xi[1], *lin.zeta,
+                     ps.k_star, ps.lambda_star, ps.last_iterations, diag.saturated))
+    width = sum(np.size(names) for names, _ in layout.values())
+    return RunLog(scenario.name, np.reshape(rows, (steps, width)), layout)
 
 
 # --- planar 3R inverse kinematics on the zero-dynamics manifold --------------
@@ -475,7 +471,7 @@ def _point_on_path(path, eta1_ref):
     return projection.ProjectionState(k_star=k, lambda_star=float(lam))
 
 
-@dataclass
+@dataclass(eq=False)   # == is identity: the fields hold arrays
 class PhasePortrait:
     """Zero-dynamics flows and classified equilibria."""
 
@@ -507,13 +503,13 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
     Each grid point seeds a full closed-loop simulation, ``sim_duration``
     long, whose zeta trace is recorded; grid points where the controller
     fails (singular decoupling, unreachable kinematics) are marked, not
-    fatal; robust gains that do not fit the plant raise ParameterError
-    first.  Equilibria are found by driving the flow-field norm to zero
-    along zeta_2 = 0 and classified by finite-difference linearization.
-    ParameterError unless ``sim_duration`` is finite and covers at least
-    one period PORTRAIT_DT, the grid holds at least one point and, after
-    the gains check, its entries are finite and its zeta_1 values span an
-    interval to search for equilibria.
+    fatal; a path or robust gains that do not fit the plant's p raise
+    ParameterError first.  Equilibria are found by driving the flow-field
+    norm to zero along zeta_2 = 0 and classified by finite-difference
+    linearization.  ParameterError unless ``sim_duration`` is finite and
+    covers at least one period PORTRAIT_DT, the grid holds at least one
+    point and, after the path and gains check, its entries are finite and
+    its zeta_1 values span an interval to search for equilibria.
     """
     if not (0.0 < sim_duration < math.inf
             and round(sim_duration / PORTRAIT_DT) >= 1):
@@ -522,7 +518,7 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
     grid = np.asarray(grid, dtype=float).reshape(-1, 2)
     if not len(grid):
         raise ParameterError("the portrait grid must hold at least one point")
-    _check_gains(gains, system)
+    _check_outputs(system, path, gains)
     if not (np.isfinite(grid).all() and len(np.unique(grid[:, 0])) >= 2):
         raise ParameterError("the portrait grid needs finite entries and at least "
                              "two distinct zeta_1 values")
@@ -698,8 +694,7 @@ def portrait_to_files(portrait, csv_file, json_file):
             np.column_stack([np.full(n, i), np.arange(n), trace])
         )
     data = np.vstack(rows) if rows else np.empty((0, 4))
-    np.savetxt(csv_file, data, fmt=FMT, delimiter=",",
-               header="ic_index,step,zeta1,zeta2", comments="")
+    write_table(csv_file, data, "ic_index,step,zeta1,zeta2")
     summary = {
         "equilibria": [
             {

@@ -358,9 +358,11 @@ class TestRun:
         ({"plant_kwargs": [1]}, "plant_kwargs must be a JSON object; got [1]"),
         ({"substeps": True}, "substeps must be an integer >= 1; got True"),
         ([1.0], "scenario must be a JSON object; got [1.0]"),
+        ({"path": {"analytic": "circle"}},
+         "path dimension 2 must equal the p = 1 of plant 'example1'"),
     ], ids=["null-limits", "null-gains", "null-redundancy", "null-path",
             "null-params", "number-frame_fixed", "list-plant_kwargs",
-            "bool-substeps", "list"])
+            "bool-substeps", "list", "planar-path"])
     def test_malformed_scenario_is_validation_failure(self, tmp_path, capsys,
                                                       change, message):
         """A section of the wrong JSON type exits 1, naming the key."""
@@ -400,10 +402,32 @@ class TestRun:
                                       "segments, cumulative_arclength, p, closed"),
         ("segments", {"closed": "false"},
          "path 'closed' must be true or false; got 'false'"),
+        ("two_mass_line", {"analytic": "circle", "params": {"radius": "a"}},
+         "circle parameter radius must be a finite real number; got 'a'"),
+        ("two_mass_line", {"analytic": "circle", "params": {"radius": float("nan")}},
+         "circle parameter radius must be a finite real number; got nan"),
+        ("two_mass_line", {"analytic": "circle", "params": {"center": None}},
+         "circle parameter center must be a list of finite real numbers of length 2; "
+         "got None"),
+        ("two_mass_line", {"analytic": "circle", "params": {"unit_speed": "no"}},
+         "circle parameter unit_speed must be true or false; got 'no'"),
+        ("two_mass_line", {"analytic": "ellipse", "params": {"span": None}},
+         "ellipse parameter span must be a list of finite real numbers of length 2; "
+         "got None"),
+        ("two_mass_line", {"analytic": "helix", "params": {"pitch": "x"}},
+         "helix parameter pitch must be a finite real number; got 'x'"),
+        ("two_mass_line", {"params": {"start": None, "end": [5.0]}},
+         "line parameter start must be a non-empty list of finite real numbers; "
+         "got None"),
+        ("two_mass_line", {"params": {"start": [-5.0], "end": [5.0, 1.0]}},
+         "line parameter end must be a list of finite real numbers of length 1; "
+         "got [5.0, 1.0]"),
     ], ids=["misspelled-closed", "string-closed", "null-order", "string-order",
             "fractional-order", "analytic-closed", "list-analytic", "file-extra",
             "null-file", "object-waypoints", "nan-waypoint", "segments-extra",
-            "segments-string-closed"])
+            "segments-string-closed", "circle-string-radius", "circle-nan-radius",
+            "circle-null-center", "circle-string-unit_speed", "ellipse-null-span",
+            "helix-string-pitch", "line-null-start", "line-unequal-ends"])
     def test_malformed_path_spec_is_validation_failure(self, tmp_path, capsys,
                                                        path_file, scenario,
                                                        change, message):

@@ -122,6 +122,12 @@ class TestScenario:
              dynamics.Limits([-1, -1], [1, 1], [-2, -2], [2, 2])),
             (control.RedundancyConfig(W=np.eye(2)), control.RedundancyConfig(W=np.eye(2))),
             (_example1_scenario(), _example1_scenario()),
+            (State([0.0, 0.0], [0.0, 0.0]), State([0.0, 0.0], [0.0, 0.0])),
+            (dynamics.make_example1(), dynamics.make_example1()),
+            (sim.RunLog("log", np.zeros((2, 15)), sim._log_columns(2, 1)),
+             sim.RunLog("log", np.zeros((2, 15)), sim._log_columns(2, 1))),
+            (sim.PhasePortrait(np.zeros((1, 2)), [None], np.ones(1, bool), [], None),
+             sim.PhasePortrait(np.zeros((1, 2)), [None], np.ones(1, bool), [], None)),
         ]
         for a, b in pairs:
             assert (a == b) is False
@@ -207,6 +213,38 @@ class TestRun:
             log.to_csv(str(f))
             logs.append(f.read_bytes())
         assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("scenario, N, p", [
+        ("two_mass_line", 2, 1), ("figure_eight_3r", 3, 2), ("twisted_loop_4dof", 4, 3)])
+    def test_log_fields_are_the_csv_columns(self, tmp_path, scenario, N, p):
+        """Each log field has its shape and dtype for p = 1, 2 and 3, xi
+        (steps, 2, 0) when p = 1, and holds the columns to_csv writes under
+        its names, in the README's order."""
+        scen = sim.Scenario.from_file(SCENARIOS / f"{scenario}.json")
+        log = sim.run(dataclasses.replace(scen, duration=5 * scen.dt))
+        m, r = p - 1, 2 * N - 2 * p
+        names = {"t": ["t"], "q": [f"q{i}" for i in range(N)],
+                 "qd": [f"qd{i}" for i in range(N)], "u": [f"u{i}" for i in range(N)],
+                 "eta": ["eta1", "eta2"],
+                 "xi": [f"xi1_{j}" for j in range(m)] + [f"xi2_{j}" for j in range(m)],
+                 "zeta": [f"zeta{i}" for i in range(r)], "k_star": ["k_star"],
+                 "lambda_star": ["lambda_star"], "iterations": ["iterations"],
+                 "saturated": ["saturated"]}
+        shapes = {"t": (5,), "q": (5, N), "qd": (5, N), "u": (5, N), "eta": (5, 2),
+                  "xi": (5, 2, m), "zeta": (5, r), "k_star": (5,), "lambda_star": (5,),
+                  "iterations": (5,), "saturated": (5,)}
+        dtypes = dict.fromkeys(names, np.float64) | {
+            "k_star": np.int64, "iterations": np.int64, "saturated": np.bool_}
+        f = tmp_path / "log.csv"
+        log.to_csv(str(f))
+        columns = f.read_text().splitlines()[0].split(",")
+        table = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)
+        assert columns == sum(names.values(), [])
+        for key, cols in names.items():
+            x = getattr(log, key)
+            assert (x.shape, x.dtype) == (shapes[key], dtypes[key]), key
+            np.testing.assert_array_equal(
+                x.reshape(5, len(cols)), table[:, [columns.index(c) for c in cols]])
 
     def test_divergence_guard(self):
         gains = control.OuterLoopGains(
@@ -601,6 +639,15 @@ class TestPortrait:
         with pytest.raises(ParameterError, match="must be 1 x 2 for plant"):
             sim.zero_dynamics_portrait(example2, path, gains, [[0.1, 0.0]],
                                        eta1_ref=np.pi * radius, sim_duration=0.02)
+
+    def test_path_must_fit_the_plant(self, example2):
+        """The portrait checks the path's dimension as run does, before any
+        flow."""
+        gains = control.OuterLoopGains(tangential_mode="position", K_P=20.0, K_D=9.0,
+                                       xi_Kp=(40.0,), xi_Kd=(13.0,))
+        with pytest.raises(ParameterError, match="path dimension 3 must equal the p = 2"):
+            sim.zero_dynamics_portrait(example2, curves.helix_path(), gains,
+                                       [[0.1, 0.0], [0.2, 0.0]], sim_duration=0.02)
 
     @staticmethod
     def _check_field_is_the_closed_loop_law(system):
