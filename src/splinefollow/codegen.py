@@ -87,6 +87,13 @@ def _recorded(name):
 sqrt, cos, sin = map(_recorded, ("sqrt", "cos", "sin"))
 
 
+def clamp(x, lo, hi):
+    """min(max(x, lo), hi), recorded when x is a Var."""
+    if isinstance(x, Var):
+        return x.code.let("min(max({}, {}), {})", x, lo, hi)
+    return min(max(x, lo), hi)
+
+
 # IEEE-754 addition and multiplication are commutative, so an expression
 # and its mirror image are one expression
 _COMMUTATIVE = ("{} + {}", "{} * {}")

@@ -7,30 +7,35 @@ to beta u + alpha = v, whose closed form uses the W-weighted right
 pseudoinverse of beta.  The null-space bias r steers the redundant
 degrees of freedom away from joint limits.
 
-The control pass (outer loops, bias, input resolution) runs once per
-period on q, qd and constants as Python floats.  The resolution's
-arithmetic, written out in ``_resolve_code``, runs as one straight-line
-function generated at first use for the plant's N and the path's p: it
-forms beta W^-1 beta', checks its conditioning (in closed form for
-p <= 2, with one symmetric eigenvalue call for p >= 3) and solves with
-the plant layer's recorded Cholesky solve, written into the same
-function.
+The input layer, ``command``, runs once per period on q, qd and
+constants as Python floats, as one generated call: ``_command_code``
+records the tangential PI or PD loop with its anti-windup clamp
+(``_tangential``), the joint-limit bias (``bias_r``), the resolution
+(``_resolved``) and the actuator clamp into one straight-line function
+per p, N, tangential mode, bias mode and weighting, generated at first
+use.  The resolution forms beta W^-1 beta', checks its conditioning (in
+closed form for p <= 2, with one symmetric eigenvalue call for p >= 3)
+and solves with the plant layer's recorded Cholesky solve.  The
+transversal input (``transversal_v``, PD or robust) and the reference
+speed are computed before the call and go in as arguments.  The public
+pieces ``tangential_v``, ``bias_r`` and ``resolve_input`` run the same
+arithmetic on their own.
 
-``step`` is one period: projection update, ``linearize``, outer loops
-and resolution.  It returns the clamped u, the PI loop's integral (a
-float the caller hands back next period) and a StepDiagnostics that
-points to the period's ProjectionState and LinearizationData and adds
-only v, the unclamped u and whether u was clamped.
+``step`` is one period: projection update, ``linearize`` and
+``command``.  It returns the clamped u, the PI loop's integral (a float
+the caller hands back next period) and a StepDiagnostics that points to
+the period's ProjectionState and LinearizationData and adds only v, the
+unclamped u and whether u was clamped.
 """
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import codegen, curves, dynamics, frames, projection, transform
-from .errors import ParameterError
+from .errors import ParameterError, is_real
 from .frames import dot
 
 CONDITION_LIMIT = 1e10
@@ -112,13 +117,13 @@ class OuterLoopGains:
             raise ParameterError(f"bad transversal_mode {self.transversal_mode!r}")
         for name in ("K_P", "K_I", "K_D", "eta2_ref", "eta1_ref", "integral_limit",
                      "robust_mu"):
-            if not isinstance(getattr(self, name), Real):
+            if not is_real(getattr(self, name)):
                 raise ParameterError(
                     f"{name} must be a real number; got {getattr(self, name)!r}")
         for name in ("xi_Kp", "xi_Kd"):
             gains = getattr(self, name)
             if not (isinstance(gains, (tuple, list))
-                    and all(isinstance(x, Real) for x in gains)):
+                    and all(map(is_real, gains))):
                 raise ParameterError(
                     f"{name} must be a sequence of real numbers; got {gains!r}")
         if not all(map(math.isfinite, (
@@ -192,17 +197,17 @@ def bias_r(x_c, limits):
     ]
 
 
-def _resolve_code(p, N, weighted):
-    """Source of ``f(alpha, beta, v, r, W)``, the input u of resolve_input.
+def _resolved(code, alpha, beta, v, r, W=None):
+    """Record resolve_input's u into ``code``; return it.
 
-    Without ``weighted``, W is the identity and the argument is unused.
+    The arguments are lists and rows of Vars or floats; without ``W`` the
+    weight is the identity.  The messages report the source names
+    ``beta`` and ``W``.
     """
-    code = codegen.Recorder()
-    alpha, v = code.unpack("alpha", (p,)), code.unpack("v", (p,))
-    beta, r = code.unpack("beta", (p, N)), code.unpack("r", (N,))
+    p = len(beta)
     # rows of beta W^-1, that is columns of W^-1 beta'
-    bw = (dynamics.cholesky_solve(code, code.unpack("W", (N, N)), beta,
-                                  "weight matrix", "W") if weighted else beta)
+    bw = (dynamics.cholesky_solve(code, W, beta, "weight matrix", "W")
+          if W is not None else beta)
     M = [[dot(b, c) for c in bw] for b in beta]
     if p == 1:   # eigvalsh([[m]]) is [m]: |m| / |m|, or inf for m = 0
         cond = f"cond = 1.0 if {M[0][0]} != 0.0 else inf"
@@ -227,8 +232,20 @@ def _resolve_code(p, N, weighted):
     rhs = [vi - ai - dot(b, r) for vi, ai, b in zip(v, alpha, beta)]
     (w,) = dynamics.cholesky_solve(code, M, [rhs],
                                    "decoupling matrix beta W^-1 beta'", "beta")
-    u = [ri + dot(col, w) for ri, col in zip(r, zip(*bw))]
-    return code.function("alpha, beta, v, r, W", u)
+    return [ri + dot(col, w) for ri, col in zip(r, zip(*bw))]
+
+
+def _resolve_code(p, N, weighted):
+    """Source of ``f(alpha, beta, v, r, W)``, the input u of resolve_input.
+
+    Without ``weighted``, W is the identity and the argument is unused.
+    """
+    code = codegen.Recorder()
+    alpha, v = code.unpack("alpha", (p,)), code.unpack("v", (p,))
+    beta, r = code.unpack("beta", (p, N)), code.unpack("r", (N,))
+    W = code.unpack("W", (N, N)) if weighted else None
+    return code.function("alpha, beta, v, r, W",
+                         _resolved(code, alpha, beta, v, r, W))
 
 
 def resolve_input(alpha, beta, v, r, W=None):
@@ -246,6 +263,18 @@ def resolve_input(alpha, beta, v, r, W=None):
     return codegen.kernel(_resolve_code, p, N, W is not None)(alpha, beta, v, r, W)
 
 
+def _tangential(eta, integral, gains, dt, ref):
+    """tangential_v with the reference speed ``ref`` given; on floats, or
+    recorded on Vars."""
+    if gains.tangential_mode == "position":
+        v = gains.K_P * (gains.eta1_ref - eta[0]) - gains.K_D * eta[1]
+        return v, integral
+    err = ref - eta[1]
+    lim = gains.integral_limit
+    integral = codegen.clamp(integral + dt * err, -lim, lim)
+    return gains.K_P * err + gains.K_I * integral, integral
+
+
 def tangential_v(eta, integral, gains, dt, t=0.0):
     """Tangential virtual input and the updated integral, both floats.
 
@@ -254,13 +283,7 @@ def tangential_v(eta, integral, gains, dt, t=0.0):
     given.  The integral uses a first-order update and is clamped for
     anti-windup.
     """
-    if gains.tangential_mode == "position":
-        v = gains.K_P * (gains.eta1_ref - eta[0]) - gains.K_D * eta[1]
-        return v, integral
-    err = gains.eta2_reference(t) - eta[1]
-    lim = gains.integral_limit
-    integral = min(max(integral + dt * err, -lim), lim)
-    return gains.K_P * err + gains.K_I * integral, integral
+    return _tangential(eta, integral, gains, dt, gains.eta2_reference(t))
 
 
 def transversal_v(xi, gains):
@@ -286,7 +309,7 @@ def transversal_v(xi, gains):
     return (lin + sw).tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepDiagnostics:
     """One control period's records and what neither of them holds.
 
@@ -302,26 +325,53 @@ class StepDiagnostics:
     saturated: bool
 
 
+def _command_code(p, N, tangential_mode, bias_mode, weighted):
+    """Source of the input layer
+    ``f(eta, integral, ref, v_xi, q, alpha, beta, gains, limits, W, dt)``.
+
+    It records the tangential loop (``_tangential``), the bias
+    (``bias_r``), the resolution (``_resolved``) and the clamp, and
+    returns ``command``'s (u, u_unclamped, v, new_integral).  ``ref`` is
+    the reference speed, ``v_xi`` the transversal virtual input,
+    ``limits`` the four lists of ``Limits.floats``; the mode's gains are
+    read from ``gains``, and without ``weighted`` W is the identity.
+    """
+    code = codegen.Recorder()
+    names = (("K_P", "K_D", "eta1_ref") if tangential_mode == "position"
+             else ("K_P", "K_I", "integral_limit"))
+    tangential = SimpleNamespace(tangential_mode=tangential_mode, **{
+        name: code.unpack(f"gains.{name}", (), name) for name in names})
+    integral, ref, dt = (codegen.Var(code, x) for x in ("integral", "ref", "dt"))
+    v_eta, integral = _tangential(code.unpack("eta", (2,)), integral, tangential,
+                                  dt, ref)
+    v = [v_eta, *code.unpack("v_xi", (p - 1,))]
+    limits = code.unpack("limits", (4, N))
+    r = (bias_r(code.unpack("q", (N,)), SimpleNamespace(floats=limits))
+         if bias_mode == "joint_limit" else [0.0] * N)
+    alpha, beta = code.unpack("alpha", (p,)), code.unpack("beta", (p, N))
+    u = _resolved(code, alpha, beta, v, r,
+                  code.unpack("W", (N, N)) if weighted else None)
+    clamped = [codegen.clamp(x, lo, hi) for x, lo, hi in zip(u, *limits[2:])]
+    return code.function(
+        "eta, integral, ref, v_xi, q, alpha, beta, gains, limits, W, dt",
+        (clamped, u, v, integral))
+
+
 def command(lin, q, integral, gains, redundancy, limits, dt, t):
     """Outer loops, null-space bias and input resolution at one state.
 
     ``lin`` is the linearization at configuration ``q`` and ``integral``
     the PI loop's memory.  Returns (u, u_unclamped, v, new_integral), the
     first three as lists of floats: u is u_unclamped clamped elementwise
-    to the actuation limits.
+    to the actuation limits.  The transversal input (``transversal_v``)
+    and the reference speed go into one generated call, ``_command_code``.
     """
-    v_eta, integral = tangential_v(lin.eta, integral, gains, dt, t)
-    v = [float(v_eta)]
-    if len(lin.alpha) > 1:
-        v += transversal_v(lin.xi, gains)
-
-    if redundancy.bias_mode == "joint_limit":
-        r = bias_r(q, limits)
-    else:
-        r = [0.0] * len(lin.beta[0])
-    u = resolve_input(lin.alpha, lin.beta, v, r, redundancy.W_rows)
-    clamped = [min(max(x, lo), hi) for x, lo, hi in zip(u, *limits.floats[2:])]
-    return clamped, u, v, integral
+    p = len(lin.alpha)
+    inputs = codegen.kernel(_command_code, p, len(q), gains.tangential_mode,
+                            redundancy.bias_mode, redundancy.W is not None)
+    return inputs(lin.eta, integral, gains.eta2_reference(t),
+                  transversal_v(lin.xi, gains) if p > 1 else [], q, lin.alpha,
+                  lin.beta, gains, limits.floats, redundancy.W_rows, dt)
 
 
 def step(system, path, q, qd, proj_state, integral, gains,
@@ -342,6 +392,4 @@ def step(system, path, q, qd, proj_state, integral, gains,
     lin = transform.linearize(system, q, qd, path, proj_state, policy, kinematics)
     u_clamped, u, v, integral = command(
         lin, q, integral, gains, redundancy, limits, dt, t)
-    return u_clamped, integral, StepDiagnostics(
-        projection=proj_state, lin=lin, v=v, u_unclamped=u,
-        saturated=u_clamped != u)
+    return u_clamped, integral, StepDiagnostics(proj_state, lin, v, u, u_clamped != u)

@@ -59,8 +59,9 @@ class Segment:
     its own constants ``consts``: ``rows(recorder, lam, r, *key)``
     records the derivatives 0..r at lam as rows of p values, reading the
     constants from ``c``.  ``_jet_code`` writes them as ``f(c, lam)``:
-    bound to ``math``, ``jet`` runs rows 0..r on one float; bound to
-    numpy, ``evaluate`` runs the same arithmetic of row r alone on arrays.
+    bound to ``math``, ``jet`` runs rows 0..r on one float, compiled once
+    per r and kept in ``jets``; bound to numpy, ``evaluate`` runs the same
+    arithmetic of row r alone on arrays.
     """
 
     def __init__(self, domain, dim, code, consts):
@@ -70,6 +71,7 @@ class Segment:
         self.domain = (lo, hi)
         self.dim = dim
         self.code, self.consts = code, consts
+        self.jets = {}   # max_order -> compiled jet, filled at first use
 
     def evaluate(self, lam, order=0):
         """d^order sigma / d lambda^order at scalar lam, shape (p,), or at
@@ -82,8 +84,12 @@ class Segment:
 
     def jet(self, lam, max_order):
         """Derivatives 0..max_order at scalar lam: max_order + 1 lists of p floats."""
-        return codegen.kernel(_jet_code, max_order, 0, *self.code)(
-            self.consts, float(lam))
+        try:
+            jet = self.jets[max_order]
+        except KeyError:
+            jet = self.jets[max_order] = codegen.kernel(_jet_code, max_order, 0,
+                                                        *self.code)
+        return jet(self.consts, float(lam))
 
 
 def _jet_code(r, first, rows, *key):
@@ -517,13 +523,23 @@ def check_assumptions(path, grid_density=64):
 # --- analytic path constructors used by scenarios and tests ---
 
 
+def _check_sizes(where, **sizes):
+    """ParameterError naming the first of ``sizes`` that is not a finite
+    number > 0."""
+    check_finite(where, **sizes)
+    for name, value in sizes.items():
+        if not value > 0:
+            raise ParameterError(f"{where} parameter {name} must be positive; "
+                                 f"got {value!r}")
+
+
 def circle_path(radius=1.0, center=(0.0, 0.0), unit_speed=True, span=None):
-    """Single-segment circular path in R^2.
+    """Single-segment circular path in R^2 of radius > 0.
 
     With ``unit_speed`` the parameter is arclength (domain length 2*pi*R),
     otherwise it is the angle.
     """
-    check_finite("circle", radius=radius)
+    _check_sizes("circle", radius=radius)
     check_finite("circle", size=2, center=center)
     if span is not None:
         check_finite("circle", size=2, span=span)
@@ -539,8 +555,8 @@ def circle_path(radius=1.0, center=(0.0, 0.0), unit_speed=True, span=None):
 
 
 def ellipse_path(a=2.0, b=1.0, span=(-np.pi, np.pi)):
-    """Single-segment ellipse (a*cos(lam), b*sin(lam))."""
-    check_finite("ellipse", a=a, b=b)
+    """Single-segment ellipse (a*cos(lam), b*sin(lam)), a and b > 0."""
+    _check_sizes("ellipse", a=a, b=b)
     check_finite("ellipse", size=2, span=span)
     seg = HarmonicSegment((("cos",), ("sin",)), (a, b), 1.0, span)
     return SplinePath([seg], closed=False)
@@ -564,8 +580,9 @@ def line_path(start, end):
 
 
 def helix_path(radius=1.0, pitch=1.0, span=(0.0, 4.0 * np.pi)):
-    """Helix (R cos, R sin, pitch*lam) in R^3; framed everywhere."""
-    check_finite("helix", radius=radius, pitch=pitch)
+    """Helix (R cos, R sin, pitch*lam) in R^3, R > 0; framed everywhere."""
+    _check_sizes("helix", radius=radius)
+    check_finite("helix", pitch=pitch)
     check_finite("helix", size=2, span=span)
     seg = HarmonicSegment((("cos",), ("sin",), ("b",)), (radius, radius, pitch),
                           1.0, span)

@@ -18,13 +18,15 @@ D, h and J are ``MechanicalSystem`` methods derived from those calls,
 for callers outside the control period (h seeds the projection, J the
 zero-dynamics velocity); ``completion`` gives zeta as floats.
 
-``acceleration`` and ``drift_and_input`` run on the period's float lists
-q and qd: one ``forces`` call, then one generated call.  ``_plant_code``
-records the right-hand side A u - Bd qd - (C qd + G) and the Cholesky
-solve of D, ``cholesky_solve``, with ``codegen``'s recorder into one
-straight-line function per plant and use; the control layer records its
-two solves with the same ``cholesky_solve``, whose checks raise their
-typed errors from the generated code.
+``acceleration`` and ``drift_and_input`` run on float lists q and qd:
+one ``forces`` call, then one generated call.  ``_plant_code`` records
+the right-hand side A u - Bd qd - (C qd + G) and the Cholesky solve of
+D, ``cholesky_solve``, with ``codegen``'s recorder into one
+straight-line function per plant and use.  The RK4 hold calls
+``acceleration``; the control period records the drift solve,
+``_drift_and_input``, into the transform layer's function, and the
+input resolution's solves with the same ``cholesky_solve``, whose checks
+raise their typed errors from the generated code.
 """
 
 import math
@@ -81,11 +83,12 @@ class Limits:
 class MechanicalSystem:
     """Evaluator bundle for one plant; immutable in practice.
 
-    ``solves`` holds the generated solves of ``acceleration`` and
-    ``drift_and_input``, with A and Bd written into them; each is
-    compiled at first use; ``Z_rows``, Z's rows as floats, serves
-    ``completion``.  D, h and J evaluate the compiled calls at rest
-    (qd = 0) and return arrays.
+    ``solves`` holds the generated code with A and Bd written into it:
+    the solves of ``acceleration`` and ``drift_and_input`` and the
+    transform layer's function, each compiled at first use.  ``Z_rows``,
+    Z's rows as floats, serves ``completion`` and the transform layer.
+    D, h and J evaluate the compiled calls at rest (qd = 0) and return
+    arrays.
     """
 
     name: str
@@ -118,7 +121,12 @@ class MechanicalSystem:
 
     def completion(self, q, qd):
         """The 2N - 2p redundant coordinates zeta = (Z q, Z qd), as floats."""
-        return [sum(map(mul, z, x)) for x in (q, qd) for z in self.Z_rows]
+        return _completion(self.Z_rows, q, qd)
+
+
+def _completion(Z, q, qd):
+    """zeta = (Z q, Z qd) for the rows Z, on floats or recorded Vars."""
+    return [sum(map(mul, z, x)) for x in (q, qd) for z in Z]
 
 
 def cholesky_solve(code, d, cols, name="inertia matrix", at="q"):
@@ -184,37 +192,46 @@ def _rhs(A, Bd, u, qd, bias):
     return out
 
 
+def _drift_and_input(code, A, Bd, d, bias, qd):
+    """Record f_v = D^-1 (-Bd qd - bias) and the rows of g_v = D^-1 A,
+    from one factorization of D, into ``code``; return them."""
+    f_v, *g = cholesky_solve(code, d, [_rhs(A, Bd, [0.0] * len(A), qd, bias),
+                                       *zip(*A)])
+    return f_v, [list(x) for x in zip(*g)]
+
+
 def _plant_code(A, Bd, inputs):
     """Source of the plant solve for the constant rows A and Bd.
 
     ``f(d, bias, u, qd, q)`` returns qdd = D^-1 (A u - Bd qd - bias) for
     the rows ``d`` of D and ``bias`` = C qd + G.  With ``inputs``,
-    ``f(d, bias, qd, q)`` returns f_v = D^-1 (-Bd qd - bias) and the rows
-    of g_v = D^-1 A from one factorization.  ``q`` only goes into error
-    messages.
+    ``f(d, bias, qd, q)`` returns f_v and the rows of g_v
+    (``_drift_and_input``).  ``q`` only goes into error messages.
     """
     N = len(A)
     code = codegen.Recorder()
     d = code.unpack("d", (N, N))
     bias, qd = code.unpack("bias", (N,)), code.unpack("qd", (N,))
     if inputs:
-        f_v, *g = cholesky_solve(code, d, [_rhs(A, Bd, [0.0] * N, qd, bias), *zip(*A)])
-        return code.function("d, bias, qd, q", (f_v, [list(x) for x in zip(*g)]))
+        return code.function("d, bias, qd, q",
+                             _drift_and_input(code, A, Bd, d, bias, qd))
     u = code.unpack("u", (N,))
     (qdd,) = cholesky_solve(code, d, [_rhs(A, Bd, u, qd, bias)])
     return code.function("d, bias, u, qd, q", qdd)
 
 
 class _PlantSolves(dict):
-    """A plant's generated solves by ``inputs`` flag: ``_plant_code`` for
-    its A and Bd, compiled at first use."""
+    """A plant's generated code with its A and Bd written in, compiled at
+    first use: ``_plant_code``'s by its ``inputs`` flag, and that of
+    another builder ``build(A, Bd, *key)`` by the tuple (build, *key)."""
 
     def __init__(self, A, Bd):
         super().__init__()
         self.constants = tuple(tuple(map(tuple, X.tolist())) for X in (A, Bd))
 
-    def __missing__(self, inputs):
-        solve = self[inputs] = codegen.kernel(_plant_code, *self.constants, inputs)
+    def __missing__(self, key):
+        build, *rest = key if isinstance(key, tuple) else (_plant_code, key)
+        solve = self[key] = codegen.kernel(build, *self.constants, *rest)
         return solve
 
 

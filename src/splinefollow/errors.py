@@ -117,13 +117,18 @@ def from_json(where, build, d, rename={}, **convert):
                     for k, v in d.items()})
 
 
+def is_real(x):
+    """Whether x is a real number; a bool (JSON true or false) is not."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 def check_finite(where, size=None, **params):
     """ParameterError naming the first of ``params`` that is not a finite
     real number or, given as a list, tuple or array, not all of them are;
     with ``size``, each must be such a list of ``size`` entries."""
     for name, value in params.items():
         many = isinstance(value, (list, tuple, np.ndarray))
-        if not (all(isinstance(x, Real) and math.isfinite(x)
+        if not (all(is_real(x) and math.isfinite(x)
                     for x in (value if many else [value]))
                 and (size is None or many and len(value) == size)):
             what = (f"a list of finite real numbers of length {size}" if size is not None

@@ -11,16 +11,17 @@ Curves violating the framed assumption (straight lines, planar curves in
 a 3-D workspace) are handled by fallback policies per the supported
 completion modes.
 
-``frame_jet`` runs once per control period.  Its jet arithmetic is
-written once, below, and runs on the recorded variables of ``codegen``:
-for each output dimension p and completion mode it becomes one
-straight-line function of Python floats, generated at first use.  A
-curve derivative that is NaN or infinite fails the regularity, the
-degeneracy or, last, the finiteness check of the returned values.
+The jet arithmetic is written once, in ``_frame_values``, and runs on
+the recorded variables of ``codegen``.  ``frame_jet`` compiles it alone,
+one straight-line function of Python floats per output dimension p and
+completion mode, generated at first use; the control period records it
+into the transform layer's one function (see ``transform``).  A curve
+derivative that is NaN or infinite fails the regularity, the degeneracy
+or, last, the finiteness check of the frame values.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
@@ -44,11 +45,14 @@ class FramePolicy:
     fixed_vectors[0] is the plane normal, e2 = n x e1 and e3 = n.  Each
     fixed vector a fallback uses has exactly p entries.  The vectors are
     kept as tuples of floats; a zero or non-finite one is a ValueError,
-    and the plane normal is stored as a unit vector.
+    and the plane normal is stored as a unit vector.  ``completions``
+    holds, by p, the vectors a frame of that dimension uses, checked once.
     """
 
     mode: str = "frenet_serret"
     fixed_vectors: tuple = ()
+    completions: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         if self.mode not in ("frenet_serret", "planar_fallback", "line_fallback"):
@@ -149,7 +153,7 @@ def _parts(values, p):
             tail[:p - 1], tail[p - 1:2 * p - 2], tail[2 * p - 2:])
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameJet:
     """The frame at (k, lam) and its first two lambda-derivatives, as floats.
 
@@ -175,34 +179,39 @@ def _completion_vectors(policy, p):
     """The fixed vectors the policy's mode uses, each of p floats.
 
     ValueError, naming p, if fewer are given or one has a length other
-    than p.
+    than p.  Checked at the policy's first use for p, then kept in
+    ``policy.completions``.
     """
-    count = _completion_count(policy.mode, p)
-    vectors = policy.fixed_vectors[:count]
-    if len(vectors) < count:
-        raise ValueError(f"{policy.mode} needs {count} completion vector(s) "
-                         f"for p = {p}; got {len(vectors)}")
-    for j, v in enumerate(vectors):
-        if len(v) != p:
-            raise ValueError(f"{policy.mode} completion vector {j} must have "
-                             f"p = {p} entries; got {len(v)}")
+    vectors = policy.completions.get(p)
+    if vectors is None:
+        count = _completion_count(policy.mode, p)
+        vectors = policy.fixed_vectors[:count]
+        if len(vectors) < count:
+            raise ValueError(f"{policy.mode} needs {count} completion vector(s) "
+                             f"for p = {p}; got {len(vectors)}")
+        for j, v in enumerate(vectors):
+            if len(v) != p:
+                raise ValueError(f"{policy.mode} completion vector {j} must have "
+                                 f"p = {p} entries; got {len(v)}")
+        policy.completions[p] = vectors
     return vectors
 
 
-def _frame_code(p, mode):
-    """Source of ``f(rows, fixed, lam)``, the frame values at one point.
+def _frame_values(code, p, mode):
+    """Record the frame values at one point into ``code``.
 
-    ``rows`` holds sigma, ..., sigma^(p+1), ``fixed`` the completion
-    vectors of the mode, and ``lam`` is reported by the checks.
+    They are computed from the arguments ``rows`` (sigma, ...,
+    sigma^(p+1)) and ``fixed`` (the mode's completion vectors), and the
+    checks report ``lam``.  Returns the Vars of the rows and the values.
     """
     if mode == "planar_fallback" and p not in (2, 3):
         raise ValueError("planar_fallback requires a 2-D or 3-D output")
-    code = codegen.Recorder()
-    # curve derivatives sigma^(0) .. sigma^(p+1); beyond that jets get zeros
-    zero = [0.0] * p
-    rows = code.unpack("rows", (p + 2, p)) + [zero, zero]
+    sigma = code.unpack("rows", (p + 2, p))
     count = _completion_count(mode, p)
     fixed = code.unpack("fixed", (count, p)) if count else []
+    # curve derivatives sigma^(0) .. sigma^(p+1); beyond that jets get zeros
+    zero = [0.0] * p
+    rows = sigma + [zero, zero]
 
     def sigma_jet(j):
         # jet of sigma^(j): value sigma^(j), d1 sigma^(j+1), d2 sigma^(j+2)
@@ -258,6 +267,17 @@ def _frame_code(p, mode):
     code.require(f"isfinite({total})", "DegenerateFrameError",
                  f"the {mode} frame (p = {p}) at lambda = {{lam}} has values "
                  "that are not finite")
+    return sigma, values
+
+
+def _frame_code(p, mode):
+    """Source of ``f(rows, fixed, lam)``, the frame values at one point.
+
+    ``rows`` holds sigma, ..., sigma^(p+1), ``fixed`` the completion
+    vectors of the mode, and ``lam`` is reported by the checks.
+    """
+    code = codegen.Recorder()
+    _, values = _frame_values(code, p, mode)
     return code.function("rows, fixed, lam", tuple(values))
 
 

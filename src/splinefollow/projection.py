@@ -49,7 +49,7 @@ class ProjectionConfig:
             raise ValueError("max_iters must be an integer >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProjectionState:
     """Tracked closest point: segment index, parameter, descent bookkeeping."""
 
@@ -139,7 +139,7 @@ def update(state, path, y, cfg):
     k = state.k_star
     lam, iters, converged = _newton(path, k, float(state.lambda_star), y, cfg)
     if converged:
-        return ProjectionState(k_star=k, lambda_star=lam, last_iterations=iters)
+        return ProjectionState(k, lam, iters)
     alpha = cfg.alpha0
     clamped = False
 
@@ -181,8 +181,7 @@ def update(state, path, y, cfg):
         # restart the descent on the new segment (Algorithm 1 re-entry)
         alpha = max(alpha, cfg.eps * 2.0)
 
-    return ProjectionState(k_star=k, lambda_star=lam,
-                           last_iterations=iters, clamped=clamped)
+    return ProjectionState(k, lam, iters, clamped)
 
 
 def global_initialize(path, y, cfg=ProjectionConfig()):

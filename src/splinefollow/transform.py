@@ -9,22 +9,26 @@ vector alpha and decoupling matrix beta that render the virtual input
 v = alpha + beta u exactly the second derivatives of those coordinates.
 
 ``linearize`` runs once per control period, on q and qd as lists of
-Python floats: the plant's compiled ``kinematics`` call, the frame jet
-and the affine dynamics feed one straight-line function, generated at
-first use for the plant's N and the path's p from the arithmetic
-written out in ``_linearize_code``.  Its one record, LinearizationData,
-holds eta, xi, zeta, alpha, beta and the affine dynamics; the closest
-point (k*, lambda*) stays in the ProjectionState it was given.
+Python floats, as one generated call: ``_transform_code`` records, in
+this order, the frame at the closest point (``frames._frame_values``),
+the drift solve of the affine dynamics (``dynamics._drift_and_input``),
+the linearization (``_linearized``) and zeta into one straight-line
+function per plant, p and frame mode, generated at first use.  It takes
+the curve rows of one ``jet_unchecked`` call, the plant's
+``kinematics`` and ``forces`` calls, the policy's completion vectors
+and the rows of the plant's completion matrix Z.  Its records
+are the period's FrameJet and LinearizationData, which holds eta, xi,
+zeta, alpha, beta and the affine dynamics; the closest point
+(k*, lambda*) stays in the ProjectionState it was given.
 """
 
 from dataclasses import dataclass
 
-from . import codegen, frames
-from .dynamics import drift_and_input
+from . import codegen, dynamics, frames
 from .frames import dot
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinearizationData:
     """Path coordinates and control-layer quantities at one state, as
     Python floats; the closest point (k*, lambda*) is the ProjectionState's."""
@@ -38,22 +42,18 @@ class LinearizationData:
     g_v: list                  # N rows of N
 
 
-def _linearize_code(p, N):
-    """Source of ``f(rows, frame, kinematics, qd, f_v, g_v)``.
+def _linearized(code, p, N, sigma, values, qd, f_v, g_v):
+    """Record (eta_2, xi, alpha, beta) into ``code``; return them.
 
-    The arguments are the FrameJet's rows and values, the plant's
-    (h, J, d(J qd)/dq), the velocity and the affine dynamics
-    qdd = f_v + g_v u; the function returns (eta_2, xi, alpha, beta).
+    ``sigma`` holds the curve rows and ``values`` the frame values at
+    the closest point, ``qd`` the velocity and f_v, g_v the affine
+    dynamics qdd = f_v + g_v u.  The plant's (h, J, d(J qd)/dq) are read
+    from the argument ``kinematics``.
     """
-    code = codegen.Recorder()
-    sigma = code.unpack("rows", (p + 2, p))
-    e, de, dde, _, _, (speed, _, _) = frames._parts(
-        code.unpack("frame", (3 * p * p + 2 * p + 1,)), p)
+    e, de, dde, _, _, (speed, _, _) = frames._parts(values, p)
     code.source("y, J, dJqd_dq = kinematics")
     y, J, dJqd_dq = (code.unpack("y", (p,)), code.unpack("J", (p, N)),
                      code.unpack("dJqd_dq", (p, N)))
-    qd, f_v = code.unpack("qd", (N,)), code.unpack("f_v", (N,))
-    g_v = code.unpack("g_v", (N, N))
 
     offset = [a - b for a, b in zip(y, sigma[0])]
     Jqd = [dot(row, qd) for row in J]
@@ -89,8 +89,31 @@ def _linearize_code(p, N):
         )
         weights.append([a_j * t + x for t, x in zip(e[0], ej)])
     beta = [[dot(w, col) for col in Jg_cols] for w in weights]
-    return code.function("rows, frame, kinematics, qd, f_v, g_v",
-                         (eta2, xi, alpha, beta))
+    return eta2, xi, alpha, beta
+
+
+def _transform_code(A, Bd, p, mode):
+    """Source of ``f(rows, fixed, lam, kinematics, d, bias, qd, q, Z)``,
+    the transform layer of a plant with the constant rows A and Bd.
+
+    The arguments are those of the frame code (``frames._frame_code``),
+    the plant's (h, J, d(J qd)/dq), ``forces`` rows of D and bias, qd, q
+    and the rows of Z.  The function returns the frame values, eta_2 and
+    the rest of the LinearizationData in its order: xi, zeta, alpha,
+    beta, f_v and the rows of g_v.  The frame's checks come before the
+    drift solve's.
+    """
+    N = len(A)
+    code = codegen.Recorder()
+    sigma, values = frames._frame_values(code, p, mode)
+    d = code.unpack("d", (N, N))
+    bias, qd = code.unpack("bias", (N,)), code.unpack("qd", (N,))
+    f_v, g_v = dynamics._drift_and_input(code, A, Bd, d, bias, qd)
+    eta2, xi, alpha, beta = _linearized(code, p, N, sigma, values, qd, f_v, g_v)
+    Z, q = code.unpack("Z", (N - p, N)), code.unpack("q", (N,))
+    zeta = dynamics._completion(Z, q, qd)
+    return code.function("rows, fixed, lam, kinematics, d, bias, qd, q, Z",
+                         (tuple(values), eta2, xi, zeta, alpha, beta, f_v, g_v))
 
 
 def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
@@ -100,17 +123,21 @@ def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
     Row 0 corresponds to eta_1'' and rows 1..p-1 to the transversal
     offsets xi_1''.  beta is the matrix multiplying u in those second
     derivatives; it loses rank exactly where the transform degenerates.
-    The frame is taken at proj_state's (k*, lambda*).
-    ``kinematics`` is the plant's call (h, J, d(J qd)/dq) at the float
-    lists q and qd, made here when not given.
+    The frame is taken at proj_state's (k*, lambda*), and its failures
+    are ``frames.frame_jet``'s; those of the drift solve are
+    ``dynamics.drift_and_input``'s.  ``kinematics`` is the plant's call
+    (h, J, d(J qd)/dq) at the float lists q and qd, made here when not
+    given.
     """
-    fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
+    p = path.output_dim
+    k, lam = proj_state.k_star, float(proj_state.lambda_star)
+    transform = system.solves[_transform_code, p, policy.mode]
+    rows = path.jet_unchecked(k, lam, p + 1)
+    fixed = frames._completion_vectors(policy, p)
     if kinematics is None:
         kinematics = system.kinematics(q, qd)
-    f_v, g_v = drift_and_input(system, q, qd)
-    eta2, xi, alpha, beta = codegen.kernel(_linearize_code, system.p, system.N)(
-        fj.rows, fj.values, kinematics, qd, f_v, g_v)
-    eta1 = path.arclength_offsets[fj.k] + path.arclength_interp(fj.k, fj.lam)
-    return LinearizationData(
-        eta=[eta1, eta2], xi=xi,
-        zeta=system.completion(q, qd), alpha=alpha, beta=beta, f_v=f_v, g_v=g_v)
+    values, eta2, *rest = transform(rows, fixed, lam, kinematics,
+                                    *system.forces(q, qd), qd, q, system.Z_rows)
+    frame = frames.FrameJet(k, lam, rows, values)
+    eta1 = path.arclength_offsets[frame.k] + path.arclength_interp(frame.k, frame.lam)
+    return LinearizationData([eta1, eta2], *rest)

@@ -6,14 +6,17 @@ Each is a second, numpy computation that tests compare the package with:
 - ``G`` and ``dJ_dq``, array views of a plant's compiled ``forces`` and
   ``kinematics`` calls;
 - ``check_differentials``, the rank of the transform's gradient rows,
-  reported as a ``DifferentialReport``.
+  reported as a ``DifferentialReport``;
+- ``linearize_pieces`` and ``command_pieces``, the transform and input
+  layers as separate calls of their public pieces, which
+  ``test_layers.py`` compares with the layers' one generated call each.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from splinefollow import frames
+from splinefollow import codegen, control, dynamics, frames, transform
 from splinefollow.dynamics import _floats
 
 
@@ -105,3 +108,47 @@ def check_differentials(system, state, path, proj_state,
         min_sv_velocity=sv_vel,
         independent=bool(sv_pos > sv_tol and sv_vel > sv_tol),
     )
+
+
+def _linearize_code(p, N):
+    """Source of ``f(rows, frame, kinematics, qd, f_v, g_v)``: the
+    linearization alone, from a FrameJet's rows and values, the plant's
+    (h, J, d(J qd)/dq), qd and the affine dynamics; returns
+    (eta_2, xi, alpha, beta)."""
+    code = codegen.Recorder()
+    sigma = code.unpack("rows", (p + 2, p))
+    values = code.unpack("frame", (3 * p * p + 2 * p + 1,))
+    qd, f_v = code.unpack("qd", (N,)), code.unpack("f_v", (N,))
+    g_v = code.unpack("g_v", (N, N))
+    return code.function("rows, frame, kinematics, qd, f_v, g_v",
+                         transform._linearized(code, p, N, sigma, values, qd, f_v, g_v))
+
+
+def linearize_pieces(system, q, qd, path, proj_state, policy=frames.FRENET):
+    """(FrameJet, LinearizationData) of ``transform.linearize`` from
+    ``frames.frame_jet``, ``dynamics.drift_and_input`` and the
+    linearization compiled alone, called one after another."""
+    fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
+    kinematics = system.kinematics(q, qd)
+    f_v, g_v = dynamics.drift_and_input(system, q, qd)
+    eta2, xi, alpha, beta = codegen.kernel(_linearize_code, system.p, system.N)(
+        fj.rows, fj.values, kinematics, qd, f_v, g_v)
+    eta1 = path.arclength_offsets[fj.k] + path.arclength_interp(fj.k, fj.lam)
+    return fj, transform.LinearizationData(
+        eta=[eta1, eta2], xi=xi, zeta=system.completion(q, qd), alpha=alpha,
+        beta=beta, f_v=f_v, g_v=g_v)
+
+
+def command_pieces(lin, q, integral, gains, redundancy, limits, dt, t):
+    """``control.command``'s (u, u_unclamped, v, new_integral) from
+    ``tangential_v``, ``transversal_v``, ``bias_r``, ``resolve_input`` and
+    the clamp, called one after another."""
+    v_eta, integral = control.tangential_v(lin.eta, integral, gains, dt, t)
+    v = [v_eta]
+    if len(lin.alpha) > 1:
+        v += control.transversal_v(lin.xi, gains)
+    r = (control.bias_r(q, limits) if redundancy.bias_mode == "joint_limit"
+         else [0.0] * len(q))
+    u = control.resolve_input(lin.alpha, lin.beta, v, r, redundancy.W_rows)
+    clamped = [min(max(x, lo), hi) for x, lo, hi in zip(u, *limits.floats[2:])]
+    return clamped, u, v, integral

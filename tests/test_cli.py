@@ -360,9 +360,12 @@ class TestRun:
         ([1.0], "scenario must be a JSON object; got [1.0]"),
         ({"path": {"analytic": "circle"}},
          "path dimension 2 must equal the p = 1 of plant 'example1'"),
+        ({"gains": {"K_P": True}}, "K_P must be a real number; got True"),
+        ({"gains": {"xi_Kp": [True]}},
+         "xi_Kp must be a sequence of real numbers; got (True,)"),
     ], ids=["null-limits", "null-gains", "null-redundancy", "null-path",
             "null-params", "number-frame_fixed", "list-plant_kwargs",
-            "bool-substeps", "list", "planar-path"])
+            "bool-substeps", "list", "planar-path", "bool-K_P", "bool-xi_Kp"])
     def test_malformed_scenario_is_validation_failure(self, tmp_path, capsys,
                                                       change, message):
         """A section of the wrong JSON type exits 1, naming the key."""
@@ -422,12 +425,30 @@ class TestRun:
         ("two_mass_line", {"params": {"start": [-5.0], "end": [5.0, 1.0]}},
          "line parameter end must be a list of finite real numbers of length 1; "
          "got [5.0, 1.0]"),
+        ("two_mass_line", {"analytic": "circle", "params": {"radius": True}},
+         "circle parameter radius must be a finite real number; got True"),
+        ("two_mass_line", {"params": {"start": [True], "end": [5.0]}},
+         "line parameter start must be a list of finite real numbers of length 1; "
+         "got [True]"),
+        ("two_mass_line", {"analytic": "circle", "params": {"radius": -1.0}},
+         "circle parameter radius must be positive; got -1.0"),
+        ("two_mass_line", {"analytic": "circle", "params": {"radius": 0.0}},
+         "circle parameter radius must be positive; got 0.0"),
+        ("two_mass_line", {"analytic": "ellipse", "params": {"a": 0.0}},
+         "ellipse parameter a must be positive; got 0.0"),
+        ("two_mass_line", {"analytic": "ellipse", "params": {"b": -0.5}},
+         "ellipse parameter b must be positive; got -0.5"),
+        ("two_mass_line", {"analytic": "helix", "params": {"radius": 0.0}},
+         "helix parameter radius must be positive; got 0.0"),
     ], ids=["misspelled-closed", "string-closed", "null-order", "string-order",
             "fractional-order", "analytic-closed", "list-analytic", "file-extra",
             "null-file", "object-waypoints", "nan-waypoint", "segments-extra",
             "segments-string-closed", "circle-string-radius", "circle-nan-radius",
             "circle-null-center", "circle-string-unit_speed", "ellipse-null-span",
-            "helix-string-pitch", "line-null-start", "line-unequal-ends"])
+            "helix-string-pitch", "line-null-start", "line-unequal-ends",
+            "circle-bool-radius", "line-bool-start", "circle-negative-radius",
+            "circle-zero-radius", "ellipse-zero-a", "ellipse-negative-b",
+            "helix-zero-radius"])
     def test_malformed_path_spec_is_validation_failure(self, tmp_path, capsys,
                                                        path_file, scenario,
                                                        change, message):
@@ -460,8 +481,13 @@ class TestRun:
          "example1 parameter b2 must be a finite real number; got nan"),
         ("figure_eight_3r", {"plant_kwargs": {"damping": [2.0, float("nan"), 2.0]}},
          "example2 parameter damping must be finite real numbers; got [2.0, nan, 2.0]"),
+        ("two_mass_line", {"plant_kwargs": {"m1": True}},
+         "example1 parameter m1 must be a finite real number; got True"),
+        ("figure_eight_3r", {"plant_kwargs": {"damping": [2.0, False, 2.0]}},
+         "example2 parameter damping must be finite real numbers; "
+         "got [2.0, False, 2.0]"),
     ], ids=["list-plant", "cpm4-kwarg", "string-mass", "infinite-mass", "nan-friction",
-            "nan-damping"])
+            "nan-damping", "bool-mass", "bool-damping"])
     def test_malformed_plant_is_validation_failure(self, tmp_path, capsys, scenario,
                                                    change, message):
         """A plant's parameters are its factory's keyword arguments, each a

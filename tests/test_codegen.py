@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splinefollow import codegen, control, curves, dynamics, frames, sim
+from splinefollow import codegen, control, curves, dynamics, frames, projection, sim
 from splinefollow.errors import (DegenerateFrameError, DivergenceError,
                                  IrregularCurveError, NearSingularDecouplingError,
                                  NonSPDInertiaError)
+import oracles
 import test_dynamics
 from test_frames import _circle_nan_at
 from test_sim import _criterion3_portrait
@@ -148,8 +149,9 @@ def _global_names(code):
 
 
 def test_generated_names_resolve(monkeypatch):
-    """The three scenarios, the portrait and an array ``evaluate`` compile
-    every kind of generated function; each name they use is defined."""
+    """The three scenarios, the portrait, an array ``evaluate`` and the
+    layers' pieces compile every kind of generated function; each name
+    they use is defined."""
     made = []
     compiled = codegen.compiled
 
@@ -164,9 +166,18 @@ def test_generated_names_resolve(monkeypatch):
         sim.run(dataclasses.replace(scen, duration=5 * scen.dt))
     _criterion3_portrait(dynamics.make_example2(), [[-0.6, 0.0], [1.25, 0.0]], 0.02)
     curves.circle_path().evaluate(0, np.linspace(0.0, 1.0, 5), 2)
+    # the public pieces that the two layers record, each compiled alone
+    system, path = dynamics.make_example2(), curves.circle_path(2.2)
+    q, qd = sim.ik_planar3r((2.2, 0.0), 0.0).tolist(), [0.1, -0.2, 0.3]
+    _, lin = oracles.linearize_pieces(
+        system, q, qd, path, projection.ProjectionState(0, 0.0))
+    oracles.command_pieces(lin, q, 0.0, control.OuterLoopGains(),
+                           control.RedundancyConfig(W=np.eye(3)),
+                           system.default_limits, 0.01, 0.0)
     labels = [label for label, _, _ in made]
-    for want in ("_frame_code", "_resolve_code", "_plant_code", "_rk4_code",
-                 "_linearize_code", "_newton_code", "_jet_code", "on numpy"):
+    for want in ("_transform_code", "_command_code", "_frame_code", "_resolve_code",
+                 "_plant_code", "_rk4_code", "_linearize_code", "_newton_code",
+                 "_jet_code", "on numpy"):
         assert any(want in label for label in labels), labels
     seen = set()
     for label, f, lib in made:

@@ -374,10 +374,11 @@ class TestRun:
 
     def test_control_code_generated_once(self, monkeypatch):
         """Two consecutive 50-period figure-eight runs: the first generates
-        the frame, linearization and input-resolution code of its (p, N,
-        frame mode), the polynomial segments' Newton call (projection)
-        and jet of orders 0..3 (frame), the N = 3 RK4 substep and the
-        plant's two solves once each, the second generates nothing."""
+        the transform layer of its plant, p and frame mode, the input
+        layer of its (p, N, tangential mode, bias mode, weighting), the
+        polynomial segments' Newton call (projection) and jet of orders
+        0..3 (transform), the N = 3 RK4 substep and the plant's solve
+        once each, the second generates nothing."""
         labels = []
         compiled = codegen.compiled
 
@@ -394,14 +395,13 @@ class TestRun:
         first = list(labels)
         sim.run(scen, path=path, system=system)
         assert len(log.t) == 50
-        for label in ("_frame_code(2, 'planar_fallback')", "_linearize_code(2, 3)",
-                      "_resolve_code(2, 3, False)",
-                      "_newton_code('_polynomial_rows', 2, 6)",
-                      "_jet_code(3, 0, '_polynomial_rows', 2, 6)", "_rk4_code(3,)"):
-            assert first.count(label) == 1, first
         constants = "{}, {}".format(*system.solves.constants)
-        for inputs in (False, True):
-            assert first.count(f"_plant_code({constants}, {inputs})") == 1, first
+        for label in (f"_transform_code({constants}, 2, 'planar_fallback')",
+                      "_command_code(2, 3, 'velocity', 'joint_limit', False)",
+                      "_newton_code('_polynomial_rows', 2, 6)",
+                      "_jet_code(3, 0, '_polynomial_rows', 2, 6)", "_rk4_code(3,)",
+                      f"_plant_code({constants}, False)"):
+            assert first.count(label) == 1, first
         assert len(set(first)) == len(first)
         assert labels == first
 
