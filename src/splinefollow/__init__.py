@@ -42,7 +42,6 @@ from .control import (
     bias_r,
     resolve_input,
     step,
-    tangential_v,
     transversal_v,
 )
 from .sim import (

@@ -22,6 +22,7 @@ time is recorded here; only the plants' ``forces`` and ``kinematics``
 are written ahead of time, by ``symbolic``.
 """
 
+import linecache
 import math
 from functools import lru_cache
 
@@ -225,9 +226,12 @@ def namespace(lib=math):
 
 
 def compiled(source, label="generated", lib=math):
-    """The function ``f`` that ``source`` defines in ``namespace(lib)``."""
-    names = namespace(lib)
-    exec(compile(source, f"<{label}>", "exec"), names)
+    """The function ``f`` that ``source`` defines in ``namespace(lib)``; the
+    source is kept in ``linecache`` as the file ``<label>`` with no mtime,
+    which ``checkcache`` keeps, so tracebacks show the generated lines."""
+    names, filename = namespace(lib), f"<{label}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), names)
     return names["f"]
 
 

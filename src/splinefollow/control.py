@@ -18,8 +18,8 @@ closed form for p <= 2, with one symmetric eigenvalue call for p >= 3)
 and solves with the plant layer's recorded Cholesky solve.  The
 transversal input (``transversal_v``, PD or robust) and the reference
 speed are computed before the call and go in as arguments.  The public
-pieces ``tangential_v``, ``bias_r`` and ``resolve_input`` run the same
-arithmetic on their own.
+pieces ``bias_r`` and ``resolve_input`` run the same arithmetic on
+their own.
 
 ``step`` is one period: projection update, ``linearize`` and
 ``command``.  It returns the clamped u, the PI loop's integral (a float
@@ -35,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import codegen, curves, dynamics, frames, projection, transform
-from .errors import ParameterError, is_real
+from .errors import ParameterError, reals
 from .frames import dot
 
 CONDITION_LIMIT = 1e10
@@ -53,11 +53,9 @@ class RedundancyConfig:
         if self.bias_mode not in ("joint_limit", "zero"):
             raise ParameterError(f"unknown bias_mode {self.bias_mode!r}")
         if self.W is not None:
-            W = np.asarray(self.W, dtype=float)
-            if W.ndim != 2 or W.shape[0] != W.shape[1]:
+            W = reals("redundancy W", self.W, (None, None))
+            if W.shape[0] != W.shape[1]:
                 raise ParameterError("W must be square")
-            if not np.isfinite(W).all():
-                raise ParameterError("W must be finite")
             if not np.allclose(W, W.T, atol=1e-12):
                 raise ParameterError("W must be symmetric")
             if np.any(np.linalg.eigvalsh(W) <= 0):
@@ -85,7 +83,7 @@ class OuterLoopGains:
     robust mode ``robust_matrices`` holds the arrays K + K0, K1 and K2,
     converted once at construction; ``eta2_ref_columns`` holds the
     table's times and speeds as lists of floats the same way.  Every
-    gain and reference must be finite.
+    gain and reference is read by ``errors.reals`` and kept as floats.
     """
 
     tangential_mode: str = "velocity"
@@ -108,8 +106,8 @@ class OuterLoopGains:
     eta2_ref_columns: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("eta2_ref_table", "xi_Kp", "xi_Kd", "robust_K", "robust_K0",
-                     "robust_K2"):   # JSON lists, nested or not, as tuples
+        for name in ("eta2_ref_table", "robust_K", "robust_K0", "robust_K2"):
+            # JSON lists, nested or not, as tuples
             object.__setattr__(self, name, _tuples(getattr(self, name)))
         if self.tangential_mode not in ("velocity", "position"):
             raise ParameterError(f"bad tangential_mode {self.tangential_mode!r}")
@@ -117,19 +115,10 @@ class OuterLoopGains:
             raise ParameterError(f"bad transversal_mode {self.transversal_mode!r}")
         for name in ("K_P", "K_I", "K_D", "eta2_ref", "eta1_ref", "integral_limit",
                      "robust_mu"):
-            if not is_real(getattr(self, name)):
-                raise ParameterError(
-                    f"{name} must be a real number; got {getattr(self, name)!r}")
+            object.__setattr__(self, name, float(reals(name, getattr(self, name))))
         for name in ("xi_Kp", "xi_Kd"):
-            gains = getattr(self, name)
-            if not (isinstance(gains, (tuple, list))
-                    and all(map(is_real, gains))):
-                raise ParameterError(
-                    f"{name} must be a sequence of real numbers; got {gains!r}")
-        if not all(map(math.isfinite, (
-                self.K_P, self.K_I, self.K_D, self.eta2_ref, self.eta1_ref,
-                self.integral_limit, self.robust_mu, *self.xi_Kp, *self.xi_Kd))):
-            raise ParameterError("gains and references must be finite")
+            object.__setattr__(self, name, tuple(
+                reals(name, getattr(self, name), (None,)).tolist()))
         if self.K_P < 0 or self.K_I < 0 or self.K_D < 0:
             raise ParameterError("tangential gains must be nonnegative")
         if self.integral_limit < 0:
@@ -143,41 +132,26 @@ class OuterLoopGains:
         if self.robust_mu <= 0:
             raise ParameterError("robust boundary layer mu must be positive")
         if self.transversal_mode == "robust":
-            m, n = self.robust_shape
-            if not 0 < 2 * m == n:
+            K, K0, K2 = (reals(f"robust gains {name}", getattr(self, name), (None, None))
+                         for name in ("robust_K", "robust_K0", "robust_K2"))
+            if not K.shape == K0.shape == K2.shape or not 0 < 2 * len(K) == K.shape[1]:
                 raise ParameterError(
-                    f"robust gains K, K0 and K2 must each be (p - 1) x 2(p - 1); "
-                    f"got {m} x {n}")
-            K, K0, K2 = (np.atleast_2d(np.asarray(x, dtype=float))
-                         for x in (self.robust_K, self.robust_K0, self.robust_K2))
-            if not all(np.isfinite(x).all() for x in (K, K0, K2)):
-                raise ParameterError("robust gains K, K0 and K2 must be finite")
+                    "robust gains K, K0 and K2 must each be (p - 1) x 2(p - 1); got "
+                    f"shapes {K.shape}, {K0.shape} and {K2.shape}")
             # K1 = mu^2 K2: continuity of the switched term at ||xi|| = mu
             object.__setattr__(self, "robust_matrices",
                                (K + K0, self.robust_mu**2 * K2, K2))
         if self.eta2_ref_table:
-            try:
-                table = np.asarray(self.eta2_ref_table, dtype=float)
-            except (TypeError, ValueError):   # ragged rows, not numbers
-                table = np.empty(0)
-            if not (table.ndim == 2 and table.shape[1] == 2 and np.isfinite(table).all()
-                    and np.all(np.diff(table[:, 0]) > 0)):
+            table = reals("eta2_ref_table rows", self.eta2_ref_table, (None, 2))
+            if not np.all(np.diff(table[:, 0]) > 0):
                 raise ParameterError("eta2_ref_table rows must be (t, eta2_ref) pairs "
                                      "of finite numbers, t strictly increasing")
             object.__setattr__(self, "eta2_ref_columns", tuple(table.T.tolist()))
 
     @property
     def robust_shape(self):
-        """Common (rows, columns) of robust_K, robust_K0 and robust_K2."""
-        try:
-            shapes = [np.atleast_2d(np.asarray(K, dtype=float)).shape
-                      for K in (self.robust_K, self.robust_K0, self.robust_K2)]
-        except ValueError as exc:   # ragged rows
-            raise ParameterError(f"robust gains must be matrices: {exc}") from None
-        if len(set(shapes)) != 1 or len(shapes[0]) != 2:
-            raise ParameterError("robust gains K, K0 and K2 must be matrices of "
-                                 f"one shape; got shapes {shapes}")
-        return shapes[0]
+        """Common (rows, columns) of the robust gains, in robust mode."""
+        return self.robust_matrices[2].shape
 
     def eta2_reference(self, t):
         """Reference speed at time t (piecewise-linear table, else constant)."""
@@ -264,8 +238,10 @@ def resolve_input(alpha, beta, v, r, W=None):
 
 
 def _tangential(eta, integral, gains, dt, ref):
-    """tangential_v with the reference speed ``ref`` given; on floats, or
-    recorded on Vars."""
+    """Tangential virtual input and updated integral at reference speed
+    ``ref``, on floats or recorded on Vars: a PI loop on eta_2 whose
+    integral is clamped (anti-windup), or in position mode a PD loop on
+    eta_1 that keeps the integral."""
     if gains.tangential_mode == "position":
         v = gains.K_P * (gains.eta1_ref - eta[0]) - gains.K_D * eta[1]
         return v, integral
@@ -273,17 +249,6 @@ def _tangential(eta, integral, gains, dt, ref):
     lim = gains.integral_limit
     integral = codegen.clamp(integral + dt * err, -lim, lim)
     return gains.K_P * err + gains.K_I * integral, integral
-
-
-def tangential_v(eta, integral, gains, dt, t=0.0):
-    """Tangential virtual input and the updated integral, both floats.
-
-    Velocity mode is a PI loop on eta_2; position mode is a PD loop on
-    eta_1 (used for point stabilization), which keeps the integral as
-    given.  The integral uses a first-order update and is clamped for
-    anti-windup.
-    """
-    return _tangential(eta, integral, gains, dt, gains.eta2_reference(t))
 
 
 def transversal_v(xi, gains):

@@ -35,6 +35,7 @@ from .errors import (
     UnsupportedOrderError,
     check_finite,
     from_json,
+    reals,
 )
 
 JUNCTION_TOL = 1e-8
@@ -72,6 +73,7 @@ class Segment:
         self.dim = dim
         self.code, self.consts = code, consts
         self.jets = {}   # max_order -> compiled jet, filled at first use
+        self.newton = None   # the projection's compiled Newton iterate, likewise
 
     def evaluate(self, lam, order=0):
         """d^order sigma / d lambda^order at scalar lam, shape (p,), or at
@@ -310,12 +312,9 @@ class SplinePath:
 def _segment(k, coeffs, domain):
     """Path segment k; ParameterError, naming the key, unless ``domain`` is
     two finite numbers and ``coeffs`` a non-empty matrix of finite numbers."""
-    lam = _finite(domain)
-    if lam is None or lam.shape != (2,):
-        raise ParameterError(f"path segment {k} 'domain' must be two finite "
-                             f"numbers; got {domain!r}")
-    c = _finite(coeffs)
-    if c is None or c.ndim != 2 or not c.size:
+    lam = reals(f"path segment {k} 'domain'", domain, (2,))
+    c = reals(f"path segment {k} 'coeffs'", coeffs, (None, None))
+    if not c.size:
         raise ParameterError(f"path segment {k} 'coeffs' must be a non-empty "
                              f"matrix of finite numbers; got {coeffs!r}")
     return PolynomialSegment(c, lam)
@@ -329,15 +328,6 @@ class AssumptionReport:
     framed_ok: bool
     worst_junction_error: float
     min_gram_determinant: float
-
-
-def _finite(x):
-    """x as a float array if its entries are finite numbers, else None."""
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    return x if np.isfinite(x).all() else None
 
 
 def interp(xs, ys, x):
@@ -390,16 +380,14 @@ def fit_spline(waypoints, closed=False, smoothness_order=4):
 
     Raises
     ------
+    ParameterError
+        If the waypoints are not lists of finite real numbers of one length.
     DegenerateChordError
         If consecutive waypoints coincide.
     FitFailureError
         If the assembled linear system is rank deficient.
     """
-    pts = _finite(waypoints)
-    if pts is None:
-        raise ValueError("waypoints must be lists of finite numbers")
-    if pts.ndim != 2:
-        raise ValueError("waypoints must share a common dimension")
+    pts = reals("waypoints", waypoints, (None, None))
     n_wp, p = pts.shape
     if not isinstance(closed, bool):
         raise ValueError(f"closed must be true or false; got {closed!r}")
@@ -568,9 +556,8 @@ def line_path(start, end):
     if not (isinstance(start, (list, tuple, np.ndarray)) and len(start)):
         raise ParameterError("line parameter start must be a non-empty list of "
                              f"finite real numbers; got {start!r}")
-    check_finite("line", size=len(start), start=start, end=end)
-    start = np.asarray(start, float)
-    end = np.asarray(end, float)
+    start, end = (reals(f"line parameter {key}", x, (len(start),))
+                  for key, x in (("start", start), ("end", end)))
     length = np.linalg.norm(end - start)
     if length <= 0:
         raise DegenerateChordError("line endpoints coincide")

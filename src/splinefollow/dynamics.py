@@ -36,7 +36,7 @@ from operator import mul
 import numpy as np
 
 from . import codegen
-from .errors import DivergenceError, ParameterError, check_finite, from_json
+from .errors import DivergenceError, ParameterError, check_finite, from_json, reals
 
 
 @dataclass(frozen=True, eq=False)   # == is identity: the fields are arrays
@@ -70,9 +70,8 @@ class Limits:
     def __post_init__(self):
         names = ("q_min", "q_max", "u_min", "u_max")
         for name in names:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
-            if not np.isfinite(getattr(self, name)).all():
-                raise ParameterError(f"limits {name} must be finite")
+            object.__setattr__(self, name,
+                               reals(f"limits {name}", getattr(self, name), (None,)))
         if not (np.all(self.q_min < self.q_max) and np.all(self.u_min < self.u_max)):
             raise ParameterError("limit windows must satisfy min < max")
         object.__setattr__(self, "floats",
@@ -299,8 +298,7 @@ def make_example2(damping=(2.0, 2.0, 2.0)):
     zeta = (q1 + q2 + q3, qd1 + qd2 + qd3), the end-effector angle and its
     rate.
     """
-    check_finite("example2", damping=damping)
-    d = np.asarray(damping, dtype=float)
+    d = reals("example2 parameter damping", damping, (None,))
     if d.shape != (3,) or np.any(d < 0):
         raise ParameterError("damping must be 3 nonnegative coefficients")
     from ._plants_generated import planar3r_forces, planar3r_kinematics

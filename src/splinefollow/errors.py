@@ -1,5 +1,6 @@
-"""Exception types raised across the library, and the checks of
-parameters read from JSON."""
+"""Exception types raised across the library, and the checks of what is
+read from JSON: ``from_json`` checks an object's keys, and ``reals``
+reads every number a scenario, path, path file or plant holds."""
 
 import inspect
 import math
@@ -89,7 +90,7 @@ class SingularManifoldError(NumericalFailure):
         self.zeta = zeta
 
 
-class ParameterError(SplineFollowError):
+class ParameterError(SplineFollowError, ValueError):
     """A model or configuration parameter is out of its valid range."""
 
 
@@ -117,9 +118,38 @@ def from_json(where, build, d, rename={}, **convert):
                     for k, v in d.items()})
 
 
-def is_real(x):
-    """Whether x is a real number; a bool (JSON true or false) is not."""
-    return isinstance(x, Real) and not isinstance(x, bool)
+def _conforms(x, shape):
+    """Whether x nests lists, tuples or arrays as ``shape`` says, down to real
+    numbers that are finite as floats and not bools (JSON true or false)."""
+    if not shape:
+        try:
+            return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+        except OverflowError:   # an integer too large for a float
+            return False
+    return (isinstance(x, (list, tuple, np.ndarray)) and getattr(x, "ndim", 1) > 0
+            and shape[0] in (None, len(x)) and all(_conforms(y, shape[1:]) for y in x))
+
+
+def reals(where, value, shape=()):
+    """``value`` as a float array of ``shape``: (), (n,) or (None, m), for
+    lengths n and m or None for any length.
+
+    ParameterError, naming ``where`` and the value, unless every entry
+    is a real number that is not a bool and is finite as a float, and
+    the lists, tuples or arrays nest as ``shape`` says.
+    """
+    try:
+        out = np.array(value, dtype=float) if _conforms(value, shape) else None
+    except ValueError:   # rows of unequal lengths
+        out = None
+    if out is not None and out.ndim == len(shape):
+        return out
+    what = ("a finite real number" if not shape
+            else "finite real numbers" if shape == (None,)
+            else f"a list of finite real numbers of length {shape[0]}" if len(shape) == 1
+            else f"lists of {shape[1]} finite real numbers" if shape[1] is not None
+            else "lists of finite real numbers of one length")
+    raise ParameterError(f"{where} must be {what}; got {value!r}")
 
 
 def check_finite(where, size=None, **params):
@@ -127,11 +157,5 @@ def check_finite(where, size=None, **params):
     real number or, given as a list, tuple or array, not all of them are;
     with ``size``, each must be such a list of ``size`` entries."""
     for name, value in params.items():
-        many = isinstance(value, (list, tuple, np.ndarray))
-        if not (all(is_real(x) and math.isfinite(x)
-                    for x in (value if many else [value]))
-                and (size is None or many and len(value) == size)):
-            what = (f"a list of finite real numbers of length {size}" if size is not None
-                    else "finite real numbers" if many else "a finite real number")
-            raise ParameterError(f"{where} parameter {name} must be {what}; "
-                                 f"got {value!r}")
+        many = size is not None or isinstance(value, (list, tuple, np.ndarray))
+        reals(f"{where} parameter {name}", value, (size,) if many else ())

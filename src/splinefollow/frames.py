@@ -24,9 +24,8 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 
-import numpy as np
-
 from . import codegen
+from .errors import ParameterError, reals
 
 REGULARITY_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
@@ -44,7 +43,7 @@ class FramePolicy:
     with p = 2, e2 is the 90 degree rotation of e1; with p = 3,
     fixed_vectors[0] is the plane normal, e2 = n x e1 and e3 = n.  Each
     fixed vector a fallback uses has exactly p entries.  The vectors are
-    kept as tuples of floats; a zero or non-finite one is a ValueError,
+    kept as tuples of floats; a zero or non-finite one is a ParameterError,
     and the plane normal is stored as a unit vector.  ``completions``
     holds, by p, the vectors a frame of that dimension uses, checked once.
     """
@@ -56,13 +55,13 @@ class FramePolicy:
 
     def __post_init__(self):
         if self.mode not in ("frenet_serret", "planar_fallback", "line_fallback"):
-            raise ValueError(f"unknown frame policy mode {self.mode!r}")
+            raise ParameterError(f"unknown frame policy mode {self.mode!r}")
         vectors = []
         for j, v in enumerate(self.fixed_vectors):
-            v = np.asarray(v, dtype=float)
-            if v.ndim != 1 or not np.isfinite(v).all() or not v.any():
-                raise ValueError(f"completion vector {j} must be a nonzero list of "
-                                 f"finite numbers; got {v.tolist()}")
+            v = reals(f"completion vector {j}", v, (None,))
+            if not v.any():
+                raise ParameterError(f"completion vector {j} must be a nonzero list "
+                                     f"of finite numbers; got {v.tolist()}")
             vectors.append(v.tolist())
         if self.mode == "planar_fallback" and vectors:
             n = vectors[0]   # the plane normal, made a unit vector once
@@ -178,7 +177,7 @@ def _completion_count(mode, p):
 def _completion_vectors(policy, p):
     """The fixed vectors the policy's mode uses, each of p floats.
 
-    ValueError, naming p, if fewer are given or one has a length other
+    ParameterError, naming p, if fewer are given or one has a length other
     than p.  Checked at the policy's first use for p, then kept in
     ``policy.completions``.
     """
@@ -187,12 +186,12 @@ def _completion_vectors(policy, p):
         count = _completion_count(policy.mode, p)
         vectors = policy.fixed_vectors[:count]
         if len(vectors) < count:
-            raise ValueError(f"{policy.mode} needs {count} completion vector(s) "
+            raise ParameterError(f"{policy.mode} needs {count} completion vector(s) "
                              f"for p = {p}; got {len(vectors)}")
         for j, v in enumerate(vectors):
             if len(v) != p:
-                raise ValueError(f"{policy.mode} completion vector {j} must have "
-                                 f"p = {p} entries; got {len(v)}")
+                raise ParameterError(f"{policy.mode} completion vector {j} must "
+                                     f"have p = {p} entries; got {len(v)}")
         policy.completions[p] = vectors
     return vectors
 
@@ -205,7 +204,7 @@ def _frame_values(code, p, mode):
     checks report ``lam``.  Returns the Vars of the rows and the values.
     """
     if mode == "planar_fallback" and p not in (2, 3):
-        raise ValueError("planar_fallback requires a 2-D or 3-D output")
+        raise ParameterError("planar_fallback requires a 2-D or 3-D output")
     sigma = code.unpack("rows", (p + 2, p))
     count = _completion_count(mode, p)
     fixed = code.unpack("fixed", (count, p)) if count else []

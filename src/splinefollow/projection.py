@@ -94,13 +94,14 @@ def _newton(path, k, lam, y, cfg):
     point stays in the incumbent segment and the distance does not
     increase.  The length bound keeps a step where g' is small from
     leaping over a distance ridge to another branch of the same segment.
-    Each iterate is one call of the segment kind's ``_newton_code``.
+    Each iterate is one call of the segment's ``newton``, its kind's
+    ``_newton_code`` compiled at first use.
     Returns (lam, iterations, converged); lam is always the last accepted
     iterate.
     """
     seg = path.segments[k]
     lo, hi = seg.domain
-    newton = codegen.kernel(_newton_code, *seg.code)
+    newton = seg.newton = seg.newton or codegen.kernel(_newton_code, *seg.code)
     dist2, gp, g = newton(seg.consts, lam, y)
     iters = 0
     while iters < cfg.max_iters:

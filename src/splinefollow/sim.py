@@ -30,7 +30,7 @@ import numpy as np
 from . import codegen, control, curves, dynamics, frames, projection, transform
 from .dynamics import Limits, State
 from .errors import (DivergenceError, ParameterError, SingularManifoldError,
-                     SplineFollowError, from_json)
+                     SplineFollowError, from_json, reals)
 
 DIVERGENCE_BOUND = 1e6
 
@@ -106,25 +106,27 @@ class Scenario:
     name: str = "scenario"
 
     def __post_init__(self):
-        for key, kind, what in (("duration", float, "a number"), ("dt", float, "a number"),
-                                ("frame_fixed", tuple, "a list")):
-            try:
-                setattr(self, key, kind(getattr(self, key)))
-            except (TypeError, ValueError):
-                raise ParameterError(f"{key} must be {what}; "
-                                     f"got {getattr(self, key)!r}") from None
-        if not (0.0 < self.dt < math.inf and 0.0 < self.duration < math.inf):
+        self.duration, self.dt = (float(reals(key, getattr(self, key)))
+                                  for key in ("duration", "dt"))
+        self.q0, self.qd0 = (reals(key, getattr(self, key), (None,))
+                             for key in ("q0", "qd0"))
+        if self.encoder_resolution is not None:
+            self.encoder_resolution = reals("encoder_resolution",
+                                            self.encoder_resolution, (None,))
+        if not isinstance(self.frame_fixed, (list, tuple)):
+            raise ParameterError(f"frame_fixed must be a list; got {self.frame_fixed!r}")
+        self.frame_fixed = tuple(self.frame_fixed)
+        if not (self.dt > 0.0 and self.duration > 0.0):
             raise ParameterError("need finite dt > 0 and duration > 0")
         if not (type(self.substeps) is int and self.substeps >= 1):   # not a bool
             raise ParameterError(
                 f"substeps must be an integer >= 1; got {self.substeps!r}")
+        reals("substeps", self.substeps)   # an integer that fits a float
         if round(self.duration / self.dt) < 1:
             raise ParameterError("duration must cover at least one period dt")
         if not isinstance(self.plant_kwargs, dict):
             raise ParameterError(
                 f"plant_kwargs must be a JSON object; got {self.plant_kwargs!r}")
-        self.q0 = np.asarray(self.q0, dtype=float)
-        self.qd0 = np.asarray(self.qd0, dtype=float)
 
     @property
     def frame_policy(self):
@@ -140,9 +142,7 @@ class Scenario:
         sections = {key: partial(from_json, key, build) for key, build in (
             ("gains", control.OuterLoopGains), ("redundancy", control.RedundancyConfig),
             ("limits", Limits))}
-        return from_json("scenario", cls, d, {"path_spec": "path"}, **sections,
-                         encoder_resolution=lambda enc: np.asarray(enc, float)
-                         if enc else None)
+        return from_json("scenario", cls, d, {"path_spec": "path"}, **sections)
 
     @classmethod
     def from_file(cls, filename):
@@ -348,8 +348,7 @@ def _check_sizes(scenario, system, path, limits):
         if np.shape(x) != (N,):
             raise ParameterError(f"{name} must have {N} entries, one per joint "
                                  f"of plant {system.name!r}; got shape {np.shape(x)}")
-    if enc is not None and not all(math.isfinite(x) and x > 0.0
-                                   for x in np.asarray(enc, dtype=float).tolist()):
+    if enc is not None and not np.all(enc > 0.0):
         raise ParameterError("encoder_resolution entries must be finite and > 0")
     W = scenario.redundancy.W
     if W is not None and W.shape != (N, N):

@@ -16,9 +16,9 @@ the linearization (``_linearized``) and zeta into one straight-line
 function per plant, p and frame mode, generated at first use.  It takes
 the curve rows of one ``jet_unchecked`` call, the plant's
 ``kinematics`` and ``forces`` calls, the policy's completion vectors
-and the rows of the plant's completion matrix Z.  Its records
-are the period's FrameJet and LinearizationData, which holds eta, xi,
-zeta, alpha, beta and the affine dynamics; the closest point
+and the rows of the plant's completion matrix Z.  Its one record, the
+period's LinearizationData, holds eta (eta_1 from the arclength table),
+xi, zeta, alpha, beta and the affine dynamics; the closest point
 (k*, lambda*) stays in the ProjectionState it was given.
 """
 
@@ -136,8 +136,7 @@ def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
     fixed = frames._completion_vectors(policy, p)
     if kinematics is None:
         kinematics = system.kinematics(q, qd)
-    values, eta2, *rest = transform(rows, fixed, lam, kinematics,
-                                    *system.forces(q, qd), qd, q, system.Z_rows)
-    frame = frames.FrameJet(k, lam, rows, values)
-    eta1 = path.arclength_offsets[frame.k] + path.arclength_interp(frame.k, frame.lam)
+    _, eta2, *rest = transform(rows, fixed, lam, kinematics,
+                               *system.forces(q, qd), qd, q, system.Z_rows)
+    eta1 = path.arclength_offsets[k] + path.arclength_interp(k, lam)
     return LinearizationData([eta1, eta2], *rest)

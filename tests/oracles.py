@@ -9,7 +9,8 @@ Each is a second, numpy computation that tests compare the package with:
   reported as a ``DifferentialReport``;
 - ``linearize_pieces`` and ``command_pieces``, the transform and input
   layers as separate calls of their public pieces, which
-  ``test_layers.py`` compares with the layers' one generated call each.
+  ``test_layers.py`` compares with the layers' one generated call each,
+  and ``tangential_v``, the input layer's tangential loop alone.
 """
 
 from dataclasses import dataclass
@@ -139,11 +140,17 @@ def linearize_pieces(system, q, qd, path, proj_state, policy=frames.FRENET):
         beta=beta, f_v=f_v, g_v=g_v)
 
 
+def tangential_v(eta, integral, gains, dt, t=0.0):
+    """Tangential virtual input and the updated integral, both floats:
+    ``control._tangential`` alone, at the reference speed of time t."""
+    return control._tangential(eta, integral, gains, dt, gains.eta2_reference(t))
+
+
 def command_pieces(lin, q, integral, gains, redundancy, limits, dt, t):
     """``control.command``'s (u, u_unclamped, v, new_integral) from
     ``tangential_v``, ``transversal_v``, ``bias_r``, ``resolve_input`` and
     the clamp, called one after another."""
-    v_eta, integral = control.tangential_v(lin.eta, integral, gains, dt, t)
+    v_eta, integral = tangential_v(lin.eta, integral, gains, dt, t)
     v = [v_eta]
     if len(lin.alpha) > 1:
         v += control.transversal_v(lin.xi, gains)

@@ -198,7 +198,7 @@ def test_criterion_4_junction_continuity(capsys, wavy_path, example2):
             ps = projection.ProjectionState(k_star=kk, lambda_star=ll)
             lin = transform.linearize(example2, st.q.tolist(), st.qd.tolist(),
                                       wavy_path, ps)
-            v_eta, _ = control.tangential_v(lin.eta, 0.0, gains, dt=0.02)
+            v_eta, _ = oracles.tangential_v(lin.eta, 0.0, gains, dt=0.02)
             v = np.concatenate([[v_eta], control.transversal_v(lin.xi, gains)])
             r = control.bias_r(st.q, limits)
             u = np.array(control.resolve_input(lin.alpha, lin.beta, v, r))

@@ -45,6 +45,28 @@ def scenario_file(tmp_path):
     return f
 
 
+def _numbers(node, key=None):
+    """(index path, nearest object key) of each number in the JSON value
+    ``node``; of a list of more than two lists, of the first and last."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+        if len(node) > 2 and all(isinstance(x, list) for x in node):
+            items = [(0, node[0]), (len(node) - 1, node[-1])]
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield (), key
+        return
+    for i, child in items:
+        for where, near in _numbers(child, i if isinstance(node, dict) else key):
+            yield (i, *where), near
+
+
+_NUMERIC_LEAVES = [(f.stem, where, key) for f in sorted(SCENARIOS.glob("*.json"))
+                   for where, key in _numbers(json.loads(f.read_text()))]
+
+
 class TestFitAndCheck:
     def test_fit_writes_loadable_path(self, path_file):
         data = json.loads(path_file.read_text())
@@ -118,12 +140,13 @@ class TestProjectAndDlambda:
     @pytest.mark.parametrize("change, message", [
         ({"segments": None}, "path 'segments' must be a list; got None"),
         ({"segments": [None]}, "path segment 0 must be a JSON object; got None"),
-        ({"domain": [0.0]}, "path segment 0 'domain' must be two finite numbers; "
-                            "got [0.0]"),
-        ({"coeffs": None}, "path segment 0 'coeffs' must be a non-empty matrix of "
-                           "finite numbers; got None"),
+        ({"domain": [0.0]}, "path segment 0 'domain' must be a list of finite real "
+                            "numbers of length 2; got [0.0]"),
+        ({"coeffs": None}, "path segment 0 'coeffs' must be lists of finite real "
+                           "numbers of one length; got None"),
         ({"coeffs": [[0.0, 1.0], [0.0, float("nan")]]},
-         "path segment 0 'coeffs' must be a non-empty matrix of finite numbers"),
+         "path segment 0 'coeffs' must be lists of finite real numbers of one length; "
+         "got [[0.0, 1.0], [0.0, nan]]"),
         ([], "a path must be a JSON object; got []"),
         ({"extra": 1}, "unknown path segment 0 key(s) 'extra'; known: coeffs, domain"),
     ], ids=["null-segments", "null-segment", "one-entry-domain", "null-coeffs",
@@ -274,13 +297,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "validation failure: completion vector 0" in err
 
-    @pytest.mark.parametrize("where, key, value", [
-        ("limits", "u_min", [float("nan"), -5.0]),
-        ("limits", "q_min", [-float("inf"), -5.0]),
-        ("gains", "K_P", float("nan")),
+    @pytest.mark.parametrize("where, key, value, message", [
+        ("limits", "u_min", [float("nan"), -5.0],
+         "limits u_min must be finite real numbers; got [nan, -5.0]"),
+        ("limits", "q_min", [-float("inf"), -5.0],
+         "limits q_min must be finite real numbers; got [-inf, -5.0]"),
+        ("gains", "K_P", float("nan"), "K_P must be a finite real number; got nan"),
     ], ids=["nan-u_min", "inf-q_min", "nan-K_P"])
     def test_non_finite_limits_and_gains_are_validation_failure(
-            self, scenario_file, tmp_path, capsys, where, key, value):
+            self, scenario_file, tmp_path, capsys, where, key, value, message):
         """json reads NaN and Infinity, so a scenario file can hold them."""
         scen = json.loads(scenario_file.read_text())
         if where == "limits":
@@ -292,14 +317,14 @@ class TestRun:
                        str(tmp_path / "log.csv")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "validation failure" in err and "must be finite" in err
+        assert f"validation failure: {message}" in err
         assert "t=" not in err
 
     @pytest.mark.parametrize("key, value, message", [
-        ("xi_Kp", 150.0, "xi_Kp must be a sequence of real numbers"),
-        ("xi_Kd", [30.0, "30"], "xi_Kd must be a sequence of real numbers"),
-        ("K_P", "1.0", "K_P must be a real number"),
-        ("integral_limit", None, "integral_limit must be a real number"),
+        ("xi_Kp", 150.0, "xi_Kp must be finite real numbers; got 150.0"),
+        ("xi_Kd", [30.0, "30"], "xi_Kd must be finite real numbers; got [30.0, '30']"),
+        ("K_P", "1.0", "K_P must be a finite real number; got '1.0'"),
+        ("integral_limit", None, "integral_limit must be a finite real number; got None"),
     ], ids=["scalar-xi_Kp", "string-in-xi_Kd", "string-K_P", "null-integral_limit"])
     def test_gain_types_are_validation_failure(self, tmp_path, capsys, key, value,
                                                message):
@@ -360,9 +385,8 @@ class TestRun:
         ([1.0], "scenario must be a JSON object; got [1.0]"),
         ({"path": {"analytic": "circle"}},
          "path dimension 2 must equal the p = 1 of plant 'example1'"),
-        ({"gains": {"K_P": True}}, "K_P must be a real number; got True"),
-        ({"gains": {"xi_Kp": [True]}},
-         "xi_Kp must be a sequence of real numbers; got (True,)"),
+        ({"gains": {"K_P": True}}, "K_P must be a finite real number; got True"),
+        ({"gains": {"xi_Kp": [True]}}, "xi_Kp must be finite real numbers; got [True]"),
     ], ids=["null-limits", "null-gains", "null-redundancy", "null-path",
             "null-params", "number-frame_fixed", "list-plant_kwargs",
             "bool-substeps", "list", "planar-path", "bool-K_P", "bool-xi_Kp"])
@@ -398,9 +422,10 @@ class TestRun:
         ("file", {"extra": 1}, "unknown path key(s) 'extra'; known: file"),
         ("file", {"file": None}, "path 'file' must be a file name; got None"),
         ("figure_eight_3r", {"waypoints": {"x": 1.0}},
-         "waypoints must be lists of finite numbers"),
+         "waypoints must be lists of finite real numbers of one length; got {'x': 1.0}"),
         ("figure_eight_3r", {"waypoints": [[1.5, 0.3], [2.0, float("nan")], [2.5, 0.3]]},
-         "waypoints must be lists of finite numbers"),
+         "waypoints must be lists of finite real numbers of one length; "
+         "got [[1.5, 0.3], [2.0, nan], [2.5, 0.3]]"),
         ("segments", {"closd": True}, "unknown path key(s) 'closd'; known: "
                                       "segments, cumulative_arclength, p, closed"),
         ("segments", {"closed": "false"},
@@ -527,6 +552,31 @@ class TestRun:
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"plant": "acrobot"}))
         assert cli.main(["run", str(f), "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("value", [True, None, "x", float("nan"), 10**400],
+                             ids=["true", "null", "string", "nan", "huge"])
+    @pytest.mark.parametrize("name, where, key", _NUMERIC_LEAVES,
+                             ids=[f"{n}-{'.'.join(map(str, w))}"
+                                  for n, w, _ in _NUMERIC_LEAVES])
+    def test_every_number_is_read_as_a_finite_real(self, tmp_path, capsys, name,
+                                                   where, key, value):
+        """Each number of a shipped scenario, replaced by a bool, null, a
+        string, NaN or an integer too large for a float, exits 1 naming its
+        nearest key, with no traceback and no log."""
+        scen = json.loads((SCENARIOS / f"{name}.json").read_text())
+        node = scen
+        for step in where[:-1]:
+            node = node[step]
+        node[where[-1]] = value
+        f = tmp_path / "leaf.json"
+        f.write_text(json.dumps(scen))
+        out = tmp_path / "log.csv"
+        rc = cli.main(["run", str(f), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("validation failure: ") and key in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestPortrait:

@@ -11,6 +11,7 @@ import builtins
 import dataclasses
 import dis
 import math
+import traceback
 import types
 from pathlib import Path
 
@@ -188,3 +189,16 @@ def test_generated_names_resolve(monkeypatch):
         seen |= names
     assert {"NearSingularDecouplingError", "DegenerateFrameError",
             "IrregularCurveError", "NonSPDInertiaError", "DivergenceError"} <= seen
+
+
+def test_traceback_shows_the_generated_line():
+    """A typed error raised in generated code shows the line that raised
+    it: ``compiled`` keeps each source in ``linecache`` under its label."""
+    with pytest.raises(NearSingularDecouplingError):
+        try:
+            control.resolve_input([0.0], [[0.0, 0.0]], [1.0], [0.0, 0.0])
+        except NearSingularDecouplingError:
+            tb = traceback.format_exc()
+            raise
+    assert 'File "<_resolve_code(1, 2, False)>", line ' in tb
+    assert "    raise NearSingularDecouplingError(f\"decoupling matrix nearly singular" in tb

@@ -1,5 +1,7 @@
 """Outer loops and the constrained-least-squares input resolution."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,7 @@ class TestTangential:
         gains = control.OuterLoopGains(
             tangential_mode="position", K_P=4.0, K_D=3.0, eta1_ref=2.0
         )
-        v, integral = control.tangential_v(
+        v, integral = oracles.tangential_v(
             np.array([1.5, 0.2]), 0.0, gains, dt=0.02
         )
         assert v == pytest.approx(4.0 * 0.5 - 3.0 * 0.2)
@@ -199,7 +201,7 @@ class TestTangential:
 
     def test_velocity_mode_integrates(self):
         gains = control.OuterLoopGains(K_P=2.0, K_I=1.0, eta2_ref=1.0)
-        v, integral = control.tangential_v(np.array([0.0, 0.0]), 0.0, gains, dt=0.1)
+        v, integral = oracles.tangential_v(np.array([0.0, 0.0]), 0.0, gains, dt=0.1)
         assert integral == pytest.approx(0.1)
         assert v == pytest.approx(2.0 + 0.1)
 
@@ -209,7 +211,7 @@ class TestTangential:
         )
         integral = 0.0
         for _ in range(50):
-            _, integral = control.tangential_v(np.array([0.0, 0.0]), integral,
+            _, integral = oracles.tangential_v(np.array([0.0, 0.0]), integral,
                                                gains, dt=1.0)
         assert integral == pytest.approx(0.5)
 
@@ -270,11 +272,13 @@ class TestTransversal:
             with pytest.raises(ParameterError, match=name):
                 control.OuterLoopGains(**{name: ()})
             for bad in (150.0, ("150",), None):
-                with pytest.raises(ParameterError, match=f"{name} must be a sequence"):
+                with pytest.raises(ParameterError, match=re.escape(
+                        f"{name} must be finite real numbers; got {bad!r}")):
                     control.OuterLoopGains(**{name: bad})
         for name in ("K_P", "K_I", "K_D", "eta2_ref", "eta1_ref", "integral_limit",
                      "robust_mu"):
-            with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"{name} must be a finite real number; got '1.0'")):
                 control.OuterLoopGains(**{name: "1.0"})
         with pytest.raises(ParameterError):
             control.OuterLoopGains(tangential_mode="bang-bang")
@@ -290,25 +294,39 @@ class TestTransversal:
         with pytest.raises(ParameterError, match="integral_limit"):
             control.OuterLoopGains(K_I=1.0, integral_limit=-1.0)
 
-    @pytest.mark.parametrize("gains", [
-        {"K_P": np.nan}, {"K_I": np.inf}, {"K_D": np.nan}, {"eta2_ref": np.nan},
-        {"eta1_ref": -np.inf}, {"integral_limit": np.nan}, {"robust_mu": np.nan},
-        {"xi_Kp": (np.nan,)}, {"xi_Kd": (1.0, np.inf)},
-        {"transversal_mode": "robust", "robust_K": ((np.nan, -1.0),),
-         "robust_K0": ((0.0, 0.0),), "robust_K2": ((0.0, 0.0),)},
-        {"transversal_mode": "robust", "robust_K": ((-1.0, -1.0),),
-         "robust_K0": ((0.0, 0.0),), "robust_K2": ((np.inf, 0.0),)},
+    @pytest.mark.parametrize("gains, message", [
+        ({"K_P": np.nan}, "K_P must be a finite real number; got nan"),
+        ({"K_I": np.inf}, "K_I must be a finite real number; got inf"),
+        ({"K_D": np.nan}, "K_D must be a finite real number; got nan"),
+        ({"eta2_ref": np.nan}, "eta2_ref must be a finite real number; got nan"),
+        ({"eta1_ref": -np.inf}, "eta1_ref must be a finite real number; got -inf"),
+        ({"integral_limit": np.nan},
+         "integral_limit must be a finite real number; got nan"),
+        ({"robust_mu": np.nan}, "robust_mu must be a finite real number; got nan"),
+        ({"xi_Kp": (np.nan,)}, "xi_Kp must be finite real numbers; got (nan,)"),
+        ({"xi_Kd": (1.0, np.inf)}, "xi_Kd must be finite real numbers; got (1.0, inf)"),
+        ({"transversal_mode": "robust", "robust_K": ((np.nan, -1.0),),
+          "robust_K0": ((0.0, 0.0),), "robust_K2": ((0.0, 0.0),)},
+         "robust gains robust_K must be lists of finite real numbers of one length; "
+         "got ((nan, -1.0),)"),
+        ({"transversal_mode": "robust", "robust_K": ((-1.0, -1.0),),
+          "robust_K0": ((0.0, 0.0),), "robust_K2": ((np.inf, 0.0),)},
+         "robust gains robust_K2 must be lists of finite real numbers of one length; "
+         "got ((inf, 0.0),)"),
     ], ids=["K_P", "K_I", "K_D", "eta2_ref", "eta1_ref", "integral_limit",
             "robust_mu", "xi_Kp", "xi_Kd", "robust_K", "robust_K2"])
-    def test_gains_must_be_finite(self, gains):
-        with pytest.raises(ParameterError, match="must be finite"):
+    def test_gains_must_be_finite(self, gains, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
             control.OuterLoopGains(**gains)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_weight_must_be_finite(self, bad):
         """An infinite W has NaN eigenvalues, which no test for <= 0 catches."""
-        with pytest.raises(ParameterError, match="W must be finite"):
-            control.RedundancyConfig(W=np.array([[bad, 0.0], [0.0, 1.0]]))
+        W = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ParameterError, match=re.escape(
+                "redundancy W must be lists of finite real numbers of one length; "
+                f"got {W!r}")):
+            control.RedundancyConfig(W=W)
 
     @pytest.mark.parametrize("table", [
         ((0.0, 0.0), (1.0,)),

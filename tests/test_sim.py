@@ -481,8 +481,8 @@ class TestRun:
                                           "twisted_loop_4dof"])
     def test_period_builds_one_record_per_layer(self, scenario):
         """Over 50 warm periods, package code constructs one record of each
-        layer per period: the projection state, the frame jet, the
-        linearization and the diagnostics that point to them."""
+        layer per period: the projection state, the linearization and the
+        diagnostics that point to them; no frame jet."""
         scen = sim.Scenario.from_file(SCENARIOS / f"{scenario}.json")
         system = dynamics.make_plant(scen.plant, **scen.plant_kwargs)
         periods = sim._simulate(
@@ -511,8 +511,7 @@ class TestRun:
         finally:
             sys.setprofile(None)
         assert dict(records) == dict.fromkeys(
-            ("ProjectionState", "FrameJet", "LinearizationData",
-             "StepDiagnostics"), 50)
+            ("ProjectionState", "LinearizationData", "StepDiagnostics"), 50)
 
     def test_summary_and_boundedness(self, example1):
         scen = _example1_scenario(duration=4.0)
