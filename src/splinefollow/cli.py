@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import control, curves, dynamics, projection, sim
-from .errors import NumericalFailure, SplineFollowError, from_json
+from .errors import NumericalFailure, SplineFollowError, from_json, integer, reals
 
 
 def _load_json(path):
@@ -53,11 +53,10 @@ def _cmd_check(args):
 
 def _cmd_project(args):
     path = curves.SplinePath.from_dict(_load_json(args.path))
-    queries = np.atleast_2d(np.asarray(_load_json(args.queries), dtype=float))
-    cfg = projection.ProjectionConfig()
+    queries = reals("queries", _load_json(args.queries), (None, None))
     rows = []
     for y in queries:
-        st = projection.global_initialize(path, y, cfg)
+        st = projection.global_initialize(path, y)
         sigma = path.evaluate(st.k_star, st.lambda_star, 0)
         rows.append(
             [st.k_star, st.lambda_star, float(np.linalg.norm(y - sigma))]
@@ -109,8 +108,9 @@ def _cmd_portrait(args):
         tangential_mode="position", K_P=20.0, K_D=9.0,
         eta1_ref=np.pi * radius, xi_Kp=(40.0,), xi_Kd=(13.0,),
     )
-    z1 = np.linspace(args.zeta1_min, args.zeta1_max, args.grid)
-    z2 = np.linspace(args.zeta2_min, args.zeta2_max, args.grid)
+    n = integer("grid", args.grid, 1)
+    z1 = np.linspace(args.zeta1_min, args.zeta1_max, n)
+    z2 = np.linspace(args.zeta2_min, args.zeta2_max, n)
     g1, g2 = np.meshgrid(z1, z2)
     grid = np.column_stack([g1.ravel(), g2.ravel()])
     portrait = sim.zero_dynamics_portrait(

@@ -35,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import codegen, curves, dynamics, frames, projection, transform
-from .errors import ParameterError, reals
+from .errors import ParameterError, positive, reals
 from .frames import dot
 
 CONDITION_LIMIT = 1e10
@@ -113,8 +113,7 @@ class OuterLoopGains:
             raise ParameterError(f"bad tangential_mode {self.tangential_mode!r}")
         if self.transversal_mode not in ("pd", "robust"):
             raise ParameterError(f"bad transversal_mode {self.transversal_mode!r}")
-        for name in ("K_P", "K_I", "K_D", "eta2_ref", "eta1_ref", "integral_limit",
-                     "robust_mu"):
+        for name in ("K_P", "K_I", "K_D", "eta2_ref", "eta1_ref", "integral_limit"):
             object.__setattr__(self, name, float(reals(name, getattr(self, name))))
         for name in ("xi_Kp", "xi_Kd"):
             object.__setattr__(self, name, tuple(
@@ -129,8 +128,7 @@ class OuterLoopGains:
                 if not gains or min(gains) <= 0:
                     raise ParameterError(
                         f"PD transversal gains {name} must be nonempty and positive")
-        if self.robust_mu <= 0:
-            raise ParameterError("robust boundary layer mu must be positive")
+        object.__setattr__(self, "robust_mu", positive("robust_mu", self.robust_mu))
         if self.transversal_mode == "robust":
             K, K0, K2 = (reals(f"robust gains {name}", getattr(self, name), (None, None))
                          for name in ("robust_K", "robust_K0", "robust_K2"))

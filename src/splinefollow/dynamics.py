@@ -36,7 +36,7 @@ from operator import mul
 import numpy as np
 
 from . import codegen
-from .errors import DivergenceError, ParameterError, check_finite, from_json, reals
+from .errors import DivergenceError, ParameterError, from_json, positive, reals
 
 
 @dataclass(frozen=True, eq=False)   # == is identity: the fields are arrays
@@ -271,9 +271,8 @@ def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
     N = 2, p = 1.  Linear dynamics; the coupling friction b2 appears as an
     off-diagonal viscous term.  zeta = (q1, qd1).
     """
-    check_finite("example1", m1=m1, m2=m2, b1=b1, b2=b2)
-    if min(m1, m2, b1, b2) <= 0:
-        raise ParameterError("example1 parameters must be positive")
+    m1, m2, b1, b2 = (positive(f"example1 parameter {k}", v)
+                      for k, v in (("m1", m1), ("m2", m2), ("b1", b1), ("b2", b2)))
     forces = ([[m1, 0.0], [0.0, m2]], [0.0, 0.0])
     return MechanicalSystem(
         name="example1",

@@ -1,10 +1,13 @@
-"""Exception types raised across the library, and the checks of what is
-read from JSON: ``from_json`` checks an object's keys, and ``reals``
-reads every number a scenario, path, path file or plant holds."""
+"""Exception types raised across the library, and the readers of every
+value read from outside it: ``from_json`` checks a JSON object's keys,
+``reals`` reads numbers at the shape its caller states, ``positive`` a
+size, ``integer`` a count or index in a range and ``flag`` true or false.
+Each raises ParameterError naming the key and the value."""
 
 import inspect
 import math
-from numbers import Real
+import sys
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -152,10 +155,29 @@ def reals(where, value, shape=()):
     raise ParameterError(f"{where} must be {what}; got {value!r}")
 
 
-def check_finite(where, size=None, **params):
-    """ParameterError naming the first of ``params`` that is not a finite
-    real number or, given as a list, tuple or array, not all of them are;
-    with ``size``, each must be such a list of ``size`` entries."""
-    for name, value in params.items():
-        many = size is not None or isinstance(value, (list, tuple, np.ndarray))
-        reals(f"{where} parameter {name}", value, (size,) if many else ())
+def positive(where, value):
+    """``value`` as a float; ParameterError naming ``where`` and the value
+    unless it is a finite real number > 0."""
+    value = float(reals(where, value))
+    if not value > 0:
+        raise ParameterError(f"{where} must be positive; got {value!r}")
+    return value
+
+
+def integer(where, value, lo, hi=sys.maxsize, even=False):
+    """``value`` as an int in lo..hi (64 bits without ``hi``), even if
+    ``even``; ParameterError naming ``where`` and the value unless it is
+    such an integer and not a bool (JSON true or false)."""
+    if (isinstance(value, Integral) and not isinstance(value, bool)
+            and lo <= value <= hi and not (even and value % 2)):
+        return int(value)
+    bound = f">= {lo}" if hi == sys.maxsize else f"in {lo}..{hi}"
+    raise ParameterError(f"{where} must be an {'even ' if even else ''}integer {bound}; "
+                         f"got {value!r}")
+
+
+def flag(where, value):
+    """``value`` if it is true or false, else ParameterError naming ``where``."""
+    if not isinstance(value, bool):
+        raise ParameterError(f"{where} must be true or false; got {value!r}")
+    return value

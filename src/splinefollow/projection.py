@@ -24,7 +24,7 @@ import numpy as np
 
 from . import codegen
 from .curves import bisect
-from .errors import NonConvergenceError, ParameterError
+from .errors import NonConvergenceError, ParameterError, integer, positive
 from .frames import dot
 
 ON_PATH_TOL = 1e-12  # below this distance, descend on the squared distance
@@ -41,12 +41,9 @@ class ProjectionConfig:
     max_iters: int = 200
 
     def __post_init__(self):
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError("eps must be finite and positive")
-        if not 0.0 < self.alpha0 < math.inf:
-            raise ValueError("alpha0 must be finite and positive")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
-            raise ValueError("max_iters must be an integer >= 1")
+        positive("eps", self.eps)
+        positive("alpha0", self.alpha0)
+        integer("max_iters", self.max_iters, 1)
 
 
 @dataclass(slots=True)
@@ -254,13 +251,11 @@ def allowable_delta_lambda(path, k, samples=64):
     Returns (lam_stars, deltas, path_minimum).  The window is found by
     bisection on delta with an inner grid check of the convexity
     inequality; 0 is reported where the inequality fails immediately.
-    ParameterError unless 0 <= k < n_segments and samples >= 1.
+    ParameterError unless k is an integer in 0..n_segments - 1 and
+    samples an integer >= 1.
     """
-    if not 0 <= k < path.n_segments:
-        raise ParameterError(f"segment k must be in 0..{path.n_segments - 1}; "
-                             f"got {k}")
-    if samples < 1:
-        raise ParameterError(f"samples must be >= 1; got {samples}")
+    k = integer("segment k", k, 0, path.n_segments - 1)
+    samples = integer("samples", samples, 1)
     lo, hi = path.segments[k].domain
     width = hi - lo
     lam_stars = np.linspace(lo, hi, samples)

@@ -30,9 +30,10 @@ import numpy as np
 from . import codegen, control, curves, dynamics, frames, projection, transform
 from .dynamics import Limits, State
 from .errors import (DivergenceError, ParameterError, SingularManifoldError,
-                     SplineFollowError, from_json, reals)
+                     SplineFollowError, from_json, integer, reals)
 
 DIVERGENCE_BOUND = 1e6
+SUMMARY_TAIL = 0.25   # the share of a run's last periods its summary's tail covers
 
 # zero-dynamics portrait: control period (flows and field), redundancy
 # resolution, RK4 substeps and projection settings of the flows, and the
@@ -116,14 +117,8 @@ class Scenario:
         if not isinstance(self.frame_fixed, (list, tuple)):
             raise ParameterError(f"frame_fixed must be a list; got {self.frame_fixed!r}")
         self.frame_fixed = tuple(self.frame_fixed)
-        if not (self.dt > 0.0 and self.duration > 0.0):
-            raise ParameterError("need finite dt > 0 and duration > 0")
-        if not (type(self.substeps) is int and self.substeps >= 1):   # not a bool
-            raise ParameterError(
-                f"substeps must be an integer >= 1; got {self.substeps!r}")
-        reals("substeps", self.substeps)   # an integer that fits a float
-        if round(self.duration / self.dt) < 1:
-            raise ParameterError("duration must cover at least one period dt")
+        self.substeps = integer("substeps", self.substeps, 1)
+        _periods(self.duration, self.dt)
         if not isinstance(self.plant_kwargs, dict):
             raise ParameterError(
                 f"plant_kwargs must be a JSON object; got {self.plant_kwargs!r}")
@@ -193,9 +188,9 @@ class RunLog:
                 len(self.table), *np.shape(names))
             setattr(self, key, view.astype(dtype, copy=False))
 
-    def summary(self, limits=None, tail_fraction=0.25):
+    def summary(self, limits=None):
         """Scalar health indicators of the run."""
-        n_tail = max(int(len(self.t) * tail_fraction), 1)
+        n_tail = max(int(len(self.t) * SUMMARY_TAIL), 1)
         xi1 = self.xi[:, 0, :] if self.xi.shape[2] else np.zeros((len(self.t), 1))
         out = {
             "max_xi1_norm": float(np.max(np.linalg.norm(xi1, axis=1))),
@@ -334,6 +329,16 @@ def _simulate(system, path, q, qd, gains, steps, dt, substeps, *,
         t += dt
 
 
+def _periods(duration, dt):
+    """The number of periods dt in duration, rounded; ParameterError naming
+    both unless dt > 0 and the number is finite and at least 1."""
+    n = duration / dt if dt > 0 else math.nan
+    if not (math.isfinite(n) and round(n) >= 1):
+        raise ParameterError("dt must be > 0 and duration / dt finite and round to at "
+                             f"least 1 period; got duration {duration!r}, dt {dt!r}")
+    return round(n)
+
+
 def _check_sizes(scenario, system, path, limits):
     """ParameterError unless the scenario's per-joint data and path fit the
     plant."""
@@ -392,7 +397,7 @@ def run(scenario, path=None, system=None, proj_cfg=None):
     start = State(q=scenario.q0, qd=scenario.qd0)
 
     layout = _log_columns(system.N, system.p)
-    steps = int(round(scenario.duration / scenario.dt))
+    steps = _periods(scenario.duration, scenario.dt)
     rows = array("d")   # the log table, one row per period in layout order
     for t, q, qd, u, diag in _simulate(
             system, path, start.q.tolist(), start.qd.tolist(), scenario.gains,
@@ -510,10 +515,7 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
     point and, after the path and gains check, its entries are finite and
     its zeta_1 values span an interval to search for equilibria.
     """
-    if not (0.0 < sim_duration < math.inf
-            and round(sim_duration / PORTRAIT_DT) >= 1):
-        raise ParameterError("sim_duration must be finite and cover at least "
-                             f"one period {PORTRAIT_DT}; got {sim_duration!r}")
+    steps = _periods(sim_duration, PORTRAIT_DT)
     grid = np.asarray(grid, dtype=float).reshape(-1, 2)
     if not len(grid):
         raise ParameterError("the portrait grid must hold at least one point")
@@ -528,7 +530,6 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
 
     flows = []
     failed = np.zeros(len(grid), dtype=bool)
-    steps = int(round(sim_duration / PORTRAIT_DT))
     for i, z0 in enumerate(grid):
         try:
             periods = _simulate(

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splinefollow import cli
+from splinefollow import cli, curves
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+PERIODS = "dt must be > 0 and duration / dt finite and round to at least 1 period; "
 
 
 @pytest.fixture
@@ -124,9 +125,9 @@ class TestProjectAndDlambda:
         assert rows.shape == (9, 2)
 
     @pytest.mark.parametrize("args, message", [
-        (["--segment", "7"], "segment k must be in 0..6; got 7"),
-        (["--segment", "-1"], "segment k must be in 0..6; got -1"),
-        (["--samples", "0"], "samples must be >= 1; got 0"),
+        (["--segment", "7"], "segment k must be an integer in 0..6; got 7"),
+        (["--segment", "-1"], "segment k must be an integer in 0..6; got -1"),
+        (["--samples", "0"], "samples must be an integer >= 1; got 0"),
     ], ids=["past-the-end", "negative", "no-samples"])
     def test_bad_dlambda_input_is_validation_failure(self, path_file, tmp_path,
                                                      capsys, args, message):
@@ -147,7 +148,7 @@ class TestProjectAndDlambda:
         ({"coeffs": [[0.0, 1.0], [0.0, float("nan")]]},
          "path segment 0 'coeffs' must be lists of finite real numbers of one length; "
          "got [[0.0, 1.0], [0.0, nan]]"),
-        ([], "a path must be a JSON object; got []"),
+        ([], "path must be a JSON object; got []"),
         ({"extra": 1}, "unknown path segment 0 key(s) 'extra'; known: coeffs, domain"),
     ], ids=["null-segments", "null-segment", "one-entry-domain", "null-coeffs",
             "nan-coeffs", "list", "segment-extra"])
@@ -175,6 +176,26 @@ class TestProjectAndDlambda:
         assert rc == 1
         assert ("validation failure: query y must have p = 2 entries"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("data, message", [
+        ([[True, 0.2]], "queries must be lists of finite real numbers of one length; "
+                        "got [[True, 0.2]]"),
+        ([1.0, 0.2], "queries must be lists of finite real numbers of one length; "
+                     "got [1.0, 0.2]"),
+        ([[1.0, 0.2], [2.0]], "queries must be lists of finite real numbers of one "
+                              "length; got [[1.0, 0.2], [2.0]]"),
+    ], ids=["bool", "flat", "ragged"])
+    def test_malformed_queries_are_validation_failure(self, path_file, tmp_path,
+                                                      capsys, data, message):
+        """``--queries`` is a list of points, each a list of finite reals."""
+        queries = tmp_path / "queries.json"
+        queries.write_text(json.dumps(data))
+        out = tmp_path / "proj.csv"
+        rc = cli.main(["project", str(path_file), "--queries", str(queries),
+                       "--out", str(out)])
+        assert rc == 1
+        assert f"validation failure: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRun:
@@ -387,9 +408,13 @@ class TestRun:
          "path dimension 2 must equal the p = 1 of plant 'example1'"),
         ({"gains": {"K_P": True}}, "K_P must be a finite real number; got True"),
         ({"gains": {"xi_Kp": [True]}}, "xi_Kp must be finite real numbers; got [True]"),
+        ({"duration": 1e300, "dt": 1e-300}, PERIODS + "got duration 1e+300, dt 1e-300"),
+        ({"duration": 0.005, "dt": 0.02}, PERIODS + "got duration 0.005, dt 0.02"),
+        ({"duration": -1.0, "dt": -0.02}, PERIODS + "got duration -1.0, dt -0.02"),
     ], ids=["null-limits", "null-gains", "null-redundancy", "null-path",
             "null-params", "number-frame_fixed", "list-plant_kwargs",
-            "bool-substeps", "list", "planar-path", "bool-K_P", "bool-xi_Kp"])
+            "bool-substeps", "list", "planar-path", "bool-K_P", "bool-xi_Kp",
+            "infinitely-many-periods", "under-a-period", "negative-dt"])
     def test_malformed_scenario_is_validation_failure(self, tmp_path, capsys,
                                                       change, message):
         """A section of the wrong JSON type exits 1, naming the key."""
@@ -411,11 +436,15 @@ class TestRun:
         ("figure_eight_3r", {"closed": "false"},
          "closed must be true or false; got 'false'"),
         ("figure_eight_3r", {"smoothness_order": None},
-         "smoothness_order must be an even integer >= 2"),
+         "smoothness_order must be an even integer in 2..12; got None"),
         ("figure_eight_3r", {"smoothness_order": "4"},
-         "smoothness_order must be an even integer >= 2"),
+         "smoothness_order must be an even integer in 2..12; got '4'"),
         ("figure_eight_3r", {"smoothness_order": 4.5},
-         "smoothness_order must be an even integer >= 2"),
+         "smoothness_order must be an even integer in 2..12; got 4.5"),
+        ("figure_eight_3r", {"smoothness_order": 10**400},
+         f"smoothness_order must be an even integer in 2..12; got {10**400}"),
+        ("figure_eight_3r", {"smoothness_order": curves.MAX_SMOOTHNESS_ORDER + 2},
+         "smoothness_order must be an even integer in 2..12; got 14"),
         ("two_mass_line", {"closed": True},
          "unknown path key(s) 'closed'; known: analytic, params"),
         ("two_mass_line", {"analytic": ["line"]}, "unknown analytic path ['line']"),
@@ -465,15 +494,23 @@ class TestRun:
          "ellipse parameter b must be positive; got -0.5"),
         ("two_mass_line", {"analytic": "helix", "params": {"radius": 0.0}},
          "helix parameter radius must be positive; got 0.0"),
+        ("two_mass_line", {"analytic": "circle", "params": {"radius": [1.0]}},
+         "circle parameter radius must be a finite real number; got [1.0]"),
+        ("two_mass_line", {"analytic": "ellipse", "params": {"a": [2.0]}},
+         "ellipse parameter a must be a finite real number; got [2.0]"),
+        ("two_mass_line", {"analytic": "helix", "params": {"pitch": [1.0]}},
+         "helix parameter pitch must be a finite real number; got [1.0]"),
     ], ids=["misspelled-closed", "string-closed", "null-order", "string-order",
-            "fractional-order", "analytic-closed", "list-analytic", "file-extra",
+            "fractional-order", "huge-order", "order-past-the-cap", "analytic-closed",
+            "list-analytic", "file-extra",
             "null-file", "object-waypoints", "nan-waypoint", "segments-extra",
             "segments-string-closed", "circle-string-radius", "circle-nan-radius",
             "circle-null-center", "circle-string-unit_speed", "ellipse-null-span",
             "helix-string-pitch", "line-null-start", "line-unequal-ends",
             "circle-bool-radius", "line-bool-start", "circle-negative-radius",
             "circle-zero-radius", "ellipse-zero-a", "ellipse-negative-b",
-            "helix-zero-radius"])
+            "helix-zero-radius", "circle-list-radius", "ellipse-list-a",
+            "helix-list-pitch"])
     def test_malformed_path_spec_is_validation_failure(self, tmp_path, capsys,
                                                        path_file, scenario,
                                                        change, message):
@@ -511,8 +548,10 @@ class TestRun:
         ("figure_eight_3r", {"plant_kwargs": {"damping": [2.0, False, 2.0]}},
          "example2 parameter damping must be finite real numbers; "
          "got [2.0, False, 2.0]"),
+        ("two_mass_line", {"plant_kwargs": {"m1": [1.0]}},
+         "example1 parameter m1 must be a finite real number; got [1.0]"),
     ], ids=["list-plant", "cpm4-kwarg", "string-mass", "infinite-mass", "nan-friction",
-            "nan-damping", "bool-mass", "bool-damping"])
+            "nan-damping", "bool-mass", "bool-damping", "list-mass"])
     def test_malformed_plant_is_validation_failure(self, tmp_path, capsys, scenario,
                                                    change, message):
         """A plant's parameters are its factory's keyword arguments, each a
@@ -593,14 +632,17 @@ class TestPortrait:
         assert data["grid_points"] == 4
 
     @pytest.mark.parametrize("args, message", [
-        (["--grid", "2", "--duration", "-1"], "sim_duration must be finite"),
-        (["--grid", "2", "--duration", "0"], "sim_duration must be finite"),
-        (["--grid", "2", "--duration", "0.005"], "sim_duration must be finite"),
-        (["--grid", "0"], "the portrait grid must hold at least one point"),
+        (["--grid", "2", "--duration", "-1"], PERIODS + "got duration -1.0, dt 0.02"),
+        (["--grid", "2", "--duration", "0"], PERIODS + "got duration 0.0, dt 0.02"),
+        (["--grid", "2", "--duration", "0.005"], PERIODS + "got duration 0.005, dt 0.02"),
+        (["--grid", "2", "--duration", "1e308"], PERIODS + "got duration 1e+308, dt 0.02"),
+        (["--grid", "0"], "grid must be an integer >= 1; got 0"),
+        (["--grid", "-1"], "grid must be an integer >= 1; got -1"),
         (["--grid", "1"], SPAN),
         (["--grid", "2", "--zeta1-min", "0.3", "--zeta1-max", "0.3"], SPAN),
         (["--grid", "2", "--zeta1-min", "nan"], SPAN),
-    ], ids=["negative", "zero", "under-a-period", "no-grid", "one-point",
+    ], ids=["negative", "zero", "under-a-period", "infinitely-many-periods",
+            "no-grid", "negative-grid", "one-point",
             "one-zeta1", "nan-zeta1"])
     def test_empty_portrait_is_validation_failure(self, tmp_path, capsys, args,
                                                   message):

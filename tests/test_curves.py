@@ -1,6 +1,9 @@
 """Spline fitting, path evaluation, arclength, and serialization."""
 
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +14,11 @@ from splinefollow import curves
 from splinefollow.errors import (
     DegenerateChordError,
     DomainError,
+    ParameterError,
     UnsupportedOrderError,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _junction_mismatch(path, order):
@@ -70,6 +76,25 @@ class TestFitSpline:
     def test_bad_smoothness_order(self):
         with pytest.raises(ValueError):
             curves.fit_spline([[0, 0], [1, 1]], smoothness_order=3)
+
+    @pytest.mark.parametrize("order", [curves.MAX_SMOOTHNESS_ORDER + 2, 10**400],
+                             ids=["past-the-cap", "huge"])
+    def test_smoothness_order_past_the_cap(self, order):
+        """An order past the cap fails before it sizes the fit system."""
+        with pytest.raises(ParameterError, match=re.escape(
+                f"smoothness_order must be an even integer in 2..12; got {order}")):
+            curves.fit_spline([[0, 0], [1, 1]], smoothness_order=order)
+
+    @pytest.mark.parametrize("scenario", ["figure_eight_3r", "twisted_loop_4dof"])
+    def test_fit_at_the_cap_is_accurate(self, scenario):
+        """At MAX_SMOOTHNESS_ORDER the shipped waypoint sets still fit: the
+        curve passes through each waypoint and its junctions match."""
+        spec = json.loads((SCENARIOS / f"{scenario}.json").read_text())["path"]
+        path = curves.fit_spline(spec["waypoints"], spec["closed"],
+                                 curves.MAX_SMOOTHNESS_ORDER)
+        starts = [seg.evaluate(seg.domain[0]) for seg in path.segments]
+        assert np.abs(np.subtract(starts, spec["waypoints"])).max() < 1e-9
+        assert curves.check_assumptions(path).smooth_ok
 
     @pytest.mark.parametrize("waypoints, closed, kind", [
         ([[0.0, 0.0], [1.0, 1.0]], True, "closed paths need at least 3"),

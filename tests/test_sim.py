@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -371,6 +372,20 @@ class TestRun:
         log = sim.run(scen, system=counted)
         assert len(log.t) == 50
         assert len(calls) == len(log.t) + 1
+
+    def test_periods_are_counted_when_run(self):
+        """``run`` counts the periods of the duration the scenario holds when
+        it is called; one that covers no period, or more than a float
+        counts, raises ParameterError naming duration and dt."""
+        scen = _example1_scenario()
+        scen.duration = 0.1
+        assert len(sim.run(scen).t) == 5
+        for duration in (0.005, 1e308):
+            scen.duration = duration
+            with pytest.raises(ParameterError, match=re.escape(
+                    "dt must be > 0 and duration / dt finite and round to at least "
+                    f"1 period; got duration {duration!r}, dt 0.02")):
+                sim.run(scen)
 
     def test_control_code_generated_once(self, monkeypatch):
         """Two consecutive 50-period figure-eight runs: the first generates
