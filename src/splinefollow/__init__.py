@@ -21,13 +21,12 @@ from .dynamics import (
     Limits,
     MechanicalSystem,
     State,
-    drift_and_input,
     make_cpm_like,
     make_example1,
     make_example2,
     make_plant,
 )
-from .frames import FRENET, FramePolicy, frame_jet
+from .frames import FRENET, FramePolicy
 from .projection import (
     ProjectionConfig,
     ProjectionState,
@@ -40,7 +39,6 @@ from .control import (
     OuterLoopGains,
     RedundancyConfig,
     bias_r,
-    resolve_input,
     step,
     transversal_v,
 )

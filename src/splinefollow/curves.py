@@ -389,7 +389,8 @@ def fit_spline(waypoints, closed=False, smoothness_order=4):
     DegenerateChordError
         If consecutive waypoints coincide.
     FitFailureError
-        If the assembled linear system is rank deficient.
+        If the linear system is rank deficient, or the fit's backward
+        error or its miss of a waypoint (forward error) is too large.
     """
     pts = reals("waypoints", waypoints, (None, None))
     n_wp, p = pts.shape
@@ -466,6 +467,13 @@ def fit_spline(waypoints, closed=False, smoothness_order=4):
         PolynomialSegment(X[sl(k)].T / chords[k] ** powers, (0.0, chords[k]))
         for k in range(n_seg)
     ]
+    # forward-error test: each segment's ends pass through their waypoints
+    wp, tol = pts.tolist(), JUNCTION_TOL * (1.0 + np.abs(pts).max())
+    for k, seg in enumerate(segments):
+        for lam, i in zip(seg.domain, (k, (k + 1) % n_wp)):
+            miss = max(abs(a - b) for a, b in zip(seg.jet(lam, 0)[0], wp[i]))
+            if not miss <= tol:
+                raise FitFailureError(f"spline fit misses waypoint {i} by {miss:.3e}")
     return SplinePath(segments, closed=closed)
 
 

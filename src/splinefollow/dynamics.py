@@ -22,11 +22,11 @@ zero-dynamics velocity); ``completion`` gives zeta as floats.
 one ``forces`` call, then one generated call.  ``_plant_code`` records
 the right-hand side A u - Bd qd - (C qd + G) and the Cholesky solve of
 D, ``cholesky_solve``, with ``codegen``'s recorder into one
-straight-line function per plant and use.  The RK4 hold calls
-``acceleration``; the control period records the drift solve,
-``_drift_and_input``, into the transform layer's function, and the
-input resolution's solves with the same ``cholesky_solve``, whose checks
-raise their typed errors from the generated code.
+straight-line function per plant and use.  The RK4 hold and the
+portrait's field call ``acceleration``; the control period records the
+drift solve, ``_drift_and_input``, into the transform layer's function,
+and the input resolution's solves with the same ``cholesky_solve``,
+whose checks raise their typed errors from the generated code.
 """
 
 import math
@@ -82,17 +82,17 @@ class Limits:
 class MechanicalSystem:
     """Evaluator bundle for one plant; immutable in practice.
 
-    ``solves`` holds the generated code with A and Bd written into it:
-    the solves of ``acceleration`` and ``drift_and_input`` and the
-    transform layer's function, each compiled at first use.  ``Z_rows``,
-    Z's rows as floats, serves ``completion`` and the transform layer.
-    D, h and J evaluate the compiled calls at rest (qd = 0) and return
-    arrays.
+    N = len(A) and p = N - len(Z) are derived.  ``solves`` holds the
+    generated code with A and Bd written into it: the solves of
+    ``acceleration`` and ``drift_and_input`` and the transform layer's
+    function, each compiled at first use.  ``Z_rows``, Z's rows as
+    floats, serves ``completion`` and the transform layer.  D, h and J
+    evaluate the compiled calls at rest (qd = 0) and return arrays.
     """
 
     name: str
-    N: int
-    p: int
+    N: int = field(init=False)
+    p: int = field(init=False)
     A: np.ndarray          # (N, N) input matrix
     damping: np.ndarray    # (N, N) viscous matrix Bd, force Bd @ qd
     Z: np.ndarray          # (N - p, N) completion matrix, zeta = (Z q, Z qd)
@@ -103,6 +103,7 @@ class MechanicalSystem:
     Z_rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.N, self.p = len(self.A), len(self.A) - len(self.Z)
         self.solves = _PlantSolves(self.A, self.damping)
         self.Z_rows = self.Z.tolist()
 
@@ -276,8 +277,6 @@ def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
     forces = ([[m1, 0.0], [0.0, m2]], [0.0, 0.0])
     return MechanicalSystem(
         name="example1",
-        N=2,
-        p=1,
         A=np.eye(2),
         damping=np.array([[b1 + b2, -b2], [-b2, b2]]),
         Z=np.array([[1.0, 0.0]]),
@@ -304,8 +303,6 @@ def make_example2(damping=(2.0, 2.0, 2.0)):
 
     return MechanicalSystem(
         name="example2",
-        N=3,
-        p=2,
         A=np.eye(3),
         damping=np.diag(d),
         Z=np.ones((1, 3)),
@@ -340,8 +337,6 @@ def make_cpm_like():
 
     return MechanicalSystem(
         name="cpm4",
-        N=4,
-        p=3,
         A=np.diag(_CPM_GAINS),
         damping=np.diag([3.0, 4.0, 3.0, 1.5]),
         Z=np.array([[0.0, 1.0, 1.0, 1.0]]),

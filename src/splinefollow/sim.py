@@ -487,15 +487,16 @@ class PhasePortrait:
 
 
 def _zero_dynamics_field(system, path, gains, limits, ps):
-    """The redundant flow (zeta1., zeta2.) at the held path point ps."""
+    """The redundant flow (zeta1., zeta2.) at the held path point ps: zeta2.
+    is Z qdd, qdd from the solve the flows' RK4 stages call, ``acceleration``."""
 
     def field(zeta):
         q, qd = _manifold_state(system, path, ps, zeta)
         lin = transform.linearize(system, q, qd, path, ps)
         u = control.command(lin, q, 0.0, gains, PORTRAIT_REDUNDANCY, limits,
                             dt=PORTRAIT_DT, t=0.0)[0]
-        qdd = np.array(lin.f_v) + np.array(lin.g_v) @ u
-        return np.array([zeta[1], float(system.Z[0] @ qdd)])
+        qdd = dynamics.acceleration(system, q, qd, u)
+        return np.array([zeta[1], frames.dot(system.Z_rows[0], qdd)])
 
     return field
 

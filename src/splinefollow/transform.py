@@ -18,8 +18,8 @@ the curve rows of one ``jet_unchecked`` call, the plant's
 ``kinematics`` and ``forces`` calls, the policy's completion vectors
 and the rows of the plant's completion matrix Z.  Its one record, the
 period's LinearizationData, holds eta (eta_1 from the arclength table),
-xi, zeta, alpha, beta and the affine dynamics; the closest point
-(k*, lambda*) stays in the ProjectionState it was given.
+xi, zeta, alpha and beta; the frame values and the drift solve's f_v and
+D^-1 A stay in the call, and (k*, lambda*) in the ProjectionState given.
 """
 
 from dataclasses import dataclass
@@ -38,8 +38,6 @@ class LinearizationData:
     zeta: list                 # 2N - 2p
     alpha: list                # p: drift of (eta_1'', xi_1'')
     beta: list                 # p rows of N: decoupling matrix
-    f_v: list                  # qdd = f_v + g_v u; N
-    g_v: list                  # N rows of N
 
 
 def _linearized(code, p, N, sigma, values, qd, f_v, g_v):
@@ -98,9 +96,8 @@ def _transform_code(A, Bd, p, mode):
 
     The arguments are those of the frame code (``frames._frame_code``),
     the plant's (h, J, d(J qd)/dq), ``forces`` rows of D and bias, qd, q
-    and the rows of Z.  The function returns the frame values, eta_2 and
-    the rest of the LinearizationData in its order: xi, zeta, alpha,
-    beta, f_v and the rows of g_v.  The frame's checks come before the
+    and the rows of Z.  It returns (eta_2, xi, zeta, alpha, beta), the
+    LinearizationData after eta_1.  The frame's checks come before the
     drift solve's.
     """
     N = len(A)
@@ -113,7 +110,7 @@ def _transform_code(A, Bd, p, mode):
     Z, q = code.unpack("Z", (N - p, N)), code.unpack("q", (N,))
     zeta = dynamics._completion(Z, q, qd)
     return code.function("rows, fixed, lam, kinematics, d, bias, qd, q, Z",
-                         (tuple(values), eta2, xi, zeta, alpha, beta, f_v, g_v))
+                         (eta2, xi, zeta, alpha, beta))
 
 
 def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
@@ -136,7 +133,7 @@ def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
     fixed = frames._completion_vectors(policy, p)
     if kinematics is None:
         kinematics = system.kinematics(q, qd)
-    _, eta2, *rest = transform(rows, fixed, lam, kinematics,
-                               *system.forces(q, qd), qd, q, system.Z_rows)
+    eta2, *rest = transform(rows, fixed, lam, kinematics,
+                            *system.forces(q, qd), qd, q, system.Z_rows)
     eta1 = path.arclength_offsets[k] + path.arclength_interp(k, lam)
     return LinearizationData([eta1, eta2], *rest)

@@ -126,7 +126,7 @@ def _linearize_code(p, N):
 
 
 def linearize_pieces(system, q, qd, path, proj_state, policy=frames.FRENET):
-    """(FrameJet, LinearizationData) of ``transform.linearize`` from
+    """``transform.linearize``'s LinearizationData from
     ``frames.frame_jet``, ``dynamics.drift_and_input`` and the
     linearization compiled alone, called one after another."""
     fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
@@ -135,9 +135,9 @@ def linearize_pieces(system, q, qd, path, proj_state, policy=frames.FRENET):
     eta2, xi, alpha, beta = codegen.kernel(_linearize_code, system.p, system.N)(
         fj.rows, fj.values, kinematics, qd, f_v, g_v)
     eta1 = path.arclength_offsets[fj.k] + path.arclength_interp(fj.k, fj.lam)
-    return fj, transform.LinearizationData(
+    return transform.LinearizationData(
         eta=[eta1, eta2], xi=xi, zeta=system.completion(q, qd), alpha=alpha,
-        beta=beta, f_v=f_v, g_v=g_v)
+        beta=beta)
 
 
 def tangential_v(eta, integral, gains, dt, t=0.0):

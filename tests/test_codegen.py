@@ -170,7 +170,7 @@ def test_generated_names_resolve(monkeypatch):
     # the public pieces that the two layers record, each compiled alone
     system, path = dynamics.make_example2(), curves.circle_path(2.2)
     q, qd = sim.ik_planar3r((2.2, 0.0), 0.0).tolist(), [0.1, -0.2, 0.3]
-    _, lin = oracles.linearize_pieces(
+    lin = oracles.linearize_pieces(
         system, q, qd, path, projection.ProjectionState(0, 0.0))
     oracles.command_pieces(lin, q, 0.0, control.OuterLoopGains(),
                            control.RedundancyConfig(W=np.eye(3)),

@@ -14,6 +14,7 @@ from splinefollow import curves
 from splinefollow.errors import (
     DegenerateChordError,
     DomainError,
+    FitFailureError,
     ParameterError,
     UnsupportedOrderError,
 )
@@ -95,6 +96,15 @@ class TestFitSpline:
         starts = [seg.evaluate(seg.domain[0]) for seg in path.segments]
         assert np.abs(np.subtract(starts, spec["waypoints"])).max() < 1e-9
         assert curves.check_assumptions(path).smooth_ok
+
+    @pytest.mark.parametrize("scenario", ["figure_eight_3r", "twisted_loop_4dof"])
+    def test_fit_that_misses_its_waypoints_raises(self, scenario, monkeypatch):
+        """Past the cap the fit's rounding moves the curve off its waypoints
+        while the backward error stays small; the forward check raises."""
+        monkeypatch.setattr(curves, "MAX_SMOOTHNESS_ORDER", 30)
+        spec = json.loads((SCENARIOS / f"{scenario}.json").read_text())["path"]
+        with pytest.raises(FitFailureError, match=r"spline fit misses waypoint \d+ by"):
+            curves.fit_spline(spec["waypoints"], spec["closed"], 22)
 
     @pytest.mark.parametrize("waypoints, closed, kind", [
         ([[0.0, 0.0], [1.0, 1.0]], True, "closed paths need at least 3"),

@@ -12,7 +12,8 @@ import pytest
 
 from pathlib import Path
 
-from splinefollow import codegen, control, curves, dynamics, projection, sim
+from splinefollow import (codegen, control, curves, dynamics, frames, projection, sim,
+                          transform)
 from splinefollow.dynamics import State
 from splinefollow.errors import (
     DivergenceError,
@@ -702,3 +703,26 @@ class TestPortrait:
         """With Z other than (1, 1, 1) the rate is Z qdd, not the sum of qdd."""
         system = dataclasses.replace(example2, Z=np.array([[0.0, 1.0, 1.0]]))
         self._check_field_is_the_closed_loop_law(system)
+
+    def test_field_takes_qdd_from_the_plants_solve(self, example2):
+        """The field's rate is Z qdd with qdd from dynamics.acceleration, the
+        solve the flows' RK4 stages call, and u the command the field
+        computes: the same floats, bit for bit."""
+        radius = 2.2
+        path = curves.circle_path(radius, span=(-np.pi * radius, np.pi * radius))
+        gains = control.OuterLoopGains(
+            tangential_mode="position", K_P=20.0, K_D=9.0,
+            eta1_ref=np.pi * radius, xi_Kp=(40.0,), xi_Kd=(13.0,),
+        )
+        limits = example2.default_limits
+        ps = sim._point_on_path(path, np.pi * radius)
+        field = sim._zero_dynamics_field(example2, path, gains, limits, ps)
+        for zeta in ([0.4, 0.3], [-0.2, -0.5], [0.9, 0.0], [1.1, 0.7], [-0.6, 0.2]):
+            zeta = np.array(zeta)
+            q, qd = sim._manifold_state(example2, path, ps, zeta)
+            lin = transform.linearize(example2, q, qd, path, ps)
+            u = control.command(lin, q, 0.0, gains, sim.PORTRAIT_REDUNDANCY, limits,
+                                dt=sim.PORTRAIT_DT, t=0.0)[0]
+            qdd = dynamics.acceleration(example2, q, qd, u)
+            want = [float(zeta[1]), frames.dot(example2.Z_rows[0], qdd)]
+            assert repr(field(zeta).tolist()) == repr(want)

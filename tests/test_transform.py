@@ -19,7 +19,7 @@ def _project(path, system, q):
 
 
 def _reference_linearize(system, state, path, proj_state, policy, christoffel):
-    """(eta, xi, alpha, beta, f_v, g_v) on numpy arrays.
+    """(eta, xi, alpha, beta) on numpy arrays.
 
     C qd comes from ``christoffel``, the plant's symbolic Christoffel matrix.
     """
@@ -62,7 +62,7 @@ def _reference_linearize(system, state, path, proj_state, policy, christoffel):
             + offset @ (fj.dde[j] * lam_rate**2 + fj.de[j] * lam_rate_drift)
         )
         beta[j] = (a_j * fj.e[0] + fj.e[j]) @ Jg
-    return eta, xi, alpha, beta, f_v, g_v
+    return eta, xi, alpha, beta
 
 
 class TestCoordinates:
@@ -142,7 +142,7 @@ class TestNumpyReference:
                        qd=rng.normal(size=system.N))
             lin = transform.linearize(system, st.q.tolist(), st.qd.tolist(), path,
                                       ps, policy)
-            got = (lin.eta, lin.xi, lin.alpha, lin.beta, lin.f_v, lin.g_v)
+            got = (lin.eta, lin.xi, lin.alpha, lin.beta)
             want = _reference_linearize(system, st, path, ps, policy, christoffel)
             for g, w in zip(got, want):
                 g = np.asarray(g)
