@@ -201,10 +201,10 @@ class SplinePath:
 
     def __init__(self, segments, closed=False):
         if not segments:
-            raise ValueError("path needs at least one segment")
+            raise ParameterError("path needs at least one segment")
         dims = {s.dim for s in segments}
         if len(dims) != 1:
-            raise ValueError("segments have inconsistent output dimensions")
+            raise ParameterError("segments have inconsistent output dimensions")
         self.segments = list(segments)
         self.closed = bool(closed)
         self.output_dim = segments[0].dim
@@ -397,9 +397,9 @@ def fit_spline(waypoints, closed=False, smoothness_order=4):
     closed = flag("closed", closed)
     m = integer("smoothness_order", smoothness_order, 2, MAX_SMOOTHNESS_ORDER, even=True)
     if closed and n_wp < 3:
-        raise ValueError("closed paths need at least 3 waypoints")
+        raise ParameterError("closed paths need at least 3 waypoints")
     if not closed and n_wp < 2:
-        raise ValueError("open paths need at least 2 waypoints")
+        raise ParameterError("open paths need at least 2 waypoints")
 
     ncoef = m + 2  # polynomial degree m+1
     if closed:

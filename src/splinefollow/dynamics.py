@@ -50,7 +50,7 @@ class State:
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "qd", np.asarray(self.qd, dtype=float))
         if not (np.isfinite(self.q).all() and np.isfinite(self.qd).all()):
-            raise ValueError("state entries must be finite")
+            raise ParameterError("state entries must be finite")
 
 
 @dataclass(frozen=True, eq=False)   # == is identity: the fields are arrays
@@ -72,6 +72,11 @@ class Limits:
         for name in names:
             object.__setattr__(self, name,
                                reals(f"limits {name}", getattr(self, name), (None,)))
+        for lo, hi in (("q_min", "q_max"), ("u_min", "u_max")):
+            if len(getattr(self, lo)) != len(getattr(self, hi)):
+                raise ParameterError(
+                    f"limits {lo} and {hi} must have the same length; got "
+                    f"{len(getattr(self, lo))} and {len(getattr(self, hi))}")
         if not (np.all(self.q_min < self.q_max) and np.all(self.u_min < self.u_max)):
             raise ParameterError("limit windows must satisfy min < max")
         object.__setattr__(self, "floats",

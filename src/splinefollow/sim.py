@@ -13,10 +13,14 @@ states once, so no period's records outlive it; ``write_table`` writes
 every CSV the package writes.  The zero-dynamics portrait drives it
 once per initial condition from states constructed on the
 path-following manifold, so the redundant flow reflects the actual
-pipeline rather than a symbolic reduction.  ``Scenario.from_dict``
-reads a scenario file: ``from_json`` checks the scenario, its sections
-and its path spec, whatever the kind, against the arguments of what
-each builds.
+pipeline rather than a symbolic reduction.  Those states come from the
+inverse kinematics of the unit-link planar 3R arm, ``ik_planar3r``, so
+the analysis takes that plant only (N = 3, p = 2, Z = [[1, 1, 1]]) and
+rejects any other up front.  Its equilibrium search reads the flow
+through one reader, ``_rate``: the zeta_2 rate, NaN where the field
+raises.  ``Scenario.from_dict`` reads a scenario file: ``from_json``
+checks the scenario, its sections and its path spec, whatever the kind,
+against the arguments of what each builds.
 """
 
 import json
@@ -433,13 +437,25 @@ def ik_planar3r(y, zeta1, elbow="up"):
     return np.array([q1, q2, q3])
 
 
+def _check_planar3r(system):
+    """ParameterError naming the plant unless ``ik_planar3r`` builds its
+    manifold states: N = 3, p = 2 and Z = [[1, 1, 1]]."""
+    if not (system.N == 3 and system.Z_rows == [[1.0, 1.0, 1.0]]):
+        raise ParameterError(
+            "the zero-dynamics analysis needs the planar 3R arm's manifold "
+            f"(N = 3, p = 2, Z = [[1, 1, 1]]); plant {system.name!r} has "
+            f"N = {system.N}, p = {system.p}, Z = {system.Z_rows}")
+
+
 def zero_dynamics_state(system, path, zeta, eta1_ref=0.0):
     """State on the manifold eta = (eta1_ref, 0), xi = 0, at the given zeta.
 
-    The configuration comes from the arm's inverse kinematics (elbow up);
-    the velocity solves J qd = 0 (output at rest) together with the
+    The configuration comes from the arm's inverse kinematics (elbow up),
+    so the plant must be the planar 3R arm (``_check_planar3r``); the
+    velocity solves J qd = 0 (output at rest) together with the
     redundant rate Z qd = zeta_2.
     """
+    _check_planar3r(system)
     ps = _point_on_path(path, eta1_ref)
     return State(*_manifold_state(system, path, ps, zeta)), ps
 
@@ -482,7 +498,7 @@ class PhasePortrait:
     grid: np.ndarray          # (n, 2) initial conditions
     flows: list               # per IC: (steps, 2) zeta trajectory or None
     failed: np.ndarray        # bool mask of controller failures
-    equilibria: list          # dicts: zeta, eigenvalues, stable
+    equilibria: list          # dicts: zeta, eigenvalues, stable, boundary
     field: callable           # zeta -> (zeta2, zetadot2)
 
 
@@ -505,21 +521,26 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
                            eta1_ref=0.0, sim_duration=5.0):
     """Phase portrait of the redundant dynamics while a path point is held.
 
-    Each grid point seeds a full closed-loop simulation, ``sim_duration``
-    long, whose zeta trace is recorded; grid points where the controller
-    fails (singular decoupling, unreachable kinematics) are marked, not
-    fatal; a path or robust gains that do not fit the plant's p raise
-    ParameterError first.  Equilibria are found by driving the flow-field
-    norm to zero along zeta_2 = 0 and classified by finite-difference
-    linearization.  ParameterError unless ``sim_duration`` is finite and
-    covers at least one period PORTRAIT_DT, the grid holds at least one
-    point and, after the path and gains check, its entries are finite and
-    its zeta_1 values span an interval to search for equilibria.
+    The plant must be the unit-link planar 3R arm (N = 3, p = 2,
+    Z = [[1, 1, 1]]), whose manifold states ``ik_planar3r`` builds.  Each
+    grid point seeds a full closed-loop simulation, ``sim_duration`` long,
+    whose zeta trace is recorded; grid points where the controller fails
+    (singular decoupling, unreachable kinematics) are marked, not fatal.
+    Equilibria are the roots of the flow's zeta_2 rate along zeta_2 = 0
+    and the edges of its feasible zeta_1 interval toward which it decays;
+    one reader, ``_rate``, evaluates the rate for the search and for the
+    finite-difference linearization that classifies them.
+    ParameterError, before the first flow or field evaluation, unless
+    ``sim_duration`` is finite and covers at least one period
+    PORTRAIT_DT, the grid holds at least one point, the plant is the 3R
+    arm, the path and robust gains fit its p, and the grid's entries are
+    finite and its zeta_1 values span an interval to search.
     """
     steps = _periods(sim_duration, PORTRAIT_DT)
     grid = np.asarray(grid, dtype=float).reshape(-1, 2)
     if not len(grid):
         raise ParameterError("the portrait grid must hold at least one point")
+    _check_planar3r(system)
     _check_outputs(system, path, gains)
     if not (np.isfinite(grid).all() and len(np.unique(grid[:, 0])) >= 2):
         raise ParameterError("the portrait grid needs finite entries and at least "
@@ -548,29 +569,30 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
                          equilibria=equilibria, field=field)
 
 
-def _try_field(field, z1):
+def _rate(field, z1, z2=0.0):
+    """The flow's zeta_2 rate at (z1, z2), or NaN where the field raises."""
     try:
-        return field(np.array([z1, 0.0]))[1]
+        return field(np.array([z1, z2]))[1]
     except SplineFollowError:
         return np.nan
 
 
 def _find_equilibria(field, grid):
-    """Root-find the flow field along zeta_2 = 0, then classify.
+    """Root-find the flow along zeta_2 = 0 over the grid's zeta_1 span, then
+    classify.
 
-    Interior equilibria come from sign changes of the flow.  At the edges
-    of the kinematically feasible zeta_1 interval the flow can vanish in
-    the limit (the manifold's singular configurations); those are
-    detected by checking that |flow| decays toward the feasibility
-    boundary and reported at the boundary itself.
+    Interior equilibria come from sign changes of the rate on a 400-point
+    scan.  Where the scan's feasible zeta_1 interval ends inside the scan
+    (or just past its ends) the flow can vanish in the limit (the
+    manifold's singular configurations); such an edge is an equilibrium,
+    reported at the bisected boundary itself, if |flow| decays toward it.
     """
-    z1_vals = np.unique(grid[:, 0])
-    lo, hi = z1_vals.min(), z1_vals.max()
+    lo, hi = grid[:, 0].min(), grid[:, 0].max()
     span = hi - lo
     scan = np.linspace(lo, hi, 400)
-    g = np.array([_try_field(field, z1) for z1 in scan])
+    g = np.array([_rate(field, z1) for z1 in scan])
 
-    roots = []
+    roots = []   # in scan order
     for i in range(len(scan) - 1):
         a, b = g[i], g[i + 1]
         if np.isnan(a) or np.isnan(b):
@@ -581,107 +603,69 @@ def _find_equilibria(field, grid):
             roots.append(curves.bisect(
                 lambda z: (field(np.array([z, 0.0]))[1] > 0.0) == (a > 0.0),
                 scan[i], scan[i + 1], 1e-12))
-
-    # deduplicate interior roots
-    roots = sorted(roots)
     merged = []
     for rt in roots:
-        if not merged or abs(rt - merged[-1]) > CLUSTER_RADIUS:
+        if not merged or rt - merged[-1] > CLUSTER_RADIUS:
             merged.append(rt)
+    equilibria = [_classify(field, z1) for z1 in merged
+                  if abs(field(np.array([z1, 0.0]))[1]) <= EQUILIBRIUM_TOL]
 
-    equilibria = []
-    for z1 in merged:
-        z = np.array([z1, 0.0])
-        if np.linalg.norm(field(z)) > EQUILIBRIUM_TOL:
+    feasible = np.flatnonzero(~np.isnan(g))
+    for edge, sign in ((feasible[0], -1), (feasible[-1], 1)) if len(feasible) else ():
+        a = scan[edge]
+        if 0 <= edge + sign < len(scan):   # the next scan point is infeasible
+            b = a + sign * (scan[1] - scan[0])
+        else:   # feasible to the scan's end: probe just past it
+            b = a + sign * 1e-3 * span
+            if not np.isnan(_rate(field, b)):
+                continue
+        zb = curves.bisect(lambda z: not np.isnan(_rate(field, z)), a, b, 0.0)
+        # a limit equilibrium needs the flow to decay toward the boundary
+        probes = [abs(_rate(field, zb - sign * d * span)) for d in (1e-3, 1e-5, 1e-7)]
+        if (np.isnan(probes).any() or not probes[2] < probes[0]
+                or probes[2] > 0.05 * (1.0 + probes[0])):
             continue
-        equilibria.append(_classify(field, z, boundary=0))
-
-    for eq in _boundary_equilibria(field, scan, g, span):
-        if not any(abs(eq["zeta"][0] - e["zeta"][0]) <= CLUSTER_RADIUS
-                   for e in equilibria):
+        eq = _classify(field, zb, side=-sign)
+        if all(abs(zb - e["zeta"][0]) > CLUSTER_RADIUS for e in equilibria):
             equilibria.append(eq)
     equilibria.sort(key=lambda e: e["zeta"][0])
     return equilibria
 
 
-def _boundary_equilibria(field, scan, g, span):
-    """Limit equilibria at the edges of the feasible zeta_1 interval."""
-    feasible = ~np.isnan(g)
-    if not feasible.any():
-        return []
-    out = []
-    idx = np.flatnonzero(feasible)
-    for edge, sign in ((idx[0], -1), (idx[-1], +1)):
-        nbr = edge + sign
-        if 0 <= nbr < len(scan) and feasible[nbr]:
-            continue  # feasible through the grid edge: no boundary inside
-        # bisect the feasibility boundary between scan[edge] and beyond
-        a = scan[edge]
-        b = a + sign * (scan[1] - scan[0]) if 0 <= nbr < len(scan) else a
-        if a == b:
-            # feasibility ends exactly at the grid edge; probe just outside
-            b = a + sign * 1e-3 * span
-            if not np.isnan(_try_field(field, b)):
-                continue
-        zb = curves.bisect(lambda z: not np.isnan(_try_field(field, z)),
-                           a, b, 0.0)
-        # the flow must decay toward the boundary for a limit equilibrium
-        probes = [abs(_try_field(field, zb - sign * d * span))
-                  for d in (1e-3, 1e-5, 1e-7)]
-        if any(np.isnan(probes)) or not (probes[2] < probes[0]):
-            continue
-        if probes[2] > 0.05 * (1.0 + probes[0]):
-            continue
-        eq = _classify(field, np.array([zb, 0.0]), boundary=-sign)
-        out.append(eq)
-    return out
+def _classify(field, z1, side=0):
+    """Stability of the equilibrium (z1, 0) from the eigenvalues of the
+    flow's finite-difference linearization.
 
-
-def _classify(field, z, boundary=0):
-    """Stability via eigenvalues of the finite-difference linearization."""
-    Jac = _field_jacobian(field, z, side=boundary)
-    eig = np.linalg.eigvals(Jac)
-    return {
-        "zeta": z,
-        "jacobian": Jac,
-        "eigenvalues": eig,
-        "stable": bool(np.all(eig.real < -1e-9)),
-        "boundary": boundary != 0,
-    }
-
-
-def _field_jacobian(field, z, h=1e-5, side=0):
-    """FD linearization; side != 0 forces one-sided steps in zeta_1.
-
-    At a feasibility-boundary equilibrium the flow itself is taken as
-    zero (its limit value), so the one-sided difference uses only the
-    interior sample.
+    Its first row is (0, 1), as zeta_1' = zeta_2.  Its second row holds
+    the rate's central differences, each one-sided from the centre where
+    one side raises.  At a feasibility-boundary equilibrium (``side``
+    points into the feasible interval) the flow is taken as zero, its
+    limit, so the zeta_1 difference uses only the sample h inside, which
+    is the zeta_2 difference's centre.
     """
-    Jac = np.empty((2, 2))
-    for j in range(2):
-        dz = np.zeros(2)
-        dz[j] = h
-        if side != 0 and j == 0:
-            fi = field(z + side * dz)
-            Jac[:, j] = (fi - np.array([z[1], 0.0])) / (side * h)
-            continue
-        if side != 0:
-            base = z + side * h * np.array([1.0, 0.0])
-        else:
-            base = z
-        try:
-            fp = field(base + dz)
-            fm = field(base - dz)
-            Jac[:, j] = (fp - fm) / (2.0 * h)
-        except SplineFollowError:
-            f0 = field(base)
-            try:
-                fp = field(base + dz)
-                Jac[:, j] = (fp - f0) / h
-            except SplineFollowError:
-                fm = field(base - dz)
-                Jac[:, j] = (f0 - fm) / h
-    return Jac
+    h = 1e-5
+    z = np.array([z1 + side * h, 0.0])
+    if side:
+        slope1 = field(z)[1] / (side * h)
+    else:
+        slope1 = _slope(field, z, np.array([h, 0.0]), h)
+    slope2 = _slope(field, z, np.array([0.0, h]), h)
+    eig = np.linalg.eigvals([[0.0, 1.0], [slope1, slope2]])
+    return {"zeta": np.array([z1, 0.0]), "eigenvalues": eig,
+            "stable": bool(np.all(eig.real < -1e-9)), "boundary": side != 0}
+
+
+def _slope(field, z, dz, h):
+    """The rate's central difference at z along dz, of length h; one-sided
+    from the centre where one side raises.  Raises where the centre, or
+    both sides, raise."""
+    up, down = _rate(field, *(z + dz)), _rate(field, *(z - dz))
+    if not (np.isnan(up) or np.isnan(down)):
+        return (up - down) / (2.0 * h)
+    centre = field(z)[1]
+    if not np.isnan(up):
+        return (up - centre) / h
+    return (centre - field(z - dz)[1]) / h   # evaluated again: raises if down did
 
 
 def portrait_to_files(portrait, csv_file, json_file):

@@ -411,10 +411,14 @@ class TestRun:
         ({"duration": 1e300, "dt": 1e-300}, PERIODS + "got duration 1e+300, dt 1e-300"),
         ({"duration": 0.005, "dt": 0.02}, PERIODS + "got duration 0.005, dt 0.02"),
         ({"duration": -1.0, "dt": -0.02}, PERIODS + "got duration -1.0, dt -0.02"),
+        ({"limits": {"q_min": [-1.0, -1.0], "q_max": [1.0, 1.0, 1.0],
+                     "u_min": [-10.0, -10.0], "u_max": [10.0, 10.0]}},
+         "limits q_min and q_max must have the same length; got 2 and 3"),
     ], ids=["null-limits", "null-gains", "null-redundancy", "null-path",
             "null-params", "number-frame_fixed", "list-plant_kwargs",
             "bool-substeps", "list", "planar-path", "bool-K_P", "bool-xi_Kp",
-            "infinitely-many-periods", "under-a-period", "negative-dt"])
+            "infinitely-many-periods", "under-a-period", "negative-dt",
+            "unequal-limits"])
     def test_malformed_scenario_is_validation_failure(self, tmp_path, capsys,
                                                       change, message):
         """A section of the wrong JSON type exits 1, naming the key."""

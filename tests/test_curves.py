@@ -56,6 +56,15 @@ class TestFitSpline:
         for order in range(1, 5):
             assert _junction_mismatch(wavy_path, order) < 1e-7
 
+    @pytest.mark.parametrize("closed, n, message", [
+        (True, 2, "closed paths need at least 3 waypoints"),
+        (False, 1, "open paths need at least 2 waypoints"),
+    ], ids=["closed", "open"])
+    def test_too_few_waypoints_is_a_parameter_error(self, closed, n, message):
+        wp = [[0.0, 0.0], [1.0, 0.5]][:n]
+        with pytest.raises(ParameterError, match=message):
+            curves.fit_spline(wp, closed=closed)
+
     def test_closed_path_periodic_junction(self, fig8_path):
         assert fig8_path.closed
         for order in range(1, 5):
@@ -154,6 +163,16 @@ class TestSplinePath:
         path = curves.circle_path(2.0)
         with pytest.raises(DomainError, match="outside segment domain"):
             getattr(path, method)(0, lam)
+
+    @pytest.mark.parametrize("segments, message", [
+        ([], "path needs at least one segment"),
+        (None, "segments have inconsistent output dimensions"),
+    ], ids=["empty", "mixed-dimensions"])
+    def test_malformed_segment_list_is_a_parameter_error(self, segments, message):
+        if segments is None:
+            segments = curves.circle_path(2.0).segments + curves.helix_path().segments
+        with pytest.raises(ParameterError, match=message):
+            curves.SplinePath(segments)
 
     def test_order_cap(self, wavy_path):
         with pytest.raises(UnsupportedOrderError):

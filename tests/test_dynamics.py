@@ -127,6 +127,12 @@ class TestState:
         with pytest.raises(ValueError, match="must be finite"):
             State(**entries)
 
+    def test_non_finite_entry_is_a_parameter_error(self):
+        """The package's own error, which a caller catching SplineFollowError
+        sees."""
+        with pytest.raises(ParameterError, match="state entries must be finite"):
+            State(q=[0.0, np.nan], qd=[0.0, 0.0])
+
     @pytest.mark.parametrize("shape", [(3,), (2, 2), ()])
     def test_finite_entries_become_arrays(self, shape):
         st = State(q=np.ones(shape).tolist(), qd=np.zeros(shape).tolist())
@@ -192,6 +198,16 @@ class TestLimits:
                   u_min=[-1.0, -1.0], u_max=[1.0, 1.0])
         with pytest.raises(ParameterError, match="min < max"):
             dynamics.Limits(**{**kw, **bad})
+
+    @pytest.mark.parametrize("lo, hi", [("q_min", "q_max"), ("u_min", "u_max")])
+    def test_windows_of_unequal_length_name_both_keys(self, lo, hi):
+        """The lengths are checked before min < max compares the windows."""
+        kw = dict(q_min=[-1.0, -1.0], q_max=[1.0, 1.0],
+                  u_min=[-1.0, -1.0], u_max=[1.0, 1.0])
+        kw[hi] = [1.0, 1.0, 1.0]
+        with pytest.raises(ParameterError, match=f"limits {lo} and {hi} must have "
+                                                 "the same length; got 2 and 3"):
+            dynamics.Limits(**kw)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["q_min", "q_max", "u_min", "u_max"])

@@ -642,6 +642,31 @@ class TestPortrait:
         assert eq["grid_points"] == 4
         assert eq["failed_grid_points"] == 1
 
+    @pytest.mark.parametrize("axis", [0, 1], ids=["zeta1", "zeta2"])
+    def test_classification_falls_back_to_one_sided_differences(self, axis):
+        """Where the field raises on one side of an equilibrium, within the
+        difference step h = 1e-5, the slope along that axis is one-sided
+        from the centre, and the eigenvalues are the linear field's."""
+        # no midpoint of the root's bisection falls in the band for this z1_eq
+        a, b, z1_eq = -4.0, -1.0, 0.5
+        raised = []
+
+        def field(zeta):   # zeta_1' = zeta_2, zeta_2' = a (zeta_1 - z1_eq) + b zeta_2
+            offset = zeta[axis] - (z1_eq if axis == 0 else 0.0)
+            if 0.5e-5 < offset < 2e-5:
+                raised.append(offset)
+                raise SingularManifoldError("inside the band", zeta=tuple(zeta))
+            return np.array([zeta[1], a * (zeta[0] - z1_eq) + b * zeta[1]])
+
+        eqs = sim._find_equilibria(field, np.array([[-1.0, 0.0], [1.0, 0.0]]))
+        assert raised   # the difference's step reached into the band
+        assert len(eqs) == 1 and not eqs[0]["boundary"]
+        assert eqs[0]["zeta"][0] == pytest.approx(z1_eq, abs=1e-12)
+        want = np.sort_complex(np.roots([1.0, -b, -a]))   # of [[0, 1], [a, b]]
+        np.testing.assert_allclose(np.sort_complex(eqs[0]["eigenvalues"]), want,
+                                   rtol=1e-6)
+        assert eqs[0]["stable"]
+
     def test_robust_gains_must_fit_the_plant(self, example2):
         """The portrait checks robust gains as run does, before any flow."""
         radius = 2.2
@@ -664,6 +689,35 @@ class TestPortrait:
             sim.zero_dynamics_portrait(example2, curves.helix_path(), gains,
                                        [[0.1, 0.0], [0.2, 0.0]], sim_duration=0.02)
 
+    @pytest.mark.parametrize("plant", ["example1", "cpm4", "example2-Z011"])
+    @pytest.mark.parametrize("entry", ["state", "portrait"])
+    def test_plant_must_be_the_planar_3r_arm(self, request, monkeypatch, plant, entry):
+        """The manifold's states come from the unit-link planar 3R arm's
+        inverse kinematics, so any other plant (N, p or Z) raises
+        ParameterError naming it before the first flow or field
+        evaluation."""
+        if plant == "example2-Z011":
+            system = dataclasses.replace(request.getfixturevalue("example2"),
+                                         Z=np.array([[0.0, 1.0, 1.0]]))
+        else:
+            system = request.getfixturevalue(plant)
+        path = {1: curves.line_path([-5.0], [5.0]), 2: curves.circle_path(2.2),
+                3: curves.helix_path()}[system.p]
+
+        def evaluated(*args):
+            raise AssertionError("a manifold state was built")
+
+        monkeypatch.setattr(sim, "_manifold_state", evaluated)
+        message = (f"plant {system.name!r} has N = {system.N}, p = {system.p}, "
+                   f"Z = {system.Z_rows}")
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            if entry == "state":
+                sim.zero_dynamics_state(system, path, (0.4, 0.3), eta1_ref=6.0)
+            else:
+                sim.zero_dynamics_portrait(
+                    system, path, control.OuterLoopGains(tangential_mode="position"),
+                    [[0.1, 0.0], [0.4, 0.3]], eta1_ref=6.0, sim_duration=0.02)
+
     @staticmethod
     def _check_field_is_the_closed_loop_law(system):
         """The field's zeta_2 rate is Z qdd under control.step's u."""
@@ -677,21 +731,18 @@ class TestPortrait:
             tangential_mode="position", K_P=20.0, K_D=9.0,
             eta1_ref=np.pi * radius, xi_Kp=(40.0,), xi_Kd=(13.0,),
         )
-        portrait = sim.zero_dynamics_portrait(
-            system, path, gains, np.array([[0.4, 0.3], [0.5, 0.3]]),
-            limits=limits, eta1_ref=np.pi * radius, sim_duration=0.02,
-        )
+        # the portrait's field and manifold states, built directly: its
+        # public entry points take only the planar 3R arm's Z = (1, 1, 1)
+        ps = sim._point_on_path(path, np.pi * radius)
+        field = sim._zero_dynamics_field(system, path, gains, limits, ps)
         for zeta in ([0.4, 0.3], [-0.2, -0.5], [0.9, 0.0]):
             zeta = np.array(zeta)
-            st, ps = sim.zero_dynamics_state(
-                system, path, zeta, eta1_ref=np.pi * radius
-            )
+            q, qd = sim._manifold_state(system, path, ps, zeta)
             u, _, _ = control.step(
-                system, path, st.q.tolist(), st.qd.tolist(), ps, 0.0, gains,
-                limits=limits, dt=0.02, t=0.0,
+                system, path, q, qd, ps, 0.0, gains, limits=limits, dt=0.02, t=0.0,
             )
-            qdd = dynamics.acceleration(system, st.q, st.qd, u)
-            flow = portrait.field(zeta)
+            qdd = dynamics.acceleration(system, q, qd, u)
+            flow = field(zeta)
             assert flow[0] == zeta[1]
             assert flow[1] == pytest.approx(system.Z[0] @ qdd, abs=1e-9)
 
