@@ -13,15 +13,16 @@ completion modes.
 
 The jet arithmetic is written once, in ``_frame_values``, and runs on
 the recorded variables of ``codegen``.  ``frame_jet`` compiles it alone,
-one straight-line function of Python floats per output dimension p and
-completion mode, generated at first use; the control period records it
-into the transform layer's one function (see ``transform``).  A curve
-derivative that is NaN or infinite fails the regularity, the degeneracy
-or, last, the finiteness check of the frame values.
+one straight-line function of Python floats per output dimension p,
+completion mode and vectors (its constants), generated at first use; the
+control period records it into the transform layer's one function (see
+``transform``).  A curve derivative that is NaN or infinite fails the
+regularity, the degeneracy or, last, the finiteness check of the frame
+values.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import mul
 
 from . import codegen
@@ -44,14 +45,12 @@ class FramePolicy:
     fixed_vectors[0] is the plane normal, e2 = n x e1 and e3 = n.  Each
     fixed vector a fallback uses has exactly p entries.  The vectors are
     kept as tuples of floats; a zero or non-finite one is a ParameterError,
-    and the plane normal is stored as a unit vector.  ``completions``
-    holds, by p, the vectors a frame of that dimension uses, checked once.
+    and the plane normal is stored as a unit vector.  ``_completion``
+    checks that they fit p when they are written into the frame code.
     """
 
     mode: str = "frenet_serret"
     fixed_vectors: tuple = ()
-    completions: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     def __post_init__(self):
         if self.mode not in ("frenet_serret", "planar_fallback", "line_fallback"):
@@ -169,45 +168,33 @@ class FrameJet:
     values: tuple
 
 
-def _completion_count(mode, p):
-    """How many fixed vectors ``mode`` completes a p-dimensional frame with."""
-    return {"line_fallback": p - 1, "planar_fallback": int(p == 3)}.get(mode, 0)
-
-
-def _completion_vectors(policy, p):
-    """The fixed vectors the policy's mode uses, each of p floats.
-
-    ParameterError, naming p, if fewer are given or one has a length other
-    than p.  Checked at the policy's first use for p, then kept in
-    ``policy.completions``.
-    """
-    vectors = policy.completions.get(p)
-    if vectors is None:
-        count = _completion_count(policy.mode, p)
-        vectors = policy.fixed_vectors[:count]
-        if len(vectors) < count:
-            raise ParameterError(f"{policy.mode} needs {count} completion vector(s) "
+def _completion(mode, p, fixed_vectors):
+    """The fixed vectors ``mode`` completes a p-dimensional frame with;
+    ParameterError if the mode or the vectors do not fit p."""
+    if mode == "planar_fallback" and p not in (2, 3):
+        raise ParameterError("planar_fallback requires a 2-D or 3-D output")
+    count = {"line_fallback": p - 1, "planar_fallback": int(p == 3)}.get(mode, 0)
+    vectors = fixed_vectors[:count]
+    if len(vectors) < count:
+        raise ParameterError(f"{mode} needs {count} completion vector(s) "
                              f"for p = {p}; got {len(vectors)}")
-        for j, v in enumerate(vectors):
-            if len(v) != p:
-                raise ParameterError(f"{policy.mode} completion vector {j} must "
-                                     f"have p = {p} entries; got {len(v)}")
-        policy.completions[p] = vectors
+    for j, v in enumerate(vectors):
+        if len(v) != p:
+            raise ParameterError(f"{mode} completion vector {j} must "
+                                 f"have p = {p} entries; got {len(v)}")
     return vectors
 
 
-def _frame_values(code, p, mode):
+def _frame_values(code, p, mode, fixed_vectors):
     """Record the frame values at one point into ``code``.
 
-    They are computed from the arguments ``rows`` (sigma, ...,
-    sigma^(p+1)) and ``fixed`` (the mode's completion vectors), and the
-    checks report ``lam``.  Returns the Vars of the rows and the values.
+    They are computed from the argument ``rows`` (sigma, ...,
+    sigma^(p+1)) and the mode's completion vectors, written in as
+    constants, and the checks report ``lam``.  Returns the Vars of the
+    rows and the values.
     """
-    if mode == "planar_fallback" and p not in (2, 3):
-        raise ParameterError("planar_fallback requires a 2-D or 3-D output")
+    fixed = _completion(mode, p, fixed_vectors)
     sigma = code.unpack("rows", (p + 2, p))
-    count = _completion_count(mode, p)
-    fixed = code.unpack("fixed", (count, p)) if count else []
     # curve derivatives sigma^(0) .. sigma^(p+1); beyond that jets get zeros
     zero = [0.0] * p
     rows = sigma + [zero, zero]
@@ -269,22 +256,23 @@ def _frame_values(code, p, mode):
     return sigma, values
 
 
-def _frame_code(p, mode):
-    """Source of ``f(rows, fixed, lam)``, the frame values at one point.
+def _frame_code(p, mode, fixed_vectors):
+    """Source of ``f(rows, lam)``, the frame values at one point.
 
-    ``rows`` holds sigma, ..., sigma^(p+1), ``fixed`` the completion
-    vectors of the mode, and ``lam`` is reported by the checks.
+    ``rows`` holds sigma, ..., sigma^(p+1), and ``lam`` is reported by
+    the checks; the mode's completion vectors are constants of the code.
     """
     code = codegen.Recorder()
-    _, values = _frame_values(code, p, mode)
-    return code.function("rows, fixed, lam", tuple(values))
+    _, values = _frame_values(code, p, mode, fixed_vectors)
+    return code.function("rows, lam", tuple(values))
 
 
 def frame_jet(path, k, lam, policy=FRENET):
     """Compute the frame and its first two derivatives at (k, lam).
 
     Runs the generated frame code of the path's p and the policy's mode
-    on the curve derivatives at (k, lam).  IrregularCurveError if
+    and completion vectors on the curve derivatives at (k, lam).
+    ParameterError if the policy does not fit p.  IrregularCurveError if
     ||sigma'|| is below 1e-12 or NaN, DegenerateFrameError (with the
     vector's ``index``) if a Gram-Schmidt residual is below 1e-10 or NaN,
     and DegenerateFrameError (index None, naming lam and the frame) if
@@ -292,6 +280,6 @@ def frame_jet(path, k, lam, policy=FRENET):
     """
     p = path.output_dim
     lam = float(lam)
-    frame = codegen.kernel(_frame_code, p, policy.mode)
+    frame = codegen.kernel(_frame_code, p, policy.mode, policy.fixed_vectors)
     rows = path.jet_unchecked(k, lam, p + 1)
-    return FrameJet(k, lam, rows, frame(rows, _completion_vectors(policy, p), lam))
+    return FrameJet(k, lam, rows, frame(rows, lam))

@@ -363,15 +363,16 @@ def _check_sizes(scenario, system, path, limits):
     if W is not None and W.shape != (N, N):
         raise ParameterError(f"redundancy W must be {N} x {N} for plant "
                              f"{system.name!r}; got {W.shape[0]} x {W.shape[1]}")
-    _check_outputs(system, path, scenario.gains)
+    _check_outputs(system, path, scenario.gains, scenario.frame_policy)
 
 
-def _check_outputs(system, path, gains):
-    """ParameterError unless the path's dimension and robust transversal
-    gains fit the plant's p."""
+def _check_outputs(system, path, gains, policy):
+    """ParameterError unless the path's dimension, the frame policy and
+    robust transversal gains fit the plant's p."""
     if path.output_dim != system.p:
         raise ParameterError(f"path dimension {path.output_dim} must equal the "
                              f"p = {system.p} of plant {system.name!r}")
+    frames._completion(policy.mode, system.p, policy.fixed_vectors)
     m = system.p - 1   # transversal coordinates; none to act on when p = 1
     if (gains.transversal_mode == "robust" and m > 0
             and gains.robust_shape != (m, 2 * m)):
@@ -385,10 +386,11 @@ def run(scenario, path=None, system=None, proj_cfg=None):
 
     The controller sees the (optionally quantized) measured state; the
     plant always integrates the true state.  Per-joint sizes, a path
-    dimension or robust gains that do not match the plant raise
-    ParameterError before the first period.  Divergence (a non-finite
-    state, or a state norm above 1e6) aborts.  A library error raised
-    during a control period carries that period's start time as ``time``.
+    dimension, a frame policy or robust gains that do not match the
+    plant raise ParameterError before the first period.  Divergence (a
+    non-finite state, or a state norm above 1e6) aborts.  A library error
+    raised during a control period carries that period's start time as
+    ``time``.
     """
     if system is None:
         system = dynamics.make_plant(scenario.plant, **scenario.plant_kwargs)
@@ -541,7 +543,7 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
     if not len(grid):
         raise ParameterError("the portrait grid must hold at least one point")
     _check_planar3r(system)
-    _check_outputs(system, path, gains)
+    _check_outputs(system, path, gains, frames.FRENET)
     if not (np.isfinite(grid).all() and len(np.unique(grid[:, 0])) >= 2):
         raise ParameterError("the portrait grid needs finite entries and at least "
                              "two distinct zeta_1 values")
@@ -601,14 +603,14 @@ def _find_equilibria(field, grid):
             roots.append(scan[i])
         elif a * b < 0.0:
             roots.append(curves.bisect(
-                lambda z: (field(np.array([z, 0.0]))[1] > 0.0) == (a > 0.0),
+                lambda z: (_rate(field, z) > 0.0) == (a > 0.0),
                 scan[i], scan[i + 1], 1e-12))
     merged = []
     for rt in roots:
         if not merged or rt - merged[-1] > CLUSTER_RADIUS:
             merged.append(rt)
     equilibria = [_classify(field, z1) for z1 in merged
-                  if abs(field(np.array([z1, 0.0]))[1]) <= EQUILIBRIUM_TOL]
+                  if abs(_rate(field, z1)) <= EQUILIBRIUM_TOL]
 
     feasible = np.flatnonzero(~np.isnan(g))
     for edge, sign in ((feasible[0], -1), (feasible[-1], 1)) if len(feasible) else ():

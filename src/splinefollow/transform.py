@@ -13,9 +13,9 @@ Python floats, as one generated call: ``_transform_code`` records, in
 this order, the frame at the closest point (``frames._frame_values``),
 the drift solve of the affine dynamics (``dynamics._drift_and_input``),
 the linearization (``_linearized``) and zeta into one straight-line
-function per plant, p and frame mode, generated at first use.  It takes
-the curve rows of one ``jet_unchecked`` call, the plant's
-``kinematics`` and ``forces`` calls, the policy's completion vectors
+function per plant, p, frame mode and completion vectors (constants of
+the code), generated at first use.  It takes the curve rows of one
+``jet_unchecked`` call, the plant's ``kinematics`` and ``forces`` calls
 and the rows of the plant's completion matrix Z.  Its one record, the
 period's LinearizationData, holds eta (eta_1 from the arclength table),
 xi, zeta, alpha and beta; the frame values and the drift solve's f_v and
@@ -90,9 +90,9 @@ def _linearized(code, p, N, sigma, values, qd, f_v, g_v):
     return eta2, xi, alpha, beta
 
 
-def _transform_code(A, Bd, p, mode):
-    """Source of ``f(rows, fixed, lam, kinematics, d, bias, qd, q, Z)``,
-    the transform layer of a plant with the constant rows A and Bd.
+def _transform_code(A, Bd, p, mode, fixed_vectors):
+    """Source of ``f(rows, lam, kinematics, d, bias, qd, q, Z)``, the
+    transform layer with the constants A, Bd and ``fixed_vectors``.
 
     The arguments are those of the frame code (``frames._frame_code``),
     the plant's (h, J, d(J qd)/dq), ``forces`` rows of D and bias, qd, q
@@ -102,14 +102,14 @@ def _transform_code(A, Bd, p, mode):
     """
     N = len(A)
     code = codegen.Recorder()
-    sigma, values = frames._frame_values(code, p, mode)
+    sigma, values = frames._frame_values(code, p, mode, fixed_vectors)
     d = code.unpack("d", (N, N))
     bias, qd = code.unpack("bias", (N,)), code.unpack("qd", (N,))
     f_v, g_v = dynamics._drift_and_input(code, A, Bd, d, bias, qd)
     eta2, xi, alpha, beta = _linearized(code, p, N, sigma, values, qd, f_v, g_v)
     Z, q = code.unpack("Z", (N - p, N)), code.unpack("q", (N,))
     zeta = dynamics._completion(Z, q, qd)
-    return code.function("rows, fixed, lam, kinematics, d, bias, qd, q, Z",
+    return code.function("rows, lam, kinematics, d, bias, qd, q, Z",
                          (eta2, xi, zeta, alpha, beta))
 
 
@@ -128,12 +128,11 @@ def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
     """
     p = path.output_dim
     k, lam = proj_state.k_star, float(proj_state.lambda_star)
-    transform = system.solves[_transform_code, p, policy.mode]
+    transform = system.solves[_transform_code, p, policy.mode, policy.fixed_vectors]
     rows = path.jet_unchecked(k, lam, p + 1)
-    fixed = frames._completion_vectors(policy, p)
     if kinematics is None:
         kinematics = system.kinematics(q, qd)
-    eta2, *rest = transform(rows, fixed, lam, kinematics,
+    eta2, *rest = transform(rows, lam, kinematics,
                             *system.forces(q, qd), qd, q, system.Z_rows)
     eta1 = path.arclength_offsets[k] + path.arclength_interp(k, lam)
     return LinearizationData([eta1, eta2], *rest)

@@ -10,6 +10,9 @@ from splinefollow import cli, curves
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 PERIODS = "dt must be > 0 and duration / dt finite and round to at least 1 period; "
+# every key of two_mass_line.json is one of this scenario's, so an update
+# with it replaces the whole scenario
+TWISTED_LOOP = json.loads((SCENARIOS / "twisted_loop_4dof.json").read_text())
 
 
 @pytest.fixture
@@ -414,11 +417,15 @@ class TestRun:
         ({"limits": {"q_min": [-1.0, -1.0], "q_max": [1.0, 1.0, 1.0],
                      "u_min": [-10.0, -10.0], "u_max": [10.0, 10.0]}},
          "limits q_min and q_max must have the same length; got 2 and 3"),
+        ({"frame_mode": "planar_fallback"},
+         "planar_fallback requires a 2-D or 3-D output"),
+        ({**TWISTED_LOOP, "frame_mode": "line_fallback"},
+         "line_fallback needs 2 completion vector(s) for p = 3; got 0"),
     ], ids=["null-limits", "null-gains", "null-redundancy", "null-path",
             "null-params", "number-frame_fixed", "list-plant_kwargs",
             "bool-substeps", "list", "planar-path", "bool-K_P", "bool-xi_Kp",
             "infinitely-many-periods", "under-a-period", "negative-dt",
-            "unequal-limits"])
+            "unequal-limits", "planar-policy-p1", "line-policy-p3"])
     def test_malformed_scenario_is_validation_failure(self, tmp_path, capsys,
                                                       change, message):
         """A section of the wrong JSON type exits 1, naming the key."""

@@ -412,7 +412,7 @@ class TestRun:
         sim.run(scen, path=path, system=system)
         assert len(log.t) == 50
         constants = "{}, {}".format(*system.solves.constants)
-        for label in (f"_transform_code({constants}, 2, 'planar_fallback')",
+        for label in (f"_transform_code({constants}, 2, 'planar_fallback', ())",
                       "_command_code(2, 3, 'velocity', 'joint_limit', False)",
                       "_newton_code('_polynomial_rows', 2, 6)",
                       "_jet_code(3, 0, '_polynomial_rows', 2, 6)", "_rk4_code(3,)",
@@ -666,6 +666,27 @@ class TestPortrait:
         np.testing.assert_allclose(np.sort_complex(eqs[0]["eigenvalues"]), want,
                                    rtol=1e-6)
         assert eqs[0]["stable"]
+
+    @pytest.mark.parametrize("band", [(5e-6, 2e-5), (-2e-5, -5e-6)],
+                             ids=["above", "below"])
+    def test_interior_search_reads_the_rate(self, band):
+        """Where the field raises strictly between two feasible scan points,
+        next to a root, the bisection and the residual check read NaN there
+        instead of raising; an equilibrium they return is the root."""
+        a, b, z1_eq = -4.0, -1.0, 0.3037
+        raised = []
+
+        def field(zeta):   # zeta_1' = zeta_2, zeta_2' = a (zeta_1 - z1_eq) + b zeta_2
+            offset = zeta[0] - z1_eq
+            if band[0] < offset < band[1]:
+                raised.append(offset)
+                raise SingularManifoldError("inside the band", zeta=tuple(zeta))
+            return np.array([zeta[1], a * offset + b * zeta[1]])
+
+        eqs = sim._find_equilibria(field, np.array([[-1.0, 0.0], [1.0, 0.0]]))
+        assert raised   # the bisection reached into the band
+        for eq in eqs:
+            assert eq["zeta"][0] == pytest.approx(z1_eq, abs=1e-12)
 
     def test_robust_gains_must_fit_the_plant(self, example2):
         """The portrait checks robust gains as run does, before any flow."""

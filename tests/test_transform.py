@@ -234,3 +234,23 @@ class TestCheckDifferentials:
         )
         assert rep.position_rows.shape == (2, 3)
         assert rep.velocity_rows.shape == (2, 3)
+
+
+class TestCompletionVectors:
+    def test_each_policy_runs_with_its_own_vectors(self, example2, fig8_path):
+        """Two line_fallback policies that differ only in their vector, run
+        in turn on the figure-eight: each linearization equals the one
+        pieced together for its own policy, and the two differ."""
+        policies = [frames.FramePolicy(mode="line_fallback", fixed_vectors=(v,))
+                    for v in ([0.3, 1.0], [1.0, -0.3])]
+        q, qd = sim.ik_planar3r((2.0, 0.3), 0.3).tolist(), [0.1, -0.2, 0.3]
+        differ = []
+        for k in range(fig8_path.n_segments):
+            ps = projection.ProjectionState(k, np.mean(fig8_path.segments[k].domain))
+            got = [repr(transform.linearize(example2, q, qd, fig8_path, ps, policy))
+                   for policy in policies]
+            assert got == [repr(oracles.linearize_pieces(example2, q, qd, fig8_path,
+                                                         ps, policy))
+                           for policy in policies]
+            differ.append(got[0] != got[1])
+        assert any(differ)
