@@ -100,12 +100,6 @@ def clamp(x, lo, hi):
 _COMMUTATIVE = ("{} + {}", "{} * {}")
 
 
-def _literal(x):
-    if not math.isfinite(x):
-        raise ValueError(f"no literal for {x!r}")
-    return repr(x)
-
-
 class Recorder:
     """The record of one function's body: assignments and source lines."""
 
@@ -116,7 +110,7 @@ class Recorder:
 
     def let(self, template, *args):
         """The Var assigned ``template`` filled with the args."""
-        keys = [a.name if isinstance(a, Var) else _literal(a) for a in args]
+        keys = [a.name if isinstance(a, Var) else repr(a) for a in args]
         if template in _COMMUTATIVE and keys[1] < keys[0]:
             keys.reverse()
             args = args[::-1]
@@ -181,7 +175,7 @@ class Recorder:
         def text(x):
             if isinstance(x, Var):
                 return inline.pop(x.name, x.name)
-            s = _literal(x)
+            s = repr(x)
             return f"({s})" if s.startswith("-") else s
 
         body = []

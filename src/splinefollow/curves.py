@@ -46,9 +46,11 @@ ARC_GRID = 2049   # nodes of a segment's arclength table
 # the fit's dense system has (order + 2) * n_seg unknowns, and its rounding
 # error grows with the order: past 12, fits of the shipped waypoints miss JUNCTION_TOL
 MAX_SMOOTHNESS_ORDER = 12
-# 4-point Gauss-Legendre rule mapped to [0, 1]: nodes and weights
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
-GL_NODES, GL_WEIGHTS = (_GL_X + 1.0) / 2.0, _GL_W / 2.0
+# 4-point Gauss-Legendre rule mapped to [0, 1], nodes and weights: numpy's
+# leggauss(4) mapped, written out so that no run loads numpy.polynomial
+GL_NODES, GL_WEIGHTS = np.array([
+    [0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970262],
+    [0.17392742256872679, 0.3260725774312732, 0.3260725774312732, 0.17392742256872679]])
 
 
 def _gauss_legendre(seg, a, h):

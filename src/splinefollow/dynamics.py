@@ -18,19 +18,19 @@ D, h and J are ``MechanicalSystem`` methods derived from those calls,
 for callers outside the control period (h seeds the projection, J the
 zero-dynamics velocity); ``completion`` gives zeta as floats.
 
-``acceleration`` and ``drift_and_input`` run on float lists q and qd:
-one ``forces`` call, then one generated call.  ``_plant_code`` records
-the right-hand side A u - Bd qd - (C qd + G) and the Cholesky solve of
-D, ``cholesky_solve``, with ``codegen``'s recorder into one
-straight-line function per plant and use.  The RK4 hold and the
-portrait's field call ``acceleration``; the control period records the
-drift solve, ``_drift_and_input``, into the transform layer's function,
-and the input resolution's solves with the same ``cholesky_solve``,
-whose checks raise their typed errors from the generated code.
+``acceleration`` and ``drift_and_input`` are one generated call each on
+float lists q and qd: ``_stage_code`` and ``_plant_code`` record the
+plant's ``forces``, the right-hand side A u - Bd qd - (C qd + G) and the
+Cholesky solve of D, ``cholesky_solve``, into one straight-line function
+per plant and use (a constant D folds into literals; its checks still
+run).  The RK4 stages and the portrait's field call ``acceleration``; the
+transform layer records the forces and the drift solve, and the input
+resolution its solves, with the same ``cholesky_solve``.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -88,9 +88,9 @@ class MechanicalSystem:
     """Evaluator bundle for one plant; immutable in practice.
 
     N = len(A) and p = N - len(Z) are derived.  ``solves`` holds the
-    generated code with A and Bd written into it: the solves of
-    ``acceleration`` and ``drift_and_input`` and the transform layer's
-    function, each compiled at first use.  ``Z_rows``, Z's rows as
+    generated code with A and Bd written into it and ``forces`` recorded:
+    the calls of ``acceleration`` and ``drift_and_input`` and the
+    transform layer's, each compiled at first use.  ``Z_rows``, Z's rows as
     floats, serves ``completion`` and the transform layer.  D, h and J
     evaluate the compiled calls at rest (qd = 0) and return arrays.
     """
@@ -109,7 +109,7 @@ class MechanicalSystem:
 
     def __post_init__(self):
         self.N, self.p = len(self.A), len(self.A) - len(self.Z)
-        self.solves = _PlantSolves(self.A, self.damping)
+        self.solves = _PlantSolves(self.A, self.damping, self.forces)
         self.Z_rows = self.Z.tolist()
 
     def D(self, q):
@@ -137,8 +137,8 @@ def _completion(Z, q, qd):
 def cholesky_solve(code, d, cols, name="inertia matrix", at="q"):
     """Record D^-1 b for each b in cols into ``code``; return them as lists.
 
-    ``d`` holds the rows of D as Vars (the lower triangle is read), each
-    b Vars or floats.  The factorization D = L L^T and the two
+    ``d`` holds the rows of D (the lower triangle is read) and each b,
+    Vars or floats.  The factorization D = L L^T and the two
     triangular substitutions are recorded as straight-line code.  A
     non-finite D or solution raises DivergenceError; a pivot that is not
     positive raises NonSPDInertiaError.  The messages call D ``name``
@@ -160,7 +160,9 @@ def cholesky_solve(code, d, cols, name="inertia matrix", at="q"):
             p = p - L[j][k] * L[j][k]
         code.require(f"{p} > 0.0", "NonSPDInertiaError",
                      f"{name} not SPD at {at}={{{at}}}")
-        L[j][j] = codegen.sqrt(p)
+        # a constant pivot folds, unless the check rejects it at run time
+        L[j][j] = (math.sqrt(p) if not isinstance(p, codegen.Var) and p > 0.0
+                   else code.let("sqrt({})", p))
         for i in range(j + 1, n):
             s = d[i][j]
             for k in range(j):
@@ -197,45 +199,49 @@ def _rhs(A, Bd, u, qd, bias):
     return out
 
 
-def _drift_and_input(code, A, Bd, d, bias, qd):
-    """Record f_v = D^-1 (-Bd qd - bias) and the rows of g_v = D^-1 A,
-    from one factorization of D, into ``code``; return them."""
+def _drift_and_input(code, A, Bd, forces):
+    """Record the plant's ``forces``, then f_v = D^-1 (-Bd qd - bias) and the
+    rows of g_v = D^-1 A from one factorization of D; return q, qd, f_v, g_v."""
+    q, qd, d, bias = _recorded_forces(code, forces, len(A))
     f_v, *g = cholesky_solve(code, d, [_rhs(A, Bd, [0.0] * len(A), qd, bias),
                                        *zip(*A)])
-    return f_v, [list(x) for x in zip(*g)]
+    return q, qd, f_v, [list(x) for x in zip(*g)]
 
 
-def _plant_code(A, Bd, inputs):
-    """Source of the plant solve for the constant rows A and Bd.
+def _recorded_forces(code, forces, N):
+    """Vars of the arguments q and qd, and the plant's ``forces`` recorded on
+    them by a copy reading codegen's sqrt, cos and sin: (q, qd, D, C qd + G)."""
+    q, qd = code.unpack("q", (N,)), code.unpack("qd", (N,))
+    names = dict(forces.__globals__, sqrt=codegen.sqrt, cos=codegen.cos, sin=codegen.sin)
+    copy = type(forces)(forces.__code__, names, None, forces.__defaults__, forces.__closure__)
+    return q, qd, *copy(q, qd)
 
-    ``f(d, bias, u, qd, q)`` returns qdd = D^-1 (A u - Bd qd - bias) for
-    the rows ``d`` of D and ``bias`` = C qd + G.  With ``inputs``,
-    ``f(d, bias, qd, q)`` returns f_v and the rows of g_v
-    (``_drift_and_input``).  ``q`` only goes into error messages.
-    """
-    N = len(A)
+
+def _stage_code(A, Bd, forces):
+    """Source of ``f(q, qd, u)``, one RK4 stage of the plant: its ``forces``,
+    then qdd = D^-1 (A u - Bd qd - (C qd + G))."""
     code = codegen.Recorder()
-    d = code.unpack("d", (N, N))
-    bias, qd = code.unpack("bias", (N,)), code.unpack("qd", (N,))
-    if inputs:
-        return code.function("d, bias, qd, q",
-                             _drift_and_input(code, A, Bd, d, bias, qd))
-    u = code.unpack("u", (N,))
-    (qdd,) = cholesky_solve(code, d, [_rhs(A, Bd, u, qd, bias)])
-    return code.function("d, bias, u, qd, q", qdd)
+    q, qd, d, bias = _recorded_forces(code, forces, len(A))
+    (qdd,) = cholesky_solve(code, d, [_rhs(A, Bd, code.unpack("u", (len(A),)), qd, bias)])
+    return code.function("q, qd, u", qdd)
+
+
+def _plant_code(A, Bd, forces):
+    """Source of ``f(q, qd)``: f_v and the rows of g_v (``_drift_and_input``)."""
+    code = codegen.Recorder()
+    return code.function("q, qd", _drift_and_input(code, A, Bd, forces)[2:])
 
 
 class _PlantSolves(dict):
-    """A plant's generated code with its A and Bd written in, compiled at
-    first use: ``_plant_code``'s by its ``inputs`` flag, and that of
-    another builder ``build(A, Bd, *key)`` by the tuple (build, *key)."""
+    """A plant's generated code, compiled at first use: that of a builder
+    ``build(A, Bd, forces, *key)`` under the key ``build`` or (build, *key)."""
 
-    def __init__(self, A, Bd):
+    def __init__(self, A, Bd, forces):
         super().__init__()
-        self.constants = tuple(tuple(map(tuple, X.tolist())) for X in (A, Bd))
+        self.constants = (*(tuple(map(tuple, X.tolist())) for X in (A, Bd)), forces)
 
     def __missing__(self, key):
-        build, *rest = key if isinstance(key, tuple) else (_plant_code, key)
+        build, *rest = key if isinstance(key, tuple) else (key,)
         solve = self[key] = codegen.kernel(build, *self.constants, *rest)
         return solve
 
@@ -246,7 +252,7 @@ def drift_and_input(system, q, qd):
     One Cholesky factorization of D serves the drift and every column
     of A.  Takes and returns float lists: f_v, and the rows of g_v.
     """
-    return system.solves[True](*system.forces(q, qd), qd, q)
+    return system.solves[_plant_code](q, qd)
 
 
 def acceleration(system, q, qd, u):
@@ -255,12 +261,11 @@ def acceleration(system, q, qd, u):
     Takes and returns sequences of floats; the integrator calls it on lists.
     """
     try:
-        d, bias = system.forces(q, qd)
+        return system.solves[_stage_code](q, qd, u)
     except ValueError:   # math.sin of an infinite angle, say
         if all(map(math.isfinite, q)):
             raise
         raise DivergenceError(f"non-finite configuration q={q}") from None
-    return system.solves[False](d, bias, u, qd, q)
 
 
 def _floats(v):
@@ -271,6 +276,12 @@ def _floats(v):
 # --- plants -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)   # one per value: equal plants share their code
+def _constant_forces(rows, bias):
+    """``forces`` of a plant whose D and C qd + G are ``rows`` and ``bias``."""
+    return lambda q, qd: (rows, bias)
+
+
 def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
     """Two stacked masses on a line; output is the top (second) block.
 
@@ -279,13 +290,12 @@ def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
     """
     m1, m2, b1, b2 = (positive(f"example1 parameter {k}", v)
                       for k, v in (("m1", m1), ("m2", m2), ("b1", b1), ("b2", b2)))
-    forces = ([[m1, 0.0], [0.0, m2]], [0.0, 0.0])
     return MechanicalSystem(
         name="example1",
         A=np.eye(2),
         damping=np.array([[b1 + b2, -b2], [-b2, b2]]),
         Z=np.array([[1.0, 0.0]]),
-        forces=lambda q, qd: forces,
+        forces=_constant_forces(((m1, 0.0), (0.0, m2)), (0.0, 0.0)),
         kinematics=lambda q, qd: ([q[1]], [[0.0, 1.0]], [[0.0, 0.0]]),
         default_limits=Limits(
             q_min=[-2.0, -5.0], q_max=[2.0, 5.0],

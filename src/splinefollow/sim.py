@@ -4,28 +4,29 @@ The control input is held over each 20 ms (default) period while the
 plant integrates with a fixed-step classical Runge-Kutta scheme at a
 finer substep.  One substep is written once as list arithmetic,
 ``_rk4_code``, and runs as straight-line float code recorded for the
-plant's N; its four stages call the ``acceleration`` it is given.  One loop,
-``_simulate``, runs every control period on q and qd as float lists:
-measurement, ``control.step``, the RK4 hold and the clock.  ``run``
-checks the initial ``State`` and drives it once per scenario, appending
-each period's row to one float table whose layout ``_log_columns``
-states once, so no period's records outlive it; ``write_table`` writes
-every CSV the package writes.  The zero-dynamics portrait drives it
-once per initial condition from states constructed on the
-path-following manifold, so the redundant flow reflects the actual
-pipeline rather than a symbolic reduction.  Those states come from the
-inverse kinematics of the unit-link planar 3R arm, ``ik_planar3r``, so
-the analysis takes that plant only (N = 3, p = 2, Z = [[1, 1, 1]]) and
-rejects any other up front.  Its equilibrium search reads the flow
-through one reader, ``_rate``: the zeta_2 rate, NaN where the field
-raises.  ``Scenario.from_dict`` reads a scenario file: ``from_json``
-checks the scenario, its sections and its path spec, whatever the kind,
-against the arguments of what each builds.
+plant's N; each of its four stages is one call of ``acceleration``, the
+plant's generated forces and solve.  One loop, ``_simulate``, runs every
+period on q and qd as float lists: measurement, ``control.step``, the
+RK4 hold and the clock.  ``run`` checks the initial ``State`` and drives
+it once per scenario, appending each period's row to one float table
+whose layout ``_log_columns`` states once; ``write_table`` writes every
+CSV the package writes, np.savetxt's bytes, 256 rows at a time.  The
+zero-dynamics portrait drives it once per initial condition from states
+constructed on the path-following manifold, so the redundant flow
+reflects the pipeline rather than a symbolic reduction.  Those states
+come from the inverse kinematics of the unit-link planar 3R arm,
+``ik_planar3r``, so the analysis takes that plant only (N = 3, p = 2,
+Z = [[1, 1, 1]]) and rejects any other up front.  Its equilibrium search
+reads the flow through one reader, ``_rate``: the zeta_2 rate, NaN where
+the field raises (a root's bisection then reads it at the feasible end
+of that stretch).  ``Scenario.from_dict`` reads a scenario file:
+``from_json`` checks it, its sections and its path spec.
 """
 
 import json
 import math
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -168,8 +169,13 @@ def _log_columns(N, p):
 
 
 def write_table(out, table, header):
-    """``table`` as CSV under the ``header`` line, to a file name or an open file."""
-    np.savetxt(out, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    """The rows of ``table`` as CSV under the ``header`` line, to a file name
+    or an open text file: ``np.savetxt(fmt="%.17g")``'s bytes, 256 rows a write."""
+    line = ",".join(["%.17g"] * np.shape(table)[1]) + "\n"
+    with nullcontext(out) if hasattr(out, "write") else open(out, "w") as f:
+        f.write(header + "\n")
+        for i in range(0, len(table), 256):
+            f.write("".join([line % tuple(r) for r in np.asarray(table[i:i + 256]).tolist()]))
 
 
 @dataclass(eq=False)   # == is identity: the table is an array
@@ -594,6 +600,15 @@ def _find_equilibria(field, grid):
     scan = np.linspace(lo, hi, 400)
     g = np.array([_rate(field, z1) for z1 in scan])
 
+    # whether the rate at z has g0's sign; where the field raises at z, the
+    # rate at the z0 end of the stretch where it raises stands in for it
+    def on_side(z0, g0, z):
+        g = _rate(field, z)
+        if np.isnan(g):
+            g = _rate(field, curves.bisect(lambda x: not np.isnan(_rate(field, x)),
+                                           z0, z, 0.0))
+        return (g > 0.0) == (g0 > 0.0)
+
     roots = []   # in scan order
     for i in range(len(scan) - 1):
         a, b = g[i], g[i + 1]
@@ -602,9 +617,8 @@ def _find_equilibria(field, grid):
         if a == 0.0:
             roots.append(scan[i])
         elif a * b < 0.0:
-            roots.append(curves.bisect(
-                lambda z: (_rate(field, z) > 0.0) == (a > 0.0),
-                scan[i], scan[i + 1], 1e-12))
+            roots.append(curves.bisect(partial(on_side, scan[i], a),
+                                       scan[i], scan[i + 1], 1e-12))
     merged = []
     for rt in roots:
         if not merged or rt - merged[-1] > CLUSTER_RADIUS:
@@ -672,16 +686,9 @@ def _slope(field, z, dz, h):
 
 def portrait_to_files(portrait, csv_file, json_file):
     """CSV of flows plus a JSON equilibria summary."""
-    rows = []
-    for i, trace in enumerate(portrait.flows):
-        if trace is None:
-            continue
-        n = len(trace)
-        rows.append(
-            np.column_stack([np.full(n, i), np.arange(n), trace])
-        )
-    data = np.vstack(rows) if rows else np.empty((0, 4))
-    write_table(csv_file, data, "ic_index,step,zeta1,zeta2")
+    rows = [[i, step, *zeta] for i, trace in enumerate(portrait.flows)
+            if trace is not None for step, zeta in enumerate(trace.tolist())]
+    write_table(csv_file, np.reshape(rows, (-1, 4)), "ic_index,step,zeta1,zeta2")
     summary = {
         "equilibria": [
             {

@@ -11,15 +11,15 @@ v = alpha + beta u exactly the second derivatives of those coordinates.
 ``linearize`` runs once per control period, on q and qd as lists of
 Python floats, as one generated call: ``_transform_code`` records, in
 this order, the frame at the closest point (``frames._frame_values``),
-the drift solve of the affine dynamics (``dynamics._drift_and_input``),
-the linearization (``_linearized``) and zeta into one straight-line
-function per plant, p, frame mode and completion vectors (constants of
-the code), generated at first use.  It takes the curve rows of one
-``jet_unchecked`` call, the plant's ``kinematics`` and ``forces`` calls
-and the rows of the plant's completion matrix Z.  Its one record, the
+the plant's ``forces`` and the drift solve of the affine dynamics
+(``dynamics._drift_and_input``), the linearization (``_linearized``)
+and zeta into one straight-line function per plant, p, frame mode and
+completion vectors (constants of the code), generated at first use.  It
+takes the curve rows of one ``jet_unchecked`` call, the plant's
+``kinematics`` call, q, qd and the rows of Z.  Its one record, the
 period's LinearizationData, holds eta (eta_1 from the arclength table),
-xi, zeta, alpha and beta; the frame values and the drift solve's f_v and
-D^-1 A stay in the call, and (k*, lambda*) in the ProjectionState given.
+xi, zeta, alpha and beta; the frame values, D, f_v and D^-1 A stay in
+the call, and (k*, lambda*) in the ProjectionState given.
 """
 
 from dataclasses import dataclass
@@ -90,26 +90,23 @@ def _linearized(code, p, N, sigma, values, qd, f_v, g_v):
     return eta2, xi, alpha, beta
 
 
-def _transform_code(A, Bd, p, mode, fixed_vectors):
-    """Source of ``f(rows, lam, kinematics, d, bias, qd, q, Z)``, the
-    transform layer with the constants A, Bd and ``fixed_vectors``.
+def _transform_code(A, Bd, forces, p, mode, fixed_vectors):
+    """Source of ``f(rows, lam, kinematics, q, qd, Z)``, the transform
+    layer with the constants A, Bd and ``fixed_vectors`` and the plant's
+    ``forces`` recorded in.
 
     The arguments are those of the frame code (``frames._frame_code``),
-    the plant's (h, J, d(J qd)/dq), ``forces`` rows of D and bias, qd, q
-    and the rows of Z.  It returns (eta_2, xi, zeta, alpha, beta), the
-    LinearizationData after eta_1.  The frame's checks come before the
-    drift solve's.
+    the plant's (h, J, d(J qd)/dq), q, qd and the rows of Z.  It returns
+    (eta_2, xi, zeta, alpha, beta), the LinearizationData after eta_1.
+    The frame's checks come before the drift solve's.
     """
     N = len(A)
     code = codegen.Recorder()
     sigma, values = frames._frame_values(code, p, mode, fixed_vectors)
-    d = code.unpack("d", (N, N))
-    bias, qd = code.unpack("bias", (N,)), code.unpack("qd", (N,))
-    f_v, g_v = dynamics._drift_and_input(code, A, Bd, d, bias, qd)
+    q, qd, f_v, g_v = dynamics._drift_and_input(code, A, Bd, forces)
     eta2, xi, alpha, beta = _linearized(code, p, N, sigma, values, qd, f_v, g_v)
-    Z, q = code.unpack("Z", (N - p, N)), code.unpack("q", (N,))
-    zeta = dynamics._completion(Z, q, qd)
-    return code.function("rows, lam, kinematics, d, bias, qd, q, Z",
+    zeta = dynamics._completion(code.unpack("Z", (N - p, N)), q, qd)
+    return code.function("rows, lam, kinematics, q, qd, Z",
                          (eta2, xi, zeta, alpha, beta))
 
 
@@ -132,7 +129,6 @@ def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
     rows = path.jet_unchecked(k, lam, p + 1)
     if kinematics is None:
         kinematics = system.kinematics(q, qd)
-    eta2, *rest = transform(rows, lam, kinematics,
-                            *system.forces(q, qd), qd, q, system.Z_rows)
+    eta2, *rest = transform(rows, lam, kinematics, q, qd, system.Z_rows)
     eta1 = path.arclength_offsets[k] + path.arclength_interp(k, lam)
     return LinearizationData([eta1, eta2], *rest)

@@ -5,6 +5,9 @@ Each is a second, numpy computation that tests compare the package with:
   ``frame_jet``, which returns one;
 - ``G`` and ``dJ_dq``, array views of a plant's compiled ``forces`` and
   ``kinematics`` calls;
+- ``acceleration`` and ``drift_and_input``, a float ``forces`` call and
+  then a generated solve that takes its values as arguments, which the
+  package's calls, with ``forces`` recorded in, must match bit for bit;
 - ``check_differentials``, the rank of the transform's gradient rows,
   reported as a ``DifferentialReport``;
 - ``linearize_pieces`` and ``command_pieces``, the transform and input
@@ -13,12 +16,14 @@ Each is a second, numpy computation that tests compare the package with:
   and ``tangential_v``, the input layer's tangential loop alone.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from splinefollow import codegen, control, dynamics, frames, transform
-from splinefollow.dynamics import _floats
+from splinefollow.dynamics import _floats, _rhs, cholesky_solve
+from splinefollow.errors import DivergenceError
 
 
 class FrameArrays(frames.FrameJet):
@@ -55,6 +60,44 @@ def dJ_dq(system, q):
     q = _floats(q)
     return np.array([system.kinematics(q, e)[2] for e in np.eye(system.N).tolist()],
                     dtype=float).transpose(1, 0, 2)
+
+
+def _solve_code(A, Bd, inputs):
+    """Source of the plant solve for the constant rows A and Bd.
+
+    ``f(d, bias, u, qd, q)`` returns qdd = D^-1 (A u - Bd qd - bias) for
+    the rows ``d`` of D and ``bias`` = C qd + G.  With ``inputs``,
+    ``f(d, bias, qd, q)`` returns f_v and the rows of g_v
+    from one factorization of D.  ``q`` only goes into error messages.
+    """
+    N = len(A)
+    code = codegen.Recorder()
+    d = code.unpack("d", (N, N))
+    bias, qd = code.unpack("bias", (N,)), code.unpack("qd", (N,))
+    if inputs:
+        f_v, *g = cholesky_solve(code, d, [_rhs(A, Bd, [0.0] * N, qd, bias), *zip(*A)])
+        return code.function("d, bias, qd, q", (f_v, [list(x) for x in zip(*g)]))
+    u = code.unpack("u", (N,))
+    (qdd,) = cholesky_solve(code, d, [_rhs(A, Bd, u, qd, bias)])
+    return code.function("d, bias, u, qd, q", qdd)
+
+
+def acceleration(system, q, qd, u):
+    """``dynamics.acceleration`` as a ``forces`` call, then the solve."""
+    try:
+        d, bias = system.forces(q, qd)
+    except ValueError:   # math.sin of an infinite angle, say
+        if all(map(math.isfinite, q)):
+            raise
+        raise DivergenceError(f"non-finite configuration q={q}") from None
+    A, Bd, _ = system.solves.constants
+    return codegen.kernel(_solve_code, A, Bd, False)(d, bias, u, qd, q)
+
+
+def drift_and_input(system, q, qd):
+    """``dynamics.drift_and_input`` as a ``forces`` call, then the solve."""
+    A, Bd, _ = system.solves.constants
+    return codegen.kernel(_solve_code, A, Bd, True)(*system.forces(q, qd), qd, q)
 
 
 @dataclass(frozen=True)

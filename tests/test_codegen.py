@@ -202,3 +202,18 @@ def test_traceback_shows_the_generated_line():
             raise
     assert 'File "<_resolve_code(1, 2, False)>", line ' in tb
     assert "    raise NearSingularDecouplingError(f\"decoupling matrix nearly singular" in tb
+
+
+def test_constants_fold_bit_for_bit():
+    """Arithmetic on numbers alone runs at record time, and inf and nan are
+    literals: the recorded code gives the floats of the written arithmetic
+    at -0.0, inf and nan too."""
+    code = codegen.Recorder()
+    (x,) = code.unpack("x", (1,))
+    f = codegen.compiled(code.function("x", [
+        x * 1.0, x / 1.0, x - 0.0, x - (-0.0), x + 0.0, 0.0 * x, x * np.inf,
+        (2.0 * 3.0) * x, -np.inf - x, x / np.nan]))
+    for v in (-0.0, 0.0, 1.5, -np.inf, np.inf, np.nan):
+        want = [v * 1.0, v / 1.0, v - 0.0, v - (-0.0), v + 0.0, 0.0 * v, v * np.inf,
+                6.0 * v, -np.inf - v, v / np.nan]
+        assert repr(f([v])) == repr(want)

@@ -3,7 +3,8 @@
 ``import splinefollow``, the ``example1`` plant, the ``two_mass_line``
 path and a short run need numpy alone, and so do the symbolic plants,
 whose code ships generated, and the zero-dynamics analysis: neither
-scipy nor sympy loads.  The check
+scipy nor sympy loads.  The ``example1`` run loads no module of
+``numpy.polynomial`` that ``import numpy`` alone does not.  The check
 runs in a fresh interpreter, since the rest of the suite has loaded both
 long before.  Run as a script, it checks whichever ``splinefollow`` the
 interpreter imports (an installed copy, say) and exits 1 on a failure:
@@ -22,10 +23,15 @@ SCENARIO = HERE.parent / "scenarios" / "two_mass_line.json"
 HEAVY = ("scipy", "sympy")
 
 
+def _polynomial_modules():
+    return {name for name in sys.modules if name.startswith("numpy.polynomial")}
+
+
 def check():
     """Problems found in this interpreter, which must not have loaded HEAVY."""
     import numpy as np
 
+    with_numpy = _polynomial_modules()
     from splinefollow import control, curves, dynamics, sim
 
     scenario = sim.Scenario.from_file(SCENARIO)
@@ -33,6 +39,8 @@ def check():
     sim.run(dataclasses.replace(scenario, duration=1.0))
     problems = [f"{name} loaded by the example1 run"
                 for name in HEAVY if name in sys.modules]
+    problems += [f"{name} loaded by the example1 run"
+                 for name in sorted(_polynomial_modules() - with_numpy)]
     example2 = dynamics.make_example2()
     dynamics.make_cpm_like()
     problems += [f"{name} loaded by make_example2 or make_cpm_like"

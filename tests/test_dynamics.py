@@ -424,3 +424,70 @@ class TestInertiaSolve:
             ref = np.linalg.solve(D, B)
             np.testing.assert_allclose(x, ref, rtol=1e-12,
                                        atol=1e-12 * np.abs(ref).max())
+
+
+def _outcome(call, *args):
+    """repr of what ``call(*args)`` returns, or the type and message of
+    the library error it raises."""
+    try:
+        return repr(call(*args))
+    except (DivergenceError, NonSPDInertiaError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStage:
+    """The plant's stage and drift calls, with ``forces`` recorded in,
+    against a ``forces`` call followed by the solve (``oracles``)."""
+
+    @pytest.mark.parametrize("plant", ["example1", "example2", "cpm4"])
+    def test_matches_forces_then_solve(self, plant):
+        """The same floats, bit for bit, over random states."""
+        system = dynamics.make_plant(plant)
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            q, qd, u = (rng.uniform(-3.0, 3.0, system.N).tolist() for _ in range(3))
+            assert (repr(dynamics.acceleration(system, q, qd, u))
+                    == repr(oracles.acceleration(system, q, qd, u)))
+            assert (repr(dynamics.drift_and_input(system, q, qd))
+                    == repr(oracles.drift_and_input(system, q, qd)))
+
+    @pytest.mark.parametrize("case, error, message", [
+        ("indefinite", NonSPDInertiaError, "inertia matrix not SPD at q=[0.1, 0.2]"),
+        ("singular", NonSPDInertiaError, "inertia matrix not SPD at q=[0.1, 0.2]"),
+        ("infinite-D", DivergenceError, "non-finite inertia matrix at q=[0.1, 0.2]"),
+        ("nan-D", DivergenceError, "non-finite inertia matrix at q=[0.1, 0.2]"),
+        ("nan-u", DivergenceError,
+         "non-finite solution of the inertia matrix system at q=[0.1, 0.2]"),
+        ("nan-u-3r", DivergenceError,
+         "non-finite solution of the inertia matrix system at q=[0.1, 0.2, 0.3]"),
+        ("nan-q-3r", DivergenceError, "non-finite inertia matrix at q=[0.1, nan, 0.3]"),
+        ("cos-inf-3r", DivergenceError, "non-finite configuration q=[0.1, inf, 0.3]"),
+        ("cos-inf-cpm4", DivergenceError,
+         "non-finite configuration q=[0.1, 0.2, -inf, 0.4]"),
+    ])
+    def test_fails_as_forces_then_solve(self, case, error, message):
+        """Each failure raises the oracle's type with its message, and the
+        checks of a constant D, folded at record time, still run in the call."""
+        inertia = {"indefinite": [[1.0, 2.0], [2.0, 1.0]],
+                   "singular": [[1.0, 1.0], [1.0, 1.0]],
+                   "infinite-D": [[np.inf, 0.0], [0.0, 1.0]],
+                   "nan-D": [[1.0, 0.0], [np.nan, 1.0]]}
+        nan, inf = np.nan, np.inf
+        plant, q, u = {
+            "nan-u": ("example1", [0.1, 0.2], [nan, 0.0]),
+            "nan-u-3r": ("example2", [0.1, 0.2, 0.3], [0.0, nan, 0.0]),
+            "nan-q-3r": ("example2", [0.1, nan, 0.3], [0.0] * 3),
+            "cos-inf-3r": ("example2", [0.1, inf, 0.3], [0.0] * 3),
+            "cos-inf-cpm4": ("cpm4", [0.1, 0.2, -inf, 0.4], [0.0] * 4),
+        }.get(case, ("example1", [0.1, 0.2], [1.0, 0.0]))
+        system = dynamics.make_plant(plant)
+        if case in inertia:
+            system = TestInertiaSolve._with_inertia(system, inertia[case])
+        qd = [0.3, -0.4, 0.5, -0.6][:system.N]
+        want = _outcome(oracles.acceleration, system, q, qd, u)
+        assert want == (error, message)
+        assert _outcome(dynamics.acceleration, system, q, qd, u) == want
+        if case in inertia:
+            assert (_outcome(dynamics.drift_and_input, system, q, qd)
+                    == _outcome(oracles.drift_and_input, system, q, qd)
+                    == (error, message))

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import io
 import json
 import os
 import re
@@ -24,6 +25,7 @@ from splinefollow.errors import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+REFERENCE = Path(__file__).resolve().parent / "reference"
 
 
 def _example1_scenario(**overrides):
@@ -71,18 +73,10 @@ def _reference_hold(system, state, u, h, substeps):
 class TestIntegrator:
     @pytest.mark.parametrize("plant", ["example1", "example2", "cpm4"])
     @pytest.mark.parametrize("substeps", [1, 2, 5])
-    def test_hold_matches_list_code(self, plant, substeps, monkeypatch):
-        """The generated hold gives the list code's floats exactly and
-        calls dynamics.acceleration, through the module, 4 x substeps times."""
+    def test_hold_matches_list_code(self, plant, substeps):
+        """The generated hold gives the list code's floats exactly."""
         system = dynamics.make_plant(plant)
         rng = np.random.default_rng(substeps)
-        calls = []
-        acceleration = dynamics.acceleration
-
-        def counted(*args):
-            calls.append(1)
-            return acceleration(*args)
-
         for _ in range(10):
             st = State(q=rng.uniform(-1.0, 1.0, system.N),
                        qd=rng.uniform(-1.0, 1.0, system.N))
@@ -91,8 +85,24 @@ class TestIntegrator:
             out = sim._rk4_hold(system, st.q.tolist(), st.qd.tolist(), u.tolist(),
                                 h, substeps)
             assert out == (q, qd)
+
+    @pytest.mark.parametrize("plant", ["example1", "example2", "cpm4"])
+    @pytest.mark.parametrize("substeps", [1, 2, 5])
+    def test_hold_calls_acceleration_once_per_stage(self, plant, substeps,
+                                                    monkeypatch):
+        """The hold calls dynamics.acceleration, as the module holds it,
+        4 x substeps times: one call per RK4 stage."""
+        system = dynamics.make_plant(plant)
+        calls = []
+        acceleration = dynamics.acceleration
+
+        def counted(*args):
+            calls.append(1)
+            return acceleration(*args)
+
         monkeypatch.setattr(dynamics, "acceleration", counted)
-        sim._rk4_hold(system, st.q.tolist(), st.qd.tolist(), u.tolist(), h, substeps)
+        sim._rk4_hold(system, [0.1] * system.N, [0.2] * system.N, [0.3] * system.N,
+                      0.02 / substeps, substeps)
         assert len(calls) == 4 * substeps
 
     def test_rk4_order_on_linear_system(self, example1):
@@ -114,6 +124,53 @@ class TestIntegrator:
         q, _ = sim._rk4_hold(example2, st.q.tolist(), st.qd.tolist(), [0.0] * 3,
                              0.01, 10)
         np.testing.assert_allclose(q, st.q, atol=1e-12)
+
+
+class TestWriteTable:
+    """``write_table`` writes the bytes of ``np.savetxt(fmt="%.17g")``."""
+
+    @staticmethod
+    def _savetxt(table, header):
+        out = io.StringIO()
+        np.savetxt(out, table, fmt="%.17g", delimiter=",", header=header,
+                   comments="")
+        return out.getvalue()
+
+    @staticmethod
+    def _written(table, header):
+        out = io.StringIO()
+        sim.write_table(out, table, header)
+        return out.getvalue()
+
+    @pytest.mark.parametrize("name", ["two_mass_line", "figure_eight_3r",
+                                      "twisted_loop_4dof"])
+    def test_shipped_run_tables(self, name):
+        """The reference logs of the shipped scenarios, read back exactly."""
+        lines = (REFERENCE / f"{name}.csv").read_text().splitlines()
+        table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        assert self._written(table, lines[0]) == self._savetxt(table, lines[0])
+        assert self._written(table, lines[0]).splitlines() == lines
+
+    @pytest.mark.parametrize("table", [
+        np.array([[-0.0, 5e-324, 1e308, -1e308], [3.0, -7.0, 0.1, 2.0**53 + 2.0]]),
+        np.array([[1.0, 0.5, -2.5]]),   # one row
+        np.empty((0, 4)),
+        np.arange(600.0).reshape(300, 2) / 7.0,   # more rows than one chunk
+        [[3, 0.25, 1.5e-17], [0, 1.0, 2.0]],      # the CLI's project rows
+    ], ids=["edge-values", "one-row", "empty", "two-chunks", "list-rows"])
+    def test_matches_savetxt(self, table):
+        assert self._written(table, "a,b") == self._savetxt(table, "a,b")
+
+    def test_file_name_and_open_file(self, tmp_path):
+        table = np.array([[1.0, -0.0], [1e-300, 7.0]])
+        sim.write_table(str(tmp_path / "named.csv"), table, "x,y")
+        with open(tmp_path / "open.csv", "w") as f:
+            sim.write_table(f, table, "x,y")
+        np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g", delimiter=",",
+                   header="x,y", comments="")
+        ref = (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "named.csv").read_bytes() == ref
+        assert (tmp_path / "open.csv").read_bytes() == ref
 
 
 class TestScenario:
@@ -411,12 +468,12 @@ class TestRun:
         first = list(labels)
         sim.run(scen, path=path, system=system)
         assert len(log.t) == 50
-        constants = "{}, {}".format(*system.solves.constants)
+        constants = "{}, {}, 'planar3r_forces'".format(*system.solves.constants[:2])
         for label in (f"_transform_code({constants}, 2, 'planar_fallback', ())",
                       "_command_code(2, 3, 'velocity', 'joint_limit', False)",
                       "_newton_code('_polynomial_rows', 2, 6)",
                       "_jet_code(3, 0, '_polynomial_rows', 2, 6)", "_rk4_code(3,)",
-                      f"_plant_code({constants}, False)"):
+                      f"_stage_code({constants})"):
             assert first.count(label) == 1, first
         assert len(set(first)) == len(first)
         assert labels == first
@@ -672,7 +729,8 @@ class TestPortrait:
     def test_interior_search_reads_the_rate(self, band):
         """Where the field raises strictly between two feasible scan points,
         next to a root, the bisection and the residual check read NaN there
-        instead of raising; an equilibrium they return is the root."""
+        instead of raising, and the bisection keeps the half that holds
+        the root, on either side of it."""
         a, b, z1_eq = -4.0, -1.0, 0.3037
         raised = []
 
@@ -685,8 +743,8 @@ class TestPortrait:
 
         eqs = sim._find_equilibria(field, np.array([[-1.0, 0.0], [1.0, 0.0]]))
         assert raised   # the bisection reached into the band
-        for eq in eqs:
-            assert eq["zeta"][0] == pytest.approx(z1_eq, abs=1e-12)
+        assert len(eqs) == 1
+        assert eqs[0]["zeta"][0] == pytest.approx(z1_eq, abs=1e-12)
 
     def test_robust_gains_must_fit_the_plant(self, example2):
         """The portrait checks robust gains as run does, before any flow."""
