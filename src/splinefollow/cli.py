@@ -8,7 +8,8 @@ Subcommands:
   run       execute a closed-loop scenario, write CSV log + JSON summary
   portrait  zero-dynamics phase portrait for the planar 3R plant
 
-Exit codes: 0 success, 1 validation failure, 2 runtime failure.
+Exit codes: 0 success, 1 validation failure, 2 runtime failure (any
+library error raised during a control period, or a numerical failure).
 """
 
 import argparse
@@ -190,10 +191,10 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except NumericalFailure as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
     except (SplineFollowError, FileNotFoundError, KeyError, ValueError) as exc:
+        if isinstance(exc, NumericalFailure) or getattr(exc, "time", None) is not None:
+            print(f"runtime failure: {exc}", file=sys.stderr)
+            return 2
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
 

@@ -81,8 +81,9 @@ class Var:
 
 
 def _recorded(name):
-    """The recorded call of the ``math`` function ``name`` on a Var."""
-    return lambda x: x.code.let(name + "({})", x)
+    """The ``math`` function ``name``, its call recorded on a Var."""
+    f = getattr(math, name)
+    return lambda x: x.code.let(name + "({})", x) if isinstance(x, Var) else f(x)
 
 
 sqrt, cos, sin = map(_recorded, ("sqrt", "cos", "sin"))
@@ -93,6 +94,16 @@ def clamp(x, lo, hi):
     if isinstance(x, Var):
         return x.code.let("min(max({}, {}), {})", x, lo, hi)
     return min(max(x, lo), hi)
+
+
+def at_least(x, lo, above, below):
+    """``above()`` if x >= lo else ``below()``, lists; on a Var, entrywise
+    conditional expressions, into which an entry used once is written, so
+    it is evaluated only where its branch is taken.  NaN takes ``below``."""
+    if not isinstance(x, Var):
+        return above() if x >= lo else below()
+    return [x.code.let("{} if {} >= {} else {}", a, x, lo, b)
+            for a, b in zip(above(), below())]
 
 
 # IEEE-754 addition and multiplication are commutative, so an expression

@@ -7,28 +7,24 @@ to beta u + alpha = v, whose closed form uses the W-weighted right
 pseudoinverse of beta.  The null-space bias r steers the redundant
 degrees of freedom away from joint limits.
 
-The input layer, ``command``, runs once per period on q, qd and
-constants as Python floats, as one generated call: ``_command_code``
-records the tangential PI or PD loop with its anti-windup clamp
-(``_tangential``), the joint-limit bias (``bias_r``), the resolution
-(``_resolved``) and the actuator clamp into one straight-line function
-per p, N, tangential mode, bias mode and weighting, generated at first
-use.  The resolution forms beta W^-1 beta', checks its conditioning (in
-closed form for p <= 2, with one symmetric eigenvalue call for p >= 3)
-and solves with the plant layer's recorded Cholesky solve.  The
-transversal input (``transversal_v``, PD or robust) and the reference
-speed are computed before the call and go in as arguments.  The public
-pieces ``bias_r`` and ``resolve_input`` run the same arithmetic on
-their own.
-
-``step`` is one period: projection update, ``linearize`` and
-``command``.  It returns the clamped u, the PI loop's integral (a float
-the caller hands back next period) and a StepDiagnostics that points to
-the period's ProjectionState and LinearizationData and adds only v, the
-unclamped u and whether u was clamped.
+``step`` is one period: the projection update, then one generated call
+(``_period``) on q, qd and constants as Python floats.  Its builder,
+``_period_code``, records the transform layer (``transform._transformed``),
+the tangential PI or PD loop with its anti-windup clamp (``_tangential``),
+the transversal law, PD or robust (``transversal_v``), the joint-limit
+bias (``bias_r``), the resolution (``_resolved``: beta W^-1 beta', its
+conditioning, in closed form for p <= 2 and with one symmetric
+eigenvalue call for p >= 3, and the plant layer's recorded Cholesky
+solve) and the actuator clamp, one function per plant, p, frame policy
+and controller modes, generated at first use.  The public pieces
+``transversal_v``, ``bias_r`` and ``resolve_input`` run the same
+arithmetic alone.  ``step`` returns the clamped u, the PI loop's
+integral (a float the caller hands back next period) and a
+StepDiagnostics that points to the period's ProjectionState and
+LinearizationData and adds only v, the unclamped u and whether u was
+clamped.
 """
 
-import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -80,10 +76,10 @@ class OuterLoopGains:
     K1 = mu^2 K2 is enforced so the switch is continuous.  K, K0 and K2
     act on the interleaved (xi_1^1, xi_2^1, ...), so each is
     (p - 1) x 2(p - 1); ``robust_shape`` is their common shape.  In
-    robust mode ``robust_matrices`` holds the arrays K + K0, K1 and K2,
-    converted once at construction; ``eta2_ref_columns`` holds the
-    table's times and speeds as lists of floats the same way.  Every
-    gain and reference is read by ``errors.reals`` and kept as floats.
+    robust mode ``robust_matrices`` holds the rows of K + K0, K1 and K2
+    as lists of floats, converted once at construction;
+    ``eta2_ref_columns`` holds the table's times and speeds the same way.
+    Every gain and reference is read by ``errors.reals`` as floats.
     """
 
     tangential_mode: str = "velocity"
@@ -137,8 +133,8 @@ class OuterLoopGains:
                     "robust gains K, K0 and K2 must each be (p - 1) x 2(p - 1); got "
                     f"shapes {K.shape}, {K0.shape} and {K2.shape}")
             # K1 = mu^2 K2: continuity of the switched term at ||xi|| = mu
-            object.__setattr__(self, "robust_matrices",
-                               (K + K0, self.robust_mu**2 * K2, K2))
+            object.__setattr__(self, "robust_matrices", tuple(
+                X.tolist() for X in (K + K0, self.robust_mu**2 * K2, K2)))
         if self.eta2_ref_table:
             table = reals("eta2_ref_table rows", self.eta2_ref_table, (None, 2))
             if not np.all(np.diff(table[:, 0]) > 0):
@@ -149,7 +145,7 @@ class OuterLoopGains:
     @property
     def robust_shape(self):
         """Common (rows, columns) of the robust gains, in robust mode."""
-        return self.robust_matrices[2].shape
+        return len(self.robust_matrices[2]), len(self.robust_matrices[2][0])
 
     def eta2_reference(self, t):
         """Reference speed at time t (piecewise-linear table, else constant)."""
@@ -163,18 +159,16 @@ def bias_r(x_c, limits):
 
     Takes a sequence of floats and returns a list of floats.
     """
-    return [
-        -(hu - lu) / (hq - lq) * (x - lq) + hu
-        for x, lq, hq, lu, hu in zip(x_c, *limits.floats)
-    ]
+    return [-(hu - lu) / (hq - lq) * (x - lq) + hu
+            for x, lq, hq, lu, hu in zip(x_c, *limits.floats)]
 
 
 def _resolved(code, alpha, beta, v, r, W=None):
     """Record resolve_input's u into ``code``; return it.
 
     The arguments are lists and rows of Vars or floats; without ``W`` the
-    weight is the identity.  The messages report the source names
-    ``beta`` and ``W``.
+    weight is the identity.  The messages report beta, rendered from its
+    entries, and the argument ``W``.
     """
     p = len(beta)
     # rows of beta W^-1, that is columns of W^-1 beta'
@@ -202,22 +196,19 @@ def _resolved(code, alpha, beta, v, r, W=None):
                  "decoupling matrix nearly singular "
                  "(cond(beta W^-1 beta') = {cond:.3e})", cond="cond")
     rhs = [vi - ai - dot(b, r) for vi, ai, b in zip(v, alpha, beta)]
-    (w,) = dynamics.cholesky_solve(code, M, [rhs],
-                                   "decoupling matrix beta W^-1 beta'", "beta")
+    (w,) = dynamics.cholesky_solve(code, M, [rhs], "decoupling matrix beta W^-1 beta'",
+                                   "beta", codegen.render(beta, format))
     return [ri + dot(col, w) for ri, col in zip(r, zip(*bw))]
 
 
 def _resolve_code(p, N, weighted):
-    """Source of ``f(alpha, beta, v, r, W)``, the input u of resolve_input.
-
-    Without ``weighted``, W is the identity and the argument is unused.
-    """
+    """Source of ``f(alpha, beta, v, r, W)``, the input u of resolve_input;
+    without ``weighted``, W is the identity and the argument is unused."""
     code = codegen.Recorder()
     alpha, v = code.unpack("alpha", (p,)), code.unpack("v", (p,))
     beta, r = code.unpack("beta", (p, N)), code.unpack("r", (N,))
     W = code.unpack("W", (N, N)) if weighted else None
-    return code.function("alpha, beta, v, r, W",
-                         _resolved(code, alpha, beta, v, r, W))
+    return code.function("alpha, beta, v, r, W", _resolved(code, alpha, beta, v, r, W))
 
 
 def resolve_input(alpha, beta, v, r, W=None):
@@ -226,10 +217,9 @@ def resolve_input(alpha, beta, v, r, W=None):
     b+ is the W-weighted right pseudoinverse W^-1 beta' M^-1 with
     M = beta W^-1 beta', so u = r + W^-1 beta' M^-1 (v - alpha - beta r).
     M is symmetric, so the absolute values of its eigenvalues are its
-    singular values; NearSingularDecouplingError (with ``cond``) is
-    raised when their ratio is above 1e10 (the transform is
-    degenerating) or M is not finite.  beta has p rows of N, and W,
-    when given, N rows of N; u is a list of N floats.
+    singular values; NearSingularDecouplingError (with ``cond``) is raised
+    when their ratio is above 1e10 (the transform is degenerating) or M is
+    not finite.  beta has p rows of N, W N rows of N; u is N floats.
     """
     p, N = len(beta), len(beta[0])
     return codegen.kernel(_resolve_code, p, N, W is not None)(alpha, beta, v, r, W)
@@ -250,26 +240,24 @@ def _tangential(eta, integral, gains, dt, ref):
 
 
 def transversal_v(xi, gains):
-    """Transversal virtual input, as a list, from (xi_1, xi_2).
+    """Transversal virtual input, a list, from the two lists (xi_1, xi_2)
+    of p - 1 offsets and rates, on floats or recorded on Vars.
 
-    ``xi`` is the linearization's two lists of p - 1 floats, offsets and
-    offset rates.  The PD gains repeat cyclically over the p - 1
-    components.
+    The PD gains repeat cyclically over the p - 1 components.  The robust
+    law sums its inner products left to right; its switch,
+    ``codegen.at_least``, evaluates K1 xi / ||xi|| only where ||xi|| >= mu.
     """
     if gains.transversal_mode == "pd":
         Kp, Kd = gains.xi_Kp, gains.xi_Kd
         return [-Kp[i % len(Kp)] * x1 - Kd[i % len(Kd)] * x2
                 for i, (x1, x2) in enumerate(zip(*xi))]
-    # robust mode operates on the interleaved vector (xi_1^1, xi_2^1, ...)
-    z = np.asarray(xi, dtype=float).reshape(2, -1).T.ravel()
+    z = [x for pair in zip(*xi) for x in pair]
     KK0, K1, K2 = gains.robust_matrices
-    lin = KK0 @ z
-    nz = math.sqrt(z @ z)
-    if nz >= gains.robust_mu:
-        sw = (K1 @ z) / nz
-    else:
-        sw = nz * (K2 @ z)
-    return (lin + sw).tolist()
+    nz = codegen.sqrt(dot(z, z))
+    switched = codegen.at_least(nz, gains.robust_mu,
+                                lambda: [dot(row, z) / nz for row in K1],
+                                lambda: [nz * dot(row, z) for row in K2])
+    return [dot(row, z) + x for row, x in zip(KK0, switched)]
 
 
 @dataclass(slots=True)
@@ -288,60 +276,65 @@ class StepDiagnostics:
     saturated: bool
 
 
-def _command_code(p, N, tangential_mode, bias_mode, weighted):
-    """Source of the input layer
-    ``f(eta, integral, ref, v_xi, q, alpha, beta, gains, limits, W, dt)``.
-
-    It records the tangential loop (``_tangential``), the bias
-    (``bias_r``), the resolution (``_resolved``) and the clamp, and
-    returns ``command``'s (u, u_unclamped, v, new_integral).  ``ref`` is
-    the reference speed, ``v_xi`` the transversal virtual input,
-    ``limits`` the four lists of ``Limits.floats``; the mode's gains are
-    read from ``gains``, and without ``weighted`` W is the identity.
-    """
+def _period_code(A, Bd, forces, p, mode, fixed_vectors, tangential_mode,
+                 transversal_mode, bias_mode, weighted):
+    """Source of ``f(rows, lam, kinematics, q, qd, Z, eta1, integral, ref,
+    gains, limits, W, dt)``, returning ((eta, xi, zeta, alpha, beta), u,
+    u_unclamped, v, new_integral); ``ref`` is the reference speed, the
+    modes' gains are read from ``gains`` and without ``weighted`` W is
+    the identity."""
+    N, m = len(A), p - 1
     code = codegen.Recorder()
+    q, (eta2, xi, zeta, alpha, beta) = transform._transformed(
+        code, A, Bd, forces, p, mode, fixed_vectors)
     names = (("K_P", "K_D", "eta1_ref") if tangential_mode == "position"
              else ("K_P", "K_I", "integral_limit"))
-    tangential = SimpleNamespace(tangential_mode=tangential_mode, **{
-        name: code.unpack(f"gains.{name}", (), name) for name in names})
-    integral, ref, dt = (codegen.Var(code, x) for x in ("integral", "ref", "dt"))
-    v_eta, integral = _tangential(code.unpack("eta", (2,)), integral, tangential,
-                                  dt, ref)
-    v = [v_eta, *code.unpack("v_xi", (p - 1,))]
+    gains = SimpleNamespace(tangential_mode=tangential_mode,
+                            transversal_mode=transversal_mode,
+                            **{x: code.unpack(f"gains.{x}", (), x) for x in names})
+    eta1, integral, ref, dt = (codegen.Var(code, x) for x in "eta1 integral ref dt".split())
+    v_eta, integral = _tangential([eta1, eta2], integral, gains, dt, ref)
+    if m and transversal_mode == "pd":
+        gains.xi_Kp, gains.xi_Kd = (code.unpack(f"(gains.{x} * {m})[:{m}]", (m,), x)
+                                    for x in ("xi_Kp", "xi_Kd"))
+    elif m:
+        gains.robust_matrices = code.unpack("gains.robust_matrices", (3, m, 2 * m), "K")
+        gains.robust_mu = code.unpack("gains.robust_mu", (), "mu")
+    v = [v_eta, *(transversal_v(xi, gains) if m else [])]
     limits = code.unpack("limits", (4, N))
-    r = (bias_r(code.unpack("q", (N,)), SimpleNamespace(floats=limits))
+    r = (bias_r(q, SimpleNamespace(floats=limits))
          if bias_mode == "joint_limit" else [0.0] * N)
-    alpha, beta = code.unpack("alpha", (p,)), code.unpack("beta", (p, N))
     u = _resolved(code, alpha, beta, v, r,
                   code.unpack("W", (N, N)) if weighted else None)
     clamped = [codegen.clamp(x, lo, hi) for x, lo, hi in zip(u, *limits[2:])]
     return code.function(
-        "eta, integral, ref, v_xi, q, alpha, beta, gains, limits, W, dt",
-        (clamped, u, v, integral))
+        "rows, lam, kinematics, q, qd, Z, eta1, integral, ref, gains, limits, W, dt",
+        (([eta1, eta2], xi, zeta, alpha, beta), clamped, u, v, integral))
 
 
-def command(lin, q, integral, gains, redundancy, limits, dt, t):
-    """Outer loops, null-space bias and input resolution at one state.
-
-    ``lin`` is the linearization at configuration ``q`` and ``integral``
-    the PI loop's memory.  Returns (u, u_unclamped, v, new_integral), the
-    first three as lists of floats: u is u_unclamped clamped elementwise
-    to the actuation limits.  The transversal input (``transversal_v``)
-    and the reference speed go into one generated call, ``_command_code``.
-    """
-    p = len(lin.alpha)
-    inputs = codegen.kernel(_command_code, p, len(q), gains.tangential_mode,
-                            redundancy.bias_mode, redundancy.W is not None)
-    return inputs(lin.eta, integral, gains.eta2_reference(t),
-                  transversal_v(lin.xi, gains) if p > 1 else [], q, lin.alpha,
-                  lin.beta, gains, limits.floats, redundancy.W_rows, dt)
+def _period(system, path, q, qd, proj_state, kinematics, integral, gains,
+            redundancy, limits, policy, dt, t):
+    """The period after the projection: one call of ``_period_code``, the
+    curve rows and eta_1 taken outside it, ``kinematics`` the plant's call.
+    Returns the LinearizationData, u, u_unclamped, v and the new integral."""
+    p = path.output_dim
+    k, lam = proj_state.k_star, float(proj_state.lambda_star)
+    call = system.solves[_period_code, p, policy.mode, policy.fixed_vectors,
+                         gains.tangential_mode, gains.transversal_mode,
+                         redundancy.bias_mode, redundancy.W is not None]
+    rows = path.jet_unchecked(k, lam, p + 1)
+    eta1 = path.arclength_offsets[k] + path.arclength_interp(k, lam)
+    lin, *out = call(rows, lam, kinematics, q, qd, system.Z_rows, eta1, integral,
+                     gains.eta2_reference(t), gains, limits.floats, redundancy.W_rows, dt)
+    return transform.LinearizationData(*lin), *out
 
 
 def step(system, path, q, qd, proj_state, integral, gains,
          redundancy=RedundancyConfig(), limits=None,
          proj_cfg=projection.ProjectionConfig(), policy=frames.FRENET,
          dt=0.02, t=0.0):
-    """One full control pass: project, transform, outer loops, resolve.
+    """One full control pass: project, then transform, outer loops and
+    resolution in one generated call (``_period``).
 
     q and qd are the measured state, float lists, and ``integral`` the PI
     loop's memory.  Returns (u, new_integral, diagnostics); u is clamped
@@ -352,7 +345,7 @@ def step(system, path, q, qd, proj_state, integral, gains,
         limits = system.default_limits
     kinematics = system.kinematics(q, qd)
     proj_state = projection.update(proj_state, path, kinematics[0], proj_cfg)
-    lin = transform.linearize(system, q, qd, path, proj_state, policy, kinematics)
-    u_clamped, u, v, integral = command(
-        lin, q, integral, gains, redundancy, limits, dt, t)
+    lin, u_clamped, u, v, integral = _period(
+        system, path, q, qd, proj_state, kinematics, integral, gains, redundancy,
+        limits, policy, dt, t)
     return u_clamped, integral, StepDiagnostics(proj_state, lin, v, u, u_clamped != u)

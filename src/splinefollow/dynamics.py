@@ -89,9 +89,9 @@ class MechanicalSystem:
 
     N = len(A) and p = N - len(Z) are derived.  ``solves`` holds the
     generated code with A and Bd written into it and ``forces`` recorded:
-    the calls of ``acceleration`` and ``drift_and_input`` and the
-    transform layer's, each compiled at first use.  ``Z_rows``, Z's rows as
-    floats, serves ``completion`` and the transform layer.  D, h and J
+    the calls of ``acceleration`` and ``drift_and_input``, the transform
+    layer's and the period's, each compiled at first use.  ``Z_rows``, Z's
+    rows as floats, serves ``completion`` and the transform layer.  D, h and J
     evaluate the compiled calls at rest (qd = 0) and return arrays.
     """
 
@@ -134,7 +134,7 @@ def _completion(Z, q, qd):
     return [sum(map(mul, z, x)) for x in (q, qd) for z in Z]
 
 
-def cholesky_solve(code, d, cols, name="inertia matrix", at="q"):
+def cholesky_solve(code, d, cols, name="inertia matrix", at="q", value=None):
     """Record D^-1 b for each b in cols into ``code``; return them as lists.
 
     ``d`` holds the rows of D (the lower triangle is read) and each b,
@@ -142,15 +142,15 @@ def cholesky_solve(code, d, cols, name="inertia matrix", at="q"):
     triangular substitutions are recorded as straight-line code.  A
     non-finite D or solution raises DivergenceError; a pivot that is not
     positive raises NonSPDInertiaError.  The messages call D ``name``
-    and report the value of the source expression ``at`` (the plant's
-    configuration q by default).
+    and report ``at`` (q by default) as the source expression ``value``
+    (``at`` by default), evaluated only when a check fails.
     """
-    n = len(d)
+    n, value = len(d), value or at
     r = range(n)
 
     def finite(xs, what):
         code.require(f"isfinite({' + '.join(map(format, xs))})",
-                     "DivergenceError", f"non-finite {what} at {at}={{{at}}}")
+                     "DivergenceError", f"non-finite {what} at {at}={{{value}}}")
 
     finite([d[i][j] for i in r for j in range(i + 1)], name)
     L = [[None] * n for _ in r]
@@ -159,7 +159,7 @@ def cholesky_solve(code, d, cols, name="inertia matrix", at="q"):
         for k in range(j):
             p = p - L[j][k] * L[j][k]
         code.require(f"{p} > 0.0", "NonSPDInertiaError",
-                     f"{name} not SPD at {at}={{{at}}}")
+                     f"{name} not SPD at {at}={{{value}}}")
         # a constant pivot folds, unless the check rejects it at run time
         L[j][j] = (math.sqrt(p) if not isinstance(p, codegen.Var) and p > 0.0
                    else code.let("sqrt({})", p))

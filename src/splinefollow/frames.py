@@ -15,8 +15,8 @@ The jet arithmetic is written once, in ``_frame_values``, and runs on
 the recorded variables of ``codegen``.  ``frame_jet`` compiles it alone,
 one straight-line function of Python floats per output dimension p,
 completion mode and vectors (its constants), generated at first use; the
-control period records it into the transform layer's one function (see
-``transform``).  A curve derivative that is NaN or infinite fails the
+control period records it into its one function after the projection
+(see ``transform``).  A curve derivative that is NaN or infinite fails the
 regularity, the degeneracy or, last, the finiteness check of the frame
 values.
 """

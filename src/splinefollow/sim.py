@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from . import codegen, control, curves, dynamics, frames, projection, transform
+from . import codegen, control, curves, dynamics, frames, projection
 from .dynamics import Limits, State
 from .errors import (DivergenceError, ParameterError, SingularManifoldError,
                      SplineFollowError, from_json, integer, reals)
@@ -512,13 +512,13 @@ class PhasePortrait:
 
 def _zero_dynamics_field(system, path, gains, limits, ps):
     """The redundant flow (zeta1., zeta2.) at the held path point ps: zeta2.
-    is Z qdd, qdd from the solve the flows' RK4 stages call, ``acceleration``."""
+    is Z qdd, qdd from ``acceleration`` under ``control._period``'s u."""
 
     def field(zeta):
         q, qd = _manifold_state(system, path, ps, zeta)
-        lin = transform.linearize(system, q, qd, path, ps)
-        u = control.command(lin, q, 0.0, gains, PORTRAIT_REDUNDANCY, limits,
-                            dt=PORTRAIT_DT, t=0.0)[0]
+        u = control._period(system, path, q, qd, ps, system.kinematics(q, qd), 0.0,
+                            gains, PORTRAIT_REDUNDANCY, limits, frames.FRENET,
+                            PORTRAIT_DT, 0.0)[1]
         qdd = dynamics.acceleration(system, q, qd, u)
         return np.array([zeta[1], frames.dot(system.Z_rows[0], qdd)])
 

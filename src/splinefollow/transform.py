@@ -8,18 +8,17 @@ differentiation of (eta_1, xi_1) along the dynamics yields the drift
 vector alpha and decoupling matrix beta that render the virtual input
 v = alpha + beta u exactly the second derivatives of those coordinates.
 
-``linearize`` runs once per control period, on q and qd as lists of
-Python floats, as one generated call: ``_transform_code`` records, in
-this order, the frame at the closest point (``frames._frame_values``),
-the plant's ``forces`` and the drift solve of the affine dynamics
-(``dynamics._drift_and_input``), the linearization (``_linearized``)
-and zeta into one straight-line function per plant, p, frame mode and
-completion vectors (constants of the code), generated at first use.  It
-takes the curve rows of one ``jet_unchecked`` call, the plant's
-``kinematics`` call, q, qd and the rows of Z.  Its one record, the
-period's LinearizationData, holds eta (eta_1 from the arclength table),
-xi, zeta, alpha and beta; the frame values, D, f_v and D^-1 A stay in
-the call, and (k*, lambda*) in the ProjectionState given.
+``_transformed`` records, in this order, the frame at the closest point
+(``frames._frame_values``), the plant's ``forces`` and the drift solve of
+the affine dynamics (``dynamics._drift_and_input``), the linearization
+(``_linearized``) and zeta, on the curve rows of one ``jet_unchecked``
+call, the plant's ``kinematics`` call, q, qd and the rows of Z; a plant's
+p, frame mode and completion vectors are constants of the code.  The
+control period records it into its one generated call after the
+projection (``control._period``); ``linearize`` compiles it alone.  The
+record, LinearizationData, holds eta (eta_1 from the arclength table,
+outside the call), xi, zeta, alpha and beta; the frame values, D, f_v
+and D^-1 A stay in the call, and (k*, lambda*) in the ProjectionState.
 """
 
 from dataclasses import dataclass
@@ -90,28 +89,27 @@ def _linearized(code, p, N, sigma, values, qd, f_v, g_v):
     return eta2, xi, alpha, beta
 
 
-def _transform_code(A, Bd, forces, p, mode, fixed_vectors):
-    """Source of ``f(rows, lam, kinematics, q, qd, Z)``, the transform
-    layer with the constants A, Bd and ``fixed_vectors`` and the plant's
-    ``forces`` recorded in.
-
-    The arguments are those of the frame code (``frames._frame_code``),
-    the plant's (h, J, d(J qd)/dq), q, qd and the rows of Z.  It returns
-    (eta_2, xi, zeta, alpha, beta), the LinearizationData after eta_1.
-    The frame's checks come before the drift solve's.
-    """
+def _transformed(code, A, Bd, forces, p, mode, fixed_vectors):
+    """Record the transform layer, the frame's checks first, on the arguments
+    rows, lam (as ``frames._frame_code``), kinematics, q, qd and Z; return
+    the Vars of q and (eta_2, xi, zeta, alpha, beta)."""
     N = len(A)
-    code = codegen.Recorder()
     sigma, values = frames._frame_values(code, p, mode, fixed_vectors)
     q, qd, f_v, g_v = dynamics._drift_and_input(code, A, Bd, forces)
     eta2, xi, alpha, beta = _linearized(code, p, N, sigma, values, qd, f_v, g_v)
     zeta = dynamics._completion(code.unpack("Z", (N - p, N)), q, qd)
+    return q, (eta2, xi, zeta, alpha, beta)
+
+
+def _transform_code(A, Bd, forces, p, mode, fixed_vectors):
+    """Source of ``f(rows, lam, kinematics, q, qd, Z)``, ``_transformed``
+    with A, Bd, ``fixed_vectors`` and the plant's ``forces`` recorded in."""
+    code = codegen.Recorder()
     return code.function("rows, lam, kinematics, q, qd, Z",
-                         (eta2, xi, zeta, alpha, beta))
+                         _transformed(code, A, Bd, forces, p, mode, fixed_vectors)[1])
 
 
-def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
-              kinematics=None):
+def linearize(system, q, qd, path, proj_state, policy=frames.FRENET):
     """Path coordinates, drift alpha and decoupling beta at one state.
 
     Row 0 corresponds to eta_1'' and rows 1..p-1 to the transversal
@@ -119,16 +117,12 @@ def linearize(system, q, qd, path, proj_state, policy=frames.FRENET,
     derivatives; it loses rank exactly where the transform degenerates.
     The frame is taken at proj_state's (k*, lambda*), and its failures
     are ``frames.frame_jet``'s; those of the drift solve are
-    ``dynamics.drift_and_input``'s.  ``kinematics`` is the plant's call
-    (h, J, d(J qd)/dq) at the float lists q and qd, made here when not
-    given.
+    ``dynamics.drift_and_input``'s.  q and qd are float lists.
     """
     p = path.output_dim
     k, lam = proj_state.k_star, float(proj_state.lambda_star)
     transform = system.solves[_transform_code, p, policy.mode, policy.fixed_vectors]
     rows = path.jet_unchecked(k, lam, p + 1)
-    if kinematics is None:
-        kinematics = system.kinematics(q, qd)
-    eta2, *rest = transform(rows, lam, kinematics, q, qd, system.Z_rows)
+    eta2, *rest = transform(rows, lam, system.kinematics(q, qd), q, qd, system.Z_rows)
     eta1 = path.arclength_offsets[k] + path.arclength_interp(k, lam)
     return LinearizationData([eta1, eta2], *rest)

@@ -11,9 +11,11 @@ Each is a second, numpy computation that tests compare the package with:
 - ``check_differentials``, the rank of the transform's gradient rows,
   reported as a ``DifferentialReport``;
 - ``linearize_pieces`` and ``command_pieces``, the transform and input
-  layers as separate calls of their public pieces, which
-  ``test_layers.py`` compares with the layers' one generated call each,
-  and ``tangential_v``, the input layer's tangential loop alone.
+  layers as separate calls of their public pieces, and ``period_pieces``,
+  the one after the other, which ``test_layers.py`` compares with the
+  period's one generated call after the projection (``control._period``)
+  and ``transform.linearize``; ``tangential_v``, the tangential loop
+  alone.
 """
 
 import math
@@ -190,9 +192,9 @@ def tangential_v(eta, integral, gains, dt, t=0.0):
 
 
 def command_pieces(lin, q, integral, gains, redundancy, limits, dt, t):
-    """``control.command``'s (u, u_unclamped, v, new_integral) from
-    ``tangential_v``, ``transversal_v``, ``bias_r``, ``resolve_input`` and
-    the clamp, called one after another."""
+    """The input layer's (u, u_unclamped, v, new_integral) at the
+    linearization ``lin``, from ``tangential_v``, ``transversal_v``,
+    ``bias_r``, ``resolve_input`` and the clamp, called one after another."""
     v_eta, integral = tangential_v(lin.eta, integral, gains, dt, t)
     v = [v_eta]
     if len(lin.alpha) > 1:
@@ -202,3 +204,11 @@ def command_pieces(lin, q, integral, gains, redundancy, limits, dt, t):
     u = control.resolve_input(lin.alpha, lin.beta, v, r, redundancy.W_rows)
     clamped = [min(max(x, lo), hi) for x, lo, hi in zip(u, *limits.floats[2:])]
     return clamped, u, v, integral
+
+
+def period_pieces(system, path, q, qd, proj_state, integral, gains, redundancy,
+                  limits, policy, dt, t):
+    """``control._period``'s (lin, u, u_unclamped, v, new_integral) from
+    ``linearize_pieces`` and then ``command_pieces``."""
+    lin = linearize_pieces(system, q, qd, path, proj_state, policy)
+    return (lin, *command_pieces(lin, q, integral, gains, redundancy, limits, dt, t))

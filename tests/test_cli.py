@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,21 @@ class TestRun:
         rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
         assert rc == 2
         assert "t=0.000s" in capsys.readouterr().err
+
+    def test_failure_during_a_run_exits_2(self, tmp_path, capsys):
+        """A library error raised during a period is a runtime failure even
+        when it is not a NumericalFailure: the figure-eight's waypoints 0-8
+        fitted open lose their Frenet frame at t = 9.58 s."""
+        scen = json.loads((SCENARIOS / "figure_eight_3r.json").read_text())
+        scen["path"] = {"waypoints": scen["path"]["waypoints"][:9], "closed": False}
+        scen.update(frame_mode="frenet_serret", duration=25.0)
+        f = tmp_path / "lobe.json"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(tmp_path / "log.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"runtime failure: t=9\.\d{3}s: Gram-Schmidt residual "
+                            r"collapsed at vector 2 \(norm .*\)\n", err), err
 
     def test_fractional_substeps_are_validation_failure(self, tmp_path, capsys):
         scen = json.loads((SCENARIOS / "two_mass_line.json").read_text())

@@ -176,7 +176,7 @@ def test_generated_names_resolve(monkeypatch):
                            control.RedundancyConfig(W=np.eye(3)),
                            system.default_limits, 0.01, 0.0)
     labels = [label for label, _, _ in made]
-    for want in ("_transform_code", "_command_code", "_frame_code", "_resolve_code",
+    for want in ("_period_code", "_frame_code", "_resolve_code",
                  "_plant_code", "_rk4_code", "_linearize_code", "_newton_code",
                  "_jet_code", "on numpy"):
         assert any(want in label for label in labels), labels

@@ -239,7 +239,7 @@ class TestTransversal:
             robust_K2=((-2.0, -0.5),),
             robust_mu=mu,
         )
-        direction = np.array([0.6, 0.8])
+        direction = np.array([[0.6], [0.8]])   # xi_1 and xi_2, one row each
         inner = control.transversal_v((mu - 1e-9) * direction, gains)
         outer = control.transversal_v((mu + 1e-9) * direction, gains)
         np.testing.assert_allclose(inner, outer, atol=1e-7)

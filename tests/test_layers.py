@@ -1,12 +1,14 @@
-"""The control period's two generated layers against their public pieces.
+"""The control period's generated calls against their public pieces.
 
 ``transform.linearize`` runs the frame, the drift solve and the
-linearization as one generated call, and ``control.command`` runs the
-tangential loop, the bias, the resolution and the clamp as another.
-``oracles.linearize_pieces`` and ``oracles.command_pieces`` call the
-public pieces one after another instead.  On seeded random states both
-give the same floats, bit for bit (compared through ``repr``), and the
-same typed errors with the same messages and fields.
+linearization as one generated call.  After the projection a period
+makes one call (``control._period``), which runs those and then the
+tangential loop, the transversal law, the bias, the resolution and the
+clamp.  ``oracles.linearize_pieces`` and ``oracles.command_pieces`` call
+the public pieces one after another instead (``oracles.period_pieces``
+both).  On seeded random states both give the same floats, bit for bit
+(compared through ``repr``), and the same typed errors with the same
+messages and fields.
 """
 
 import numpy as np
@@ -90,12 +92,12 @@ def _gains(p):
         control.OuterLoopGains(tangential_mode="position", K_P=20.0, K_D=9.0,
                                eta1_ref=0.5, **pd),
     ]
-    if m:
+    if m:   # mu = 0.05 and 1e3: outside and inside the boundary layer
         K = np.kron(np.eye(m), [[-40.0, -13.0]])
-        out.append(control.OuterLoopGains(
-            K_P=5.0, K_I=2.0, transversal_mode="robust", robust_mu=0.05,
+        out += [control.OuterLoopGains(
+            K_P=5.0, K_I=2.0, transversal_mode="robust", robust_mu=mu,
             robust_K=K.tolist(), robust_K0=(0.1 * K).tolist(),
-            robust_K2=(2.0 * K).tolist()))
+            robust_K2=(2.0 * K).tolist()) for mu in (0.05, 1e3)]
     return out
 
 
@@ -106,26 +108,46 @@ def _redundancies(N, rng):
             for b in ("joint_limit", "zero") for w in (None, W)]
 
 
-def test_input_layer_is_its_pieces(case):
-    """command's (u, u_unclamped, v, integral) are tangential_v +
-    transversal_v + bias_r + resolve_input + the clamp, bit for bit, for
-    both tangential modes, both bias modes, W or not, clamped or not."""
+def _period(system, path, q, qd, ps, *rest):
+    """control._period with the plant's kinematics call at (q, qd)."""
+    return control._period(system, path, q, qd, ps, system.kinematics(q, qd), *rest)
+
+
+def test_period_call_is_its_pieces(case):
+    """The period's call after the projection gives (lin, u, u_unclamped,
+    v, integral) of linearize_pieces and then command_pieces (tangential_v,
+    transversal_v, bias_r, resolve_input and the clamp), bit for bit, for
+    both tangential modes, PD or robust on both sides of the boundary
+    layer, both bias modes, W or not, clamped or not."""
     system, path, policy = case
     rng = np.random.default_rng(2511)
     lim = system.default_limits
     narrow = dynamics.Limits(lim.q_min, lim.q_max, 0.02 * lim.u_min, 0.02 * lim.u_max)
     clamped = 0
     for q, qd, ps in _states(system, path, 2512):
-        lin = transform.linearize(system, q, qd, path, ps, policy)
         for gains in _gains(system.p):
             for red in _redundancies(system.N, rng):
                 for limits in (lim, narrow):
-                    args = (lin, q, float(rng.uniform(-0.1, 0.1)), gains, red,
-                            limits, 0.01, float(rng.uniform(0.0, 2.0)))
-                    got = control.command(*args)
-                    assert repr(got) == repr(oracles.command_pieces(*args))
-                    clamped += got[0] != got[1]
+                    args = (q, qd, ps, float(rng.uniform(-0.1, 0.1)), gains, red,
+                            limits, policy, 0.01, float(rng.uniform(0.0, 2.0)))
+                    got = _period(system, path, *args)
+                    assert repr(got) == repr(oracles.period_pieces(system, path, *args))
+                    clamped += got[1] != got[2]
     assert clamped
+
+
+def test_robust_switch_is_lazy_at_zero():
+    """At xi = 0 exactly the recorded robust law takes the boundary-layer
+    branch and divides by no ||xi||, as the float law does."""
+    system = dynamics.make_example2()
+    path = curves.line_path([0.0, 0.0], [4.0, 0.0])
+    policy = frames.FramePolicy("line_fallback", ((0.0, 1.0),))
+    gains = _gains(2)[-2]
+    args = ([0.0, 0.5, -1.0], [0.0] * 3, projection.ProjectionState(0, 0.3), 0.0,
+            gains, control.RedundancyConfig(), system.default_limits, policy, 0.01, 0.0)
+    got = _period(system, path, *args)
+    assert got[0].xi == [[0.0], [0.0]] and got[3][1] == 0.0
+    assert repr(got) == repr(oracles.period_pieces(system, path, *args))
 
 
 def _raised(call):
@@ -191,30 +213,36 @@ def test_transform_layer_fails_as_its_pieces(name):
         assert want[0].__name__ == "IrregularCurveError"
 
 
-def _lin(alpha, beta):
-    p = len(beta)
-    return transform.LinearizationData(
-        eta=[0.1, 0.2], xi=[[0.01] * (p - 1), [0.02] * (p - 1)], zeta=[],
-        alpha=alpha, beta=beta)
-
-
-# (alpha, beta, W) where the input layer fails
-INPUT_FAILURES = {
-    "near_singular_p1": ([0.0], [[0.0, 0.0]], None),
-    "near_singular_p2": ([0.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 1e-6, 0.0]], None),
-    "near_singular_p3": ([0.0] * 3, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-                                     [0.0, 0.0, 1e-6, 0.0]], np.eye(4)),
-    "near_singular_nan": ([0.0, 0.0], [[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]], None),
-    "solution_not_finite": ([np.nan], [[1.0, 0.5]], np.diag([2.0, 1.0])),
+# the transform layer's failures, and straight arms whose beta loses rank:
+# p = 2 (closed-form conditioning) and p = 3 (eigvalsh)
+PERIOD_FAILURES = {
+    **TRANSFORM_FAILURES,
+    "near_singular": ("example2", [0.0] * 3, QD2, curves.circle_path(3.0), 0.0,
+                      frames.FRENET),
+    "near_singular_p3": ("cpm4", [0.0] * 4, QD3, curves.helix_path(), 1.0,
+                         frames.FRENET),
 }
 
 
-@pytest.mark.parametrize("name", INPUT_FAILURES)
-def test_input_layer_fails_as_its_pieces(name):
-    alpha, beta, W = INPUT_FAILURES[name]
-    N = len(beta[0])
-    limits = dynamics.Limits([-1.0] * N, [1.0] * N, [-5.0] * N, [5.0] * N)
-    args = (_lin(alpha, beta), [0.1] * N, 0.0, control.OuterLoopGains(),
-            control.RedundancyConfig(W=W), limits, 0.01, 0.0)
-    want = _raised(lambda: oracles.command_pieces(*args))
-    assert _raised(lambda: control.command(*args)) == want
+@pytest.mark.parametrize("name", PERIOD_FAILURES)
+def test_period_call_fails_as_its_pieces(name):
+    """The period's call raises the type, message and fields of its pieces:
+    frame checks first, then the inertia and drift, then the conditioning."""
+    plant, q, qd, path, lam, policy = PERIOD_FAILURES[name]
+    system = _plant(plant)
+    args = (q, qd, projection.ProjectionState(0, lam), 0.0, control.OuterLoopGains(),
+            control.RedundancyConfig(), system.default_limits, policy, 0.01, 0.0)
+    want = _raised(lambda: oracles.period_pieces(system, path, *args))
+    assert _raised(lambda: _period(system, path, *args)) == want
+    if name.startswith("near_singular"):
+        assert want[0].__name__ == "NearSingularDecouplingError"
+
+
+def test_decoupling_message_renders_beta():
+    """The decoupling solve's messages show beta's entries, rendered from
+    the recorded values: the period's call has no argument named beta."""
+    with pytest.raises(SplineFollowError) as exc:
+        control.resolve_input([np.nan], [[1.0, 0.5]], [0.0], [0.0, 0.0],
+                              [[2.0, 0.0], [0.0, 1.0]])
+    assert str(exc.value) == ("non-finite solution of the decoupling matrix "
+                              "beta W^-1 beta' system at beta=[[1.0, 0.5]]")

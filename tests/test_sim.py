@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -13,8 +14,7 @@ import pytest
 
 from pathlib import Path
 
-from splinefollow import (codegen, control, curves, dynamics, frames, projection, sim,
-                          transform)
+from splinefollow import codegen, control, curves, dynamics, frames, projection, sim
 from splinefollow.dynamics import State
 from splinefollow.errors import (
     DivergenceError,
@@ -23,6 +23,7 @@ from splinefollow.errors import (
     ParameterError,
     SingularManifoldError,
 )
+import oracles
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 REFERENCE = Path(__file__).resolve().parent / "reference"
@@ -44,6 +45,16 @@ def _example1_scenario(**overrides):
     )
     base.update(overrides)
     return sim.Scenario(**base)
+
+
+def _robust(gains, mu):
+    """Robust transversal gains from the PD gains: K = -(Kp, Kd) per
+    component, K0 = 0.1 K and K2 = 0.1 / mu K."""
+    m = len(gains.xi_Kp)
+    K = np.kron(np.eye(m), [[-gains.xi_Kp[0], -gains.xi_Kd[0]]])
+    return dataclasses.replace(
+        gains, transversal_mode="robust", robust_mu=mu, robust_K=K.tolist(),
+        robust_K0=(0.1 * K).tolist(), robust_K2=(0.1 / mu * K).tolist())
 
 
 def _reference_hold(system, state, u, h, substeps):
@@ -383,38 +394,35 @@ class TestRun:
 
     @pytest.mark.parametrize("scenario, mu", [("figure_eight_3r", 1e-5),
                                               ("twisted_loop_4dof", 5e-3)])
-    def test_robust_log_matches_gains_rebuilt_per_call(self, scenario, mu,
-                                                       monkeypatch):
-        """Gains converted once give the log, bit for bit, of gains rebuilt
-        from the tuples at every period; mu puts both switched branches in."""
+    def test_robust_log_matches_gains_rebuilt_per_call(self, scenario, mu):
+        """Each period's recorded transversal law gives the list-arithmetic
+        law on its xi with the gains rebuilt from the tuples, bit for bit;
+        mu puts both switched branches in."""
         scen = sim.Scenario.from_file(SCENARIOS / f"{scenario}.json")
-        scen = dataclasses.replace(scen, duration=0.5)
-        m = len(scen.gains.xi_Kp)
-        K = np.kron(np.eye(m), [[-scen.gains.xi_Kp[0], -scen.gains.xi_Kd[0]]])
-        robust = dataclasses.replace(
-            scen.gains, transversal_mode="robust", robust_mu=mu,
-            robust_K=K.tolist(), robust_K0=(0.1 * K).tolist(),
-            robust_K2=(0.1 / mu * K).tolist())
-        scen = dataclasses.replace(scen, gains=robust)
-        log = sim.run(scen)
-
+        robust = _robust(scen.gains, mu)
+        system = dynamics.make_plant(scen.plant, **scen.plant_kwargs)
+        periods = sim._simulate(
+            system, sim._build_path(scen.path_spec), scen.q0.tolist(),
+            scen.qd0.tolist(), robust, round(0.5 / scen.dt), scen.dt, scen.substeps,
+            redundancy=scen.redundancy, limits=scen.limits or system.default_limits,
+            proj_cfg=projection.ProjectionConfig(), policy=scen.frame_policy)
         branches = set()
 
         def rebuilt(xi, gains):
-            z = np.asarray(xi, dtype=float).reshape(2, -1).T.ravel()
-            K, K0, K2 = (np.atleast_2d(np.asarray(g, dtype=float))
+            dot = frames.dot
+            z = [x for pair in zip(*xi) for x in pair]
+            K, K0, K2 = (np.asarray(g, dtype=float).tolist()
                          for g in (gains.robust_K, gains.robust_K0, gains.robust_K2))
-            K1 = gains.robust_mu**2 * K2
-            nz = np.linalg.norm(z)
-            branches.add(bool(nz >= gains.robust_mu))
-            sw = (K1 @ z) / nz if nz >= gains.robust_mu else nz * (K2 @ z)
-            return ((K + K0) @ z + sw).tolist()
+            nz = math.sqrt(dot(z, z))
+            branches.add(nz >= gains.robust_mu)
+            sw = ([dot([gains.robust_mu**2 * k for k in row], z) / nz for row in K2]
+                  if nz >= gains.robust_mu else [nz * dot(row, z) for row in K2])
+            return [dot([a + b for a, b in zip(k, k0)], z) + x
+                    for k, k0, x in zip(K, K0, sw)]
 
-        monkeypatch.setattr(control, "transversal_v", rebuilt)
-        ref = sim.run(scen)
+        for _, _, _, _, diag in periods:
+            assert repr(diag.v[1:]) == repr(rebuilt(diag.lin.xi, robust))
         assert branches == {True, False}
-        for name in ("q", "qd", "u", "eta", "xi", "zeta", "lambda_star"):
-            assert np.array_equal(getattr(log, name), getattr(ref, name)), name
 
     def test_one_kinematics_call_per_period(self, example1):
         """The projection and linearize share each period's kinematics call;
@@ -447,8 +455,8 @@ class TestRun:
 
     def test_control_code_generated_once(self, monkeypatch):
         """Two consecutive 50-period figure-eight runs: the first generates
-        the transform layer of its plant, p and frame mode, the input
-        layer of its (p, N, tangential mode, bias mode, weighting), the
+        the period's call after the projection of its plant, p, frame mode
+        and (tangential, transversal, bias) modes and weighting, the
         polynomial segments' Newton call (projection) and jet of orders
         0..3 (transform), the N = 3 RK4 substep and the plant's solve
         once each, the second generates nothing."""
@@ -469,8 +477,8 @@ class TestRun:
         sim.run(scen, path=path, system=system)
         assert len(log.t) == 50
         constants = "{}, {}, 'planar3r_forces'".format(*system.solves.constants[:2])
-        for label in (f"_transform_code({constants}, 2, 'planar_fallback', ())",
-                      "_command_code(2, 3, 'velocity', 'joint_limit', False)",
+        for label in (f"_period_code({constants}, 2, 'planar_fallback', (), 'velocity', "
+                      "'pd', 'joint_limit', False)",
                       "_newton_code('_polynomial_rows', 2, 6)",
                       "_jet_code(3, 0, '_polynomial_rows', 2, 6)", "_rk4_code(3,)",
                       f"_stage_code({constants})"):
@@ -507,16 +515,20 @@ class TestRun:
         ("two_mass_line", {}),
         ("figure_eight_3r", {}),
         ("twisted_loop_4dof", {"eigvalsh": 50, "tolist": 50}),
+        ("figure_eight_3r:robust", {}),
     ])
     def test_period_calls_no_numpy(self, scenario, allowed):
         """Over 50 warm periods, package code calls numpy only for the
         conditioning check's eigvalsh (p >= 3) and the tolist of its
-        result, and q, qd and u stay lists of Python floats."""
-        scen = sim.Scenario.from_file(SCENARIOS / f"{scenario}.json")
+        result, and q, qd and u stay lists of Python floats; ``:robust``
+        runs the robust transversal law."""
+        name, _, mode = scenario.partition(":")
+        scen = sim.Scenario.from_file(SCENARIOS / f"{name}.json")
+        gains = _robust(scen.gains, 1e-5) if mode else scen.gains
         system = dynamics.make_plant(scen.plant, **scen.plant_kwargs)
         periods = sim._simulate(
             system, sim._build_path(scen.path_spec), scen.q0.tolist(),
-            scen.qd0.tolist(), scen.gains, 60, scen.dt, scen.substeps,
+            scen.qd0.tolist(), gains, 60, scen.dt, scen.substeps,
             redundancy=scen.redundancy,
             limits=scen.limits or system.default_limits,
             proj_cfg=projection.ProjectionConfig(), policy=scen.frame_policy)
@@ -836,8 +848,8 @@ class TestPortrait:
 
     def test_field_takes_qdd_from_the_plants_solve(self, example2):
         """The field's rate is Z qdd with qdd from dynamics.acceleration, the
-        solve the flows' RK4 stages call, and u the command the field
-        computes: the same floats, bit for bit."""
+        solve the flows' RK4 stages call, and u that of the period's pieces
+        (linearize, then the input layer): the same floats, bit for bit."""
         radius = 2.2
         path = curves.circle_path(radius, span=(-np.pi * radius, np.pi * radius))
         gains = control.OuterLoopGains(
@@ -850,9 +862,9 @@ class TestPortrait:
         for zeta in ([0.4, 0.3], [-0.2, -0.5], [0.9, 0.0], [1.1, 0.7], [-0.6, 0.2]):
             zeta = np.array(zeta)
             q, qd = sim._manifold_state(example2, path, ps, zeta)
-            lin = transform.linearize(example2, q, qd, path, ps)
-            u = control.command(lin, q, 0.0, gains, sim.PORTRAIT_REDUNDANCY, limits,
-                                dt=sim.PORTRAIT_DT, t=0.0)[0]
+            u = oracles.period_pieces(example2, path, q, qd, ps, 0.0, gains,
+                                      sim.PORTRAIT_REDUNDANCY, limits, frames.FRENET,
+                                      sim.PORTRAIT_DT, 0.0)[1]
             qdd = dynamics.acceleration(example2, q, qd, u)
             want = [float(zeta[1]), frames.dot(example2.Z_rows[0], qdd)]
             assert repr(field(zeta).tolist()) == repr(want)
