@@ -1,10 +1,10 @@
 """Straight-line float code, recorded from the arithmetic that defines it.
 
 The control period's arithmetic is written once, as plain Python on
-sequences of numbers: the curve jets and the projection's Newton
-iterate, the frame jet, the linearization, the input resolution with
-its conditioning check, the plant's right-hand side and Cholesky
-solve, and the RK4 substep.  Run on ``Var`` inputs, each operator records one
+sequences of numbers: the curve jets, the projection's Newton iterate
+and descent step, the frame jet, the linearization, the input
+resolution with its conditioning check, the plant's right-hand side
+and Cholesky solve, and the RK4 substep.  Run on ``Var`` inputs, each operator records one
 assignment of the code that computes its result, so the code does the
 float operations of the written arithmetic in the same order.  A
 ``Recorder`` writes its record as the body of one function with no

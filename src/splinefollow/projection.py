@@ -9,12 +9,12 @@ at self-intersections; segment hand-off happens only when lambda* leaves
 the current domain.
 
 The per-step search runs on Python floats.  Each Newton iterate is one
-call of ``_newton_code``, recorded once per segment kind and key from
-the rows the kind records for its jet: the squared distance, g' and g
-at one lambda.  The descent reads sigma and sigma' through the path's
-``evaluate_unchecked``, and its differences, inner products, norm and
-sign are float arithmetic.  The global initializer and the window
-analysis evaluate many lambda at once with numpy.
+call of ``_newton_code``, and each descent step one of ``_descent_code``,
+recorded once per segment kind and key from the rows the kind records
+for its jet: the squared distance, g' and g, or the distance and its
+derivative, at one lambda.  The descent's entry reads sigma and sigma'
+through the path's ``evaluate_unchecked``.  The global initializer and
+the window analysis evaluate many lambda at once with numpy.
 """
 
 import math
@@ -56,15 +56,16 @@ class ProjectionState:
     clamped: bool = False  # lambda* pinned to an open-path endpoint
 
 
-def _objective_and_gradient(path, k, lam, y):
-    sigma = path.evaluate_unchecked(k, lam, 0)
-    dsigma = path.evaluate_unchecked(k, lam, 1)
+def _objective_and_gradient(sigma, dsigma, y):
+    """||y - sigma|| and its lambda-derivative from the rows sigma, sigma',
+    as list arithmetic on floats or recorded on Vars (``_descent_code``)."""
     diff = [a - b for a, b in zip(y, sigma)]
-    dist = math.sqrt(dot(diff, diff))
-    if dist < ON_PATH_TOL:
-        # the norm is not differentiable on the path; use squared distance
-        return dist, -2.0 * dot(diff, dsigma)
-    return dist, -dot(diff, dsigma) / dist
+    dist = codegen.sqrt(dot(diff, diff))
+    g = dot(diff, dsigma)
+    # the norm is not differentiable on the path; use squared distance
+    (grad,) = codegen.at_least(dist, ON_PATH_TOL, lambda: [-g / dist],
+                               lambda: [-2.0 * g])
+    return dist, grad
 
 
 def _newton_code(rows, *key):
@@ -79,6 +80,16 @@ def _newton_code(rows, *key):
     diff = [a - b for a, b in zip(s0, code.unpack("y", (len(s0),)))]
     return code.function("c, lam, y", (
         dot(diff, diff), dot(s1, s1) + dot(diff, s2), dot(diff, s1)))
+
+
+def _descent_code(rows, *key):
+    """Source of ``f(c, lam, y)``: the descent's ||y - sigma|| and its
+    derivative at lam, from the rows 0..1 that ``rows`` records for
+    ``key``, as ``_newton_code`` does."""
+    code = codegen.Recorder()
+    s0, s1 = rows(code, codegen.Var(code, "lam"), 1, *key)
+    return code.function("c, lam, y", _objective_and_gradient(
+        s0, s1, code.unpack("y", (len(s0),))))
 
 
 def _newton(path, k, lam, y, cfg):
@@ -128,10 +139,12 @@ def update(state, path, y, cfg):
     The Newton iteration (see ``_newton``) usually converges in a few
     steps.  When one of its safeguards trips, the monotone descent of
     Algorithm 1 takes over from the last accepted iterate, followed by
-    the segment hand-off; both count toward ``cfg.max_iters``.
+    the segment hand-off; both count toward ``cfg.max_iters``.  Each
+    descent step is one call of the segment's ``descent``, its kind's
+    ``_descent_code`` compiled at first use.
 
-    Raises NonConvergenceError (carrying the best state so far) if the
-    iteration cap is hit.
+    Raises NonConvergenceError (carrying this pass's state, the best so
+    far) if the iteration cap is hit.
     """
     y = [float(x) for x in y]
     k = state.k_star
@@ -142,21 +155,24 @@ def update(state, path, y, cfg):
     clamped = False
 
     while True:
-        obj, grad = _objective_and_gradient(path, k, lam, y)
+        seg = path.segments[k]
+        descent = seg.descent = seg.descent or codegen.kernel(_descent_code, *seg.code)
+        # the entry reads the path, which is how bench/tracer.py tells a
+        # descent period; each step is one call of the segment's descent
+        obj, grad = _objective_and_gradient(path.evaluate_unchecked(k, lam, 0),
+                                            path.evaluate_unchecked(k, lam, 1), y)
         while True:
             if iters >= cfg.max_iters:
                 raise NonConvergenceError(
                     f"projection did not converge in {cfg.max_iters} iterations",
-                    state=replace(state, k_star=k, lambda_star=lam,
-                                  last_iterations=iters),
-                )
+                    state=ProjectionState(k, lam, iters, clamped))
             iters += 1
             # the sign of the gradient, NaN at NaN; an exactly-zero
             # gradient (ridge between branches) nudges forward
             direction = (-1.0 if grad == 0.0 else math.copysign(1.0, grad)
                          if grad == grad else grad)
             lam_new = lam - alpha * direction
-            obj_new, grad_new = _objective_and_gradient(path, k, lam_new, y)
+            obj_new, grad_new = descent(seg.consts, lam_new, y)
             if obj_new < obj:
                 lam, obj, grad = lam_new, obj_new, grad_new
                 alpha *= GROW
@@ -166,7 +182,7 @@ def update(state, path, y, cfg):
                 break
 
         # hand-off to the next or previous segment, wrapping when closed, else a clamp
-        lo, hi = path.segments[k].domain
+        lo, hi = seg.domain
         step = 1 if lam > hi else -1 if lam < lo else 0   # 0 at NaN too
         if not step:
             break

@@ -1,12 +1,14 @@
 """Closest-point tracking and the descent-window criterion."""
 
 import collections
+import math
 
 import numpy as np
 import pytest
 
-from splinefollow import curves, projection
+from splinefollow import codegen, curves, projection
 from splinefollow.errors import NonConvergenceError
+from splinefollow.projection import ProjectionConfig, ProjectionState
 from splinefollow.frames import dot
 
 
@@ -177,6 +179,19 @@ class TestUpdate:
             projection.update(st, wavy_path, np.array([5.0, 5.0]), cfg)
         assert exc.value.state is not None
 
+    def test_iteration_cap_reports_this_pass_clamp_flag(self):
+        """The state carried by NonConvergenceError is the pass's own: an
+        incoming clamped flag does not survive a descent inside the
+        segment."""
+        path = curves.line_path([0.0], [1.0])
+        hi = path.segments[0].domain[1]
+        st = ProjectionState(0, hi, 3, clamped=True)
+        with pytest.raises(NonConvergenceError) as exc:
+            projection.update(st, path, [0.3], ProjectionConfig(max_iters=3))
+        got = exc.value.state
+        assert (got.k_star, got.last_iterations, got.clamped) == (0, 3, False)
+        assert 0.0 < got.lambda_star < hi
+
     def test_config_validation(self):
         """alpha0 = 0 would leave lambda* where it starts; NaN would turn
         off the Newton step bound."""
@@ -266,3 +281,137 @@ class TestDeltaLambda:
         path = curves.ellipse_path()
         m = projection.convexity_margin(path, 0, 0.3, np.array([0.3]))
         assert m[0] == 0.0
+
+
+def _reference_objective(path, k, lam, y):
+    """The descent's distance and its derivative on evaluate_unchecked rows."""
+    sigma = path.evaluate_unchecked(k, lam, 0)
+    dsigma = path.evaluate_unchecked(k, lam, 1)
+    diff = [a - b for a, b in zip(y, sigma)]
+    dist = math.sqrt(dot(diff, diff))
+    if dist < projection.ON_PATH_TOL:
+        return dist, -2.0 * dot(diff, dsigma)
+    return dist, -dot(diff, dsigma) / dist
+
+
+def _reference_update(state, path, y, cfg):
+    """update with its descent written on evaluate_unchecked rows: the
+    state, or the error, it ends with and the exits that it took."""
+    y = [float(x) for x in y]
+    k = state.k_star
+    lam, iters, converged = projection._newton(path, k, float(state.lambda_star),
+                                               y, cfg)
+    if converged:
+        return ProjectionState(k, lam, iters), ["newton"]
+    alpha, clamped, exits = cfg.alpha0, False, []
+    while True:
+        obj, grad = _reference_objective(path, k, lam, y)
+        while True:
+            if iters >= cfg.max_iters:
+                return NonConvergenceError(
+                    f"projection did not converge in {cfg.max_iters} iterations",
+                    state=ProjectionState(k, lam, iters, clamped)), exits + ["cap"]
+            iters += 1
+            direction = (-1.0 if grad == 0.0 else math.copysign(1.0, grad)
+                         if grad == grad else grad)
+            lam_new = lam - alpha * direction
+            obj_new, grad_new = _reference_objective(path, k, lam_new, y)
+            if obj_new < obj:
+                lam, obj, grad = lam_new, obj_new, grad_new
+                alpha *= projection.GROW
+            else:
+                alpha *= projection.SHRINK
+            if alpha < cfg.eps:
+                break
+        lo, hi = path.segments[k].domain
+        step = 1 if lam > hi else -1 if lam < lo else 0
+        if not step:
+            return ProjectionState(k, lam, iters, clamped), exits + ["descent"]
+        if not (path.closed or 0 <= k + step < path.n_segments):
+            lam = hi if step > 0 else lo
+            return ProjectionState(k, lam, iters, True), exits + ["clamp"]
+        exits.append("wrap" if not 0 <= k + step < path.n_segments
+                     else "forward" if step > 0 else "backward")
+        k = (k + step) % path.n_segments
+        start, end = path.segments[k].domain
+        lam = start + (lam - hi) if step > 0 else end - (lo - lam)
+        alpha = max(alpha, cfg.eps * 2.0)
+
+
+def _outcome(call, *args):
+    try:
+        return repr(call(*args))
+    except NonConvergenceError as exc:
+        return str(exc), repr(exc.state)
+
+
+class TestDescent:
+    def test_recorded_step_is_the_float_arithmetic(self, fig8_path, twisted_path):
+        """The segment's recorded descent step equals the descent's
+        arithmetic on the rows evaluate_unchecked returns, by repr, on
+        polynomial segments (p = 1, 2, 3) and harmonic ones (a circle, an
+        ellipse, a helix), at lambda up to 10 % outside the domain, on
+        the path (the squared-distance branch) and off it."""
+        paths = [fig8_path, twisted_path, curves.line_path([0.2], [1.5]),
+                 curves.line_path([0.0, 0.5], [2.0, -0.5]),
+                 curves.circle_path(radius=2.0, center=(0.5, -1.0)),
+                 curves.ellipse_path(), curves.helix_path(pitch=0.3)]
+        rng = np.random.default_rng(33)
+        on_path = 0
+        for path in paths:
+            for _ in range(300):
+                k = int(rng.integers(path.n_segments))
+                seg = path.segments[k]
+                lo, hi = seg.domain
+                lam = float(rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)))
+                y = path.evaluate_unchecked(k, lam, 0)
+                if rng.random() < 0.8:
+                    near = lam + rng.normal(0.0, 0.1 * (hi - lo))
+                    y = (np.array(path.evaluate_unchecked(k, near, 0))
+                         + 10.0 ** rng.uniform(-14.0, 0.5)
+                         * rng.normal(size=path.output_dim)).tolist()
+                step = codegen.kernel(projection._descent_code, *seg.code)
+                rows = [path.evaluate_unchecked(k, lam, r) for r in (0, 1)]
+                want = _reference_objective(path, k, lam, y)
+                assert repr(step(seg.consts, lam, y)) == repr(want)
+                assert repr(projection._objective_and_gradient(*rows, y)) == repr(want)
+                on_path += want[0] < projection.ON_PATH_TOL
+            dist, grad = step(seg.consts, math.nan, y)
+            assert math.isnan(dist) and math.isnan(grad)
+        assert on_path > 100
+
+    def test_update_matches_the_row_descent(self, fig8_path, wavy_path):
+        """update returns the state, or raises the error, of the descent
+        written on evaluate_unchecked rows, for random queries on a closed
+        figure-eight, an open fitted path, a line and a circle, and every
+        exit occurs: Newton, a descent ending inside its segment, a forward
+        and a backward hand-off, the wrap of a closed path, a clamp at an
+        open end and the iteration cap."""
+        paths = [fig8_path, wavy_path, curves.line_path([0.0, 0.5], [2.0, -0.5]),
+                 curves.circle_path(radius=0.5)]
+        cfgs = [ProjectionConfig(), ProjectionConfig(alpha0=0.3),
+                ProjectionConfig(max_iters=20), ProjectionConfig(max_iters=4)]
+        rng = np.random.default_rng(34)
+        exits = collections.Counter()
+        for path in paths:
+            n = path.n_segments
+            for _ in range(250):
+                k = int(rng.integers(n))
+                lo, hi = path.segments[k].domain
+                seed = ProjectionState(k, float(rng.uniform(lo, hi)),
+                                       clamped=bool(rng.integers(2)))
+                # the query lies near the segment, a neighbour or past an end
+                j = int(np.clip(k + rng.integers(-1, 2), 0, n - 1))
+                lo, hi = path.segments[j].domain
+                near = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo))
+                y = (np.array(path.evaluate_unchecked(j, near, 0))
+                     + 10.0 ** rng.uniform(-4.0, -0.5) * rng.normal(size=2)).tolist()
+                cfg = cfgs[int(rng.integers(len(cfgs)))]
+                want, how = _reference_update(seed, path, y, cfg)
+                want = ((str(want), repr(want.state))
+                        if isinstance(want, NonConvergenceError) else repr(want))
+                assert _outcome(projection.update, seed, path, y, cfg) == want, how
+                exits.update(how if path is not fig8_path else
+                             [e.replace("wrap", "wrap on the figure-eight") for e in how])
+        assert set(exits) == {"newton", "descent", "forward", "backward", "wrap",
+                              "wrap on the figure-eight", "clamp", "cap"}, exits

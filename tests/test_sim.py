@@ -459,7 +459,9 @@ class TestRun:
         and (tangential, transversal, bias) modes and weighting, the
         polynomial segments' Newton call (projection) and jet of orders
         0..3 (transform), the N = 3 RK4 substep and the plant's solve
-        once each, the second generates nothing."""
+        once each, the second generates nothing.  Likewise for the first
+        20 periods of the two-mass line, whose descent (from period 10 on)
+        generates the descent step of its p = 1 line segment once."""
         labels = []
         compiled = codegen.compiled
 
@@ -483,6 +485,15 @@ class TestRun:
                       "_jet_code(3, 0, '_polynomial_rows', 2, 6)", "_rk4_code(3,)",
                       f"_stage_code({constants})"):
             assert first.count(label) == 1, first
+        assert len(set(first)) == len(first)
+        assert labels == first
+        scen = sim.Scenario.from_file(SCENARIOS / "two_mass_line.json")
+        scen.duration = 20 * scen.dt
+        path, labels[:] = sim._build_path(scen.path_spec), []
+        sim.run(scen, path=path)
+        first = list(labels)
+        sim.run(scen, path=path)
+        assert first.count("_descent_code('_polynomial_rows', 1, 2)") == 1, first
         assert len(set(first)) == len(first)
         assert labels == first
 
