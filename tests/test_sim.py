@@ -609,6 +609,36 @@ class TestRun:
         assert dict(records) == dict.fromkeys(
             ("ProjectionState", "LinearizationData", "StepDiagnostics"), 50)
 
+    # measured largest differences: xi 1.8e-14, eta 9.5e-14, u 7.0e-13 and
+    # zeta_1 - theta 8.0e-15; each bound is about ten times its margin
+    ROTATION_BOUNDS = {"xi": 2e-13, "eta": 1e-12, "u": 1e-11, "zeta1": 1e-13}
+
+    @pytest.mark.parametrize("theta", [0.7, -2.0])
+    def test_rotated_figure_eight_is_the_same_run(self, theta):
+        """Turning the figure-eight's waypoints about the arm's base by
+        theta, and q0[0] and the q1 window with them, leaves the run as it
+        is: xi, eta and u agree and zeta_1 is shifted by theta, each to a
+        bound set from its measured margin, over 5 s; k* is identical."""
+        spec = json.loads((SCENARIOS / "figure_eight_3r.json").read_text())
+        logs = []
+        for angle in (0.0, theta):
+            d = json.loads(json.dumps(spec))
+            c, s = math.cos(angle), math.sin(angle)
+            d["path"]["waypoints"] = [[c * x - s * y, s * x + c * y]
+                                      for x, y in spec["path"]["waypoints"]]
+            d["q0"][0] += angle
+            for key in ("q_min", "q_max"):
+                d["limits"][key][0] += angle
+            logs.append(sim.run(dataclasses.replace(sim.Scenario.from_dict(d),
+                                                    duration=5.0)))
+        base, turned = logs
+        moved = {"xi": turned.xi - base.xi, "eta": turned.eta - base.eta,
+                 "u": turned.u - base.u,
+                 "zeta1": turned.zeta[:, 0] - theta - base.zeta[:, 0]}
+        for name, bound in self.ROTATION_BOUNDS.items():
+            assert np.abs(moved[name]).max() <= bound, name
+        np.testing.assert_array_equal(turned.k_star, base.k_star)
+
     def test_summary_and_boundedness(self, example1):
         scen = _example1_scenario(duration=4.0)
         log = sim.run(scen)
