@@ -1,10 +1,11 @@
 """Straight-line float code, recorded from the arithmetic that defines it.
 
-The control period's arithmetic is written once, as plain Python on
+The package's generated arithmetic is written once, as plain Python on
 sequences of numbers: the curve jets, the projection's Newton iterate
 and descent step, the frame jet, the linearization, the input
-resolution with its conditioning check, the plant's right-hand side
-and Cholesky solve, and the RK4 substep.  Run on ``Var`` inputs, each operator records one
+resolution with its conditioning check, the arms' forces and kinematics
+(from their geometry), the plant's right-hand side and Cholesky solve,
+and the RK4 substep.  Run on ``Var`` inputs, each operator records one
 assignment of the code that computes its result, so the code does the
 float operations of the written arithmetic in the same order.  A
 ``Recorder`` writes its record as the body of one function with no
@@ -17,9 +18,8 @@ with math's functions to run on floats or with numpy's on arrays.
 Checks and calls are written around the record as source text: a
 ``Var`` formatted into a string gives its name and stays computed,
 ``Recorder.require`` raises a typed error, and ``Recorder.unpack``
-names the results of a call.  All code the package generates at run
-time is recorded here; only the plants' ``forces`` and ``kinematics``
-are written ahead of time, by ``symbolic``.
+names the results of a call.  All code the package generates is
+recorded here.
 """
 
 import linecache

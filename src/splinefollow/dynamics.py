@@ -1,14 +1,15 @@
 """Euler-Lagrange plants: D(q) qdd + C(q, qd) qd + G(q) + Bd qd = A u.
 
-The manipulator models are derived symbolically (mass-centre Jacobians
--> inertia matrix -> Christoffel symbols), so the skew-symmetry of
-Ddot - 2C holds structurally rather than incidentally.  The derivation
-lives in ``symbolic``, the one module that loads sympy, and runs only
-when the plant code is regenerated (``python -m splinefollow.symbolic``):
-``make_example2`` and ``make_cpm_like`` import the plain Python it wrote,
-``_plants_generated``, and ``example1``, whose matrices are constant,
-needs neither.  Viscous damping is kept as a separate matrix term Bd,
-outside C.  The input matrix A and the damping Bd are constant.
+The arms ``example2`` and ``cpm4`` are written once, as their geometry
+(``_Arm``): links with point masses, and the constant inertia of links
+or rotors.  Then D = I + sum_i m_i Jc_i^T Jc_i and C qd + G =
+sum_i m_i Jc_i^T (a_i + g z), with Jc_i the Jacobian of mass centre i
+and a_i its acceleration at qdd = 0 (Spong, Hutchinson & Vidyasagar,
+ch. 7).  ``codegen`` records that arithmetic, as it records all
+generated code: the float calls are the compiled records, and the
+plant's stage, drift and transform code records the same arithmetic.
+``example1``'s matrices are constant.  Viscous damping is a separate
+matrix term Bd, outside C.  The input matrix A and Bd are constant.
 
 A plant is described once: its compiled ``forces`` call gives D and
 C qd + G, its compiled ``kinematics`` call gives the output map h, its
@@ -210,11 +211,10 @@ def _drift_and_input(code, A, Bd, forces):
 
 def _recorded_forces(code, forces, N):
     """Vars of the arguments q and qd, and the plant's ``forces`` recorded on
-    them by a copy reading codegen's sqrt, cos and sin: (q, qd, D, C qd + G)."""
+    them: (q, qd, D, C qd + G).  A compiled call records the arithmetic it
+    keeps as ``arithmetic``; another (a constant one) is called on the Vars."""
     q, qd = code.unpack("q", (N,)), code.unpack("qd", (N,))
-    names = dict(forces.__globals__, sqrt=codegen.sqrt, cos=codegen.cos, sin=codegen.sin)
-    copy = type(forces)(forces.__code__, names, None, forces.__defaults__, forces.__closure__)
-    return q, qd, *copy(q, qd)
+    return q, qd, *getattr(forces, "arithmetic", forces)(q, qd)
 
 
 def _stage_code(A, Bd, forces):
@@ -314,15 +314,14 @@ def make_example2(damping=(2.0, 2.0, 2.0)):
     d = reals("example2 parameter damping", damping, (None,))
     if d.shape != (3,) or np.any(d < 0):
         raise ParameterError("damping must be 3 nonnegative coefficients")
-    from ._plants_generated import planar3r_forces, planar3r_kinematics
-
+    forces, kinematics = _float_calls(_PLANAR3R)
     return MechanicalSystem(
         name="example2",
         A=np.eye(3),
         damping=np.diag(d),
         Z=np.ones((1, 3)),
-        forces=planar3r_forces,
-        kinematics=planar3r_kinematics,
+        forces=forces,
+        kinematics=kinematics,
         default_limits=Limits(
             q_min=[-np.pi, -np.pi, -np.pi], q_max=[np.pi, np.pi, np.pi],
             u_min=[-10.0, -10.0, -10.0], u_max=[10.0, 10.0, 10.0],
@@ -348,15 +347,14 @@ def make_cpm_like():
     with viscous damping and static actuator gains folded into A.
     zeta = (q2 + q3 + q4, qd2 + qd3 + qd4), the wrist-plane angle sum.
     """
-    from ._plants_generated import cpm_forces, cpm_kinematics
-
+    forces, kinematics = _float_calls(_CPM)
     return MechanicalSystem(
         name="cpm4",
         A=np.diag(_CPM_GAINS),
         damping=np.diag([3.0, 4.0, 3.0, 1.5]),
         Z=np.array([[0.0, 1.0, 1.0, 1.0]]),
-        forces=cpm_forces,
-        kinematics=cpm_kinematics,
+        forces=forces,
+        kinematics=kinematics,
         default_limits=Limits(
             q_min=[-np.pi, -0.4, -2.4, -2.0],
             q_max=[np.pi, 1.8, 2.4, 2.0],
@@ -364,6 +362,159 @@ def make_cpm_like():
             u_max=[40.0, 60.0, 40.0, 20.0],
         ),
     )
+
+
+def _sum(terms):
+    """The terms added left to right, literal zeros left out; 0.0 if none."""
+    terms = [t for t in terms if isinstance(t, codegen.Var) or t != 0.0]
+    return sum(terms[1:], terms[0]) if terms else 0.0
+
+
+def _times(a, b):
+    """a * b, a literal factor 0.0, 1.0 or -1.0 folded."""
+    for c, x in ((a, b), (b, a)):
+        if not isinstance(c, codegen.Var) and c in (0.0, 1.0, -1.0):
+            return 0.0 if c == 0.0 else x if c == 1.0 else -x
+    return a * b
+
+
+def _turn(x):
+    """z x x: x turned a quarter about the normal of its first two axes."""
+    return [_times(-1.0, x[1]), x[0], *[0.0] * (len(x) - 2)]
+
+
+@dataclass(frozen=True, repr=False)   # its name labels its generated code
+class _Arm:
+    """A revolute arm: a chain of links in a plane that joint 0 turns.
+
+    Link k's angle in the plane is the sum of the joint angles
+    ``links[k]``; it has length ``lengths[k]`` and a point mass
+    ``masses[k]`` at its middle.  The chain starts at ``base`` = (u, w) in
+    the plane.  With ``dim`` 2 the plane is horizontal and joint 0, at
+    its origin, turns every link.  With ``dim`` 3 the plane is the (x, z)
+    plane of a waist, which joint 0 turns, and ``gravity`` pulls along
+    -z.  ``rotor`` holds the rows of D's constant part.
+
+    ``forces`` and ``kinematics`` are list arithmetic on Vars, in which
+    the geometry's literal zeros and ones fold.  ``forces`` works in the
+    frame of the first moving link: cpm4's D[0][j], j > 0, is a literal
+    zero there, and example2's link angles are 0, q1 and q1 + q2.
+    """
+
+    name: str
+    links: tuple
+    lengths: tuple
+    masses: tuple
+    rotor: tuple
+    base: tuple
+    dim: int
+    gravity: float = 0.0
+
+    def __repr__(self):
+        return self.name
+
+    def _frame(self, v):
+        """The plane's vector v = (u, w) in the frame."""
+        return list(v) if self.dim == 2 else [v[0], 0.0, v[1]]
+
+    def _chain(self, q, qd, weights, first_link):
+        """The links (w_k, (cos, sin, angle rate), joints), last first, of
+        the point base + sum_k w_k e_k, e_k = (cos, sin) of link k; its plane
+        position; and each joint j's tail, sum_k w_k e_k over the links j
+        turns (j's Jacobian column turned back a quarter), summed from the
+        point on.  Angles are the first moving link's if ``first_link``
+        (q0 dropped), else the world's."""
+        links = []
+        for joints in self.links:
+            angle = _sum(q[j] for j in joints if not (first_link and j == 0))
+            links.append((codegen.cos(angle), codegen.sin(angle),
+                          _sum(qd[j] for j in joints)))
+        terms = [*zip(weights, links, self.links)][::-1]
+        tails = [[_sum(_times(w, e[c]) for w, e, joints in terms if j in joints)
+                  for c in (0, 1)] for j in range(len(q))]
+        position = [_sum([*(_times(w, e[c]) for w, e, _ in terms), b])
+                    for c, b in enumerate(self.base)]
+        return terms, position, tails
+
+    def forces(self, q, qd):
+        """(rows of D, C qd + G): ``rotor`` + sum_i m_i Jc_i^T Jc_i, and
+        sum_i m_i Jc_i^T (a_i + g z) with a_i mass centre i's acceleration
+        at qdd = 0, the gravity term being the potential's gradient.  The
+        vectors are taken in the first moving link's frame turned a quarter
+        back about the plane's normal, where a joint's column is its tail."""
+        N, spin = len(q), qd[0]
+        bodies = []
+        for i, mass in enumerate(self.masses):
+            weights = [*self.lengths[:i], self.lengths[i] / 2]
+            terms, position, tails = self._chain(q, qd, weights, True)
+            cols = [self._frame(t) for t in tails]
+            # relative to the frame: -sum_k w_k rate_k^2 e_k, turned back
+            acc = self._frame([_sum(_times(_times(sign * w, _times(rate, rate)), e[1 - c])
+                                    for w, (*e, rate), _ in terms)
+                               for c, sign in enumerate((-1.0, 1.0))])
+            if self.dim == 3:   # the waist's column, the turning frame's parts, gravity
+                cols[0] = [0.0, position[0], 0.0]
+                v = _sum(map(_times, [t[1] for t in tails], qd))
+                acc = [_sum([acc[0], self.gravity]), _times(_times(-2.0, spin), v),
+                       _sum([acc[2], _times(_times(spin, spin), position[0])])]
+            bodies.append((mass, cols, acc))
+        # D[b][a] records the same entries as D[a][b], so it is computed once
+        return [[_sum([self.rotor[a][b], *(_times(m, _sum(map(_times, cols[a], cols[b])))
+                                           for m, cols, _ in bodies)])
+                 for b in range(N)] for a in range(N)], [_sum(_times(m, _sum(map(_times, cols[a], acc)))
+                        for m, cols, acc in bodies) for a in range(N)]
+
+    def kinematics(self, q, qd):
+        """(h, rows of J, rows of d(J qd)/dq) of the chain's end; a waist's
+        are taken in its frame and turned into the world's by q0."""
+        terms, position, tails = self._chain(q, qd, self.lengths, False)
+        p, cols = self._frame(position), [self._frame(_turn(t)) for t in tails]
+        # d/dq_j of J qd in the plane: -sum_k w_k rate_k e_k over the links j turns
+        dcols = [self._frame([_sum(_times(_times(-w, rate), e[c])
+                                   for w, (*e, rate), joints in terms if j in joints)
+                              for c in (0, 1)]) for j in range(len(q))]
+        if self.dim == 3:   # the waist's column and velocity, then the world's axes
+            spin, cw, sw = qd[0], codegen.cos(q[0]), codegen.sin(q[0])
+            cols[0] = _turn(p)
+            v = [_sum([_times(spin, x), _sum(map(_times, y, qd[1:]))])
+                 for x, y in zip(cols[0], zip(*cols[1:]))]
+            dcols = [_turn(v), *([_sum([_times(spin, x), y]) for x, y in zip(_turn(c), r)]
+                                 for c, r in zip(cols[1:], dcols[1:]))]
+
+            def world(x):
+                return [_sum([_times(cw, x[0]), _times(-sw, x[1])]),
+                        _sum([_times(sw, x[0]), _times(cw, x[1])]), x[2]]
+
+            p, cols, dcols = world(p), [*map(world, cols)], [*map(world, dcols)]
+        return p, [list(r) for r in zip(*cols)], [list(r) for r in zip(*dcols)]
+
+
+def _arm_code(arm, call):
+    """Source of ``f(q, qd)``, the list arithmetic ``getattr(arm, call)``."""
+    code = codegen.Recorder()
+    q, qd = (code.unpack(name, (len(arm.rotor),)) for name in ("q", "qd"))
+    return code.function("q, qd", getattr(arm, call)(q, qd))
+
+
+def _float_calls(arm):
+    """The arm's float ``forces`` and ``kinematics``: records compiled once per
+    arm, named ``<arm>_<call>``, each keeping what it records as ``arithmetic``."""
+    calls = [codegen.kernel(_arm_code, arm, name) for name in ("forces", "kinematics")]
+    for call, name in zip(calls, ("forces", "kinematics")):
+        call.__name__ = call.__qualname__ = f"{arm}_{name}"
+        call.arithmetic = getattr(arm, name)
+    return calls
+
+
+# unit links, masses and inertias; link i turns at q0 + ... + qi, so its
+# inertia adds 1 to every D[a][b] with a, b <= i
+_PLANAR3R = _Arm("planar3r", links=((0,), (0, 1), (0, 1, 2)), lengths=(1.0,) * 3,
+                 masses=(1.0,) * 3, base=(0.0, 0.0), dim=2,
+                 rotor=((3.0, 2.0, 1.0), (2.0, 2.0, 1.0), (1.0, 1.0, 1.0)))
+# the rotor inertia keeps D SPD everywhere
+_CPM = _Arm("cpm", links=((1,), (1, 2), (1, 2, 3)), lengths=_CPM_LENGTHS,
+            masses=_CPM_MASSES, base=(0.0, _CPM_BASE_HEIGHT), dim=3,
+            rotor=tuple(map(tuple, np.diag(_CPM_ROTOR).tolist())), gravity=_CPM_GRAVITY)
 
 
 PLANTS = {

@@ -52,25 +52,21 @@ def cpm4():
     return dynamics.make_cpm_like()
 
 
-# plant name -> its derivation in ``splinefollow.symbolic``
-SYMBOLIC = {"example2": "planar3r", "cpm4": "cpm"}
-
-
 @pytest.fixture(scope="session")
 def symbolic_oracle():
     """``symbolic_oracle(system, what)``: float function of q, qd.
 
     ``what`` is "christoffel" (the (N, N) matrix C, C qd the Coriolis
     and centrifugal forces) or "energy" (qd^T D qd / 2), compiled from
-    the plant's sympy derivation apart from its generated code.  The
-    constant-matrix example1 has C = 0.  Skips without sympy.
+    the plant's sympy derivation (``symbolic``), apart from the package.
+    The constant-matrix example1 has C = 0.  Skips without sympy.
     """
     def oracle(system, what):
         if system.name == "example1":
             return lambda q, qd: np.zeros((2, 2))
         pytest.importorskip("sympy", reason="the symbolic oracles need sympy")
-        from splinefollow import symbolic
+        import symbolic
 
-        return symbolic.oracle(SYMBOLIC[system.name], what)
+        return symbolic.oracle(system.name, what)
 
     return oracle

@@ -1,9 +1,9 @@
 """A cold start loads only what the run calls.
 
 ``import splinefollow``, the ``example1`` plant, the ``two_mass_line``
-path and a short run need numpy alone, and so do the symbolic plants,
-whose code ships generated, and the zero-dynamics analysis: neither
-scipy nor sympy loads.  The ``example1`` run loads no module of
+path and a short run need numpy alone, and so do the arms ``example2``
+and ``cpm4``, whose code is recorded from their geometry, and the
+zero-dynamics analysis: neither scipy nor sympy loads.  The ``example1`` run loads no module of
 ``numpy.polynomial`` that ``import numpy`` alone does not.  The check
 runs in a fresh interpreter, since the rest of the suite has loaded both
 long before.  Run as a script, it checks whichever ``splinefollow`` the
