@@ -139,14 +139,10 @@ def _polynomial_rows(code, lam, r, p, ncoef):
     ``c`` is the segment's derivative coefficients: order by order, the
     p rows of the ncoef - order coefficients of that order.  Each row is
     one Horner evaluation; orders at or above ncoef are rows of zeros.
-    Only the constants of orders 0..r are unpacked.
     """
-    orders = min(r + 1, ncoef)
-    n = p * sum(ncoef - order for order in range(orders))
-    coef = iter(code.unpack("c" if n == p * ncoef * (ncoef + 1) // 2 else f"c[:{n}]",
-                            (n,), "c"))
+    coef = iter(code.unpack("c", (p * ncoef * (ncoef + 1) // 2,)))
     rows = []
-    for order in range(orders):
+    for order in range(min(r + 1, ncoef)):
         row = []
         for _ in range(p):
             *rest, value = [next(coef) for _ in range(ncoef - order)]

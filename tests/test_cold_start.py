@@ -3,11 +3,12 @@
 ``import splinefollow``, the ``example1`` plant, the ``two_mass_line``
 path and a short run need numpy alone, and so do the arms ``example2``
 and ``cpm4``, whose code is recorded from their geometry, and the
-zero-dynamics analysis: neither scipy nor sympy loads.  The ``example1`` run loads no module of
-``numpy.polynomial`` that ``import numpy`` alone does not.  The check
-runs in a fresh interpreter, since the rest of the suite has loaded both
-long before.  Run as a script, it checks whichever ``splinefollow`` the
-interpreter imports (an installed copy, say) and exits 1 on a failure:
+zero-dynamics analysis: neither scipy nor sympy loads.  The ``example1``
+run loads no module of ``numpy.polynomial`` that ``import numpy`` alone
+does not.  The check runs in a fresh interpreter, since the rest of the
+suite has loaded both long before.  Run as a script, it checks whichever
+``splinefollow`` the interpreter imports (an installed copy, say) and
+exits 1 on a failure:
 
     python tests/test_cold_start.py
 """
