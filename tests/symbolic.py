@@ -91,7 +91,7 @@ def _cpm():
     cw, sw = sp.cos(q[0]), sp.sin(q[0])
     phi = [q[1], q[1] + q[2], q[1] + q[2] + q[3]]
     masses, rotor = _exact(_CPM_MASSES), _exact(_CPM_ROTOR)
-    (gravity, base_height) = _exact((_CPM_GRAVITY, _CPM_BASE_HEIGHT))
+    gravity, base_height = _exact((_CPM_GRAVITY, _CPM_BASE_HEIGHT))
     coms, reach, height = [], sp.Integer(0), base_height
     for length, f in zip(_exact(_CPM_LENGTHS), phi):
         c_r = reach + length * sp.cos(f) / 2
