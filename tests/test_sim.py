@@ -639,6 +639,36 @@ class TestRun:
             assert np.abs(moved[name]).max() <= bound, name
         np.testing.assert_array_equal(turned.k_star, base.k_star)
 
+    # measured largest differences over the four scales: q 2.2e-16,
+    # qd 5.3e-16, u / s 4.1e-15, eta and lambda* 8.9e-16; each bound is ten
+    # times its margin
+    MASS_BOUNDS = {"q": 2.2e-15, "qd": 5.3e-15, "u": 4.1e-14, "eta": 8.9e-15,
+                   "lambda_star": 8.9e-15}
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12])
+    def test_scaled_masses_are_the_same_run(self, scale):
+        """Scaling the two-mass line's masses, dampers and input limits by
+        s leaves the run as it is: q, qd, eta and lambda* agree and u is
+        scaled by s, each to a bound set from its measured margin; k* and
+        the projection's iterations are identical."""
+        spec = json.loads((SCENARIOS / "two_mass_line.json").read_text())
+        limits = dynamics.make_example1().default_limits
+        logs = []
+        for s in (1.0, scale):
+            d = dict(spec, plant_kwargs=dict.fromkeys(("m1", "m2", "b1", "b2"), s))
+            d["limits"] = {"q_min": limits.q_min.tolist(), "q_max": limits.q_max.tolist(),
+                           "u_min": (s * limits.u_min).tolist(),
+                           "u_max": (s * limits.u_max).tolist()}
+            logs.append(sim.run(sim.Scenario.from_dict(d)))
+        base, scaled = logs
+        moved = {"q": scaled.q - base.q, "qd": scaled.qd - base.qd,
+                 "u": scaled.u / scale - base.u, "eta": scaled.eta - base.eta,
+                 "lambda_star": scaled.lambda_star - base.lambda_star}
+        for name, bound in self.MASS_BOUNDS.items():
+            assert np.abs(moved[name]).max() <= bound, name
+        np.testing.assert_array_equal(scaled.k_star, base.k_star)
+        np.testing.assert_array_equal(scaled.iterations, base.iterations)
+
     def test_summary_and_boundedness(self, example1):
         scen = _example1_scenario(duration=4.0)
         log = sim.run(scen)
