@@ -1,8 +1,8 @@
 """Straight-line float code, recorded from the arithmetic that defines it.
 
 The package's generated arithmetic is written once, as plain Python on
-sequences of numbers: the curve jets, the projection's Newton iterate
-and descent step, the frame jet, the linearization, the input
+sequences of numbers: the curve jets, the projection's Newton and
+descent step, the frame jet, the linearization, the input
 resolution with its conditioning check, the arms' forces and kinematics
 (from their geometry), the plant's right-hand side and Cholesky solve,
 and the RK4 substep.  Run on ``Var`` inputs, each operator records one

@@ -69,9 +69,9 @@ class Segment:
     constants from ``c``.  ``_jet_code`` writes them as ``f(c, lam)``:
     bound to ``math``, ``jet`` runs rows 0..r on one float, compiled once
     per r and kept in ``jets``; bound to numpy, ``evaluate`` runs the same
-    arithmetic of row r alone on arrays.  ``newton`` and ``descent`` keep
-    the projection's Newton iterate and descent step, recorded from the
-    same rows and compiled at first use.
+    arithmetic of row r alone on arrays.  ``newton`` keeps the
+    projection's call for its Newton iterates and descent steps, recorded
+    from the same rows and compiled at first use.
     """
 
     def __init__(self, domain, dim, code, consts):
@@ -82,7 +82,7 @@ class Segment:
         self.dim = dim
         self.code, self.consts = code, consts
         self.jets = {}   # max_order -> compiled jet, filled at first use
-        self.newton = self.descent = None   # the projection's, likewise
+        self.newton = None   # the projection's, likewise
 
     def evaluate(self, lam, order=0):
         """d^order sigma / d lambda^order at scalar lam, shape (p,), or at

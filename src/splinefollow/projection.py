@@ -8,13 +8,13 @@ longer than the descent's first probe, so tracking does not jump branch
 at self-intersections; segment hand-off happens only when lambda* leaves
 the current domain.
 
-The per-step search runs on Python floats.  Each Newton iterate is one
-call of ``_newton_code``, and each descent step one of ``_descent_code``,
-recorded once per segment kind and key from the rows the kind records
-for its jet: the squared distance, g' and g, or the distance and its
-derivative, at one lambda.  The descent's entry reads sigma and sigma'
-through the path's ``evaluate_unchecked``.  The global initializer and
-the window analysis evaluate many lambda at once with numpy.
+The per-step search runs on Python floats.  Each Newton iterate and each
+descent step is one call of ``_newton_code``, recorded once per segment
+kind and key from the rows the kind records for its jet: the squared
+distance, g' and g at one lambda.  The descent steps on the sign of g
+and compares distances.  Its entry reads sigma and sigma' through the
+path's ``evaluate_unchecked``.  The global initializer and the window
+analysis evaluate many lambda at once with numpy.
 """
 
 import math
@@ -27,7 +27,6 @@ from .curves import bisect
 from .errors import NonConvergenceError, ParameterError, integer, positive
 from .frames import dot
 
-ON_PATH_TOL = 1e-12  # below this distance, descend on the squared distance
 GROW, SHRINK = 1.2, 0.5  # descent step factors after a success / a failure
 INIT_GRID = 2000  # global-initializer grid spacing: total arclength / INIT_GRID
 
@@ -56,16 +55,11 @@ class ProjectionState:
     clamped: bool = False  # lambda* pinned to an open-path endpoint
 
 
-def _objective_and_gradient(sigma, dsigma, y):
-    """||y - sigma|| and its lambda-derivative from the rows sigma, sigma',
-    as list arithmetic on floats or recorded on Vars (``_descent_code``)."""
-    diff = [a - b for a, b in zip(y, sigma)]
-    dist = codegen.sqrt(dot(diff, diff))
-    g = dot(diff, dsigma)
-    # the norm is not differentiable on the path; use squared distance
-    (grad,) = codegen.at_least(dist, ON_PATH_TOL, lambda: [-g / dist],
-                               lambda: [-2.0 * g])
-    return dist, grad
+def _distance2_and_slope(sigma, dsigma, y):
+    """||sigma - y||^2 and g = <sigma - y, sigma'> from the rows sigma,
+    sigma', as list arithmetic on floats or recorded on Vars."""
+    diff = [a - b for a, b in zip(sigma, y)]
+    return dot(diff, diff), dot(diff, dsigma)
 
 
 def _newton_code(rows, *key):
@@ -77,19 +71,11 @@ def _newton_code(rows, *key):
     """
     code = codegen.Recorder()
     s0, s1, s2 = rows(code, codegen.Var(code, "lam"), 2, *key)
-    diff = [a - b for a, b in zip(s0, code.unpack("y", (len(s0),)))]
+    y = code.unpack("y", (len(s0),))
+    dist2, g = _distance2_and_slope(s0, s1, y)
+    # g' is ||sigma'||^2 plus the slope of sigma'' (sigma - y is recorded once)
     return code.function("c, lam, y", (
-        dot(diff, diff), dot(s1, s1) + dot(diff, s2), dot(diff, s1)))
-
-
-def _descent_code(rows, *key):
-    """Source of ``f(c, lam, y)``: the descent's ||y - sigma|| and its
-    derivative at lam, from the rows 0..1 that ``rows`` records for
-    ``key``, as ``_newton_code`` does."""
-    code = codegen.Recorder()
-    s0, s1 = rows(code, codegen.Var(code, "lam"), 1, *key)
-    return code.function("c, lam, y", _objective_and_gradient(
-        s0, s1, code.unpack("y", (len(s0),))))
+        dist2, dot(s1, s1) + _distance2_and_slope(s0, s2, y)[1], g))
 
 
 def _newton(path, k, lam, y, cfg):
@@ -140,8 +126,9 @@ def update(state, path, y, cfg):
     steps.  When one of its safeguards trips, the monotone descent of
     Algorithm 1 takes over from the last accepted iterate, followed by
     the segment hand-off; both count toward ``cfg.max_iters``.  Each
-    descent step is one call of the segment's ``descent``, its kind's
-    ``_descent_code`` compiled at first use.
+    descent step is one call of the segment's ``newton``: it steps
+    against the sign of g, half the derivative of the squared distance,
+    and is taken when the distance, the root of the first result, falls.
 
     Raises NonConvergenceError (carrying this pass's state, the best so
     far) if the iteration cap is hit.
@@ -156,25 +143,28 @@ def update(state, path, y, cfg):
 
     while True:
         seg = path.segments[k]
-        descent = seg.descent = seg.descent or codegen.kernel(_descent_code, *seg.code)
+        newton = seg.newton = seg.newton or codegen.kernel(_newton_code, *seg.code)
         # the entry reads the path, which is how bench/tracer.py tells a
-        # descent period; each step is one call of the segment's descent
-        obj, grad = _objective_and_gradient(path.evaluate_unchecked(k, lam, 0),
-                                            path.evaluate_unchecked(k, lam, 1), y)
+        # descent period; each step is one call of the segment's newton
+        dist2, g = _distance2_and_slope(path.evaluate_unchecked(k, lam, 0),
+                                        path.evaluate_unchecked(k, lam, 1), y)
+        dist = math.sqrt(dist2)
         while True:
             if iters >= cfg.max_iters:
                 raise NonConvergenceError(
                     f"projection did not converge in {cfg.max_iters} iterations",
                     state=ProjectionState(k, lam, iters, clamped))
             iters += 1
-            # the sign of the gradient, NaN at NaN; an exactly-zero
-            # gradient (ridge between branches) nudges forward
-            direction = (-1.0 if grad == 0.0 else math.copysign(1.0, grad)
-                         if grad == grad else grad)
+            # the sign of the slope, NaN at NaN; an exactly-zero slope
+            # (ridge between branches, or on the path) nudges forward
+            direction = (-1.0 if g == 0.0 else math.copysign(1.0, g)
+                         if g == g else g)
             lam_new = lam - alpha * direction
-            obj_new, grad_new = descent(seg.consts, lam_new, y)
-            if obj_new < obj:
-                lam, obj, grad = lam_new, obj_new, grad_new
+            dist2_new, _, g_new = newton(seg.consts, lam_new, y)
+            # distances, as Algorithm 1 compares: squares differ where roots tie
+            dist_new = math.sqrt(dist2_new)
+            if dist_new < dist:
+                lam, dist, g = lam_new, dist_new, g_new
                 alpha *= GROW
             else:
                 alpha *= SHRINK
@@ -202,12 +192,16 @@ def global_initialize(path, y, cfg=ProjectionConfig()):
     """Brute-force grid argmin over the whole path, then one local polish.
 
     Ties are broken lexicographically in (k, lambda), so repeated runs are
-    deterministic.  ParameterError if y does not have the path's p entries.
+    deterministic.  ParameterError if y does not have the path's p entries
+    or the path's total arclength, which sets the grid, is not positive.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (path.output_dim,):
         raise ParameterError(f"query y must have p = {path.output_dim} "
                              f"entries; got shape {y.shape}")
+    if not path.total_arclength > 0.0:
+        raise ParameterError("cannot project onto a path of total arclength "
+                             f"{path.total_arclength}; it must be positive")
     spacing = path.total_arclength / INIT_GRID
     best = (np.inf, 0, 0.0)
     for k, seg in enumerate(path.segments):

@@ -14,6 +14,9 @@ PERIODS = "dt must be > 0 and duration / dt finite and round to at least 1 perio
 # every key of two_mass_line.json is one of this scenario's, so an update
 # with it replaces the whole scenario
 TWISTED_LOOP = json.loads((SCENARIOS / "twisted_loop_4dof.json").read_text())
+# a path of total arclength 0: one constant segment
+ZERO_LENGTH_PATH = {"segments": [{"coeffs": [[0.5]], "domain": [0, 1]}]}
+ZERO_LENGTH = "validation failure: cannot project onto a path of total arclength 0.0"
 
 
 @pytest.fixture
@@ -201,8 +204,39 @@ class TestProjectAndDlambda:
         assert f"validation failure: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_length_path_is_validation_failure(self, tmp_path, capsys):
+        """``project`` on a path of total arclength 0 exits 1 naming it, with
+        no traceback and no table; ``check`` still reports the path."""
+        path, queries = tmp_path / "zero.json", tmp_path / "queries.json"
+        path.write_text(json.dumps(ZERO_LENGTH_PATH))
+        queries.write_text(json.dumps([[0.3]]))
+        out = tmp_path / "proj.csv"
+        rc = cli.main(["project", str(path), "--queries", str(queries),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(ZERO_LENGTH) and "Traceback" not in err, err
+        assert not out.exists()
+        assert cli.main(["check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "smooth_ok": True, "worst_junction_error": 0.0, "framed_ok": False,
+            "min_gram_determinant": 0.0}
+
 
 class TestRun:
+    def test_zero_length_path_is_validation_failure(self, tmp_path, capsys):
+        """A scenario whose path has total arclength 0 exits 1 naming it,
+        before the first period, with no traceback and no log."""
+        scen = json.loads((SCENARIOS / "two_mass_line.json").read_text())
+        scen["path"] = ZERO_LENGTH_PATH
+        f, out = tmp_path / "zero.json", tmp_path / "log.csv"
+        f.write_text(json.dumps(scen))
+        rc = cli.main(["run", str(f), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(ZERO_LENGTH) and "Traceback" not in err, err
+        assert not out.exists()
+
     def test_run_writes_log_and_summary(self, scenario_file, tmp_path):
         out = tmp_path / "log.csv"
         rc = cli.main(["run", str(scenario_file), "--out", str(out)])

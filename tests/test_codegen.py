@@ -164,7 +164,7 @@ def test_generated_names_resolve(monkeypatch):
     monkeypatch.setattr(codegen, "compiled", kept)
     for name in ("two_mass_line", "figure_eight_3r", "twisted_loop_4dof"):
         scen = sim.Scenario.from_file(SCENARIOS / f"{name}.json")
-        # 20 periods: the two-mass line's descent starts at period 10
+        # 20 periods: the two-mass line's descent runs from period 10 on
         sim.run(dataclasses.replace(scen, duration=20 * scen.dt))
     _criterion3_portrait(dynamics.make_example2(), [[-0.6, 0.0], [1.25, 0.0]], 0.02)
     curves.circle_path().evaluate(0, np.linspace(0.0, 1.0, 5), 2)
@@ -179,7 +179,7 @@ def test_generated_names_resolve(monkeypatch):
     labels = [label for label, _, _ in made]
     for want in ("_period_code", "_frame_code", "_resolve_code",
                  "_plant_code", "_rk4_code", "_linearize_code", "_newton_code",
-                 "_descent_code", "_jet_code", "on numpy"):
+                 "_jet_code", "on numpy"):
         assert any(want in label for label in labels), labels
     seen = set()
     for label, f, lib in made:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from splinefollow import codegen, curves, projection
-from splinefollow.errors import NonConvergenceError
+from splinefollow.errors import NonConvergenceError, ParameterError
 from splinefollow.projection import ProjectionConfig, ProjectionState
 from splinefollow.frames import dot
 
@@ -50,6 +50,12 @@ class TestGlobalInitialize:
         a = projection.global_initialize(path, np.zeros(2))
         b = projection.global_initialize(path, np.zeros(2))
         assert (a.k_star, a.lambda_star) == (b.k_star, b.lambda_star)
+
+    def test_zero_length_path_is_parameter_error(self):
+        """A path of total arclength 0 sets no grid: ParameterError."""
+        path = curves.SplinePath([curves.PolynomialSegment([[0.5]], (0.0, 1.0))])
+        with pytest.raises(ParameterError, match="total arclength 0.0"):
+            projection.global_initialize(path, [0.3])
 
 
 class TestUpdate:
@@ -284,12 +290,14 @@ class TestDeltaLambda:
 
 
 def _reference_objective(path, k, lam, y):
-    """The descent's distance and its derivative on evaluate_unchecked rows."""
+    """The distance and its derivative on evaluate_unchecked rows, as the
+    descent read them before it stepped on the Newton call's slope: below
+    1e-12, the derivative of the squared distance."""
     sigma = path.evaluate_unchecked(k, lam, 0)
     dsigma = path.evaluate_unchecked(k, lam, 1)
     diff = [a - b for a, b in zip(y, sigma)]
     dist = math.sqrt(dot(diff, diff))
-    if dist < projection.ON_PATH_TOL:
+    if dist < 1e-12:
         return dist, -2.0 * dot(diff, dsigma)
     return dist, -dot(diff, dsigma) / dist
 
@@ -347,11 +355,14 @@ def _outcome(call, *args):
 
 class TestDescent:
     def test_recorded_step_is_the_float_arithmetic(self, fig8_path, twisted_path):
-        """The segment's recorded descent step equals the descent's
-        arithmetic on the rows evaluate_unchecked returns, by repr, on
-        polynomial segments (p = 1, 2, 3) and harmonic ones (a circle, an
-        ellipse, a helix), at lambda up to 10 % outside the domain, on
-        the path (the squared-distance branch) and off it."""
+        """The segment's Newton call gives the squared distance and the
+        slope g of the float helper on the rows evaluate_unchecked returns,
+        by repr; the square root of the first is the distance of the
+        descent written on those rows, and g has the sign of its
+        derivative.  On polynomial segments (p = 1, 2, 3) and harmonic
+        ones (a circle, an ellipse, a helix), at lambda up to 10 % outside
+        the domain, on the path (the old squared-distance branch) and off
+        it."""
         paths = [fig8_path, twisted_path, curves.line_path([0.2], [1.5]),
                  curves.line_path([0.0, 0.5], [2.0, -0.5]),
                  curves.circle_path(radius=2.0, center=(0.5, -1.0)),
@@ -370,14 +381,18 @@ class TestDescent:
                     y = (np.array(path.evaluate_unchecked(k, near, 0))
                          + 10.0 ** rng.uniform(-14.0, 0.5)
                          * rng.normal(size=path.output_dim)).tolist()
-                step = codegen.kernel(projection._descent_code, *seg.code)
+                step = codegen.kernel(projection._newton_code, *seg.code)
                 rows = [path.evaluate_unchecked(k, lam, r) for r in (0, 1)]
-                want = _reference_objective(path, k, lam, y)
-                assert repr(step(seg.consts, lam, y)) == repr(want)
-                assert repr(projection._objective_and_gradient(*rows, y)) == repr(want)
-                on_path += want[0] < projection.ON_PATH_TOL
-            dist, grad = step(seg.consts, math.nan, y)
-            assert math.isnan(dist) and math.isnan(grad)
+                dist2, _, g = step(seg.consts, lam, y)
+                assert repr((dist2, g)) == repr(
+                    projection._distance2_and_slope(*rows, y))
+                dist, grad = _reference_objective(path, k, lam, y)
+                assert repr(math.sqrt(dist2)) == repr(dist)
+                assert ((g > 0.0, g < 0.0, g == 0.0)
+                        == (grad > 0.0, grad < 0.0, grad == 0.0))
+                on_path += dist < 1e-12
+            dist2, gp, g = step(seg.consts, math.nan, y)
+            assert math.isnan(dist2) and math.isnan(gp) and math.isnan(g)
         assert on_path > 100
 
     def test_update_matches_the_row_descent(self, fig8_path, wavy_path):

@@ -460,8 +460,9 @@ class TestRun:
         polynomial segments' Newton call (projection) and jet of orders
         0..3 (transform), the N = 3 RK4 substep and the plant's solve
         once each, the second generates nothing.  Likewise for the first
-        20 periods of the two-mass line, whose descent (from period 10 on)
-        generates the descent step of its p = 1 line segment once."""
+        20 periods of the two-mass line, whose Newton iterates and descent
+        (from period 10 on) generate the Newton call of its p = 1 line
+        segment once, and no other call for the descent."""
         labels = []
         compiled = codegen.compiled
 
@@ -493,7 +494,8 @@ class TestRun:
         sim.run(scen, path=path)
         first = list(labels)
         sim.run(scen, path=path)
-        assert first.count("_descent_code('_polynomial_rows', 1, 2)") == 1, first
+        assert first.count("_newton_code('_polynomial_rows', 1, 2)") == 1, first
+        assert not any("_descent_code" in label for label in first), first
         assert len(set(first)) == len(first)
         assert labels == first
 
