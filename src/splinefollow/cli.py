@@ -4,7 +4,7 @@ Subcommands:
   fit       fit a spline path through waypoints and write it as JSON
   check     validate path assumptions (smoothness, framing) and report
   project   closest-point table for query outputs against a path
-  dlambda   allowable descent-window table for a path segment
+  dlambda   windows where the distance from sigma(lambda*) is convex
   run       execute a closed-loop scenario, write CSV log + JSON summary
   portrait  zero-dynamics phase portrait for the planar 3R plant
 
@@ -150,7 +150,8 @@ def build_parser():
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.set_defaults(func=_cmd_project)
 
-    p = sub.add_parser("dlambda", help="allowable descent-window table")
+    p = sub.add_parser("dlambda", help="windows where the distance from sigma(lambda*) "
+                       "is convex in lambda: 0 wherever ||sigma'|| varies")
     p.add_argument("path", help="path JSON file")
     p.add_argument("--segment", type=int, default=0)
     p.add_argument("--samples", type=int, default=64)

@@ -9,14 +9,15 @@ degrees of freedom away from joint limits.
 
 ``step`` is one period: the projection update, then one generated call
 (``_period``) on q, qd and constants as Python floats.  Its builder,
-``_period_code``, records the transform layer (``transform._transformed``),
-the tangential PI or PD loop with its anti-windup clamp (``_tangential``),
-the transversal law, PD or robust (``transversal_v``), the joint-limit
-bias (``bias_r``), the resolution (``_resolved``: beta W^-1 beta', its
-conditioning, in closed form for p <= 2 and with one symmetric
-eigenvalue call for p >= 3, and the plant layer's recorded Cholesky
-solve) and the actuator clamp, one function per plant, p, frame policy
-and controller modes, generated at first use.  The public pieces
+``_period_code``, records the transform layer (``transform._transformed``,
+its drift solve on J's p rows), the tangential PI or PD loop with its
+anti-windup clamp (``_tangential``), the transversal law, PD or robust
+(``transversal_v``), the joint-limit bias (``bias_r``, on the slopes
+``Limits`` computes once), the resolution (``_resolved``: beta W^-1
+beta', its conditioning, in closed form for p <= 2 and with one
+symmetric eigenvalue call for p >= 3, and the plant layer's recorded
+Cholesky solve) and the actuator clamp, one function per plant, p,
+frame policy and controller modes, generated at first use.  The public pieces
 ``transversal_v``, ``bias_r`` and ``resolve_input`` run the same
 arithmetic alone.  ``step`` returns the clamped u, the PI loop's
 integral (a float the caller hands back next period) and a
@@ -52,7 +53,8 @@ class RedundancyConfig:
             W = reals("redundancy W", self.W, (None, None))
             if W.shape[0] != W.shape[1]:
                 raise ParameterError("W must be square")
-            if not np.allclose(W, W.T, atol=1e-12):
+            # to W's own scale: the resolution reads only its lower triangle
+            if not np.allclose(W, W.T, rtol=0.0, atol=1e-12 * np.abs(W).max(initial=0.0)):
                 raise ParameterError("W must be symmetric")
             if np.any(np.linalg.eigvalsh(W) <= 0):
                 raise ParameterError("W must be positive definite")
@@ -159,8 +161,8 @@ def bias_r(x_c, limits):
 
     Takes a sequence of floats and returns a list of floats.
     """
-    return [-(hu - lu) / (hq - lq) * (x - lq) + hu
-            for x, lq, hq, lu, hu in zip(x_c, *limits.floats)]
+    q_min, _, _, u_max, slopes = limits.floats
+    return [s * (x - lq) + hu for x, lq, hu, s in zip(x_c, q_min, u_max, slopes)]
 
 
 def _resolved(code, alpha, beta, v, r, W=None):
@@ -301,12 +303,12 @@ def _period_code(A, Bd, forces, p, mode, fixed_vectors, tangential_mode,
         gains.robust_matrices = code.unpack("gains.robust_matrices", (3, m, 2 * m), "K")
         gains.robust_mu = code.unpack("gains.robust_mu", (), "mu")
     v = [v_eta, *(transversal_v(xi, gains) if m else [])]
-    limits = code.unpack("limits", (4, N))
+    limits = code.unpack("limits", (5, N))
     r = (bias_r(q, SimpleNamespace(floats=limits))
          if bias_mode == "joint_limit" else [0.0] * N)
     u = _resolved(code, alpha, beta, v, r,
                   code.unpack("W", (N, N)) if weighted else None)
-    clamped = [codegen.clamp(x, lo, hi) for x, lo, hi in zip(u, *limits[2:])]
+    clamped = [codegen.clamp(x, lo, hi) for x, lo, hi in zip(u, *limits[2:4])]
     return code.function(
         "rows, lam, kinematics, q, qd, Z, eta1, integral, ref, gains, limits, W, dt",
         (([eta1, eta2], xi, zeta, alpha, beta), clamped, u, v, integral))

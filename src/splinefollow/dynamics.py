@@ -25,19 +25,20 @@ plant's ``forces``, the right-hand side A u - Bd qd - (C qd + G) and the
 Cholesky solve of D, ``cholesky_solve``, into one straight-line function
 per plant and use (a constant D folds into literals; its checks still
 run).  The RK4 stages and the portrait's field call ``acceleration``; the
-transform layer records the forces and the drift solve, and the input
-resolution its solves, with the same ``cholesky_solve``.
+transform layer records the forces and, as it reads D^-1 only through
+J D^-1, the solve on J's p rows (``_output_drift_and_input``), and the
+input resolution its solves, with the same ``cholesky_solve``.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
 from . import codegen
 from .errors import DivergenceError, ParameterError, from_json, positive, reals
+from .frames import dot
 
 
 @dataclass(frozen=True, eq=False)   # == is identity: the fields are arrays
@@ -58,8 +59,9 @@ class State:
 class Limits:
     """Per-joint configuration windows and per-input actuation windows.
 
-    ``floats`` holds (q_min, q_max, u_min, u_max) as lists of floats,
-    converted once at construction, for the control period.
+    ``floats`` holds (q_min, q_max, u_min, u_max) as lists of floats and
+    the joint-limit bias's slopes -(u_max - u_min) / (q_max - q_min),
+    computed once at construction, for the control period.
     """
 
     q_min: np.ndarray
@@ -80,8 +82,9 @@ class Limits:
                     f"{len(getattr(self, lo))} and {len(getattr(self, hi))}")
         if not (np.all(self.q_min < self.q_max) and np.all(self.u_min < self.u_max)):
             raise ParameterError("limit windows must satisfy min < max")
-        object.__setattr__(self, "floats",
-                           tuple(getattr(self, name).tolist() for name in names))
+        floats = [getattr(self, name).tolist() for name in names]
+        slopes = [-(hu - lu) / (hq - lq) for lq, hq, lu, hu in zip(*floats)]
+        object.__setattr__(self, "floats", (*floats, slopes))
 
 
 @dataclass(eq=False)   # == is identity: the fields hold arrays
@@ -132,7 +135,7 @@ class MechanicalSystem:
 
 def _completion(Z, q, qd):
     """zeta = (Z q, Z qd) for the rows Z, on floats or recorded Vars."""
-    return [sum(map(mul, z, x)) for x in (q, qd) for z in Z]
+    return [dot(z, x) for x in (q, qd) for z in Z]
 
 
 def cholesky_solve(code, d, cols, name="inertia matrix", at="q", value=None):
@@ -190,23 +193,27 @@ def cholesky_solve(code, d, cols, name="inertia matrix", at="q", value=None):
 def _rhs(A, Bd, u, qd, bias):
     """A u - Bd qd - bias for the constant rows A, Bd, as recorded entries.
 
-    Each row sums its terms with a nonzero coefficient left to right.
+    Each row sums its terms left to right, leaving out those with a zero
+    coefficient or a literal 0.0 input.
     """
     out = []
     for a_row, b_row, b in zip(A, Bd, bias):
         terms = [c * x for c, x in [*zip(a_row, u), *zip([-c for c in b_row], qd)]
-                 if c != 0.0]
+                 if c != 0.0 and (isinstance(x, codegen.Var) or x != 0.0)]
         out.append(sum(terms[1:], terms[0]) - b if terms else -b)
     return out
 
 
-def _drift_and_input(code, A, Bd, forces):
-    """Record the plant's ``forces``, then f_v = D^-1 (-Bd qd - bias) and the
-    rows of g_v = D^-1 A from one factorization of D; return q, qd, f_v, g_v."""
-    q, qd, d, bias = _recorded_forces(code, forces, len(A))
-    f_v, *g = cholesky_solve(code, d, [_rhs(A, Bd, [0.0] * len(A), qd, bias),
-                                       *zip(*A)])
-    return q, qd, f_v, [list(x) for x in zip(*g)]
+def _output_drift_and_input(code, A, Bd, qd, d, bias, J):
+    """Record J f_v and the rows of J g_v (qdd = f_v + g_v u) for the rows d of
+    D and J: X = D^-1 J^T on p right-hand sides, then, D being symmetric,
+    X^T (-Bd qd - bias), checked finite, and X^T A, A's 0s and 1s folded."""
+    X = cholesky_solve(code, d, J)
+    b = _rhs(A, Bd, [0.0] * len(A), qd, bias)
+    Jf_v = [dot(x, b) for x in X]
+    code.require(f"isfinite({' + '.join(map(format, Jf_v))})", "DivergenceError",
+                 "non-finite solution of the inertia matrix system at q={q}")
+    return Jf_v, [[_sum(map(_times, x, col)) for col in zip(*A)] for x in X]
 
 
 def _recorded_forces(code, forces, N):
@@ -227,9 +234,12 @@ def _stage_code(A, Bd, forces):
 
 
 def _plant_code(A, Bd, forces):
-    """Source of ``f(q, qd)``: f_v and the rows of g_v (``_drift_and_input``)."""
+    """Source of ``f(q, qd)``: the plant's ``forces``, then f_v = D^-1 (-Bd qd
+    - bias) and the rows of g_v = D^-1 A from one factorization of D."""
     code = codegen.Recorder()
-    return code.function("q, qd", _drift_and_input(code, A, Bd, forces)[2:])
+    q, qd, d, bias = _recorded_forces(code, forces, len(A))
+    f_v, *g = cholesky_solve(code, d, [_rhs(A, Bd, [0.0] * len(A), qd, bias), *zip(*A)])
+    return code.function("q, qd", (f_v, [list(x) for x in zip(*g)]))
 
 
 class _PlantSolves(dict):

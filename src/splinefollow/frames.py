@@ -79,8 +79,9 @@ FRENET = FramePolicy()
 
 
 def dot(u, v):
-    """Inner product: 0.0 + u0 v0 + u1 v1 + ..., summed left to right."""
-    return sum(map(mul, u, v), 0.0)
+    """Inner product u0 v0 + u1 v1 + ..., summed left to right; 0.0 if empty."""
+    terms = [*map(mul, u, v)]
+    return sum(terms[1:], terms[0]) if terms else 0.0
 
 
 def _jinner(u, v):

@@ -9,16 +9,17 @@ vector alpha and decoupling matrix beta that render the virtual input
 v = alpha + beta u exactly the second derivatives of those coordinates.
 
 ``_transformed`` records, in this order, the frame at the closest point
-(``frames._frame_values``), the plant's ``forces`` and the drift solve of
-the affine dynamics (``dynamics._drift_and_input``), the linearization
+(``frames._frame_values``), the plant's ``forces``, the drift solve on
+J's p rows, which alpha and beta read (``dynamics._output_drift_and_input``,
+J D^-1 being the operational-space form), the linearization
 (``_linearized``) and zeta, on the curve rows of one ``jet_unchecked``
 call, the plant's ``kinematics`` call, q, qd and the rows of Z; a plant's
 p, frame mode and completion vectors are constants of the code.  The
 control period records it into its one generated call after the
 projection (``control._period``); ``linearize`` compiles it alone.  The
 record, LinearizationData, holds eta (eta_1 from the arclength table,
-outside the call), xi, zeta, alpha and beta; the frame values, D, f_v
-and D^-1 A stay in the call, and (k*, lambda*) in the ProjectionState.
+outside the call), xi, zeta, alpha and beta; the frame values, D, J f_v
+and J g_v stay in the call, and (k*, lambda*) in the ProjectionState.
 """
 
 from dataclasses import dataclass
@@ -39,19 +40,16 @@ class LinearizationData:
     beta: list                 # p rows of N: decoupling matrix
 
 
-def _linearized(code, p, N, sigma, values, qd, f_v, g_v):
+def _linearized(code, p, sigma, values, kinematics, qd, Jf_v, Jg_v):
     """Record (eta_2, xi, alpha, beta) into ``code``; return them.
 
     ``sigma`` holds the curve rows and ``values`` the frame values at
-    the closest point, ``qd`` the velocity and f_v, g_v the affine
-    dynamics qdd = f_v + g_v u.  The plant's (h, J, d(J qd)/dq) are read
-    from the argument ``kinematics``.
+    the closest point, ``kinematics`` the plant's (h, J, d(J qd)/dq),
+    ``qd`` the velocity and J f_v, the rows of J g_v the affine dynamics
+    qdd = f_v + g_v u seen through J.
     """
     e, de, dde, _, _, (speed, _, _) = frames._parts(values, p)
-    code.source("y, J, dJqd_dq = kinematics")
-    y, J, dJqd_dq = (code.unpack("y", (p,)), code.unpack("J", (p, N)),
-                     code.unpack("dJqd_dq", (p, N)))
-
+    y, J, dJqd_dq = kinematics
     offset = [a - b for a, b in zip(y, sigma[0])]
     Jqd = [dot(row, qd) for row in J]
 
@@ -63,7 +61,7 @@ def _linearized(code, p, N, sigma, values, qd, f_v, g_v):
            for ej, dej in zip(e[1:], de[1:])]]
 
     # d(J qd)/dt along the drift
-    accel_drift = [dot(row, qd) + dot(Ja, f_v) for row, Ja in zip(dJqd_dq, J)]
+    accel_drift = [dot(row, qd) + x for row, x in zip(dJqd_dq, Jf_v)]
 
     # tangential channel
     lf2_eta1 = lam_rate * dot(de[0], Jqd) + dot(e[0], accel_drift)
@@ -72,8 +70,7 @@ def _linearized(code, p, N, sigma, values, qd, f_v, g_v):
     # d/dt of lam_rate along the drift, input-independent part
     lam_rate_drift = lf2_eta1 / speed - eta2**2 * dot(sig1, sig2) / speed**4
 
-    # columns of J g_v; row j of beta is w_j J g_v
-    Jg_cols = [[dot(Ja, col) for Ja in J] for col in zip(*g_v)]
+    # row j of beta is w_j J g_v
     alpha, weights = [lf2_eta1], [e[0]]
     lr2 = lam_rate**2
     for ej, dej, ddej in zip(e[1:], de[1:], dde[1:]):
@@ -85,7 +82,7 @@ def _linearized(code, p, N, sigma, values, qd, f_v, g_v):
                             for a, b in zip(ddej, dej)])
         )
         weights.append([a_j * t + x for t, x in zip(e[0], ej)])
-    beta = [[dot(w, col) for col in Jg_cols] for w in weights]
+    beta = [[dot(w, col) for col in zip(*Jg_v)] for w in weights]
     return eta2, xi, alpha, beta
 
 
@@ -95,8 +92,12 @@ def _transformed(code, A, Bd, forces, p, mode, fixed_vectors):
     the Vars of q and (eta_2, xi, zeta, alpha, beta)."""
     N = len(A)
     sigma, values = frames._frame_values(code, p, mode, fixed_vectors)
-    q, qd, f_v, g_v = dynamics._drift_and_input(code, A, Bd, forces)
-    eta2, xi, alpha, beta = _linearized(code, p, N, sigma, values, qd, f_v, g_v)
+    q, qd, d, bias = dynamics._recorded_forces(code, forces, N)
+    code.source("y, J, dJqd_dq = kinematics")
+    kinematics = (code.unpack("y", (p,)), code.unpack("J", (p, N)),
+                  code.unpack("dJqd_dq", (p, N)))
+    Jf_v, Jg_v = dynamics._output_drift_and_input(code, A, Bd, qd, d, bias, kinematics[1])
+    eta2, xi, alpha, beta = _linearized(code, p, sigma, values, kinematics, qd, Jf_v, Jg_v)
     zeta = dynamics._completion(code.unpack("Z", (N - p, N)), q, qd)
     return q, (eta2, xi, zeta, alpha, beta)
 

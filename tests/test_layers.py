@@ -8,8 +8,11 @@ clamp.  ``oracles.linearize_pieces`` and ``oracles.command_pieces`` call
 the public pieces one after another instead (``oracles.period_pieces``
 both).  On seeded random states both give the same floats, bit for bit
 (compared through ``repr``), and the same typed errors with the same
-messages and fields.
+messages and fields.  The drift solve on J's p rows is checked apart,
+against the solve on N + 1 right-hand sides with J applied after.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -134,6 +137,34 @@ def test_period_call_is_its_pieces(case):
                     assert repr(got) == repr(oracles.period_pieces(system, path, *args))
                     clamped += got[1] != got[2]
     assert clamped
+
+
+# largest differences over 400 seeded states per case and input matrix,
+# times ten
+ALPHA_RTOL = 6e-14   # of 1 + max |alpha| (measured 6.0e-15, cpm4-frenet)
+BETA_RTOL = 2.2e-14  # of max |beta| (measured 2.2e-15, example2, triangular A)
+
+
+@pytest.mark.parametrize("input_matrix", ["plant", "triangular"])
+def test_output_solve_is_the_full_solve(case, input_matrix):
+    """The period's alpha and beta, from X = D^-1 J^T on p right-hand
+    sides, match J f_v and J g_v from ``dynamics.drift_and_input`` (f_v
+    and every column of D^-1 A) to round-off, with the plant's diagonal A
+    and with an A of ones on, halves above and zeros below the diagonal;
+    eta, xi and zeta do not read the solve, so they are the same floats."""
+    system, path, policy = case
+    if input_matrix == "triangular":
+        N = system.N
+        system = dataclasses.replace(system, A=np.eye(N) + np.triu(np.full((N, N), 0.5), 1))
+    for q, qd, ps in _states(system, path, 2513):
+        got = _period(system, path, q, qd, ps, 0.0, control.OuterLoopGains(),
+                      control.RedundancyConfig(), system.default_limits, policy,
+                      0.01, 0.0)[0]
+        want = oracles.linearize_pieces(system, q, qd, path, ps, policy, full_solve=True)
+        assert repr((got.eta, got.xi, got.zeta)) == repr((want.eta, want.xi, want.zeta))
+        a, b = np.array(want.alpha), np.array(want.beta)
+        assert np.abs(np.array(got.alpha) - a).max() <= ALPHA_RTOL * (1.0 + np.abs(a).max())
+        assert np.abs(np.array(got.beta) - b).max() <= BETA_RTOL * np.abs(b).max()
 
 
 def test_robust_switch_is_lazy_at_zero():
