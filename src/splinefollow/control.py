@@ -279,13 +279,16 @@ class StepDiagnostics:
 
 
 def _period_code(A, Bd, forces, p, mode, fixed_vectors, tangential_mode,
-                 transversal_mode, bias_mode, weighted):
+                 transversal_mode, bias_mode, W_size):
     """Source of ``f(rows, lam, kinematics, q, qd, Z, eta1, integral, ref,
     gains, limits, W, dt)``, returning ((eta, xi, zeta, alpha, beta), u,
     u_unclamped, v, new_integral); ``ref`` is the reference speed, the
-    modes' gains are read from ``gains`` and without ``weighted`` W is
-    the identity."""
+    modes' gains are read from ``gains`` and W, of ``W_size`` rows, is the
+    identity if that is None.  A W_size other than N raises ParameterError."""
     N, m = len(A), p - 1
+    if W_size not in (None, N):
+        raise ParameterError(f"redundancy W must be {N} x {N}, one row per joint "
+                             f"of the plant; got {W_size} x {W_size}")
     code = codegen.Recorder()
     q, (eta2, xi, zeta, alpha, beta) = transform._transformed(
         code, A, Bd, forces, p, mode, fixed_vectors)
@@ -307,7 +310,7 @@ def _period_code(A, Bd, forces, p, mode, fixed_vectors, tangential_mode,
     r = (bias_r(q, SimpleNamespace(floats=limits))
          if bias_mode == "joint_limit" else [0.0] * N)
     u = _resolved(code, alpha, beta, v, r,
-                  code.unpack("W", (N, N)) if weighted else None)
+                  code.unpack("W", (N, N)) if W_size else None)
     clamped = [codegen.clamp(x, lo, hi) for x, lo, hi in zip(u, *limits[2:4])]
     return code.function(
         "rows, lam, kinematics, q, qd, Z, eta1, integral, ref, gains, limits, W, dt",
@@ -323,7 +326,8 @@ def _period(system, path, q, qd, proj_state, kinematics, integral, gains,
     k, lam = proj_state.k_star, float(proj_state.lambda_star)
     call = system.solves[_period_code, p, policy.mode, policy.fixed_vectors,
                          gains.tangential_mode, gains.transversal_mode,
-                         redundancy.bias_mode, redundancy.W is not None]
+                         redundancy.bias_mode,
+                         None if redundancy.W_rows is None else len(redundancy.W_rows)]
     rows = path.jet_unchecked(k, lam, p + 1)
     eta1 = path.arclength_offsets[k] + path.arclength_interp(k, lam)
     lin, *out = call(rows, lam, kinematics, q, qd, system.Z_rows, eta1, integral,

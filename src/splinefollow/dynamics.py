@@ -13,8 +13,9 @@ matrix term Bd, outside C.  The input matrix A and Bd are constant.
 
 A plant is described once: its compiled ``forces`` call gives D and
 C qd + G, its compiled ``kinematics`` call gives the output map h, its
-Jacobian J and d(J qd)/dq, and the constant completion matrix Z gives
-the redundant coordinates zeta = (Z q, Z qd).  The array-valued
+Jacobian J and Jdot qd (the output's acceleration at qdd = 0, all the
+transform layer reads of J's rate), and the constant completion matrix
+Z gives the redundant coordinates zeta = (Z q, Z qd).  The array-valued
 D, h and J are ``MechanicalSystem`` methods derived from those calls,
 for callers outside the control period (h seeds the projection, J the
 zero-dynamics velocity); ``completion`` gives zeta as floats.
@@ -106,7 +107,7 @@ class MechanicalSystem:
     damping: np.ndarray    # (N, N) viscous matrix Bd, force Bd @ qd
     Z: np.ndarray          # (N - p, N) completion matrix, zeta = (Z q, Z qd)
     forces: callable       # q, qd floats -> (rows of D, entries of C qd + G)
-    kinematics: callable   # q, qd floats -> (h, rows of J, rows of d(J qd)/dq)
+    kinematics: callable   # q, qd floats -> (h, rows of J, Jdot qd)
     default_limits: Limits = None
     solves: dict = field(init=False, repr=False, compare=False)
     Z_rows: list = field(init=False, repr=False, compare=False)
@@ -306,7 +307,7 @@ def make_example1(m1=1.0, m2=1.0, b1=1.0, b2=1.0):
         damping=np.array([[b1 + b2, -b2], [-b2, b2]]),
         Z=np.array([[1.0, 0.0]]),
         forces=_constant_forces(((m1, 0.0), (0.0, m2)), (0.0, 0.0)),
-        kinematics=lambda q, qd: ([q[1]], [[0.0, 1.0]], [[0.0, 0.0]]),
+        kinematics=lambda q, qd: ([q[1]], [[0.0, 1.0]], [0.0]),
         default_limits=Limits(
             q_min=[-2.0, -5.0], q_max=[2.0, 5.0],
             u_min=[-5.0, -5.0], u_max=[5.0, 5.0],
@@ -388,11 +389,6 @@ def _times(a, b):
     return a * b
 
 
-def _turn(x):
-    """z x x: x turned a quarter about the normal of its first two axes."""
-    return [_times(-1.0, x[1]), x[0], *[0.0] * (len(x) - 2)]
-
-
 @dataclass(frozen=True, repr=False)   # its name labels its generated code
 class _Arm:
     """A revolute arm: a chain of links in a plane that joint 0 turns.
@@ -405,10 +401,12 @@ class _Arm:
     plane of a waist, which joint 0 turns, and ``gravity`` pulls along
     -z.  ``rotor`` holds the rows of D's constant part.
 
-    ``forces`` and ``kinematics`` are list arithmetic on Vars, in which
-    the geometry's literal zeros and ones fold.  ``forces`` works in the
-    frame of the first moving link: cpm4's D[0][j], j > 0, is a literal
-    zero there, and example2's link angles are 0, q1 and q1 + q2.
+    ``_point`` writes a point's motion once: ``forces`` sums it over the
+    mass centres and ``kinematics`` takes it at the chain's end.  Both are
+    list arithmetic on Vars, in which the geometry's literal zeros and ones
+    fold.  ``forces`` works in the frame of the first moving link: cpm4's
+    D[0][j], j > 0, is a literal zero there, and example2's link angles
+    are 0, q1 and q1 + q2.
     """
 
     name: str
@@ -427,13 +425,15 @@ class _Arm:
         """The plane's vector v = (u, w) in the frame."""
         return list(v) if self.dim == 2 else [v[0], 0.0, v[1]]
 
-    def _chain(self, q, qd, weights, first_link):
-        """The links (w_k, (cos, sin, angle rate), joints), last first, of
-        the point base + sum_k w_k e_k, e_k = (cos, sin) of link k; its plane
-        position; and each joint j's tail, sum_k w_k e_k over the links j
-        turns (j's Jacobian column turned back a quarter), summed from the
-        point on.  Angles are the first moving link's if ``first_link``
-        (q0 dropped), else the world's."""
+    def _point(self, q, qd, weights, first_link):
+        """(position, joint columns, acceleration at qdd = 0) of the point
+        base + sum_k w_k e_k, e_k = (cos, sin) of link k.  The position is
+        the plane's; the vectors are the frame's, turned a quarter back
+        about the plane's normal, where joint j's column is its tail, sum_k
+        w_k e_k over the links j turns, and the acceleration relative to the
+        plane is -sum_k w_k rate_k^2 e_k.  A waist adds its column and the
+        turning frame's Coriolis and centripetal parts.  Angles are the
+        first moving link's if ``first_link`` (q0 dropped), else the world's."""
         links = []
         for joints in self.links:
             angle = _sum(q[j] for j in joints if not (first_link and j == 0))
@@ -444,30 +444,27 @@ class _Arm:
                   for c in (0, 1)] for j in range(len(q))]
         position = [_sum([*(_times(w, e[c]) for w, e, _ in terms), b])
                     for c, b in enumerate(self.base)]
-        return terms, position, tails
+        cols = [self._frame(t) for t in tails]
+        acc = self._frame([_sum(_times(_times(sign * w, _times(rate, rate)), e[1 - c])
+                                for w, (*e, rate), _ in terms)
+                           for c, sign in enumerate((-1.0, 1.0))])
+        if self.dim == 3:
+            spin = qd[0]
+            cols[0] = [0.0, position[0], 0.0]
+            v = _sum(map(_times, [t[1] for t in tails], qd))
+            acc = [acc[0], _times(_times(-2.0, spin), v),
+                   _sum([acc[2], _times(_times(spin, spin), position[0])])]
+        return position, cols, acc
 
     def forces(self, q, qd):
         """(rows of D, C qd + G): ``rotor`` + sum_i m_i Jc_i^T Jc_i, and
         sum_i m_i Jc_i^T (a_i + g z) with a_i mass centre i's acceleration
-        at qdd = 0, the gravity term being the potential's gradient.  The
-        vectors are taken in the first moving link's frame turned a quarter
-        back about the plane's normal, where a joint's column is its tail."""
-        N, spin = len(q), qd[0]
-        bodies = []
+        at qdd = 0 (``_point``), the gravity term being the potential's
+        gradient; g z, turned back, lies along the frame's first axis."""
+        N, bodies = len(q), []
         for i, mass in enumerate(self.masses):
-            weights = [*self.lengths[:i], self.lengths[i] / 2]
-            terms, position, tails = self._chain(q, qd, weights, True)
-            cols = [self._frame(t) for t in tails]
-            # relative to the frame: -sum_k w_k rate_k^2 e_k, turned back
-            acc = self._frame([_sum(_times(_times(sign * w, _times(rate, rate)), e[1 - c])
-                                    for w, (*e, rate), _ in terms)
-                               for c, sign in enumerate((-1.0, 1.0))])
-            if self.dim == 3:   # the waist's column, the turning frame's parts, gravity
-                cols[0] = [0.0, position[0], 0.0]
-                v = _sum(map(_times, [t[1] for t in tails], qd))
-                acc = [_sum([acc[0], self.gravity]), _times(_times(-2.0, spin), v),
-                       _sum([acc[2], _times(_times(spin, spin), position[0])])]
-            bodies.append((mass, cols, acc))
+            _, cols, acc = self._point(q, qd, [*self.lengths[:i], self.lengths[i] / 2], True)
+            bodies.append((mass, cols, [_sum([acc[0], self.gravity]), *acc[1:]]))
         # D[b][a] records the same entries as D[a][b], so it is computed once
         return [[_sum([self.rotor[a][b], *(_times(m, _sum(map(_times, cols[a], cols[b])))
                                            for m, cols, _ in bodies)])
@@ -475,28 +472,24 @@ class _Arm:
                         for m, cols, acc in bodies) for a in range(N)]
 
     def kinematics(self, q, qd):
-        """(h, rows of J, rows of d(J qd)/dq) of the chain's end; a waist's
-        are taken in its frame and turned into the world's by q0."""
-        terms, position, tails = self._chain(q, qd, self.lengths, False)
-        p, cols = self._frame(position), [self._frame(_turn(t)) for t in tails]
-        # d/dq_j of J qd in the plane: -sum_k w_k rate_k e_k over the links j turns
-        dcols = [self._frame([_sum(_times(_times(-w, rate), e[c])
-                                   for w, (*e, rate), joints in terms if j in joints)
-                              for c in (0, 1)]) for j in range(len(q))]
-        if self.dim == 3:   # the waist's column and velocity, then the world's axes
-            spin, cw, sw = qd[0], codegen.cos(q[0]), codegen.sin(q[0])
-            cols[0] = _turn(p)
-            v = [_sum([_times(spin, x), _sum(map(_times, y, qd[1:]))])
-                 for x, y in zip(cols[0], zip(*cols[1:]))]
-            dcols = [_turn(v), *([_sum([_times(spin, x), y]) for x, y in zip(_turn(c), r)]
-                                 for c, r in zip(cols[1:], dcols[1:]))]
+        """(h, rows of J, Jdot qd) of the chain's end, Jdot qd being its
+        acceleration at qdd = 0: ``_point``'s vectors turned a quarter
+        forward, and a waist's then into the world's axes by q0."""
+        position, cols, acc = self._point(q, qd, self.lengths, False)
+
+        def ahead(x):   # the frame's x turned a quarter forward in the plane
+            return [_times(-1.0, x[-1]), *x[1:-1], x[0]]
+
+        p, cols, acc = self._frame(position), [*map(ahead, cols)], ahead(acc)
+        if self.dim == 3:
+            cw, sw = codegen.cos(q[0]), codegen.sin(q[0])
 
             def world(x):
                 return [_sum([_times(cw, x[0]), _times(-sw, x[1])]),
                         _sum([_times(sw, x[0]), _times(cw, x[1])]), x[2]]
 
-            p, cols, dcols = world(p), [*map(world, cols)], [*map(world, dcols)]
-        return p, [list(r) for r in zip(*cols)], [list(r) for r in zip(*dcols)]
+            p, cols, acc = world(p), [*map(world, cols)], world(acc)
+        return p, [list(r) for r in zip(*cols)], acc
 
 
 def _arm_code(arm, call):

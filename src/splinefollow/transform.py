@@ -44,12 +44,12 @@ def _linearized(code, p, sigma, values, kinematics, qd, Jf_v, Jg_v):
     """Record (eta_2, xi, alpha, beta) into ``code``; return them.
 
     ``sigma`` holds the curve rows and ``values`` the frame values at
-    the closest point, ``kinematics`` the plant's (h, J, d(J qd)/dq),
+    the closest point, ``kinematics`` the plant's (h, J, Jdot qd),
     ``qd`` the velocity and J f_v, the rows of J g_v the affine dynamics
     qdd = f_v + g_v u seen through J.
     """
     e, de, dde, _, _, (speed, _, _) = frames._parts(values, p)
-    y, J, dJqd_dq = kinematics
+    y, J, Jdot_qd = kinematics
     offset = [a - b for a, b in zip(y, sigma[0])]
     Jqd = [dot(row, qd) for row in J]
 
@@ -60,8 +60,8 @@ def _linearized(code, p, sigma, values, kinematics, qd, Jf_v, Jg_v):
           [lam_rate * dot(dej, offset) + dot(ej, Jqd)
            for ej, dej in zip(e[1:], de[1:])]]
 
-    # d(J qd)/dt along the drift
-    accel_drift = [dot(row, qd) + x for row, x in zip(dJqd_dq, Jf_v)]
+    # d(J qd)/dt along the drift: Jdot qd + J f_v
+    accel_drift = [a + x for a, x in zip(Jdot_qd, Jf_v)]
 
     # tangential channel
     lf2_eta1 = lam_rate * dot(de[0], Jqd) + dot(e[0], accel_drift)
@@ -93,9 +93,9 @@ def _transformed(code, A, Bd, forces, p, mode, fixed_vectors):
     N = len(A)
     sigma, values = frames._frame_values(code, p, mode, fixed_vectors)
     q, qd, d, bias = dynamics._recorded_forces(code, forces, N)
-    code.source("y, J, dJqd_dq = kinematics")
+    code.source("y, J, Jdot_qd = kinematics")
     kinematics = (code.unpack("y", (p,)), code.unpack("J", (p, N)),
-                  code.unpack("dJqd_dq", (p, N)))
+                  code.unpack("Jdot_qd", (p,)))
     Jf_v, Jg_v = dynamics._output_drift_and_input(code, A, Bd, qd, d, bias, kinematics[1])
     eta2, xi, alpha, beta = _linearized(code, p, sigma, values, kinematics, qd, Jf_v, Jg_v)
     zeta = dynamics._completion(code.unpack("Z", (N - p, N)), q, qd)

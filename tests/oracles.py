@@ -3,7 +3,7 @@
 Each is a second, numpy computation that tests compare the package with:
 - ``FrameArrays``, a FrameJet whose parts read as numpy arrays, and
   ``frame_jet``, which returns one;
-- ``G`` and ``dJ_dq``, array views of a plant's compiled ``forces`` and
+- ``G`` and ``Jdot_qd``, array views of a plant's compiled ``forces`` and
   ``kinematics`` calls;
 - ``acceleration`` and ``drift_and_input``, a float ``forces`` call and
   then a generated solve that takes its values as arguments, which the
@@ -56,14 +56,9 @@ def G(system, q):
     return np.array(system.forces(_floats(q), [0.0] * system.N)[1])
 
 
-def dJ_dq(system, q):
-    """(p, N, N) array d J[a, b] / d q[c].
-
-    Column b of d(J qd)/dq at qd = e_b is dJ/dq_b.
-    """
-    q = _floats(q)
-    return np.array([system.kinematics(q, e)[2] for e in np.eye(system.N).tolist()],
-                    dtype=float).transpose(1, 0, 2)
+def Jdot_qd(system, q, qd):
+    """(p,) Jdot qd, the output's acceleration at qdd = 0."""
+    return np.array(system.kinematics(_floats(q), _floats(qd))[2], dtype=float)
 
 
 def _solve_code(A, Bd, inputs):
@@ -181,14 +176,14 @@ def check_differentials(system, state, path, proj_state,
 def _linearize_code(p, N):
     """Source of ``f(rows, frame, kinematics, qd, Jf_v, Jg_v)``: the
     linearization alone, from a FrameJet's rows and values, the plant's
-    (h, J, d(J qd)/dq), qd, J f_v and the rows of J g_v; returns
+    (h, J, Jdot qd), qd, J f_v and the rows of J g_v; returns
     (eta_2, xi, alpha, beta)."""
     code = codegen.Recorder()
     sigma = code.unpack("rows", (p + 2, p))
     values = code.unpack("frame", (3 * p * p + 2 * p + 1,))
-    code.source("y, J, dJqd_dq = kinematics")
+    code.source("y, J, Jdot_qd = kinematics")
     kinematics = (code.unpack("y", (p,)), code.unpack("J", (p, N)),
-                  code.unpack("dJqd_dq", (p, N)))
+                  code.unpack("Jdot_qd", (p,)))
     qd, Jf_v = code.unpack("qd", (N,)), code.unpack("Jf_v", (p,))
     Jg_v = code.unpack("Jg_v", (p, N))
     return code.function("rows, frame, kinematics, qd, Jf_v, Jg_v", transform._linearized(

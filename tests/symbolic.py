@@ -1,11 +1,11 @@
 """Symbolic derivation of the manipulator plants, the tests' oracle.
 
 ``_lagrangian`` forms the inertia matrix from mass-centre Jacobians, its
-Christoffel symbols, the gravity vector and the output kinematics with
-sympy, apart from the package, which records each arm's ``forces`` and
-``kinematics`` from its geometry (``dynamics._Arm``).  ``oracle``
-compiles one of them to float code: the forces and kinematics, which
-``test_symbolic.py`` compares with the package's calls, and the
+Christoffel symbols, the gravity vector and the output kinematics (h, J
+and Jdot qd) with sympy, apart from the package, which records each
+arm's ``forces`` and ``kinematics`` from its geometry (``dynamics._Arm``).
+``oracle`` compiles one of them to float code: the forces and kinematics,
+which ``test_symbolic.py`` compares with the package's calls, and the
 Christoffel matrix and kinetic energy, which the other tests check the
 package's dynamics with.  The constants are exact rationals, so terms
 that cancel in the derivation leave no rounding residue.
@@ -39,7 +39,8 @@ def _lagrangian(q, coms, masses, inertia, potential, output):
 
     Returns the velocity symbols qd and nested lists of expressions in
     q, qd: ``forces`` is (rows of D, C qd + G); ``kinematics`` is (h,
-    rows of J, rows of d(J qd)/dq); ``christoffel`` is the rows of C and
+    rows of J, Jdot qd: J qd's Jacobian times qd, the output's
+    acceleration at qdd = 0); ``christoffel`` is the rows of C and
     ``energy`` is qd^T D qd / 2.
     """
     n = len(q)
@@ -57,11 +58,11 @@ def _lagrangian(q, coms, masses, inertia, potential, output):
                                          for i in range(n)) / 2)
     Cqd = C * sp.Matrix(qd)
     bias = [sp.diff(potential, q[k]) + Cqd[k] for k in range(n)]
-    J = sp.Matrix(output).jacobian(qv)
+    J, qdv = sp.Matrix(output).jacobian(qv), sp.Matrix(qd)
     return qd, {
         "forces": [D.tolist(), bias],
         "kinematics": [list(output), J.tolist(),
-                       (J * sp.Matrix(qd)).jacobian(qv).tolist()],
+                       list((J * qdv).jacobian(qv) * qdv)],
         "christoffel": C.tolist(),
         "energy": (sp.Matrix(qd).T * D * sp.Matrix(qd))[0] / 2,
     }
@@ -113,7 +114,7 @@ def oracle(plant, what):
     floats, or as an array for "christoffel" and "energy".
 
     ``what`` is "forces" (rows of D, C qd + G), "kinematics" (h, rows of
-    J, rows of d(J qd)/dq), "christoffel", the (N, N) matrix C with C qd
+    J, Jdot qd), "christoffel", the (N, N) matrix C with C qd
     the Coriolis and centrifugal forces, or "energy", the kinetic energy
     qd^T D qd / 2.
     """

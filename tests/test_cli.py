@@ -90,6 +90,13 @@ class TestFitAndCheck:
     def test_missing_file_is_validation_failure(self):
         assert cli.main(["check", "/nonexistent/path.json"]) == 1
 
+    def test_directory_is_validation_failure(self, tmp_path, capsys):
+        """A file argument naming a directory is an OSError like a missing
+        file: exit 1, no traceback."""
+        assert cli.main(["check", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: [Errno 21] Is a directory"), err
+
     @pytest.mark.parametrize("data, message", [
         ({"waypoints": [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]], "closd": True},
          "unknown waypoints file key(s) 'closd'; known: waypoints, closed"),
@@ -245,6 +252,16 @@ class TestRun:
         assert header.startswith("t,q0,q1,qd0,qd1,u0,u1,eta1,eta2")
         summary = json.loads((tmp_path / "log.csv.summary.json").read_text())
         assert "max_zeta_norm" in summary
+
+    def test_out_directory_is_validation_failure(self, scenario_file, tmp_path,
+                                                 capsys):
+        """``--out`` naming a directory fails when the log is written, after
+        the run, as a validation failure."""
+        rc = cli.main(["run", str(scenario_file), "--out", str(tmp_path),
+                       "--duration", "0.1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: [Errno 21] Is a directory"), err
 
     def test_run_deterministic(self, scenario_file, tmp_path):
         outs = []

@@ -462,3 +462,15 @@ class TestStep:
         assert diag.saturated
         assert np.all(u <= example1.default_limits.u_max + 1e-12)
         assert np.abs(diag.u_unclamped).max() > 5.0
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_weight_not_n_by_n_rejected(self, example1, n):
+        """A W that is not N x N raises ParameterError naming N and W's
+        shape when the period's code is built, not an unpacking error."""
+        path = curves.line_path([-5.0], [5.0])
+        q = [0.0, 0.5]
+        ps = projection.global_initialize(path, example1.h(q))
+        red = control.RedundancyConfig(W=np.eye(n))
+        with pytest.raises(ParameterError, match=f"W must be 2 x 2, .*; got {n} x {n}$"):
+            control.step(example1, path, q, [0.0, 0.0], ps, 0.0,
+                         control.OuterLoopGains(), redundancy=red)

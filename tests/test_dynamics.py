@@ -67,6 +67,11 @@ def _cpm_tip(q):
     return np.array([np.cos(q[0]) * reach, np.sin(q[0]) * reach, height])
 
 
+def _fd_jdot_qd(s, q, qd, h=1e-6):
+    """Jdot qd by central differences of J along qd."""
+    return (s.J(q + h * qd) - s.J(q - h * qd)) / (2 * h) @ qd
+
+
 def _cpm_potential(q):
     masses = np.array(dynamics._CPM_MASSES)
     return dynamics._CPM_GRAVITY * masses @ _cpm_coms(q)[:, 2]
@@ -74,31 +79,32 @@ def _cpm_potential(q):
 
 M1, M2 = 2.5, 0.7   # example1 masses away from the unit defaults
 
-# view -> oracle(system, q): example1's hand-written matrices, and the
+# view -> oracle(system, q, qd): example1's hand-written matrices, and the
 # mass-centre, forward-kinematics and finite-difference oracles of the arms
 ORACLES = {
     "example1": {
-        "D": lambda s, q: np.diag([M1, M2]),
-        "G": lambda s, q: np.zeros(2),
-        "h": lambda s, q: np.array([q[1]]),
-        "J": lambda s, q: np.array([[0.0, 1.0]]),
-        "dJ_dq": lambda s, q: np.zeros((1, 2, 2)),
+        "D": lambda s, q, qd: np.diag([M1, M2]),
+        "G": lambda s, q, qd: np.zeros(2),
+        "h": lambda s, q, qd: np.array([q[1]]),
+        "J": lambda s, q, qd: np.array([[0.0, 1.0]]),
+        "Jdot_qd": lambda s, q, qd: np.zeros(1),
     },
     "example2": {
-        "D": lambda s, q: (_point_mass_inertia(_planar3r_coms, np.ones(3), q)
-                           + np.tril(np.ones((3, 3))).T @ np.tril(np.ones((3, 3)))),
-        "G": lambda s, q: np.zeros(3),
-        "h": lambda s, q: _planar3r_tip(q),
-        "J": lambda s, q: _fd_jacobian(_planar3r_tip, q),
-        "dJ_dq": lambda s, q: _fd_jacobian(s.J, q),
+        "D": lambda s, q, qd: (_point_mass_inertia(_planar3r_coms, np.ones(3), q)
+                               + np.tril(np.ones((3, 3))).T @ np.tril(np.ones((3, 3)))),
+        "G": lambda s, q, qd: np.zeros(3),
+        "h": lambda s, q, qd: _planar3r_tip(q),
+        "J": lambda s, q, qd: _fd_jacobian(_planar3r_tip, q),
+        "Jdot_qd": _fd_jdot_qd,
     },
     "cpm4": {
-        "D": lambda s, q: (_point_mass_inertia(_cpm_coms, np.array(dynamics._CPM_MASSES), q)
-                           + np.diag(dynamics._CPM_ROTOR)),
-        "G": lambda s, q: _fd_jacobian(_cpm_potential, q),
-        "h": lambda s, q: _cpm_tip(q),
-        "J": lambda s, q: _fd_jacobian(_cpm_tip, q),
-        "dJ_dq": lambda s, q: _fd_jacobian(s.J, q),
+        "D": lambda s, q, qd: (
+            _point_mass_inertia(_cpm_coms, np.array(dynamics._CPM_MASSES), q)
+            + np.diag(dynamics._CPM_ROTOR)),
+        "G": lambda s, q, qd: _fd_jacobian(_cpm_potential, q),
+        "h": lambda s, q, qd: _cpm_tip(q),
+        "J": lambda s, q, qd: _fd_jacobian(_cpm_tip, q),
+        "Jdot_qd": _fd_jdot_qd,
     },
 }
 
@@ -141,21 +147,23 @@ class TestState:
 
 
 def _view(plant, view):
-    """The plant's method, or for G and dJ_dq the test oracle, as f(q)."""
-    if view in ("G", "dJ_dq"):
-        return lambda q: getattr(oracles, view)(plant, q)
-    return getattr(plant, view)
+    """The plant's method, or for G and Jdot_qd the test oracle, as f(q, qd)."""
+    if view == "Jdot_qd":
+        return lambda q, qd: oracles.Jdot_qd(plant, q, qd)
+    if view == "G":
+        return lambda q, qd: oracles.G(plant, q)
+    return lambda q, qd: getattr(plant, view)(q)
 
 
 class TestDerivedViews:
     """The views derived from ``forces``, ``kinematics`` and Z."""
 
-    @pytest.mark.parametrize("view", ["D", "G", "h", "J", "dJ_dq"])
+    @pytest.mark.parametrize("view", ["D", "G", "h", "J", "Jdot_qd"])
     def test_matches_oracle(self, plant, view):
         oracle = ORACLES[plant.name][view]
         rng = np.random.default_rng(21)
-        for q in rng.uniform(-1.5, 1.5, (4, plant.N)):
-            np.testing.assert_allclose(_view(plant, view)(q), oracle(plant, q),
+        for q, qd in rng.uniform(-1.5, 1.5, (4, 2, plant.N)):
+            np.testing.assert_allclose(_view(plant, view)(q, qd), oracle(plant, q, qd),
                                        rtol=1e-7, atol=1e-7)
 
     def test_completion_is_the_hand_written_one(self, plant):
@@ -247,14 +255,14 @@ class TestPlanar3R:
                 np.testing.assert_allclose(J[:, j], fd, atol=1e-8)
 
     def test_jacobian_derivative_fd(self, example2):
-        h = 1e-6
+        """Jdot qd is the tip's acceleration at qdd = 0: the second
+        difference of h along the motion q + t qd."""
+        h = 1e-4
         for st in _random_states(example2, 3, seed=2):
-            dJ = oracles.dJ_dq(example2, st.q)
-            for c in range(3):
-                dq = np.zeros(3)
-                dq[c] = h
-                fd = (example2.J(st.q + dq) - example2.J(st.q - dq)) / (2 * h)
-                np.testing.assert_allclose(dJ[:, :, c], fd, atol=1e-7)
+            ddh = (example2.h(st.q + h * st.qd) - 2 * example2.h(st.q)
+                   + example2.h(st.q - h * st.qd)) / h**2
+            np.testing.assert_allclose(oracles.Jdot_qd(example2, st.q, st.qd), ddh,
+                                       atol=1e-5)
 
     def test_skew_symmetry(self, example2, symbolic_oracle):
         """Ddot - 2C is skew-symmetric (passivity structure)."""

@@ -481,7 +481,7 @@ class TestRun:
         assert len(log.t) == 50
         constants = "{}, {}, 'planar3r_forces'".format(*system.solves.constants[:2])
         for label in (f"_period_code({constants}, 2, 'planar_fallback', (), 'velocity', "
-                      "'pd', 'joint_limit', False)",
+                      "'pd', 'joint_limit', None)",
                       "_newton_code('_polynomial_rows', 2, 6)",
                       "_jet_code(3, 0, '_polynomial_rows', 2, 6)", "_rk4_code(3,)",
                       f"_stage_code({constants})"):

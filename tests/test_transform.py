@@ -44,8 +44,7 @@ def _reference_linearize(system, state, path, proj_state, policy, christoffel):
     eta = np.array([path.arclength_offsets[fj.k] + path.arclength_interp(fj.k, fj.lam),
                     eta2])
 
-    dJqd_dq = oracles.dJ_dq(system, q).transpose(0, 2, 1) @ qd
-    accel_drift = dJqd_dq @ qd + J @ f_v
+    accel_drift = oracles.Jdot_qd(system, q, qd) + J @ f_v
     lf2_eta1 = lam_rate * (fj.de[0] @ Jqd) + fj.e[0] @ accel_drift
     sig1, sig2 = fj.sigma[1], fj.sigma[2]
     lam_rate_drift = lf2_eta1 / speed - eta2**2 * (sig1 @ sig2) / speed**4
