@@ -15,7 +15,9 @@ raised during a control period, or a numerical failure).
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -79,15 +81,28 @@ def _cmd_dlambda(args):
     return 0
 
 
+def _writable(file):
+    """OSError unless ``file`` names no directory and its directory exists
+    and is writable; creates and truncates nothing."""
+    parent = os.path.dirname(file) or "."
+    for path, code in ((file, os.path.isdir(file) and errno.EISDIR),
+                       (parent, not os.path.isdir(parent) and errno.ENOENT),
+                       (parent, not os.access(parent, os.W_OK) and errno.EACCES)):
+        if code:
+            raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_run(args):
     scenario = sim.Scenario.from_file(args.scenario)
     overrides = {"duration": args.duration, "dt": args.dt}
     scenario = dataclasses.replace(   # validates the overridden scenario
         scenario, **{k: v for k, v in overrides.items() if v is not None})
+    summary_file = args.summary or (args.out + ".summary.json")
+    for file in (args.out, summary_file):   # before the run, not after it
+        _writable(file)
     log = sim.run(scenario)
     log.to_csv(args.out)
     summary = log.summary()
-    summary_file = args.summary or (args.out + ".summary.json")
     with open(summary_file, "w") as f:
         json.dump(summary, f, indent=2)
     print(f"run '{scenario.name}': {len(log.t)} steps -> {args.out}")

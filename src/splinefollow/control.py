@@ -221,10 +221,19 @@ def resolve_input(alpha, beta, v, r, W=None):
     M is symmetric, so the absolute values of its eigenvalues are its
     singular values; NearSingularDecouplingError (with ``cond``) is raised
     when their ratio is above 1e10 (the transform is degenerating) or M is
-    not finite.  beta has p rows of N, W N rows of N; u is N floats.
+    not finite.  beta has p rows of N, W N rows of N (else ParameterError);
+    u is N floats.
     """
     p, N = len(beta), len(beta[0])
+    _check_weight(N, None if W is None else len(W))
     return codegen.kernel(_resolve_code, p, N, W is not None)(alpha, beta, v, r, W)
+
+
+def _check_weight(N, W_size):
+    """ParameterError unless W, of ``W_size`` rows (None without W), is N x N."""
+    if W_size not in (None, N):
+        raise ParameterError(f"redundancy W must be {N} x {N}, one row per joint "
+                             f"of the plant; got {W_size} x {W_size}")
 
 
 def _tangential(eta, integral, gains, dt, ref):
@@ -286,9 +295,7 @@ def _period_code(A, Bd, forces, p, mode, fixed_vectors, tangential_mode,
     modes' gains are read from ``gains`` and W, of ``W_size`` rows, is the
     identity if that is None.  A W_size other than N raises ParameterError."""
     N, m = len(A), p - 1
-    if W_size not in (None, N):
-        raise ParameterError(f"redundancy W must be {N} x {N}, one row per joint "
-                             f"of the plant; got {W_size} x {W_size}")
+    _check_weight(N, W_size)
     code = codegen.Recorder()
     q, (eta2, xi, zeta, alpha, beta) = transform._transformed(
         code, A, Bd, forces, p, mode, fixed_vectors)

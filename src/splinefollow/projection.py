@@ -3,10 +3,10 @@
 Maintains the (k*, lambda*) pair: brute-force global initialization on a
 quantized path, then per step a safeguarded Newton iteration on the
 normality condition, backed by monotonic gradient descent with adaptive
-step size.  Both search only the incumbent segment, and no Newton step is
-longer than the descent's first probe, so tracking does not jump branch
-at self-intersections; segment hand-off happens only when lambda* leaves
-the current domain.
+step size, both in widths of the current segment's domain.  No Newton step
+is longer than the descent's first probe, so tracking does not jump
+branch at self-intersections; either search hands off to the neighbouring
+segment (``_hand_off``) when its lambda leaves the current domain.
 
 The per-step search runs on Python floats.  Each Newton iterate and each
 descent step is one call of ``_newton_code``, recorded once per segment
@@ -33,10 +33,11 @@ INIT_GRID = 2000  # global-initializer grid spacing: total arclength / INIT_GRID
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Tolerance, first descent step and iteration cap of the projection."""
+    """Tolerance, first descent step and iteration cap of the projection;
+    ``eps`` and ``alpha0`` in widths of the current segment's domain."""
 
-    eps: float = 1e-8
-    alpha0: float = 1e-2
+    eps: float = 3e-8
+    alpha0: float = 3e-2
     max_iters: int = 200
 
     def __post_init__(self):
@@ -78,24 +79,38 @@ def _newton_code(rows, *key):
         dist2, dot(s1, s1) + _distance2_and_slope(s0, s2, y)[1], g))
 
 
+def _hand_off(path, k, lam, lo, hi):
+    """(k, lam) carried by its excess past an end of segment k's domain
+    [lo, hi] into the neighbouring segment, wrapping when the path is
+    closed; None past an open end."""
+    forward = lam > hi
+    j = k + 1 if forward else k - 1
+    if not (path.closed or 0 <= j < path.n_segments):
+        return None
+    j %= path.n_segments
+    start, end = path.segments[j].domain
+    return j, start + (lam - hi) if forward else end - (lo - lam)
+
+
 def _newton(path, k, lam, y, cfg):
     """Safeguarded Newton iteration on g(lam) = <sigma - y, sigma'> = 0.
 
     Second-order point projection (Hu & Wallner, CAGD 22(3), 2005) from
     the warm lambda*: g' = ||sigma'||^2 + <sigma - y, sigma''>.  A step is
     taken only where g' > 0 (the squared distance is locally convex), it
-    is no longer than the descent's first probe ``cfg.alpha0``, the new
-    point stays in the incumbent segment and the distance does not
-    increase.  The length bound keeps a step where g' is small from
-    leaping over a distance ridge to another branch of the same segment.
-    Each iterate is one call of the segment's ``newton``, its kind's
-    ``_newton_code`` compiled at first use.
-    Returns (lam, iterations, converged); lam is always the last accepted
-    iterate.
+    is no longer than the descent's first probe (``cfg.alpha0`` widths)
+    and the distance does not increase.  The length bound keeps a step
+    where g' is small from leaping over a distance ridge to another branch
+    of the same segment.  A step past a domain end goes on the neighbour
+    (``_hand_off``) or, at an open end, stops; one under ``cfg.eps``
+    widths converges and is taken unevaluated.  Each iterate is one call
+    of the segment's ``newton``.  Returns (k, lam, iterations, converged),
+    (k, lam) the last accepted iterate.
     """
     seg = path.segments[k]
     lo, hi = seg.domain
     newton = seg.newton = seg.newton or codegen.kernel(_newton_code, *seg.code)
+    bound, tol = cfg.alpha0 * (hi - lo), cfg.eps * (hi - lo)
     dist2, gp, g = newton(seg.consts, lam, y)
     iters = 0
     while iters < cfg.max_iters:
@@ -103,20 +118,29 @@ def _newton(path, k, lam, y, cfg):
             break
         step = g / gp
         lam_new = lam - step
-        if abs(step) > cfg.alpha0 or not lo <= lam_new <= hi:
+        if not abs(step) <= bound:   # NaN too
             break
+        if not lo <= lam_new <= hi:   # the neighbour's next step tests convergence
+            handed = _hand_off(path, k, lam_new, lo, hi)
+            if handed is None:
+                break
+            iters += 1
+            seg = path.segments[handed[0]]
+            newton = seg.newton = seg.newton or codegen.kernel(_newton_code, *seg.code)
+            dist2_new, gp, g = newton(seg.consts, handed[1], y)
+            if dist2_new > dist2:
+                break
+            (k, lam), dist2, (lo, hi) = handed, dist2_new, seg.domain
+            bound, tol = cfg.alpha0 * (hi - lo), cfg.eps * (hi - lo)
+            continue
         iters += 1
+        if abs(step) < tol:
+            return k, lam_new, iters, True
         dist2_new, gp_new, g_new = newton(seg.consts, lam_new, y)
-        if abs(step) < cfg.eps:
-            # converged; a sub-eps step that rounding made look uphill
-            # is simply not taken
-            if dist2_new <= dist2:
-                lam = lam_new
-            return lam, iters, True
         if dist2_new > dist2:
             break
         lam, dist2, gp, g = lam_new, dist2_new, gp_new, g_new
-    return lam, iters, False
+    return k, lam, iters, False
 
 
 def update(state, path, y, cfg):
@@ -128,22 +152,26 @@ def update(state, path, y, cfg):
     the segment hand-off; both count toward ``cfg.max_iters``.  Each
     descent step is one call of the segment's ``newton``: it steps
     against the sign of g, half the derivative of the squared distance,
-    and is taken when the distance, the root of the first result, falls.
+    and is taken when the distance, the root of the first result, falls;
+    it starts at ``cfg.alpha0`` widths and stops below ``cfg.eps``.
 
     Raises NonConvergenceError (carrying this pass's state, the best so
     far) if the iteration cap is hit.
     """
     y = [float(x) for x in y]
-    k = state.k_star
-    lam, iters, converged = _newton(path, k, float(state.lambda_star), y, cfg)
+    k, lam, iters, converged = _newton(path, state.k_star, float(state.lambda_star),
+                                       y, cfg)
     if converged:
         return ProjectionState(k, lam, iters)
-    alpha = cfg.alpha0
-    clamped = False
+    lo, hi = path.segments[k].domain
+    alpha, clamped = cfg.alpha0 * (hi - lo), False
 
     while True:
         seg = path.segments[k]
         newton = seg.newton = seg.newton or codegen.kernel(_newton_code, *seg.code)
+        lo, hi = seg.domain
+        tol = cfg.eps * (hi - lo)
+        alpha = max(alpha, 2.0 * tol)   # (re)start, as Algorithm 1's re-entry
         # the entry reads the path, which is how bench/tracer.py tells a
         # descent period; each step is one call of the segment's newton
         dist2, g = _distance2_and_slope(path.evaluate_unchecked(k, lam, 0),
@@ -168,22 +196,17 @@ def update(state, path, y, cfg):
                 alpha *= GROW
             else:
                 alpha *= SHRINK
-            if alpha < cfg.eps:
+            if alpha < tol:
                 break
 
         # hand-off to the next or previous segment, wrapping when closed, else a clamp
-        lo, hi = seg.domain
-        step = 1 if lam > hi else -1 if lam < lo else 0   # 0 at NaN too
-        if not step:
+        if not (lam < lo or lam > hi):   # inside, or NaN
             break
-        if not (path.closed or 0 <= k + step < path.n_segments):
-            lam, clamped = (hi if step > 0 else lo), True
+        handed = _hand_off(path, k, lam, lo, hi)
+        if handed is None:
+            lam, clamped = (hi if lam > hi else lo), True
             break
-        k = (k + step) % path.n_segments
-        start, end = path.segments[k].domain
-        lam = start + (lam - hi) if step > 0 else end - (lo - lam)
-        # restart the descent on the new segment (Algorithm 1 re-entry)
-        alpha = max(alpha, cfg.eps * 2.0)
+        k, lam = handed
 
     return ProjectionState(k, lam, iters, clamped)
 
@@ -216,7 +239,8 @@ def global_initialize(path, y, cfg=ProjectionConfig()):
         if dists[i] < best[0] - 1e-15:
             best = (float(dists[i]), k, float(grid[i]))
     seed = ProjectionState(k_star=best[1], lambda_star=best[2])
-    return update(seed, path, y, replace(cfg, alpha0=spacing))
+    lo, hi = path.segments[best[1]].domain   # the first step: one spacing
+    return update(seed, path, y, replace(cfg, alpha0=spacing / (hi - lo)))
 
 
 def convexity_margin(path, k, lam_star, lams):

@@ -41,13 +41,12 @@ DIVERGENCE_BOUND = 1e6
 SUMMARY_TAIL = 0.25   # the share of a run's last periods its summary's tail covers
 
 # zero-dynamics portrait: control period (flows and field), redundancy
-# resolution, RK4 substeps and projection settings of the flows, and the
-# equilibrium search's tolerance and merge radius
+# resolution and RK4 substeps of the flows, and the equilibrium search's
+# tolerance and merge radius; the flows project with the default
+# ProjectionConfig, whose bounds are fractions of the circle's width
 PORTRAIT_DT = 0.02
 PORTRAIT_REDUNDANCY = control.RedundancyConfig()
 PORTRAIT_SUBSTEPS = 2
-# flows start on the manifold, so a loose descent tolerance suffices
-PORTRAIT_PROJECTION = projection.ProjectionConfig(eps=1e-6, alpha0=1e-3)
 EQUILIBRIUM_TOL = 1e-6
 CLUSTER_RADIUS = 1e-3
 
@@ -566,7 +565,7 @@ def zero_dynamics_portrait(system, path, gains, grid, limits=None,
                 system, path, *_manifold_state(system, path, ps0, z0), gains,
                 steps, PORTRAIT_DT, PORTRAIT_SUBSTEPS,
                 redundancy=PORTRAIT_REDUNDANCY, limits=limits,
-                proj_cfg=PORTRAIT_PROJECTION, proj=ps0)
+                proj_cfg=projection.ProjectionConfig(), proj=ps0)
             flows.append(np.reshape([diag.lin.zeta for *_, diag in periods], (-1, 2)))
         except SplineFollowError:
             flows.append(None)

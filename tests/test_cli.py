@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -255,13 +256,38 @@ class TestRun:
 
     def test_out_directory_is_validation_failure(self, scenario_file, tmp_path,
                                                  capsys):
-        """``--out`` naming a directory fails when the log is written, after
-        the run, as a validation failure."""
+        """``--out`` naming a directory is a validation failure."""
         rc = cli.main(["run", str(scenario_file), "--out", str(tmp_path),
                        "--duration", "0.1"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("validation failure: [Errno 21] Is a directory"), err
+
+    @pytest.mark.parametrize("files, message", [
+        (["--out", "."], "[Errno 21] Is a directory: '.'"),
+        (["--out", "log.csv", "--summary", "."], "[Errno 21] Is a directory: '.'"),
+        (["--out", "missing/log.csv"], "[Errno 2] No such file or directory: 'missing'"),
+        (["--out", "log.csv", "--summary", "missing/s.json"],
+         "[Errno 2] No such file or directory: 'missing'"),
+    ], ids=["out directory", "summary directory", "out parent missing",
+            "summary parent missing"])
+    def test_unwritable_output_fails_before_the_run(self, scenario_file, tmp_path,
+                                                    monkeypatch, capsys, files, message):
+        """An output file that cannot be written fails before the first
+        period, and nothing is created or truncated."""
+        def run(*args, **kwargs):
+            raise AssertionError("sim.run was called")
+
+        monkeypatch.setattr(cli.sim, "run", run)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        (work / "log.csv").write_text("kept")
+        assert cli.main(["run", str(scenario_file), *files]) == 1
+        err = capsys.readouterr().err
+        assert err == f"validation failure: {message}\n", err
+        assert os.listdir(work) == ["log.csv"]
+        assert (work / "log.csv").read_text() == "kept"
 
     def test_run_deterministic(self, scenario_file, tmp_path):
         outs = []

@@ -93,6 +93,14 @@ class TestResolveInput:
         assert exc.value.cond == pytest.approx(want, rel=1e-6)
         assert f"{exc.value.cond:.3e}" in str(exc.value)
 
+    @pytest.mark.parametrize("W", [np.eye(3).tolist(), []], ids=["3x3", "empty"])
+    def test_weight_not_n_by_n_rejected(self, W):
+        """A W that is not N x N raises the period's ParameterError, naming
+        N and W's size, before the generated code unpacks it."""
+        n = len(W)
+        with pytest.raises(ParameterError, match=f"W must be 2 x 2, .*; got {n} x {n}$"):
+            control.resolve_input([0.0], [[1.0, 2.0]], [0.5], [0.0, 0.0], W)
+
     def test_non_finite_decoupling_raises(self):
         for beta in ([[1.0, np.nan], [0.0, 1.0]], [[1.0, np.nan]], [[np.nan]]):
             p, N = np.shape(beta)

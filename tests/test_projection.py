@@ -1,7 +1,9 @@
 """Closest-point tracking and the descent-window criterion."""
 
 import collections
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from splinefollow import codegen, curves, projection
 from splinefollow.errors import NonConvergenceError, ParameterError
 from splinefollow.projection import ProjectionConfig, ProjectionState
 from splinefollow.frames import dot
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _dense_oracle(path, y, n=20000):
@@ -178,6 +182,43 @@ class TestUpdate:
         d_grid, _, _ = _dense_oracle(path, y, n=200001)
         assert d <= d_grid + 1e-12
 
+    def test_probe_past_the_segment_reaches_the_minimizer(self):
+        """With a first probe of 100 widths, the descent on a closed
+        one-segment circle wraps around it again and again before its
+        step shrinks below the segment's width, and still ends at the
+        closest point inside the domain."""
+        path = curves.circle_path(radius=1e-3)
+        seed = projection.ProjectionState(k_star=0, lambda_star=0.0020985102684017063)
+        y = np.array([0.004547833942294458, -0.00673240765426])
+        st = projection.update(seed, path, y, projection.ProjectionConfig(alpha0=100.0))
+        lo, hi = path.segments[0].domain
+        assert lo <= st.lambda_star <= hi and st.last_iterations > 50
+        d = np.linalg.norm(path.evaluate(0, st.lambda_star, 0) - y)
+        d_grid, _, _ = _dense_oracle(path, y, n=200001)
+        assert d <= d_grid + 1e-12
+
+    def test_scale_free(self):
+        """The shipped figure-eight's waypoints scaled by s = 1e-6, 1 and
+        1e6 and fitted closed: a query 0.02 s off the path in both
+        coordinates, moved once around it (250 points per segment), takes
+        the same iterations at every s, and lambda* / s agrees to 1e-9."""
+        waypoints = np.array(json.loads(
+            (SCENARIOS / "figure_eight_3r.json").read_text())["path"]["waypoints"])
+        laps = []
+        for s in (1e-6, 1.0, 1e6):
+            path = curves.fit_spline(s * waypoints, closed=True)
+            st = ProjectionState(0, path.segments[0].domain[0])
+            lap = []
+            for k, seg in enumerate(path.segments):
+                for lam in np.linspace(*seg.domain, 250, endpoint=False):
+                    y = np.array(path.evaluate_unchecked(k, lam, 0)) + 0.02 * s
+                    st = projection.update(st, path, y, ProjectionConfig())
+                    lap.append((st.k_star, st.last_iterations, st.lambda_star / s))
+            laps.append(np.array(lap))
+        for lap in laps:
+            np.testing.assert_array_equal(lap[:, :2], laps[1][:, :2])
+            np.testing.assert_allclose(lap[:, 2], laps[1][:, 2], rtol=1e-9, atol=0.0)
+
     def test_iteration_cap_raises(self, wavy_path):
         cfg = projection.ProjectionConfig(max_iters=2, eps=1e-14)
         st = projection.ProjectionState(k_star=0, lambda_star=0.01)
@@ -209,42 +250,55 @@ class TestUpdate:
 
 
 def _reference_newton(path, k, lam, y, cfg):
-    """The Newton iteration written on jet_unchecked and dot, and its exit."""
-    lo, hi = path.segments[k].domain
-    s0, s1, s2 = path.jet_unchecked(k, lam, 2)
-    diff = [a - b for a, b in zip(s0, y)]
-    dist2 = dot(diff, diff)
-    iters = 0
+    """The Newton iteration written on jet_unchecked and dot, its step
+    bound and tolerance in the segment's width, its converged step taken
+    unevaluated and its hand-off a carry of the excess; and its exit,
+    marked when a hand-off was taken."""
+    def at(k, lam):
+        s0, s1, s2 = path.jet_unchecked(k, lam, 2)
+        diff = [a - b for a, b in zip(s0, y)]
+        return dot(diff, diff), dot(s1, s1) + dot(diff, s2), dot(diff, s1)
+
+    n = path.n_segments
+    dist2, gp, g = at(k, lam)
+    iters, handed = 0, ""
     while iters < cfg.max_iters:
-        gp = dot(s1, s1) + dot(diff, s2)
+        lo, hi = path.segments[k].domain
         if not gp > 0.0:
-            return lam, iters, False, "g' <= 0"
-        step = dot(diff, s1) / gp
-        lam_new = lam - step
-        if abs(step) > cfg.alpha0:
-            return lam, iters, False, "long step"
-        if not lo <= lam_new <= hi:
-            return lam, iters, False, "leaves the domain"
+            return k, lam, iters, False, "g' <= 0" + handed
+        step = g / gp
+        if abs(step) > cfg.alpha0 * (hi - lo):
+            return k, lam, iters, False, "long step" + handed
+        k_new, lam_new = k, lam - step
+        inside = lo <= lam_new <= hi
+        if not inside:
+            k_new = k + 1 if lam_new > hi else k - 1
+            if not (path.closed or 0 <= k_new < n):
+                return k, lam, iters, False, "open end" + handed
+            start, end = path.segments[k_new % n].domain
+            k_new, lam_new = k_new % n, (start + (lam_new - hi) if lam_new > hi
+                                         else end - (lo - lam_new))
         iters += 1
-        t0, t1, t2 = path.jet_unchecked(k, lam_new, 2)
-        diff_new = [a - b for a, b in zip(t0, y)]
-        dist2_new = dot(diff_new, diff_new)
-        if abs(step) < cfg.eps:
-            if dist2_new <= dist2:
-                lam = lam_new
-            return lam, iters, True, "converged"
+        if inside and abs(step) < cfg.eps * (hi - lo):
+            return k, lam_new, iters, True, "converged" + handed
+        dist2_new, gp_new, g_new = at(k_new, lam_new)
         if dist2_new > dist2:
-            return lam, iters, False, "uphill"
-        lam, s1, s2, diff, dist2 = lam_new, t1, t2, diff_new, dist2_new
-    return lam, iters, False, "iteration cap"
+            return (k, lam, iters, False,
+                    ("uphill" if inside else "uphill hand-off") + handed)
+        if not inside:
+            handed = " after a hand-off"
+        k, lam, dist2, gp, g = k_new, lam_new, dist2_new, gp_new, g_new
+    return k, lam, iters, False, "iteration cap" + handed
 
 
 class TestNewton:
     def test_matches_the_jet_and_dot_iteration(self, fig8_path):
-        """(lam, iterations, converged) of _newton are bit-identical to
+        """(k, lam, iterations, converged) of _newton are bit-identical to
         the iteration on jet_unchecked and dot, for queries near a fitted
         figure-eight, a line, a circle, an ellipse and a helix, and every
-        exit of the iteration occurs."""
+        exit of the iteration occurs: among them a step past an open end,
+        a landing on the neighbour that is uphill, and convergence after a
+        hand-off."""
         paths = [fig8_path, curves.line_path([0.0, 0.5], [2.0, -0.5]),
                  curves.circle_path(radius=2.0, center=(0.5, -1.0)),
                  curves.ellipse_path(), curves.helix_path(pitch=0.3)]
@@ -266,8 +320,10 @@ class TestNewton:
                 *want, why = _reference_newton(path, k, lam, y, cfg)
                 assert projection._newton(path, k, lam, y, cfg) == tuple(want), why
                 exits[why] += 1
-        assert set(exits) == {"g' <= 0", "long step", "leaves the domain", "uphill",
-                              "converged", "iteration cap"}, exits
+        assert set(exits) == {"g' <= 0", "long step", "open end", "uphill",
+                              "uphill hand-off", "uphill hand-off after a hand-off",
+                              "converged", "converged after a hand-off",
+                              "iteration cap"}, exits
 
 
 class TestDeltaLambda:
@@ -303,16 +359,19 @@ def _reference_objective(path, k, lam, y):
 
 
 def _reference_update(state, path, y, cfg):
-    """update with its descent written on evaluate_unchecked rows: the
-    state, or the error, it ends with and the exits that it took."""
+    """update with its descent written on evaluate_unchecked rows, its
+    steps and tolerance in each segment's width: the state, or the error,
+    it ends with and the exits that it took."""
     y = [float(x) for x in y]
-    k = state.k_star
-    lam, iters, converged = projection._newton(path, k, float(state.lambda_star),
-                                               y, cfg)
+    k, lam, iters, converged = projection._newton(
+        path, state.k_star, float(state.lambda_star), y, cfg)
     if converged:
         return ProjectionState(k, lam, iters), ["newton"]
-    alpha, clamped, exits = cfg.alpha0, False, []
+    lo, hi = path.segments[k].domain
+    alpha, clamped, exits = cfg.alpha0 * (hi - lo), False, []
     while True:
+        lo, hi = path.segments[k].domain
+        alpha = max(alpha, 2.0 * cfg.eps * (hi - lo))
         obj, grad = _reference_objective(path, k, lam, y)
         while True:
             if iters >= cfg.max_iters:
@@ -329,9 +388,8 @@ def _reference_update(state, path, y, cfg):
                 alpha *= projection.GROW
             else:
                 alpha *= projection.SHRINK
-            if alpha < cfg.eps:
+            if alpha < cfg.eps * (hi - lo):
                 break
-        lo, hi = path.segments[k].domain
         step = 1 if lam > hi else -1 if lam < lo else 0
         if not step:
             return ProjectionState(k, lam, iters, clamped), exits + ["descent"]
@@ -343,7 +401,6 @@ def _reference_update(state, path, y, cfg):
         k = (k + step) % path.n_segments
         start, end = path.segments[k].domain
         lam = start + (lam - hi) if step > 0 else end - (lo - lam)
-        alpha = max(alpha, cfg.eps * 2.0)
 
 
 def _outcome(call, *args):
